@@ -10,7 +10,7 @@
 //! one reused workspace (batched strided line transforms) and
 //! [`HartreeSolver::solve_into`] (cached plan + pooled scratch).
 //!
-//! On top of that, three [`KernelPolicy`] A/B sections time the real-flop
+//! On top of that, [`KernelPolicy`] A/B sections time the real-flop
 //! kernels against their reference arithmetic:
 //!
 //! - **r2c vs complex 3-D**: the packed [`Fft3r`] round trip (the GENPOT
@@ -22,11 +22,23 @@
 //! - **GEMM microkernel**: a BLAS-3 band-block update through
 //!   [`gemm_with`] under both policies (register-tiled packed kernel vs
 //!   the blocked reference loop).
+//! - **mixed-radix vs Bluestein**: the fragment box edges — 1-D lines of
+//!   n ∈ {12, 14, 18, 22, 40} through the strided batch API and 3-D
+//!   12³/14³/18³/22³ round trips — under `fast` (mixed-radix Stockham,
+//!   lines innermost) and `reference` (Bluestein over radix-2; the
+//!   pre-mixed-radix `fast` plan was the same Bluestein over radix-4,
+//!   ≈ 1.2× quicker than this baseline).
+//! - **pruned vs full H·ψ**: [`Hamiltonian::apply_block_with`] on a 14³
+//!   and a 22³ fragment box (sphere-pruned transforms, one folded
+//!   `V(r)/N` scaling) against the same mixed-radix plan run over the
+//!   full grid with the three separate normalizations.
 //!
-//! The default 40³ grid is the interesting case: 40 = 2³·5 sends every
-//! line through the Bluestein kernel, whose per-call scratch was the
-//! dominant allocation cost. Each variant also cross-checks its output
-//! against the other, so the table doubles as an equivalence test.
+//! The default 40³ grid is not a power of two: 40 = 2³·5 ran every line
+//! through the Bluestein kernel before the mixed-radix plan existed (its
+//! per-call scratch was the dominant allocation cost of the "before"
+//! path) and still does under `reference`. Each variant also cross-checks
+//! its output against the other, so the table doubles as an equivalence
+//! test.
 //! Results land in `BENCH_fft_kernels.json` (schema in EXPERIMENTS.md).
 //!
 //! Run: `cargo run -p ls3df-bench --bin fft_kernels --release -- [n] [reps]`
@@ -37,6 +49,7 @@ use ls3df_grid::{Grid3, RealField};
 use ls3df_math::{c64, gemm_with, KernelPolicy, Matrix, Op};
 use ls3df_obs::{Json, Report};
 use ls3df_pw::hartree::{hartree_potential, HartreeSolver};
+use ls3df_pw::{Hamiltonian, NonlocalPotential, PwBasis};
 use std::path::Path;
 use std::time::Instant;
 
@@ -98,6 +111,39 @@ fn max_diff(a: &[c64], b: &[c64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// H·ψ's local-potential term the pre-pruning way, from public API: the
+/// full-grid transforms of the basis plan with their three separate
+/// normalizations (`1/N` in the inverse, `N/√Ω`, `√Ω/N`), plus the
+/// kinetic diagonal. `slots` are the basis vectors' grid indices.
+fn apply_full_grid(
+    basis: &PwBasis,
+    slots: &[usize],
+    v: &RealField,
+    psi: &Matrix<c64>,
+    hpsi: &mut Matrix<c64>,
+    buf: &mut [c64],
+    ws: &mut ls3df_fft::Fft3Workspace,
+) {
+    let grid = basis.grid();
+    let up = grid.len() as f64 / grid.volume().sqrt();
+    let down = 1.0 / up;
+    for b in 0..psi.rows() {
+        buf.fill(c64::ZERO);
+        for (&slot, &c) in slots.iter().zip(psi.row(b)) {
+            buf[slot] = c;
+        }
+        basis.fft().inverse_with(buf, ws);
+        for (x, &vv) in buf.iter_mut().zip(v.as_slice()) {
+            *x = x.scale(up).scale(vv);
+        }
+        basis.fft().forward_with(buf, ws);
+        let out = hpsi.row_mut(b);
+        for (i, &slot) in slots.iter().enumerate() {
+            out[i] = buf[slot].scale(down) + psi.row(b)[i].scale(0.5 * basis.g2()[i]);
+        }
+    }
+}
+
 fn main() {
     let t_main = Instant::now();
     let n: usize = arg(1, 40);
@@ -121,16 +167,20 @@ fn main() {
     let diff = max_diff(&a, &b);
     assert!(diff < 1e-12, "kernel paths diverged: {diff:e}");
 
-    let bench = |label: &str, mut f: Box<dyn FnMut() + '_>| -> f64 {
+    let bench_n = |label: &str, inner: usize, mut f: Box<dyn FnMut() + '_>| -> f64 {
         f(); // warm-up (plan twiddles, workspace pools, page faults)
         let t = Instant::now();
-        for _ in 0..reps {
+        for _ in 0..reps * inner {
             f();
         }
-        let per = t.elapsed().as_secs_f64() / reps as f64;
-        println!("  {label:<44} {:9.3} ms/round-trip", per * 1e3);
+        let per = t.elapsed().as_secs_f64() / (reps * inner) as f64;
+        println!("  {label:<44} {:9.4} ms/round-trip", per * 1e3);
         per
     };
+    let bench = |label: &str, f: Box<dyn FnMut() + '_>| bench_n(label, 1, f);
+    // The fragment-box kernels run in tens of microseconds: time 32 calls
+    // per rep so each measurement spans milliseconds, not timer ticks.
+    let bench_small = |label: &str, f: Box<dyn FnMut() + '_>| bench_n(label, 32, f);
 
     println!("3-D FFT forward+inverse round trip:");
     let mut buf = field.clone();
@@ -355,6 +405,149 @@ fn main() {
     );
     println!("  speedup: {:.2}x\n", before_g / after_g);
 
+    // --- mixed-radix vs Bluestein on the fragment box edges --------------
+    // Strided batches (the y/z-pass shape: n_lines interleaved lines) so
+    // each kernel runs the way the 3-D transform drives it.
+    let mut mixed_rows: Vec<(String, f64, f64)> = Vec::new();
+    println!("1-D fragment-box lines (256 interleaved lines, forward+inverse):");
+    for n1 in [12usize, 14, 18, 22, 40] {
+        let lines = 256;
+        let blue = Fft1d::new_with(n1, KernelPolicy::Reference);
+        let mixed = Fft1d::new_with(n1, KernelPolicy::Fast);
+        let (mut wb, mut wm) = (blue.workspace(), mixed.workspace());
+        let src = lcg_field(n1 * lines, 0xb10e ^ n1 as u64);
+        let (mut a, mut b) = (src.clone(), src.clone());
+        blue.forward_strided(&mut a, lines, lines, &mut wb);
+        mixed.forward_strided(&mut b, lines, lines, &mut wm);
+        let d = max_diff(&a, &b);
+        assert!(
+            d < 1e-11,
+            "n={n1}: mixed-radix diverged from Bluestein: {d:e}"
+        );
+        let before = bench_small(
+            &format!("n={n1} Bluestein (reference policy)"),
+            Box::new(|| {
+                a.copy_from_slice(&src);
+                blue.forward_strided(&mut a, lines, lines, &mut wb);
+                blue.inverse_strided(&mut a, lines, lines, &mut wb);
+            }),
+        );
+        let after = bench_small(
+            &format!("n={n1} mixed-radix (fast policy)"),
+            Box::new(|| {
+                b.copy_from_slice(&src);
+                mixed.forward_strided(&mut b, lines, lines, &mut wm);
+                mixed.inverse_strided(&mut b, lines, lines, &mut wm);
+            }),
+        );
+        println!("  speedup: {:.2}x", before / after);
+        mixed_rows.push((format!("mixed_vs_bluestein_1d_n{n1}"), before, after));
+    }
+    println!("\n3-D fragment boxes (forward+inverse round trip):");
+    for n3 in [12usize, 14, 18, 22] {
+        let blue = Fft3::new_with(n3, n3, n3, KernelPolicy::Reference);
+        let mixed = Fft3::new_with(n3, n3, n3, KernelPolicy::Fast);
+        let (mut wb, mut wm) = (blue.workspace(), mixed.workspace());
+        let src = lcg_field(n3 * n3 * n3, 0xb0c5 ^ n3 as u64);
+        let (mut a, mut b) = (src.clone(), src.clone());
+        blue.forward_with(&mut a, &mut wb);
+        mixed.forward_with(&mut b, &mut wm);
+        let d = max_diff(&a, &b);
+        assert!(
+            d < 1e-10,
+            "{n3}³: mixed-radix diverged from Bluestein: {d:e}"
+        );
+        let before = bench_small(
+            &format!("{n3}³ Bluestein (reference policy)"),
+            Box::new(|| {
+                a.copy_from_slice(&src);
+                blue.forward_with(&mut a, &mut wb);
+                blue.inverse_with(&mut a, &mut wb);
+            }),
+        );
+        let after = bench_small(
+            &format!("{n3}³ mixed-radix (fast policy)"),
+            Box::new(|| {
+                b.copy_from_slice(&src);
+                mixed.forward_with(&mut b, &mut wm);
+                mixed.inverse_with(&mut b, &mut wm);
+            }),
+        );
+        println!("  speedup: {:.2}x", before / after);
+        mixed_rows.push((format!("mixed_vs_bluestein_3d_{n3}"), before, after));
+    }
+
+    // --- sphere-pruned, folded-scaling H·ψ vs the full-grid path ---------
+    // The crystal8 benchmark's 1- and 8-piece fragment boxes at its
+    // cutoff; 8 bands. (Under LS3DF_KERNELS=reference the basis does not
+    // prune and both rows time the same work.)
+    println!("\nH·ψ, 8 bands, E_cut = 1.5 (local potential + kinetic):");
+    for (nb3, edge) in [(14usize, 11.375), (22, 17.875)] {
+        let box_grid = Grid3::cubic(nb3, edge);
+        let basis = PwBasis::new(box_grid.clone(), 1.5);
+        let slots: Vec<usize> = box_grid
+            .iter_points()
+            .filter(|&(ix, iy, iz)| 0.5 * box_grid.g2(ix, iy, iz) <= basis.ecut())
+            .map(|(ix, iy, iz)| box_grid.index(ix, iy, iz))
+            .collect();
+        assert_eq!(slots.len(), basis.len(), "slot reconstruction");
+        let v = RealField::from_fn(box_grid.clone(), |r| {
+            0.3 * (r[0] * 0.6).cos() - 0.2 * (r[1] * 0.4).sin() + 0.1 * r[2].cos()
+        });
+        let nl = NonlocalPotential::none(&basis);
+        let h = Hamiltonian::new(&basis, v.clone(), &nl);
+        let psi = Matrix::from_fn(8, basis.len(), |i, j| {
+            c64::new(
+                ((i * 37 + j * 11) % 23) as f64 - 11.0,
+                ((i + 5 * j) % 19) as f64 - 9.0,
+            )
+            .scale(1e-2)
+        });
+        let mut hpsi = Matrix::zeros(8, basis.len());
+        let mut hpsi_full = Matrix::zeros(8, basis.len());
+        let mut ham_ws = h.workspace();
+        let mut fft_ws = basis.fft().workspace();
+        let mut buf = vec![c64::ZERO; box_grid.len()];
+        h.apply_block_with(&psi, &mut hpsi, &mut ham_ws);
+        apply_full_grid(
+            &basis,
+            &slots,
+            &v,
+            &psi,
+            &mut hpsi_full,
+            &mut buf,
+            &mut fft_ws,
+        );
+        let d = max_diff(hpsi.as_slice(), hpsi_full.as_slice());
+        assert!(
+            d < 1e-12,
+            "{nb3}³: pruned H·ψ diverged from full grid: {d:e}"
+        );
+        let before = bench_small(
+            &format!("{nb3}³ full-grid transforms, 3 scalings"),
+            Box::new(|| {
+                apply_full_grid(
+                    &basis,
+                    &slots,
+                    &v,
+                    &psi,
+                    &mut hpsi_full,
+                    &mut buf,
+                    &mut fft_ws,
+                );
+            }),
+        );
+        let after = bench_small(
+            &format!("{nb3}³ sphere-pruned, folded V(r)/N"),
+            Box::new(|| {
+                h.apply_block_with(&psi, &mut hpsi, &mut ham_ws);
+            }),
+        );
+        println!("  speedup: {:.2}x", before / after);
+        mixed_rows.push((format!("pruned_vs_full_hpsi_{nb3}"), before, after));
+    }
+    println!();
+
     // Machine-readable run report (`ls3df-run-report` schema; the
     // kernel A/B table rides in `extra.kernel_sections`, documented in
     // EXPERIMENTS.md).
@@ -371,16 +564,17 @@ fn main() {
     report
         .extra
         .push(("reps".to_string(), Json::num(reps as f64)));
-    report.extra.push((
-        "kernel_sections".to_string(),
-        Json::Arr(vec![
-            section("fft3_roundtrip", before, after),
-            section("genpot_solve", before_h, after_h),
-            section("r2c_vs_complex", before_r, after_r),
-            section("radix4_vs_radix2", before_x, after_x),
-            section("gemm_micro", before_g, after_g),
-        ]),
-    ));
+    let mut sections = vec![
+        section("fft3_roundtrip", before, after),
+        section("genpot_solve", before_h, after_h),
+        section("r2c_vs_complex", before_r, after_r),
+        section("radix4_vs_radix2", before_x, after_x),
+        section("gemm_micro", before_g, after_g),
+    ];
+    sections.extend(mixed_rows.iter().map(|(name, b, a)| section(name, *b, *a)));
+    report
+        .extra
+        .push(("kernel_sections".to_string(), Json::Arr(sections)));
     let path = Path::new("BENCH_fft_kernels.json");
     match report.write(path) {
         Ok(()) => println!("run report -> {}", path.display()),

@@ -14,9 +14,21 @@
 //! in an [`Fft3Workspace`] sized at plan build, so the `*_with` entry
 //! points are allocation-free — the property the `alloc-count` tier-1
 //! test pins down.
+//!
+//! **Sphere-aware variants.** Planewave coefficients fill a cutoff sphere
+//! — a small part of the FFT box — so most lines of the passes next to
+//! the coefficient side carry nothing. [`Fft3::inverse_from_sparse`]
+//! (sparse *input*) runs x → y → z: only the x-lines holding a
+//! coefficient, then only the y-pencils of z-planes holding one, then
+//! every z-line. [`Fft3::forward_to_sparse`] (sparse *output*) runs the
+//! mirror order z → y → x, so the passes it can prune — lines whose
+//! outputs nobody reads — come last. Both are unnormalized; the caller
+//! folds `1/N` into its own scaling. The full transforms keep x → y → z
+//! in both directions: that is the arithmetic order the golden digests
+//! pin under `LS3DF_KERNELS=reference`.
 
-use crate::plan::{Fft1d, Fft1dWorkspace};
-use ls3df_math::c64;
+use crate::plan::{Direction, Fft1d, Fft1dWorkspace};
+use ls3df_math::{c64, kernel_policy, KernelPolicy};
 use ls3df_obs::{counter_add, Counter};
 
 /// Reusable scratch for one [`Fft3`] plan (one [`Fft1dWorkspace`] per
@@ -37,17 +49,35 @@ pub struct Fft3 {
     plan_z: Fft1d,
 }
 
+/// Which lines of a grid a sparse set of points touches — what the
+/// sphere-aware transforms ([`Fft3::inverse_from_sparse`],
+/// [`Fft3::forward_to_sparse`]) need to skip the rest. Build once per
+/// point set with [`Fft3::occupancy`].
+pub struct Occupancy {
+    /// x-lines (`iy + n2·iz`, ascending) holding at least one point.
+    x_lines: Vec<usize>,
+    /// z-planes (`iz`, ascending) holding at least one point.
+    z_planes: Vec<usize>,
+}
+
 impl Fft3 {
-    /// Builds a plan for an `(n1, n2, n3)` grid (x fastest).
+    /// Builds a plan for an `(n1, n2, n3)` grid (x fastest) under the
+    /// process-wide kernel policy.
     pub fn new(n1: usize, n2: usize, n3: usize) -> Self {
+        Self::new_with(n1, n2, n3, kernel_policy())
+    }
+
+    /// [`Fft3::new`] with an explicit [`KernelPolicy`] — lets tests and
+    /// benches hold both kernel variants in one process.
+    pub fn new_with(n1: usize, n2: usize, n3: usize, policy: KernelPolicy) -> Self {
         assert!(n1 >= 1 && n2 >= 1 && n3 >= 1, "Fft3::new: degenerate grid");
         Fft3 {
             n1,
             n2,
             n3,
-            plan_x: Fft1d::new(n1),
-            plan_y: Fft1d::new(n2),
-            plan_z: Fft1d::new(n3),
+            plan_x: Fft1d::new_with(n1, policy),
+            plan_y: Fft1d::new_with(n2, policy),
+            plan_z: Fft1d::new_with(n3, policy),
         }
     }
 
@@ -83,53 +113,43 @@ impl Fft3 {
     pub fn forward(&self, data: &mut [c64]) {
         // alloc-audit: one-shot convenience path; hot loops use forward_with.
         let mut ws = self.workspace();
-        self.run_with(data, true, &mut ws);
+        self.run_with(data, Direction::Forward, &mut ws);
     }
 
     /// In-place inverse transform (includes the full `1/(n1·n2·n3)`).
     pub fn inverse(&self, data: &mut [c64]) {
         // alloc-audit: one-shot convenience path; hot loops use inverse_with.
         let mut ws = self.workspace();
-        self.run_with(data, false, &mut ws);
+        self.run_with(data, Direction::Inverse, &mut ws);
     }
 
     /// In-place forward transform using caller-provided scratch.
     /// Performs no heap allocation.
     pub fn forward_with(&self, data: &mut [c64], ws: &mut Fft3Workspace) {
-        self.run_with(data, true, ws);
+        self.run_with(data, Direction::Forward, ws);
     }
 
     /// In-place inverse transform using caller-provided scratch (includes
     /// the full `1/(n1·n2·n3)`). Performs no heap allocation.
     pub fn inverse_with(&self, data: &mut [c64], ws: &mut Fft3Workspace) {
-        self.run_with(data, false, ws);
+        self.run_with(data, Direction::Inverse, ws);
     }
 
-    fn run_with(&self, data: &mut [c64], fwd: bool, ws: &mut Fft3Workspace) {
+    fn run_with(&self, data: &mut [c64], dir: Direction, ws: &mut Fft3Workspace) {
         assert_eq!(data.len(), self.len(), "Fft3: buffer length mismatch");
         counter_add(Counter::Fft3Transforms, 1);
         let (n1, n2, n3) = (self.n1, self.n2, self.n3);
 
         // X lines are contiguous: one slice per (y,z) pair.
         if n1 > 1 {
-            for line in data.chunks_mut(n1) {
-                if fwd {
-                    self.plan_x.forward_with(line, &mut ws.x);
-                } else {
-                    self.plan_x.inverse_with(line, &mut ws.x);
-                }
-            }
+            self.plan_x.run_lines(data, 0..n2 * n3, dir, &mut ws.x);
         }
 
         // Y lines: within one contiguous z-plane the n1 lines along y all
         // have stride n1, so each plane is one batched strided call.
         if n2 > 1 {
             for plane in data.chunks_mut(n1 * n2) {
-                if fwd {
-                    self.plan_y.forward_strided(plane, n1, n1, &mut ws.y);
-                } else {
-                    self.plan_y.inverse_strided(plane, n1, n1, &mut ws.y);
-                }
+                self.plan_y.run_strided(plane, n1, n1, &mut ws.y, dir);
             }
         }
 
@@ -137,11 +157,85 @@ impl Fft3 {
         // is one batched strided call — no full-grid transpose scratch.
         if n3 > 1 {
             let plane = n1 * n2;
-            if fwd {
-                self.plan_z.forward_strided(data, plane, plane, &mut ws.z);
-            } else {
-                self.plan_z.inverse_strided(data, plane, plane, &mut ws.z);
-            }
+            self.plan_z.run_strided(data, plane, plane, &mut ws.z, dir);
+        }
+    }
+
+    /// The lines of this grid touched by the points at linear indices
+    /// `points` (`idx = (iz·n2 + iy)·n1 + ix`) — for a planewave basis,
+    /// the cutoff sphere's footprint.
+    pub fn occupancy(&self, points: &[usize]) -> Occupancy {
+        // alloc-audit: built once per point set (per basis), never per
+        // transform.
+        let mut line_used = vec![false; self.n2 * self.n3];
+        let mut plane_used = vec![false; self.n3];
+        for &idx in points {
+            assert!(idx < self.len(), "Fft3::occupancy: point off the grid");
+            line_used[idx / self.n1] = true;
+            plane_used[idx / (self.n1 * self.n2)] = true;
+        }
+        let set = |used: Vec<bool>| (0..used.len()).filter(|&i| used[i]).collect();
+        Occupancy {
+            x_lines: set(line_used),
+            z_planes: set(plane_used),
+        }
+    }
+
+    /// **Unnormalized** inverse transform of data that is zero outside
+    /// the points `occ` was built from: runs x → y → z and transforms
+    /// only the x-lines holding a point and only the y-pencils of
+    /// z-planes holding one (every other line is all zeros and stays so);
+    /// the z pass is full. Multiply by `1/(n1·n2·n3)` — or fold that
+    /// factor into whatever scales the result next — to match
+    /// [`Fft3::inverse_with`] up to rounding. Performs no heap
+    /// allocation.
+    pub fn inverse_from_sparse(&self, data: &mut [c64], occ: &Occupancy, ws: &mut Fft3Workspace) {
+        assert_eq!(data.len(), self.len(), "Fft3: buffer length mismatch");
+        counter_add(Counter::Fft3Transforms, 1);
+        let dir = Direction::InverseRaw;
+        self.x_pass_sparse(data, occ, dir, ws);
+        self.y_pass_sparse(data, occ, dir, ws);
+        let plane = self.n1 * self.n2;
+        self.plan_z.run_strided(data, plane, plane, &mut ws.z, dir);
+    }
+
+    /// Forward transform (unnormalized) whose output is only read at the
+    /// points `occ` was built from: the mirror order z → y → x, a full z
+    /// pass, then only the y-pencils of occupied z-planes and only the
+    /// occupied x-lines. Values elsewhere are left as partial transforms
+    /// — unspecified. Performs no heap allocation.
+    pub fn forward_to_sparse(&self, data: &mut [c64], occ: &Occupancy, ws: &mut Fft3Workspace) {
+        assert_eq!(data.len(), self.len(), "Fft3: buffer length mismatch");
+        counter_add(Counter::Fft3Transforms, 1);
+        let dir = Direction::Forward;
+        let plane = self.n1 * self.n2;
+        self.plan_z.run_strided(data, plane, plane, &mut ws.z, dir);
+        self.y_pass_sparse(data, occ, dir, ws);
+        self.x_pass_sparse(data, occ, dir, ws);
+    }
+
+    fn x_pass_sparse(
+        &self,
+        data: &mut [c64],
+        occ: &Occupancy,
+        dir: Direction,
+        ws: &mut Fft3Workspace,
+    ) {
+        let lines = occ.x_lines.iter().copied();
+        self.plan_x.run_lines(data, lines, dir, &mut ws.x);
+    }
+
+    fn y_pass_sparse(
+        &self,
+        data: &mut [c64],
+        occ: &Occupancy,
+        dir: Direction,
+        ws: &mut Fft3Workspace,
+    ) {
+        let (n1, plane) = (self.n1, self.n1 * self.n2);
+        for &iz in &occ.z_planes {
+            let pencils = &mut data[iz * plane..(iz + 1) * plane];
+            self.plan_y.run_strided(pencils, n1, n1, &mut ws.y, dir);
         }
     }
 }
@@ -258,6 +352,82 @@ mod tests {
                         assert!(v.abs() < 1e-8);
                     }
                 }
+            }
+        }
+    }
+
+    /// Linear indices of the grid points within `radius` grid units of
+    /// the origin in wrap-around frequency order — a cutoff sphere.
+    fn sphere_points(n1: usize, n2: usize, n3: usize, radius: f64) -> Vec<usize> {
+        let freq = |i: usize, n: usize| i.min(n - i) as f64;
+        let mut points = Vec::new();
+        for iz in 0..n3 {
+            for iy in 0..n2 {
+                for ix in 0..n1 {
+                    let f2 = freq(ix, n1).powi(2) + freq(iy, n2).powi(2) + freq(iz, n3).powi(2);
+                    if f2 <= radius * radius {
+                        points.push((iz * n2 + iy) * n1 + ix);
+                    }
+                }
+            }
+        }
+        points
+    }
+
+    #[test]
+    fn occupancy_is_the_sphere_footprint() {
+        let plan = Fft3::new(14, 14, 14);
+        let occ = plan.occupancy(&sphere_points(14, 14, 14, 3.0));
+        // Radius 3: planes iz ∈ {0..3} ∪ {11..13}; the x-lines are the
+        // (iy, iz) pairs inside the radius-3 disc — 29 of 196.
+        assert_eq!(occ.z_planes, vec![0, 1, 2, 3, 11, 12, 13]);
+        assert_eq!(occ.x_lines.len(), 29);
+        assert!(occ.x_lines.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn sparse_transforms_match_the_full_ones() {
+        // Mixed-radix boxes, a Bluestein axis (17), and a power of two.
+        for &(n1, n2, n3, radius) in &[
+            (14usize, 14usize, 14usize, 3.2),
+            (12, 18, 18, 2.5),
+            (17, 6, 10, 2.0),
+            (8, 8, 8, 1.5),
+        ] {
+            let len = n1 * n2 * n3;
+            let plan = Fft3::new(n1, n2, n3);
+            let mut ws = plan.workspace();
+            let points = sphere_points(n1, n2, n3, radius);
+            let occ = plan.occupancy(&points);
+            assert!(occ.x_lines.len() < n2 * n3, "sphere must leave lines out");
+
+            // Inverse: data supported on the sphere only.
+            let values = rand_field(points.len(), len as u64);
+            let mut sparse = vec![c64::ZERO; len];
+            for (&p, &v) in points.iter().zip(&values) {
+                sparse[p] = v;
+            }
+            let mut full = sparse.clone();
+            plan.inverse_from_sparse(&mut sparse, &occ, &mut ws);
+            plan.inverse_with(&mut full, &mut ws);
+            for (a, b) in sparse.iter().zip(&full) {
+                assert!(
+                    (a.scale(1.0 / len as f64) - *b).abs() < 1e-13,
+                    "inverse ({n1},{n2},{n3})"
+                );
+            }
+
+            // Forward: dense input, outputs compared on the sphere only.
+            let data = rand_field(len, 7 + len as u64);
+            let mut sparse = data.clone();
+            let mut full = data;
+            plan.forward_to_sparse(&mut sparse, &occ, &mut ws);
+            plan.forward_with(&mut full, &mut ws);
+            for &p in &points {
+                assert!(
+                    (sparse[p] - full[p]).abs() < 1e-11,
+                    "forward ({n1},{n2},{n3}) point {p}"
+                );
             }
         }
     }

@@ -4,31 +4,35 @@
 //! in the original Fortran code).
 //!
 //! * [`Fft1d`] — split radix-4/radix-2 Cooley–Tukey for power-of-two
-//!   lengths, Bluestein chirp-z for everything else (the paper's grids
-//!   are 40 points per cell — not a power of two);
+//!   lengths, a mixed-radix Stockham kernel for every other length
+//!   whose prime factors are ≤ 13 (the fragment boxes' 12/14/18/22, the
+//!   paper's 40 points per cell), Bluestein chirp-z for the rest;
 //! * [`RealFft1d`]/[`Fft3r`] — packed r2c/c2r transforms for real fields
 //!   (ρ, V): one half-length complex FFT per real line plus a Hermitian
 //!   unpack, roughly halving the GENPOT/Kerker transform work;
 //! * [`Fft3`] — sequential complex 3-D transforms used by the
 //!   local-potential application in PEtot_F (parallelism lives one level
-//!   up, over fragments and bands);
+//!   up, over fragments and bands), with sphere-aware variants that skip
+//!   the lines a planewave cutoff sphere ([`Occupancy`]) never touches;
 //! * [`Fft1dWorkspace`]/[`Fft3Workspace`]/[`RealFftWorkspace`]/
 //!   [`Fft3rWorkspace`] — reusable scratch so the `*_with`, `*_strided`,
 //!   and real-transform entry points are allocation-free;
 //! * [`dft`] — O(n²) reference transforms for testing.
 //!
-//! Kernel selection (radix-4 vs the pre-PR-8 radix-2 arithmetic) is
-//! governed by `LS3DF_KERNELS` via [`ls3df_math::kernel_policy`];
-//! `*_with` constructors take the policy explicitly.
+//! Kernel selection (radix-4 and mixed-radix vs the pre-PR-8 radix-2 +
+//! Bluestein arithmetic) is governed by `LS3DF_KERNELS` via
+//! [`ls3df_math::kernel_policy`]; `*_with` constructors take the policy
+//! explicitly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dft;
 mod fft3;
+mod mixed;
 mod plan;
 mod real;
 
-pub use fft3::{Fft3, Fft3Workspace};
+pub use fft3::{Fft3, Fft3Workspace, Occupancy};
 pub use plan::{Fft1d, Fft1dWorkspace};
 pub use real::{Fft3r, Fft3rWorkspace, RealFft1d, RealFftWorkspace};

@@ -1,27 +1,37 @@
 //! One-dimensional FFT plans.
 //!
-//! Power-of-two sizes use an iterative Cooley–Tukey kernel with
-//! precomputed twiddles and bit-reversal tables — radix-4 stages under
-//! the default `fast` kernel policy (34 real flops per 4 outputs per
-//! 2 levels, vs radix-2's 40, and half the passes over the data),
-//! radix-2 under `LS3DF_KERNELS=reference` (the exact pre-PR-8
-//! arithmetic the golden digests pin). Every other size goes through
-//! Bluestein's chirp-z algorithm, which re-expresses an arbitrary-n DFT
-//! as a cyclic convolution of power-of-two size — so the planewave code
-//! can use physically natural grid sizes like 40³ (the paper's per-cell
-//! grid) without padding.
+//! Plan selection depends only on the factorisation of `n` and the
+//! [`KernelPolicy`]:
+//!
+//! * power-of-two lengths use an iterative Cooley–Tukey kernel with
+//!   precomputed twiddles and bit-reversal tables — radix-4 stages under
+//!   the default `fast` policy (34 real flops per 4 outputs per 2 levels,
+//!   vs radix-2's 40, and half the passes over the data), radix-2 under
+//!   `LS3DF_KERNELS=reference` (the exact pre-PR-8 arithmetic the golden
+//!   digests pin);
+//! * under `fast`, every other length whose prime factors are ≤ 13 —
+//!   the fragment box edges 12, 14, 18, 22, the paper's 40-point cell,
+//!   the half-length 6 inside the packed real transform — runs the
+//!   mixed-radix Stockham kernel of [`crate::mixed`], batched across
+//!   lines on the strided passes;
+//! * everything else (a larger prime factor, or any non-power-of-two
+//!   under `reference`) goes through Bluestein's chirp-z algorithm,
+//!   which re-expresses an arbitrary-n DFT as a cyclic convolution of
+//!   power-of-two size.
 //!
 //! Conventions: `forward` is unnormalized (`Σ x_j e^{-2πi jk/n}`);
 //! `inverse` carries the full `1/n`.
 
+use crate::mixed::Mixed;
 use ls3df_math::{c64, kernel_policy, KernelPolicy};
 use ls3df_obs::{counter_add, Counter};
 use std::f64::consts::PI;
 
-/// Lines gathered per block by the strided batch API: big enough that the
-/// strided gather reads [`LINE_BLOCK`] consecutive elements per touched
-/// cache line, small enough that a block (`LINE_BLOCK·n` complex values)
-/// stays L1-resident for typical grid edges.
+/// Lines gathered per block by the strided batch API of the in-place
+/// kernels (power-of-two, Bluestein): big enough that the strided gather
+/// reads [`LINE_BLOCK`] consecutive elements per touched cache line,
+/// small enough that a block (`LINE_BLOCK·n` complex values) stays
+/// L1-resident for typical grid edges.
 const LINE_BLOCK: usize = 8;
 
 /// Reusable scratch for one [`Fft1d`] plan, sized at construction so the
@@ -30,10 +40,13 @@ const LINE_BLOCK: usize = 8;
 /// Build one per thread with [`Fft1d::workspace`] and reuse it across
 /// calls; a workspace is tied to the plan length it was built for.
 pub struct Fft1dWorkspace {
-    /// Bluestein convolution buffer (length `m`; empty for trivial and
-    /// radix-2 plans, which transform fully in place).
-    scratch: Vec<c64>,
-    /// Gather buffer for the blocked strided API (`LINE_BLOCK · n`).
+    /// Kernel scratch: the Bluestein convolution buffer (length `m`) or
+    /// the mixed-radix ping-pong rows; empty for trivial and
+    /// power-of-two plans, which transform fully in place.
+    pub(crate) scratch: Vec<c64>,
+    /// Gather buffer for the blocked strided API of the in-place kernels
+    /// (`LINE_BLOCK · n`; empty for mixed-radix plans, which run on the
+    /// strided rows directly).
     batch: Vec<c64>,
 }
 
@@ -50,6 +63,7 @@ enum Kind {
     /// n == 1.
     Trivial,
     Pow2(Pow2),
+    Mixed(Mixed),
     Bluestein(Box<Bluestein>),
 }
 
@@ -71,10 +85,10 @@ impl Pow2 {
     }
 
     #[inline]
-    fn run(&self, data: &mut [c64], dir: Direction) {
+    fn run(&self, data: &mut [c64], fwd: bool) {
         match self {
-            Pow2::R2(r) => r.run(data, dir),
-            Pow2::R4(r) => r.run(data, dir),
+            Pow2::R2(r) => r.run(data, fwd),
+            Pow2::R4(r) => r.run(data, fwd),
         }
     }
 }
@@ -111,6 +125,16 @@ struct Bluestein {
     m: usize,
 }
 
+/// Transform direction; the inverse comes with (`Inverse`) or without
+/// (`InverseRaw`) the `1/n` normalization — callers that fold the
+/// normalization into a later pass over the data ask for the raw one.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Direction {
+    Forward,
+    Inverse,
+    InverseRaw,
+}
+
 impl Fft1d {
     /// Builds a plan for transforms of length `n` (n ≥ 1) under the
     /// process-wide [`kernel_policy`].
@@ -122,10 +146,16 @@ impl Fft1d {
     /// benches hold both kernel variants in one process.
     pub fn new_with(n: usize, policy: KernelPolicy) -> Self {
         assert!(n >= 1, "Fft1d::new: length must be ≥ 1");
+        let mixed = || match policy {
+            KernelPolicy::Fast => Mixed::new(n),
+            KernelPolicy::Reference => None,
+        };
         let kind = if n == 1 {
             Kind::Trivial
         } else if n.is_power_of_two() {
             Kind::Pow2(Pow2::new(n, policy))
+        } else if let Some(plan) = mixed() {
+            Kind::Mixed(plan)
         } else {
             Kind::Bluestein(Box::new(Bluestein::new(n, policy)))
         };
@@ -147,6 +177,7 @@ impl Fft1d {
                 Kind::Trivial => Counter::FftLinesTrivial,
                 Kind::Pow2(Pow2::R2(_)) => Counter::FftLinesRadix2,
                 Kind::Pow2(Pow2::R4(_)) => Counter::FftLinesRadix4,
+                Kind::Mixed(_) => Counter::FftLinesMixed,
                 Kind::Bluestein(_) => Counter::FftLinesBluestein,
             };
             counter_add(counter, lines);
@@ -161,26 +192,64 @@ impl Fft1d {
         self.line_flops
     }
 
-    /// Runs the kernel without touching the metrics registry — the entry
-    /// point for [`crate::real::RealFft1d`], which accounts for its inner
-    /// complex transform inside its own per-line cost instead.
+    /// The one place a contiguous line meets its kernel: dispatch on the
+    /// plan kind, then the `1/n` of a normalized inverse. Touches no
+    /// counter — the public entry points record their lines, and
+    /// [`crate::real::RealFft1d`] accounts for its inner complex
+    /// transform inside its own per-line cost instead.
     #[inline]
-    pub(crate) fn run_uncounted(&self, data: &mut [c64], dir: Direction, ws: &mut Fft1dWorkspace) {
-        debug_assert_eq!(data.len(), self.n);
+    pub(crate) fn run_line(&self, data: &mut [c64], dir: Direction, scratch: &mut [c64]) {
+        assert_eq!(data.len(), self.n, "Fft1d: line length mismatch");
+        let fwd = dir == Direction::Forward;
         match &self.kind {
             Kind::Trivial => {}
-            Kind::Pow2(p) => p.run(data, dir),
+            Kind::Pow2(p) => p.run(data, fwd),
+            Kind::Mixed(mx) => mx.run(data, 1, 1, fwd, scratch),
             Kind::Bluestein(b) => {
-                assert_eq!(ws.scratch.len(), b.m, "Fft1d: workspace plan mismatch");
-                b.run(data, dir, &mut ws.scratch);
+                assert_eq!(scratch.len(), b.m, "Fft1d: workspace plan mismatch");
+                b.run(data, fwd, scratch);
             }
         }
-        if dir == Direction::Inverse {
-            let inv = 1.0 / self.n as f64;
+        if let Some(inv) = self.scale(dir) {
             for v in data {
                 *v = v.scale(inv);
             }
         }
+    }
+
+    /// Transforms the contiguous lines `data[l·n..(l+1)·n]` for `l` in
+    /// `lines`, recording them as one batch. Mixed-radix plans take them
+    /// a block at a time through the line-innermost kernel; each line
+    /// still sees exactly the arithmetic of [`Fft1d::run_line`].
+    pub(crate) fn run_lines(
+        &self,
+        data: &mut [c64],
+        lines: impl ExactSizeIterator<Item = usize>,
+        dir: Direction,
+        ws: &mut Fft1dWorkspace,
+    ) {
+        let n = self.n;
+        self.record_lines(lines.len() as u64);
+        if let Kind::Mixed(mx) = &self.kind {
+            // The blocked transpose in and out is staging traffic like
+            // the in-place kernels' strided gather/scatter.
+            counter_add(
+                Counter::FftGatherScatterBytes,
+                2 * (lines.len() * n * size_of::<c64>()) as u64,
+            );
+            let fwd = dir == Direction::Forward;
+            mx.run_contiguous(data, lines, fwd, self.scale(dir), &mut ws.scratch);
+        } else {
+            for l in lines {
+                self.run_line(&mut data[l * n..(l + 1) * n], dir, &mut ws.scratch);
+            }
+        }
+    }
+
+    /// The `1/n` a normalized inverse multiplies in, `None` otherwise.
+    #[inline]
+    fn scale(&self, dir: Direction) -> Option<f64> {
+        (dir == Direction::Inverse).then(|| 1.0 / self.n as f64)
     }
 
     /// Transform length.
@@ -198,35 +267,36 @@ impl Fft1d {
     /// Builds a scratch workspace sized for this plan (see
     /// [`Fft1dWorkspace`]). Do this once per thread, not per transform.
     pub fn workspace(&self) -> Fft1dWorkspace {
-        let m = match &self.kind {
-            Kind::Bluestein(b) => b.m,
-            _ => 0,
+        self.workspace_for(true)
+    }
+
+    /// Scratch for single contiguous lines only (`strided == false`, what
+    /// the one-shot wrappers build per call) or for the strided batch
+    /// API as well.
+    fn workspace_for(&self, strided: bool) -> Fft1dWorkspace {
+        let (scratch, batch) = match &self.kind {
+            Kind::Trivial => (0, 0),
+            Kind::Pow2(_) => (0, LINE_BLOCK * self.n),
+            Kind::Mixed(mx) if strided => (mx.block_scratch_len(), 0),
+            Kind::Mixed(mx) => (mx.line_scratch_len(), 0),
+            Kind::Bluestein(b) => (b.m, LINE_BLOCK * self.n),
         };
         Fft1dWorkspace {
             // alloc-audit: workspace construction is the one-time setup
             // that makes every later *_with / *_strided call heap-free.
-            scratch: vec![c64::ZERO; m],
-            batch: vec![c64::ZERO; LINE_BLOCK * self.n],
+            scratch: vec![c64::ZERO; scratch],
+            batch: vec![c64::ZERO; if strided { batch } else { 0 }],
         }
     }
 
     /// In-place forward transform (unnormalized).
     ///
-    /// Convenience wrapper: Bluestein lengths allocate their convolution
-    /// scratch per call. Hot loops should hold a workspace and use
+    /// Convenience wrapper: allocates the line scratch its plan needs
+    /// per call. Hot loops should hold a workspace and use
     /// [`Fft1d::forward_with`].
     pub fn forward(&self, data: &mut [c64]) {
-        assert_eq!(data.len(), self.n, "Fft1d::forward: length mismatch");
-        self.record_lines(1);
-        match &self.kind {
-            Kind::Trivial => {}
-            Kind::Pow2(p) => p.run(data, Direction::Forward),
-            Kind::Bluestein(b) => {
-                // alloc-audit: one-shot path; reuse a workspace in hot loops.
-                let mut scratch = vec![c64::ZERO; b.m];
-                b.run(data, Direction::Forward, &mut scratch);
-            }
-        }
+        // alloc-audit: one-shot path; reuse a workspace in hot loops.
+        self.forward_with(data, &mut self.workspace_for(false));
     }
 
     /// In-place inverse transform (includes the `1/n` factor).
@@ -234,65 +304,32 @@ impl Fft1d {
     /// Convenience wrapper over [`Fft1d::inverse_with`]; see
     /// [`Fft1d::forward`] for the allocation caveat.
     pub fn inverse(&self, data: &mut [c64]) {
-        assert_eq!(data.len(), self.n, "Fft1d::inverse: length mismatch");
-        self.record_lines(1);
-        match &self.kind {
-            Kind::Trivial => {}
-            Kind::Pow2(p) => p.run(data, Direction::Inverse),
-            Kind::Bluestein(b) => {
-                // alloc-audit: one-shot path; reuse a workspace in hot loops.
-                let mut scratch = vec![c64::ZERO; b.m];
-                b.run(data, Direction::Inverse, &mut scratch);
-            }
-        }
-        let inv = 1.0 / self.n as f64;
-        for v in data {
-            *v = v.scale(inv);
-        }
+        // alloc-audit: one-shot path; reuse a workspace in hot loops.
+        self.inverse_with(data, &mut self.workspace_for(false));
     }
 
     /// [`Fft1d::forward`] using caller-provided scratch — no heap traffic.
     pub fn forward_with(&self, data: &mut [c64], ws: &mut Fft1dWorkspace) {
-        assert_eq!(data.len(), self.n, "Fft1d::forward_with: length mismatch");
         self.record_lines(1);
-        match &self.kind {
-            Kind::Trivial => {}
-            Kind::Pow2(p) => p.run(data, Direction::Forward),
-            Kind::Bluestein(b) => {
-                assert_eq!(ws.scratch.len(), b.m, "Fft1d: workspace plan mismatch");
-                b.run(data, Direction::Forward, &mut ws.scratch);
-            }
-        }
+        self.run_line(data, Direction::Forward, &mut ws.scratch);
     }
 
     /// [`Fft1d::inverse`] using caller-provided scratch — no heap traffic.
     pub fn inverse_with(&self, data: &mut [c64], ws: &mut Fft1dWorkspace) {
-        assert_eq!(data.len(), self.n, "Fft1d::inverse_with: length mismatch");
         self.record_lines(1);
-        match &self.kind {
-            Kind::Trivial => {}
-            Kind::Pow2(p) => p.run(data, Direction::Inverse),
-            Kind::Bluestein(b) => {
-                assert_eq!(ws.scratch.len(), b.m, "Fft1d: workspace plan mismatch");
-                b.run(data, Direction::Inverse, &mut ws.scratch);
-            }
-        }
-        let inv = 1.0 / self.n as f64;
-        for v in data {
-            *v = v.scale(inv);
-        }
+        self.run_line(data, Direction::Inverse, &mut ws.scratch);
     }
 
     /// Batched forward transform of `n_lines` interleaved lines.
     ///
     /// Line `l` (`l < n_lines`) occupies elements `data[i·stride + l]` for
     /// `i` in `0..n` — the natural layout of the y/z pencils of a 3-D grid
-    /// with x fastest. Lines are processed in blocks of [`LINE_BLOCK`]
-    /// through the workspace gather buffer, so each strided pass reads and
-    /// writes [`LINE_BLOCK`] consecutive elements per touched cache line
-    /// instead of one. Each gathered line sees exactly the same in-place
-    /// kernel as [`Fft1d::forward`], so the result is bit-identical to a
-    /// line-by-line loop.
+    /// with x fastest. Mixed-radix plans run their butterflies on those
+    /// rows directly, the line index innermost; the in-place kernels
+    /// (power-of-two, Bluestein) process lines in blocks of
+    /// [`LINE_BLOCK`] through the workspace gather buffer. Either way
+    /// each line sees exactly the arithmetic of [`Fft1d::forward`], so
+    /// the result is bit-identical to a line-by-line loop.
     pub fn forward_strided(
         &self,
         data: &mut [c64],
@@ -316,7 +353,7 @@ impl Fft1d {
         self.run_strided(data, n_lines, stride, ws, Direction::Inverse);
     }
 
-    fn run_strided(
+    pub(crate) fn run_strided(
         &self,
         data: &mut [c64],
         n_lines: usize,
@@ -327,18 +364,37 @@ impl Fft1d {
         let n = self.n;
         assert!(n_lines <= stride, "Fft1d: lines overlap (n_lines > stride)");
         assert_eq!(data.len(), n * stride, "Fft1d: strided buffer mismatch");
-        assert_eq!(ws.batch.len(), LINE_BLOCK * n, "Fft1d: workspace mismatch");
         self.record_lines(n_lines as u64);
-        if n == 1 {
-            return; // length-1 lines are identity (1/n = 1 for the inverse)
+        match &self.kind {
+            // Length-1 lines are identity (1/n = 1 for the inverse).
+            Kind::Trivial => {}
+            Kind::Mixed(mx) => {
+                let fwd = dir == Direction::Forward;
+                mx.run_strided(data, n_lines, stride, fwd, self.scale(dir), &mut ws.scratch);
+            }
+            Kind::Pow2(_) | Kind::Bluestein(_) => self.run_gathered(data, n_lines, stride, ws, dir),
         }
+    }
+
+    /// Strided batch for the in-place kernels: gather [`LINE_BLOCK`]
+    /// lines, transform each with [`Fft1d::run_line`], scatter back.
+    fn run_gathered(
+        &self,
+        data: &mut [c64],
+        n_lines: usize,
+        stride: usize,
+        ws: &mut Fft1dWorkspace,
+        dir: Direction,
+    ) {
+        let n = self.n;
+        let Fft1dWorkspace { scratch, batch } = ws;
+        assert_eq!(batch.len(), LINE_BLOCK * n, "Fft1d: workspace mismatch");
         // Each line is gathered into the batch buffer and scattered back:
         // 2 · 16 bytes per complex element through the strided staging.
         counter_add(
             Counter::FftGatherScatterBytes,
             2 * (n_lines * n * size_of::<c64>()) as u64,
         );
-        let inv = 1.0 / n as f64;
         let mut l0 = 0;
         while l0 < n_lines {
             let nb = LINE_BLOCK.min(n_lines - l0);
@@ -347,43 +403,24 @@ impl Fft1d {
             for i in 0..n {
                 let row = &data[i * stride + l0..i * stride + l0 + nb];
                 for (j, &v) in row.iter().enumerate() {
-                    ws.batch[j * n + i] = v;
+                    batch[j * n + i] = v;
                 }
             }
             // Transform each gathered line with the identical in-place
             // kernel the unbatched path uses (bit-for-bit equivalence).
-            for j in 0..nb {
-                let line = &mut ws.batch[j * n..(j + 1) * n];
-                match &self.kind {
-                    Kind::Trivial => unreachable!("n == 1 returned above"),
-                    Kind::Pow2(p) => p.run(line, dir),
-                    Kind::Bluestein(b) => {
-                        assert_eq!(ws.scratch.len(), b.m, "Fft1d: workspace plan mismatch");
-                        b.run(line, dir, &mut ws.scratch);
-                    }
-                }
-                if dir == Direction::Inverse {
-                    for v in line {
-                        *v = v.scale(inv);
-                    }
-                }
+            for line in batch[..nb * n].chunks_exact_mut(n) {
+                self.run_line(line, dir, scratch);
             }
             // Scatter back, same blocked access pattern.
             for i in 0..n {
                 let row = &mut data[i * stride + l0..i * stride + l0 + nb];
                 for (j, o) in row.iter_mut().enumerate() {
-                    *o = ws.batch[j * n + i];
+                    *o = batch[j * n + i];
                 }
             }
             l0 += nb;
         }
     }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Direction {
-    Forward,
-    Inverse,
 }
 
 /// Flop estimate for one transformed line, fixed at plan build.
@@ -392,16 +429,20 @@ pub(crate) enum Direction {
 /// counts its *actual* arithmetic — 34 real flops per butterfly, n/4
 /// butterflies per stage, one stage per two levels (`8.5·n` per pair of
 /// levels vs radix-2's `10·n`), plus one `5·n` radix-2 stage when
-/// log2 n is odd — so the Gflop/s the obs layer derives never credits
-/// the faster kernel with work it did not do. Bluestein runs two inner
-/// power-of-two transforms of size `m = (2n−1).next_power_of_two()`
-/// (the size-m filter FFT is amortized into the plan) plus the chirp
-/// multiply, filter multiply, and de-chirp — `O(m + n)` complex
-/// multiplies at 6 flops each, with the final de-chirp also scaling.
+/// log2 n is odd — and the mixed-radix plan likewise sums its stages'
+/// butterflies and non-trivial twiddle multiplies
+/// ([`Mixed::line_flops`]), so the Gflop/s the obs layer derives never
+/// credits a faster kernel with work it did not do. Bluestein runs two
+/// inner power-of-two transforms of size
+/// `m = (2n−1).next_power_of_two()` (the size-m filter FFT is amortized
+/// into the plan) plus the chirp multiply, filter multiply, and
+/// de-chirp — `O(m + n)` complex multiplies at 6 flops each, with the
+/// final de-chirp also scaling.
 fn estimated_line_flops(n: usize, kind: &Kind) -> u64 {
     match kind {
         Kind::Trivial => 0,
         Kind::Pow2(p) => pow2_line_flops(n, p),
+        Kind::Mixed(mx) => mx.line_flops(),
         Kind::Bluestein(b) => {
             let m = b.m as u64;
             2 * pow2_line_flops(b.m, &b.inner) + 6 * m + 14 * n as u64
@@ -448,7 +489,7 @@ impl Radix2 {
         }
     }
 
-    fn run(&self, data: &mut [c64], dir: Direction) {
+    fn run(&self, data: &mut [c64], forward: bool) {
         let n = data.len();
         // Bit-reversal permutation.
         for i in 0..n {
@@ -457,9 +498,10 @@ impl Radix2 {
                 data.swap(i, j);
             }
         }
-        let tw = match dir {
-            Direction::Forward => &self.twiddles_fwd,
-            Direction::Inverse => &self.twiddles_inv,
+        let tw = if forward {
+            &self.twiddles_fwd
+        } else {
+            &self.twiddles_inv
         };
         // Iterative butterflies.
         let mut h = 1;
@@ -531,7 +573,7 @@ impl Radix4 {
         }
     }
 
-    fn run(&self, data: &mut [c64], dir: Direction) {
+    fn run(&self, data: &mut [c64], forward: bool) {
         let n = data.len();
         // Bit-reversal permutation (identical to the radix-2 kernel).
         for i in 0..n {
@@ -549,11 +591,11 @@ impl Radix4 {
                 data[i + 1] = a - b;
             }
         }
-        let tw = match dir {
-            Direction::Forward => &self.twiddles_fwd,
-            Direction::Inverse => &self.twiddles_inv,
+        let tw = if forward {
+            &self.twiddles_fwd
+        } else {
+            &self.twiddles_inv
         };
-        let forward = dir == Direction::Forward;
         let mut h = if self.half_stage { 2 } else { 1 };
         let mut tw_off = 0;
         while h < n {
@@ -609,7 +651,7 @@ impl Bluestein {
                 filter[m - j] = v;
             }
         }
-        inner.run(&mut filter, Direction::Forward);
+        inner.run(&mut filter, true);
         Bluestein {
             chirp_fwd,
             filter_fwd: filter,
@@ -620,12 +662,12 @@ impl Bluestein {
 
     /// Runs one chirp-z transform through caller-provided scratch of
     /// length `m` (zeroed here — callers may hand over dirty buffers).
-    fn run(&self, data: &mut [c64], dir: Direction, buf: &mut [c64]) {
+    fn run(&self, data: &mut [c64], forward: bool, buf: &mut [c64]) {
         let n = data.len();
         debug_assert_eq!(buf.len(), self.m);
         // Inverse transform = conj ∘ forward ∘ conj (the 1/n is applied by
         // the caller).
-        if dir == Direction::Inverse {
+        if !forward {
             for v in data.iter_mut() {
                 *v = v.conj();
             }
@@ -634,16 +676,16 @@ impl Bluestein {
             buf[j] = data[j] * self.chirp_fwd[j];
         }
         buf[n..].fill(c64::ZERO);
-        self.inner.run(buf, Direction::Forward);
+        self.inner.run(buf, true);
         for (v, &f) in buf.iter_mut().zip(&self.filter_fwd) {
             *v *= f;
         }
-        self.inner.run(buf, Direction::Inverse);
+        self.inner.run(buf, false);
         let inv_m = 1.0 / self.m as f64;
         for k in 0..n {
             data[k] = (buf[k] * self.chirp_fwd[k]).scale(inv_m);
         }
-        if dir == Direction::Inverse {
+        if !forward {
             for v in data.iter_mut() {
                 *v = v.conj();
             }
@@ -687,12 +729,54 @@ mod tests {
 
     #[test]
     fn bluestein_matches_naive_dft() {
-        for &n in &[3usize, 5, 6, 7, 9, 10, 12, 15, 20, 40, 81, 100] {
+        // Bluestein serves every non-power-of-two under `Reference` and
+        // the lengths with a prime factor above 13 under `Fast`.
+        let cases = [3usize, 5, 6, 7, 9, 10, 12, 15, 20, 40, 81, 100]
+            .map(|n| (n, KernelPolicy::Reference))
+            .into_iter()
+            .chain([17usize, 19, 23, 34, 38, 51].map(|n| (n, KernelPolicy::Fast)));
+        for (n, policy) in cases {
+            let plan = Fft1d::new_with(n, policy);
+            assert!(matches!(plan.kind, Kind::Bluestein(_)), "n={n} {policy:?}");
             let x = rand_signal(n, 1000 + n as u64);
             let expect = dft_forward(&x);
             let mut got = x.clone();
-            Fft1d::new(n).forward(&mut got);
+            plan.forward(&mut got);
             assert!(max_err(&got, &expect) < 1e-9 * n as f64, "n={n}");
+        }
+    }
+
+    #[test]
+    fn plan_kind_follows_factorisation_and_policy() {
+        let kind = |n, policy| match Fft1d::new_with(n, policy).kind {
+            Kind::Trivial => "trivial",
+            Kind::Pow2(Pow2::R2(_)) => "radix2",
+            Kind::Pow2(Pow2::R4(_)) => "radix4",
+            Kind::Mixed(_) => "mixed",
+            Kind::Bluestein(_) => "bluestein",
+        };
+        for n in [6usize, 12, 14, 18, 22, 40, 1001] {
+            assert_eq!(kind(n, KernelPolicy::Fast), "mixed", "n={n}");
+            assert_eq!(kind(n, KernelPolicy::Reference), "bluestein", "n={n}");
+        }
+        assert_eq!(kind(1, KernelPolicy::Fast), "trivial");
+        assert_eq!(kind(2, KernelPolicy::Fast), "radix2");
+        assert_eq!(kind(16, KernelPolicy::Fast), "radix4");
+        assert_eq!(kind(16, KernelPolicy::Reference), "radix2");
+        assert_eq!(kind(34, KernelPolicy::Fast), "bluestein");
+    }
+
+    #[test]
+    fn mixed_matches_naive_dft_and_bluestein() {
+        for &n in &[3usize, 5, 6, 7, 9, 10, 12, 14, 15, 18, 20, 22, 40, 81, 100] {
+            let x = rand_signal(n, 2000 + n as u64);
+            let expect = dft_forward(&x);
+            let mut got = x.clone();
+            Fft1d::new_with(n, KernelPolicy::Fast).forward(&mut got);
+            assert!(max_err(&got, &expect) < 1e-12 * n as f64, "n={n}");
+            let mut reference = x.clone();
+            Fft1d::new_with(n, KernelPolicy::Reference).forward(&mut reference);
+            assert!(max_err(&got, &reference) < 1e-11 * n as f64, "n={n}");
         }
     }
 

@@ -173,14 +173,14 @@ impl RealFft1d {
                 for j in 0..m {
                     out[j] = c64::new(input[2 * j], input[2 * j + 1]);
                 }
-                inner.run_uncounted(&mut out[..m], Direction::Forward, &mut ws.inner_ws);
+                inner.run_line(&mut out[..m], Direction::Forward, &mut ws.inner_ws.scratch);
                 unpack_forward(out, m, twiddles);
             }
             RKind::Odd { inner } => {
                 for (b, &x) in ws.buf.iter_mut().zip(input) {
                     *b = c64::real(x);
                 }
-                inner.run_uncounted(&mut ws.buf, Direction::Forward, &mut ws.inner_ws);
+                inner.run_line(&mut ws.buf, Direction::Forward, &mut ws.inner_ws.scratch);
                 out.copy_from_slice(&ws.buf[..self.packed_len()]);
             }
         }
@@ -205,7 +205,7 @@ impl RealFft1d {
                 pack_inverse(spec, &mut ws.buf, m, twiddles);
                 // The inner inverse's 1/m is exactly the 1/n the real
                 // line needs (each packed sample carries two reals).
-                inner.run_uncounted(&mut ws.buf, Direction::Inverse, &mut ws.inner_ws);
+                inner.run_line(&mut ws.buf, Direction::Inverse, &mut ws.inner_ws.scratch);
                 for j in 0..m {
                     out[2 * j] = ws.buf[j].re;
                     out[2 * j + 1] = ws.buf[j].im;
@@ -218,7 +218,7 @@ impl RealFft1d {
                 for k in 1..p {
                     ws.buf[self.n - k] = spec[k].conj();
                 }
-                inner.run_uncounted(&mut ws.buf, Direction::Inverse, &mut ws.inner_ws);
+                inner.run_line(&mut ws.buf, Direction::Inverse, &mut ws.inner_ws.scratch);
                 for (o, b) in out.iter_mut().zip(&ws.buf) {
                     *o = b.re;
                 }

@@ -13,7 +13,70 @@ fn signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<c64>> {
     })
 }
 
+/// A random 13-smooth length: up to four factors drawn from the
+/// mixed-radix kernel's primes, 2 ≤ n ≤ 13⁴ capped at 2048 by dropping
+/// factors from the end.
+fn smooth_length() -> impl Strategy<Value = usize> {
+    prop::collection::vec(0usize..6, 1..=4).prop_map(|picks| {
+        let mut n = 1;
+        for p in picks {
+            let f = [2, 3, 5, 7, 11, 13][p];
+            if n * f <= 2048 {
+                n *= f;
+            }
+        }
+        n
+    })
+}
+
+fn lcg_signal(n: usize, seed: u64) -> Vec<c64> {
+    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) as f64) / (u32::MAX as f64) - 0.5
+    };
+    (0..n).map(|_| c64::new(next(), next())).collect()
+}
+
 proptest! {
+    /// Round trip, Parseval and linearity of the mixed-radix kernel over
+    /// random 2·3·5·7·11·13-smooth lengths (explicitly `Fast`, so the
+    /// property holds whatever `LS3DF_KERNELS` says).
+    #[test]
+    fn smooth_lengths_roundtrip_parseval_linearity(
+        n in smooth_length(),
+        seed in 0u64..1000,
+    ) {
+        let plan = Fft1d::new_with(n, KernelPolicy::Fast);
+        let mut ws = plan.workspace();
+        let x = lcg_signal(n, seed);
+        let y = lcg_signal(n, seed + 1000);
+        let tol = 1e-13 * (n as f64) * (1.0 + (n as f64).log2());
+
+        let mut fx = x.clone();
+        plan.forward_with(&mut fx, &mut ws);
+        let e_time: f64 = x.iter().map(|v| v.norm_sqr()).sum();
+        let e_freq: f64 = fx.iter().map(|v| v.norm_sqr()).sum::<f64>() / n as f64;
+        prop_assert!((e_time - e_freq).abs() <= tol * (1.0 + e_time), "parseval n={n}");
+
+        let mut back = fx.clone();
+        plan.inverse_with(&mut back, &mut ws);
+        for (a, b) in back.iter().zip(&x) {
+            prop_assert!((*a - *b).abs() <= tol, "roundtrip n={n}");
+        }
+
+        let alpha = c64::new(0.75, -1.5);
+        let mut fy = y.clone();
+        plan.forward_with(&mut fy, &mut ws);
+        let mut fsum: Vec<c64> = x.iter().zip(&y).map(|(a, b)| *a + alpha * *b).collect();
+        plan.forward_with(&mut fsum, &mut ws);
+        for ((s, a), b) in fsum.iter().zip(&fx).zip(&fy) {
+            prop_assert!((*s - (*a + alpha * *b)).abs() <= tol * 4.0, "linearity n={n}");
+        }
+    }
+
     #[test]
     fn fft_matches_naive_dft_all_lengths(x in signal_strategy(48)) {
         let plan = Fft1d::new(x.len());

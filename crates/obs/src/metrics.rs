@@ -53,11 +53,13 @@ pub enum Counter {
     CommBytesReceived,
     /// Collective allreduce operations entered on this rank.
     CommAllreduceCalls,
+    /// 1-D line transforms through a mixed-radix (smooth-length) plan.
+    FftLinesMixed,
 }
 
 impl Counter {
     /// Every counter, in reporting order.
-    pub const ALL: [Counter; 17] = [
+    pub const ALL: [Counter; 18] = [
         Counter::FftLinesTrivial,
         Counter::FftLinesRadix2,
         Counter::FftLinesBluestein,
@@ -75,6 +77,7 @@ impl Counter {
         Counter::CommBytesSent,
         Counter::CommBytesReceived,
         Counter::CommAllreduceCalls,
+        Counter::FftLinesMixed,
     ];
 
     /// Stable snake_case identifier (JSON report key).
@@ -97,6 +100,7 @@ impl Counter {
             Counter::CommBytesSent => "comm_bytes_sent",
             Counter::CommBytesReceived => "comm_bytes_received",
             Counter::CommAllreduceCalls => "comm_allreduce_calls",
+            Counter::FftLinesMixed => "fft_lines_mixed",
         }
     }
 }
@@ -215,8 +219,9 @@ mod tests {
         // Report consumers (merged multi-rank reports, EXPERIMENTS.md
         // tooling) key on these exact strings. Renaming or reordering a
         // counter is a report-schema change: update the golden list
-        // here AND document the delta in EXPERIMENTS.md.
-        const GOLDEN: [&str; 17] = [
+        // here AND document the delta in EXPERIMENTS.md. New counters
+        // are appended, never inserted.
+        const GOLDEN: [&str; 18] = [
             "fft_lines_trivial",
             "fft_lines_radix2",
             "fft_lines_bluestein",
@@ -234,6 +239,7 @@ mod tests {
             "comm_bytes_sent",
             "comm_bytes_received",
             "comm_allreduce_calls",
+            "fft_lines_mixed",
         ];
         let names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names, GOLDEN);

@@ -726,6 +726,9 @@ mod tests {
             counters: vec![
                 ("fragment_solves".to_string(), 8),
                 ("comm_bytes_sent".to_string(), 4096),
+                // The newest (last-appended) registry name rides the
+                // wire like any other: counters travel by name.
+                (crate::Counter::FftLinesMixed.name().to_string(), 1452),
             ],
             comm: vec![CommRow {
                 op: "send".to_string(),

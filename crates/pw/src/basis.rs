@@ -8,10 +8,20 @@
 //! * grid transfers: [`PwBasis::wave_to_grid`] produces `ψ(rᵢ)` such that
 //!   `Σᵢ |ψ(rᵢ)|²·dv = 1`, and [`PwBasis::grid_to_wave`] is its exact
 //!   left inverse.
+//!
+//! Under the default `fast` kernel policy the grid transfers are
+//! **sphere-aware**: the coefficients live inside the cutoff sphere, a
+//! small part of the FFT box (radius ≈ 3 grid units on a 14³ fragment
+//! box at `E_cut = 1.5`), so the synthesis transforms only the x-lines
+//! and y-pencils the sphere touches before its full z pass, and the
+//! analysis runs the mirror order and skips every line whose outputs the
+//! basis never reads (`ls3df_fft::Occupancy`, built once per basis).
+//! `LS3DF_KERNELS=reference` keeps the full x → y → z transforms, whose
+//! arithmetic order the golden digests pin.
 
-use ls3df_fft::{Fft3, Fft3Workspace};
+use ls3df_fft::{Fft3, Fft3Workspace, Occupancy};
 use ls3df_grid::Grid3;
-use ls3df_math::c64;
+use ls3df_math::{c64, kernel_policy, KernelPolicy};
 use std::sync::Mutex;
 
 /// Planewave basis bound to a periodic grid.
@@ -25,6 +35,9 @@ pub struct PwBasis {
     g2: Vec<f64>,
     /// Cartesian G for each basis vector.
     g_vec: Vec<[f64; 3]>,
+    /// Grid lines the cutoff sphere touches — `Some` exactly when the
+    /// transforms are sphere-aware (the `fast` kernel policy).
+    sphere: Option<Occupancy>,
     /// Pool of FFT workspaces backing the convenience (non-`_with`)
     /// transform methods: after warmup, checkout/return is push/pop on a
     /// preallocated Vec and the transforms stay heap-free.
@@ -69,6 +82,7 @@ impl PwBasis {
             }
         }
         let fft = Fft3::new(grid.dims[0], grid.dims[1], grid.dims[2]);
+        let sphere = (kernel_policy() == KernelPolicy::Fast).then(|| fft.occupancy(&g_slot));
         PwBasis {
             grid,
             fft,
@@ -76,6 +90,7 @@ impl PwBasis {
             g_slot,
             g2: g2s,
             g_vec,
+            sphere,
             ws_pool: Mutex::new(Vec::new()),
         }
     }
@@ -163,15 +178,20 @@ impl PwBasis {
     /// [`PwBasis::wave_to_grid`] through caller-provided FFT scratch —
     /// the allocation-free hot-path entry point.
     pub fn wave_to_grid_with(&self, coeffs: &[c64], buf: &mut [c64], ws: &mut Fft3Workspace) {
-        assert_eq!(coeffs.len(), self.len(), "wave_to_grid: coefficient count");
-        assert_eq!(buf.len(), self.grid.len(), "wave_to_grid: buffer size");
-        buf.fill(c64::ZERO);
-        for (slot, &c) in self.g_slot.iter().zip(coeffs) {
-            buf[*slot] = c;
-        }
-        self.fft.inverse_with(buf, ws);
-        // inverse = (1/N)·Σ; we need (1/√Ω)·Σ → scale by N/√Ω.
-        let scale = self.grid.len() as f64 / self.grid.volume().sqrt();
+        self.scatter(coeffs, buf);
+        let sqrt_vol = self.grid.volume().sqrt();
+        let scale = match &self.sphere {
+            // The sphere-aware inverse is the bare Σ_G c_G·e^{iG·r}.
+            Some(sphere) => {
+                self.fft.inverse_from_sparse(buf, sphere, ws);
+                1.0 / sqrt_vol
+            }
+            // inverse = (1/N)·Σ; we need (1/√Ω)·Σ → scale by N/√Ω.
+            None => {
+                self.fft.inverse_with(buf, ws);
+                self.grid.len() as f64 / sqrt_vol
+            }
+        };
         for v in buf.iter_mut() {
             *v = v.scale(scale);
         }
@@ -190,15 +210,46 @@ impl PwBasis {
     }
 
     /// [`PwBasis::grid_to_wave`] through caller-provided FFT scratch —
-    /// the allocation-free hot-path entry point.
+    /// the allocation-free hot-path entry point. `buf` is consumed as
+    /// scratch.
     pub fn grid_to_wave_with(&self, buf: &mut [c64], coeffs: &mut [c64], ws: &mut Fft3Workspace) {
-        assert_eq!(coeffs.len(), self.len(), "grid_to_wave: coefficient count");
         assert_eq!(buf.len(), self.grid.len(), "grid_to_wave: buffer size");
-        self.fft.forward_with(buf, ws);
+        match &self.sphere {
+            Some(sphere) => self.fft.forward_to_sparse(buf, sphere, ws),
+            None => self.fft.forward_with(buf, ws),
+        }
+        self.gather(buf, coeffs);
         // forward = Σ_j …; c_G = (√Ω/N)·forward.
         let scale = self.grid.volume().sqrt() / self.grid.len() as f64;
+        for c in coeffs.iter_mut() {
+            *c = c.scale(scale);
+        }
+    }
+
+    /// The cutoff sphere's footprint on the grid, when the transforms are
+    /// sphere-aware (`fast` kernel policy) — for callers that run the
+    /// sparse transforms themselves to fold the normalizations into
+    /// their own pass over the grid ([`crate::Hamiltonian`]).
+    pub(crate) fn sphere(&self) -> Option<&Occupancy> {
+        self.sphere.as_ref()
+    }
+
+    /// Zeroes `buf` and drops the coefficients onto their grid slots.
+    pub(crate) fn scatter(&self, coeffs: &[c64], buf: &mut [c64]) {
+        assert_eq!(coeffs.len(), self.len(), "wave_to_grid: coefficient count");
+        assert_eq!(buf.len(), self.grid.len(), "wave_to_grid: buffer size");
+        buf.fill(c64::ZERO);
+        for (slot, &c) in self.g_slot.iter().zip(coeffs) {
+            buf[*slot] = c;
+        }
+    }
+
+    /// Reads the coefficients back off their grid slots, unscaled.
+    pub(crate) fn gather(&self, buf: &[c64], coeffs: &mut [c64]) {
+        assert_eq!(coeffs.len(), self.len(), "grid_to_wave: coefficient count");
+        assert_eq!(buf.len(), self.grid.len(), "grid_to_wave: buffer size");
         for (c, slot) in coeffs.iter_mut().zip(&self.g_slot) {
-            *c = buf[*slot].scale(scale);
+            *c = buf[*slot];
         }
     }
 

@@ -220,7 +220,12 @@ pub struct Hamiltonian<'a> {
     basis: &'a PwBasis,
     nonlocal: &'a NonlocalPotential,
     /// Effective local potential on the real-space grid (Hartree).
-    pub v_local: RealField,
+    v_local: RealField,
+    /// `V(r)/N` on the grid, cached when the basis transforms are
+    /// sphere-aware: the one factor left of an H·ψ's normalizations
+    /// (`1/N` inverse, `N/√Ω` synthesis, `V(r)`, `√Ω/N` analysis) once
+    /// both transforms run unnormalized.
+    v_over_n: Option<Vec<f64>>,
     /// Bloch vector (Cartesian, Bohr⁻¹); zero for Γ-point problems.
     k: [f64; 3],
     /// Cached `|k+G|²` per basis vector (equals `g2` at Γ).
@@ -252,10 +257,15 @@ impl<'a> Hamiltonian<'a> {
             .iter()
             .map(|g| (g[0] + k[0]).powi(2) + (g[1] + k[1]).powi(2) + (g[2] + k[2]).powi(2))
             .collect();
+        let inv_n = 1.0 / basis.grid().len() as f64;
+        let v_over_n = basis
+            .sphere()
+            .map(|_| v_local.as_slice().iter().map(|v| v * inv_n).collect());
         Hamiltonian {
             basis,
             nonlocal,
             v_local,
+            v_over_n,
             k,
             kg2,
         }
@@ -337,12 +347,25 @@ impl<'a> Hamiltonian<'a> {
         );
         assert_eq!(hpsi.len(), psi.len(), "apply_vec: output size mismatch");
         // Local potential via grid: ψ(G) → ψ(r) → V(r)·ψ(r) → (Vψ)(G).
-        self.basis.wave_to_grid_with(psi, &mut ws.grid, &mut ws.fft);
-        for (b, &vv) in ws.grid.iter_mut().zip(self.v_local.as_slice()) {
-            *b = b.scale(vv);
+        if let (Some(sphere), Some(v_over_n)) = (self.basis.sphere(), &self.v_over_n) {
+            // Both transforms raw and sphere-pruned; V(r)/N is the only
+            // scaling the round trip needs.
+            let fft = self.basis.fft();
+            self.basis.scatter(psi, &mut ws.grid);
+            fft.inverse_from_sparse(&mut ws.grid, sphere, &mut ws.fft);
+            for (b, &vv) in ws.grid.iter_mut().zip(v_over_n) {
+                *b = b.scale(vv);
+            }
+            fft.forward_to_sparse(&mut ws.grid, sphere, &mut ws.fft);
+            self.basis.gather(&ws.grid, hpsi);
+        } else {
+            self.basis.wave_to_grid_with(psi, &mut ws.grid, &mut ws.fft);
+            for (b, &vv) in ws.grid.iter_mut().zip(self.v_local.as_slice()) {
+                *b = b.scale(vv);
+            }
+            self.basis
+                .grid_to_wave_with(&mut ws.grid, hpsi, &mut ws.fft);
         }
-        self.basis
-            .grid_to_wave_with(&mut ws.grid, hpsi, &mut ws.fft);
         // Kinetic, diagonal in G.
         for ((h, &p), &g2i) in hpsi.iter_mut().zip(psi).zip(&self.kg2) {
             *h += p.scale(0.5 * g2i);

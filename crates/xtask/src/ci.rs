@@ -53,15 +53,24 @@
 //!     section (typed comm-error kind) with `telemetry_incomplete`
 //!     set, and the committed `BENCH_fig5.json` must stay
 //!     schema-valid.
-//! 12. `cargo test -p xtask -q` — the lint engine's own gate: lexer and
+//! 12. `bench-harness`: `cargo test -q --offline --manifest-path
+//!     benchmark/Cargo.toml` (the repo benchmark's own unit tests: the
+//!     percentile rule, span arithmetic, `/proc` parsing, manifest ==
+//!     `BENCHMARK.json`) and then its `--smoke` gate — all four
+//!     workloads at two iterations with every correctness check that
+//!     applies (zero retries/quarantines, charge conservation, crystal8
+//!     trajectories bit-identical across thread/rank/resume variants);
+//!     a non-zero exit fails the step. The benchmark is a package of
+//!     its own outside the workspace, so nothing else builds or tests it.
+//! 13. `cargo test -p xtask -q` — the lint engine's own gate: lexer and
 //!     rule unit tests plus the fixture corpus in
 //!     `crates/xtask/tests/fixtures/` (known-positive snippets must fire
 //!     exactly their golden violations; known-negative snippets — unsafe
 //!     in string literals, `Ordering::` in doc comments, raw strings —
 //!     must stay silent).
-//! 13. `cargo xtask schedules` (in-process) — pool suite + SCF digest
+//! 14. `cargo xtask schedules` (in-process) — pool suite + SCF digest
 //!     matrix under every adversarial work-stealing schedule.
-//! 14. `cargo xtask miri` (in-process) — the curated unsafe-core filter
+//! 15. `cargo xtask miri` (in-process) — the curated unsafe-core filter
 //!     under Miri; reported as a loud SKIP when the nightly component is
 //!     unavailable (the offline container cannot install it).
 //!
@@ -321,6 +330,44 @@ pub fn run(root: &Path) -> bool {
     ];
     for (name, env) in ktol_envs {
         let (res, secs) = run_cargo_step(root, name, ktol_args, env);
+        if matches!(res, StepResult::Fail) {
+            all_ok = false;
+        }
+        summary.push((format!("cargo {name}"), res, secs));
+    }
+
+    // The repo benchmark (benchmark/README.md) lives outside the
+    // workspace, so `cargo test` above never compiles it: run its own
+    // unit tests, then its `--smoke` gate (all four workloads at two
+    // iterations, every correctness check that applies; exits non-zero
+    // when one fails).
+    let bench_steps: [(&str, &[&str]); 2] = [
+        (
+            "bench-harness [test]",
+            &[
+                "test",
+                "-q",
+                "--offline",
+                "--manifest-path",
+                "benchmark/Cargo.toml",
+            ],
+        ),
+        (
+            "bench-harness [smoke]",
+            &[
+                "run",
+                "--release",
+                "--offline",
+                "--quiet",
+                "--manifest-path",
+                "benchmark/Cargo.toml",
+                "--",
+                "--smoke",
+            ],
+        ),
+    ];
+    for (name, args) in bench_steps {
+        let (res, secs) = run_cargo_step(root, name, args, &[]);
         if matches!(res, StepResult::Fail) {
             all_ok = false;
         }

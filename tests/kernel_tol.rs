@@ -4,8 +4,9 @@
 //! PR policy: the *reference* path is pinned bit-for-bit by the golden
 //! digests (`tests/scheme_digest.rs` children run with
 //! `LS3DF_KERNELS=reference`); the *fast* path (r2c/c2r packing, radix-4
-//! butterflies, lane-split dots, the packed GEMM microkernel) is allowed
-//! to re-round, and THIS file is the contract that says by how much.
+//! and mixed-radix butterflies, sphere-pruned grid transfers, lane-split
+//! dots, the packed GEMM microkernel) is allowed to re-round, and THIS
+//! file is the contract that says by how much.
 //! Every bound below is a pinned constant — loosening one is a reviewed
 //! decision, not a test tweak. The bounds are deliberately ~100× above
 //! observed worst cases so they fail on algorithmic regressions (a wrong
@@ -17,6 +18,7 @@
 //! thread count, which they do trivially because their arithmetic is
 //! schedule-independent by construction.
 
+use ls3df::fft::dft::dft_forward;
 use ls3df::fft::{Fft1d, Fft3, Fft3r, RealFft1d};
 use ls3df::grid::{Grid3, RealField};
 use ls3df::math::{c64, gemm, vec_ops, KernelPolicy, Matrix, Op};
@@ -24,9 +26,17 @@ use ls3df::pseudo::KbProjector;
 use ls3df::pw::{ionic_potential_with, HartreeSolver, Mixer, MixerState, PwAtom, PwBasis};
 use ls3df_pseudo::LocalPotential;
 
-/// Complex 1-D transforms, radix-4/split (fast) vs radix-2 (reference),
-/// per-bin, relative to the spectrum peak.
+/// Complex 1-D transforms, radix-4/split and mixed-radix (fast) vs
+/// radix-2 and Bluestein (reference), per-bin, relative to the spectrum
+/// peak.
 const FFT1D_TOL: f64 = 1e-12;
+/// Sphere-pruned `wave_to_grid_with`/`grid_to_wave_with` (raw transforms,
+/// one folded scale) vs the full-grid path (per-axis `1/n`, then the
+/// volume factor), per value, relative to the largest value. Observed
+/// worst case over the boxes below: 4.3e-16 (14³), 3.3e-16 (22³),
+/// 4.3e-16 (12×18×18) — the two paths differ by a handful of roundings,
+/// so the bound sits the file's usual ~100× above them.
+const PRUNED_TOL: f64 = 5e-14;
 /// Packed r2c spectrum vs the complex transform of the same real signal.
 const R2C_TOL: f64 = 1e-12;
 /// 3-D packed transform + inverse vs the complex 3-D path, per sample.
@@ -82,6 +92,126 @@ fn radix4_matches_radix2_every_pow2() {
             }
         }
         n *= 2;
+    }
+}
+
+/// True when `n` factors over the mixed-radix kernel's radices.
+fn is_13_smooth(mut n: usize) -> bool {
+    for p in [2, 3, 5, 7, 11, 13] {
+        while n.is_multiple_of(p) {
+            n /= p;
+        }
+    }
+    n == 1
+}
+
+#[test]
+fn mixed_radix_matches_dft_and_bluestein_every_smooth_length() {
+    // Every 13-smooth non-power-of-two ≤ 128 — which includes the
+    // fragment box edges 12, 14, 18, 22 and the paper's 40 — against both
+    // the O(n²) definition and the Bluestein plan it replaced.
+    let lengths: Vec<usize> = (3..=128usize)
+        .filter(|&n| is_13_smooth(n) && !n.is_power_of_two())
+        .collect();
+    for required in [12, 14, 18, 22, 40] {
+        assert!(lengths.contains(&required));
+    }
+    for n in lengths {
+        let mut next = lcg(0x51300 ^ n as u64);
+        let x: Vec<c64> = (0..n).map(|_| c64::new(next(), next())).collect();
+        let mixed = Fft1d::new_with(n, KernelPolicy::Fast);
+        let bluestein = Fft1d::new_with(n, KernelPolicy::Reference);
+        let exact = dft_forward(&x);
+        let peak = exact.iter().map(|v| v.abs()).fold(1.0, f64::max);
+
+        let mut fwd = x.clone();
+        mixed.forward(&mut fwd);
+        let mut fwd_ref = x.clone();
+        bluestein.forward(&mut fwd_ref);
+        let mut inv = x.clone();
+        mixed.inverse(&mut inv);
+        let mut inv_ref = x.clone();
+        bluestein.inverse(&mut inv_ref);
+        for i in 0..n {
+            let d = (fwd[i] - exact[i]).abs();
+            assert!(d <= FFT1D_TOL * peak, "n={n} bin {i} vs DFT: |Δ|={d:e}");
+            let d = (fwd[i] - fwd_ref[i]).abs();
+            assert!(
+                d <= FFT1D_TOL * peak,
+                "n={n} bin {i} vs Bluestein: |Δ|={d:e}"
+            );
+            let d = (inv[i] - inv_ref[i]).abs();
+            assert!(d <= FFT1D_TOL, "n={n} sample {i} inverse: |Δ|={d:e}");
+        }
+    }
+}
+
+#[test]
+fn pruned_grid_transfers_match_full_grid_path() {
+    // The 1-, 8- and mixed-piece fragment boxes at the benchmark's
+    // cutoff. The full-grid path is rebuilt from the public plan: same
+    // scatter, `Fft3::inverse_with`/`forward_with`, same scale factors.
+    // (Under LS3DF_KERNELS=reference the basis takes that path itself
+    // and the differences are exactly zero.)
+    for (dims, lengths) in [
+        ([14, 14, 14], [11.375, 11.375, 11.375]),
+        ([22, 22, 22], [17.875, 17.875, 17.875]),
+        ([12, 18, 18], [9.75, 14.625, 14.625]),
+    ] {
+        let grid = Grid3::new(dims, lengths);
+        let basis = PwBasis::new(grid.clone(), 1.5);
+        // Basis order is grid order filtered by the cutoff.
+        let slots: Vec<usize> = grid
+            .iter_points()
+            .filter(|&(ix, iy, iz)| 0.5 * grid.g2(ix, iy, iz) <= basis.ecut())
+            .map(|(ix, iy, iz)| grid.index(ix, iy, iz))
+            .collect();
+        assert_eq!(
+            slots.len(),
+            basis.len(),
+            "dims {dims:?}: slot reconstruction"
+        );
+        let fft = basis.fft();
+        let mut ws = fft.workspace();
+        let (n, vol) = (grid.len() as f64, grid.volume());
+
+        let mut next = lcg(0x5FE4E ^ grid.len() as u64);
+        let coeffs: Vec<c64> = (0..basis.len()).map(|_| c64::new(next(), next())).collect();
+        let mut pruned = vec![c64::ZERO; grid.len()];
+        basis.wave_to_grid_with(&coeffs, &mut pruned, &mut ws);
+        let mut full = vec![c64::ZERO; grid.len()];
+        for (&slot, &c) in slots.iter().zip(&coeffs) {
+            full[slot] = c;
+        }
+        fft.inverse_with(&mut full, &mut ws);
+        let peak = full.iter().map(|v| v.abs()).fold(0.0, f64::max) * n / vol.sqrt();
+        let mut worst = 0.0_f64;
+        for (p, f) in pruned.iter().zip(&full) {
+            worst = worst.max((*p - f.scale(n / vol.sqrt())).abs() / peak);
+        }
+        assert!(
+            worst <= PRUNED_TOL,
+            "dims {dims:?}: wave_to_grid pruned vs full {worst:e}"
+        );
+
+        let field: Vec<c64> = (0..grid.len()).map(|_| c64::new(next(), next())).collect();
+        let mut got = vec![c64::ZERO; basis.len()];
+        basis.grid_to_wave_with(&mut field.clone(), &mut got, &mut ws);
+        let mut full = field;
+        fft.forward_with(&mut full, &mut ws);
+        let expect: Vec<c64> = slots
+            .iter()
+            .map(|&slot| full[slot].scale(vol.sqrt() / n))
+            .collect();
+        let peak = expect.iter().map(|v| v.abs()).fold(0.0, f64::max);
+        let mut worst = 0.0_f64;
+        for (g, e) in got.iter().zip(&expect) {
+            worst = worst.max((*g - *e).abs() / peak);
+        }
+        assert!(
+            worst <= PRUNED_TOL,
+            "dims {dims:?}: grid_to_wave pruned vs full {worst:e}"
+        );
     }
 }
 

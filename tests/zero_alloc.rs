@@ -4,10 +4,14 @@
 //! warm-up pass has populated every workspace and pool, a steady-state
 //! all-band CG step (`cg_residual` + `cg_step`) and a steady-state GENPOT
 //! Poisson solve (`HartreeSolver::solve_into`) perform **zero** heap
-//! allocations. The system deliberately uses a 12³ grid so every FFT line
-//! runs the Bluestein kernel — the one with the largest scratch demand —
-//! and carries an active Kleinman–Bylander projector so the nonlocal
-//! accumulation is exercised too.
+//! allocations. The system deliberately uses a 12³ grid — never a power
+//! of two, so the FFT lines run the kernels with scratch to get wrong:
+//! the mixed-radix ping-pong rows under the default `fast` policy,
+//! Bluestein's convolution buffer under `reference` — and carries an
+//! active Kleinman–Bylander projector so the nonlocal accumulation is
+//! exercised too. A 14³ box at the benchmark's cutoff (the one-piece
+//! fragment of `crystal8_*`) puts the sphere-pruned, folded-scaling
+//! `apply_block_with` under the same gate.
 //!
 //! Everything lives in one `#[test]` so no concurrent test can perturb the
 //! process-wide allocation counter between the bracketing reads.
@@ -30,7 +34,8 @@ const N_BANDS: usize = 4;
 
 fn test_system() -> (PwBasis, Vec<PwAtom>) {
     // 12 = 2²·3: non-power-of-two on purpose, so all three FFT passes go
-    // through Bluestein and its workspace scratch.
+    // through workspace scratch (mixed-radix rows, or Bluestein's buffer
+    // under LS3DF_KERNELS=reference).
     let grid = Grid3::cubic(12, 6.0);
     let basis = PwBasis::new(grid, 2.0);
     let atoms = vec![
@@ -131,6 +136,27 @@ fn steady_state_hot_paths_do_not_allocate() {
         cg_allocs, 0,
         "steady-state cg_residual+cg_step allocated {cg_allocs} times"
     );
+
+    // --- steady-state H·ψ on a 14³ fragment box --------------------------
+    // 14 = 7·2 runs the odd-radix butterflies; at E_cut = 1.5 the sphere
+    // has radius ≈ 3 grid units, so the pruned x/y passes skip lines.
+    let box_grid = Grid3::cubic(14, 11.375);
+    let box_basis = PwBasis::new(box_grid.clone(), 1.5);
+    let v_box = RealField::from_fn(box_grid, |r| 0.2 * (r[0] * 0.5).cos() - 0.1 * r[2].sin());
+    let box_nl = NonlocalPotential::none(&box_basis);
+    let h_box = Hamiltonian::new(&box_basis, v_box, &box_nl);
+    let psi_box = seed_bands(box_basis.len());
+    let mut hpsi_box = Matrix::zeros(N_BANDS, box_basis.len());
+    let mut ham_ws = h_box.workspace();
+    h_box.apply_block_with(&psi_box, &mut hpsi_box, &mut ham_ws);
+    let before = allocation_count();
+    h_box.apply_block_with(&psi_box, &mut hpsi_box, &mut ham_ws);
+    let apply_allocs = allocation_count() - before;
+    assert_eq!(
+        apply_allocs, 0,
+        "steady-state apply_block_with on the 14³ box allocated {apply_allocs} times"
+    );
+    assert!(hpsi_box.as_slice().iter().all(|v| v.is_finite()));
 
     // --- steady-state GENPOT (FFT Poisson) solve ------------------------
     // Both kernel policies must hold the zero-alloc contract: the fast
