@@ -22,6 +22,19 @@
 //! - **GEMM microkernel**: a BLAS-3 band-block update through
 //!   [`gemm_with`] under both policies (register-tiled packed kernel vs
 //!   the blocked reference loop).
+//! - **GEMM tiers**: the packed kernel's baseline (SSE2) instantiation
+//!   against the one this host dispatches to, at 16/32/64/130 bands × the
+//!   planewave counts of the ZnTeO fragment boxes (751/1157/1715/2553),
+//!   Gflop/s each, outputs compared bit for bit.
+//! - **row loops vs block products**: the subspace projection of one
+//!   `cg_step` and the three rotations of one `rr_rotate` at 130 × 2553,
+//!   as the `dotc`/`axpy` row loops the solver ran before and as the
+//!   [`gemm_into`] products it runs now, cross-checked.
+//! - **block-size crossover**: the same two operations, row loops against
+//!   the packed kernel forced on (both tiers), down a ladder of shapes
+//!   around `m·k·n = 2¹⁸` — the measurement behind the one constant that
+//!   sends a product to the packed kernel (and, in the allocating entry
+//!   points, to the pool).
 //! - **mixed-radix vs Bluestein**: the fragment box edges — 1-D lines of
 //!   n ∈ {12, 14, 18, 22, 40} through the strided batch API and 3-D
 //!   12³/14³/18³/22³ round trips — under `fast` (mixed-radix Stockham,
@@ -46,7 +59,10 @@
 use ls3df_bench::arg;
 use ls3df_fft::{Fft1d, Fft3, Fft3r};
 use ls3df_grid::{Grid3, RealField};
-use ls3df_math::{c64, gemm_with, KernelPolicy, Matrix, Op};
+use ls3df_math::vec_ops::{axpy, dotc};
+use ls3df_math::{
+    c64, gemm_into, gemm_packed_into, gemm_with, GemmScratch, KernelPolicy, Matrix, Op, Tier,
+};
 use ls3df_obs::{Json, Report};
 use ls3df_pw::hartree::{hartree_potential, HartreeSolver};
 use ls3df_pw::{Hamiltonian, NonlocalPotential, PwBasis};
@@ -140,6 +156,55 @@ fn apply_full_grid(
         let out = hpsi.row_mut(b);
         for (i, &slot) in slots.iter().enumerate() {
             out[i] = buf[slot].scale(down) + psi.row(b)[i].scale(0.5 * basis.g2()[i]);
+        }
+    }
+}
+
+/// A deterministic `(rows × cols)` block with entries in `[-½, ½)²`.
+fn lcg_block(rows: usize, cols: usize, seed: u64) -> Matrix<c64> {
+    Matrix::from_vec(rows, cols, lcg_field(rows * cols, seed))
+}
+
+/// The subspace projection `D −= (D·Ψᴴ)·Ψ` as the all-band solver ran it
+/// before it went back to GEMM: `n_b²` `dotc`, then `n_b²` `axpy`.
+fn project_rows(psi: &Matrix<c64>, d: &mut Matrix<c64>, o: &mut Matrix<c64>) {
+    let nb = psi.rows();
+    for b in 0..nb {
+        for j in 0..nb {
+            o[(b, j)] = dotc(psi.row(j), d.row(b));
+        }
+    }
+    for b in 0..nb {
+        for j in 0..nb {
+            axpy(-o[(b, j)], psi.row(j), d.row_mut(b));
+        }
+    }
+}
+
+/// A block product entry point: [`gemm_into`] or [`gemm_packed_into`].
+type Gemm =
+    fn(&mut GemmScratch<c64>, c64, &Matrix<c64>, Op, &Matrix<c64>, Op, c64, &mut Matrix<c64>);
+
+/// The same projection as two block products, `O = Ψ·Dᴴ`, `D −= Oᴴ·Ψ`.
+fn project_block(
+    gemm: Gemm,
+    scratch: &mut GemmScratch<c64>,
+    psi: &Matrix<c64>,
+    d: &mut Matrix<c64>,
+    o: &mut Matrix<c64>,
+) {
+    let (one, zero) = (c64::ONE, c64::ZERO);
+    gemm(scratch, one, psi, Op::None, d, Op::ConjTrans, zero, o);
+    gemm(scratch, -one, o, Op::ConjTrans, psi, Op::None, one, d);
+}
+
+/// The Rayleigh–Ritz rotation `out = Uᵀ·X` as `n_b²` row `axpy`s.
+fn rotate_rows(u: &Matrix<c64>, x: &Matrix<c64>, out: &mut Matrix<c64>) {
+    let nb = x.rows();
+    out.as_mut_slice().fill(c64::ZERO);
+    for i in 0..nb {
+        for j in 0..nb {
+            axpy(u[(j, i)], x.row(j), out.row_mut(i));
         }
     }
 }
@@ -405,6 +470,198 @@ fn main() {
     );
     println!("  speedup: {:.2}x\n", before_g / after_g);
 
+    // --- packed GEMM: baseline tier vs the tier this host dispatches to ---
+    // The rotation product Uᵀ·Ψ at 16/32/64/130 bands × the planewave
+    // counts of the ZnTeO benchmark workload's 1-, 2-, 4- and 8-piece
+    // fragment boxes. Forced onto the packed kernel so the 16-band shape
+    // (below the block-size crossover) is measured too.
+    let host = Tier::host();
+    println!(
+        "packed GEMM Uᵀ·Ψ, baseline tier vs dispatched tier ({}):",
+        host.name()
+    );
+    let mut tier_rows: Vec<Json> = Vec::new();
+    for (nb, npw) in [(16usize, 751usize), (32, 1157), (64, 1715), (130, 2553)] {
+        let psi = lcg_block(nb, npw, 0x7e ^ nb as u64);
+        let u = lcg_block(nb, nb, 0x7f ^ nb as u64);
+        let gflop = 8.0 * (nb * nb * npw) as f64 * 1e-9;
+        let mut out = [Matrix::zeros(nb, npw), Matrix::zeros(nb, npw)];
+        let mut secs = [0.0_f64; 2];
+        for (slot, tier) in [Tier::BASELINE, host].into_iter().enumerate() {
+            let mut scratch = GemmScratch::with(KernelPolicy::Fast, tier);
+            let c = &mut out[slot];
+            let inner = (2e8 / (nb * nb * npw) as f64).ceil() as usize;
+            secs[slot] = bench_n(
+                &format!("{nb} × {npw}, {} tier", tier.name()),
+                inner,
+                Box::new(|| {
+                    gemm_packed_into(&mut scratch, one, &u, Op::Trans, &psi, Op::None, zero, c);
+                }),
+            );
+        }
+        let identical = out[0]
+            .as_slice()
+            .iter()
+            .zip(out[1].as_slice())
+            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits());
+        assert!(identical, "{nb} × {npw}: tiers are not bit-identical");
+        println!(
+            "  {:.2} -> {:.2} Gflop/s ({:.2}x), bit-identical",
+            gflop / secs[0],
+            gflop / secs[1],
+            secs[0] / secs[1]
+        );
+        tier_rows.push(Json::obj(vec![
+            ("bands", Json::num(nb as f64)),
+            ("planewaves", Json::num(npw as f64)),
+            ("baseline_gflops", Json::num(gflop / secs[0])),
+            ("dispatched_gflops", Json::num(gflop / secs[1])),
+            ("bit_identical", Json::Bool(identical)),
+        ]));
+    }
+    println!();
+
+    // --- row loops vs block products at the 8-piece fragment shape --------
+    // One cg_step's subspace projection and one rr_rotate's three
+    // rotations (Ψ, HΨ, D_prev), the way the solver ran them before
+    // (dotc/axpy per band pair) and the way it runs them now.
+    let (nb, npw) = (130usize, 2553usize);
+    let psi = lcg_block(nb, npw, 0xa1);
+    let d0 = lcg_block(nb, npw, 0xa2);
+    let u = lcg_block(nb, nb, 0xa3);
+    let mut scratch = GemmScratch::new();
+    let (mut d_rows, mut d_block) = (d0.clone(), d0.clone());
+    let mut o = Matrix::zeros(nb, nb);
+    project_rows(&psi, &mut d_rows, &mut o);
+    project_block(gemm_into, &mut scratch, &psi, &mut d_block, &mut o);
+    let pdiff = max_diff(d_rows.as_slice(), d_block.as_slice());
+    assert!(pdiff < 1e-11, "projection paths diverged: {pdiff:e}");
+    let (mut r_rows, mut r_block) = (Matrix::zeros(nb, npw), Matrix::zeros(nb, npw));
+    rotate_rows(&u, &psi, &mut r_rows);
+    gemm_into(
+        &mut scratch,
+        one,
+        &u,
+        Op::Trans,
+        &psi,
+        Op::None,
+        zero,
+        &mut r_block,
+    );
+    let rdiff = max_diff(r_rows.as_slice(), r_block.as_slice());
+    assert!(rdiff < 1e-11, "rotation paths diverged: {rdiff:e}");
+
+    println!("all-band block operations at {nb} bands × {npw} planewaves:");
+    let before_p = bench(
+        "cg_step projection, dotc/axpy row loops",
+        Box::new(|| {
+            d_rows.as_mut_slice().copy_from_slice(d0.as_slice());
+            project_rows(&psi, &mut d_rows, &mut o);
+        }),
+    );
+    let mut o2 = Matrix::zeros(nb, nb);
+    let after_p = bench(
+        "cg_step projection, two block products",
+        Box::new(|| {
+            d_block.as_mut_slice().copy_from_slice(d0.as_slice());
+            project_block(gemm_into, &mut scratch, &psi, &mut d_block, &mut o2);
+        }),
+    );
+    println!("  speedup: {:.2}x", before_p / after_p);
+    let before_rot = bench(
+        "rr_rotate rotations ×3, axpy row loops",
+        Box::new(|| {
+            for _ in 0..3 {
+                rotate_rows(&u, &psi, &mut r_rows);
+            }
+        }),
+    );
+    let mut scratch_rot = GemmScratch::new();
+    let after_rot = bench(
+        "rr_rotate rotations ×3, block products",
+        Box::new(|| {
+            for _ in 0..3 {
+                gemm_into(
+                    &mut scratch_rot,
+                    one,
+                    &u,
+                    Op::Trans,
+                    &psi,
+                    Op::None,
+                    zero,
+                    &mut r_block,
+                );
+            }
+        }),
+    );
+    println!("  speedup: {:.2}x\n", before_rot / after_rot);
+
+    // --- the block-size crossover ------------------------------------------
+    // Row loops vs the packed kernel (forced on, both tiers) for the same
+    // two operations down a ladder of fragment-like shapes. BLOCK_MIN_WORK
+    // (2¹⁸) must sit where the packed kernel is not behind on either
+    // tier; the crystal8 fragments (≤ 10 bands × ≈ 500 planewaves) stay on
+    // the row loops, the ZnTeO ones (18 × 751 the smallest, 34 × 1157 the
+    // smallest 2-piece) straddle and clear it.
+    println!("block-size crossover (projection + one rotation; m·k·n = bands²·planewaves):");
+    let mut crossover_rows: Vec<Json> = Vec::new();
+    for (nb, npw) in [
+        (8usize, 256usize),
+        (10, 500),
+        (12, 600),
+        (16, 320),
+        (16, 1024),
+        (18, 751),
+        (24, 455),
+        (34, 1157),
+    ] {
+        let psi = lcg_block(nb, npw, 0xc0 ^ nb as u64);
+        let d0 = lcg_block(nb, npw, 0xc1 ^ nb as u64);
+        let u = lcg_block(nb, nb, 0xc2 ^ nb as u64);
+        let (mut d, mut out) = (d0.clone(), Matrix::zeros(nb, npw));
+        let mut o = Matrix::zeros(nb, nb);
+        let inner = (4e7 / (nb * nb * npw) as f64).ceil() as usize;
+        let work = nb * nb * npw;
+        let rows_s = bench_n(
+            &format!("{nb} × {npw} (m·k·n = {work}), row loops"),
+            inner,
+            Box::new(|| {
+                d.as_mut_slice().copy_from_slice(d0.as_slice());
+                project_rows(&psi, &mut d, &mut o);
+                rotate_rows(&u, &psi, &mut out);
+            }),
+        );
+        let mut packed_s = [0.0_f64; 2];
+        for (slot, tier) in [Tier::BASELINE, host].into_iter().enumerate() {
+            let mut scratch = GemmScratch::with(KernelPolicy::Fast, tier);
+            packed_s[slot] = bench_n(
+                &format!("{nb} × {npw}, packed kernel, {} tier", tier.name()),
+                inner,
+                Box::new(|| {
+                    d.as_mut_slice().copy_from_slice(d0.as_slice());
+                    project_block(gemm_packed_into, &mut scratch, &psi, &mut d, &mut o);
+                    let (s, x) = (&mut scratch, &mut out);
+                    gemm_packed_into(s, one, &u, Op::Trans, &psi, Op::None, zero, x);
+                }),
+            );
+        }
+        println!(
+            "  packed / row loops: {:.2}x (baseline), {:.2}x ({})",
+            rows_s / packed_s[0],
+            rows_s / packed_s[1],
+            host.name()
+        );
+        crossover_rows.push(Json::obj(vec![
+            ("bands", Json::num(nb as f64)),
+            ("planewaves", Json::num(npw as f64)),
+            ("work", Json::num(work as f64)),
+            ("row_loops_ms", Json::num(rows_s * 1e3)),
+            ("packed_baseline_ms", Json::num(packed_s[0] * 1e3)),
+            ("packed_dispatched_ms", Json::num(packed_s[1] * 1e3)),
+        ]));
+    }
+    println!();
+
     // --- mixed-radix vs Bluestein on the fragment box edges --------------
     // Strided batches (the y/z-pass shape: n_lines interleaved lines) so
     // each kernel runs the way the 3-D transform drives it.
@@ -570,11 +827,22 @@ fn main() {
         section("r2c_vs_complex", before_r, after_r),
         section("radix4_vs_radix2", before_x, after_x),
         section("gemm_micro", before_g, after_g),
+        section("cg_step_projection_130x2553", before_p, after_p),
+        section("rr_rotate_rotations_130x2553", before_rot, after_rot),
     ];
     sections.extend(mixed_rows.iter().map(|(name, b, a)| section(name, *b, *a)));
     report
         .extra
         .push(("kernel_sections".to_string(), Json::Arr(sections)));
+    report
+        .extra
+        .push(("gemm_dispatched_tier".to_string(), Json::str(host.name())));
+    report
+        .extra
+        .push(("gemm_tiers".to_string(), Json::Arr(tier_rows)));
+    report
+        .extra
+        .push(("gemm_crossover".to_string(), Json::Arr(crossover_rows)));
     let path = Path::new("BENCH_fft_kernels.json");
     match report.write(path) {
         Ok(()) => println!("run report -> {}", path.display()),

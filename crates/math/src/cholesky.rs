@@ -5,6 +5,8 @@
 //! the overlap `S = Ψ·Ψᴴ` once every few steps, factors `S = L·Lᴴ`, and
 //! applies `Ψ ← L⁻¹·Ψ` — all BLAS-3 shaped work.
 
+use crate::gemm::{GemmScratch, Op};
+use crate::microkernel::{self, Product, View};
 use crate::{Matrix, Scalar};
 
 /// Error returned when a matrix fails to factor.
@@ -119,25 +121,71 @@ impl<S: Scalar> Cholesky<S> {
     /// Applies `L⁻¹` to every column of the row-major block `X` interpreted
     /// as `(n, width)`; i.e. computes `L⁻¹·X` in place. This is the
     /// all-band orthogonalization update `Ψ ← L⁻¹·Ψ` with `X` holding one
-    /// band per row.
+    /// band per row. Row-by-row forward substitution.
     pub fn solve_l_block(&self, x: &mut Matrix<S>) {
+        assert_eq!(x.rows(), self.l.rows(), "solve_l_block: row mismatch");
+        let width = x.cols();
+        self.forward_rows(0, x.as_mut_slice(), width);
+    }
+
+    /// [`Cholesky::solve_l_block`] through caller-owned scratch. Block-sized
+    /// shapes under [`crate::KernelPolicy::Fast`] run a blocked forward
+    /// substitution, in place: each [`SOLVE_ROWS`]-row block first takes
+    /// `X_I −= L[I, <I]·X[<I]` as one product on the packed kernel, then
+    /// its own triangle row by row — all but `SOLVE_ROWS/n` of the work is
+    /// a GEMM. Smaller shapes and [`crate::KernelPolicy::Reference`] keep
+    /// the plain row loop (and its summation order).
+    pub fn solve_l_block_with(&self, x: &mut Matrix<S>, scratch: &mut GemmScratch<S>) {
         let n = self.l.rows();
         assert_eq!(x.rows(), n, "solve_l_block: row mismatch");
-        for i in 0..n {
-            for k in 0..i {
-                let lik = self.l[(i, k)];
-                let (row_i, row_k) = x.rows_mut2(i, k);
-                for (xi, &xk) in row_i.iter_mut().zip(row_k.iter()) {
+        let width = x.cols();
+        if !scratch.packs(n, n, width) {
+            return self.solve_l_block(x);
+        }
+        for i0 in (0..n).step_by(SOLVE_ROWS) {
+            let i1 = (i0 + SOLVE_ROWS).min(n);
+            let (solved, rest) = x.as_mut_slice().split_at_mut(i0 * width);
+            let rows = &mut rest[..(i1 - i0) * width];
+            if i0 > 0 {
+                let job = Product {
+                    alpha: -S::ONE,
+                    a: View::new(&self.l.as_slice()[i0 * n..], i1 - i0, i0, n),
+                    op_a: Op::None,
+                    b: View::new(solved, i0, width, width),
+                    op_b: Op::None,
+                    c: rows,
+                    lower_only: false,
+                };
+                microkernel::run(scratch, job);
+            }
+            self.forward_rows(i0, rows, width);
+        }
+    }
+
+    /// Forward substitution within the rows `i0..` held in `rows` (each
+    /// `width` long), against the diagonal block of `L` starting at
+    /// `(i0, i0)`; contributions of rows above `i0` are already removed.
+    fn forward_rows(&self, i0: usize, rows: &mut [S], width: usize) {
+        for r in 0..rows.len().checked_div(width).unwrap_or(0) {
+            let (above, row_i) = rows.split_at_mut(r * width);
+            let row_i = &mut row_i[..width];
+            for (k, row_k) in above.chunks_exact(width).enumerate() {
+                let lik = self.l[(i0 + r, i0 + k)];
+                for (xi, &xk) in row_i.iter_mut().zip(row_k) {
                     *xi = xi.acc(-lik, xk);
                 }
             }
-            let inv = 1.0 / self.l[(i, i)].re();
-            for v in x.row_mut(i) {
+            let inv = 1.0 / self.l[(i0 + r, i0 + r)].re();
+            for v in row_i {
                 *v = v.scale(inv);
             }
         }
     }
 }
+
+/// Rows of `X` per step of [`Cholesky::solve_l_block_with`]'s blocked
+/// forward substitution (a multiple of the register tile's rows).
+const SOLVE_ROWS: usize = 16;
 
 /// Inverse of a lower-triangular matrix (small sizes; used by tests and the
 /// Löwdin orthogonalization path).
@@ -241,6 +289,35 @@ mod tests {
             ch.solve_l(&mut col);
             for i in 0..6 {
                 assert!((x[(i, j)] - col[i]).abs() < 1e-10);
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_solve_matches_forward_substitution() {
+        // 70·70·300 is block-sized, so the fast scratch takes the blocked
+        // path (four full 16-row blocks and a ragged one); the reference
+        // scratch must stay on the row loop, bit for bit.
+        let a = spd_complex(70, 5);
+        let ch = Cholesky::new(&a).unwrap();
+        let x0 = Matrix::from_fn(70, 300, |i, j| {
+            c64::new(((i * 7 + j) % 11) as f64 - 5.0, ((i + 3 * j) % 5) as f64)
+        });
+        let mut expect = x0.clone();
+        ch.solve_l_block(&mut expect);
+        for policy in [crate::KernelPolicy::Fast, crate::KernelPolicy::Reference] {
+            let mut scratch = GemmScratch::with(policy, crate::gemm::Tier::host());
+            let mut x = x0.clone();
+            ch.solve_l_block_with(&mut x, &mut scratch);
+            let worst = x
+                .as_slice()
+                .iter()
+                .zip(expect.as_slice())
+                .map(|(u, v)| (*u - *v).abs())
+                .fold(0.0, f64::max);
+            assert!(worst < 1e-12, "{policy:?}: {worst:e}");
+            if policy == crate::KernelPolicy::Reference {
+                assert!(x == expect, "reference keeps the row-loop bits");
             }
         }
     }

@@ -2,14 +2,35 @@
 //!
 //! Optimization #1 in the paper replaced BLAS-2 band-by-band operations with
 //! DGEMM calls on `~3000 × 200` matrices, lifting PEtot from 15% to 56% of
-//! peak. We reproduce the same structure in pure Rust with three kernels of
-//! increasing sophistication (naive / cache-blocked / blocked+rayon), which
-//! the `gemm_ablation` bench compares directly.
+//! peak. This module is the pure-Rust equivalent, and every heavy step of
+//! the all-band solver goes through it.
+//!
+//! * [`gemm_into`] is the hot-path entry: `C ← α·op(A)·op(B) + β·C` for
+//!   any [`Op`] pair through a caller-owned [`GemmScratch`], on the calling
+//!   thread, with no heap allocation in steady state.
+//! * [`gemm`], [`gemm_with`] and the `matmul*` family are allocating shims
+//!   over the same code for one-shot callers; they may spread the scalar
+//!   kernels' rows over the pool.
+//! * [`overlap_hermitian`] is the half-work Gram kernel `S = w·Ψ·Ψᴴ`.
+//!
+//! Which kernel runs is decided by `m·k·n` alone (one constant, see
+//! `BLOCK_MIN_WORK` in `microkernel.rs`): block-sized products under
+//! [`KernelPolicy::Fast`] go to the packed register-tile kernel, which
+//! packs `op(A)`/`op(B)` straight from the stored operands; everything
+//! else runs one of two scalar loops — a row-`axpy` form when `op(B)` is
+//! stored row-wise, a row-dot form when it is transposed. The scalar
+//! loops accumulate in ascending `k` directly into `C`, which is the
+//! summation order [`KernelPolicy::Reference`] pins (the solver's
+//! pre-GEMM `dotc`/`axpy` row loops had exactly this order, so the golden
+//! digests did not move when it went back to block products).
+//! [`matmul_naive`] stays as the unoptimized end of the `ablation` bench.
 
-use crate::microkernel;
+use crate::microkernel::{self, block_sized, conj_if, Product, View};
 use crate::policy::{kernel_policy, KernelPolicy};
 use crate::{Matrix, Scalar};
 use rayon::prelude::*;
+
+pub use crate::microkernel::{GemmScratch, Tier};
 
 /// How an operand participates in a product.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,30 +43,17 @@ pub enum Op {
     ConjTrans,
 }
 
-impl Op {
-    fn dims(self, m: &Matrix<impl Scalar>) -> (usize, usize) {
-        match self {
-            Op::None => (m.rows(), m.cols()),
-            _ => (m.cols(), m.rows()),
-        }
-    }
-}
-
-/// Cache-block edge for the blocked kernels (elements per tile side).
+/// `k`-block edge of the scalar row-`axpy` kernel (rows of `B` reused
+/// across the rows of one task while they are cache-hot).
 const BLOCK: usize = 64;
-/// Below this many result elements the parallel kernel stays sequential.
-const PAR_THRESHOLD: usize = 64 * 64;
-/// Rows of `C` per parallel task in the blocked kernel. A fixed granule —
+/// Rows of `C` per pool task in the scalar kernels. A fixed granule —
 /// never derived from `current_num_threads()` — so the *partition* of the
 /// output, not just the result, is identical at every `LS3DF_THREADS`.
 const ROWS_PER_TASK: usize = 16;
 
 /// General matrix-matrix product `C ← α·op(A)·op(B) + β·C` under the
-/// process-wide [`kernel_policy`].
-///
-/// Dispatches to the blocked, rayon-parallel kernel (and, under
-/// [`KernelPolicy::Fast`], to the packed register-tile microkernel for
-/// BLAS-3-sized shapes). Panics on shape mismatch.
+/// process-wide [`kernel_policy`] (allocating shim over [`gemm_into`]).
+/// Panics on shape mismatch.
 pub fn gemm<S: Scalar>(
     alpha: S,
     a: &Matrix<S>,
@@ -71,47 +79,97 @@ pub fn gemm_with<S: Scalar>(
     beta: S,
     c: &mut Matrix<S>,
 ) {
-    let (m, ka) = op_a.dims(a);
-    let (kb, n) = op_b.dims(b);
-    assert_eq!(ka, kb, "gemm: inner dimension mismatch ({ka} vs {kb})");
-    assert_eq!(c.shape(), (m, n), "gemm: output shape mismatch");
-
-    // Fast contiguous paths cover every combination the solver uses.
-    match (op_a, op_b) {
-        (Op::None, Op::None) => gemm_nn(policy, alpha, a, b, beta, c),
-        (Op::None, Op::ConjTrans) => gemm_nh(policy, alpha, a, b, beta, c),
-        (Op::ConjTrans, Op::None) => {
-            // At microkernel sizes the packed-panel kernel beats the
-            // streaming Hᴺ loop by enough to pay for materializing Aᴴ
-            // (one `k·m` copy vs `m·n·k` flops).
-            if policy == KernelPolicy::Fast && microkernel::micro_worthwhile(m, ka, n) {
-                let am = a.hermitian();
-                microkernel::gemm_nn_micro(alpha, &am, b, beta, c);
-            } else {
-                gemm_hn(alpha, a, b, beta, c);
-            }
-        }
-        (Op::None, Op::Trans) => {
-            let bt = b.transpose();
-            gemm_nn(policy, alpha, a, &bt, beta, c)
-        }
-        (Op::Trans, Op::None) => {
-            let at = a.transpose();
-            gemm_nn(policy, alpha, &at, b, beta, c)
-        }
-        _ => {
-            let am = materialize(a, op_a);
-            let bm = materialize(b, op_b);
-            gemm_nn(policy, alpha, &am, &bm, beta, c)
-        }
-    }
+    let mut scratch = GemmScratch::with(policy, Tier::host());
+    product(
+        &mut scratch,
+        Route::Pooled,
+        alpha,
+        (a, op_a),
+        (b, op_b),
+        beta,
+        c,
+    );
 }
 
-fn materialize<S: Scalar>(m: &Matrix<S>, op: Op) -> Matrix<S> {
-    match op {
-        Op::None => m.clone(),
-        Op::Trans => m.transpose(),
-        Op::ConjTrans => m.hermitian(),
+/// `C ← α·op(A)·op(B) + β·C` through caller-owned scratch: the policy and
+/// tier are the scratch's, the work runs on the calling thread, and once
+/// the scratch has seen one block-sized product nothing allocates.
+/// Panics on shape mismatch.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_into<S: Scalar>(
+    scratch: &mut GemmScratch<S>,
+    alpha: S,
+    a: &Matrix<S>,
+    op_a: Op,
+    b: &Matrix<S>,
+    op_b: Op,
+    beta: S,
+    c: &mut Matrix<S>,
+) {
+    product(scratch, Route::Inline, alpha, (a, op_a), (b, op_b), beta, c);
+}
+
+/// Bench hook: [`gemm_into`] forced onto the packed kernel whatever the
+/// shape and policy — how the `fft_kernels` bench measures the crossover
+/// behind the block-size constant.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_packed_into<S: Scalar>(
+    scratch: &mut GemmScratch<S>,
+    alpha: S,
+    a: &Matrix<S>,
+    op_a: Op,
+    b: &Matrix<S>,
+    op_b: Op,
+    beta: S,
+    c: &mut Matrix<S>,
+) {
+    product(scratch, Route::Packed, alpha, (a, op_a), (b, op_b), beta, c);
+}
+
+/// Who may run a product besides the shape rule.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// Kernel by shape; everything on the calling thread.
+    Inline,
+    /// Kernel by shape; block-sized scalar products go to the pool.
+    Pooled,
+    /// The packed kernel unconditionally.
+    Packed,
+}
+
+fn product<S: Scalar>(
+    scratch: &mut GemmScratch<S>,
+    route: Route,
+    alpha: S,
+    (a, op_a): (&Matrix<S>, Op),
+    (b, op_b): (&Matrix<S>, Op),
+    beta: S,
+    c: &mut Matrix<S>,
+) {
+    let (m, ka) = View::from(a).dims(op_a);
+    let (kb, n) = View::from(b).dims(op_b);
+    assert_eq!(ka, kb, "gemm: inner dimension mismatch ({ka} vs {kb})");
+    assert_eq!(c.shape(), (m, n), "gemm: output shape mismatch");
+    if route == Route::Packed || scratch.packs(m, ka, n) {
+        scale_or_zero(beta, c.as_mut_slice());
+        let job = Product {
+            alpha,
+            a: a.into(),
+            op_a,
+            b: b.into(),
+            op_b,
+            c: c.as_mut_slice(),
+            lower_only: false,
+        };
+        microkernel::run(scratch, job);
+        return;
+    }
+    let pool = route == Route::Pooled && m > 1 && block_sized(m, ka, n);
+    if op_b == Op::None {
+        scalar_axpy(pool, alpha, (a, op_a), b, beta, c);
+    } else {
+        scalar_dot(scratch.policy(), pool, alpha, (a, op_a), (b, op_b), beta, c);
     }
 }
 
@@ -138,43 +196,64 @@ pub fn matmul_hn<S: Scalar>(a: &Matrix<S>, b: &Matrix<S>) -> Matrix<S> {
 }
 
 #[inline]
-pub(crate) fn scale_or_zero<S: Scalar>(beta: S, row: &mut [S]) {
+fn scale_or_zero<S: Scalar>(beta: S, values: &mut [S]) {
     if beta == S::ZERO {
-        row.fill(S::ZERO);
+        values.fill(S::ZERO);
     } else if beta != S::ONE {
-        for v in row {
+        for v in values {
             *v *= beta;
         }
     }
 }
 
-/// Row-parallel blocked `C ← α·A·B + β·C`; BLAS-3-sized shapes route to
-/// the packed microkernel under [`KernelPolicy::Fast`].
-fn gemm_nn<S: Scalar>(
-    policy: KernelPolicy,
+/// Runs `body(first_row, rows)` over `C` — in one piece on the calling
+/// thread, or in [`ROWS_PER_TASK`] granules on the pool.
+fn for_row_blocks<S: Scalar>(c: &mut Matrix<S>, pool: bool, body: impl Fn(usize, &mut [S]) + Sync) {
+    let n = c.cols();
+    if c.rows() == 0 || n == 0 {
+        return;
+    }
+    if pool {
+        // reduce-audit: rows of C are grouped into fixed ROWS_PER_TASK
+        // granules (thread-count-independent partition); each output row
+        // is written by exactly one closure as the same sequential
+        // k-loop in the same order regardless of which worker runs it,
+        // so the result is bit-identical across thread counts and
+        // schedules.
+        c.as_mut_slice()
+            .par_chunks_mut(ROWS_PER_TASK * n)
+            .enumerate()
+            .for_each(|(ci, rows)| body(ci * ROWS_PER_TASK, rows));
+    } else {
+        body(0, c.as_mut_slice());
+    }
+}
+
+/// Scalar `C ← α·op(A)·B + β·C`: every row of `C` is a sequence of
+/// `axpy`s of contiguous rows of `B`, in ascending `k`. This is the loop
+/// the subspace rotations `Uᵀ·Ψ` and the projections `Oᴴ·Ψ` take below
+/// block size and under [`KernelPolicy::Reference`].
+fn scalar_axpy<S: Scalar>(
+    pool: bool,
     alpha: S,
-    a: &Matrix<S>,
+    (a, op_a): (&Matrix<S>, Op),
     b: &Matrix<S>,
     beta: S,
     c: &mut Matrix<S>,
 ) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    if policy == KernelPolicy::Fast && microkernel::micro_worthwhile(m, k, n) {
-        microkernel::gemm_nn_micro(alpha, a, b, beta, c);
-        return;
-    }
-    let run_rows = |c_rows: &mut [S], i0: usize, i1: usize| {
-        for i in i0..i1 {
-            scale_or_zero(beta, &mut c_rows[(i - i0) * n..(i - i0 + 1) * n]);
-        }
+    let (k, n) = b.shape();
+    let a_at = |i: usize, p: usize| match op_a {
+        Op::None => a[(i, p)],
+        Op::Trans => a[(p, i)],
+        Op::ConjTrans => a[(p, i)].conj(),
+    };
+    for_row_blocks(c, pool, |i0, rows| {
+        scale_or_zero(beta, rows);
         for kk in (0..k).step_by(BLOCK) {
             let k_hi = (kk + BLOCK).min(k);
-            for i in i0..i1 {
-                let a_row = a.row(i);
-                let c_row = &mut c_rows[(i - i0) * n..(i - i0 + 1) * n];
+            for (r, c_row) in rows.chunks_exact_mut(n).enumerate() {
                 for p in kk..k_hi {
-                    let aip = alpha * a_row[p];
+                    let aip = alpha * a_at(i0 + r, p);
                     if aip == S::ZERO {
                         continue;
                     }
@@ -185,125 +264,54 @@ fn gemm_nn<S: Scalar>(
                 }
             }
         }
-    };
-    if m * n >= PAR_THRESHOLD && m > 1 {
-        // reduce-audit: rows of C are grouped into fixed ROWS_PER_TASK
-        // granules (thread-count-independent partition); each output row
-        // i is written by exactly one closure as the same sequential
-        // k-loop in the same order regardless of which worker runs it,
-        // so the result is bit-identical across thread counts and
-        // schedules.
-        c.as_mut_slice()
-            .par_chunks_mut(ROWS_PER_TASK * n)
-            .enumerate()
-            .for_each(|(ci, rows)| {
-                let i0 = ci * ROWS_PER_TASK;
-                let i1 = (i0 + rows.len() / n).min(m);
-                run_rows(rows, i0, i1);
-            });
-    } else {
-        let c_slice = c.as_mut_slice();
-        run_rows(c_slice, 0, m);
-    }
+    });
 }
 
-/// Row-parallel `C ← α·A·Bᴴ + β·C`: every inner product runs over two
-/// contiguous rows, ideal for the `(n_bands × n_pw)·(n_bands × n_pw)ᴴ`
-/// overlap shape. Under [`KernelPolicy::Fast`] each inner product uses
-/// the lane-split accumulator (breaks the serial FMA chain).
-fn gemm_nh<S: Scalar>(
+/// `Σ xᵢ·yᵢ` or `Σ xᵢ·conj(yᵢ)` over two contiguous rows. The conjugated
+/// sum under [`KernelPolicy::Fast`] uses the lane-split accumulator.
+#[inline]
+fn row_dot<S: Scalar>(policy: KernelPolicy, x: &[S], y: &[S], conj_y: bool) -> S {
+    if conj_y && policy == KernelPolicy::Fast {
+        return microkernel::dot_conj_wide(x, y);
+    }
+    x.iter()
+        .zip(y)
+        .fold(S::ZERO, |acc, (&u, &v)| acc.acc(u, conj_if(conj_y, v)))
+}
+
+/// Scalar `C ← α·op(A)·op(B) + β·C` for a transposed `op(B)`: every
+/// element of `C` is one inner product against a contiguous row of `B` —
+/// the overlap shape `(n_bands × n_pw)·(n_bands × n_pw)ᴴ`.
+fn scalar_dot<S: Scalar>(
     policy: KernelPolicy,
+    pool: bool,
     alpha: S,
-    a: &Matrix<S>,
-    b: &Matrix<S>,
+    (a, op_a): (&Matrix<S>, Op),
+    (b, op_b): (&Matrix<S>, Op),
     beta: S,
     c: &mut Matrix<S>,
 ) {
-    let m = a.rows();
-    let n = b.rows();
-    let k = a.cols();
-    assert_eq!(b.cols(), k);
-    let body = |i: usize, c_row: &mut [S]| {
-        scale_or_zero(beta, c_row);
-        let a_row = a.row(i);
-        for j in 0..n {
-            let b_row = b.row(j);
-            let acc = match policy {
-                KernelPolicy::Fast => microkernel::dot_conj_wide(a_row, b_row),
-                KernelPolicy::Reference => {
-                    let mut acc = S::ZERO;
-                    for p in 0..k {
-                        acc = acc.acc(a_row[p], b_row[p].conj());
-                    }
-                    acc
-                }
-            };
-            c_row[j] = c_row[j].acc(alpha, acc);
-        }
-    };
-    if m * n * k >= PAR_THRESHOLD && m > 1 {
-        c.as_mut_slice()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, row)| body(i, row));
-    } else {
-        for i in 0..m {
-            body(i, c.row_mut(i));
-        }
-    }
-}
-
-/// `C ← α·Aᴴ·B + β·C` (used for subspace rotations `Uᴴ·Ψ` and projector
-/// applications); streams rows of both operands.
-fn gemm_hn<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, c: &mut Matrix<S>) {
-    let k = a.rows();
-    let m = a.cols();
-    let n = b.cols();
-    assert_eq!(b.rows(), k);
-    for i in 0..m {
-        scale_or_zero(beta, c.row_mut(i));
-    }
-    // Sequential over k (accumulation), contiguous over j.
-    if m * n >= PAR_THRESHOLD {
-        // Parallelize over output rows by precomputing per-row dot products.
-        let c_data: Vec<S> = (0..m)
-            .into_par_iter()
-            .flat_map_iter(|i| {
-                let mut row = vec![S::ZERO; n];
-                for p in 0..k {
-                    let api = alpha * a[(p, i)].conj();
-                    if api == S::ZERO {
-                        continue;
-                    }
-                    let b_row = b.row(p);
-                    for j in 0..n {
-                        row[j] = row[j].acc(api, b_row[j]);
-                    }
-                }
-                row
-            })
-            .collect();
-        for i in 0..m {
-            let c_row = c.row_mut(i);
-            for j in 0..n {
-                c_row[j] += c_data[i * n + j];
+    let n = c.cols();
+    let conj_b = op_b == Op::ConjTrans;
+    for_row_blocks(c, pool, |i0, rows| {
+        scale_or_zero(beta, rows);
+        for (r, c_row) in rows.chunks_exact_mut(n).enumerate() {
+            let i = i0 + r;
+            for (j, cij) in c_row.iter_mut().enumerate() {
+                let b_row = b.row(j);
+                let acc = if op_a == Op::None {
+                    row_dot(policy, a.row(i), b_row, conj_b)
+                } else {
+                    // Column `i` of the stored `A`, strided.
+                    let conj_a = op_a == Op::ConjTrans;
+                    b_row.iter().enumerate().fold(S::ZERO, |acc, (p, &v)| {
+                        acc.acc(conj_if(conj_a, a[(p, i)]), conj_if(conj_b, v))
+                    })
+                };
+                *cij = cij.acc(alpha, acc);
             }
         }
-    } else {
-        for p in 0..k {
-            let b_row = b.row(p);
-            for i in 0..m {
-                let api = alpha * a[(p, i)].conj();
-                if api == S::ZERO {
-                    continue;
-                }
-                let c_row = c.row_mut(i);
-                for j in 0..n {
-                    c_row[j] = c_row[j].acc(api, b_row[j]);
-                }
-            }
-        }
-    }
+    });
 }
 
 /// Specialized Hermitian Gram kernel: `S = w·Ψ·Ψᴴ` computed on the lower
@@ -324,35 +332,55 @@ pub fn overlap_hermitian_with<S: Scalar>(
     psi: &Matrix<S>,
     weight: f64,
 ) -> Matrix<S> {
-    let nb = psi.rows();
-    let k = psi.cols();
-    let mut s = Matrix::zeros(nb, nb);
-    let body = |i: usize, row: &mut [S]| {
-        let a_row = psi.row(i);
-        for j in 0..=i {
-            let b_row = psi.row(j);
-            let acc = match policy {
-                KernelPolicy::Fast => microkernel::dot_conj_wide(a_row, b_row),
-                KernelPolicy::Reference => {
-                    let mut acc = S::ZERO;
-                    for p in 0..k {
-                        acc = acc.acc(a_row[p], b_row[p].conj());
-                    }
-                    acc
-                }
-            };
-            row[j] = acc.scale(weight);
-        }
-    };
-    if nb * nb * k >= 64 * 64 * 64 && nb > 1 {
-        s.as_mut_slice()
-            .par_chunks_mut(nb)
-            .enumerate()
-            .for_each(|(i, row)| body(i, row));
+    let mut s = Matrix::zeros(psi.rows(), psi.rows());
+    let mut scratch = GemmScratch::with(policy, Tier::host());
+    overlap(&mut scratch, Route::Pooled, psi, weight, &mut s);
+    s
+}
+
+/// [`overlap_hermitian`] into a caller-owned `(n_b × n_b)` matrix through
+/// caller-owned scratch, on the calling thread.
+pub(crate) fn overlap_hermitian_into<S: Scalar>(
+    scratch: &mut GemmScratch<S>,
+    psi: &Matrix<S>,
+    weight: f64,
+    s: &mut Matrix<S>,
+) {
+    overlap(scratch, Route::Inline, psi, weight, s);
+}
+
+fn overlap<S: Scalar>(
+    scratch: &mut GemmScratch<S>,
+    route: Route,
+    psi: &Matrix<S>,
+    weight: f64,
+    s: &mut Matrix<S>,
+) {
+    let (nb, k) = psi.shape();
+    assert_eq!(s.shape(), (nb, nb), "overlap: output shape mismatch");
+    if scratch.packs(nb, k, nb) {
+        s.as_mut_slice().fill(S::ZERO);
+        let job = Product {
+            alpha: S::from_re(weight),
+            a: psi.into(),
+            op_a: Op::None,
+            b: psi.into(),
+            op_b: Op::ConjTrans,
+            c: s.as_mut_slice(),
+            lower_only: true,
+        };
+        microkernel::run(scratch, job);
     } else {
-        for i in 0..nb {
-            body(i, s.row_mut(i));
-        }
+        let policy = scratch.policy();
+        let pool = route == Route::Pooled && nb > 1 && block_sized(nb, k, nb);
+        for_row_blocks(s, pool, |i0, rows| {
+            for (r, row) in rows.chunks_exact_mut(nb).enumerate() {
+                let i = i0 + r;
+                for j in 0..=i {
+                    row[j] = row_dot(policy, psi.row(i), psi.row(j), true).scale(weight);
+                }
+            }
+        });
     }
     // Mirror the strict lower triangle; force real diagonal.
     for i in 0..nb {
@@ -361,7 +389,6 @@ pub fn overlap_hermitian_with<S: Scalar>(
             s[(j, i)] = s[(i, j)].conj();
         }
     }
-    s
 }
 
 /// Reference triple-loop product, kept for correctness testing and as the
@@ -456,6 +483,52 @@ mod tests {
     }
 
     #[test]
+    fn every_op_pair_matches_naive_on_every_path() {
+        // Scalar loops (small shape; `reference` at any shape), the packed
+        // kernel (`fast`, block-sized), with and without the pool: the
+        // allocating shim may spread rows over it, `gemm_into` never does,
+        // and both must agree bit for bit.
+        let op_of = |m: &Matrix<c64>, op: Op| match op {
+            Op::None => m.clone(),
+            Op::Trans => m.transpose(),
+            Op::ConjTrans => m.hermitian(),
+        };
+        let (alpha, beta) = (c64::new(0.5, -1.0), c64::new(-2.0, 0.25));
+        for &(m, k, n) in &[(6, 9, 5), (70, 90, 70)] {
+            assert_eq!(block_sized(m, k, n), m == 70);
+            for op_a in [Op::None, Op::Trans, Op::ConjTrans] {
+                for op_b in [Op::None, Op::Trans, Op::ConjTrans] {
+                    let a = op_of(&rand_matrix(m, k, 31), op_a);
+                    let b = op_of(&rand_matrix(k, n, 32), op_b);
+                    let c0 = rand_matrix(m, n, 33);
+                    let mut expect = matmul_naive(&op_of(&a, op_a), &op_of(&b, op_b));
+                    for (e, &c) in expect.as_mut_slice().iter_mut().zip(c0.as_slice()) {
+                        *e = *e * alpha + c * beta;
+                    }
+                    for policy in [KernelPolicy::Fast, KernelPolicy::Reference] {
+                        let mut pooled = c0.clone();
+                        gemm_with(policy, alpha, &a, op_a, &b, op_b, beta, &mut pooled);
+                        assert_close(&pooled, &expect, 1e-10);
+                        let mut inline = c0.clone();
+                        let mut scratch = GemmScratch::with(policy, Tier::host());
+                        gemm_into(&mut scratch, alpha, &a, op_a, &b, op_b, beta, &mut inline);
+                        assert!(pooled == inline, "{op_a:?}/{op_b:?} {policy:?} {m}x{k}x{n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_and_packed_kernel_share_one_crossover() {
+        // A crystal8 overlap (10 bands × 500 planewaves) stays one
+        // sequential loop; the 8-piece ZnTeO fragment block does not.
+        assert!(!block_sized(10, 500, 10));
+        assert!(block_sized(130, 2550, 130));
+        assert!(block_sized(64, 64, 64) && !block_sized(64, 64, 63));
+    }
+
+    #[test]
     fn alpha_beta_accumulation() {
         let a = rand_matrix(6, 6, 10);
         let b = rand_matrix(6, 6, 11);
@@ -483,7 +556,7 @@ mod tests {
 
     #[test]
     fn large_parallel_path_is_exercised() {
-        // Big enough that PAR_THRESHOLD kicks in for all three kernels.
+        // Block-sized, so the shims leave the sequential scalar loops.
         let a = rand_matrix(90, 120, 14);
         let b = rand_matrix(120, 90, 15);
         assert_close(&matmul(&a, &b), &matmul_naive(&a, &b), 1e-10);

@@ -9,7 +9,9 @@
 //!
 //! * [`c64`] — complex double scalar;
 //! * [`Matrix`] — dense row-major container over [`Scalar`] (`f64`/`c64`);
-//! * [`gemm`] — naive / blocked / rayon-parallel matrix products;
+//! * [`gemm`] — block products `C ← α·op(A)·op(B) + β·C`: a packed
+//!   register-tile kernel compiled per CPU tier for block-sized shapes,
+//!   scalar loops below, allocation-free through a [`GemmScratch`];
 //! * [`cholesky`], [`eigh`], [`lu`] — the factorizations the solver needs
 //!   (overlap orthogonalization, subspace diagonalization, mixing solves);
 //! * [`ortho`] — band-by-band Gram–Schmidt *and* all-band overlap-matrix
@@ -27,7 +29,9 @@
 //! assert!(eig.values.iter().all(|&v| v >= -1e-10));     // PSD spectrum
 //! ```
 
-#![forbid(unsafe_code)]
+// One audited `unsafe`: the call into the AVX2 instantiation of the packed
+// kernel (`microkernel::run`). The `forbid-unsafe` lint allows no second.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(non_camel_case_types)]
 
@@ -46,8 +50,14 @@ pub mod tridiag;
 pub mod vec_ops;
 
 pub use complex::c64;
-pub use gemm::{gemm, gemm_with, overlap_hermitian, overlap_hermitian_with, Op};
+#[doc(hidden)]
+pub use gemm::gemm_packed_into;
+pub use gemm::{
+    gemm, gemm_into, gemm_with, overlap_hermitian, overlap_hermitian_with, GemmScratch, Op, Tier,
+};
 pub use matrix::Matrix;
+#[doc(hidden)]
+pub use microkernel::force_baseline_tier;
 pub use policy::{kernel_policy, KernelPolicy};
 pub use scalar::Scalar;
 

@@ -1,15 +1,11 @@
 //! Packed register-tile GEMM microkernel and lane-split inner products —
 //! the `KernelPolicy::Fast` arithmetic for the BLAS-3/BLAS-1 hot paths.
 //!
-//! ## SIMD strategy: safe wide-lane code, not intrinsics
+//! ## SIMD strategy: safe wide-lane code, compiled per CPU tier
 //!
-//! `ls3df-math` is `#![forbid(unsafe_code)]`, and the audited unsafe
-//! surface of the workspace is deliberately pinned to three crates
-//! (`shims/rayon`, `crates/obs`, `src/`) by the `forbid-unsafe` lint
-//! rule. Rather than widen that surface for `core::arch` intrinsics,
-//! these kernels are written as fixed-width lane loops over `Copy`
-//! scalars — shapes LLVM's autovectorizer reliably lowers to packed
-//! vector FMAs at `opt-level=3`:
+//! The kernels are written as fixed-width lane loops over `Copy` scalars
+//! — shapes LLVM's autovectorizer reliably lowers to packed vector
+//! multiplies and adds at `opt-level=3`, with no `core::arch` intrinsics:
 //!
 //! * all lane counts are `const`, so every inner loop fully unrolls;
 //! * accumulators live in fixed-size arrays (`[[S; NR]; MR]`), small
@@ -18,32 +14,60 @@
 //!   loops see unit-stride loads with no bounds checks after the
 //!   `chunks_exact` split.
 //!
-//! The claim that this actually vectorizes is asserted empirically, not
-//! structurally: the `fft_kernels` bench prints the microkernel's
-//! speedup over the reference blocked kernel, and `EXPERIMENTS.md`
-//! records the numbers (see DESIGN.md "Kernel architecture").
+//! **Tier rule.** The workspace is built for baseline x86-64 (SSE2, two
+//! `f64` lanes) so the binary starts on any x86-64. The packed kernel's
+//! body ([`packed_body`]) is `#[inline(always)]` generic code instantiated
+//! twice: once as is, once inside a `#[target_feature(enable = "avx2")]`
+//! function (four lanes). [`Tier::host`] picks between them once per
+//! process from a cached `is_x86_feature_detected!("avx2")`; other
+//! architectures compile the baseline only. There is no build flag, env
+//! var or third (AVX-512) tier.
+//!
+//! **Bit identity across tiers.** Rust never contracts `a * b + c` into a
+//! fused multiply-add and never re-associates floating-point sums, and
+//! nothing here calls `f64::mul_add`. Both instantiations therefore
+//! execute the same IEEE-754 operations in the same order on every
+//! element — wider registers only run more *independent* lanes at once —
+//! so their results are bit-identical (`tests/kernel_tol.rs` compares
+//! them for every `Op` pair on ragged shapes). Thread/group/schedule/
+//! resume digests stay machine-independent.
+//!
+//! The call into the feature-gated instantiation is the crate's single
+//! `unsafe` ([`run`]); everything else in `ls3df-math` stays safe code
+//! under `#![deny(unsafe_code)]` (audited by the `forbid-unsafe` lint).
+//!
+//! That the body actually vectorizes is asserted empirically, not
+//! structurally: the `fft_kernels` bench times both tiers at the fragment
+//! shapes and `EXPERIMENTS.md` records the numbers (see DESIGN.md "Kernel
+//! architecture").
 //!
 //! ## Determinism
 //!
 //! Lane-split sums change *which* order terms combine in, but the order
 //! is a pure function of the slice length — never of thread count or
-//! schedule. The microkernel parallelizes over fixed [`MR`]-row strips
-//! of `C` (a constant granule, so the partition itself is
-//! thread-count-independent) and walks `k` in fixed [`KC`]-blocks in
-//! ascending order within each strip. Runs at any `LS3DF_THREADS` /
-//! `LS3DF_SCHEDULE` are bit-identical; only the `reference`-policy bit
-//! patterns differ (gated by `tests/kernel_tol.rs`).
+//! schedule. The packed kernel runs on the calling thread and walks `k`
+//! in fixed [`KC`]-blocks in ascending order, each block summed from zero
+//! in a register tile and then added to `C`; the `MC`/`NC` cache blocking
+//! only changes which tile is computed when. Only the `reference`-policy
+//! bit patterns differ (gated by `tests/kernel_tol.rs`).
 
+use crate::gemm::Op;
+use crate::policy::{kernel_policy, KernelPolicy};
 use crate::{Matrix, Scalar};
-use rayon::prelude::*;
+use std::sync::OnceLock;
 
-/// Rows of `C` per register tile (and per parallel work granule).
-pub(crate) const MR: usize = 4;
+/// Rows of `C` per register tile.
+const MR: usize = 4;
 /// Columns of `C` per register tile.
-pub(crate) const NR: usize = 4;
-/// `k`-extent packed per A-strip block: `MR·KC` scalars ≈ 16 KiB for
-/// `c64`, comfortably inside L1/L2 and small enough for the stack.
-pub(crate) const KC: usize = 256;
+const NR: usize = 4;
+/// `k`-extent of one packed block: an `MR·KC` A-strip and a `KC·NR`
+/// B-panel are 16 KiB each for `c64` — both stay in L1 while a tile runs.
+const KC: usize = 256;
+/// Rows of `op(A)` packed per block (`MC·KC` scalars, 256 KiB for `c64`:
+/// L2-resident while the B panels stream past it).
+const MC: usize = 64;
+/// Columns of `op(B)` packed per block (`KC·NC` scalars, 1 MiB for `c64`).
+const NC: usize = 256;
 /// Lanes for the split-accumulator inner products.
 const LANES: usize = 4;
 
@@ -84,103 +108,352 @@ pub(crate) fn dotc_wide<S: Scalar>(a: &[S], b: &[S]) -> S {
     (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
 }
 
-/// Minimum `m·n·k` before the packed microkernel pays for its packing
-/// passes and buffer allocation. Also keeps the microkernel out of the
-/// small per-band GEMMs inside the zero-alloc CG hot path (`tests/
-/// zero_alloc.rs` runs under the default `fast` policy): those shapes
-/// are ~`4·4·n_pw ≪ 2¹⁸`.
-pub(crate) const MICRO_MIN_FLOPS: usize = 1 << 18;
+/// `m·k·n` from which a block product leaves the plain sequential scalar
+/// loops: under [`KernelPolicy::Fast`] it goes to the packed kernel, and
+/// the allocating entry points may spread the scalar kernels' rows over
+/// the pool. Set from the `fft_kernels` bench (`gemm_crossover` in
+/// `BENCH_fft_kernels.json`, EXPERIMENTS.md): the AVX2 instantiation beats
+/// the scalar loops at every size (1.9–3.4×), the baseline one is their
+/// equal within noise from ≈ 2·10⁵ up (0.84–1.03×) and loses up to a
+/// quarter below 10⁵ — so from 2¹⁸ no host loses, a product is long
+/// enough (≈ 0.3 ms) to amortize a pool dispatch, and a 10-band ×
+/// 500-planewave fragment block (5·10⁴) stays one sequential loop. One
+/// constant for both tiers: the kernel choice changes rounding, and
+/// results must not depend on the host.
+pub(crate) const BLOCK_MIN_WORK: usize = 1 << 18;
 
-/// Whether [`gemm_nn_micro`] handles this shape better than the blocked
-/// scalar kernel.
+/// Whether a product of this shape is block-sized (see [`BLOCK_MIN_WORK`]).
+/// Decided by `m·k·n` alone.
 #[inline]
-pub(crate) fn micro_worthwhile(m: usize, k: usize, n: usize) -> bool {
-    m >= MR && n >= NR && m.saturating_mul(k).saturating_mul(n) >= MICRO_MIN_FLOPS
+pub(crate) fn block_sized(m: usize, k: usize, n: usize) -> bool {
+    m.saturating_mul(k).saturating_mul(n) >= BLOCK_MIN_WORK
 }
 
-/// Packed-panel `C ← α·A·B + β·C` register-tile kernel.
-///
-/// B is packed once into [`NR`]-wide column panels (zero-padded at the
-/// right edge); each parallel strip packs its own `α·A` block into a
-/// stack buffer and accumulates an `MR×NR` register tile per panel.
-/// Allocates the B panel buffer per call — callers below the zero-alloc
-/// threshold are routed to the scalar kernel by [`micro_worthwhile`].
-pub(crate) fn gemm_nn_micro<S: Scalar>(
-    alpha: S,
-    a: &Matrix<S>,
-    b: &Matrix<S>,
-    beta: S,
-    c: &mut Matrix<S>,
-) {
-    let (_, k) = a.shape();
-    let n = b.cols();
-    let n_panels = n.div_ceil(NR);
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Isa {
+    Baseline,
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    Avx2,
+}
 
-    // Pack B panel-major: panel `jp` holds rows 0..k of columns
-    // `jp·NR..jp·NR+NR`, contiguous in `p`, zero-padded past `n`.
-    let mut b_pack = vec![S::ZERO; n_panels * k * NR];
-    for p in 0..k {
-        let b_row = b.row(p);
-        for jp in 0..n_panels {
-            let j0 = jp * NR;
-            let w = (n - j0).min(NR);
-            let dst = &mut b_pack[jp * k * NR + p * NR..jp * k * NR + p * NR + w];
-            dst.copy_from_slice(&b_row[j0..j0 + w]);
+/// Which compilation of the packed kernel runs. The AVX2 value can only
+/// be obtained from [`Tier::host`] on a CPU that reports the feature.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Tier(Isa);
+
+static HOST_TIER: OnceLock<Tier> = OnceLock::new();
+
+impl Tier {
+    /// The build-target instantiation (SSE2 on x86-64); runs anywhere.
+    pub const BASELINE: Tier = Tier(Isa::Baseline);
+
+    /// The widest tier this CPU supports, detected once per process.
+    pub fn host() -> Tier {
+        *HOST_TIER.get_or_init(|| {
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Tier(Isa::Avx2);
+            }
+            Tier::BASELINE
+        })
+    }
+
+    /// `"baseline"` or `"avx2"`.
+    pub fn name(self) -> &'static str {
+        match self.0 {
+            Isa::Baseline => "baseline",
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            Isa::Avx2 => "avx2",
+        }
+    }
+}
+
+/// Test hook: makes [`Tier::host`] answer [`Tier::BASELINE`] for the rest
+/// of the process, so a whole run can be compared against the dispatched
+/// one. Returns `false` if another tier was already latched.
+#[doc(hidden)]
+pub fn force_baseline_tier() -> bool {
+    *HOST_TIER.get_or_init(|| Tier::BASELINE) == Tier::BASELINE
+}
+
+/// Caller-owned state of the block products: which arithmetic
+/// ([`KernelPolicy`]) and which [`Tier`] they run, plus the packed
+/// kernel's A/B pack buffers. The buffers are sized on the first
+/// block-sized product (1.25 MiB for `c64`) and reused afterwards, so a
+/// steady-state call allocates nothing and a caller that only ever sees
+/// small shapes never pays for them. One per thread; never shared.
+pub struct GemmScratch<S: Scalar> {
+    policy: KernelPolicy,
+    tier: Tier,
+    a_pack: Vec<S>,
+    b_pack: Vec<S>,
+}
+
+impl<S: Scalar> GemmScratch<S> {
+    /// Scratch under the process-wide [`kernel_policy`] and [`Tier::host`].
+    pub fn new() -> Self {
+        Self::with(kernel_policy(), Tier::host())
+    }
+
+    /// Scratch with an explicit policy and tier — lets tests and benches
+    /// compare the variants inside one process.
+    pub fn with(policy: KernelPolicy, tier: Tier) -> Self {
+        GemmScratch {
+            policy,
+            tier,
+            a_pack: Vec::new(),
+            b_pack: Vec::new(),
         }
     }
 
-    let strip = |c_rows: &mut [S], i0: usize| {
-        let rows = c_rows.len() / n;
-        for r in 0..rows {
-            crate::gemm::scale_or_zero(beta, &mut c_rows[r * n..(r + 1) * n]);
+    /// The arithmetic policy products through this scratch use.
+    pub(crate) fn policy(&self) -> KernelPolicy {
+        self.policy
+    }
+
+    /// Whether a product of this shape runs on the packed kernel.
+    #[inline]
+    pub(crate) fn packs(&self, m: usize, k: usize, n: usize) -> bool {
+        self.policy == KernelPolicy::Fast && block_sized(m, k, n)
+    }
+}
+
+impl<S: Scalar> Default for GemmScratch<S> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// A stored row-major operand: `rows × cols` elements, consecutive rows
+/// `ld ≥ cols` apart — a whole [`Matrix`] or a sub-block of one.
+#[derive(Clone, Copy)]
+pub(crate) struct View<'a, S: Scalar> {
+    data: &'a [S],
+    rows: usize,
+    cols: usize,
+    ld: usize,
+}
+
+impl<'a, S: Scalar> View<'a, S> {
+    /// The `rows × cols` block whose first element is `data[0]`.
+    pub(crate) fn new(data: &'a [S], rows: usize, cols: usize, ld: usize) -> Self {
+        assert!(cols <= ld && (rows == 0 || (rows - 1) * ld + cols <= data.len()));
+        View {
+            data,
+            rows,
+            cols,
+            ld,
         }
-        let mut a_pack = [S::ZERO; MR * KC];
-        for kk in (0..k).step_by(KC) {
-            let kc = (k - kk).min(KC);
-            // Pack α·A for this strip/block: column-major MR-strips so the
-            // kernel reads unit-stride. Missing rows (ragged bottom strip)
-            // stay zero and contribute nothing.
-            a_pack[..MR * kc].fill(S::ZERO);
-            for r in 0..rows {
-                let a_row = &a.row(i0 + r)[kk..kk + kc];
-                for (p, &v) in a_row.iter().enumerate() {
-                    a_pack[p * MR + r] = alpha * v;
-                }
-            }
-            for jp in 0..n_panels {
-                let b_blk = &b_pack[jp * k * NR + kk * NR..jp * k * NR + (kk + kc) * NR];
-                let mut acc = [[S::ZERO; NR]; MR];
-                for (pa, pb) in a_pack[..MR * kc]
-                    .chunks_exact(MR)
-                    .zip(b_blk.chunks_exact(NR))
+    }
+
+    #[inline(always)]
+    fn row(&self, i: usize) -> &'a [S] {
+        &self.data[i * self.ld..i * self.ld + self.cols]
+    }
+
+    /// Shape of `op(self)`.
+    pub(crate) fn dims(&self, op: Op) -> (usize, usize) {
+        match op {
+            Op::None => (self.rows, self.cols),
+            _ => (self.cols, self.rows),
+        }
+    }
+}
+
+impl<'a, S: Scalar> From<&'a Matrix<S>> for View<'a, S> {
+    fn from(m: &'a Matrix<S>) -> Self {
+        View::new(m.as_slice(), m.rows(), m.cols(), m.cols())
+    }
+}
+
+/// One `C += α·op(A)·op(B)` for the packed kernel. `c` is the contiguous
+/// row-major `m × n` output (already scaled by β), `n = op(B)` columns.
+pub(crate) struct Product<'a, S: Scalar> {
+    pub alpha: S,
+    pub a: View<'a, S>,
+    pub op_a: Op,
+    pub b: View<'a, S>,
+    pub op_b: Op,
+    pub c: &'a mut [S],
+    /// Only `C[i][j]` with `j ≤ i` is wanted (a Hermitian result): tiles
+    /// strictly above the diagonal are skipped.
+    pub lower_only: bool,
+}
+
+/// Runs `job` on the packed kernel compiled for the scratch's tier.
+#[allow(unsafe_code)]
+pub(crate) fn run<S: Scalar>(scratch: &mut GemmScratch<S>, job: Product<'_, S>) {
+    // alloc-audit: first block-sized product through this scratch only.
+    scratch.a_pack.resize(MC * KC, S::ZERO);
+    scratch.b_pack.resize(KC * NC, S::ZERO);
+    let (a_pack, b_pack) = (&mut scratch.a_pack[..], &mut scratch.b_pack[..]);
+    match scratch.tier.0 {
+        Isa::Baseline => packed_body(a_pack, b_pack, job),
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        Isa::Avx2 => {
+            // SAFETY: `packed_avx2` is safe code that only needs a CPU with
+            // AVX2; `Isa::Avx2` is private to this module and built solely in
+            // `Tier::host`, after `is_x86_feature_detected!("avx2")` held.
+            unsafe { packed_avx2(a_pack, b_pack, job) }
+        }
+    }
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn packed_avx2<S: Scalar>(a_pack: &mut [S], b_pack: &mut [S], job: Product<'_, S>) {
+    packed_body(a_pack, b_pack, job);
+}
+
+/// The packed product: `op(B)` in `KC×NC` blocks of `NR`-wide panels,
+/// `α·op(A)` in `MC×KC` blocks of `MR`-tall strips — both read straight
+/// from the stored operand, conjugating/transposing while packing — and
+/// one `MR×NR` register tile per (strip, panel) pair.
+#[inline(always)]
+fn packed_body<S: Scalar>(a_pack: &mut [S], b_pack: &mut [S], job: Product<'_, S>) {
+    let Product {
+        alpha,
+        a,
+        op_a,
+        b,
+        op_b,
+        c,
+        lower_only,
+    } = job;
+    let (m, k) = a.dims(op_a);
+    let n = b.dims(op_b).1;
+    assert!(b.dims(op_b).0 == k && c.len() == m * n);
+    for jc in (0..n).step_by(NC) {
+        let nc = (n - jc).min(NC);
+        for pc in (0..k).step_by(KC) {
+            let kc = (k - pc).min(KC);
+            pack_b(b_pack, b, op_b, (pc, kc), (jc, nc));
+            for ic in (0..m).step_by(MC) {
+                let mc = (m - ic).min(MC);
+                pack_a(a_pack, alpha, a, op_a, (ic, mc), (pc, kc));
+                for (jp, b_panel) in b_pack[..nc.div_ceil(NR) * kc * NR]
+                    .chunks_exact(kc * NR)
+                    .enumerate()
                 {
-                    for r in 0..MR {
-                        let ar = pa[r];
-                        for q in 0..NR {
-                            acc[r][q] = acc[r][q].acc(ar, pb[q]);
+                    let j0 = jc + jp * NR;
+                    let w = (n - j0).min(NR);
+                    for (ip, a_strip) in a_pack[..mc.div_ceil(MR) * kc * MR]
+                        .chunks_exact(kc * MR)
+                        .enumerate()
+                    {
+                        let i0 = ic + ip * MR;
+                        let h = (m - i0).min(MR);
+                        if lower_only && j0 >= i0 + h {
+                            continue;
+                        }
+                        let acc = tile(a_strip, b_panel);
+                        for r in 0..h {
+                            let c_row = &mut c[(i0 + r) * n + j0..][..w];
+                            for q in 0..w {
+                                c_row[q] += acc[r][q];
+                            }
                         }
                     }
                 }
-                let j0 = jp * NR;
-                let w = (n - j0).min(NR);
-                for r in 0..rows {
-                    let c_row = &mut c_rows[r * n + j0..r * n + j0 + w];
-                    for q in 0..w {
-                        c_row[q] += acc[r][q];
-                    }
+            }
+        }
+    }
+}
+
+/// `Σ_p a_strip[p]ᵀ·b_panel[p]` — the `MR×NR` register tile.
+#[inline(always)]
+fn tile<S: Scalar>(a_strip: &[S], b_panel: &[S]) -> [[S; NR]; MR] {
+    let mut acc = [[S::ZERO; NR]; MR];
+    for (pa, pb) in a_strip.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
+        for r in 0..MR {
+            let ar = pa[r];
+            for q in 0..NR {
+                acc[r][q] = acc[r][q].acc(ar, pb[q]);
+            }
+        }
+    }
+    acc
+}
+
+#[inline(always)]
+pub(crate) fn conj_if<S: Scalar>(conj: bool, v: S) -> S {
+    if conj {
+        v.conj()
+    } else {
+        v
+    }
+}
+
+/// Packs rows `pc..pc+kc`, columns `jc..jc+nc` of `op(B)` panel-major:
+/// panel `jp` holds its `NR` columns for every `p`, contiguous in `p`,
+/// zero-padded past `nc`.
+#[inline(always)]
+fn pack_b<S: Scalar>(
+    dst: &mut [S],
+    b: View<'_, S>,
+    op_b: Op,
+    (pc, kc): (usize, usize),
+    (jc, nc): (usize, usize),
+) {
+    if !nc.is_multiple_of(NR) {
+        dst[(nc / NR) * kc * NR..nc.div_ceil(NR) * kc * NR].fill(S::ZERO);
+    }
+    if op_b == Op::None {
+        for p in 0..kc {
+            let src = &b.row(pc + p)[jc..jc + nc];
+            for (jp, cols) in src.chunks(NR).enumerate() {
+                dst[jp * kc * NR + p * NR..][..cols.len()].copy_from_slice(cols);
+            }
+        }
+    } else {
+        // op(B)[p][j] = B[j][p] (conjugated): one stored row per column.
+        let conj = op_b == Op::ConjTrans;
+        for j in 0..nc {
+            let src = &b.row(jc + j)[pc..pc + kc];
+            let panel = &mut dst[(j / NR) * kc * NR..][..kc * NR];
+            for (p, &v) in src.iter().enumerate() {
+                panel[p * NR + j % NR] = conj_if(conj, v);
+            }
+        }
+    }
+}
+
+/// Packs `α·op(A)` rows `ic..ic+mc`, columns `pc..pc+kc` strip-major:
+/// strip `ip` holds its `MR` rows for every `p`, contiguous in `p`,
+/// zero-padded past `mc` (padding rows contribute nothing).
+#[inline(always)]
+fn pack_a<S: Scalar>(
+    dst: &mut [S],
+    alpha: S,
+    a: View<'_, S>,
+    op_a: Op,
+    (ic, mc): (usize, usize),
+    (pc, kc): (usize, usize),
+) {
+    if !mc.is_multiple_of(MR) {
+        dst[(mc / MR) * kc * MR..mc.div_ceil(MR) * kc * MR].fill(S::ZERO);
+    }
+    if op_a == Op::None {
+        for i in 0..mc {
+            let src = &a.row(ic + i)[pc..pc + kc];
+            let strip = &mut dst[(i / MR) * kc * MR..][..kc * MR];
+            for (p, &v) in src.iter().enumerate() {
+                strip[p * MR + i % MR] = alpha * v;
+            }
+        }
+    } else {
+        // op(A)[i][p] = A[p][i] (conjugated): one stored row per `p`.
+        let conj = op_a == Op::ConjTrans;
+        for p in 0..kc {
+            let src = &a.row(pc + p)[ic..ic + mc];
+            for (ip, rows) in src.chunks(MR).enumerate() {
+                let out = &mut dst[ip * kc * MR + p * MR..][..rows.len()];
+                for (o, &v) in out.iter_mut().zip(rows) {
+                    *o = alpha * conj_if(conj, v);
                 }
             }
         }
-    };
-
-    // Fixed MR-row granule: the partition of C into strips is a constant,
-    // so work assignment (and therefore the result, since each strip is
-    // written by exactly one closure in a fixed k-order) is independent
-    // of thread count and schedule.
-    c.as_mut_slice()
-        .par_chunks_mut(MR * n)
-        .enumerate()
-        .for_each(|(si, rows)| strip(rows, si * MR));
+    }
 }
 
 #[cfg(test)]
@@ -199,31 +472,138 @@ mod tests {
         Matrix::from_fn(rows, cols, |_, _| c64::new(next(), next()))
     }
 
+    fn op_of(m: &Matrix<c64>, op: Op) -> Matrix<c64> {
+        match op {
+            Op::None => m.clone(),
+            Op::Trans => m.transpose(),
+            Op::ConjTrans => m.hermitian(),
+        }
+    }
+
+    fn same_bits(x: &Matrix<c64>, y: &Matrix<c64>) -> bool {
+        x.shape() == y.shape()
+            && x.as_slice()
+                .iter()
+                .zip(y.as_slice())
+                .all(|(u, v)| u.re.to_bits() == v.re.to_bits() && u.im.to_bits() == v.im.to_bits())
+    }
+
+    /// `C += α·op(A)·op(B)` through the packed kernel on `tier`.
+    fn packed(
+        tier: Tier,
+        alpha: c64,
+        (a, op_a): (&Matrix<c64>, Op),
+        (b, op_b): (&Matrix<c64>, Op),
+        c: &mut Matrix<c64>,
+        lower_only: bool,
+    ) {
+        let mut scratch = GemmScratch::with(KernelPolicy::Fast, tier);
+        let job = Product {
+            alpha,
+            a: a.into(),
+            op_a,
+            b: b.into(),
+            op_b,
+            c: c.as_mut_slice(),
+            lower_only,
+        };
+        run(&mut scratch, job);
+    }
+
+    const OPS: [Op; 3] = [Op::None, Op::Trans, Op::ConjTrans];
+
+    /// The test shapes; Miri (`cargo xtask miri`, ~100× slower) keeps
+    /// only the small ones.
+    fn shapes(all: &[(usize, usize, usize)]) -> Vec<(usize, usize, usize)> {
+        all.iter()
+            .copied()
+            .filter(|&(m, k, n)| !cfg!(miri) || m * k * n < 2000)
+            .collect()
+    }
+
     #[test]
-    fn micro_matches_naive_ragged_shapes() {
-        // Deliberately ragged in every dimension: edge panels, partial
-        // bottom strip, k not a multiple of KC-divisors.
-        for &(m, k, n) in &[(4, 4, 4), (7, 13, 9), (33, 70, 21), (66, 300, 35)] {
-            let a = rand_matrix(m, k, 100 + m as u64);
-            let b = rand_matrix(k, n, 200 + n as u64);
-            let alpha = c64::new(0.7, -0.3);
-            let beta = c64::new(-1.2, 0.4);
-            let c0 = rand_matrix(m, n, 300);
-            let mut c = c0.clone();
-            gemm_nn_micro(alpha, &a, &b, beta, &mut c);
-            let mut expect = crate::gemm::matmul_naive(&a, &b);
-            for i in 0..m {
-                for j in 0..n {
-                    expect[(i, j)] = expect[(i, j)] * alpha + c0[(i, j)] * beta;
+    fn packed_matches_naive_every_op_ragged_shapes() {
+        // Ragged in every dimension: edge panels, partial bottom strip,
+        // several KC/MC/NC blocks (k > KC, m > MC, n > NC).
+        for (m, k, n) in shapes(&[(4, 4, 4), (7, 13, 9), (66, 300, 35), (70, 5, 261)]) {
+            for op_a in OPS {
+                for op_b in OPS {
+                    let a = op_of(&rand_matrix(m, k, 100 + m as u64), op_a);
+                    let b = op_of(&rand_matrix(k, n, 200 + n as u64), op_b);
+                    let alpha = c64::new(0.7, -0.3);
+                    let c0 = rand_matrix(m, n, 300);
+                    let mut c = c0.clone();
+                    packed(Tier::host(), alpha, (&a, op_a), (&b, op_b), &mut c, false);
+                    let expect = crate::gemm::matmul_naive(&op_of(&a, op_a), &op_of(&b, op_b));
+                    for i in 0..m {
+                        for j in 0..n {
+                            let want = expect[(i, j)] * alpha + c0[(i, j)];
+                            assert!(
+                                (c[(i, j)] - want).abs() < 1e-11,
+                                "({i},{j}) for {m}x{k}x{n} {op_a:?}/{op_b:?}"
+                            );
+                        }
+                    }
                 }
             }
-            for i in 0..m {
-                for j in 0..n {
-                    assert!(
-                        (c[(i, j)] - expect[(i, j)]).abs() < 1e-11,
-                        "({i},{j}) for {m}x{k}x{n}"
-                    );
+        }
+    }
+
+    #[test]
+    fn dispatched_tier_is_bit_identical_to_baseline() {
+        // The one property the `unsafe` call must preserve: the
+        // feature-gated instantiation computes exactly what the baseline
+        // one does. (Under Miri this is also the interpreted call.)
+        for (m, k, n) in shapes(&[(5, 9, 6), (33, 70, 21), (66, 300, 35)]) {
+            for op_a in OPS {
+                for op_b in OPS {
+                    let a = op_of(&rand_matrix(m, k, 7), op_a);
+                    let b = op_of(&rand_matrix(k, n, 8), op_b);
+                    let alpha = c64::new(-0.4, 1.1);
+                    let mut base = rand_matrix(m, n, 9);
+                    let mut host = base.clone();
+                    let (aa, bb) = ((&a, op_a), (&b, op_b));
+                    packed(Tier::BASELINE, alpha, aa, bb, &mut base, false);
+                    packed(Tier::host(), alpha, aa, bb, &mut host, false);
+                    assert!(same_bits(&base, &host), "{m}x{k}x{n} {op_a:?}/{op_b:?}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn sub_block_operands_and_lower_only_output() {
+        // A as a sub-block with ld > cols (the blocked triangular solve's
+        // operand) gives the same bits as the copied-out block.
+        let big = rand_matrix(40, 50, 11);
+        let sub = Matrix::from_fn(17, 23, |i, j| big[(5 + i, j)]);
+        let x = rand_matrix(23, 300, 12);
+        let (mut from_view, mut from_copy) = (Matrix::zeros(17, 300), Matrix::zeros(17, 300));
+        let mut scratch = GemmScratch::with(KernelPolicy::Fast, Tier::host());
+        let job = Product {
+            alpha: c64::ONE,
+            a: View::new(&big.as_slice()[5 * 50..], 17, 23, 50),
+            op_a: Op::None,
+            b: (&x).into(),
+            op_b: Op::None,
+            c: from_view.as_mut_slice(),
+            lower_only: false,
+        };
+        run(&mut scratch, job);
+        let (sa, xb) = ((&sub, Op::None), (&x, Op::None));
+        packed(Tier::host(), c64::ONE, sa, xb, &mut from_copy, false);
+        assert!(same_bits(&from_view, &from_copy));
+
+        // lower_only: the lower triangle (diagonal included) is complete.
+        let n = 70;
+        let psi = rand_matrix(n, 300, 13);
+        let (mut full, mut lower) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+        let (pa, pb) = ((&psi, Op::None), (&psi, Op::ConjTrans));
+        packed(Tier::host(), c64::ONE, pa, pb, &mut full, false);
+        packed(Tier::host(), c64::ONE, pa, pb, &mut lower, true);
+        for i in 0..n {
+            for j in 0..=i {
+                assert!(full[(i, j)] == lower[(i, j)], "({i},{j})");
             }
         }
     }

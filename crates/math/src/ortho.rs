@@ -13,8 +13,9 @@
 //! the continuum integral `∫ψ*ψ d³r = w·Σᵢ ψ*ᵢψᵢ` (w = grid-cell volume).
 
 use crate::cholesky::{Cholesky, FactorError};
+use crate::gemm::{matmul_nh, overlap_hermitian_into, GemmScratch};
 use crate::vec_ops::{axpy, dotc, dscal, nrm2_sqr};
-use crate::{gemm::matmul_nh, gemm::overlap_hermitian, Matrix, Scalar};
+use crate::{Matrix, Scalar};
 
 /// Modified Gram–Schmidt on the rows of `psi` (each row = one band).
 ///
@@ -45,15 +46,33 @@ pub fn gram_schmidt<S: Scalar>(psi: &mut Matrix<S>, metric: f64) -> Result<(), F
 
 /// Overlap-matrix (Cholesky) orthonormalization: `Ψ ← L⁻¹·Ψ` where
 /// `L·Lᴴ = w·Ψ·Ψᴴ`. One GEMM plus one triangular block-solve.
+/// Allocating shim over [`cholesky_orthonormalize_into`].
 pub fn cholesky_orthonormalize<S: Scalar>(
     psi: &mut Matrix<S>,
     metric: f64,
 ) -> Result<(), FactorError> {
+    cholesky_orthonormalize_into(psi, None, metric, &mut GemmScratch::new())
+}
+
+/// [`cholesky_orthonormalize`] through caller-owned scratch. `also`, if
+/// given, receives the same `L⁻¹` — the all-band solver passes `H·Ψ`,
+/// which stays in sync with `Ψ` by linearity. On error nothing is
+/// modified.
+pub fn cholesky_orthonormalize_into<S: Scalar>(
+    psi: &mut Matrix<S>,
+    also: Option<&mut Matrix<S>>,
+    metric: f64,
+    scratch: &mut GemmScratch<S>,
+) -> Result<(), FactorError> {
     // Specialized half-flop Hermitian Gram kernel (paper §IV future-work
     // item: custom routines for the PEtot_F shapes).
-    let s = overlap_hermitian(psi, metric);
+    let mut s = Matrix::zeros(psi.rows(), psi.rows());
+    overlap_hermitian_into(scratch, psi, metric, &mut s);
     let ch = Cholesky::new(&s)?;
-    ch.solve_l_block(psi);
+    ch.solve_l_block_with(psi, scratch);
+    if let Some(other) = also {
+        ch.solve_l_block_with(other, scratch);
+    }
     Ok(())
 }
 

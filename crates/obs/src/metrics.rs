@@ -55,11 +55,14 @@ pub enum Counter {
     CommAllreduceCalls,
     /// 1-D line transforms through a mixed-radix (smooth-length) plan.
     FftLinesMixed,
+    /// Floating-point operations of the all-band solver's block products
+    /// (`8·m·n·k` per complex GEMM; triangular products count half).
+    GemmFlops,
 }
 
 impl Counter {
     /// Every counter, in reporting order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 19] = [
         Counter::FftLinesTrivial,
         Counter::FftLinesRadix2,
         Counter::FftLinesBluestein,
@@ -78,6 +81,7 @@ impl Counter {
         Counter::CommBytesReceived,
         Counter::CommAllreduceCalls,
         Counter::FftLinesMixed,
+        Counter::GemmFlops,
     ];
 
     /// Stable snake_case identifier (JSON report key).
@@ -101,6 +105,7 @@ impl Counter {
             Counter::CommBytesReceived => "comm_bytes_received",
             Counter::CommAllreduceCalls => "comm_allreduce_calls",
             Counter::FftLinesMixed => "fft_lines_mixed",
+            Counter::GemmFlops => "gemm_flops",
         }
     }
 }
@@ -221,7 +226,7 @@ mod tests {
         // counter is a report-schema change: update the golden list
         // here AND document the delta in EXPERIMENTS.md. New counters
         // are appended, never inserted.
-        const GOLDEN: [&str; 18] = [
+        const GOLDEN: [&str; 19] = [
             "fft_lines_trivial",
             "fft_lines_radix2",
             "fft_lines_bluestein",
@@ -240,6 +245,7 @@ mod tests {
             "comm_bytes_received",
             "comm_allreduce_calls",
             "fft_lines_mixed",
+            "gemm_flops",
         ];
         let names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names, GOLDEN);

@@ -145,7 +145,7 @@ pub struct Attribution {
 /// Counter-derived flop accounting.
 #[derive(Clone, Debug)]
 pub struct FlopReport {
-    /// Estimated Gflop spent (from the `fft_flops` counter).
+    /// Estimated Gflop spent (the `fft_flops` + `gemm_flops` counters).
     pub estimated_gflop: f64,
     /// Sustained Gflop/s over the wall clock.
     pub gflops: f64,
@@ -217,8 +217,8 @@ impl Report {
     /// Builds a report from harvested run data: aggregates spans into
     /// paths, extracts per-fragment rows from spans labeled
     /// `fragment_label`, attributes wall time to spans labeled
-    /// `root_label`, and derives flop rates from the `fft_flops`
-    /// counter. Stage/step/convergence sections are left for the caller
+    /// `root_label`, and derives flop rates from the `fft_flops` and
+    /// `gemm_flops` counters. Stage/step/convergence sections are left for the caller
     /// (they come from the `ScfObserver` hooks, not from spans).
     pub fn from_run(
         command: &str,
@@ -253,11 +253,12 @@ impl Report {
                 attributed_seconds: attributed,
                 fraction,
             });
-            let flops = data
+            let flops: u64 = data
                 .counters
                 .iter()
-                .find(|&&(name, _)| name == "fft_flops")
-                .map_or(0, |&(_, v)| v);
+                .filter(|&&(name, _)| name == "fft_flops" || name == "gemm_flops")
+                .map(|&(_, v)| v)
+                .sum();
             let estimated_gflop = flops as f64 * 1e-9;
             let gflops = if wall_seconds > 0.0 {
                 estimated_gflop / wall_seconds
@@ -968,7 +969,8 @@ mod tests {
         let data = RunData {
             spans: vec![span("scf_iter", 1, 0, 900_000_000, 0, 0)],
             threads: vec![(0, "main".to_string())],
-            counters: vec![("fft_flops", 2_000_000_000)],
+            // The flop total covers FFT butterflies and block products.
+            counters: vec![("fft_flops", 1_500_000_000), ("gemm_flops", 500_000_000)],
         };
         let machine = MachineRef {
             name: "testbox".to_string(),

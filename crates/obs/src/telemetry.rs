@@ -728,7 +728,7 @@ mod tests {
                 ("comm_bytes_sent".to_string(), 4096),
                 // The newest (last-appended) registry name rides the
                 // wire like any other: counters travel by name.
-                (crate::Counter::FftLinesMixed.name().to_string(), 1452),
+                (crate::Counter::GemmFlops.name().to_string(), 1452),
             ],
             comm: vec![CommRow {
                 op: "send".to_string(),

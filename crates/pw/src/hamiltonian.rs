@@ -2,18 +2,32 @@
 //! planewave coefficient blocks.
 //!
 //! Wavefunction blocks are `(n_bands × n_pw)` matrices (one band per row).
-//! The kinetic term is diagonal in G, the local potential is applied via
-//! grid FFTs, and the nonlocal Kleinman–Bylander term is two GEMMs against
-//! the projector block — exactly the BLAS-3 structure the paper's
-//! optimization #1 created ("a typical matrix size for one of our
-//! fragments would be 3000 × 200").
+//! The kinetic term is diagonal in G and the local potential is applied
+//! via grid FFTs, one band at a time; the nonlocal Kleinman–Bylander term
+//! of a block is then two GEMMs against the projector block
+//! (`B = P·Ψᴴ`, scale by `E_p`, `HΨ += Bᴴ·P`) — exactly the BLAS-3
+//! structure the paper's optimization #1 created ("a typical matrix size
+//! for one of our fragments would be 3000 × 200"). Both products and the
+//! Rayleigh–Ritz matrix `Ψ·(HΨ)ᴴ` run through [`gemm_into`] on scratch
+//! owned by the [`HamWorkspace`], so a steady-state block application
+//! allocates nothing. The single-band path ([`Hamiltonian::apply_vec_with`])
+//! keeps one `dotc`/`axpy` pair per projector: it is the band-by-band
+//! ablation baseline and the fragment retry ladder's last rung.
 
 use crate::PwBasis;
 use ls3df_fft::Fft3Workspace;
 use ls3df_grid::RealField;
-use ls3df_math::gemm::{self, Op};
+use ls3df_math::gemm::{self, gemm_into, GemmScratch, Op};
 use ls3df_math::vec_ops;
 use ls3df_math::{c64, Matrix};
+use ls3df_obs::{counter_add, Counter};
+
+/// Charges one complex block product `(m × k)·(k × n)` to
+/// [`Counter::GemmFlops`] (a complex multiply-add is 8 real flops).
+#[inline(always)]
+pub(crate) fn count_block_product(m: usize, k: usize, n: usize) {
+    counter_add(Counter::GemmFlops, 8 * (m * k * n) as u64);
+}
 
 /// Assembled Kleinman–Bylander nonlocal potential for a set of atoms on a
 /// given basis: `V_NL = Σ_a E_a·|β_a⟩⟨β_a|` with `⟨G|β_a⟩` normalized over
@@ -144,30 +158,42 @@ impl NonlocalPotential {
         self.energies.is_empty()
     }
 
-    /// `hpsi += V_NL·psi` for a whole block (two GEMMs).
+    /// `hpsi += V_NL·psi` for a whole block (two GEMMs). Allocating shim
+    /// over the workspace path [`Hamiltonian::apply_block_with`] takes.
     pub fn accumulate_block(&self, psi: &Matrix<c64>, hpsi: &mut Matrix<c64>) {
+        let mut coeffs = Matrix::zeros(0, 0);
+        self.accumulate_block_with(psi, hpsi, &mut coeffs, &mut GemmScratch::new());
+    }
+
+    /// [`NonlocalPotential::accumulate_block`] through caller-owned
+    /// scratch; `coeffs` is reshaped to `(n_proj × n_bands)` on first use.
+    fn accumulate_block_with(
+        &self,
+        psi: &Matrix<c64>,
+        hpsi: &mut Matrix<c64>,
+        coeffs: &mut Matrix<c64>,
+        scratch: &mut GemmScratch<c64>,
+    ) {
         if self.is_empty() {
             return;
         }
-        // B[b][p] = ⟨β_p|ψ_b⟩.
-        let mut b = gemm::matmul_nh(psi, &self.projectors);
-        // Scale columns by E_p.
-        for row in 0..b.rows() {
-            let r = b.row_mut(row);
-            for (p, v) in r.iter_mut().enumerate() {
-                *v = v.scale(self.energies[p]);
-            }
+        let (n_proj, n_bands) = (self.len(), psi.rows());
+        if coeffs.shape() != (n_proj, n_bands) {
+            // alloc-audit: first application of this block shape only.
+            *coeffs = Matrix::zeros(n_proj, n_bands);
         }
-        // hpsi += B·proj.
-        gemm::gemm(
-            c64::ONE,
-            &b,
-            Op::None,
-            &self.projectors,
-            Op::None,
-            c64::ONE,
-            hpsi,
-        );
+        // coeffs[p][b] = Σ_G β_p·conj(ψ_b) = conj⟨β_p|ψ_b⟩. This orientation
+        // (not Ψ·Pᴴ) makes the scalar kernels reproduce the per-band
+        // `dotc(β_p, ψ_b)` / `axpy(.., β_p, Hψ_b)` sums bit for bit.
+        let (one, zero) = (c64::ONE, c64::ZERO);
+        let p = &self.projectors;
+        gemm_into(scratch, one, p, Op::None, psi, Op::ConjTrans, zero, coeffs);
+        for (row, &e) in self.energies.iter().enumerate() {
+            vec_ops::dscal(e, coeffs.row_mut(row));
+        }
+        // hpsi[b] += Σ_p E_p·⟨β_p|ψ_b⟩·β_p.
+        gemm_into(scratch, one, coeffs, Op::ConjTrans, p, Op::None, one, hpsi);
+        count_block_product(n_bands, psi.cols(), 2 * n_proj);
     }
 
     /// `hpsi += V_NL·psi` for a single band, allocation-free: one
@@ -199,14 +225,20 @@ impl NonlocalPotential {
 }
 
 /// Reusable scratch for [`Hamiltonian`] applications: the real-space
-/// buffer for the `V(r)·ψ(r)` product plus the FFT workspaces behind the
-/// pair of grid transforms. One per thread (or band block); never shared
+/// buffer for the `V(r)·ψ(r)` product, the FFT workspaces behind the pair
+/// of grid transforms, and the block-product scratch of the
+/// Kleinman–Bylander term. One per thread (or band block); never shared
 /// concurrently.
 pub struct HamWorkspace {
     /// Real-space grid buffer (`ngrid` points).
     grid: Vec<c64>,
     /// Scratch for the forward/inverse 3-D transforms.
     fft: Fft3Workspace,
+    /// Projector coefficients `(n_proj × n_bands)` of the block KB apply.
+    kb_coeffs: Matrix<c64>,
+    /// Pack scratch of every block product on this workspace (the
+    /// all-band solver's own products borrow it too).
+    pub(crate) gemm: GemmScratch<c64>,
 }
 
 /// The Kohn–Sham Hamiltonian for one (fragment or global) problem.
@@ -290,6 +322,8 @@ impl<'a> Hamiltonian<'a> {
             // cost — every later apply_*_with call is heap-free.
             grid: vec![c64::ZERO; self.basis.grid().len()],
             fft: self.basis.fft().workspace(),
+            kb_coeffs: Matrix::zeros(0, 0),
+            gemm: GemmScratch::new(),
         }
     }
 
@@ -310,7 +344,9 @@ impl<'a> Hamiltonian<'a> {
     }
 
     /// Applies `H` to a block of bands into a caller-owned output block
-    /// using caller-owned scratch. Performs no heap allocation.
+    /// using caller-owned scratch: local + kinetic band by band, then one
+    /// block Kleinman–Bylander apply. Performs no heap allocation once
+    /// the workspace has seen the block shape.
     pub fn apply_block_with(
         &self,
         psi: &Matrix<c64>,
@@ -320,8 +356,10 @@ impl<'a> Hamiltonian<'a> {
         assert_eq!(psi.rows(), hpsi.rows(), "apply_block: band count mismatch");
         assert_eq!(psi.cols(), hpsi.cols(), "apply_block: width mismatch");
         for b in 0..psi.rows() {
-            self.apply_vec_with(psi.row(b), hpsi.row_mut(b), ws);
+            self.apply_local_kinetic(psi.row(b), hpsi.row_mut(b), ws);
         }
+        self.nonlocal
+            .accumulate_block_with(psi, hpsi, &mut ws.kb_coeffs, &mut ws.gemm);
     }
 
     /// Applies `H` to a single band (the band-by-band code path).
@@ -336,10 +374,16 @@ impl<'a> Hamiltonian<'a> {
         hpsi
     }
 
-    /// `hpsi = H·psi` for one band through caller-owned scratch — the
-    /// allocation-free core every other application path wraps.
-    /// `hpsi` is fully overwritten.
+    /// `hpsi = H·psi` for one band through caller-owned scratch,
+    /// allocation-free. `hpsi` is fully overwritten.
     pub fn apply_vec_with(&self, psi: &[c64], hpsi: &mut [c64], ws: &mut HamWorkspace) {
+        self.apply_local_kinetic(psi, hpsi, ws);
+        self.nonlocal.accumulate_vec(psi, hpsi);
+    }
+
+    /// `hpsi = (−½∇² + V_loc)·psi` for one band; `hpsi` is fully
+    /// overwritten.
+    fn apply_local_kinetic(&self, psi: &[c64], hpsi: &mut [c64], ws: &mut HamWorkspace) {
         assert_eq!(
             psi.len(),
             self.basis.len(),
@@ -370,7 +414,6 @@ impl<'a> Hamiltonian<'a> {
         for ((h, &p), &g2i) in hpsi.iter_mut().zip(psi).zip(&self.kg2) {
             *h += p.scale(0.5 * g2i);
         }
-        self.nonlocal.accumulate_vec(psi, hpsi);
     }
 
     /// Rayleigh quotient `⟨ψ|H|ψ⟩` for a normalized band.
@@ -388,14 +431,36 @@ impl<'a> Hamiltonian<'a> {
     }
 
     /// Subspace (Rayleigh–Ritz) matrix `M[i][j] = ⟨ψ_i|H|ψ_j⟩` given the
-    /// precomputed `H·ψ` block.
+    /// precomputed `H·ψ` block. Allocating shim over
+    /// [`Hamiltonian::subspace_matrix_into`].
     pub fn subspace_matrix(psi: &Matrix<c64>, hpsi: &Matrix<c64>) -> Matrix<c64> {
-        // matmul_nh(psi, hpsi)[i][j] = Σ_G ψ_i·conj(Hψ_j) = ⟨ψ_j|H|ψ_i⟩,
-        // i.e. the TRANSPOSE of M[i][j] = ⟨ψ_i|H|ψ_j⟩. Undo the transpose
-        // and symmetrize against rounding in one pass.
-        let m = gemm::matmul_nh(psi, hpsi);
-        let n = m.rows();
-        Matrix::from_fn(n, n, |i, j| (m[(j, i)] + m[(i, j)].conj()).scale(0.5))
+        let n = psi.rows();
+        let (mut raw, mut m) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+        Self::subspace_matrix_into(psi, hpsi, &mut raw, &mut m, &mut GemmScratch::new());
+        m
+    }
+
+    /// [`Hamiltonian::subspace_matrix`] into caller-owned `(n_b × n_b)`
+    /// matrices: `raw` receives the unsymmetrized product, `m` the result.
+    pub(crate) fn subspace_matrix_into(
+        psi: &Matrix<c64>,
+        hpsi: &Matrix<c64>,
+        raw: &mut Matrix<c64>,
+        m: &mut Matrix<c64>,
+        scratch: &mut GemmScratch<c64>,
+    ) {
+        // (Ψ·(HΨ)ᴴ)[i][j] = Σ_G ψ_i·conj(Hψ_j) = ⟨ψ_j|H|ψ_i⟩, i.e. the
+        // TRANSPOSE of M[i][j] = ⟨ψ_i|H|ψ_j⟩. Undo the transpose and
+        // symmetrize against rounding in one pass.
+        let (one, zero) = (c64::ONE, c64::ZERO);
+        gemm_into(scratch, one, psi, Op::None, hpsi, Op::ConjTrans, zero, raw);
+        let n = psi.rows();
+        count_block_product(n, psi.cols(), n);
+        for i in 0..n {
+            for j in 0..n {
+                m[(i, j)] = (raw[(j, i)] + raw[(i, j)].conj()).scale(0.5);
+            }
+        }
     }
 }
 
@@ -500,20 +565,34 @@ mod tests {
 
     #[test]
     fn apply_vec_matches_block_row() {
-        let (basis, v) = setup();
-        let nl = NonlocalPotential::new(
-            &basis,
-            &[[2.0, 2.0, 2.0]],
-            |_, q| (-0.8 * q * q).exp(),
-            &[1.0],
-        );
-        let h = Hamiltonian::new(&basis, v, &nl);
-        let psi = rand_block(3, basis.len(), 9);
-        let hpsi = h.apply_block(&psi);
-        for b in 0..3 {
-            let single = h.apply_vec(psi.row(b));
-            for (x, y) in single.iter().zip(hpsi.row(b)) {
-                assert!((*x - *y).abs() < 1e-11);
+        // The block path (one Kleinman–Bylander GEMM pair per block) against
+        // the single-band path (one dotc/axpy pair per projector), on the
+        // scalar kernels (3 bands × 8 projectors) and on the packed kernel
+        // (48 bands × 24 projectors × ≈ 250 planewaves is block-sized).
+        for (n, edge, ecut, n_bands, n_proj) in [(10, 8.0, 1.5, 3, 8), (16, 12.0, 2.0, 48, 24)] {
+            let grid = Grid3::cubic(n, edge);
+            let basis = PwBasis::new(grid.clone(), ecut);
+            assert!(basis.len() > n_bands);
+            let v = RealField::from_fn(grid, |r| {
+                0.3 * (r[0] * 0.7).cos() + 0.1 * (r[1] * 0.5).sin()
+            });
+            let sites: Vec<[f64; 3]> = (0..n_proj)
+                .map(|a| {
+                    let t = a as f64 * edge / n_proj as f64;
+                    [t, edge - t, (3.0 * t) % edge]
+                })
+                .collect();
+            let e_kb: Vec<f64> = (0..n_proj).map(|a| 0.4 + 0.1 * a as f64).collect();
+            let nl = NonlocalPotential::new(&basis, &sites, |_, q| (-0.8 * q * q).exp(), &e_kb);
+            assert_eq!(nl.len(), n_proj);
+            let h = Hamiltonian::new(&basis, v, &nl);
+            let psi = rand_block(n_bands, basis.len(), 9);
+            let hpsi = h.apply_block(&psi);
+            for b in 0..n_bands {
+                let single = h.apply_vec(psi.row(b));
+                for (x, y) in single.iter().zip(hpsi.row(b)) {
+                    assert!((*x - *y).abs() < 1e-11, "{n_bands} bands, band {b}");
+                }
             }
         }
     }

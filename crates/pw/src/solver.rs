@@ -4,9 +4,14 @@
 //!
 //! * [`solve_all_band`] — the optimized scheme: all bands advance together,
 //!   orthonormality is imposed through the overlap matrix (Cholesky) every
-//!   few steps, and every heavy operation is a GEMM on the whole
-//!   `(n_bands × n_pw)` block. This path took PEtot from 15% to 45–56% of
-//!   peak.
+//!   few steps, and every `O(n_b²·n_pw)` operation is a GEMM on the whole
+//!   `(n_bands × n_pw)` block through [`gemm_into`] on the workspace's
+//!   pack scratch: subspace projection (`O = Ψ·Dᴴ`, `D −= Oᴴ·Ψ`), the
+//!   Rayleigh–Ritz matrix `Ψ·(HΨ)ᴴ` and the three rotations `Uᵀ·X`, the
+//!   block Kleinman–Bylander apply inside `H·ψ`, and the overlap +
+//!   `L⁻¹` products of the re-orthonormalizations. What stays per band is
+//!   `O(n_b·n_pw)`: FFTs, preconditioning, norms, line minimization.
+//!   This path took PEtot from 15% to 45–56% of peak.
 //! * [`solve_band_by_band`] — the original scheme: one band at a time with
 //!   Gram–Schmidt after every step; all BLAS-1/2 shaped operations. Kept
 //!   as the ablation baseline (`cargo bench -p ls3df-bench` compares them).
@@ -14,8 +19,10 @@
 //! Both use the Teter–Payne–Allan kinetic preconditioner and Rayleigh–Ritz
 //! subspace rotations, and converge to the same eigenpairs.
 
+use crate::hamiltonian::count_block_product;
 use crate::{HamWorkspace, Hamiltonian, PwBasis};
-use ls3df_math::gemm::{self, Op};
+use ls3df_math::cholesky::FactorError;
+use ls3df_math::gemm::{self, gemm_into, GemmScratch, Op};
 use ls3df_math::ortho;
 use ls3df_math::vec_ops::{axpy, dotc, dscal, nrm2};
 use ls3df_math::{c64, eigh_fast as eigh, Matrix};
@@ -177,8 +184,11 @@ pub struct CgWorkspace {
     hd: Matrix<c64>,
     /// Rotation output scratch (swapped with `psi`/`hpsi` during RR).
     rot: Matrix<c64>,
-    /// `(n_bands × n_bands)` overlap scratch for subspace projection.
+    /// `(n_bands × n_bands)` product scratch: the projection overlaps
+    /// `Ψ·Dᴴ` and the unsymmetrized Rayleigh–Ritz product.
     overlap: Matrix<c64>,
+    /// `(n_bands × n_bands)` subspace Hamiltonian.
+    subspace: Matrix<c64>,
     /// Per-band `⟨R|P·R⟩` of the current step.
     rkr: Vec<f64>,
     /// Per-band `⟨R|P·R⟩` of the previous step.
@@ -187,7 +197,8 @@ pub struct CgWorkspace {
     eigenvalues: Vec<f64>,
     /// Whether `d_prev` holds a valid direction from the previous step.
     have_dir: bool,
-    /// Scratch for the `H·ψ` applications.
+    /// Scratch for the `H·ψ` applications; its pack scratch (`ham.gemm`)
+    /// serves every block product of the solver.
     ham: HamWorkspace,
 }
 
@@ -206,6 +217,7 @@ impl CgWorkspace {
             hd: Matrix::zeros(n_bands, npw),
             rot: Matrix::zeros(n_bands, npw),
             overlap: Matrix::zeros(n_bands, n_bands),
+            subspace: Matrix::zeros(n_bands, n_bands),
             rkr: vec![0.0; n_bands], // alloc-audit: once per workspace
             rkr_prev: vec![0.0; n_bands],
             eigenvalues: vec![0.0; n_bands],
@@ -232,37 +244,43 @@ pub fn cg_init(h: &Hamiltonian<'_>, psi: &Matrix<c64>, ws: &mut CgWorkspace) {
 }
 
 /// Rayleigh–Ritz housekeeping: diagonalizes the subspace Hamiltonian and
-/// rotates `psi`, `H·ψ`, and the CG memory into the eigenbasis.
+/// rotates `psi`, `H·ψ`, and the CG memory into the eigenbasis
+/// (`X ← Uᵀ·X` through the rotation swap buffer).
 ///
 /// This is the once-per-outer-iteration step that owns the (small, `n_b²`)
 /// eigensolve — the only part of the loop allowed to allocate.
 fn rr_rotate(psi: &mut Matrix<c64>, ws: &mut CgWorkspace) {
-    let nb = psi.rows();
-    let m = Hamiltonian::subspace_matrix(psi, &ws.hpsi);
-    let eig = eigh(&m);
+    let (nb, npw) = psi.shape();
+    let scratch = &mut ws.ham.gemm;
+    Hamiltonian::subspace_matrix_into(psi, &ws.hpsi, &mut ws.overlap, &mut ws.subspace, scratch);
+    let eig = eigh(&ws.subspace);
     ws.eigenvalues.copy_from_slice(&eig.values);
-    // out[i] = Σ_j vectors[(j,i)]·block[j] — same arithmetic as the GEMM
-    // with Op::Trans this replaces, done band-sequentially through the
-    // preallocated rotation scratch.
-    let rotate_into = |block: &Matrix<c64>, out: &mut Matrix<c64>| {
-        for i in 0..nb {
-            let row = out.row_mut(i);
-            row.fill(c64::ZERO);
-        }
-        for i in 0..nb {
-            for j in 0..nb {
-                axpy(eig.vectors[(j, i)], block.row(j), out.row_mut(i));
-            }
-        }
-    };
-    rotate_into(psi, &mut ws.rot);
-    std::mem::swap(psi, &mut ws.rot);
-    rotate_into(&ws.hpsi, &mut ws.rot);
-    std::mem::swap(&mut ws.hpsi, &mut ws.rot);
-    if ws.have_dir {
-        rotate_into(&ws.d_prev, &mut ws.rot);
-        std::mem::swap(&mut ws.d_prev, &mut ws.rot);
+    let (u, rot) = (&eig.vectors, &mut ws.rot);
+    let n_blocks = if ws.have_dir { 3 } else { 2 };
+    for x in [psi, &mut ws.hpsi, &mut ws.d_prev]
+        .into_iter()
+        .take(n_blocks)
+    {
+        gemm_into(scratch, c64::ONE, u, Op::Trans, x, Op::None, c64::ZERO, rot);
+        std::mem::swap(x, rot);
+        count_block_product(nb, nb, npw);
     }
+}
+
+/// Overlap-matrix (Cholesky) orthonormalization `Ψ ← L⁻¹·Ψ` with
+/// `L·Lᴴ = Ψ·Ψᴴ`. `hpsi`, when given, receives the same `L⁻¹` — by
+/// linearity it stays `H·Ψ`, so no extra `H·ψ` is needed.
+fn orthonormalize(
+    psi: &mut Matrix<c64>,
+    hpsi: Option<&mut Matrix<c64>>,
+    scratch: &mut GemmScratch<c64>,
+) -> Result<(), FactorError> {
+    let (nb, npw) = psi.shape();
+    // The overlap and each L⁻¹ apply touch one triangle: half a block
+    // product apiece.
+    let products = 2 + u64::from(hpsi.is_some());
+    counter_add(Counter::GemmFlops, products * 4 * (nb * nb * npw) as u64);
+    ortho::cholesky_orthonormalize_into(psi, hpsi, 1.0, scratch)
 }
 
 /// Computes the residual block `R_b = Hψ_b − ε_b·ψ_b` into the workspace
@@ -307,17 +325,14 @@ pub fn cg_step(h: &Hamiltonian<'_>, psi: &mut Matrix<c64>, ws: &mut CgWorkspace,
 
     // Project the search block out of the occupied subspace and normalize
     // rows. Overlaps are taken against the unmodified block first (classic
-    // Gram–Schmidt, matching the GEMM-pair formulation this replaces).
+    // Gram–Schmidt): O[j][b] = Σ_G ψ_j·conj(d_b) is the conjugate of the
+    // ψ_j coefficient in d_b, so D −= Oᴴ·Ψ removes it.
+    let (one, zero) = (c64::ONE, c64::ZERO);
+    let (scratch, o, d) = (&mut ws.ham.gemm, &mut ws.overlap, &mut ws.d);
+    gemm_into(scratch, one, psi, Op::None, d, Op::ConjTrans, zero, o);
+    gemm_into(scratch, -one, o, Op::ConjTrans, psi, Op::None, one, d);
+    count_block_product(nb, 2 * nb, psi.cols());
     for b in 0..nb {
-        for j in 0..nb {
-            // O[b][j] = Σ_G d_b·conj(ψ_j), the ψ_j coefficient in d_b.
-            ws.overlap[(b, j)] = dotc(psi.row(j), ws.d.row(b));
-        }
-    }
-    for b in 0..nb {
-        for j in 0..nb {
-            axpy(-ws.overlap[(b, j)], psi.row(j), ws.d.row_mut(b));
-        }
         let n = nrm2(ws.d.row(b));
         if n > 1e-300 {
             dscal(1.0 / n, ws.d.row_mut(b));
@@ -396,8 +411,10 @@ pub fn try_solve_all_band_with(
     let nb = psi.rows();
     let npw = psi.cols();
     assert!(nb >= 1 && npw == h.basis().len());
-    ortho::cholesky_orthonormalize(psi, 1.0).map_err(|e| SolverError::DependentStartVectors {
-        detail: e.to_string(),
+    orthonormalize(psi, None, &mut ws.ham.gemm).map_err(|e| {
+        SolverError::DependentStartVectors {
+            detail: e.to_string(),
+        }
     })?;
     cg_init(h, psi, ws);
     let mut residual = f64::INFINITY;
@@ -429,15 +446,12 @@ pub fn try_solve_all_band_with(
         // Re-impose exact orthonormality every few steps via the overlap
         // matrix; L⁻¹ is applied to Hψ too (linearity) so no extra H·ψ.
         if (iter + 1) % opts.ortho_every == 0 {
-            let s = gemm::overlap_hermitian(psi, 1.0);
-            let ch = ls3df_math::Cholesky::new(&s).map_err(|e| {
+            orthonormalize(psi, Some(&mut ws.hpsi), &mut ws.ham.gemm).map_err(|e| {
                 SolverError::OverlapNotPositiveDefinite {
                     iteration: iterations,
                     detail: e.to_string(),
                 }
             })?;
-            ch.solve_l_block(psi);
-            ch.solve_l_block(&mut ws.hpsi);
             ws.have_dir = false; // search directions are stale after re-orthonormalization
         }
     }
@@ -445,7 +459,7 @@ pub fn try_solve_all_band_with(
     // accumulation, invariant checks): line minimization drifts the rows at
     // the residual level between the periodic re-orthonormalizations above.
     // The eigenvalues stay accurate to O(residual²).
-    let _ = ortho::cholesky_orthonormalize(psi, 1.0);
+    let _ = orthonormalize(psi, None, &mut ws.ham.gemm);
     Ok(SolveStats {
         // alloc-audit: result reporting, once per solve.
         eigenvalues: ws.eigenvalues.clone(),

@@ -100,6 +100,12 @@ type StepEnv<'a> = &'a [(&'a str, Option<&'a str>)];
 /// Runs the gate; returns `true` when every step passed (skips count as
 /// passes, failures never do).
 pub fn run(root: &Path) -> bool {
+    // Which compilation of the packed GEMM kernel every step below
+    // exercises: the tests pick it up by the same detection.
+    println!(
+        "ci: packed GEMM kernel tier on this host: {}",
+        ls3df_math::Tier::host().name()
+    );
     let mut all_ok = true;
     let mut summary: Vec<(String, StepResult, f64)> = Vec::new();
 

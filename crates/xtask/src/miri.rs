@@ -5,8 +5,9 @@
 //! strongest evidence available that the workspace's audited `unsafe`
 //! surface (the work-stealing pool's `JobRef` lifecycle, the counting
 //! global allocator's raw `GlobalAlloc` forwarding, the checkpoint
-//! codec's byte-level corruption handling) is actually sound, not just
-//! plausibly commented. The filter is curated: interpretation is ~100×
+//! codec's byte-level corruption handling, the packed GEMM kernel's call
+//! into its `#[target_feature]` instantiation) is actually sound, not
+//! just plausibly commented. The filter is curated: interpretation is ~100×
 //! slower than native, so whole-SCF integration tests are out and the
 //! unit suites of the three unsafe-adjacent targets are in.
 //!
@@ -29,19 +30,31 @@ pub enum Outcome {
     Unavailable(String),
 }
 
-/// The curated unsafe-core filter. Each entry is `(label, cargo args)`;
-/// all run under `cargo +nightly miri` with the flags from
+/// The curated unsafe-core filter. Each entry is `(label, cargo args,
+/// RUSTFLAGS)`; all run under `cargo +nightly miri` with the flags from
 /// [`MIRIFLAGS`].
-const TARGETS: [(&str, &[&str]); 3] = [
+const TARGETS: [(&str, &[&str], Option<&str>); 4] = [
     // JobRef lifecycle, join/steal/panic paths, the schedule matrix.
-    ("pool", &["test", "-p", "rayon", "--lib"]),
+    ("pool", &["test", "-p", "rayon", "--lib"], None),
     // Counting global allocator: raw GlobalAlloc forwarding + counter.
     (
         "alloc-count",
         &["test", "-p", "ls3df", "--features", "alloc-count", "--lib"],
+        None,
     ),
     // Snapshot codec and its byte-mucking corruption tests.
-    ("ckpt", &["test", "-p", "ls3df-ckpt", "--lib"]),
+    ("ckpt", &["test", "-p", "ls3df-ckpt", "--lib"], None),
+    // The packed GEMM kernel's tier dispatch: the microkernel unit tests
+    // (tier-vs-baseline bit identity, every `Op` pair). Miri's runtime
+    // feature detection reports nothing, so the interpreted target is
+    // given AVX2 statically — `Tier::host` then selects the
+    // `#[target_feature]` instantiation and the one `unsafe` call of
+    // `ls3df-math` is what gets interpreted.
+    (
+        "math-dispatch",
+        &["test", "-p", "ls3df-math", "--lib", "microkernel::"],
+        Some("-C target-feature=+avx2"),
+    ),
 ];
 
 /// `-Zmiri-disable-isolation`: the pool tests read the clock (condvar
@@ -61,16 +74,19 @@ pub fn run(root: &Path) -> Outcome {
         return Outcome::Unavailable(why);
     }
     let mut all_ok = true;
-    for (label, args) in TARGETS {
+    for (label, args, rustflags) in TARGETS {
         println!("--- miri: {label} ---");
-        let status = Command::new("cargo")
-            .arg("+nightly")
+        let mut cmd = Command::new("cargo");
+        cmd.arg("+nightly")
             .arg("miri")
             .args(args)
             .arg("-q")
             .env("MIRIFLAGS", MIRIFLAGS)
-            .current_dir(root)
-            .status();
+            .current_dir(root);
+        if let Some(flags) = rustflags {
+            cmd.env("RUSTFLAGS", flags);
+        }
+        let status = cmd.status();
         match status {
             Ok(s) if s.success() => println!("miri {label}: ok"),
             Ok(_) => {

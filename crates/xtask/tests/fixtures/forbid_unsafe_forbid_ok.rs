@@ -1,4 +1,4 @@
-//! lint-path: crates/math/src/lib.rs
+//! lint-path: crates/fft/src/lib.rs
 //!
 //! A physics crate root carrying `#![forbid(unsafe_code)]`: clean,
 //! including its (sequential, fixed-order) reduction.

@@ -21,7 +21,9 @@
 use ls3df::fft::dft::dft_forward;
 use ls3df::fft::{Fft1d, Fft3, Fft3r, RealFft1d};
 use ls3df::grid::{Grid3, RealField};
-use ls3df::math::{c64, gemm, vec_ops, KernelPolicy, Matrix, Op};
+use ls3df::math::{
+    c64, gemm, gemm_into, vec_ops, Cholesky, GemmScratch, KernelPolicy, Matrix, Op, Tier,
+};
 use ls3df::pseudo::KbProjector;
 use ls3df::pw::{ionic_potential_with, HartreeSolver, Mixer, MixerState, PwAtom, PwBasis};
 use ls3df_pseudo::LocalPotential;
@@ -51,6 +53,14 @@ const SYNTH_TOL: f64 = 1e-10;
 const GEMM_TOL: f64 = 1e-14;
 /// Lane-split dot products vs sequential, scaled by length.
 const DOTC_TOL: f64 = 1e-15;
+/// The all-band solver's block operations on the packed kernel vs the
+/// `dotc`/`axpy` row loops they replaced, per element, relative to the
+/// largest element of the row-loop result. Observed worst cases at
+/// 70 bands × 400 planewaves (12 projectors): projection 1.2e-15, subspace
+/// matrix 1.3e-15, block KB apply 9.2e-16, `L⁻¹` apply 1.4e-15; the RR
+/// rotation is exact (k = 70 is one pack block summed from zero, the same
+/// order as the row loop).
+const BLOCK_OP_TOL: f64 = 2e-13;
 
 fn lcg(seed: u64) -> impl FnMut() -> f64 {
     let mut state = seed | 1;
@@ -409,6 +419,226 @@ fn gemm_microkernel_within_tolerance() {
                     "({i},{j}) of {m}x{k}x{n}: |Δ|={d:e} > {tol:e}"
                 );
             }
+        }
+    }
+}
+
+fn same_bits(x: &Matrix<c64>, y: &Matrix<c64>) -> bool {
+    x.shape() == y.shape()
+        && x.as_slice()
+            .iter()
+            .zip(y.as_slice())
+            .all(|(u, v)| u.re.to_bits() == v.re.to_bits() && u.im.to_bits() == v.im.to_bits())
+}
+
+#[test]
+fn dispatched_tier_is_bit_identical_to_baseline_tier() {
+    // Both compilations of the packed kernel execute the same IEEE
+    // operations in the same order (no FMA contraction, no
+    // re-association), so the tier a host selects can never move a digest.
+    // Ragged everywhere: m, n not multiples of the 4×4 tile, k not a
+    // multiple of the 256-deep pack block, plus the 8-piece fragment shape.
+    let ops = [Op::None, Op::Trans, Op::ConjTrans];
+    for &(m, k, n) in &[(5, 9, 7), (33, 70, 21), (66, 300, 35), (130, 2550, 130)] {
+        for op_a in ops {
+            for op_b in ops {
+                let dims =
+                    |op: Op, r: usize, c: usize| if op == Op::None { (r, c) } else { (c, r) };
+                let (ar, ac) = dims(op_a, m, k);
+                let (br, bc) = dims(op_b, k, n);
+                let a = rand_matrix(ar, ac, 3 + m as u64);
+                let b = rand_matrix(br, bc, 5 + n as u64);
+                let c0 = rand_matrix(m, n, 7);
+                let (alpha, beta) = (c64::new(0.8, -0.2), c64::new(-0.5, 0.1));
+                let run = |tier: Tier| {
+                    let mut scratch = GemmScratch::with(KernelPolicy::Fast, tier);
+                    let mut c = c0.clone();
+                    gemm_into(&mut scratch, alpha, &a, op_a, &b, op_b, beta, &mut c);
+                    c
+                };
+                assert!(
+                    same_bits(&run(Tier::BASELINE), &run(Tier::host())),
+                    "{m}x{k}x{n} {op_a:?}/{op_b:?}: {} tier differs from baseline",
+                    Tier::host().name()
+                );
+            }
+        }
+    }
+}
+
+/// The five block operations of the all-band solver, each as the
+/// `dotc`/`axpy` row loop it was before the solver went back to GEMM and
+/// as the block products it is now. Returns `(row loop, block)` pairs.
+fn block_operations(
+    policy: KernelPolicy,
+    nb: usize,
+    npw: usize,
+) -> Vec<(&'static str, Matrix<c64>, Matrix<c64>)> {
+    let (one, zero) = (c64::ONE, c64::ZERO);
+    let mut scratch = GemmScratch::with(policy, Tier::host());
+    let psi = rand_matrix(nb, npw, 0x51);
+    let d = rand_matrix(nb, npw, 0x52);
+    let mut out = Vec::new();
+
+    // Subspace projection D −= (D·Ψᴴ)·Ψ.
+    let mut rows = d.clone();
+    let mut o = Matrix::zeros(nb, nb);
+    for b in 0..nb {
+        for j in 0..nb {
+            o[(b, j)] = vec_ops::dotc_with(policy, psi.row(j), d.row(b));
+        }
+    }
+    for b in 0..nb {
+        for j in 0..nb {
+            vec_ops::axpy(-o[(b, j)], psi.row(j), rows.row_mut(b));
+        }
+    }
+    let mut block = d.clone();
+    let mut oh = Matrix::zeros(nb, nb);
+    gemm_into(
+        &mut scratch,
+        one,
+        &psi,
+        Op::None,
+        &d,
+        Op::ConjTrans,
+        zero,
+        &mut oh,
+    );
+    gemm_into(
+        &mut scratch,
+        -one,
+        &oh,
+        Op::ConjTrans,
+        &psi,
+        Op::None,
+        one,
+        &mut block,
+    );
+    out.push(("projection", rows, block));
+
+    // Rayleigh–Ritz rotation X ← Uᵀ·X.
+    let u = rand_matrix(nb, nb, 0x53);
+    let mut rows = Matrix::zeros(nb, npw);
+    for i in 0..nb {
+        for j in 0..nb {
+            vec_ops::axpy(u[(j, i)], psi.row(j), rows.row_mut(i));
+        }
+    }
+    let mut block = Matrix::zeros(nb, npw);
+    gemm_into(
+        &mut scratch,
+        one,
+        &u,
+        Op::Trans,
+        &psi,
+        Op::None,
+        zero,
+        &mut block,
+    );
+    out.push(("rr rotation", rows, block));
+
+    // Subspace matrix Ψ·(HΨ)ᴴ (`d` standing in for HΨ).
+    let rows = Matrix::from_fn(nb, nb, |i, j| {
+        vec_ops::dotc_with(policy, psi.row(i), d.row(j)).conj()
+    });
+    let mut block = Matrix::zeros(nb, nb);
+    gemm_into(
+        &mut scratch,
+        one,
+        &psi,
+        Op::None,
+        &d,
+        Op::ConjTrans,
+        zero,
+        &mut block,
+    );
+    out.push(("subspace matrix", rows, block));
+
+    // Block Kleinman–Bylander apply HΨ += Σ_p E_p·|β_p⟩⟨β_p|Ψ⟩.
+    let n_proj = 12;
+    let beta = rand_matrix(n_proj, npw, 0x54);
+    let e: Vec<f64> = (0..n_proj).map(|p| 0.3 * p as f64 - 1.0).collect();
+    let mut rows = d.clone();
+    for b in 0..nb {
+        for p in 0..n_proj {
+            let coef = vec_ops::dotc_with(policy, beta.row(p), psi.row(b)).scale(e[p]);
+            vec_ops::axpy(coef, beta.row(p), rows.row_mut(b));
+        }
+    }
+    let mut block = d.clone();
+    let mut coeffs = Matrix::zeros(n_proj, nb);
+    gemm_into(
+        &mut scratch,
+        one,
+        &beta,
+        Op::None,
+        &psi,
+        Op::ConjTrans,
+        zero,
+        &mut coeffs,
+    );
+    for p in 0..n_proj {
+        vec_ops::dscal(e[p], coeffs.row_mut(p));
+    }
+    gemm_into(
+        &mut scratch,
+        one,
+        &coeffs,
+        Op::ConjTrans,
+        &beta,
+        Op::None,
+        one,
+        &mut block,
+    );
+    out.push(("block KB apply", rows, block));
+
+    // Ψ ← L⁻¹·Ψ with L·Lᴴ = Ψ·Ψᴴ.
+    let s = ls3df::math::overlap_hermitian_with(policy, &psi, 1.0);
+    let ch = Cholesky::new(&s).expect("random block is independent");
+    let (mut rows, mut block) = (psi.clone(), psi.clone());
+    ch.solve_l_block(&mut rows);
+    ch.solve_l_block_with(&mut block, &mut scratch);
+    out.push(("L^-1 apply", rows, block));
+    out
+}
+
+#[test]
+fn block_operations_match_the_row_loops_they_replace() {
+    // 70·70·400 is block-sized: under `fast` every product below runs on
+    // the packed kernel and is held to BLOCK_OP_TOL.
+    for (name, rows, block) in block_operations(KernelPolicy::Fast, 70, 400) {
+        let peak = rows.max_abs();
+        let worst = rows
+            .as_slice()
+            .iter()
+            .zip(block.as_slice())
+            .map(|(r, b)| (*r - *b).abs())
+            .fold(0.0, f64::max);
+        assert!(
+            worst <= BLOCK_OP_TOL * peak,
+            "{name}: block vs row loop {:e} (relative)",
+            worst / peak
+        );
+    }
+}
+
+#[test]
+fn block_operations_keep_the_row_loop_bits_off_the_packed_kernel() {
+    // `reference` never packs, and `fast` does not below block size (the
+    // crystal8 fragments: 10 bands × ~500 planewaves): there the scalar
+    // kernels must reproduce the row loops' summation order exactly — it
+    // is what the `reference`-pinned golden digests rest on.
+    for (policy, nb, npw) in [
+        (KernelPolicy::Reference, 70, 400),
+        (KernelPolicy::Reference, 10, 500),
+        (KernelPolicy::Fast, 10, 500),
+    ] {
+        for (name, rows, block) in block_operations(policy, nb, npw) {
+            assert!(
+                same_bits(&rows, &block),
+                "{name} ({policy:?}, {nb}×{npw}): block differs from the row loop"
+            );
         }
     }
 }

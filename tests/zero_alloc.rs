@@ -11,7 +11,11 @@
 //! active Kleinman–Bylander projector so the nonlocal accumulation is
 //! exercised too. A 14³ box at the benchmark's cutoff (the one-piece
 //! fragment of `crystal8_*`) puts the sphere-pruned, folded-scaling
-//! `apply_block_with` under the same gate.
+//! `apply_block_with` under the same gate, and a 64-band block with 12
+//! projectors on a 22³ box makes every block product of the CG step —
+//! projection and Kleinman–Bylander — block-sized, so the step is held
+//! heap-free on the packed GEMM kernel too (its pack scratch lives in
+//! the workspace and is sized by the warm-up).
 //!
 //! Everything lives in one `#[test]` so no concurrent test can perturb the
 //! process-wide allocation counter between the bracketing reads.
@@ -68,9 +72,13 @@ fn test_system() -> (PwBasis, Vec<PwAtom>) {
 /// Deterministic pseudo-random normalized band block (no `rand`, so the
 /// setup is reproducible and self-contained).
 fn seed_bands(npw: usize) -> Matrix<c64> {
-    let mut psi = Matrix::zeros(N_BANDS, npw);
+    seed_block(N_BANDS, npw)
+}
+
+fn seed_block(n_bands: usize, npw: usize) -> Matrix<c64> {
+    let mut psi = Matrix::zeros(n_bands, npw);
     let mut state = 0x2545f491_4f6c_dd1du64;
-    for b in 0..N_BANDS {
+    for b in 0..n_bands {
         let row = psi.row_mut(b);
         for v in row.iter_mut() {
             state = state
@@ -157,6 +165,50 @@ fn steady_state_hot_paths_do_not_allocate() {
         "steady-state apply_block_with on the 14³ box allocated {apply_allocs} times"
     );
     assert!(hpsi_box.as_slice().iter().all(|v| v.is_finite()));
+
+    // --- steady-state CG step on the packed GEMM kernel ------------------
+    // 64 bands × ~500 planewaves with 12 projectors: the projection
+    // products (64·64·npw) and both KB products (12·64·npw) are past the
+    // block-size crossover, so under `fast` they pack.
+    let big_grid = Grid3::cubic(22, 17.875);
+    let big_basis = PwBasis::new(big_grid.clone(), 1.5);
+    let n_big = 64;
+    assert!(12 * n_big * big_basis.len() >= 1 << 18 && big_basis.len() > n_big);
+    let sites: Vec<[f64; 3]> = (0..12)
+        .map(|a| {
+            let t = a as f64;
+            [
+                1.0 + 1.3 * t,
+                16.0 - 1.1 * t,
+                2.0 + 0.9 * ((a * 5) % 12) as f64,
+            ]
+        })
+        .collect();
+    let big_nl =
+        NonlocalPotential::new(&big_basis, &sites, |_, q| (-0.5 * q * q).exp(), &[0.7; 12]);
+    assert_eq!(big_nl.len(), 12);
+    let v_big = RealField::from_fn(big_grid, |r| {
+        0.2 * (r[0] * 0.4).cos() - 0.1 * (r[1] * 0.3).sin()
+    });
+    let h_big = Hamiltonian::new(&big_basis, v_big, &big_nl);
+    let mut psi_big = seed_block(n_big, big_basis.len());
+    ls3df::math::ortho::cholesky_orthonormalize(&mut psi_big, 1.0)
+        .expect("random block is independent");
+    let mut ws_big = CgWorkspace::new(&h_big, n_big);
+    cg_init(&h_big, &psi_big, &mut ws_big);
+    for _ in 0..2 {
+        let _ = cg_residual(&psi_big, &mut ws_big);
+        cg_step(&h_big, &mut psi_big, &mut ws_big, false);
+    }
+    let before = allocation_count();
+    let resid = cg_residual(&psi_big, &mut ws_big);
+    cg_step(&h_big, &mut psi_big, &mut ws_big, false);
+    let big_allocs = allocation_count() - before;
+    assert!(resid.is_finite());
+    assert_eq!(
+        big_allocs, 0,
+        "steady-state cg_residual+cg_step on a 64-band block allocated {big_allocs} times"
+    );
 
     // --- steady-state GENPOT (FFT Poisson) solve ------------------------
     // Both kernel policies must hold the zero-alloc contract: the fast
