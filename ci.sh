@@ -1,9 +1,13 @@
 #!/bin/sh
 # Tier-1 CI gate for ls3df-rs: formatting, clippy, the token-aware repo
-# lint + its fixture corpus, tests, the zero-alloc and checkpoint/fault
-# suites, schedule exploration (cargo xtask schedules), and the Miri
-# unsafe-core gate (cargo xtask miri — skips loudly when Miri is not
-# installed, e.g. in this offline container).
+# lint, `cargo test --workspace` under LS3DF_THREADS=1 and under the
+# default pool (every crate's and shim's unit tests, the lint fixture
+# corpus and the whole integration suite), the feature legs that suite
+# cannot cover (zero-alloc, obs-report [obs], obs-dist), the repo
+# benchmark's unit tests + --smoke gate (bench-harness), schedule
+# exploration (cargo xtask schedules), and the Miri unsafe-core gate
+# (cargo xtask miri — skips loudly when Miri is not installed, e.g. in
+# this offline container). Step list: crates/xtask/src/ci.rs.
 #
 # Everything runs through `cargo xtask ci` (crates/xtask), which itself
 # retries each cargo step with --offline when the registry is

@@ -195,17 +195,46 @@ pub(crate) fn decode_state(payload: &[u8]) -> Result<(usize, bool), CkptError> {
     Ok((iteration, converged))
 }
 
+/// Writes one step record: iteration, `∫|ΔV|`, worst residual and the
+/// four stage timings — the layout the `SCFHIST` section and the
+/// end-of-iteration broadcast share.
+pub(crate) fn put_step(w: &mut ByteWriter, s: &Ls3dfStep) {
+    w.put_u64(s.iteration as u64)
+        .put_f64(s.dv_integral)
+        .put_f64(s.worst_residual)
+        .put_f64(s.timings.gen_vf)
+        .put_f64(s.timings.petot_f)
+        .put_f64(s.timings.gen_dens)
+        .put_f64(s.timings.genpot);
+}
+
+/// Reads one step record (`what` names it in errors).
+pub(crate) fn get_step(r: &mut ByteReader<'_>, what: &str) -> Result<Ls3dfStep, CkptError> {
+    let iteration = r.get_count(MAX_COUNT, &format!("{what}.iteration"))?;
+    let dv_integral = r.get_f64(&format!("{what}.dv_integral"))?;
+    let worst_residual = r.get_f64(&format!("{what}.worst_residual"))?;
+    let mut t = [0f64; 4];
+    for (k, slot) in t.iter_mut().enumerate() {
+        *slot = r.get_f64(&format!("{what}.timings[{k}]"))?;
+    }
+    Ok(Ls3dfStep {
+        iteration,
+        dv_integral,
+        worst_residual,
+        timings: StepTimings {
+            gen_vf: t[0],
+            petot_f: t[1],
+            gen_dens: t[2],
+            genpot: t[3],
+        },
+    })
+}
+
 pub(crate) fn encode_history(history: &[Ls3dfStep]) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(8 + history.len() * 56);
     w.put_u64(history.len() as u64);
     for s in history {
-        w.put_u64(s.iteration as u64)
-            .put_f64(s.dv_integral)
-            .put_f64(s.worst_residual)
-            .put_f64(s.timings.gen_vf)
-            .put_f64(s.timings.petot_f)
-            .put_f64(s.timings.gen_dens)
-            .put_f64(s.timings.genpot);
+        put_step(&mut w, s);
     }
     w.into_bytes()
 }
@@ -213,28 +242,9 @@ pub(crate) fn encode_history(history: &[Ls3dfStep]) -> Vec<u8> {
 pub(crate) fn decode_history(payload: &[u8]) -> Result<Vec<Ls3dfStep>, CkptError> {
     let mut r = ByteReader::new(payload);
     let n = r.get_count(MAX_COUNT, "history length")?;
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let iteration = r.get_count(MAX_COUNT, &format!("history[{i}].iteration"))?;
-        let dv_integral = r.get_f64(&format!("history[{i}].dv_integral"))?;
-        let worst_residual = r.get_f64(&format!("history[{i}].worst_residual"))?;
-        let mut t = [0f64; 4];
-        for (k, slot) in t.iter_mut().enumerate() {
-            *slot = r.get_f64(&format!("history[{i}].timings[{k}]"))?;
-        }
-        out.push(Ls3dfStep {
-            iteration,
-            dv_integral,
-            worst_residual,
-            timings: StepTimings {
-                gen_vf: t[0],
-                petot_f: t[1],
-                gen_dens: t[2],
-                genpot: t[3],
-            },
-        });
-    }
-    Ok(out)
+    (0..n)
+        .map(|i| get_step(&mut r, &format!("history[{i}]")))
+        .collect()
 }
 
 /// Mixer memory: one `(V_in, residual)` pair per retained iteration.
@@ -270,16 +280,47 @@ pub(crate) fn decode_mixer_history(payload: &[u8]) -> Result<MixerHistory, CkptE
     Ok(out)
 }
 
+/// Writes one wavefunction block: `rows`, `cols`, then every coefficient
+/// as `(re, im)` — the layout the `PSI` section and the distributed
+/// snapshot gather share.
+pub(crate) fn put_psi_block(w: &mut ByteWriter, m: &Matrix<c64>) {
+    w.put_u64(m.rows() as u64).put_u64(m.cols() as u64);
+    for v in m.as_slice() {
+        w.put_f64(v.re).put_f64(v.im);
+    }
+}
+
+/// Reads fragment `i`'s block, which must have exactly the `nb × npw`
+/// shape this calculation assembled for it (checked before anything is
+/// allocated).
+pub(crate) fn get_psi_block(
+    r: &mut ByteReader<'_>,
+    section: SectionId,
+    i: usize,
+    (nb, npw): (usize, usize),
+) -> Result<Matrix<c64>, CkptError> {
+    let rows = r.get_u64(&format!("fragment {i} band count"))?;
+    let cols = r.get_u64(&format!("fragment {i} planewave count"))?;
+    if (rows, cols) != (nb as u64, npw as u64) {
+        return Err(CkptError::Malformed {
+            section: section.name(),
+            detail: format!(
+                "fragment {i} block is {rows}×{cols}, this calculation needs {nb}×{npw}"
+            ),
+        });
+    }
+    let flat = r.get_f64_vec(2 * nb * npw, &format!("fragment {i} wavefunctions"))?;
+    let data: Vec<c64> = flat.chunks_exact(2).map(|p| c64::new(p[0], p[1])).collect();
+    Ok(Matrix::from_vec(nb, npw, data))
+}
+
 pub(crate) fn encode_psi_blocks<'a>(
     blocks: impl ExactSizeIterator<Item = &'a Matrix<c64>>,
 ) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(blocks.len() as u64);
     for m in blocks {
-        w.put_u64(m.rows() as u64).put_u64(m.cols() as u64);
-        for v in m.as_slice() {
-            w.put_f64(v.re).put_f64(v.im);
-        }
+        put_psi_block(&mut w, m);
     }
     w.into_bytes()
 }
@@ -302,20 +343,8 @@ pub(crate) fn decode_psi_blocks(
         });
     }
     let mut out = Vec::with_capacity(n);
-    for (i, &(nb, npw)) in expected_shapes.iter().enumerate() {
-        let rows = r.get_count(MAX_COUNT, &format!("fragment {i} band count"))?;
-        let cols = r.get_count(MAX_COUNT, &format!("fragment {i} planewave count"))?;
-        if (rows, cols) != (nb, npw) {
-            return Err(CkptError::Malformed {
-                section: SEC_PSI.name(),
-                detail: format!(
-                    "fragment {i} block is {rows}×{cols}, this calculation needs {nb}×{npw}"
-                ),
-            });
-        }
-        let flat = r.get_f64_vec(2 * rows * cols, &format!("fragment {i} wavefunctions"))?;
-        let data: Vec<c64> = flat.chunks_exact(2).map(|p| c64::new(p[0], p[1])).collect();
-        out.push(Matrix::from_vec(rows, cols, data));
+    for (i, &shape) in expected_shapes.iter().enumerate() {
+        out.push(get_psi_block(&mut r, SEC_PSI, i, shape)?);
     }
     if r.remaining() != 0 {
         return Err(CkptError::Malformed {

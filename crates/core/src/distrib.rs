@@ -1,30 +1,38 @@
-//! Wire codecs for the distributed SCF exchanges (group layer ↔ global
-//! layer), over the `ls3df-ckpt` section container.
+//! The SCF pipeline's exchanges with the global layer (rank 0) and their
+//! wire codecs, over the `ls3df-ckpt` section container.
+//!
+//! The driver in `crate::scf` runs one stage sequence on every rank; the
+//! helpers here ([`gather_reports`], [`share_vnext`], [`gather_psi`]) and
+//! `ls3df_dist::collect_rank_telemetry` are the only code that looks at
+//! the communicator's rank and size. In the `M = 1` world they hand
+//! values through untouched: nothing is serialized.
 //!
 //! Three message shapes cross the communicator per outer iteration:
 //!
-//! * **PEtot report** (worker → rank 0, tag = iteration): the worker's
+//! * **PEtot report** (rank r → rank 0, tag = iteration): a group's
 //!   supervised-solve outcome — worst residual, PEtot_F wall seconds,
 //!   per-fragment quarantine flags, the fault/quarantine event lists,
 //!   and the *bit-exact* region densities of its owned fragments
-//!   (`ls3df_grid::encode_field`, raw little-endian f64 bits). Rank 0
-//!   merges these with its own parts and replays the sequential
-//!   fragment-order patch loop unchanged, which is what makes the
-//!   patched density bit-identical to a single-process run.
+//!   (`ls3df_grid::encode_field`, raw little-endian f64 bits), which is
+//!   what makes the patched density bit-identical at any group count.
 //! * **Vnext broadcast** (rank 0 → all): the next input potential, the
 //!   patched density, and the completed step record (+ convergence
 //!   flag), so every rank finishes the iteration with identical state
 //!   and identical history.
-//! * **Psi gather** (worker → rank 0, snapshot iterations only): the
+//! * **Psi gather** (rank r → rank 0, snapshot iterations only): the
 //!   owned fragments' wavefunction blocks, so rank 0 can cut a snapshot
 //!   containing every fragment — snapshots stay group-count-independent
 //!   and resumable at any `LS3DF_GROUPS`.
 //!
-//! Everything here is pure serialization: typed errors, no physics.
+//! The decoders validate every fragment index and wavefunction block
+//! shape against the receiving calculation, so the driver can index with
+//! what they return. Typed errors, no physics.
 
-use crate::scf::{Ls3dfStep, StepTimings};
-use crate::supervise::{FragmentFault, QuarantineRecord, RetryAction};
+use crate::ckpt::{get_psi_block, get_step, put_psi_block, put_step};
+use crate::scf::Ls3dfStep;
+use crate::supervise::{FragmentFault, QuarantineRecord, RetryAction, ATTEMPT_LADDER};
 use ls3df_ckpt::{ByteReader, ByteWriter, CkptError, SectionId, Snapshot};
+use ls3df_dist::{CommError, Communicator};
 use ls3df_grid::{decode_field, encode_field, RealField};
 use ls3df_math::{c64, Matrix};
 
@@ -41,10 +49,26 @@ pub(crate) const SEC_DSTEP: SectionId = SectionId::new("DSTEP");
 /// Owned-fragment wavefunction blocks (snapshot gather).
 pub(crate) const SEC_DPSI: SectionId = SectionId::new("DPSI");
 
-/// Count guard shared by every length-prefixed list here.
+/// Guard on byte-length prefixes (fault detail strings, encoded regions).
 const MAX_COUNT: u64 = 1 << 32;
 
-/// One group's PEtot_F outcome, as exchanged with the global layer.
+/// Tag bit distinguishing the snapshot-iteration psi gather from the
+/// per-iteration PEtot report (both are worker→rank-0 sends keyed by the
+/// iteration number, and point-to-point matching is by `(from, tag)`).
+const PSI_GATHER_TAG: u32 = 0x8000_0000;
+
+/// Wire-format failures on communicator traffic are protocol errors.
+fn proto_err(e: CkptError) -> CommError {
+    CommError::Protocol {
+        detail: e.to_string(),
+    }
+}
+
+/// One group's PEtot_F outcome, as exchanged with the global layer —
+/// or, once a rank has folded the reports it holds, all of theirs (the
+/// fold consumes `petot_seconds` and `flags` per group and leaves them
+/// empty).
+#[derive(Default)]
 pub(crate) struct PetotReport {
     /// Worst residual across the group's solved fragments.
     pub(crate) worst_residual: f64,
@@ -68,8 +92,26 @@ fn put_fault(w: &mut ByteWriter, fault: &FragmentFault) {
         .put_bytes(fault.detail.as_bytes());
 }
 
-fn get_fault(r: &mut ByteReader<'_>) -> Result<FragmentFault, CkptError> {
-    let fragment = r.get_u64("fault fragment")? as usize;
+/// A fragment index, rejected unless it names one of the receiving
+/// calculation's `n_fragments` fragments.
+fn get_fragment(
+    r: &mut ByteReader<'_>,
+    section: SectionId,
+    n_fragments: usize,
+    what: &str,
+) -> Result<usize, CkptError> {
+    let index = r.get_u64(what)?;
+    if index >= n_fragments as u64 {
+        return Err(CkptError::Malformed {
+            section: section.name(),
+            detail: format!("{what} {index} is not one of the {n_fragments} fragments"),
+        });
+    }
+    Ok(index as usize)
+}
+
+fn get_fault(r: &mut ByteReader<'_>, n_fragments: usize) -> Result<FragmentFault, CkptError> {
+    let fragment = get_fragment(r, SEC_DSUMMARY, n_fragments, "fault fragment")?;
     let attempt = r.get_u64("fault attempt")? as usize;
     let action = decode_action(r.get_u32("fault action")?)?;
     let len = r.get_count(MAX_COUNT, "fault detail length")?;
@@ -80,6 +122,23 @@ fn get_fault(r: &mut ByteReader<'_>) -> Result<FragmentFault, CkptError> {
         action,
         detail,
     })
+}
+
+/// A length-prefixed fault list.
+fn put_faults(w: &mut ByteWriter, faults: &[FragmentFault]) {
+    w.put_u64(faults.len() as u64);
+    for fault in faults {
+        put_fault(w, fault);
+    }
+}
+
+fn get_faults(
+    r: &mut ByteReader<'_>,
+    max: u64,
+    n_fragments: usize,
+) -> Result<Vec<FragmentFault>, CkptError> {
+    let n = r.get_count(max, "fault count")?;
+    (0..n).map(|_| get_fault(r, n_fragments)).collect()
 }
 
 /// Stable wire code for a retry-ladder action.
@@ -99,7 +158,7 @@ fn decode_action(code: u32) -> Result<RetryAction, CkptError> {
         2 => Ok(RetryAction::BandByBand),
         3 => Ok(RetryAction::ReducedCg),
         other => Err(CkptError::Malformed {
-            section: "DSUMMARY".to_string(),
+            section: SEC_DSUMMARY.name(),
             detail: format!("unknown retry action code {other}"),
         }),
     }
@@ -117,18 +176,11 @@ pub(crate) fn encode_petot_report(report: &PetotReport) -> Snapshot {
             .put_u64(index as u64)
             .put_u32(u32::from(quarantined));
     }
-    summary.put_u64(report.faults.len() as u64);
-    for fault in &report.faults {
-        put_fault(&mut summary, fault);
-    }
+    put_faults(&mut summary, &report.faults);
     summary.put_u64(report.quarantined.len() as u64);
     for record in &report.quarantined {
-        summary
-            .put_u64(record.fragment as u64)
-            .put_u64(record.faults.len() as u64);
-        for fault in &record.faults {
-            put_fault(&mut summary, fault);
-        }
+        summary.put_u64(record.fragment as u64);
+        put_faults(&mut summary, &record.faults);
     }
 
     let mut regions = ByteWriter::new();
@@ -147,43 +199,39 @@ pub(crate) fn encode_petot_report(report: &PetotReport) -> Snapshot {
     snap
 }
 
-/// Parses a worker's PEtot report.
-pub(crate) fn decode_petot_report(snap: &Snapshot) -> Result<PetotReport, CkptError> {
+/// Parses a group's PEtot report for a calculation of `n_fragments`
+/// fragments: every list is at most one entry per fragment (one per
+/// ladder rung for faults) and every fragment index is in range.
+pub(crate) fn decode_petot_report(
+    snap: &Snapshot,
+    n_fragments: usize,
+) -> Result<PetotReport, CkptError> {
+    let (per_fragment, ladder) = (n_fragments as u64, ATTEMPT_LADDER.len() as u64);
     let mut r = ByteReader::new(snap.require(SEC_DSUMMARY)?);
     let worst_residual = r.get_f64("worst residual")?;
     let petot_seconds = r.get_f64("petot seconds")?;
-    let n_flags = r.get_count(MAX_COUNT, "flag count")?;
+    let n_flags = r.get_count(per_fragment, "flag count")?;
     let mut flags = Vec::with_capacity(n_flags);
     for _ in 0..n_flags {
-        let index = r.get_u64("flag fragment")? as usize;
+        let index = get_fragment(&mut r, SEC_DSUMMARY, n_fragments, "flag fragment")?;
         let quarantined = r.get_u32("flag value")? != 0;
         flags.push((index, quarantined));
     }
-    let n_faults = r.get_count(MAX_COUNT, "fault count")?;
-    let mut faults = Vec::with_capacity(n_faults);
-    for _ in 0..n_faults {
-        faults.push(get_fault(&mut r)?);
-    }
-    let n_records = r.get_count(MAX_COUNT, "quarantine count")?;
+    let faults = get_faults(&mut r, per_fragment * ladder, n_fragments)?;
+    let n_records = r.get_count(per_fragment, "quarantine count")?;
     let mut quarantined = Vec::with_capacity(n_records);
     for _ in 0..n_records {
-        let fragment = r.get_u64("quarantine fragment")? as usize;
-        let n = r.get_count(MAX_COUNT, "quarantine fault count")?;
-        let mut record_faults = Vec::with_capacity(n);
-        for _ in 0..n {
-            record_faults.push(get_fault(&mut r)?);
-        }
         quarantined.push(QuarantineRecord {
-            fragment,
-            faults: record_faults,
+            fragment: get_fragment(&mut r, SEC_DSUMMARY, n_fragments, "quarantine fragment")?,
+            faults: get_faults(&mut r, ladder, n_fragments)?,
         });
     }
 
     let mut r = ByteReader::new(snap.require(SEC_DREGIONS)?);
-    let n_regions = r.get_count(MAX_COUNT, "region count")?;
+    let n_regions = r.get_count(per_fragment, "region count")?;
     let mut regions = Vec::with_capacity(n_regions);
     for _ in 0..n_regions {
-        let index = r.get_u64("region fragment")? as usize;
+        let index = get_fragment(&mut r, SEC_DREGIONS, n_fragments, "region fragment")?;
         let len = r.get_count(MAX_COUNT, "region byte length")?;
         let field = decode_field(r.get_bytes(len, "region field")?)?;
         regions.push((index, field));
@@ -209,14 +257,8 @@ pub(crate) struct VnextMessage {
 /// Serializes the end-of-iteration broadcast.
 pub(crate) fn encode_vnext(msg: &VnextMessage) -> Snapshot {
     let mut step = ByteWriter::with_capacity(64);
-    step.put_u64(msg.step.iteration as u64)
-        .put_f64(msg.step.dv_integral)
-        .put_f64(msg.step.worst_residual)
-        .put_f64(msg.step.timings.gen_vf)
-        .put_f64(msg.step.timings.petot_f)
-        .put_f64(msg.step.timings.gen_dens)
-        .put_f64(msg.step.timings.genpot)
-        .put_u32(u32::from(msg.converged));
+    put_step(&mut step, &msg.step);
+    step.put_u32(u32::from(msg.converged));
     let mut snap = Snapshot::new();
     snap.push(SEC_DVIN, encode_field(&msg.v_in));
     snap.push(SEC_DRHO, encode_field(&msg.rho));
@@ -226,91 +268,120 @@ pub(crate) fn encode_vnext(msg: &VnextMessage) -> Snapshot {
 
 /// Parses the end-of-iteration broadcast.
 pub(crate) fn decode_vnext(snap: &Snapshot) -> Result<VnextMessage, CkptError> {
-    let v_in = decode_field(snap.require(SEC_DVIN)?)?;
-    let rho = decode_field(snap.require(SEC_DRHO)?)?;
     let mut r = ByteReader::new(snap.require(SEC_DSTEP)?);
-    let iteration = r.get_u64("step iteration")? as usize;
-    let dv_integral = r.get_f64("step dv integral")?;
-    let worst_residual = r.get_f64("step worst residual")?;
-    let timings = StepTimings {
-        gen_vf: r.get_f64("step gen_vf seconds")?,
-        petot_f: r.get_f64("step petot_f seconds")?,
-        gen_dens: r.get_f64("step gen_dens seconds")?,
-        genpot: r.get_f64("step genpot seconds")?,
-    };
-    let converged = r.get_u32("step converged flag")? != 0;
     Ok(VnextMessage {
-        v_in,
-        rho,
-        step: Ls3dfStep {
-            iteration,
-            dv_integral,
-            worst_residual,
-            timings,
-        },
-        converged,
+        v_in: decode_field(snap.require(SEC_DVIN)?)?,
+        rho: decode_field(snap.require(SEC_DRHO)?)?,
+        step: get_step(&mut r, "step")?,
+        converged: r.get_u32("step converged flag")? != 0,
     })
 }
+
+/// Wavefunction blocks tagged with their fragment index.
+pub(crate) type PsiBlocks = Vec<(usize, Matrix<c64>)>;
 
 /// Serializes indexed wavefunction blocks (snapshot-iteration gather).
 pub(crate) fn encode_psi_gather(blocks: &[(usize, &Matrix<c64>)]) -> Snapshot {
     let mut w = ByteWriter::new();
     w.put_u64(blocks.len() as u64);
     for (index, psi) in blocks {
-        w.put_u64(*index as u64)
-            .put_u64(psi.rows() as u64)
-            .put_u64(psi.cols() as u64);
-        for v in psi.as_slice() {
-            w.put_f64(v.re).put_f64(v.im);
-        }
+        w.put_u64(*index as u64);
+        put_psi_block(&mut w, psi);
     }
     let mut snap = Snapshot::new();
     snap.push(SEC_DPSI, w.into_bytes());
     snap
 }
 
-/// Parses indexed wavefunction blocks.
-pub(crate) fn decode_psi_gather(snap: &Snapshot) -> Result<Vec<(usize, Matrix<c64>)>, CkptError> {
+/// Parses indexed wavefunction blocks; `shapes[f]` is fragment `f`'s
+/// `(bands, planewaves)`. A block naming no fragment, or of another
+/// shape, is a typed error.
+pub(crate) fn decode_psi_gather(
+    snap: &Snapshot,
+    shapes: &[(usize, usize)],
+) -> Result<PsiBlocks, CkptError> {
     let mut r = ByteReader::new(snap.require(SEC_DPSI)?);
-    let n = r.get_count(MAX_COUNT, "psi block count")?;
+    let n = r.get_count(shapes.len() as u64, "psi block count")?;
     let mut blocks = Vec::with_capacity(n);
     for _ in 0..n {
-        let index = r.get_u64("psi block fragment")? as usize;
-        let rows = r.get_count(MAX_COUNT, "psi block rows")?;
-        let cols = r.get_count(MAX_COUNT, "psi block cols")?;
-        let mut m = Matrix::<c64>::zeros(rows, cols);
-        for v in m.as_mut_slice() {
-            v.re = r.get_f64("psi value re")?;
-            v.im = r.get_f64("psi value im")?;
-        }
-        blocks.push((index, m));
+        let index = get_fragment(&mut r, SEC_DPSI, shapes.len(), "psi block fragment")?;
+        blocks.push((
+            index,
+            get_psi_block(&mut r, SEC_DPSI, index, shapes[index])?,
+        ));
     }
     Ok(blocks)
 }
 
-/// Section id of a shipped per-rank observability payload (the
-/// post-run telemetry frame, tag `ls3df_dist::TELEMETRY_TAG`).
-pub(crate) const SEC_OBSTELEM: SectionId = SectionId::new("OBSTELEM");
-
-/// Wraps one rank's harvested telemetry as an `OBSTELEM` section so it
-/// ships over the same CRC-checked snapshot wire format as SCF data.
-pub(crate) fn encode_obstelem(t: &ls3df_obs::RankTelemetry) -> Snapshot {
-    let mut snap = Snapshot::new();
-    snap.push(SEC_OBSTELEM, ls3df_obs::telemetry::encode_telemetry(t));
-    snap
+/// Gather-to-root of the PEtot reports (tag = iteration): rank 0 ends
+/// up holding every group's `(rank, report)`, its own first; any other
+/// rank sends its report and keeps holding just that one.
+pub(crate) fn gather_reports(
+    comm: &dyn Communicator,
+    iteration: usize,
+    own: PetotReport,
+    n_fragments: usize,
+) -> Result<Vec<(usize, PetotReport)>, CommError> {
+    if comm.rank() != 0 {
+        comm.send_sections(0, iteration as u32, &encode_petot_report(&own))?;
+        return Ok(vec![(comm.rank(), own)]);
+    }
+    let mut reports = vec![(0, own)];
+    for r in 1..comm.size() {
+        let snap = comm.recv_sections(r, iteration as u32)?;
+        reports.push((
+            r,
+            decode_petot_report(&snap, n_fragments).map_err(proto_err)?,
+        ));
+    }
+    Ok(reports)
 }
 
-/// Unwraps and decodes a shipped telemetry payload. Errors are plain
-/// strings because the caller never propagates them — a bad payload
-/// degrades the report to `telemetry_incomplete`, nothing more.
-pub(crate) fn decode_obstelem(snap: &Snapshot) -> Result<ls3df_obs::RankTelemetry, String> {
-    let bytes = snap.require(SEC_OBSTELEM).map_err(|e| e.to_string())?;
-    ls3df_obs::telemetry::decode_telemetry(bytes)
+/// Share-from-root of the end-of-iteration state: `global_layer` runs on
+/// rank 0 only, and every rank returns the message it formed there.
+pub(crate) fn share_vnext(
+    comm: &dyn Communicator,
+    global_layer: impl FnOnce() -> VnextMessage,
+) -> Result<VnextMessage, CommError> {
+    if comm.rank() != 0 {
+        let bytes = comm.broadcast(0, Vec::new())?;
+        return decode_vnext(&Snapshot::decode(&bytes).map_err(proto_err)?).map_err(proto_err);
+    }
+    let msg = global_layer();
+    if comm.size() > 1 {
+        comm.broadcast(0, encode_vnext(&msg).encode().map_err(proto_err)?)?;
+    }
+    Ok(msg)
+}
+
+/// Snapshot-iteration wavefunction gather: rank 0 gets every other
+/// rank's `own` blocks (checked against `shapes`, see
+/// [`decode_psi_gather`]) so the snapshot it cuts covers every fragment
+/// and resumes under any group count; any other rank sends its blocks
+/// and gets `None`.
+pub(crate) fn gather_psi(
+    comm: &dyn Communicator,
+    iteration: usize,
+    own: &[(usize, &Matrix<c64>)],
+    shapes: &[(usize, usize)],
+) -> Result<Option<PsiBlocks>, CommError> {
+    let tag = PSI_GATHER_TAG | iteration as u32;
+    if comm.rank() != 0 {
+        comm.send_sections(0, tag, &encode_psi_gather(own))?;
+        return Ok(None);
+    }
+    let mut blocks = Vec::new();
+    for r in 1..comm.size() {
+        let snap = comm.recv_sections(r, tag)?;
+        blocks.extend(decode_psi_gather(&snap, shapes).map_err(proto_err)?);
+    }
+    Ok(Some(blocks))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scf::StepTimings;
     use ls3df_grid::Grid3;
 
     fn sample_field(seed: f64) -> RealField {
@@ -346,7 +417,7 @@ mod tests {
         };
         let snap = encode_petot_report(&report);
         let bytes = snap.encode().unwrap();
-        let back = decode_petot_report(&Snapshot::decode(&bytes).unwrap()).unwrap();
+        let back = decode_petot_report(&Snapshot::decode(&bytes).unwrap(), 4).unwrap();
         assert_eq!(
             back.worst_residual.to_bits(),
             report.worst_residual.to_bits()
@@ -408,7 +479,8 @@ mod tests {
             v.im = -(i as f64) * 0.5;
         }
         let bytes = encode_psi_gather(&[(4, &m)]).encode().unwrap();
-        let back = decode_psi_gather(&Snapshot::decode(&bytes).unwrap()).unwrap();
+        let shapes = [(1, 1), (1, 1), (1, 1), (1, 1), (2, 3)];
+        let back = decode_psi_gather(&Snapshot::decode(&bytes).unwrap(), &shapes).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].0, 4);
         assert_eq!(back[0].1.rows(), 2);
@@ -418,70 +490,64 @@ mod tests {
         }
     }
 
+    /// Rank 0 indexes its fragments with what these decoders return: a
+    /// peer naming a fragment this calculation does not have, or shipping
+    /// a block of another shape, is a typed error.
+    #[test]
+    fn out_of_range_fragment_and_misshapen_block_are_typed_errors() {
+        use ls3df_ckpt::CkptErrorKind::Malformed;
+        let fault = FragmentFault {
+            fragment: 3,
+            attempt: 0,
+            action: RetryAction::Primary,
+            detail: String::new(),
+        };
+        let record = QuarantineRecord {
+            fragment: 3,
+            faults: Vec::new(),
+        };
+        // Fragment 3 named by one list at a time: fine among 4 fragments,
+        // exactly one past the end among 3.
+        for (list, report) in [
+            PetotReport {
+                flags: vec![(3, true)],
+                ..Default::default()
+            },
+            PetotReport {
+                faults: vec![fault],
+                ..Default::default()
+            },
+            PetotReport {
+                quarantined: vec![record],
+                ..Default::default()
+            },
+            PetotReport {
+                regions: vec![(3, sample_field(0.0))],
+                ..Default::default()
+            },
+        ]
+        .iter()
+        .enumerate()
+        {
+            let snap = encode_petot_report(report);
+            assert!(decode_petot_report(&snap, 4).is_ok(), "list {list}");
+            let err = decode_petot_report(&snap, 3).err().expect("out of range");
+            assert_eq!(err.kind(), Malformed, "list {list}");
+        }
+
+        let snap = encode_psi_gather(&[(1, &Matrix::<c64>::zeros(2, 3))]);
+        assert!(decode_psi_gather(&snap, &[(9, 9), (2, 3)]).is_ok());
+        for shapes in [&[(9, 9), (3, 2)][..], &[(9, 9), (2, 4)], &[(2, 3)]] {
+            let err = decode_psi_gather(&snap, shapes).expect_err("bad block");
+            assert_eq!(err.kind(), Malformed, "{shapes:?}");
+        }
+    }
+
     #[test]
     fn bad_action_code_is_rejected() {
         assert!(decode_action(9).is_err());
         for code in 0..4 {
             assert_eq!(action_code(decode_action(code).unwrap()), code);
-        }
-    }
-
-    fn sample_telemetry() -> ls3df_obs::RankTelemetry {
-        ls3df_obs::RankTelemetry {
-            rank: 1,
-            size: 2,
-            spans: Vec::new(),
-            threads: vec![(0, "main".to_string())],
-            counters: vec![("fragment_solves".to_string(), 6)],
-            comm: vec![ls3df_obs::CommRow {
-                op: "send".to_string(),
-                kind: "data".to_string(),
-                tag_class: "user".to_string(),
-                frames: 3,
-                bytes: 96,
-                latency_ns: 1_500,
-                size_buckets: vec![0, 0, 0, 0, 0, 0, 3],
-                latency_buckets: vec![0, 3],
-            }],
-        }
-    }
-
-    #[test]
-    fn obstelem_roundtrips_through_the_section_wire_format() {
-        let t = sample_telemetry();
-        // Full path a shipped payload takes: telemetry codec →
-        // OBSTELEM section → snapshot container bytes → back.
-        let bytes = encode_obstelem(&t).encode().unwrap();
-        let back = decode_obstelem(&Snapshot::decode(&bytes).unwrap()).unwrap();
-        assert_eq!((back.rank, back.size), (1, 2));
-        assert_eq!(back.counters, t.counters);
-        assert_eq!(back.comm, t.comm);
-    }
-
-    #[test]
-    fn corrupt_obstelem_is_an_error_never_a_panic() {
-        let mut bytes = encode_obstelem(&sample_telemetry()).encode().unwrap();
-        // Flip a payload bit: the snapshot section CRC catches it
-        // before the telemetry codec even runs.
-        let n = bytes.len();
-        bytes[n - 5] ^= 0x10;
-        match Snapshot::decode(&bytes) {
-            Err(_) => {} // container-level CRC rejection
-            Ok(snap) => {
-                // CRC happens to pass (flipped a non-payload byte):
-                // the telemetry codec must still fail typed.
-                assert!(decode_obstelem(&snap).is_err());
-            }
-        }
-        // Truncations anywhere must also be typed errors.
-        let good = encode_obstelem(&sample_telemetry()).encode().unwrap();
-        for cut in [1, good.len() / 2, good.len() - 1] {
-            match Snapshot::decode(&good[..cut]) {
-                Err(_) => {}
-                Ok(snap) => {
-                    assert!(decode_obstelem(&snap).is_err());
-                }
-            }
         }
     }
 }

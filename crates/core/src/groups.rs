@@ -50,29 +50,6 @@ pub struct GroupPlan {
     pub costs: Vec<u64>,
 }
 
-impl GroupPlan {
-    /// The group owning fragment `f`.
-    pub fn group_of(&self, f: usize) -> usize {
-        self.owner[f]
-    }
-
-    /// Whether fragment `f` is solved by group `g`.
-    pub fn owns(&self, g: usize, f: usize) -> bool {
-        self.owner[f] == g
-    }
-
-    /// A plan that assigns everything to one group (the single-process
-    /// world).
-    pub fn single(n_fragments: usize) -> Self {
-        GroupPlan {
-            n_groups: 1,
-            owner: vec![0; n_fragments],
-            groups: vec![(0..n_fragments).collect()],
-            costs: vec![0],
-        }
-    }
-}
-
 /// Spreads the low 21 bits of `x` so consecutive bits land 3 apart
 /// (the standard 3-D Morton dilation).
 fn spread_bits(x: u64) -> u64 {
@@ -184,6 +161,19 @@ pub fn plan_groups(fg: &FragmentGrid, structure: &Structure, n_groups: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ls3df_grid::Grid3;
+
+    #[test]
+    fn one_group_owns_every_fragment_at_the_full_cost() {
+        let s = Structure::new([8.0; 3], Vec::new());
+        let global = Grid3::new([8, 8, 8], s.lengths);
+        let fg = FragmentGrid::new([2, 2, 2], &global, [1, 1, 1]).expect("valid decomposition");
+        let plan = plan_groups(&fg, &s, 1);
+        let all: Vec<usize> = (0..fg.n_fragments()).collect();
+        assert_eq!((plan.n_groups, &plan.groups), (1, &vec![all]));
+        assert!(plan.owner.iter().all(|&g| g == 0));
+        assert_eq!(plan.costs, [fragment_costs(&fg, &s).iter().sum::<u64>()]);
+    }
 
     #[test]
     fn spread_bits_interleaves_cleanly() {
@@ -198,13 +188,5 @@ mod tests {
         assert_eq!(morton_key([1, 0, 0]), 1);
         assert_eq!(morton_key([0, 1, 0]), 2);
         assert_eq!(morton_key([0, 0, 1]), 4);
-    }
-
-    #[test]
-    fn single_plan_owns_everything() {
-        let plan = GroupPlan::single(5);
-        assert_eq!(plan.n_groups, 1);
-        assert!(plan.owner.iter().all(|&g| g == 0));
-        assert_eq!(plan.groups[0], vec![0, 1, 2, 3, 4]);
     }
 }

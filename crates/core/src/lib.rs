@@ -14,7 +14,8 @@
 //! * [`passivate`] — pseudo-hydrogen passivation of cut bonds and the
 //!   ΔV_F boundary potential;
 //! * [`Ls3df`] — the four-step SCF loop Gen_VF → PEtot_F → Gen_dens →
-//!   GENPOT (paper Fig. 2), fragment solves fanned out over rayon;
+//!   GENPOT (paper Fig. 2): one stage sequence every processor group
+//!   runs, each group's fragment solves fanned out over rayon;
 //! * [`groups`] — fragment→processor-group assignment (space-filling
 //!   curve + cost-model bin-packing) for the paper's two-level
 //!   hierarchy, running over the `ls3df-dist` communicator;

@@ -76,7 +76,9 @@ pub trait ScfObserver {
     fn on_converged(&mut self, _step: &Ls3dfStep) {}
 
     /// Called for every failed fragment solve attempt (primary or retry
-    /// rung), in fragment order within the iteration.
+    /// rung), in fragment order within the iteration. Fault events fire on
+    /// the global rank (0) only, between the iteration's PEtot_F and
+    /// Gen_dens stage events, for every group's fragments.
     fn on_fragment_retry(&mut self, _iteration: usize, _fault: &FragmentFault) {}
 
     /// Called when a fragment exhausts the retry ladder and is quarantined

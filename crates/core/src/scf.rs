@@ -1,15 +1,21 @@
 //! The LS3DF self-consistent loop: Gen_VF → PEtot_F → Gen_dens → GENPOT
 //! (paper Fig. 2), with potential mixing between outer iterations.
 //!
+//! The run is the paper's §III two-level hierarchy: the communicator's
+//! `M` ranks are the processor groups, each solving the fragments
+//! `crate::groups::plan_groups` assigned to it — fanned out over the
+//! rank's thread pool, the `Np` cores of a group — and rank 0 doubles as
+//! the thin global layer that patches ρ and shares the GENPOT potential.
+//! Every rank runs the same stage sequence ([`Ls3df::try_scf_with`]); a
+//! single-process run is its `M = 1` world, not a separate code path.
+//!
 //! Each fragment keeps its wavefunctions between outer iterations (warm
-//! start), and the fragment solves fan out over a rayon pool — the
-//! shared-memory analogue of the paper's processor groups (`Ng` groups of
-//! `Np` cores each). Per-step wall-clock timings are recorded so the
-//! machine-model calibration in `ls3df-hpc` can use measured constants.
+//! start). Per-step wall-clock timings are recorded so the machine-model
+//! calibration in `ls3df-hpc` can use measured constants.
 
 use crate::check;
 use crate::ckpt;
-use crate::distrib;
+use crate::distrib::{self, PetotReport};
 use crate::fragment::{Fragment, FragmentGrid};
 use crate::groups::{plan_groups, GroupPlan};
 use crate::observer::{ScfObserver, ScfStage, SilentObserver};
@@ -238,25 +244,12 @@ pub struct Ls3df {
     fingerprint: u64,
     /// Checkpoint cadence + destination, if any.
     ckpt: Option<CheckpointConfig>,
-    /// Restored-snapshot state consumed by the next `scf_with` call.
-    resume: Option<ResumeState>,
-    /// Processor-group transport (a single-process world by default).
+    /// Restored-snapshot state the next `scf_with` call continues from.
+    resume: Option<ScfRun>,
+    /// Processor-group transport (the one-rank world by default).
     comm: Arc<dyn Communicator>,
     /// Fragment→group assignment for `comm.size()` groups.
     plan: GroupPlan,
-}
-
-/// What a restored snapshot hands to the next SCF run (fields already
-/// written back into `Ls3df` — `v_in`, `rho`, `psi` — are not repeated).
-struct ResumeState {
-    /// Last completed outer iteration in the snapshot.
-    start_iteration: usize,
-    /// Whether the snapshotted run had already converged.
-    converged: bool,
-    /// Convergence history up to `start_iteration`.
-    history: Vec<Ls3dfStep>,
-    /// Pulay `(V_in, residual)` pairs.
-    mixer_history: Vec<(Vec<f64>, Vec<f64>)>,
 }
 
 /// Result of an LS3DF SCF run.
@@ -371,30 +364,6 @@ impl From<CommError> for Ls3dfError {
     }
 }
 
-/// Tag bit distinguishing the snapshot-iteration psi gather from the
-/// per-iteration PEtot report (both are worker→rank-0 sends keyed by the
-/// iteration number, and point-to-point matching is by `(from, tag)`).
-const PSI_GATHER_TAG: u32 = 0x8000_0000;
-
-/// Wire-format failures on communicator traffic are protocol errors.
-fn proto_err(e: CkptError) -> Ls3dfError {
-    Ls3dfError::Comm(CommError::Protocol {
-        detail: e.to_string(),
-    })
-}
-
-/// Stable kind string for a [`CommError`], stamped on `down` rank
-/// sections in merged run reports.
-fn comm_error_kind(e: &CommError) -> &'static str {
-    match e {
-        CommError::RankDown { .. } => "rank_down",
-        CommError::Timeout { .. } => "timeout",
-        CommError::Protocol { .. } => "protocol",
-        CommError::Io { .. } => "io",
-        CommError::Bootstrap { .. } => "bootstrap",
-    }
-}
-
 /// Fluent constructor for [`Ls3df`].
 ///
 /// ```ignore
@@ -489,8 +458,9 @@ impl<'a> Ls3dfBuilder<'a> {
     /// broadcasts the GENPOT potential over the `ls3df-dist`
     /// communicator.
     ///
-    /// `n ≤ 1` (the default) keeps today's single-process behavior. With
-    /// `n > 1` the build spawns `n - 1` worker processes that re-exec
+    /// `n ≤ 1` (the default) is the `M = 1` world: one process that is
+    /// the only group and the global layer at once. With `n > 1` the
+    /// build spawns `n - 1` worker processes that re-exec
     /// this executable (`mpirun` semantics — the program must be SPMD:
     /// every process reaches the same `build()`/`scf()` calls). When not
     /// set, the `LS3DF_GROUPS` environment variable is consulted. The
@@ -520,14 +490,7 @@ impl<'a> Ls3dfBuilder<'a> {
                 });
             }
         }
-        let mut calc = Ls3df::assemble(self.structure, m, self.opts, self.scheme)?;
-        if let Some(v) = self.initial_potential {
-            calc.v_in = v;
-        }
-        calc.ckpt = self.ckpt;
         // Processor groups: explicit builder setting, then the env knob.
-        // In a spawned worker process `communicator` ignores the count
-        // and joins the launcher's world (`LS3DF_DIST_RANK` is set).
         let groups = self
             .groups
             .or_else(|| {
@@ -536,11 +499,11 @@ impl<'a> Ls3dfBuilder<'a> {
                     .and_then(|v| v.parse().ok())
             })
             .unwrap_or(1);
-        let comm = ls3df_dist::communicator(groups)?;
-        if comm.size() > 1 {
-            calc.plan = plan_groups(&calc.fg, self.structure, comm.size());
+        let mut calc = Ls3df::assemble(self.structure, m, self.opts, self.scheme, groups)?;
+        if let Some(v) = self.initial_potential {
+            calc.v_in = v;
         }
-        calc.comm = comm;
+        calc.ckpt = self.ckpt;
         if let Some(path) = self.resume_from {
             calc.restore_from(&path)?;
         }
@@ -568,15 +531,27 @@ pub fn fragment_occupations(n_bands: usize, n_electrons: f64) -> Vec<f64> {
     occ
 }
 
-/// What one supervised PEtot_F pass produced (fragment order throughout).
-#[derive(Default)]
-pub(crate) struct PetotOutcome {
-    /// Worst converged-fragment residual (quarantined fragments excluded).
-    pub(crate) worst_residual: f64,
-    /// Every failed attempt across all fragments.
-    pub(crate) faults: Vec<FragmentFault>,
-    /// Fragments whose whole ladder failed this pass.
-    pub(crate) quarantined: Vec<QuarantineRecord>,
+/// `(bands, planewaves)` of every fragment's wavefunction block — what a
+/// decoded snapshot or gathered block must match.
+fn psi_shapes(fragments: &[FragmentState]) -> Vec<(usize, usize)> {
+    fragments
+        .iter()
+        .map(|f| (f.psi.rows(), f.psi.cols()))
+        .collect()
+}
+
+/// Loop-carried state of one SCF run: what `try_scf_with` threads through
+/// the iterations, snapshots save and restore (the fields `Ls3df` holds
+/// itself — `v_in`, `rho`, `psi` — are not repeated), and the
+/// [`Ls3dfResult`] is made of.
+struct ScfRun {
+    /// Last completed outer iteration.
+    iteration: usize,
+    mixer: MixerState,
+    history: Vec<Ls3dfStep>,
+    converged: bool,
+    quarantined: Vec<QuarantineRecord>,
+    group_petot_seconds: Vec<f64>,
 }
 
 /// One fragment's supervised-solve result.
@@ -738,13 +713,17 @@ impl Ls3df {
 
     /// Construction body behind [`Ls3dfBuilder::build`]; bad geometry
     /// the builder didn't pre-validate surfaces as a typed
-    /// [`FragmentError`].
+    /// [`FragmentError`]. Joins (or, for `groups > 1`, launches) the
+    /// processor-group world once the calculation is assembled; in a
+    /// spawned worker process `communicator` ignores the count and joins
+    /// the launcher's world (`LS3DF_DIST_RANK` is set).
     fn assemble(
         structure: &Structure,
         m: [usize; 3],
         opts: Ls3dfOptions,
         scheme: Arc<dyn FragmentScheme>,
-    ) -> Result<Self, FragmentError> {
+        groups: usize,
+    ) -> Result<Self, Ls3dfError> {
         let global_dims: [usize; 3] = std::array::from_fn(|d| m[d] * opts.piece_pts[d]);
         let global_grid = Grid3::new(global_dims, structure.lengths);
         let fg = FragmentGrid::with_scheme(scheme, m, &global_grid, opts.buffer_pts)?;
@@ -847,7 +826,8 @@ impl Ls3df {
             .collect();
         let ewald = ls3df_pw::ewald::ewald_energy(&positions, &charges, structure.lengths);
         let fingerprint = ckpt::options_fingerprint(structure, m, &opts, fg.scheme());
-        let n_fragments = fragments.len();
+        let comm = ls3df_dist::communicator(groups)?;
+        let plan = plan_groups(&fg, structure, comm.size());
         Ok(Ls3df {
             fg,
             global_grid,
@@ -863,8 +843,8 @@ impl Ls3df {
             fingerprint,
             ckpt: None,
             resume: None,
-            comm: Arc::new(ls3df_dist::SingleProcess::new()),
-            plan: GroupPlan::single(n_fragments),
+            comm,
+            plan,
         })
     }
 
@@ -873,15 +853,15 @@ impl Ls3df {
         self.ewald
     }
 
-    /// The processor-group communicator this calculation runs over (a
-    /// [`ls3df_dist::SingleProcess`] world unless
+    /// The processor-group communicator this calculation runs over (the
+    /// one-rank [`ls3df_dist::SingleProcess`] world unless
     /// [`Ls3dfBuilder::groups`] / `LS3DF_GROUPS` asked for more).
     pub fn comm(&self) -> &Arc<dyn Communicator> {
         &self.comm
     }
 
-    /// The fragment→group assignment (trivial — everything in group 0 —
-    /// for a single-process world).
+    /// The fragment→group assignment ([`plan_groups`] over the
+    /// communicator's size; one group owns everything in a one-rank world).
     pub fn group_plan(&self) -> &GroupPlan {
         &self.plan
     }
@@ -908,13 +888,6 @@ impl Ls3df {
     /// Current global input potential.
     pub fn v_in(&self) -> &RealField {
         &self.v_in
-    }
-
-    /// Overrides the global input potential (diagnostics; e.g. patching a
-    /// converged direct-DFT potential through one LS3DF cycle).
-    pub fn set_v_in(&mut self, v: RealField) {
-        assert_eq!(v.grid(), &self.global_grid, "set_v_in: grid mismatch");
-        self.v_in = v;
     }
 
     /// Scales every coefficient of fragment `index`'s wavefunction block.
@@ -952,21 +925,19 @@ impl Ls3df {
     /// `opts.cg_steps` solver iterations in its current potential.
     /// Returns the worst residual across fragments.
     pub fn petot_f(&mut self, vfs: &[RealField]) -> f64 {
-        self.petot_f_steps(vfs, self.opts.cg_steps)
-    }
-
-    /// [`Ls3df::petot_f`] with an explicit step budget (used for the
-    /// burn-in first iteration).
-    pub fn petot_f_steps(&mut self, vfs: &[RealField], steps: usize) -> f64 {
-        self.petot_f_supervised(vfs, steps).worst_residual
+        self.petot_f_supervised(vfs, self.opts.cg_steps)
+            .worst_residual
     }
 
     /// The supervised PEtot_F stage: every fragment solve runs under
     /// `catch_unwind` with the deterministic retry ladder
     /// ([`ATTEMPT_LADDER`]); fragments that exhaust it are quarantined
     /// (previous-iteration wavefunctions restored) instead of aborting
-    /// the run.
-    pub(crate) fn petot_f_supervised(&mut self, vfs: &[RealField], steps: usize) -> PetotOutcome {
+    /// the run. Returns the solve half of this group's report: worst
+    /// residual (quarantined fragments excluded), quarantine flags, faults
+    /// and quarantine records, all in fragment order.
+    fn petot_f_supervised(&mut self, vfs: &[RealField], steps: usize) -> PetotReport {
+        let _s = span!("petot_f");
         let solver_opts = SolverOptions {
             max_iter: steps,
             tol: self.opts.fragment_tol,
@@ -977,12 +948,9 @@ impl Ls3df {
         // the burn-in budget — a fresh random block under the warm-start's
         // few steps would patch an unconverged density into Gen_dens.
         let fresh_steps = steps.max(self.opts.initial_cg_steps);
-        // In a multi-group world each rank solves only the fragments its
-        // group owns; non-owned fragments keep their state untouched (the
-        // global layer never reads it, and snapshot iterations gather the
-        // owners' blocks explicitly). With one group the filter admits
-        // everything and this is exactly the single-process stage.
-        let multi = self.plan.n_groups > 1;
+        // Each rank solves only the fragments its group owns; the others
+        // keep their state untouched (the global layer never reads it, and
+        // snapshot iterations gather the owners' blocks explicitly).
         let my_group = self.comm.rank();
         let owner = &self.plan.owner;
         let outcomes: Vec<Option<FragmentOutcome>> = self
@@ -991,17 +959,8 @@ impl Ls3df {
             .zip(vfs.par_iter())
             .enumerate()
             .map(|(index, (fs, vf))| {
-                if multi && owner[index] != my_group {
-                    return None;
-                }
-                Some(supervised_solve(
-                    fs,
-                    vf,
-                    index,
-                    &solver_opts,
-                    fresh_steps,
-                    method,
-                ))
+                (owner[index] == my_group)
+                    .then(|| supervised_solve(fs, vf, index, &solver_opts, fresh_steps, method))
             })
             .collect();
         // reduce-audit: `collect` returns outcomes in fragment order
@@ -1009,10 +968,11 @@ impl Ls3df {
         // a fixed left-to-right scan and the fault/quarantine lists are in
         // fragment order — the event stream a ScfObserver sees depends only
         // on the fragment list, never on LS3DF_THREADS.
-        let mut out = PetotOutcome::default();
+        let mut out = PetotReport::default();
         for (index, o) in outcomes.into_iter().enumerate() {
             let Some(o) = o else { continue };
             out.worst_residual = out.worst_residual.max(o.residual);
+            out.flags.push((index, o.quarantined));
             if o.quarantined {
                 out.quarantined.push(QuarantineRecord {
                     fragment: index,
@@ -1033,11 +993,11 @@ impl Ls3df {
     }
 
     /// The parallel half of **Gen_dens**, restricted to `indices`: each
-    /// listed fragment's box density reduced to its region. In a
-    /// multi-group run every rank computes this for its owned fragments
-    /// and the global layer merges the parts; single-process runs pass
-    /// every index.
-    pub(crate) fn gen_dens_parts(&self, indices: &[usize]) -> Vec<(usize, RealField)> {
+    /// listed fragment's box density reduced to its region. Every rank
+    /// computes this for its owned fragments and the global layer merges
+    /// the parts.
+    fn gen_dens_parts(&self, indices: &[usize]) -> Vec<(usize, RealField)> {
+        let _s = span!("gen_dens");
         indices
             .par_iter()
             .map(|&i| {
@@ -1074,11 +1034,12 @@ impl Ls3df {
     /// verifies the patching invariants, and renormalizes to the exact
     /// electron count. `parts` must be sorted by fragment index — the
     /// caller guarantees it (`gen_dens_parts` preserves the order of its
-    /// `indices`, and the distributed merge sorts), so the summation tree
+    /// `indices`, and the global layer sorts its fold), so the summation tree
     /// is a function of the fragment list alone — the patched density is
     /// bit-identical from run to run, across LS3DF_THREADS settings, and
     /// across group counts.
-    pub(crate) fn patch_density(&self, parts: Vec<(usize, RealField)>) -> RealField {
+    fn patch_density(&self, parts: Vec<(usize, RealField)>) -> RealField {
+        let _s = span!("gen_dens");
         let mut rho = RealField::zeros(self.global_grid.clone());
         let mut signed_region_charge = 0.0;
         let mut gross_patch_scale = 0.0;
@@ -1199,383 +1160,226 @@ impl Ls3df {
     /// Fallible [`Ls3df::scf_with`]: the full outer SCF loop over the
     /// processor-group communicator.
     ///
-    /// With one group this is exactly the single-process loop. With more,
-    /// every rank runs the same loop SPMD-style: all ranks slice Gen_VF,
-    /// each rank solves only its group's fragments, workers ship their
-    /// bit-exact region densities (plus fault/quarantine events and
-    /// timings) to the global layer, rank 0 replays the sequential
-    /// patch/GENPOT/mixing exactly as a single-process run would, and
-    /// the next-iteration potential is broadcast so every rank stays in
-    /// lockstep. The patched density is bit-identical at any group count.
+    /// Every rank at every world size runs the same stage sequence per
+    /// iteration; a one-group run is its `M = 1` case. The patched
+    /// density is bit-identical at any group count.
     pub fn try_scf_with<O: ScfObserver>(
         &mut self,
         mut observer: O,
     ) -> Result<Ls3dfResult, Ls3dfError> {
-        let comm = Arc::clone(&self.comm);
-        let multi = comm.size() > 1;
-        let rank = comm.rank();
-        // Stamp the world coordinates into the obs sink so this rank's
-        // harvest is attributable, and hand the scheduler's predicted
-        // cost bins to the report merge for the imbalance section.
-        ls3df_obs::telemetry::set_rank(rank, comm.size());
-        if ls3df_obs::ENABLED && rank == 0 {
+        // World coordinates and predicted cost bins for the obs report merge.
+        ls3df_obs::telemetry::set_rank(self.comm.rank(), self.comm.size());
+        if ls3df_obs::ENABLED {
             ls3df_obs::telemetry::set_predicted_costs(self.plan.costs.clone());
         }
-        let mut group_petot_seconds = vec![0.0f64; comm.size()];
-        let mut mixer = MixerState::new(self.opts.mixer.clone());
-        let mut history = Vec::new();
-        let mut converged = false;
-        let mut quarantined = Vec::new();
-        let mut start_iteration = 0usize;
-        if let Some(resume) = self.resume.take() {
-            mixer.restore_history(resume.mixer_history);
-            history = resume.history;
-            converged = resume.converged;
-            start_iteration = resume.start_iteration;
-            observer.on_snapshot_restored(start_iteration);
-        }
+        let mut run = match self.resume.take() {
+            Some(run) => {
+                observer.on_snapshot_restored(run.iteration);
+                run
+            }
+            None => self.fresh_run(),
+        };
 
-        // The iteration loop runs inside a closure so a communicator
-        // failure mid-run still reaches the telemetry epilogue below:
-        // rank 0 can then mark the culprit rank `down` in the merged
-        // report instead of losing every rank's sections.
-        let loop_result: Result<(), Ls3dfError> = (|| {
-            for iteration in (start_iteration + 1)..=self.opts.max_scf {
-                if converged {
-                    break;
-                }
-                let mut timings = StepTimings::default();
-                let _iter_span = span!("scf_iter", iteration);
-
-                let t = Stopwatch::start();
-                let vfs = {
-                    let _s = span!("gen_vf");
-                    self.gen_vf()
-                };
-                timings.gen_vf = t.seconds();
-                observer.on_stage(iteration, ScfStage::GenVf, timings.gen_vf);
-
-                let t = Stopwatch::start();
-                let steps = if iteration == 1 {
-                    self.opts.initial_cg_steps.max(self.opts.cg_steps)
-                } else {
-                    self.opts.cg_steps
-                };
-                let mut petot = {
-                    let _s = span!("petot_f");
-                    self.petot_f_supervised(&vfs, steps)
-                };
-                let local_petot = t.seconds();
-                group_petot_seconds[rank] += local_petot;
-
-                if multi && rank != 0 {
-                    // Group layer (worker rank): report this group's outcome
-                    // to the global layer, then adopt its broadcast state.
-                    // Region densities travel bit-exact, so rank 0's patch
-                    // replays the single-process accumulation unchanged.
-                    timings.petot_f = local_petot;
-                    observer.on_stage(iteration, ScfStage::PetotF, timings.petot_f);
-                    quarantined.extend(petot.quarantined.iter().cloned());
-                    let mine: Vec<usize> = self.plan.groups[rank].clone();
-                    let flags: Vec<(usize, bool)> = mine
-                        .iter()
-                        .map(|&i| (i, self.fragments[i].quarantined))
-                        .collect();
-                    let regions = {
-                        let _s = span!("gen_dens");
-                        self.gen_dens_parts(&mine)
-                    };
-                    let report = distrib::PetotReport {
-                        worst_residual: petot.worst_residual,
-                        petot_seconds: local_petot,
-                        flags,
-                        faults: petot.faults,
-                        quarantined: petot.quarantined,
-                        regions,
-                    };
-                    comm.send_sections(
-                        0,
-                        iteration as u32,
-                        &distrib::encode_petot_report(&report),
-                    )?;
-
-                    // End-of-iteration broadcast: next V_in, patched ρ, and
-                    // the completed step record.
-                    let bytes = comm.broadcast(0, Vec::new())?;
-                    let snap = Snapshot::decode(&bytes).map_err(proto_err)?;
-                    let msg = distrib::decode_vnext(&snap).map_err(proto_err)?;
-                    let step = msg.step;
-                    self.v_in = msg.v_in;
-                    self.rho = msg.rho;
-                    converged = msg.converged;
-                    observer.on_step(&step);
-                    history.push(step);
-
-                    if let Some(cfg) = &self.ckpt {
-                        if cfg.policy.wants_snapshot(iteration, converged) {
-                            // Rank 0 cuts the snapshot; this rank contributes
-                            // its owned wavefunction blocks.
-                            let blocks: Vec<(usize, &Matrix<c64>)> =
-                                mine.iter().map(|&i| (i, &self.fragments[i].psi)).collect();
-                            comm.send_sections(
-                                0,
-                                PSI_GATHER_TAG | iteration as u32,
-                                &distrib::encode_psi_gather(&blocks),
-                            )?;
-                        }
-                    }
-                    if converged {
-                        observer.on_converged(&step);
-                    }
-                    continue;
-                }
-
-                // Global layer: fold every group's report into the local
-                // outcome before the fault replay, so observer events and
-                // counters cover the whole run in merged fragment order. The
-                // PEtot_F stage time includes the wait — it is the true
-                // barrier wall time (the paper reports the stage, not a rank).
-                let mut remote_parts: Vec<(usize, RealField)> = Vec::new();
-                if multi {
-                    for r in 1..comm.size() {
-                        let snap = comm.recv_sections(r, iteration as u32)?;
-                        let report = distrib::decode_petot_report(&snap).map_err(proto_err)?;
-                        petot.worst_residual = petot.worst_residual.max(report.worst_residual);
-                        group_petot_seconds[r] += report.petot_seconds;
-                        // Remote quarantine flags drive the same Gen_dens
-                        // check suspension as local ones.
-                        for (i, q) in report.flags {
-                            let Some(fs) = self.fragments.get_mut(i) else {
-                                return Err(Ls3dfError::Comm(CommError::Protocol {
-                                    detail: format!("group {r} reported unknown fragment {i}"),
-                                }));
-                            };
-                            fs.quarantined = q;
-                        }
-                        petot.faults.extend(report.faults);
-                        petot.quarantined.extend(report.quarantined);
-                        remote_parts.extend(report.regions);
-                    }
-                    petot.faults.sort_by_key(|f| (f.fragment, f.attempt));
-                    petot.quarantined.sort_by_key(|r| r.fragment);
-                }
-                timings.petot_f = t.seconds();
-                // Fault events replay in fragment order after the parallel
-                // stage completes, so the observer stream is deterministic.
-                counter_add(Counter::RetryRungs, petot.faults.len() as u64);
-                counter_add(Counter::Quarantines, petot.quarantined.len() as u64);
-                for fault in &petot.faults {
-                    observer.on_fragment_retry(iteration, fault);
-                }
-                for record in &petot.quarantined {
-                    observer.on_fragment_quarantined(iteration, record);
-                }
-                let worst_residual = petot.worst_residual;
-                quarantined.extend(petot.quarantined);
-                observer.on_stage(iteration, ScfStage::PetotF, timings.petot_f);
-
-                let t = Stopwatch::start();
-                let rho = {
-                    let _s = span!("gen_dens");
-                    let mut parts = self.gen_dens_parts(&self.plan.groups[0]);
-                    parts.extend(remote_parts);
-                    // Ascending fragment order replays the single-process
-                    // accumulation sequence exactly — the bit-identity across
-                    // group counts rests on this sort.
-                    parts.sort_by_key(|&(i, _)| i);
-                    self.patch_density(parts)
-                };
-                timings.gen_dens = t.seconds();
-                observer.on_stage(iteration, ScfStage::GenDens, timings.gen_dens);
-
-                let t = Stopwatch::start();
-                let (v_out, dv_integral, mixed) = {
-                    let _s = span!("genpot");
-                    let v_out = self.genpot(&rho);
-                    let dv_integral = v_out.diff(&self.v_in).integrate_abs();
-                    let mixed = {
-                        let _m = span!("mix");
-                        mixer.mix(&self.v_in, &v_out, self.global_basis.fft())
-                    };
-                    (v_out, dv_integral, mixed)
-                };
-                timings.genpot = t.seconds();
-                observer.on_stage(iteration, ScfStage::Genpot, timings.genpot);
-
-                self.rho = rho;
-                converged = dv_integral < self.opts.tol;
-                // V_in becomes the *next* iteration's input before any
-                // snapshot is cut, so a resumed run starts from exactly the
-                // potential an uninterrupted run would have used.
-                self.v_in = if converged { v_out } else { mixed };
-                let step = Ls3dfStep {
-                    iteration,
-                    dv_integral,
-                    worst_residual,
-                    timings,
-                };
-                if multi {
-                    // End-of-iteration broadcast: every rank finishes the
-                    // iteration with identical state and identical history.
-                    let msg = distrib::VnextMessage {
-                        v_in: self.v_in.clone(),
-                        rho: self.rho.clone(),
-                        step,
-                        converged,
-                    };
-                    let bytes = distrib::encode_vnext(&msg).encode().map_err(proto_err)?;
-                    comm.broadcast(0, bytes)?;
-                }
-                observer.on_step(&step);
-                history.push(step);
-
-                let wants_snapshot = self
-                    .ckpt
-                    .as_ref()
-                    .is_some_and(|cfg| cfg.policy.wants_snapshot(iteration, converged));
-                if wants_snapshot {
-                    let _s = span!("snapshot");
-                    if multi {
-                        // Gather the workers' wavefunction blocks first, so
-                        // the snapshot covers every fragment — snapshots stay
-                        // group-count-independent and resumable at any
-                        // LS3DF_GROUPS.
-                        for r in 1..comm.size() {
-                            let snap = comm.recv_sections(r, PSI_GATHER_TAG | iteration as u32)?;
-                            let blocks = distrib::decode_psi_gather(&snap).map_err(proto_err)?;
-                            for (i, psi) in blocks {
-                                let Some(fs) = self.fragments.get_mut(i) else {
-                                    return Err(Ls3dfError::Comm(CommError::Protocol {
-                                        detail: format!(
-                                            "psi gather from group {r} names unknown fragment {i}"
-                                        ),
-                                    }));
-                                };
-                                if psi.rows() != fs.psi.rows() || psi.cols() != fs.psi.cols() {
-                                    return Err(Ls3dfError::Comm(CommError::Protocol {
-                                        detail: format!(
-                                            "psi gather from group {r}: fragment {i} block is \
-                                         {}×{}, expected {}×{}",
-                                            psi.rows(),
-                                            psi.cols(),
-                                            fs.psi.rows(),
-                                            fs.psi.cols()
-                                        ),
-                                    }));
-                                }
-                                fs.psi = psi;
-                            }
-                        }
-                    }
-                    if let Some(cfg) = &self.ckpt {
-                        match self.snapshot_bytes(iteration, converged, &history, mixer.history()) {
-                            Ok(bytes) => {
-                                match write_rotated(&cfg.dir, iteration, &bytes, cfg.keep_last) {
-                                    Ok(path) => observer.on_snapshot_written(iteration, &path),
-                                    Err(e) => observer.on_snapshot_failed(iteration, &e),
-                                }
-                            }
-                            Err(e) => observer.on_snapshot_failed(iteration, &e),
-                        }
-                    }
-                }
-
-                if converged {
-                    observer.on_converged(&step);
-                }
+        // The epilogue also runs after a mid-run communicator failure, to mark the culprit `down`.
+        let loop_result = (|| {
+            while !run.converged && run.iteration < self.opts.max_scf {
+                run.iteration += 1;
+                self.scf_iteration(&mut run, &mut observer)?;
             }
             Ok(())
         })();
-
-        // Telemetry epilogue: after the final iteration, worker ranks
-        // ship their harvested spans/counters/comm histograms to rank 0
-        // on a disjoint tag; rank 0 stashes each payload for the report
-        // merge. Every failure mode degrades to a `Missing`/`Down`
-        // payload (⇒ `telemetry_incomplete` in the report) — it never
-        // becomes an error and never hangs (receives stay bounded by
-        // the communicator's timeout).
-        if ls3df_obs::ENABLED && multi {
-            if rank != 0 {
-                if loop_result.is_ok() {
-                    let data = ls3df_obs::harvest();
-                    let t = ls3df_obs::RankTelemetry {
-                        rank,
-                        size: comm.size(),
-                        spans: data.spans,
-                        threads: data.threads,
-                        counters: data
-                            .counters
-                            .into_iter()
-                            .map(|(name, value)| (name.to_string(), value))
-                            .collect(),
-                        comm: ls3df_dist::drain_telemetry(),
-                    };
-                    // Best-effort: if rank 0 is already gone there is
-                    // nobody left to read the report anyway.
-                    let _ = comm.send_sections(
-                        0,
-                        ls3df_dist::TELEMETRY_TAG,
-                        &distrib::encode_obstelem(&t),
-                    );
-                }
-            } else {
-                match &loop_result {
-                    Ok(()) => {
-                        for r in 1..comm.size() {
-                            let payload = match comm.recv_sections(r, ls3df_dist::TELEMETRY_TAG) {
-                                Ok(snap) => match distrib::decode_obstelem(&snap) {
-                                    Ok(t) if t.rank == r && t.size == comm.size() => {
-                                        ls3df_obs::RankPayload::Telemetry(t)
-                                    }
-                                    // Shape mismatch or codec error:
-                                    // drop the payload, keep the run.
-                                    _ => ls3df_obs::RankPayload::Missing { rank: r },
-                                },
-                                Err(CommError::RankDown { .. }) => ls3df_obs::RankPayload::Down {
-                                    rank: r,
-                                    kind: "rank_down".to_string(),
-                                },
-                                Err(_) => ls3df_obs::RankPayload::Missing { rank: r },
-                            };
-                            ls3df_obs::telemetry::submit_remote(payload);
-                        }
-                    }
-                    Err(Ls3dfError::Comm(e)) => {
-                        // The run died on a communicator fault: mark the
-                        // culprit rank down (typed by the error kind) and
-                        // everyone else missing — no further receives.
-                        let culprit = match e {
-                            CommError::RankDown { rank } => Some(*rank),
-                            CommError::Timeout { from, .. } => Some(*from),
-                            _ => None,
-                        };
-                        for r in 1..comm.size() {
-                            let payload = if Some(r) == culprit {
-                                ls3df_obs::RankPayload::Down {
-                                    rank: r,
-                                    kind: comm_error_kind(e).to_string(),
-                                }
-                            } else {
-                                ls3df_obs::RankPayload::Missing { rank: r }
-                            };
-                            ls3df_obs::telemetry::submit_remote(payload);
-                        }
-                    }
-                    Err(_) => {}
-                }
-            }
-        }
-
+        ls3df_dist::collect_rank_telemetry(&*self.comm, &loop_result);
         loop_result?;
 
         Ok(Ls3dfResult {
-            history,
-            converged,
+            history: run.history,
+            converged: run.converged,
             rho: self.rho.clone(),
             v_eff: self.v_in.clone(),
-            quarantined,
-            group_petot_seconds,
+            quarantined: run.quarantined,
+            group_petot_seconds: run.group_petot_seconds,
         })
+    }
+
+    /// The state an SCF run starts from when no snapshot was restored.
+    fn fresh_run(&self) -> ScfRun {
+        ScfRun {
+            iteration: 0,
+            mixer: MixerState::new(self.opts.mixer.clone()),
+            history: Vec::new(),
+            converged: false,
+            quarantined: Vec::new(),
+            group_petot_seconds: vec![0.0; self.plan.n_groups],
+        }
+    }
+
+    /// One outer iteration: the paper's §III hierarchy as one stage
+    /// sequence, the same on every rank. Each group solves its own
+    /// fragments and reports their region densities; rank 0 — the thin
+    /// global layer — patches ρ, runs GENPOT and mixes; every rank adopts
+    /// the shared result. Only the `distrib` exchanges know the world's
+    /// size and who is rank 0.
+    fn scf_iteration<O: ScfObserver>(
+        &mut self,
+        run: &mut ScfRun,
+        observer: &mut O,
+    ) -> Result<(), CommError> {
+        let iteration = run.iteration;
+        let mut timings = StepTimings::default();
+        let _iter_span = span!("scf_iter", iteration);
+
+        let t = Stopwatch::start();
+        let vfs = {
+            let _s = span!("gen_vf");
+            self.gen_vf()
+        };
+        timings.gen_vf = t.seconds();
+        observer.on_stage(iteration, ScfStage::GenVf, timings.gen_vf);
+
+        let t = Stopwatch::start();
+        let steps = match iteration {
+            1 => self.opts.initial_cg_steps.max(self.opts.cg_steps),
+            _ => self.opts.cg_steps,
+        };
+        let mut report = self.petot_f_supervised(&vfs, steps);
+        report.petot_seconds = t.seconds();
+
+        // Region densities travel bit-exact: the group count cannot change ρ.
+        let t = Stopwatch::start();
+        report.regions = self.gen_dens_parts(&self.plan.groups[self.comm.rank()]);
+        timings.gen_dens = t.seconds();
+
+        // The PEtot_F stage time includes the gather: on rank 0 that is the
+        // barrier wait (the paper reports the stage, not a rank).
+        let t = Stopwatch::start();
+        timings.petot_f = report.petot_seconds;
+        let reports = distrib::gather_reports(&*self.comm, iteration, report, self.n_fragments())?;
+        timings.petot_f += t.seconds();
+        observer.on_stage(iteration, ScfStage::PetotF, timings.petot_f);
+
+        // Fold the reports this rank holds (rank 0: every group's) into
+        // ascending fragment order, the order a one-group run produces them in.
+        let mut folded = PetotReport::default();
+        for (r, report) in reports {
+            folded.worst_residual = folded.worst_residual.max(report.worst_residual);
+            run.group_petot_seconds[r] += report.petot_seconds;
+            // Quarantine flags drive the Gen_dens check suspension.
+            for (i, quarantined) in report.flags {
+                self.fragments[i].quarantined = quarantined;
+            }
+            folded.faults.extend(report.faults);
+            folded.quarantined.extend(report.quarantined);
+            folded.regions.extend(report.regions);
+        }
+        folded.faults.sort_by_key(|f| (f.fragment, f.attempt));
+        folded.quarantined.sort_by_key(|r| r.fragment);
+        folded.regions.sort_by_key(|&(i, _)| i);
+        run.quarantined.extend(folded.quarantined.iter().cloned());
+
+        // Every rank finishes the iteration with identical state and history.
+        // V_in becomes the *next* iteration's input before any snapshot is
+        // cut: a resumed run starts from the potential it would have used.
+        let msg = distrib::share_vnext(&*self.comm, || {
+            self.global_layer(iteration, folded, timings, &mut run.mixer, observer)
+        })?;
+        self.v_in = msg.v_in;
+        self.rho = msg.rho;
+        run.converged = msg.converged;
+        observer.on_step(&msg.step);
+        run.history.push(msg.step);
+        self.snapshot_hook(run, observer)?;
+        if run.converged {
+            observer.on_converged(&msg.step);
+        }
+        Ok(())
+    }
+
+    /// The global layer of one iteration (rank 0 only): replays the fault
+    /// events, then Gen_dens patch, GENPOT and mixing. `timings` arrives
+    /// holding this rank's stages so far (`gen_dens`: its own regions).
+    fn global_layer<O: ScfObserver>(
+        &self,
+        iteration: usize,
+        folded: PetotReport,
+        mut timings: StepTimings,
+        mixer: &mut MixerState,
+        observer: &mut O,
+    ) -> distrib::VnextMessage {
+        counter_add(Counter::RetryRungs, folded.faults.len() as u64);
+        counter_add(Counter::Quarantines, folded.quarantined.len() as u64);
+        for fault in &folded.faults {
+            observer.on_fragment_retry(iteration, fault);
+        }
+        for record in &folded.quarantined {
+            observer.on_fragment_quarantined(iteration, record);
+        }
+
+        let t = Stopwatch::start();
+        let rho = self.patch_density(folded.regions);
+        timings.gen_dens += t.seconds();
+        observer.on_stage(iteration, ScfStage::GenDens, timings.gen_dens);
+
+        let t = Stopwatch::start();
+        let (v_out, dv_integral, mixed) = {
+            let _s = span!("genpot");
+            let v_out = self.genpot(&rho);
+            let dv_integral = v_out.diff(&self.v_in).integrate_abs();
+            let mixed = {
+                let _m = span!("mix");
+                mixer.mix(&self.v_in, &v_out, self.global_basis.fft())
+            };
+            (v_out, dv_integral, mixed)
+        };
+        timings.genpot = t.seconds();
+        observer.on_stage(iteration, ScfStage::Genpot, timings.genpot);
+
+        let converged = dv_integral < self.opts.tol;
+        distrib::VnextMessage {
+            v_in: if converged { v_out } else { mixed },
+            rho,
+            step: Ls3dfStep {
+                iteration,
+                dv_integral,
+                worst_residual: folded.worst_residual,
+                timings,
+            },
+            converged,
+        }
+    }
+
+    /// End-of-iteration snapshot hook, on the checkpoint policy's
+    /// cadence: rank 0 gathers every group's wavefunction blocks and
+    /// writes the rotated snapshot. Write failures go to the observer and
+    /// never abort the run.
+    fn snapshot_hook<O: ScfObserver>(
+        &mut self,
+        run: &ScfRun,
+        observer: &mut O,
+    ) -> Result<(), CommError> {
+        let cfg = match &self.ckpt {
+            Some(cfg) if cfg.policy.wants_snapshot(run.iteration, run.converged) => cfg,
+            _ => return Ok(()),
+        };
+        let _s = span!("snapshot");
+        let own: Vec<(usize, &Matrix<c64>)> = self.plan.groups[self.comm.rank()]
+            .iter()
+            .map(|&i| (i, &self.fragments[i].psi))
+            .collect();
+        let shapes = psi_shapes(&self.fragments);
+        let Some(blocks) = distrib::gather_psi(&*self.comm, run.iteration, &own, &shapes)? else {
+            return Ok(());
+        };
+        for (i, psi) in blocks {
+            self.fragments[i].psi = psi;
+        }
+        let written = self
+            .snapshot_bytes(run)
+            .and_then(|bytes| write_rotated(&cfg.dir, run.iteration, &bytes, cfg.keep_last));
+        match written {
+            Ok(path) => observer.on_snapshot_written(run.iteration, &path),
+            Err(e) => observer.on_snapshot_failed(run.iteration, &e),
+        }
+        Ok(())
     }
 
     /// The options fingerprint snapshots are stamped with (equal
@@ -1600,24 +1404,24 @@ impl Ls3df {
     /// Serializes the full resumable state after a completed iteration
     /// into the snapshot container (see `crate::ckpt` for the section
     /// layout).
-    fn snapshot_bytes(
-        &self,
-        iteration: usize,
-        converged: bool,
-        history: &[Ls3dfStep],
-        mixer_history: &[(Vec<f64>, Vec<f64>)],
-    ) -> Result<Vec<u8>, CkptError> {
+    fn snapshot_bytes(&self, run: &ScfRun) -> Result<Vec<u8>, CkptError> {
         let mut snap = Snapshot::new();
         snap.push(ckpt::SEC_FPRINT, ckpt::encode_fingerprint(self.fingerprint))
             .push(
                 ckpt::SEC_SCHEME,
                 ckpt::encode_scheme_id(self.fg.scheme().id()),
             )
-            .push(ckpt::SEC_STATE, ckpt::encode_state(iteration, converged))
-            .push(ckpt::SEC_HIST, ckpt::encode_history(history))
+            .push(
+                ckpt::SEC_STATE,
+                ckpt::encode_state(run.iteration, run.converged),
+            )
+            .push(ckpt::SEC_HIST, ckpt::encode_history(&run.history))
             .push(ckpt::SEC_VIN, ls3df_grid::encode_field(&self.v_in))
             .push(ckpt::SEC_RHO, ls3df_grid::encode_field(&self.rho))
-            .push(ckpt::SEC_MIXER, ckpt::encode_mixer_history(mixer_history))
+            .push(
+                ckpt::SEC_MIXER,
+                ckpt::encode_mixer_history(run.mixer.history()),
+            )
             .push(
                 ckpt::SEC_PSI,
                 ckpt::encode_psi_blocks(self.fragments.iter().map(|f| &f.psi)),
@@ -1667,11 +1471,7 @@ impl Ls3df {
             }
         }
         let mixer_history = ckpt::decode_mixer_history(snap.require(ckpt::SEC_MIXER)?)?;
-        let shapes: Vec<(usize, usize)> = self
-            .fragments
-            .iter()
-            .map(|f| (f.psi.rows(), f.psi.cols()))
-            .collect();
+        let shapes = psi_shapes(&self.fragments);
         let blocks = ckpt::decode_psi_blocks(snap.require(ckpt::SEC_PSI)?, &shapes)?;
         // All sections validated — now install the state.
         self.v_in = v_in;
@@ -1680,12 +1480,12 @@ impl Ls3df {
             fs.psi_backup.as_mut_slice().copy_from_slice(psi.as_slice());
             fs.psi = psi;
         }
-        self.resume = Some(ResumeState {
-            start_iteration,
-            converged,
-            history,
-            mixer_history,
-        });
+        let mut run = self.fresh_run();
+        run.iteration = start_iteration;
+        run.converged = converged;
+        run.history = history;
+        run.mixer.restore_history(mixer_history);
+        self.resume = Some(run);
         Ok(start_iteration)
     }
 

@@ -187,18 +187,7 @@ impl TraceObserver {
             }
         }
         if multi && rank == 0 {
-            let local = ls3df_obs::RankTelemetry {
-                rank: 0,
-                size: ls3df_obs::telemetry::world_size(),
-                spans: data.spans,
-                threads: data.threads,
-                counters: data
-                    .counters
-                    .into_iter()
-                    .map(|(name, value)| (name.to_string(), value))
-                    .collect(),
-                comm: ls3df_dist::drain_telemetry(),
-            };
+            let local = ls3df_dist::rank_telemetry(data);
             ls3df_obs::telemetry::merge_ranks(&mut report, local, remote, &predicted_costs);
         }
         report

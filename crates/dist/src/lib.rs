@@ -7,8 +7,9 @@
 //! that hierarchy as an MPI-shaped [`Communicator`] trait with two
 //! backends:
 //!
-//! * [`SingleProcess`] — today's shared-memory behavior, the default.
-//!   Rank 0 of a size-1 world; collectives are no-ops.
+//! * [`SingleProcess`] — the `M = 1` world: rank 0 of a size-1 world, so
+//!   it is the one group and the global layer at once. Collectives are
+//!   no-ops.
 //! * [`LocalProcs`] — worker processes spawned by a launcher (rank 0),
 //!   exchanging length-prefixed CRC-checked frames over Unix-domain
 //!   sockets. See [`local`] module docs for the topology.
@@ -38,11 +39,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod collect;
 mod local;
 mod single;
 mod telemetry;
 pub(crate) mod wire;
 
+pub use collect::{collect_rank_telemetry, rank_telemetry};
 pub use local::LocalProcs;
 pub use single::SingleProcess;
 pub use telemetry::drain_telemetry;
@@ -135,6 +138,20 @@ impl std::fmt::Display for CommError {
 }
 
 impl std::error::Error for CommError {}
+
+impl CommError {
+    /// Stable kind string, stamped on `down` rank sections in merged run
+    /// reports.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            CommError::RankDown { .. } => "rank_down",
+            CommError::Timeout { .. } => "timeout",
+            CommError::Protocol { .. } => "protocol",
+            CommError::Io { .. } => "io",
+            CommError::Bootstrap { .. } => "bootstrap",
+        }
+    }
+}
 
 /// MPI-shaped process-group transport.
 ///

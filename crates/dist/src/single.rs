@@ -1,4 +1,6 @@
-//! The default backend: a world of one process.
+//! The `M = 1` world: one process that is the only processor group and
+//! the global layer at once. The SCF driver runs the same stage sequence
+//! over it as over any other communicator.
 
 use crate::{CommError, Communicator};
 use ls3df_obs::{counter_add, span, Counter};

@@ -7,11 +7,6 @@
 //! CRC32 over the payload — written atomically (temp + fsync + rename),
 //! so a torn or bit-rotted file is reported as a typed error instead of
 //! feeding garbage samples into analysis.
-//!
-//! The pre-container format (bare `LS3DFFLD` magic + raw samples, no
-//! checksum) is still readable: [`load_field`] auto-detects it and
-//! [`load_field_legacy`] parses it. It is write-obsolete — nothing in the
-//! workspace produces it anymore.
 
 use crate::{Grid3, RealField};
 use ls3df_ckpt::{AtomicWrite, ByteReader, ByteWriter, CkptError, SectionId, Snapshot};
@@ -21,9 +16,6 @@ use std::path::Path;
 /// Section id holding the field payload inside a saved-field snapshot.
 pub const FIELD_SECTION: SectionId = SectionId::new("FIELD");
 
-/// Magic tag of the legacy (pre-container) field format.
-const LEGACY_MAGIC: &[u8; 8] = b"LS3DFFLD";
-
 /// Largest plausible per-axis grid dimension in a checkpoint.
 const MAX_DIM: u64 = 100_000;
 
@@ -32,8 +24,6 @@ const MAX_DIM: u64 = 100_000;
 pub enum IoError {
     /// Underlying filesystem error.
     Io(io::Error),
-    /// The file is not a field checkpoint or is corrupt (legacy format).
-    Format(String),
     /// Typed container-layer failure (bad magic, CRC mismatch, truncation…).
     Ckpt(CkptError),
 }
@@ -54,7 +44,6 @@ impl std::fmt::Display for IoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IoError::Io(e) => write!(f, "I/O error: {e}"),
-            IoError::Format(m) => write!(f, "bad checkpoint: {m}"),
             IoError::Ckpt(e) => write!(f, "bad checkpoint: {e}"),
         }
     }
@@ -120,69 +109,11 @@ pub fn save_field(field: &RealField, path: &Path) -> Result<(), IoError> {
     Ok(())
 }
 
-/// Reads a field checkpoint, auto-detecting the legacy `LS3DFFLD` format.
+/// Reads a field checkpoint written by [`save_field`].
 pub fn load_field(path: &Path) -> Result<RealField, IoError> {
     let bytes = ls3df_ckpt::read_bytes(path)?;
-    if bytes.len() >= 8 && &bytes[..8] == LEGACY_MAGIC {
-        return parse_legacy(&bytes);
-    }
     let snap = Snapshot::decode(&bytes)?;
     Ok(decode_field(snap.require(FIELD_SECTION)?)?)
-}
-
-/// Reads a field in the legacy (pre-container, unchecksummed) format.
-///
-/// Deprecated: read-only support for checkpoints written before the
-/// `ls3df-ckpt` container existed. New files always carry checksums;
-/// re-save anything loaded through this path.
-pub fn load_field_legacy(path: &Path) -> Result<RealField, IoError> {
-    let bytes = ls3df_ckpt::read_bytes(path)?;
-    parse_legacy(&bytes)
-}
-
-fn parse_legacy(bytes: &[u8]) -> Result<RealField, IoError> {
-    let take8 = |pos: usize, what: &dyn Fn() -> String| -> Result<[u8; 8], IoError> {
-        if bytes.len() < pos + 8 {
-            return Err(IoError::Format(format!(
-                "truncated while reading {}",
-                what()
-            )));
-        }
-        let mut u = [0u8; 8];
-        u.copy_from_slice(&bytes[pos..pos + 8]);
-        Ok(u)
-    };
-    let magic = take8(0, &|| "magic tag".into())?;
-    if &magic != LEGACY_MAGIC {
-        return Err(IoError::Format(format!(
-            "wrong magic {:?} (expected {:?})",
-            String::from_utf8_lossy(&magic),
-            String::from_utf8_lossy(LEGACY_MAGIC)
-        )));
-    }
-    let mut dims = [0usize; 3];
-    for (d, slot) in dims.iter_mut().enumerate() {
-        *slot =
-            u64::from_le_bytes(take8(8 + 8 * d, &|| format!("header field dims[{d}]"))?) as usize;
-    }
-    let mut lengths = [0f64; 3];
-    for (d, slot) in lengths.iter_mut().enumerate() {
-        *slot = f64::from_le_bytes(take8(32 + 8 * d, &|| format!("header field lengths[{d}]"))?);
-    }
-    if dims.iter().any(|&d| d == 0 || d as u64 > MAX_DIM) {
-        return Err(IoError::Format(format!("implausible dims {dims:?}")));
-    }
-    if lengths.iter().any(|&l| l <= 0.0 || !l.is_finite()) {
-        return Err(IoError::Format(format!("implausible lengths {lengths:?}")));
-    }
-    let n = dims[0] * dims[1] * dims[2];
-    let mut data = Vec::with_capacity(n);
-    for i in 0..n {
-        data.push(f64::from_le_bytes(take8(56 + 8 * i, &|| {
-            format!("sample {i} of {n} ({dims:?} grid)")
-        })?));
-    }
-    Ok(RealField::from_vec(Grid3::new(dims, lengths), data))
 }
 
 #[cfg(test)]
@@ -194,24 +125,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ls3df_io_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    fn write_legacy(field: &RealField, path: &Path) {
-        // The retired writer, reproduced here so the read-only legacy
-        // loader stays covered without shipping a legacy write path.
-        let mut out = Vec::new();
-        out.extend_from_slice(LEGACY_MAGIC);
-        let g = field.grid();
-        for d in 0..3 {
-            out.extend_from_slice(&(g.dims[d] as u64).to_le_bytes());
-        }
-        for d in 0..3 {
-            out.extend_from_slice(&g.lengths[d].to_le_bytes());
-        }
-        for &v in field.as_slice() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        std::fs::write(path, out).unwrap();
     }
 
     #[test]
@@ -276,39 +189,6 @@ mod tests {
             Err(IoError::Ckpt(e)) => assert_eq!(e.kind(), CkptErrorKind::Io),
             other => panic!("expected Io error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn legacy_format_still_loads() {
-        let g = Grid3::new([3, 5, 2], [1.5, 2.5, 0.75]);
-        let f = RealField::from_fn(g, |r| r[0] * r[1] - r[2]);
-        let path = tmpdir().join("legacy.ck");
-        write_legacy(&f, &path);
-        // Auto-detected by load_field…
-        let back = load_field(&path).unwrap();
-        assert_eq!(back.grid(), f.grid());
-        assert_eq!(back.as_slice(), f.as_slice());
-        // …and loadable through the explicit legacy entry point.
-        let back2 = load_field_legacy(&path).unwrap();
-        assert_eq!(back2.as_slice(), f.as_slice());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_truncation_names_the_missing_sample() {
-        let g = Grid3::new([4, 4, 4], [1.0, 1.0, 1.0]);
-        let f = RealField::from_fn(g, |r| r[0]);
-        let path = tmpdir().join("legacy_truncated.ck");
-        write_legacy(&f, &path);
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 24]).unwrap(); // drop 3 samples
-        match load_field(&path) {
-            Err(IoError::Format(m)) => {
-                assert!(m.contains("sample 61 of 64"), "context missing: {m}")
-            }
-            other => panic!("expected Format error, got {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

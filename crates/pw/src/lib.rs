@@ -16,15 +16,12 @@
 #![warn(missing_docs)]
 
 mod basis;
-pub mod davidson;
 pub mod density;
 pub mod dos;
 pub mod ewald;
-pub mod fd_reference;
 pub mod forces;
 pub mod hamiltonian;
 pub mod hartree;
-pub mod kpoints;
 pub mod mixing;
 pub mod potential;
 pub mod realspace_nl;
@@ -33,13 +30,10 @@ pub mod solver;
 pub mod xc;
 
 pub use basis::PwBasis;
-pub use davidson::solve_davidson;
 pub use dos::{dos, Dos};
-pub use fd_reference::{apply_fd, fd_ground_state};
 pub use forces::{ewald_forces, local_forces, nonlocal_forces, total_forces};
 pub use hamiltonian::{HamWorkspace, Hamiltonian, NonlocalPotential};
 pub use hartree::HartreeSolver;
-pub use kpoints::{band_structure, gap_from_bands, monkhorst_pack, scf_kpoints, KPoint};
 pub use mixing::{Mixer, MixerState};
 pub use potential::{
     effective_potential, effective_potential_with, initial_density, ionic_potential,

@@ -9,10 +9,11 @@
 //!   installed — the offline container cannot fetch it);
 //! * `cargo xtask schedules` — the schedule-exploration gate: pool suite
 //!   and SCF digest matrix under every adversarial work-selection order;
-//! * `cargo xtask ci` — the tier-1 gate: fmt, clippy, lint, lint
-//!   fixtures, the test suite under both scheduling regimes, zero-alloc,
-//!   ckpt-resume, obs-report, schedules, miri — with an `--offline`
-//!   fallback for each cargo step when the registry is unreachable.
+//! * `cargo xtask ci` — the tier-1 gate: fmt, clippy, lint, the
+//!   workspace test suite under both scheduling regimes, zero-alloc,
+//!   obs-report, obs-dist, bench-harness, schedules, miri — with an
+//!   `--offline` fallback for each cargo step when the registry is
+//!   unreachable.
 
 #![forbid(unsafe_code)]
 
@@ -34,9 +35,9 @@ fn usage() -> &'static str {
                   (skips loudly when the nightly component is unavailable)\n\
        schedules  run pool tests + an SCF digest matrix under every\n\
                   adversarial work-stealing schedule\n\
-       ci         run the full tier-1 gate (fmt, clippy, lint, fixtures,\n\
-                  tests, zero-alloc, ckpt-resume, obs-report, schedules,\n\
-                  miri)\n"
+       ci         run the full tier-1 gate (fmt, clippy, lint, workspace\n\
+                  tests, zero-alloc, obs-report, obs-dist, bench-harness,\n\
+                  schedules, miri)\n"
 }
 
 /// Workspace root: xtask lives at `<root>/crates/xtask`.

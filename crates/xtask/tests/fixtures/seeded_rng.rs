@@ -1,4 +1,4 @@
-//! lint-path: crates/pw/src/davidson.rs
+//! lint-path: crates/pw/src/scf.rs
 //!
 //! seeded-rng: every ambient-entropy entry point fires; explicitly
 //! seeded construction stays silent. Policed in tests too.
