@@ -22,4 +22,4 @@ pub use stats::{bond_stats, BondStats};
 pub use structure::{Atom, Structure};
 pub use vff::{relax, topology_cutoff, Vff, VffResult};
 pub use xyz::{read_xyz, write_xyz};
-pub use zincblende::{atom_count, znte_supercell, znteo_alloy, ZNTE_LATTICE};
+pub use zincblende::{atom_count, model_crystal, znte_supercell, znteo_alloy, ZNTE_LATTICE};

@@ -1,4 +1,5 @@
-//! Zinc-blende supercell and ZnTe₁₋ₓOₓ alloy builders.
+//! Zinc-blende supercell and ZnTe₁₋ₓOₓ alloy builders, and the model
+//! crystal the tests and measured experiments run on.
 //!
 //! The paper's test systems are supercells of `m1 × m2 × m3` conventional
 //! cubic eight-atom zinc-blende cells (so `8·m1·m2·m3` atoms), with 3% of
@@ -91,6 +92,30 @@ pub fn znteo_alloy(m: [usize; 3], a: f64, x_oxygen: f64, seed: u64) -> Structure
     s
 }
 
+/// Simple-cubic model crystal: one Zn site at the centre of each of the
+/// `m[0] × m[1] × m[2]` cells of edge `a` (Bohr). With a deep-well
+/// pseudopotential table it is a gapped, closed-shell, chemistry-free
+/// system — cheap enough for the test suite and for real (measured, not
+/// modeled) LS3DF-vs-direct experiments, one atom per LS3DF piece.
+pub fn model_crystal(m: [usize; 3], a: f64) -> Structure {
+    let mut atoms = Vec::new();
+    for k in 0..m[2] {
+        for j in 0..m[1] {
+            for i in 0..m[0] {
+                atoms.push(Atom {
+                    species: Species::Zn,
+                    pos: [
+                        (i as f64 + 0.5) * a,
+                        (j as f64 + 0.5) * a,
+                        (k as f64 + 0.5) * a,
+                    ],
+                });
+            }
+        }
+    }
+    Structure::new([m[0] as f64 * a, m[1] as f64 * a, m[2] as f64 * a], atoms)
+}
+
 /// The paper's standard test-system naming: `m1 × m2 × m3` cells →
 /// `8·m1·m2·m3` atoms.
 pub fn atom_count(m: [usize; 3]) -> usize {
@@ -100,6 +125,13 @@ pub fn atom_count(m: [usize; 3]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn model_crystal_geometry() {
+        let s = model_crystal([2, 3, 4], 5.0);
+        assert_eq!(s.len(), 24);
+        assert_eq!(s.lengths, [10.0, 15.0, 20.0]);
+    }
 
     #[test]
     fn cell_counts_match_paper_table() {

@@ -8,14 +8,15 @@
 //!
 //! Run: `cargo run -p ls3df-bench --bin accuracy --release -- [model|znte] [m]`
 
-use ls3df_bench::{model_crystal, to_pw_atoms};
+use ls3df_atoms::model_crystal;
+use ls3df_bench::{exit_unless_converged, to_pw_atoms};
 use ls3df_core::{Ls3df, Ls3dfOptions, Passivation};
 use ls3df_pseudo::PseudoTable;
 use ls3df_pw::{
     solve_all_band, DftSystem, Hamiltonian, Mixer, NonlocalPotential, ScfOptions, SolverOptions,
 };
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let kind = std::env::args().nth(1).unwrap_or_else(|| "model".into());
     let m: usize = ls3df_bench::arg(2, 2);
     let (s, table, ecut, piece_pts, passivation) = if kind == "znte" {
@@ -53,7 +54,7 @@ fn main() {
     let direct = ls3df_pw::scf(
         &sys,
         &ScfOptions {
-            max_scf: 60,
+            max_scf: 200,
             tol: 1e-5,
             n_extra_bands: 4,
             ..Default::default()
@@ -172,4 +173,5 @@ fn main() {
         "  total energy: LS3DF {:.6} vs direct {:.6} Ha → Δ = {:.1} meV/atom   (paper: 'a few meV per atom')",
         e_ls3df, direct.total_energy, de
     );
+    exit_unless_converged(&[("direct DFT", direct.converged), ("LS3DF", res.converged)])
 }

@@ -9,12 +9,13 @@
 //!
 //! Run: `cargo run -p ls3df-bench --bin buffer_ablation --release -- [max_buffer]`
 
-use ls3df_bench::{arg, model_crystal, to_pw_atoms};
+use ls3df_atoms::model_crystal;
+use ls3df_bench::{arg, exit_unless_converged, to_pw_atoms};
 use ls3df_core::{Ls3df, Ls3dfOptions, Passivation};
 use ls3df_pseudo::PseudoTable;
 use ls3df_pw::{DftSystem, Mixer, ScfOptions};
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let max_buffer: usize = arg(1, 4);
     let m = 2usize;
     let a = 6.5;
@@ -48,6 +49,7 @@ fn main() {
         "buffer", "box pts", "∫|Δρ|/N_e", "∫|ΔV| final", "time (s)"
     );
 
+    let mut runs = vec![("direct DFT".to_string(), direct.converged)];
     for buffer in 1..=max_buffer {
         let opts = Ls3dfOptions {
             ecut,
@@ -63,10 +65,9 @@ fn main() {
                 alpha: 0.5,
                 q0: 0.8,
             },
-            max_scf: 12,
-            tol: 1e-5,
+            max_scf: 60,
+            tol: 3e-3,
             pseudo: table,
-            ..Default::default()
         };
         let t = std::time::Instant::now();
         let mut ls = Ls3df::builder(&s)
@@ -75,6 +76,7 @@ fn main() {
             .build()
             .expect("valid buffer-ablation geometry");
         let res = ls.scf();
+        runs.push((format!("LS3DF at buffer {buffer}"), res.converged));
         let err = res.rho.diff(&direct.rho).integrate_abs() / s.num_electrons();
         println!(
             "{:>8} {:>10} {:>16.4e} {:>16.4e} {:>9.1}",
@@ -93,4 +95,5 @@ fn main() {
          exponential-accuracy-in-fragment-size claim, at fixed piece size), while the\n\
          per-fragment cost grows with the box volume — the core LS3DF tradeoff."
     );
+    exit_unless_converged(&runs)
 }

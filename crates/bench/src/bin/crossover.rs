@@ -9,7 +9,8 @@
 //!
 //! Run: `cargo run -p ls3df-bench --bin crossover --release -- [measure] [max_m]`
 
-use ls3df_bench::{arg, model_crystal, to_pw_atoms};
+use ls3df_atoms::model_crystal;
+use ls3df_bench::{arg, to_pw_atoms};
 use ls3df_core::{Ls3df, Ls3dfOptions, Passivation};
 use ls3df_hpc::{
     crossover_atoms, crossover_sweep, speed_ratio, DirectCodeModel, MachineSpec, Problem,
@@ -108,7 +109,6 @@ fn main() {
             max_scf: n_iter,
             tol: 1e-30,
             pseudo: table,
-            ..Default::default()
         };
         let mut ls = Ls3df::builder(&s)
             .fragments([m, m, m])

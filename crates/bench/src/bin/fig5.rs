@@ -18,8 +18,8 @@
 //! Run: `cargo run -p ls3df-bench --bin fig5 --release`
 //! Measured leg: `LS3DF_GROUPS=2 cargo run -p ls3df-bench --bin fig5 --release`
 
-use ls3df_bench::model_crystal;
-use ls3df_core::{Ls3df, Ls3dfOptions, Ls3dfResult, Passivation};
+use ls3df_atoms::model_crystal;
+use ls3df_core::{Ls3df, Ls3dfOptions, Passivation};
 use ls3df_hpc::{weak_scaling, MachineSpec, Problem};
 use ls3df_obs::{Json, Report, Stopwatch};
 use ls3df_pseudo::PseudoTable;
@@ -28,20 +28,6 @@ use std::path::Path;
 
 /// (problem, cores, cores-per-group) triples for one machine's curve.
 type RunSet = Vec<(Problem, usize, usize)>;
-
-/// FNV-1a over the density's raw bit patterns — the same digest the
-/// cross-process gate (`tests/dist_digest.rs`) pins: every measured
-/// group count must print the same value.
-fn density_digest(res: &Ls3dfResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &x in res.rho.as_slice() {
-        for byte in x.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// One measured run at whatever `LS3DF_GROUPS` this process was started
 /// with. SPMD: the launcher and its spawned workers all run this same
@@ -67,7 +53,6 @@ fn child() {
         max_scf: 2,
         tol: 1e-10, // never converges early: every group count does 2 iterations
         pseudo: PseudoTable::deep_well(2.0, 0.8),
-        ..Default::default()
     };
     let mut calc = Ls3df::builder(&s)
         .fragments([2, 2, 2])
@@ -121,7 +106,7 @@ fn child() {
          imb={imbalance:.6} predimb={predicted_imbalance:.6} straggler={:.6} digest={:016x}",
         res.group_petot_seconds.len(),
         (max_group - min_group).max(0.0),
-        density_digest(&res)
+        res.digest()
     );
     if ls3df_obs::ENABLED {
         let report = tracer.finish();
@@ -133,8 +118,9 @@ fn child() {
     }
 }
 
-/// Load-imbalance ratio max/mean; 1.0 for empty or all-zero input (a
-/// single group, or the scheduler's trivial `costs: [0]` plan).
+/// Load-imbalance ratio max/mean; 1.0 for empty or all-zero input
+/// (nothing measured). A single group — whose plan carries the real
+/// total cost — is 1.0 by the formula.
 fn max_over_mean(values: &[f64]) -> f64 {
     let sum: f64 = values.iter().sum();
     if values.is_empty() || sum <= 0.0 {

@@ -105,7 +105,6 @@ fn main() {
         max_scf: iters,
         tol: 1e-3,
         pseudo: PseudoTable::default(),
-        ..Default::default()
     };
     let t0 = std::time::Instant::now();
     // Full resumable snapshots every 5 iterations (fig7 resumes from the

@@ -45,7 +45,6 @@ fn main() {
         max_scf: iters,
         tol: 1e-3,
         pseudo: PseudoTable::default(),
-        ..Default::default()
     };
     let mut ls = Ls3df::builder(&s)
         .fragments([m, m, m])

@@ -16,25 +16,13 @@
 //!
 //! Run: `cargo run -p ls3df-bench --bin petot_scaling --release -- [m] [iters] [max_threads]`
 
-use ls3df_bench::{arg, model_crystal};
-use ls3df_core::{Ls3df, Ls3dfOptions, Ls3dfResult, Passivation};
+use ls3df_atoms::model_crystal;
+use ls3df_bench::arg;
+use ls3df_core::{Ls3df, Ls3dfOptions, Passivation};
 use ls3df_obs::{Json, Report, Stopwatch};
 use ls3df_pseudo::PseudoTable;
 use ls3df_pw::Mixer;
 use std::path::Path;
-
-/// FNV-1a over the density's raw bit patterns: one number per run that
-/// changes on any single-bit divergence between thread counts.
-fn density_digest(res: &Ls3dfResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &x in res.rho.as_slice() {
-        for byte in x.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// One measured run at whatever `LS3DF_THREADS` this process was started
 /// with; prints a machine-readable result line for the parent.
@@ -57,7 +45,6 @@ fn child(m: usize, iters: usize) {
         max_scf: iters,
         tol: 1e-10, // never converges early: every run does `iters` iterations
         pseudo: PseudoTable::deep_well(2.0, 0.8),
-        ..Default::default()
     };
     let mut calc = Ls3df::builder(&s)
         .fragments([m, m, m])
@@ -76,7 +63,7 @@ fn child(m: usize, iters: usize) {
         .sum();
     println!(
         "PETOT_RESULT petot={petot:.6} total={total:.6} digest={:016x}",
-        density_digest(&res)
+        res.digest()
     );
 }
 

@@ -21,7 +21,7 @@
 //! ecut at 2.0 — the ZnTe pseudopotentials are tuned there, and the
 //! meV/atom column is only meaningful near convergence).
 
-use ls3df_bench::{arg, to_pw_atoms};
+use ls3df_bench::{arg, exit_unless_converged, to_pw_atoms};
 use ls3df_core::{FragmentScheme, Ls3df, Ls3dfOptions, Overlapping, Passivation, SignAlternating};
 use ls3df_obs::Json;
 use ls3df_pseudo::PseudoTable;
@@ -42,7 +42,7 @@ struct SchemeRun {
     seconds: f64,
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let m: usize = arg(1, 2);
     let iters: usize = arg(2, 16);
     let ecut: f64 = arg(3, 2.0);
@@ -105,7 +105,6 @@ fn main() {
         max_scf: iters,
         tol: 1e-3,
         pseudo: table,
-        ..Default::default()
     };
 
     let schemes: Vec<Arc<dyn FragmentScheme>> =
@@ -144,6 +143,14 @@ fn main() {
          overlapping's 1 uniform fragment: the accuracy-per-fragment-solve tradeoff."
     );
 
+    // An unconverged sweep leaves no artefact behind.
+    let mut scfs = vec![("direct DFT", direct.converged)];
+    scfs.extend(runs.iter().map(|r| (r.scheme_id, r.converged)));
+    let status = exit_unless_converged(&scfs);
+    if status != std::process::ExitCode::SUCCESS {
+        return status;
+    }
+
     // Machine-readable sweep (EXPERIMENTS.md documents the schema).
     let report = Json::obj(vec![
         ("schema", Json::str("ls3df-scheme-ablation/1")),
@@ -180,6 +187,7 @@ fn main() {
         Ok(()) => println!("\nsweep report -> {path}"),
         Err(e) => eprintln!("\nsweep report write failed: {e}"),
     }
+    status
 }
 
 /// Runs LS3DF under `scheme` and scores it against the direct energy.

@@ -41,26 +41,17 @@ pub fn to_pw_atoms(s: &Structure, table: &PseudoTable) -> Vec<PwAtom> {
         .collect()
 }
 
-/// A deep-well model crystal on a simple-cubic lattice: `m` pieces of one
-/// closed-shell atom each — the cheap gapped system used for real
-/// (measured, not modeled) LS3DF-vs-direct experiments on this machine.
-pub fn model_crystal(m: [usize; 3], a: f64) -> Structure {
-    let mut atoms = Vec::new();
-    for k in 0..m[2] {
-        for j in 0..m[1] {
-            for i in 0..m[0] {
-                atoms.push(ls3df_atoms::Atom {
-                    species: ls3df_atoms::Species::Zn,
-                    pos: [
-                        (i as f64 + 0.5) * a,
-                        (j as f64 + 0.5) * a,
-                        (k as f64 + 0.5) * a,
-                    ],
-                });
-            }
-        }
+/// Exit status of a bin that prints accuracy numbers: failure, naming the
+/// unconverged runs on stderr, unless every listed SCF converged — an
+/// error measured from or against an unconverged SCF is not a result.
+pub fn exit_unless_converged<S: AsRef<str>>(runs: &[(S, bool)]) -> std::process::ExitCode {
+    let mut status = std::process::ExitCode::SUCCESS;
+    for (name, _) in runs.iter().filter(|(_, converged)| !converged) {
+        let name = name.as_ref();
+        eprintln!("error: {name} did not converge; the numbers above are not results");
+        status = std::process::ExitCode::FAILURE;
     }
-    Structure::new([m[0] as f64 * a, m[1] as f64 * a, m[2] as f64 * a], atoms)
+    status
 }
 
 /// Parses a CLI argument by position with a default.
@@ -74,13 +65,7 @@ pub fn arg<T: std::str::FromStr>(n: usize, default: T) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn model_crystal_geometry() {
-        let s = model_crystal([2, 3, 4], 5.0);
-        assert_eq!(s.len(), 24);
-        assert_eq!(s.lengths, [10.0, 15.0, 20.0]);
-    }
+    use ls3df_atoms::model_crystal;
 
     #[test]
     fn pw_atoms_inherit_table() {

@@ -32,7 +32,7 @@ use ls3df_atoms::{Species, Structure};
 use ls3df_ckpt::{ByteReader, ByteWriter, CkptError, Fingerprint, SectionId};
 use ls3df_math::{c64, Matrix};
 use ls3df_pseudo::PseudoParams;
-use ls3df_pw::{Mixer, SolverMethod};
+use ls3df_pw::Mixer;
 
 /// Options-fingerprint section.
 pub(crate) const SEC_FPRINT: SectionId = SectionId::new("FPRINT");
@@ -115,10 +115,9 @@ pub(crate) fn options_fingerprint(
     fp.push_u64(opts.cg_steps as u64);
     fp.push_u64(opts.initial_cg_steps as u64);
     fp.push_f64(opts.fragment_tol);
-    fp.push_u64(match opts.method {
-        SolverMethod::AllBand => 1,
-        SolverMethod::BandByBand => 2,
-    });
+    // Eigensolver-family word of the fingerprint layout; 1 = all-band CG,
+    // the only PEtot_F solver. It stays so that existing snapshots resume.
+    fp.push_u64(1);
     // Mixer.
     match opts.mixer {
         Mixer::Linear { alpha } => {

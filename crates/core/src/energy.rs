@@ -98,32 +98,13 @@ impl Ls3df {
 #[cfg(test)]
 mod tests {
     use crate::{Ls3df, Ls3dfOptions, Passivation};
-    use ls3df_atoms::{Atom, Species, Structure};
+    use ls3df_atoms::model_crystal;
     use ls3df_pseudo::PseudoTable;
     use ls3df_pw::Mixer;
 
-    fn model_crystal(m: usize, a: f64) -> Structure {
-        let mut atoms = Vec::new();
-        for k in 0..m {
-            for j in 0..m {
-                for i in 0..m {
-                    atoms.push(Atom {
-                        species: Species::Zn,
-                        pos: [
-                            (i as f64 + 0.5) * a,
-                            (j as f64 + 0.5) * a,
-                            (k as f64 + 0.5) * a,
-                        ],
-                    });
-                }
-            }
-        }
-        Structure::new([m as f64 * a; 3], atoms)
-    }
-
     #[test]
     fn energy_decomposition_is_finite_and_bound() {
-        let s = model_crystal(2, 6.5);
+        let s = model_crystal([2, 2, 2], 6.5);
         let table = PseudoTable::deep_well(2.0, 0.8);
         let opts = Ls3dfOptions {
             ecut: 1.5,
@@ -142,7 +123,6 @@ mod tests {
             max_scf: 8,
             tol: 1e-4,
             pseudo: table,
-            ..Default::default()
         };
         let mut calc = Ls3df::builder(&s)
             .fragments([2, 2, 2])

@@ -128,7 +128,6 @@ mod tests {
             max_scf: 8,
             tol: 1e-4,
             pseudo: table,
-            ..Default::default()
         };
         let mut calc = Ls3df::builder(&s)
             .fragments([2, 2, 2])

@@ -25,7 +25,7 @@ use crate::supervise::{
     panic_detail, FragmentFault, InjectedFault, QuarantineRecord, RetryAction, ATTEMPT_LADDER,
 };
 use ls3df_atoms::{topology_cutoff, Structure};
-use ls3df_ckpt::{read_bytes, write_rotated, CheckpointConfig, CkptError, Snapshot};
+use ls3df_ckpt::{read_bytes, write_rotated, CheckpointConfig, CkptError, Fingerprint, Snapshot};
 use ls3df_dist::{CommError, Communicator};
 use ls3df_grid::{Grid3, RealField};
 use ls3df_math::{c64, Matrix};
@@ -33,8 +33,7 @@ use ls3df_obs::{counter_add, span, Counter, Stopwatch};
 use ls3df_pseudo::PseudoTable;
 use ls3df_pw::{
     density, effective_potential_with, initial_density, ionic_potential, solver, Hamiltonian,
-    HartreeSolver, Mixer, MixerState, NonlocalPotential, PwAtom, PwBasis, SolverMethod,
-    SolverOptions,
+    HartreeSolver, Mixer, MixerState, NonlocalPotential, PwAtom, PwBasis, SolverOptions,
 };
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -68,8 +67,6 @@ pub struct Ls3dfOptions {
     /// fragments with wildly different convergence levels destabilizes
     /// the outer loop; a tolerance equalizes them.
     pub fragment_tol: f64,
-    /// Eigensolver flavor for PEtot_F (all-band vs band-by-band).
-    pub method: SolverMethod,
     /// Potential mixing scheme for the outer loop.
     pub mixer: Mixer,
     /// Maximum outer (SCF) iterations.
@@ -92,7 +89,6 @@ impl Default for Ls3dfOptions {
             cg_steps: 5,
             initial_cg_steps: 30,
             fragment_tol: 5e-2,
-            method: SolverMethod::AllBand,
             mixer: Mixer::Kerker {
                 alpha: 0.7,
                 q0: 1.0,
@@ -105,22 +101,6 @@ impl Default for Ls3dfOptions {
 }
 
 impl Ls3dfOptions {
-    /// The paper's production parameters (§V): 50 Ryd cutoff, 40³ grid
-    /// points per eight-atom piece, pseudo-hydrogen passivation. These
-    /// need cluster-scale compute — provided for users with the hardware
-    /// and for cost-model calibration, not for the test suite.
-    pub fn paper_scale() -> Self {
-        Ls3dfOptions {
-            ecut: 25.0, // 50 Ryd
-            piece_pts: [40, 40, 40],
-            buffer_pts: [12, 12, 12],
-            cg_steps: 8,
-            max_scf: 60,
-            tol: 1e-2, // the paper's Fig. 6 stopping point
-            ..Default::default()
-        }
-    }
-
     /// Single-machine parameters: reduced cutoff and grids sized so that
     /// a 2×2×2-cell ZnTeO run completes in minutes per outer iteration on
     /// one core.
@@ -272,6 +252,25 @@ pub struct Ls3dfResult {
     /// run). Workers only fill their own slot; the global rank holds
     /// every group's total — the per-group load report.
     pub group_petot_seconds: Vec<f64>,
+}
+
+impl Ls3dfResult {
+    /// One number for the physically meaningful outputs of a run: FNV-1a
+    /// over the raw bit patterns of the final density, then each step's
+    /// `dv_integral` and `worst_residual`. Any single-bit divergence in
+    /// the answer or the convergence trajectory changes it, so two runs
+    /// (other thread counts, group counts, kernel tiers, processes) are
+    /// bit-identical exactly when their digests agree.
+    pub fn digest(&self) -> u64 {
+        let mut fp = Fingerprint::new();
+        for &x in self.rho.as_slice() {
+            fp.push_f64(x);
+        }
+        for step in &self.history {
+            fp.push_f64(step.dv_integral).push_f64(step.worst_residual);
+        }
+        fp.finish()
+    }
 }
 
 /// Why an [`Ls3dfBuilder`] refused to assemble a calculation.
@@ -578,7 +577,6 @@ fn supervised_solve(
     index: usize,
     base: &SolverOptions,
     fresh_steps: usize,
-    method: SolverMethod,
 ) -> FragmentOutcome {
     let _frag_span = span!("frag", index);
     counter_add(Counter::FragmentSolves, 1);
@@ -602,7 +600,7 @@ fn supervised_solve(
             }
         };
         match catch_unwind(AssertUnwindSafe(|| {
-            run_attempt(fs, vf, index, attempt, action, &opts, method)
+            run_attempt(fs, vf, index, attempt, action, &opts)
         })) {
             Ok(Ok(residual)) => {
                 fs.quarantined = false;
@@ -647,7 +645,6 @@ fn run_attempt(
     attempt: usize,
     action: RetryAction,
     base: &SolverOptions,
-    method: SolverMethod,
 ) -> Result<f64, String> {
     if fs.injected.panics > 0 {
         fs.injected.panics -= 1;
@@ -673,17 +670,11 @@ fn run_attempt(
                 cg_reset: 1,
                 ..*base
             };
-            match method {
-                SolverMethod::AllBand => solver::try_solve_all_band(&h, &mut fs.psi, &reduced),
-                SolverMethod::BandByBand => {
-                    solver::try_solve_band_by_band(&h, &mut fs.psi, &reduced)
-                }
-            }
+            solver::try_solve_all_band(&h, &mut fs.psi, &reduced)
         }
-        RetryAction::Primary | RetryAction::FreshRandomStart => match method {
-            SolverMethod::AllBand => solver::try_solve_all_band(&h, &mut fs.psi, base),
-            SolverMethod::BandByBand => solver::try_solve_band_by_band(&h, &mut fs.psi, base),
-        },
+        RetryAction::Primary | RetryAction::FreshRandomStart => {
+            solver::try_solve_all_band(&h, &mut fs.psi, base)
+        }
     }
     .map_err(|e| e.to_string())?;
     if check::ENABLED {
@@ -943,7 +934,6 @@ impl Ls3df {
             tol: self.opts.fragment_tol,
             ..Default::default()
         };
-        let method = self.opts.method;
         // Escalation rungs discard the warm start, so they get at least
         // the burn-in budget — a fresh random block under the warm-start's
         // few steps would patch an unconverged density into Gen_dens.
@@ -960,7 +950,7 @@ impl Ls3df {
             .enumerate()
             .map(|(index, (fs, vf))| {
                 (owner[index] == my_group)
-                    .then(|| supervised_solve(fs, vf, index, &solver_opts, fresh_steps, method))
+                    .then(|| supervised_solve(fs, vf, index, &solver_opts, fresh_steps))
             })
             .collect();
         // reduce-audit: `collect` returns outcomes in fragment order

@@ -12,17 +12,13 @@
 #![warn(missing_docs)]
 
 pub mod amdahl;
-pub mod comm;
 pub mod cost;
 pub mod crossover;
 pub mod machine;
 pub mod scaling;
-pub mod scheduler;
-pub mod simulate;
 pub mod table1;
 
 pub use amdahl::{fit_amdahl, AmdahlFit};
-pub use comm::{CommProblem, Network};
 pub use cost::{
     iteration_time, pct_peak, sustained_flops, DirectCodeModel, IterationTime, Problem,
 };
@@ -32,6 +28,4 @@ pub use scaling::{
     efficiency_scatter, fig3_core_counts, strong_scaling, weak_scaling, EfficiencyPoint,
     StrongScalingPoint, WeakScalingPoint,
 };
-pub use scheduler::{jobs_for, lpt_imbalance, schedule, FragmentJob, Policy, Schedule};
-pub use simulate::{simulate_iteration, IterationTimeline};
 pub use table1::{model_row, paper_table1, Machine, ModelRow, Table1Row};

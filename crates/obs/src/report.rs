@@ -33,8 +33,8 @@ pub const SCHEMA_NAME: &str = "ls3df-run-report";
 /// v2 adds the rank-aware sections: `ranks` (per-rank counters, span
 /// aggregates, per-iteration `PEtot_F` times, comm-wait/compute split,
 /// transport histograms, and an `up`/`down`/`missing` status) and the
-/// `telemetry_incomplete` flag. [`validate_report_str`] still accepts
-/// v1 (rank-less) documents for backward compatibility.
+/// `telemetry_incomplete` flag. [`validate_report_str`] accepts this
+/// version only.
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// The machine model a report rates itself against (name + peak rate).
@@ -643,8 +643,10 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
         return Err(format!("schema is {schema:?}, expected {SCHEMA_NAME:?}"));
     }
     let version = expect_num(field(doc, "schema_version")?, "schema_version")?;
-    if version < 1.0 || version.fract() != 0.0 {
-        return Err(format!("bad schema_version {version}"));
+    if version - SCHEMA_VERSION as f64 != 0.0 {
+        return Err(format!(
+            "schema_version is {version}, expected {SCHEMA_VERSION}"
+        ));
     }
     expect_str(field(doc, "command")?, "command")?;
     field(doc, "obs_enabled")?
@@ -722,63 +724,57 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
             }
         }
     }
-    // The rank-aware sections arrived in schema v2; v1 (rank-less)
-    // documents remain valid without them.
-    if version >= 2.0 {
-        for rank in expect_arr(field(doc, "ranks")?, "ranks")? {
-            expect_num(field(rank, "rank")?, "ranks[].rank")?;
-            let status = expect_str(field(rank, "status")?, "ranks[].status")?;
-            if !matches!(status, "up" | "down" | "missing") {
-                return Err(format!("ranks[].status {status:?} unknown"));
-            }
-            match field(rank, "error_kind")? {
-                Json::Null if status != "down" => {}
-                Json::Str(_) if status == "down" => {}
-                _ => {
-                    return Err(
-                        "ranks[].error_kind must be a string exactly for down ranks".to_string()
-                    )
-                }
-            }
-            let counters = field(rank, "counters")?
-                .as_object()
-                .ok_or("ranks[].counters must be an object")?;
-            for (name, value) in counters {
-                expect_num(value, name)?;
-            }
-            for span in expect_arr(field(rank, "spans")?, "ranks[].spans")? {
-                expect_str(field(span, "path")?, "ranks[].spans[].path")?;
-                expect_num(field(span, "count")?, "ranks[].spans[].count")?;
-                expect_num(
-                    field(span, "total_seconds")?,
-                    "ranks[].spans[].total_seconds",
-                )?;
-                expect_num(field(span, "self_seconds")?, "ranks[].spans[].self_seconds")?;
-            }
-            for step in expect_arr(field(rank, "petot_iterations")?, "ranks[].petot_iterations")? {
-                expect_num(field(step, "iteration")?, "petot_iterations[].iteration")?;
-                expect_num(field(step, "seconds")?, "petot_iterations[].seconds")?;
-            }
-            expect_num(
-                field(rank, "comm_wait_seconds")?,
-                "ranks[].comm_wait_seconds",
-            )?;
-            expect_num(field(rank, "compute_seconds")?, "ranks[].compute_seconds")?;
-            for row in expect_arr(field(rank, "comm")?, "ranks[].comm")? {
-                expect_str(field(row, "op")?, "comm[].op")?;
-                expect_str(field(row, "kind")?, "comm[].kind")?;
-                expect_str(field(row, "tag_class")?, "comm[].tag_class")?;
-                expect_num(field(row, "frames")?, "comm[].frames")?;
-                expect_num(field(row, "bytes")?, "comm[].bytes")?;
-                expect_num(field(row, "latency_ns")?, "comm[].latency_ns")?;
-                expect_arr(field(row, "size_log2")?, "comm[].size_log2")?;
-                expect_arr(field(row, "latency_log2")?, "comm[].latency_log2")?;
+    for rank in expect_arr(field(doc, "ranks")?, "ranks")? {
+        expect_num(field(rank, "rank")?, "ranks[].rank")?;
+        let status = expect_str(field(rank, "status")?, "ranks[].status")?;
+        if !matches!(status, "up" | "down" | "missing") {
+            return Err(format!("ranks[].status {status:?} unknown"));
+        }
+        match field(rank, "error_kind")? {
+            Json::Null if status != "down" => {}
+            Json::Str(_) if status == "down" => {}
+            _ => {
+                return Err("ranks[].error_kind must be a string exactly for down ranks".to_string())
             }
         }
-        field(doc, "telemetry_incomplete")?
-            .as_bool()
-            .ok_or("telemetry_incomplete must be a bool")?;
+        let counters = field(rank, "counters")?
+            .as_object()
+            .ok_or("ranks[].counters must be an object")?;
+        for (name, value) in counters {
+            expect_num(value, name)?;
+        }
+        for span in expect_arr(field(rank, "spans")?, "ranks[].spans")? {
+            expect_str(field(span, "path")?, "ranks[].spans[].path")?;
+            expect_num(field(span, "count")?, "ranks[].spans[].count")?;
+            expect_num(
+                field(span, "total_seconds")?,
+                "ranks[].spans[].total_seconds",
+            )?;
+            expect_num(field(span, "self_seconds")?, "ranks[].spans[].self_seconds")?;
+        }
+        for step in expect_arr(field(rank, "petot_iterations")?, "ranks[].petot_iterations")? {
+            expect_num(field(step, "iteration")?, "petot_iterations[].iteration")?;
+            expect_num(field(step, "seconds")?, "petot_iterations[].seconds")?;
+        }
+        expect_num(
+            field(rank, "comm_wait_seconds")?,
+            "ranks[].comm_wait_seconds",
+        )?;
+        expect_num(field(rank, "compute_seconds")?, "ranks[].compute_seconds")?;
+        for row in expect_arr(field(rank, "comm")?, "ranks[].comm")? {
+            expect_str(field(row, "op")?, "comm[].op")?;
+            expect_str(field(row, "kind")?, "comm[].kind")?;
+            expect_str(field(row, "tag_class")?, "comm[].tag_class")?;
+            expect_num(field(row, "frames")?, "comm[].frames")?;
+            expect_num(field(row, "bytes")?, "comm[].bytes")?;
+            expect_num(field(row, "latency_ns")?, "comm[].latency_ns")?;
+            expect_arr(field(row, "size_log2")?, "comm[].size_log2")?;
+            expect_arr(field(row, "latency_log2")?, "comm[].latency_log2")?;
+        }
     }
+    field(doc, "telemetry_incomplete")?
+        .as_bool()
+        .ok_or("telemetry_incomplete must be a bool")?;
     field(doc, "extra")?
         .as_object()
         .ok_or("extra must be an object")?;
@@ -886,25 +882,18 @@ mod tests {
     }
 
     #[test]
-    fn v1_rankless_documents_are_still_accepted() {
-        // A v2 writer output with the rank sections stripped and the
-        // version set back to 1 — the shape every committed pre-v2
-        // BENCH file has.
-        let report = Report::new("legacy", 1.0);
-        let text = report
-            .to_json()
-            .render()
-            .replace("\"schema_version\": 2", "\"schema_version\": 1")
+    fn rankless_and_v1_documents_are_rejected() {
+        let good = Report::new("legacy", 1.0).to_json().render();
+        let rankless = good
             .replace("\"ranks\": [],\n", "")
             .replace("\"telemetry_incomplete\": false,\n", "");
         assert!(
-            !text.contains("ranks") && !text.contains("telemetry_incomplete"),
+            !rankless.contains("ranks") && !rankless.contains("telemetry_incomplete"),
             "test must exercise a genuinely rank-less document"
         );
-        validate_report_str(&text).expect("v1 documents stay valid");
-        // The same rank-less shape at version 2 must be rejected.
-        let v2 = text.replace("\"schema_version\": 1", "\"schema_version\": 2");
-        assert!(validate_report_str(&v2).is_err());
+        assert!(validate_report_str(&rankless).is_err());
+        let v1 = good.replace("\"schema_version\": 2", "\"schema_version\": 1");
+        assert!(validate_report_str(&v1).is_err());
     }
 
     #[test]

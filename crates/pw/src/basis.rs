@@ -50,13 +50,6 @@ impl PwBasis {
     /// Panics if the grid is too coarse to hold the cutoff sphere (the
     /// highest representable frequency must reach `G_max = √(2·E_cut)`).
     pub fn new(grid: Grid3, ecut: f64) -> Self {
-        Self::new_at_k(grid, ecut, [0.0; 3])
-    }
-
-    /// Builds the basis at a Bloch vector `k` (Cartesian, Bohr⁻¹): selects
-    /// planewaves with `|k+G|²/2 ≤ E_cut`, the variational space a k-point
-    /// calculation needs for exact supercell band folding.
-    pub fn new_at_k(grid: Grid3, ecut: f64, k: [f64; 3]) -> Self {
         assert!(ecut > 0.0, "PwBasis: cutoff must be positive");
         let g_max = (2.0 * ecut).sqrt();
         for ax in 0..3 {
@@ -73,12 +66,11 @@ impl PwBasis {
         let mut g2s = Vec::new();
         let mut g_vec = Vec::new();
         for (ix, iy, iz) in grid.iter_points() {
-            let g = grid.g_vector(ix, iy, iz);
-            let kg2 = (g[0] + k[0]).powi(2) + (g[1] + k[1]).powi(2) + (g[2] + k[2]).powi(2);
-            if 0.5 * kg2 <= ecut {
+            let g2 = grid.g2(ix, iy, iz);
+            if 0.5 * g2 <= ecut {
                 g_slot.push(grid.index(ix, iy, iz));
-                g2s.push(grid.g2(ix, iy, iz));
-                g_vec.push(g);
+                g2s.push(g2);
+                g_vec.push(grid.g_vector(ix, iy, iz));
             }
         }
         let fft = Fft3::new(grid.dims[0], grid.dims[1], grid.dims[2]);

@@ -49,20 +49,7 @@ impl NonlocalPotential {
         form: F,
         e_kb: &[f64],
     ) -> Self {
-        Self::new_at_k(basis, positions, form, e_kb, [0.0; 3])
-    }
-
-    /// [`NonlocalPotential::new`] at a Bloch vector `k`: the radial form is
-    /// evaluated at `|k+G|` and the phase at `(k+G)·R` (standard Bloch
-    /// Kleinman–Bylander projectors).
-    pub fn new_at_k<F: Fn(usize, f64) -> f64>(
-        basis: &PwBasis,
-        positions: &[[f64; 3]],
-        form: F,
-        e_kb: &[f64],
-        k: [f64; 3],
-    ) -> Self {
-        Self::new_batched_at_k(
+        Self::new_batched(
             basis,
             positions,
             |a, qs, out| {
@@ -71,33 +58,20 @@ impl NonlocalPotential {
                 }
             },
             e_kb,
-            k,
         )
     }
 
-    /// Γ-point convenience wrapper over
-    /// [`NonlocalPotential::new_batched_at_k`].
+    /// [`NonlocalPotential::new`] with a *batched* radial form: the
+    /// closure fills the form factor for a whole `|G|` list per atom
+    /// (e.g. `KbProjector::fourier_batch`), letting the radial evaluation
+    /// run as one tight vectorizable loop. The `|G|` magnitudes are
+    /// hoisted out of the per-atom loop, so the npw square roots are paid
+    /// once instead of once per atom.
     pub fn new_batched<F: Fn(usize, &[f64], &mut [f64])>(
         basis: &PwBasis,
         positions: &[[f64; 3]],
         form_batch: F,
         e_kb: &[f64],
-    ) -> Self {
-        Self::new_batched_at_k(basis, positions, form_batch, e_kb, [0.0; 3])
-    }
-
-    /// [`NonlocalPotential::new_at_k`] with a *batched* radial form: the
-    /// closure fills the form factor for a whole `|k+G|` list per atom
-    /// (e.g. `KbProjector::fourier_batch`), letting the radial evaluation
-    /// run as one tight vectorizable loop. The `|k+G|` magnitudes are
-    /// hoisted out of the per-atom loop, so the npw square roots are paid
-    /// once instead of once per atom.
-    pub fn new_batched_at_k<F: Fn(usize, &[f64], &mut [f64])>(
-        basis: &PwBasis,
-        positions: &[[f64; 3]],
-        form_batch: F,
-        e_kb: &[f64],
-        k: [f64; 3],
     ) -> Self {
         assert_eq!(positions.len(), e_kb.len());
         let active: Vec<usize> = (0..positions.len()).filter(|&a| e_kb[a] != 0.0).collect();
@@ -106,14 +80,7 @@ impl NonlocalPotential {
         // alloc-audit: projector assembly — once per Hamiltonian geometry,
         // never inside the CG loop.
         let mut energies = Vec::with_capacity(active.len());
-        let qs: Vec<f64> = basis
-            .g_vectors()
-            .iter()
-            .map(|g| {
-                let kg = [g[0] + k[0], g[1] + k[1], g[2] + k[2]];
-                (kg[0] * kg[0] + kg[1] * kg[1] + kg[2] * kg[2]).sqrt()
-            })
-            .collect();
+        let qs: Vec<f64> = basis.g2().iter().map(|g2| g2.sqrt()).collect();
         // alloc-audit: per-geometry staging for the batched radial form
         // factors — reused across atoms, freed before the CG loop starts.
         let mut radial = vec![0.0_f64; npw];
@@ -123,8 +90,7 @@ impl NonlocalPotential {
             form_batch(a, &qs, &mut radial);
             let mut norm2 = 0.0;
             for (i, g) in basis.g_vectors().iter().enumerate() {
-                let kg = [g[0] + k[0], g[1] + k[1], g[2] + k[2]];
-                let phase = -(kg[0] * r_a[0] + kg[1] * r_a[1] + kg[2] * r_a[2]);
+                let phase = -(g[0] * r_a[0] + g[1] * r_a[1] + g[2] * r_a[2]);
                 p[i] = c64::cis(phase).scale(radial[i]);
                 norm2 += radial[i] * radial[i];
             }
@@ -241,13 +207,7 @@ pub struct HamWorkspace {
     pub(crate) gemm: GemmScratch<c64>,
 }
 
-/// The Kohn–Sham Hamiltonian for one (fragment or global) problem.
-///
-/// Optionally carries a Bloch vector `k`: the operator is then
-/// `H(k) = ½|−i∇ + k|² + V` acting on the periodic part of the Bloch
-/// function (kinetic term `½|k+G|²`; the local potential is unchanged and
-/// the nonlocal projectors must be built at the same `k` via
-/// [`NonlocalPotential::new_at_k`]).
+/// The Kohn–Sham Hamiltonian for one (fragment or global) problem, at Γ.
 pub struct Hamiltonian<'a> {
     basis: &'a PwBasis,
     nonlocal: &'a NonlocalPotential,
@@ -258,37 +218,17 @@ pub struct Hamiltonian<'a> {
     /// (`1/N` inverse, `N/√Ω` synthesis, `V(r)`, `√Ω/N` analysis) once
     /// both transforms run unnormalized.
     v_over_n: Option<Vec<f64>>,
-    /// Bloch vector (Cartesian, Bohr⁻¹); zero for Γ-point problems.
-    k: [f64; 3],
-    /// Cached `|k+G|²` per basis vector (equals `g2` at Γ).
-    kg2: Vec<f64>,
 }
 
 impl<'a> Hamiltonian<'a> {
     /// Assembles the Hamiltonian from its parts. The local potential must
     /// live on the basis grid.
     pub fn new(basis: &'a PwBasis, v_local: RealField, nonlocal: &'a NonlocalPotential) -> Self {
-        Self::new_at_k(basis, v_local, nonlocal, [0.0; 3])
-    }
-
-    /// Assembles `H(k)` at a Bloch vector `k` (Cartesian, Bohr⁻¹). Build
-    /// the projectors with [`NonlocalPotential::new_at_k`] at the same `k`.
-    pub fn new_at_k(
-        basis: &'a PwBasis,
-        v_local: RealField,
-        nonlocal: &'a NonlocalPotential,
-        k: [f64; 3],
-    ) -> Self {
         assert_eq!(
             v_local.grid(),
             basis.grid(),
             "Hamiltonian: potential grid mismatch"
         );
-        let kg2 = basis
-            .g_vectors()
-            .iter()
-            .map(|g| (g[0] + k[0]).powi(2) + (g[1] + k[1]).powi(2) + (g[2] + k[2]).powi(2))
-            .collect();
         let inv_n = 1.0 / basis.grid().len() as f64;
         let v_over_n = basis
             .sphere()
@@ -298,14 +238,7 @@ impl<'a> Hamiltonian<'a> {
             nonlocal,
             v_local,
             v_over_n,
-            k,
-            kg2,
         }
-    }
-
-    /// The Bloch vector this Hamiltonian is built at.
-    pub fn k(&self) -> [f64; 3] {
-        self.k
     }
 
     /// The basis this Hamiltonian acts on.
@@ -411,7 +344,7 @@ impl<'a> Hamiltonian<'a> {
                 .grid_to_wave_with(&mut ws.grid, hpsi, &mut ws.fft);
         }
         // Kinetic, diagonal in G.
-        for ((h, &p), &g2i) in hpsi.iter_mut().zip(psi).zip(&self.kg2) {
+        for ((h, &p), &g2i) in hpsi.iter_mut().zip(psi).zip(self.basis.g2()) {
             *h += p.scale(0.5 * g2i);
         }
     }
@@ -422,10 +355,10 @@ impl<'a> Hamiltonian<'a> {
         vec_ops::dotc(psi, &hpsi).re
     }
 
-    /// Kinetic energy `⟨ψ|½|−i∇+k|²|ψ⟩` of one band.
+    /// Kinetic energy `⟨ψ|−½∇²|ψ⟩` of one band.
     pub fn kinetic_expectation(&self, psi: &[c64]) -> f64 {
         psi.iter()
-            .zip(&self.kg2)
+            .zip(self.basis.g2())
             .map(|(c, &g2)| 0.5 * g2 * c.norm_sqr())
             .sum()
     }

@@ -11,21 +11,10 @@ use crate::hamiltonian::{Hamiltonian, NonlocalPotential};
 use crate::hartree::HartreeSolver;
 use crate::mixing::{Mixer, MixerState};
 use crate::potential::{effective_potential_with, initial_density, ionic_potential, PwAtom};
-use crate::solver::{
-    solve_all_band_with, solve_band_by_band, CgWorkspace, SolveStats, SolverOptions,
-};
+use crate::solver::{solve_all_band_with, CgWorkspace, SolverOptions};
 use crate::{ewald, PwBasis};
 use ls3df_grid::{Grid3, RealField};
 use ls3df_math::{c64, Matrix};
-
-/// Which eigensolver drives the SCF (the paper's BLAS-3 vs BLAS-2 story).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SolverMethod {
-    /// All bands at once; GEMM-shaped (optimized PEtot_F).
-    AllBand,
-    /// One band at a time; BLAS-1/2-shaped (original PEtot).
-    BandByBand,
-}
 
 /// Options for an SCF run.
 #[derive(Clone, Debug)]
@@ -34,8 +23,6 @@ pub struct ScfOptions {
     pub n_extra_bands: usize,
     /// Inner eigensolver options (per SCF iteration).
     pub solver: SolverOptions,
-    /// Eigensolver flavor.
-    pub method: SolverMethod,
     /// Potential mixing scheme.
     pub mixer: Mixer,
     /// Maximum SCF (outer) iterations.
@@ -56,7 +43,6 @@ impl Default for ScfOptions {
                 tol: 1e-6,
                 ..Default::default()
             },
-            method: SolverMethod::AllBand,
             mixer: Mixer::Kerker {
                 alpha: 0.7,
                 q0: 1.2,
@@ -208,13 +194,8 @@ pub fn scf(system: &DftSystem, opts: &ScfOptions) -> ScfResult {
     for iteration in 1..=opts.max_scf {
         // Solve the bands in the current potential.
         let h = Hamiltonian::new(&basis, v_in.clone(), &nonlocal);
-        let stats: SolveStats = match opts.method {
-            SolverMethod::AllBand => {
-                let ws = cg_ws.get_or_insert_with(|| CgWorkspace::new(&h, psi.rows()));
-                solve_all_band_with(&h, &mut psi, &opts.solver, ws)
-            }
-            SolverMethod::BandByBand => solve_band_by_band(&h, &mut psi, &opts.solver),
-        };
+        let ws = cg_ws.get_or_insert_with(|| CgWorkspace::new(&h, psi.rows()));
+        let stats = solve_all_band_with(&h, &mut psi, &opts.solver, ws);
         eigenvalues = stats.eigenvalues.clone();
 
         // New density and output potential.
@@ -361,27 +342,5 @@ mod tests {
             "energy still moving: {e_prev} → {e_last}"
         );
         assert!(e_last.is_finite());
-    }
-
-    #[test]
-    fn both_solver_methods_reach_same_ground_state() {
-        let sys = tiny_system();
-        let mut opts = ScfOptions {
-            max_scf: 50,
-            tol: 1e-4,
-            ..Default::default()
-        };
-        opts.method = SolverMethod::AllBand;
-        let a = scf(&sys, &opts);
-        opts.method = SolverMethod::BandByBand;
-        let b = scf(&sys, &opts);
-        assert!(a.converged && b.converged);
-        assert!(
-            (a.total_energy - b.total_energy).abs() < 1e-3,
-            "all-band {} vs band-by-band {}",
-            a.total_energy,
-            b.total_energy
-        );
-        assert!((a.eigenvalues[0] - b.eigenvalues[0]).abs() < 1e-3);
     }
 }

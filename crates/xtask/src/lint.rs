@@ -106,6 +106,8 @@
 //! (schema `ls3df-lint-report/v1`) with per-rule violation counts, file
 //! counts, and the full atomic-ordering inventory, so BENCH-style trend
 //! tracking can pick it up.
+//! The run's stdout summary is a table of violations and escape
+//! comments (`// SAFETY:`, `// alloc-audit:`, …) per rule.
 
 use crate::lexer::{self, Token, TokenKind};
 use std::fmt::Write as _;
@@ -125,6 +127,21 @@ pub const RULES: [&str; 12] = [
     "hash-iter",
     "comm-audit",
     "forbid-unsafe",
+];
+
+/// The escape marker of each rule that has one: a plain `//` comment
+/// carrying it, inside the rule's line window, silences a hit. Counting
+/// those comments next to the violations shows how often a rule fires on
+/// real code and is argued down, as opposed to never firing at all.
+const ESCAPE_MARKERS: [(&str, &str); 8] = [
+    ("unsafe-comment", "SAFETY:"),
+    ("hot-alloc", "alloc-audit:"),
+    ("ckpt-atomic", "ckpt-audit:"),
+    ("raw-timer", "obs-audit:"),
+    ("atomic-ordering", "ORDERING:"),
+    ("float-reduce", "reduce-audit:"),
+    ("hash-iter", "hash-audit:"),
+    ("comm-audit", "comm-audit:"),
 ];
 
 /// Files whose steady-state behavior the `alloc-count` test guards:
@@ -292,6 +309,7 @@ pub fn run(root: &Path) -> Result<usize, String> {
 
     let mut violations = Vec::new();
     let mut ordering_sites = Vec::new();
+    let mut escapes = [0usize; ESCAPE_MARKERS.len()];
     for file in &files {
         let rel = file
             .strip_prefix(root)
@@ -300,6 +318,7 @@ pub fn run(root: &Path) -> Result<usize, String> {
             .replace('\\', "/");
         let content =
             std::fs::read_to_string(file).map_err(|e| format!("cannot read {rel}: {e}"))?;
+        count_escape_comments(&content, &mut escapes);
         let mut report = lint_source(&rel, &content);
         report
             .violations
@@ -333,8 +352,42 @@ pub fn run(root: &Path) -> Result<usize, String> {
     if !out.is_empty() {
         eprint!("{out}");
     }
+    println!(
+        "xtask lint: {} files, {} violation(s), {stale} stale allowlist entries",
+        files.len(),
+        violations.len()
+    );
+    println!(
+        "  {:<16} {:>10} {:>15}",
+        "rule", "violations", "escape comments"
+    );
+    for rule in RULES {
+        let hits = violations.iter().filter(|v| v.rule == rule).count();
+        let escaped = ESCAPE_MARKERS
+            .iter()
+            .position(|(r, _)| *r == rule)
+            .map_or("-".to_string(), |k| escapes[k].to_string());
+        println!("  {rule:<16} {hits:>10} {escaped:>15}");
+    }
     write_report(root, files.len(), &violations, stale, &ordering_sites)?;
     Ok(violations.len() + stale)
+}
+
+/// Adds to `counts` (one slot per [`ESCAPE_MARKERS`] entry) the plain
+/// `//` comments in `content` that carry that entry's marker. Doc
+/// comments describe a marker; they do not invoke it.
+fn count_escape_comments(content: &str, counts: &mut [usize; ESCAPE_MARKERS.len()]) {
+    for t in lexer::lex(content) {
+        if t.kind != TokenKind::LineComment
+            || t.text.starts_with("///")
+            || t.text.starts_with("//!")
+        {
+            continue;
+        }
+        for (count, (_, marker)) in counts.iter_mut().zip(ESCAPE_MARKERS) {
+            *count += usize::from(t.text.contains(marker));
+        }
+    }
 }
 
 /// Lints a single source file (no allowlist, no filesystem): the entry

@@ -6,7 +6,7 @@
 
 use ls3df::core::{boundary_wall, fragment_atoms, Fragment, FragmentGrid, Passivation};
 use ls3df::pw::{self, SolverOptions};
-use ls3df_atoms::{topology_cutoff, Atom, Species, Structure};
+use ls3df_atoms::{model_crystal, topology_cutoff};
 use ls3df_pseudo::PseudoTable;
 
 fn main() {
@@ -17,22 +17,7 @@ fn main() {
     let ecut = 1.5;
     let table = PseudoTable::deep_well(2.0, 0.8);
 
-    let mut atoms = Vec::new();
-    for k in 0..m[2] {
-        for j in 0..m[1] {
-            for i in 0..m[0] {
-                atoms.push(Atom {
-                    species: Species::Zn,
-                    pos: [
-                        (i as f64 + 0.5) * a,
-                        (j as f64 + 0.5) * a,
-                        (k as f64 + 0.5) * a,
-                    ],
-                });
-            }
-        }
-    }
-    let s = Structure::new([3.0 * a, 3.0 * a, 3.0 * a], atoms);
+    let s = model_crystal(m, a);
 
     // Direct reference.
     let grid = ls3df_grid::Grid3::new([30, 30, 30], s.lengths);

@@ -11,27 +11,8 @@
 
 use ls3df::core::{Ls3df, Ls3dfOptions, Passivation};
 use ls3df::pw::{self, Mixer};
-use ls3df_atoms::{Atom, Species, Structure};
+use ls3df_atoms::model_crystal;
 use ls3df_pseudo::PseudoTable;
-
-fn toy_crystal(m: [usize; 3], a: f64) -> Structure {
-    let mut atoms = Vec::new();
-    for k in 0..m[2] {
-        for j in 0..m[1] {
-            for i in 0..m[0] {
-                atoms.push(Atom {
-                    species: Species::Zn,
-                    pos: [
-                        (i as f64 + 0.5) * a,
-                        (j as f64 + 0.5) * a,
-                        (k as f64 + 0.5) * a,
-                    ],
-                });
-            }
-        }
-    }
-    Structure::new([m[0] as f64 * a, m[1] as f64 * a, m[2] as f64 * a], atoms)
-}
 
 fn main() {
     let a: f64 = std::env::args()
@@ -60,7 +41,7 @@ fn main() {
         .nth(6)
         .and_then(|v| v.parse().ok())
         .unwrap_or(10);
-    let s = toy_crystal(m, a);
+    let s = model_crystal(m, a);
 
     // Direct reference.
     let grid = ls3df_grid::Grid3::new(

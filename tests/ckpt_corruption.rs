@@ -9,29 +9,10 @@
 
 use ls3df::core::{Ls3df, Ls3dfError, Ls3dfOptions, Passivation};
 use ls3df::{CheckpointConfig, CheckpointPolicy, CkptError, CkptErrorKind};
-use ls3df_atoms::{Atom, Species, Structure};
+use ls3df_atoms::{model_crystal, Structure};
 use ls3df_pseudo::PseudoTable;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
-
-fn model_crystal(m: [usize; 3], a: f64) -> Structure {
-    let mut atoms = Vec::new();
-    for k in 0..m[2] {
-        for j in 0..m[1] {
-            for i in 0..m[0] {
-                atoms.push(Atom {
-                    species: Species::Zn,
-                    pos: [
-                        (i as f64 + 0.5) * a,
-                        (j as f64 + 0.5) * a,
-                        (k as f64 + 0.5) * a,
-                    ],
-                });
-            }
-        }
-    }
-    Structure::new([m[0] as f64 * a, m[1] as f64 * a, m[2] as f64 * a], atoms)
-}
 
 fn small_opts() -> Ls3dfOptions {
     Ls3dfOptions {

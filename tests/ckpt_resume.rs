@@ -6,31 +6,14 @@
 //! `--exact <child test>`), which also makes the "kill" real: the resumed
 //! process shares no memory with the one that wrote the snapshot.
 
+mod common;
+
+use common::resume_digest;
 use ls3df::core::{Ls3df, Ls3dfOptions, Passivation};
 use ls3df::{CheckpointConfig, CheckpointPolicy};
-use ls3df_atoms::{Atom, Species, Structure};
+use ls3df_atoms::model_crystal;
 use ls3df_pseudo::PseudoTable;
 use std::path::{Path, PathBuf};
-
-/// Deep-well simple-cubic model crystal (see tests/ls3df_pipeline.rs).
-fn model_crystal(m: [usize; 3], a: f64) -> Structure {
-    let mut atoms = Vec::new();
-    for k in 0..m[2] {
-        for j in 0..m[1] {
-            for i in 0..m[0] {
-                atoms.push(Atom {
-                    species: Species::Zn,
-                    pos: [
-                        (i as f64 + 0.5) * a,
-                        (j as f64 + 0.5) * a,
-                        (k as f64 + 0.5) * a,
-                    ],
-                });
-            }
-        }
-    }
-    Structure::new([m[0] as f64 * a, m[1] as f64 * a, m[2] as f64 * a], atoms)
-}
 
 const MAX_SCF: usize = 4;
 /// The iteration the "kill" happens after (resume picks up at 3).
@@ -68,30 +51,6 @@ fn build(ckpt: Option<CheckpointConfig>, resume: Option<&Path>) -> Ls3df {
     b.build().expect("valid test geometry")
 }
 
-/// FNV-1a over the raw f64 bit patterns of the run's outputs: any
-/// single-bit divergence between the two legs changes it.
-fn run_digest(res: &ls3df::core::Ls3dfResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bits: u64| {
-        for byte in bits.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for &x in res.rho.as_slice() {
-        eat(x.to_bits());
-    }
-    for &x in res.v_eff.as_slice() {
-        eat(x.to_bits());
-    }
-    for step in &res.history {
-        eat(step.iteration as u64);
-        eat(step.dv_integral.to_bits());
-        eat(step.worst_residual.to_bits());
-    }
-    h
-}
-
 /// Child leg A: the uninterrupted reference run, checkpointing every
 /// iteration into `LS3DF_CKPT_DIR` (so the parent can pick the
 /// iteration-`KILL_AFTER` snapshot for leg B).
@@ -110,7 +69,7 @@ fn ckpt_child_full() {
         None,
     );
     let res = calc.scf();
-    println!("LS3DF_DIGEST={:016x}", run_digest(&res));
+    println!("LS3DF_DIGEST={:016x}", resume_digest(&res));
 }
 
 /// Child leg B: a fresh process resuming from the snapshot the parent
@@ -123,7 +82,7 @@ fn ckpt_child_resume() {
     let snap = PathBuf::from(std::env::var("LS3DF_CKPT_SNAPSHOT").expect("LS3DF_CKPT_SNAPSHOT"));
     let mut calc = build(None, Some(&snap));
     let res = calc.scf();
-    println!("LS3DF_DIGEST={:016x}", run_digest(&res));
+    println!("LS3DF_DIGEST={:016x}", resume_digest(&res));
 }
 
 fn run_child(child: &str, threads: &str, dir: &Path, snapshot: Option<&Path>) -> String {

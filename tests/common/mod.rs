@@ -1,24 +1,22 @@
 //! Helpers shared by the integration tests (`mod common;`).
 
-use ls3df_atoms::{Atom, Species, Structure};
+use ls3df::ckpt::Fingerprint;
+use ls3df::Ls3dfResult;
 
-/// Deep-well simple-cubic model crystal: one Zn site at the centre of
-/// each of the `m[0] × m[1] × m[2]` cells of edge `a` (Bohr).
-pub fn model_crystal(m: [usize; 3], a: f64) -> Structure {
-    let mut atoms = Vec::new();
-    for k in 0..m[2] {
-        for j in 0..m[1] {
-            for i in 0..m[0] {
-                atoms.push(Atom {
-                    species: Species::Zn,
-                    pos: [
-                        (i as f64 + 0.5) * a,
-                        (j as f64 + 0.5) * a,
-                        (k as f64 + 0.5) * a,
-                    ],
-                });
-            }
-        }
+/// FNV-1a over everything a resumed run must reproduce. Not
+/// [`Ls3dfResult::digest`]: the snapshot-resume tests also hash the final
+/// mixed potential (state the next iteration would start from, which the
+/// density does not determine) and each step's iteration number (a resumed
+/// history must continue the count, not restart it).
+pub fn resume_digest(res: &Ls3dfResult) -> u64 {
+    let mut fp = Fingerprint::new();
+    for &x in res.rho.as_slice().iter().chain(res.v_eff.as_slice()) {
+        fp.push_f64(x);
     }
-    Structure::new([m[0] as f64 * a, m[1] as f64 * a, m[2] as f64 * a], atoms)
+    for step in &res.history {
+        fp.push_u64(step.iteration as u64)
+            .push_f64(step.dv_integral)
+            .push_f64(step.worst_residual);
+    }
+    fp.finish()
 }

@@ -20,32 +20,12 @@
 
 use ls3df::core::{Ls3df, Ls3dfOptions, Passivation};
 use ls3df::pw::Mixer;
-use ls3df_atoms::{Atom, Species, Structure};
+use ls3df_atoms::model_crystal;
 use ls3df_pseudo::PseudoTable;
 
 /// The pre-refactor SCF digest (see `tests/scheme_digest.rs::GOLDEN` —
 /// same capture, same workload, same reference-kernel policy).
 const GOLDEN: u64 = 0xb56c_8071_4d82_04e2;
-
-/// Same deep-well model crystal as `tests/scheme_digest.rs`.
-fn model_crystal(m: [usize; 3], a: f64) -> Structure {
-    let mut atoms = Vec::new();
-    for k in 0..m[2] {
-        for j in 0..m[1] {
-            for i in 0..m[0] {
-                atoms.push(Atom {
-                    species: Species::Zn,
-                    pos: [
-                        (i as f64 + 0.5) * a,
-                        (j as f64 + 0.5) * a,
-                        (k as f64 + 0.5) * a,
-                    ],
-                });
-            }
-        }
-    }
-    Structure::new([m[0] as f64 * a, m[1] as f64 * a, m[2] as f64 * a], atoms)
-}
 
 /// Same options as `tests/scheme_digest.rs::reference_opts`.
 fn reference_opts() -> Ls3dfOptions {
@@ -66,28 +46,7 @@ fn reference_opts() -> Ls3dfOptions {
         max_scf: 2,
         tol: 1e-4,
         pseudo: PseudoTable::deep_well(2.0, 0.8),
-        ..Default::default()
     }
-}
-
-/// FNV-1a over every rho bit pattern + per-step convergence scalars
-/// (identical to `tests/scheme_digest.rs::run_digest`).
-fn run_digest(res: &ls3df::core::Ls3dfResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bits: u64| {
-        for byte in bits.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for &x in res.rho.as_slice() {
-        eat(x.to_bits());
-    }
-    for step in &res.history {
-        eat(step.dv_integral.to_bits());
-        eat(step.worst_residual.to_bits());
-    }
-    h
 }
 
 /// Child half: inert under a plain `cargo test`; re-execed with
@@ -109,7 +68,7 @@ fn dist_digest_child() {
         .expect("valid reference geometry");
     let fingerprint = calc.fingerprint();
     let res = calc.try_scf().expect("distributed SCF must complete");
-    println!("LS3DF_DIGEST={:016x}", run_digest(&res));
+    println!("LS3DF_DIGEST={:016x}", res.digest());
     println!("LS3DF_FPRINT={fingerprint:016x}");
     println!("LS3DF_GROUP_SECONDS={}", res.group_petot_seconds.len());
 }

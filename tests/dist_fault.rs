@@ -13,27 +13,8 @@
 use ls3df::core::observer::{ScfObserver, ScfStage};
 use ls3df::core::{Ls3df, Ls3dfError, Ls3dfOptions, Passivation};
 use ls3df::pw::Mixer;
-use ls3df_atoms::{Atom, Species, Structure};
+use ls3df_atoms::model_crystal;
 use ls3df_pseudo::PseudoTable;
-
-fn model_crystal(m: [usize; 3], a: f64) -> Structure {
-    let mut atoms = Vec::new();
-    for k in 0..m[2] {
-        for j in 0..m[1] {
-            for i in 0..m[0] {
-                atoms.push(Atom {
-                    species: Species::Zn,
-                    pos: [
-                        (i as f64 + 0.5) * a,
-                        (j as f64 + 0.5) * a,
-                        (k as f64 + 0.5) * a,
-                    ],
-                });
-            }
-        }
-    }
-    Structure::new([m[0] as f64 * a, m[1] as f64 * a, m[2] as f64 * a], atoms)
-}
 
 fn small_opts() -> Ls3dfOptions {
     Ls3dfOptions {
@@ -53,7 +34,6 @@ fn small_opts() -> Ls3dfOptions {
         max_scf: 2,
         tol: 1e-4,
         pseudo: PseudoTable::deep_well(2.0, 0.8),
-        ..Default::default()
     }
 }
 

@@ -11,11 +11,11 @@
 
 mod common;
 
-use common::model_crystal;
-use ls3df::core::{plan_groups, Ls3df, Ls3dfOptions, Ls3dfResult, Ls3dfStep, Passivation};
+use common::resume_digest;
+use ls3df::core::{plan_groups, Ls3df, Ls3dfOptions, Ls3dfStep, Passivation};
 use ls3df::CheckpointConfig;
 use ls3df::{FragmentFault, InjectedFault, QuarantineRecord, ScfObserver, ScfStage};
-use ls3df_atoms::Structure;
+use ls3df_atoms::{model_crystal, Structure};
 use ls3df_pseudo::PseudoTable;
 use std::path::{Path, PathBuf};
 
@@ -43,26 +43,6 @@ fn small_opts(max_scf: usize) -> Ls3dfOptions {
 
 fn crystal() -> Structure {
     model_crystal([2, 2, 2], 6.5)
-}
-
-/// FNV-1a over the raw f64 bit patterns of the run's outputs.
-fn run_digest(res: &Ls3dfResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bits: u64| {
-        for byte in bits.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for &x in res.rho.as_slice().iter().chain(res.v_eff.as_slice()) {
-        eat(x.to_bits());
-    }
-    for step in &res.history {
-        eat(step.iteration as u64);
-        eat(step.dv_integral.to_bits());
-        eat(step.worst_residual.to_bits());
-    }
-    h
 }
 
 /// Re-execs this binary as `test_name` with `env` set; returns the
@@ -163,7 +143,7 @@ fn fault_events_child() {
     println!("LS3DF_EVENTS={}", log.events.join(","));
     println!("LS3DF_QUARANTINED={}", quarantined.join(","));
     println!("LS3DF_INJECTED={retried},{doomed}");
-    println!("LS3DF_DIGEST={:016x}", run_digest(&res));
+    println!("LS3DF_DIGEST={:016x}", resume_digest(&res));
 }
 
 /// Faults on fragments rank 1 owns reach rank 0's observer through the
@@ -244,7 +224,7 @@ fn group_ckpt_child() {
         build_ckpt(None, Some(&snap))
     };
     let res = calc.try_scf().expect("SCF must complete");
-    println!("LS3DF_DIGEST={:016x}", run_digest(&res));
+    println!("LS3DF_DIGEST={:016x}", resume_digest(&res));
 }
 
 /// A 2-group run snapshotted every iteration and killed after iteration

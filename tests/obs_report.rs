@@ -11,7 +11,7 @@ use ls3df::obs::Json;
 #[cfg(feature = "obs")]
 use ls3df::obs::MachineRef;
 use ls3df::pseudo::PseudoTable;
-use ls3df_atoms::{Atom, Species, Structure};
+use ls3df_atoms::model_crystal;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 #[cfg(feature = "alloc-count")]
@@ -26,25 +26,6 @@ fn obs_lock() -> MutexGuard<'static, ()> {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
-}
-
-fn model_crystal(m: [usize; 3], a: f64) -> Structure {
-    let mut atoms = Vec::new();
-    for k in 0..m[2] {
-        for j in 0..m[1] {
-            for i in 0..m[0] {
-                atoms.push(Atom {
-                    species: Species::Zn,
-                    pos: [
-                        (i as f64 + 0.5) * a,
-                        (j as f64 + 0.5) * a,
-                        (k as f64 + 0.5) * a,
-                    ],
-                });
-            }
-        }
-    }
-    Structure::new([m[0] as f64 * a, m[1] as f64 * a, m[2] as f64 * a], atoms)
 }
 
 fn small_calc(max_scf: usize) -> Ls3df {

@@ -12,30 +12,9 @@
 
 use ls3df::core::{Ls3df, Ls3dfOptions, Passivation};
 use ls3df::pw::Mixer;
-use ls3df_atoms::{Atom, Species, Structure};
+use ls3df_atoms::model_crystal;
 use ls3df_pseudo::PseudoTable;
 use rayon::Schedule;
-
-/// Same deep-well model crystal as the pipeline tests: gapped, cheap,
-/// chemistry-free.
-fn model_crystal(m: [usize; 3], a: f64) -> Structure {
-    let mut atoms = Vec::new();
-    for k in 0..m[2] {
-        for j in 0..m[1] {
-            for i in 0..m[0] {
-                atoms.push(Atom {
-                    species: Species::Zn,
-                    pos: [
-                        (i as f64 + 0.5) * a,
-                        (j as f64 + 0.5) * a,
-                        (k as f64 + 0.5) * a,
-                    ],
-                });
-            }
-        }
-    }
-    Structure::new([m[0] as f64 * a, m[1] as f64 * a, m[2] as f64 * a], atoms)
-}
 
 fn short_scf() -> ls3df::core::Ls3dfResult {
     let s = model_crystal([2, 2, 2], 6.5);
@@ -56,7 +35,6 @@ fn short_scf() -> ls3df::core::Ls3dfResult {
         max_scf: 2,
         tol: 1e-4,
         pseudo: PseudoTable::deep_well(2.0, 0.8),
-        ..Default::default()
     };
     let mut calc = Ls3df::builder(&s)
         .fragments([2, 2, 2])
@@ -64,26 +42,6 @@ fn short_scf() -> ls3df::core::Ls3dfResult {
         .build()
         .expect("valid test geometry");
     calc.scf()
-}
-
-/// FNV-1a over the raw f64 bit patterns of the physically meaningful
-/// outputs — any single-bit divergence changes it.
-fn run_digest(res: &ls3df::core::Ls3dfResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bits: u64| {
-        for byte in bits.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for &x in res.rho.as_slice() {
-        eat(x.to_bits());
-    }
-    for step in &res.history {
-        eat(step.dv_integral.to_bits());
-        eat(step.worst_residual.to_bits());
-    }
-    h
 }
 
 /// Child half of the digest matrix: inert under a plain `cargo test`;
@@ -96,7 +54,7 @@ fn schedule_child() {
         return;
     }
     let res = short_scf();
-    println!("LS3DF_DIGEST={:016x}", run_digest(&res));
+    println!("LS3DF_DIGEST={:016x}", res.digest());
 }
 
 /// Child half of the panic-propagation check: panics inside a parallel

@@ -17,26 +17,6 @@
 use ls3df::core::{Ls3df, Ls3dfOptions, Passivation};
 use ls3df::pw::Mixer;
 
-/// FNV-1a over every rho bit pattern + per-step convergence scalars (the
-/// `tests/scheme_digest.rs` digest).
-fn run_digest(res: &ls3df::core::Ls3dfResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bits: u64| {
-        for byte in bits.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for &x in res.rho.as_slice() {
-        eat(x.to_bits());
-    }
-    for step in &res.history {
-        eat(step.dv_integral.to_bits());
-        eat(step.worst_residual.to_bits());
-    }
-    h
-}
-
 /// Child half: inert under a plain `cargo test`; re-execed with
 /// `LS3DF_TIER_DIGEST_CHILD` set to `baseline` or `host` it runs the alloy
 /// on that tier and prints the digest.
@@ -83,7 +63,7 @@ fn tier_digest_child() {
     println!(
         "LS3DF_TIER={} LS3DF_DIGEST={:016x}",
         ls3df::math::Tier::host().name(),
-        run_digest(&res)
+        res.digest()
     );
 }
 
