@@ -26,6 +26,16 @@
 //!   against the one this host dispatches to, at 16/32/64/130 bands × the
 //!   planewave counts of the ZnTeO fragment boxes (751/1157/1715/2553),
 //!   Gflop/s each, outputs compared bit for bit.
+//! - **real tile** (`real_tile`): the same product on the `c64` 4×4
+//!   register tile, on an `f64` 4×4 tile and on the wide `f64` tile the
+//!   kernel selects for 8-byte scalars, both tiers — the measurement
+//!   behind the real tile's width, and the rate the Γ-point real block
+//!   algebra of `ls3df-pw` runs its GEMMs at (Gflop/s count 8 flops per
+//!   complex multiply-add, 2 per real one: the real rows show *fewer*
+//!   Gflop/s and *less* time).
+//! - **real eigh + ortho** (`real_eigh_ortho`): the subspace
+//!   diagonalization and the overlap-Cholesky orthonormalization at the
+//!   same shapes, Hermitian/`c64` against real-symmetric/`f64`.
 //! - **row loops vs block products**: the subspace projection of one
 //!   `cg_step` and the three rotations of one `rr_rotate` at 130 × 2553,
 //!   as the `dotc`/`axpy` row loops the solver ran before and as the
@@ -59,9 +69,11 @@
 use ls3df_bench::arg;
 use ls3df_fft::{Fft1d, Fft3, Fft3r};
 use ls3df_grid::{Grid3, RealField};
+use ls3df_math::ortho::cholesky_orthonormalize;
 use ls3df_math::vec_ops::{axpy, dotc};
 use ls3df_math::{
-    c64, gemm_into, gemm_packed_into, gemm_with, GemmScratch, KernelPolicy, Matrix, Op, Tier,
+    c64, eigh_fast, gemm_into, gemm_packed_into, gemm_with, GemmScratch, KernelPolicy, Matrix, Op,
+    Tier,
 };
 use ls3df_obs::{Json, Report};
 use ls3df_pw::hartree::{hartree_potential, HartreeSolver};
@@ -521,6 +533,135 @@ fn main() {
     }
     println!();
 
+    // --- the real register tile ---------------------------------------------
+    // Uᵀ·Ψ again, now also on real operands: the 4×4 tile the complex
+    // kernel uses (4 AVX2 accumulators for f64 — too few independent add
+    // chains) against the wide tile `GemmScratch` selects for 8-byte
+    // scalars. Widths are cross-checked bit for bit.
+    println!("packed GEMM Uᵀ·Ψ, c64 4×4 tile vs f64 4×4 tile vs f64 wide tile:");
+    let mut real_tile_rows: Vec<Json> = Vec::new();
+    let mut real_shapes: Vec<Json> = Vec::new();
+    for (nb, npw) in [(16usize, 751usize), (32, 1157), (64, 1715), (130, 2553)] {
+        let psi = lcg_block(nb, npw, 0x8e ^ nb as u64);
+        let u = lcg_block(nb, nb, 0x8f ^ nb as u64);
+        let (psi_r, u_r) = (psi.re(), u.re());
+        let madds = (nb * nb * npw) as f64;
+        let inner = (2e8 / madds).ceil() as usize;
+        for tier in [Tier::BASELINE, host] {
+            let mut out_c = Matrix::zeros(nb, npw);
+            let mut scratch = GemmScratch::with(KernelPolicy::Fast, tier);
+            let complex_s = bench_n(
+                &format!("{nb} × {npw}, {} tier, c64 4×4", tier.name()),
+                inner,
+                Box::new(|| {
+                    let c = &mut out_c;
+                    gemm_packed_into(&mut scratch, one, &u, Op::Trans, &psi, Op::None, zero, c);
+                }),
+            );
+            let mut real_s = [0.0_f64; 2];
+            let mut out_r = [Matrix::zeros(nb, npw), Matrix::zeros(nb, npw)];
+            for (slot, label) in ["f64 4×4", "f64 wide"].into_iter().enumerate() {
+                let mut scratch = GemmScratch::<f64>::with(KernelPolicy::Fast, tier);
+                if slot == 0 {
+                    scratch = scratch.narrow_tile();
+                }
+                let c = &mut out_r[slot];
+                real_s[slot] = bench_n(
+                    &format!("{nb} × {npw}, {} tier, {label}", tier.name()),
+                    inner,
+                    Box::new(|| {
+                        gemm_packed_into(
+                            &mut scratch,
+                            1.0,
+                            &u_r,
+                            Op::Trans,
+                            &psi_r,
+                            Op::None,
+                            0.0,
+                            c,
+                        );
+                    }),
+                );
+            }
+            let identical = out_r[0]
+                .as_slice()
+                .iter()
+                .zip(out_r[1].as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(identical, "{nb} × {npw}: tile widths are not bit-identical");
+            println!(
+                "  c64 {:.2} Gflop/s | f64 4×4 {:.2} | f64 wide {:.2} Gflop/s; wide vs c64 {:.2}x faster",
+                8.0 * madds / complex_s * 1e-9,
+                2.0 * madds / real_s[0] * 1e-9,
+                2.0 * madds / real_s[1] * 1e-9,
+                complex_s / real_s[1]
+            );
+            real_tile_rows.push(Json::obj(vec![
+                ("bands", Json::num(nb as f64)),
+                ("planewaves", Json::num(npw as f64)),
+                ("tier", Json::str(tier.name())),
+                ("c64_4x4_ms", Json::num(complex_s * 1e3)),
+                ("f64_4x4_ms", Json::num(real_s[0] * 1e3)),
+                ("f64_wide_ms", Json::num(real_s[1] * 1e3)),
+                ("c64_4x4_gflops", Json::num(8.0 * madds / complex_s * 1e-9)),
+                ("f64_4x4_gflops", Json::num(2.0 * madds / real_s[0] * 1e-9)),
+                ("f64_wide_gflops", Json::num(2.0 * madds / real_s[1] * 1e-9)),
+                ("widths_bit_identical", Json::Bool(identical)),
+            ]));
+        }
+
+        // The O(n_b³) and triangular work on the same shapes: Hermitian
+        // vs real-symmetric eigh, complex vs real overlap-Cholesky.
+        let herm = Matrix::from_fn(nb, nb, |i, j| (u[(i, j)] + u[(j, i)].conj()).scale(0.5));
+        let sym = herm.re();
+        let small = (4e6 / (nb * nb * nb) as f64).ceil() as usize;
+        let eigh_c = bench_n(
+            &format!("{nb} × {nb} eigh, Hermitian c64"),
+            small,
+            Box::new(|| {
+                std::hint::black_box(eigh_fast(&herm));
+            }),
+        );
+        let eigh_r = bench_n(
+            &format!("{nb} × {nb} eigh, real-symmetric f64"),
+            small,
+            Box::new(|| {
+                std::hint::black_box(eigh_fast(&sym));
+            }),
+        );
+        let (mut work_c, mut work_r) = (psi.clone(), psi_r.clone());
+        let ortho_c = bench_n(
+            &format!("{nb} × {npw} overlap-Cholesky ortho, c64"),
+            inner,
+            Box::new(|| {
+                work_c.as_mut_slice().copy_from_slice(psi.as_slice());
+                cholesky_orthonormalize(&mut work_c, 1.0).expect("independent rows");
+            }),
+        );
+        let ortho_r = bench_n(
+            &format!("{nb} × {npw} overlap-Cholesky ortho, f64"),
+            inner,
+            Box::new(|| {
+                work_r.as_mut_slice().copy_from_slice(psi_r.as_slice());
+                cholesky_orthonormalize(&mut work_r, 1.0).expect("independent rows");
+            }),
+        );
+        println!(
+            "  eigh {:.2}x, ortho {:.2}x faster real",
+            eigh_c / eigh_r,
+            ortho_c / ortho_r
+        );
+        real_shapes.push(Json::obj(vec![
+            ("bands", Json::num(nb as f64)),
+            ("planewaves", Json::num(npw as f64)),
+            ("eigh_c64_ms", Json::num(eigh_c * 1e3)),
+            ("eigh_f64_ms", Json::num(eigh_r * 1e3)),
+            ("ortho_c64_ms", Json::num(ortho_c * 1e3)),
+            ("ortho_f64_ms", Json::num(ortho_r * 1e3)),
+        ]));
+    }
+    println!();
+
     // --- row loops vs block products at the 8-piece fragment shape --------
     // One cg_step's subspace projection and one rr_rotate's three
     // rotations (Ψ, HΨ, D_prev), the way the solver ran them before
@@ -840,6 +981,12 @@ fn main() {
     report
         .extra
         .push(("gemm_tiers".to_string(), Json::Arr(tier_rows)));
+    report
+        .extra
+        .push(("real_tile".to_string(), Json::Arr(real_tile_rows)));
+    report
+        .extra
+        .push(("real_eigh_ortho".to_string(), Json::Arr(real_shapes)));
     report
         .extra
         .push(("gemm_crossover".to_string(), Json::Arr(crossover_rows)));

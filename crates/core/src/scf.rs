@@ -1571,4 +1571,59 @@ mod tests {
         // Errors are displayable (they reach CLI users via `?`).
         assert!(err.to_string().contains("does not match"));
     }
+
+    #[test]
+    fn start_block_with_no_real_part_is_retried_from_a_fresh_start() {
+        // i·(real orbitals): under `fast` the solve entry packs Re ψ(r),
+        // which vanishes, so the primary attempt fails as dependent start
+        // vectors — and the ladder's fresh random start must recover with
+        // nothing quarantined. `reference` solves the complex block as is.
+        struct Retries(Vec<FragmentFault>);
+        impl ScfObserver for &mut Retries {
+            fn on_fragment_retry(&mut self, _iteration: usize, fault: &FragmentFault) {
+                self.0.push(fault.clone());
+            }
+        }
+        let s = ls3df_atoms::model_crystal([2, 2, 2], 6.5);
+        let opts = Ls3dfOptions {
+            ecut: 1.5,
+            piece_pts: [6, 6, 6],
+            buffer_pts: [2, 2, 2],
+            passivation: Passivation::WallOnly,
+            wall_height: 1.5,
+            n_extra_bands: 2,
+            cg_steps: 6,
+            initial_cg_steps: 10,
+            max_scf: 1,
+            pseudo: PseudoTable::deep_well(2.0, 0.8),
+            ..Default::default()
+        };
+        let mut calc = Ls3df::builder(&s)
+            .fragments([2, 2, 2])
+            .options(opts)
+            .build()
+            .expect("valid test geometry");
+        let fs = &mut calc.fragments[3];
+        let mut packed = vec![0.0; fs.basis.len()];
+        for b in 0..fs.psi.rows() {
+            fs.basis.pack(fs.psi.row(b), &mut packed);
+            fs.basis.unpack(&packed, fs.psi.row_mut(b));
+        }
+        ls3df_math::vec_ops::scal(c64::I, fs.psi.as_mut_slice());
+
+        let mut retries = Retries(Vec::new());
+        let res = calc.scf_with(&mut retries);
+        assert!(res.quarantined.is_empty(), "the ladder must recover");
+        assert!((res.rho.integrate() - calc.n_electrons()).abs() < 1e-8);
+        match ls3df_math::kernel_policy() {
+            ls3df_math::KernelPolicy::Reference => assert!(retries.0.is_empty()),
+            ls3df_math::KernelPolicy::Fast => {
+                assert_eq!(retries.0.len(), 1, "{:?}", retries.0);
+                let fault = &retries.0[0];
+                assert_eq!((fault.fragment, fault.attempt), (3, 0));
+                assert_eq!(fault.action, RetryAction::Primary);
+                assert!(fault.detail.contains("linearly dependent"), "{fault}");
+            }
+        }
+    }
 }

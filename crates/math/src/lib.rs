@@ -64,13 +64,14 @@ pub use scalar::Scalar;
 pub use cholesky::Cholesky;
 pub use eigh::{eigh, eigvalsh, Eig};
 pub use lu::{lstsq, polyfit, polyval, solve, Lu};
-pub use tridiag::{eigh_tridiagonal, eigh_tridiagonal_real};
+pub use tridiag::eigh_tridiagonal;
 
-/// Hermitian eigendecomposition with automatic algorithm choice: cyclic
-/// Jacobi for small matrices (unbeatable constants, bulletproof), the
-/// Householder-tridiagonal + QL pipeline above ~32 rows (the all-band
-/// subspace problems of large fragments reach a few hundred bands).
-pub fn eigh_fast(a: &Matrix<c64>) -> Eig<c64> {
+/// Hermitian (`c64`) or real-symmetric (`f64`) eigendecomposition with
+/// automatic algorithm choice: cyclic Jacobi for small matrices
+/// (unbeatable constants, bulletproof), the Householder-tridiagonal + QL
+/// pipeline above ~32 rows (the all-band subspace problems of large
+/// fragments reach a few hundred bands).
+pub fn eigh_fast<S: Scalar>(a: &Matrix<S>) -> Eig<S> {
     if a.rows() <= 32 {
         eigh(a)
     } else {

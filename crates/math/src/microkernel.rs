@@ -58,8 +58,15 @@ use std::sync::OnceLock;
 
 /// Rows of `C` per register tile.
 const MR: usize = 4;
-/// Columns of `C` per register tile.
-const NR: usize = 4;
+/// Columns of `C` per register tile for 16-byte scalars (`c64`): 4×4
+/// complex accumulators are 8 AVX2 registers.
+const NR_NARROW: usize = 4;
+/// Columns of `C` per register tile for 8-byte scalars (`f64`): a 4×4
+/// real tile is 4 AVX2 registers — four independent add chains cannot
+/// hide the add latency — so the real tile is wider (`real_tile` in the
+/// `fft_kernels` bench, EXPERIMENTS.md). The width never changes a bit of
+/// any `C` element: each element's `k`-order is the same in every tile.
+const NR_WIDE: usize = 8;
 /// `k`-extent of one packed block: an `MR·KC` A-strip and a `KC·NR`
 /// B-panel are 16 KiB each for `c64` — both stay in L1 while a tile runs.
 const KC: usize = 256;
@@ -185,6 +192,9 @@ pub fn force_baseline_tier() -> bool {
 pub struct GemmScratch<S: Scalar> {
     policy: KernelPolicy,
     tier: Tier,
+    /// Whether the register tile is [`NR_WIDE`] columns (8-byte scalars)
+    /// rather than [`NR_NARROW`].
+    wide_tile: bool,
     a_pack: Vec<S>,
     b_pack: Vec<S>,
 }
@@ -201,9 +211,19 @@ impl<S: Scalar> GemmScratch<S> {
         GemmScratch {
             policy,
             tier,
+            wide_tile: size_of::<S>() <= 8,
             a_pack: Vec::new(),
             b_pack: Vec::new(),
         }
+    }
+
+    /// Test/bench hook: the packed kernel on the narrow (4-column) register
+    /// tile whatever the scalar — the other side of the tile-width
+    /// bit-identity tests and of the `real_tile` bench rows.
+    #[doc(hidden)]
+    pub fn narrow_tile(mut self) -> Self {
+        self.wide_tile = false;
+        self
     }
 
     /// The arithmetic policy products through this scratch use.
@@ -287,22 +307,34 @@ pub(crate) fn run<S: Scalar>(scratch: &mut GemmScratch<S>, job: Product<'_, S>) 
     scratch.a_pack.resize(MC * KC, S::ZERO);
     scratch.b_pack.resize(KC * NC, S::ZERO);
     let (a_pack, b_pack) = (&mut scratch.a_pack[..], &mut scratch.b_pack[..]);
+    let wide = scratch.wide_tile;
     match scratch.tier.0 {
-        Isa::Baseline => packed_body(a_pack, b_pack, job),
+        Isa::Baseline if wide => packed_body::<S, NR_WIDE>(a_pack, b_pack, job),
+        Isa::Baseline => packed_body::<S, NR_NARROW>(a_pack, b_pack, job),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         Isa::Avx2 => {
             // SAFETY: `packed_avx2` is safe code that only needs a CPU with
             // AVX2; `Isa::Avx2` is private to this module and built solely in
             // `Tier::host`, after `is_x86_feature_detected!("avx2")` held.
-            unsafe { packed_avx2(a_pack, b_pack, job) }
+            unsafe {
+                if wide {
+                    packed_avx2::<S, NR_WIDE>(a_pack, b_pack, job)
+                } else {
+                    packed_avx2::<S, NR_NARROW>(a_pack, b_pack, job)
+                }
+            }
         }
     }
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
-fn packed_avx2<S: Scalar>(a_pack: &mut [S], b_pack: &mut [S], job: Product<'_, S>) {
-    packed_body(a_pack, b_pack, job);
+fn packed_avx2<S: Scalar, const NR: usize>(
+    a_pack: &mut [S],
+    b_pack: &mut [S],
+    job: Product<'_, S>,
+) {
+    packed_body::<S, NR>(a_pack, b_pack, job);
 }
 
 /// The packed product: `op(B)` in `KC×NC` blocks of `NR`-wide panels,
@@ -310,7 +342,12 @@ fn packed_avx2<S: Scalar>(a_pack: &mut [S], b_pack: &mut [S], job: Product<'_, S
 /// from the stored operand, conjugating/transposing while packing — and
 /// one `MR×NR` register tile per (strip, panel) pair.
 #[inline(always)]
-fn packed_body<S: Scalar>(a_pack: &mut [S], b_pack: &mut [S], job: Product<'_, S>) {
+fn packed_body<S: Scalar, const NR: usize>(
+    a_pack: &mut [S],
+    b_pack: &mut [S],
+    job: Product<'_, S>,
+) {
+    const { assert!(NC.is_multiple_of(NR)) };
     let Product {
         alpha,
         a,
@@ -327,7 +364,7 @@ fn packed_body<S: Scalar>(a_pack: &mut [S], b_pack: &mut [S], job: Product<'_, S
         let nc = (n - jc).min(NC);
         for pc in (0..k).step_by(KC) {
             let kc = (k - pc).min(KC);
-            pack_b(b_pack, b, op_b, (pc, kc), (jc, nc));
+            pack_b::<S, NR>(b_pack, b, op_b, (pc, kc), (jc, nc));
             for ic in (0..m).step_by(MC) {
                 let mc = (m - ic).min(MC);
                 pack_a(a_pack, alpha, a, op_a, (ic, mc), (pc, kc));
@@ -346,7 +383,7 @@ fn packed_body<S: Scalar>(a_pack: &mut [S], b_pack: &mut [S], job: Product<'_, S
                         if lower_only && j0 >= i0 + h {
                             continue;
                         }
-                        let acc = tile(a_strip, b_panel);
+                        let acc = tile::<S, NR>(a_strip, b_panel);
                         for r in 0..h {
                             let c_row = &mut c[(i0 + r) * n + j0..][..w];
                             for q in 0..w {
@@ -362,7 +399,7 @@ fn packed_body<S: Scalar>(a_pack: &mut [S], b_pack: &mut [S], job: Product<'_, S
 
 /// `Σ_p a_strip[p]ᵀ·b_panel[p]` — the `MR×NR` register tile.
 #[inline(always)]
-fn tile<S: Scalar>(a_strip: &[S], b_panel: &[S]) -> [[S; NR]; MR] {
+fn tile<S: Scalar, const NR: usize>(a_strip: &[S], b_panel: &[S]) -> [[S; NR]; MR] {
     let mut acc = [[S::ZERO; NR]; MR];
     for (pa, pb) in a_strip.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
         for r in 0..MR {
@@ -388,7 +425,7 @@ pub(crate) fn conj_if<S: Scalar>(conj: bool, v: S) -> S {
 /// panel `jp` holds its `NR` columns for every `p`, contiguous in `p`,
 /// zero-padded past `nc`.
 #[inline(always)]
-fn pack_b<S: Scalar>(
+fn pack_b<S: Scalar, const NR: usize>(
     dst: &mut [S],
     b: View<'_, S>,
     op_b: Op,
@@ -489,15 +526,32 @@ mod tests {
     }
 
     /// `C += α·op(A)·op(B)` through the packed kernel on `tier`.
-    fn packed(
+    fn packed<S: Scalar>(
         tier: Tier,
-        alpha: c64,
-        (a, op_a): (&Matrix<c64>, Op),
-        (b, op_b): (&Matrix<c64>, Op),
-        c: &mut Matrix<c64>,
+        alpha: S,
+        (a, op_a): (&Matrix<S>, Op),
+        (b, op_b): (&Matrix<S>, Op),
+        c: &mut Matrix<S>,
         lower_only: bool,
     ) {
-        let mut scratch = GemmScratch::with(KernelPolicy::Fast, tier);
+        packed_on(
+            GemmScratch::with(KernelPolicy::Fast, tier),
+            alpha,
+            (a, op_a),
+            (b, op_b),
+            c,
+            lower_only,
+        );
+    }
+
+    fn packed_on<S: Scalar>(
+        mut scratch: GemmScratch<S>,
+        alpha: S,
+        (a, op_a): (&Matrix<S>, Op),
+        (b, op_b): (&Matrix<S>, Op),
+        c: &mut Matrix<S>,
+        lower_only: bool,
+    ) {
         let job = Product {
             alpha,
             a: a.into(),
@@ -566,6 +620,52 @@ mod tests {
                     packed(Tier::BASELINE, alpha, aa, bb, &mut base, false);
                     packed(Tier::host(), alpha, aa, bb, &mut host, false);
                     assert!(same_bits(&base, &host), "{m}x{k}x{n} {op_a:?}/{op_b:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn real_tile_matches_naive_and_is_bit_identical_across_tiers_and_widths() {
+        // The `f64` instantiation runs the wide register tile. Against the
+        // naive product for value; against the baseline tier and against
+        // the narrow tile for bits — neither the CPU tier nor the tile
+        // width may change the order any element of `C` is summed in.
+        // Ragged: n and m not multiples of either tile, k past one KC block.
+        let real = |m: &Matrix<c64>| Matrix::from_fn(m.rows(), m.cols(), |i, j| m[(i, j)].re);
+        let bits =
+            |m: &Matrix<f64>| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        for (m, k, n) in shapes(&[(5, 9, 6), (7, 13, 19), (66, 300, 35), (33, 70, 261)]) {
+            for op_a in OPS {
+                for op_b in OPS {
+                    let a = real(&op_of(&rand_matrix(m, k, 17), op_a));
+                    let b = real(&op_of(&rand_matrix(k, n, 18), op_b));
+                    let c0 = real(&rand_matrix(m, n, 19));
+                    let (aa, bb) = ((&a, op_a), (&b, op_b));
+                    let alpha = -0.7;
+                    let mut host = c0.clone();
+                    packed(Tier::host(), alpha, aa, bb, &mut host, false);
+                    let plain = |x: &Matrix<f64>, op: Op| match op {
+                        Op::None => x.clone(),
+                        _ => x.transpose(),
+                    };
+                    let expect = crate::gemm::matmul_naive(&plain(&a, op_a), &plain(&b, op_b));
+                    for i in 0..m {
+                        for j in 0..n {
+                            let want = expect[(i, j)] * alpha + c0[(i, j)];
+                            assert!((host[(i, j)] - want).abs() < 1e-11, "({i},{j}) {m}x{k}x{n}");
+                        }
+                    }
+                    let mut base = c0.clone();
+                    packed(Tier::BASELINE, alpha, aa, bb, &mut base, false);
+                    assert!(
+                        bits(&base) == bits(&host),
+                        "tier: {m}x{k}x{n} {op_a:?}/{op_b:?}"
+                    );
+                    let mut narrow = c0.clone();
+                    let scratch = GemmScratch::with(KernelPolicy::Fast, Tier::host()).narrow_tile();
+                    packed_on(scratch, alpha, aa, bb, &mut narrow, false);
+                    assert!(bits(&narrow) == bits(&host), "tile width: {m}x{k}x{n}");
                 }
             }
         }

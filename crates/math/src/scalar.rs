@@ -28,6 +28,9 @@ pub trait Scalar:
     const ZERO: Self;
     /// Multiplicative identity.
     const ONE: Self;
+    /// Real floating-point operations in one multiply-add `c + a·b` — what
+    /// the flop counters charge per inner-loop step of a block product.
+    const MADD_FLOPS: u64;
 
     /// Complex conjugate (identity for reals).
     fn conj(self) -> Self;
@@ -52,6 +55,7 @@ pub trait Scalar:
 impl Scalar for f64 {
     const ZERO: f64 = 0.0;
     const ONE: f64 = 1.0;
+    const MADD_FLOPS: u64 = 2;
 
     #[inline(always)]
     fn conj(self) -> f64 {
@@ -94,6 +98,7 @@ impl Scalar for f64 {
 impl Scalar for c64 {
     const ZERO: c64 = c64::ZERO;
     const ONE: c64 = c64::ONE;
+    const MADD_FLOPS: u64 = 8;
 
     #[inline(always)]
     fn conj(self) -> c64 {

@@ -7,23 +7,41 @@
 //! solver hit it once per iteration with n = number of bands (up to a few
 //! hundred for large fragments). This pipeline does the whole job in
 //! ~(4/3)n³ + O(n²) per QL sweep and is the default for n above a small
-//! threshold (see [`crate::eigh::eigh`]).
+//! threshold (see [`crate::eigh_fast`]).
+//!
+//! Written once over [`Scalar`]: the `c64` instantiation is the Hermitian
+//! pipeline, the `f64` one the real-symmetric pipeline (reflectors, `Q`
+//! and the QL rotations all real — a quarter of the arithmetic), which the
+//! Γ-point real block algebra of `ls3df-pw` diagonalizes its subspace
+//! matrices with.
 
-use crate::{c64, Eig, Matrix, Scalar};
+use crate::{Eig, Matrix, Scalar};
+
+/// Unit-modulus `z/|z|` (`1` for a vanishing `z`): a phase for `c64`, a
+/// sign for `f64`.
+#[inline]
+fn phase_of<S: Scalar>(z: S) -> S {
+    let r = z.abs();
+    if r < 1e-300 {
+        S::ONE
+    } else {
+        z.scale(1.0 / r)
+    }
+}
 
 /// Reduces a Hermitian matrix to real symmetric tridiagonal form
-/// `A = Q·T·Qᴴ` via complex Householder reflectors.
+/// `A = Q·T·Qᴴ` via Householder reflectors.
 ///
 /// Returns `(diag, offdiag, q)` with `offdiag[i]` coupling `i` and `i+1`.
-pub fn hermitian_to_tridiagonal(a: &Matrix<c64>) -> (Vec<f64>, Vec<f64>, Matrix<c64>) {
+pub fn hermitian_to_tridiagonal<S: Scalar>(a: &Matrix<S>) -> (Vec<f64>, Vec<f64>, Matrix<S>) {
     assert!(a.is_square(), "tridiagonalize: matrix must be square");
     let n = a.rows();
     let mut a = a.clone();
-    let mut q = Matrix::<c64>::identity(n);
+    let mut q = Matrix::<S>::identity(n);
 
     for k in 0..n.saturating_sub(2) {
         // Householder vector zeroing column k below row k+1.
-        let mut x = vec![c64::ZERO; n - k - 1];
+        let mut x = vec![S::ZERO; n - k - 1];
         for i in (k + 1)..n {
             x[i - k - 1] = a[(i, k)];
         }
@@ -32,13 +50,7 @@ pub fn hermitian_to_tridiagonal(a: &Matrix<c64>) -> (Vec<f64>, Vec<f64>, Matrix<
             continue;
         }
         // α = −e^{iθ}·‖x‖ where θ = arg(x₀): makes v = x − α·e₁ stable.
-        let x0 = x[0];
-        let phase = if x0.abs() < 1e-300 {
-            c64::ONE
-        } else {
-            x0.scale(1.0 / x0.abs())
-        };
-        let alpha = -(phase.scale(xnorm));
+        let alpha = -(phase_of(x[0]).scale(xnorm));
         let mut v = x;
         v[0] -= alpha;
         let vnorm2: f64 = v.iter().map(|z| z.norm_sqr()).sum();
@@ -53,22 +65,22 @@ pub fn hermitian_to_tridiagonal(a: &Matrix<c64>) -> (Vec<f64>, Vec<f64>, Matrix<
         // and accumulate Q ← Q·P.
         // w = A·v (restricted to the trailing block).
         let m = n - k - 1;
-        let mut w = vec![c64::ZERO; m];
+        let mut w = vec![S::ZERO; m];
         for i in 0..m {
-            let mut acc = c64::ZERO;
+            let mut acc = S::ZERO;
             for j in 0..m {
-                acc = acc.mul_add(a[(k + 1 + i, k + 1 + j)], v[j]);
+                acc = acc.acc(a[(k + 1 + i, k + 1 + j)], v[j]);
             }
             w[i] = acc;
         }
         // K = vᴴ·w (real for Hermitian A).
-        let mut kvw = c64::ZERO;
+        let mut kvw = S::ZERO;
         for i in 0..m {
-            kvw = kvw.mul_add(v[i].conj(), w[i]);
+            kvw = kvw.acc_conj(v[i], w[i]);
         }
         // u = w − K·v ;  A ← A − 2(v·uᴴ + u·vᴴ) − ... (standard rank-2):
         // A ← A − 2v(wᴴ − K̄vᴴ) − 2(w − Kv)vᴴ simplifies with u:
-        let u: Vec<c64> = w.iter().zip(&v).map(|(&wi, &vi)| wi - vi * kvw).collect();
+        let u: Vec<S> = w.iter().zip(&v).map(|(&wi, &vi)| wi - vi * kvw).collect();
         for i in 0..m {
             for j in 0..m {
                 let upd = (v[i] * u[j].conj() + u[i] * v[j].conj()).scale(2.0);
@@ -79,14 +91,14 @@ pub fn hermitian_to_tridiagonal(a: &Matrix<c64>) -> (Vec<f64>, Vec<f64>, Matrix<
         a[(k + 1, k)] = alpha;
         a[(k, k + 1)] = alpha.conj();
         for i in (k + 2)..n {
-            a[(i, k)] = c64::ZERO;
-            a[(k, i)] = c64::ZERO;
+            a[(i, k)] = S::ZERO;
+            a[(k, i)] = S::ZERO;
         }
         // Q ← Q·P (apply to columns k+1..).
         for row in 0..n {
-            let mut acc = c64::ZERO;
+            let mut acc = S::ZERO;
             for j in 0..m {
-                acc = acc.mul_add(q[(row, k + 1 + j)], v[j]);
+                acc = acc.acc(q[(row, k + 1 + j)], v[j]);
             }
             let two_acc = acc.scale(2.0);
             for j in 0..m {
@@ -96,25 +108,20 @@ pub fn hermitian_to_tridiagonal(a: &Matrix<c64>) -> (Vec<f64>, Vec<f64>, Matrix<
         }
     }
 
-    // The tridiagonal now has complex off-diagonals a[(i+1, i)]; rotate
-    // phases onto the diagonal of a unitary D so that T is real:
+    // The tridiagonal now has complex (or negative) off-diagonals
+    // a[(i+1, i)]; rotate phases onto the diagonal of a unitary D so that
+    // T is real with non-negative couplings:
     // D_0 = 1, D_{i+1} = D_i·phase(a[(i+1,i)]).
     let mut diag = vec![0.0; n];
     let mut off = vec![0.0; n.saturating_sub(1)];
-    let mut d = vec![c64::ONE; n];
+    let mut d = vec![S::ONE; n];
     for i in 0..n {
-        diag[i] = a[(i, i)].re;
+        diag[i] = a[(i, i)].re();
     }
-    for i in 0..n - 1 {
+    for i in 0..n.saturating_sub(1) {
         let e = a[(i + 1, i)];
-        let r = e.abs();
-        off[i] = r;
-        let phase = if r < 1e-300 {
-            c64::ONE
-        } else {
-            e.scale(1.0 / r)
-        };
-        d[i + 1] = d[i] * phase;
+        off[i] = e.abs();
+        d[i + 1] = d[i] * phase_of(e);
     }
     // Fold D into Q: Q ← Q·D.
     for j in 0..n {
@@ -128,7 +135,7 @@ pub fn hermitian_to_tridiagonal(a: &Matrix<c64>) -> (Vec<f64>, Vec<f64>, Matrix<
 /// Implicit-shift QL iteration on a real symmetric tridiagonal matrix,
 /// accumulating the rotations into `z` (columns become eigenvectors).
 /// `diag`/`off` are consumed; returns eigenvalues in `diag` (unsorted).
-pub fn tridiagonal_ql(diag: &mut [f64], off: &mut [f64], z: &mut Matrix<c64>) {
+pub fn tridiagonal_ql<S: Scalar>(diag: &mut [f64], off: &mut [f64], z: &mut Matrix<S>) {
     let n = diag.len();
     if n == 0 {
         return;
@@ -165,7 +172,7 @@ pub fn tridiagonal_ql(diag: &mut [f64], off: &mut [f64], z: &mut Matrix<c64>) {
             let (mut s, mut c) = (1.0_f64, 1.0_f64);
             let mut p = 0.0_f64;
             for i in (l..m).rev() {
-                let mut f = s * e[i];
+                let f = s * e[i];
                 let b = c * e[i];
                 r = f.hypot(g);
                 e[i + 1] = r;
@@ -183,11 +190,9 @@ pub fn tridiagonal_ql(diag: &mut [f64], off: &mut [f64], z: &mut Matrix<c64>) {
                 g = c * r - b;
                 // Accumulate the rotation into the eigenvector matrix.
                 for k in 0..z.rows() {
-                    f = z[(k, i + 1)].re;
-                    let fi = z[(k, i + 1)].im;
-                    let zr = z[(k, i)];
-                    z[(k, i + 1)] = c64::new(s * zr.re + c * f, s * zr.im + c * fi);
-                    z[(k, i)] = c64::new(c * zr.re - s * f, c * zr.im - s * fi);
+                    let (zi, zi1) = (z[(k, i)], z[(k, i + 1)]);
+                    z[(k, i + 1)] = zi.scale(s) + zi1.scale(c);
+                    z[(k, i)] = zi.scale(c) - zi1.scale(s);
                 }
             }
             if r == 0.0 && m > l + 1 {
@@ -201,7 +206,7 @@ pub fn tridiagonal_ql(diag: &mut [f64], off: &mut [f64], z: &mut Matrix<c64>) {
 }
 
 /// Full Hermitian eigendecomposition via the tridiagonal pipeline.
-pub fn eigh_tridiagonal(a: &Matrix<c64>) -> Eig<c64> {
+pub fn eigh_tridiagonal<S: Scalar>(a: &Matrix<S>) -> Eig<S> {
     let n = a.rows();
     let (mut diag, mut off, mut q) = hermitian_to_tridiagonal(a);
     tridiagonal_ql(&mut diag, &mut off, &mut q);
@@ -213,21 +218,12 @@ pub fn eigh_tridiagonal(a: &Matrix<c64>) -> Eig<c64> {
     Eig { values, vectors }
 }
 
-/// Real-symmetric wrapper (promotes, solves, takes real parts).
-pub fn eigh_tridiagonal_real(a: &Matrix<f64>) -> Eig<f64> {
-    let ac = a.to_complex();
-    let e = eigh_tridiagonal(&ac);
-    Eig {
-        values: e.values,
-        vectors: Matrix::from_fn(a.rows(), a.cols(), |i, j| e.vectors[(i, j)].re()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::c64;
     use crate::eigh::eigh;
-    use crate::gemm::matmul_nh;
+    use crate::gemm::{matmul, matmul_nh};
 
     fn hermitian_random(n: usize, seed: u64) -> Matrix<c64> {
         let mut state = seed | 1;
@@ -266,7 +262,7 @@ mod tests {
             t[(i, i + 1)] = c64::real(off[i]);
             t[(i + 1, i)] = c64::real(off[i]);
         }
-        let recon = matmul_nh(&crate::gemm::matmul(&q, &t), &q);
+        let recon = matmul_nh(&matmul(&q, &t), &q);
         for i in 0..12 {
             for j in 0..12 {
                 assert!(
@@ -330,15 +326,50 @@ mod tests {
     }
 
     #[test]
-    fn real_symmetric_wrapper() {
-        let a = Matrix::from_fn(6, 6, |i, j| 1.0 / (1.0 + (i as f64 - j as f64).abs()));
-        let e = eigh_tridiagonal_real(&a);
-        for b in 0..6 {
-            let v = e.vectors.col(b);
-            let av = a.matvec(&v);
-            for i in 0..6 {
-                assert!((av[i] - e.values[b] * v[i]).abs() < 1e-9);
+    fn real_symmetric_instantiation_with_every_eigenvalue_tripled() {
+        // A = Q·diag(λ)·Qᵀ with each λ three times over (the degenerate
+        // shells of a cubic fragment), at the Jacobi size and at two
+        // tridiagonal-pipeline sizes. The `f64` instantiation must give an
+        // orthogonal eigenbasis with small residuals, and the spectrum the
+        // `c64` instantiation gives on the promoted matrix.
+        for n in [8usize, 40, 130] {
+            let lambda: Vec<f64> = (0..n).map(|i| -1.0 + 0.37 * (i / 3) as f64).collect();
+            let mut state = 0x9e37_79b9 ^ n as u64;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) as f64) / (u32::MAX as f64) - 0.5
+            };
+            let mut q = Matrix::from_fn(n, n, |_, _| next());
+            crate::ortho::gram_schmidt(&mut q, 1.0).unwrap();
+            let ql = Matrix::from_fn(n, n, |i, j| q[(j, i)] * lambda[j]);
+            let raw = matmul(&ql, &q);
+            let a = Matrix::from_fn(n, n, |i, j| 0.5 * (raw[(i, j)] + raw[(j, i)]));
+
+            let real = crate::eigh_fast(&a);
+            let complex = crate::eigh_fast(&a.to_complex());
+            for b in 0..n {
+                assert!((real.values[b] - lambda[b]).abs() < 1e-12, "n={n} λ_{b}");
+                assert!(
+                    (real.values[b] - complex.values[b]).abs() <= 1e-12,
+                    "n={n} band {b}: f64 {} vs c64 {}",
+                    real.values[b],
+                    complex.values[b]
+                );
+                let v = real.vectors.col(b);
+                let av = a.matvec(&v);
+                for i in 0..n {
+                    assert!(
+                        (av[i] - real.values[b] * v[i]).abs() < 1e-12,
+                        "n={n} eigenpair {b} residual at {i}"
+                    );
+                }
             }
+            assert!(
+                real.vectors.orthonormality_error() < 1e-12,
+                "n={n}: eigenbasis not orthogonal"
+            );
         }
     }
 

@@ -18,6 +18,32 @@
 //! basis never reads (`ls3df_fft::Occupancy`, built once per basis).
 //! `LS3DF_KERNELS=reference` keeps the full x → y → z transforms, whose
 //! arithmetic order the golden digests pin.
+//!
+//! ## Γ-point packed real rows
+//!
+//! At Γ in a real potential every orbital can be chosen real in `r`, i.e.
+//! `c_{−G} = conj(c_G)`: half of a full-sphere coefficient row is
+//! redundant. The basis therefore also carries a **half-sphere index**
+//! (built in one pass over the G list): the self-conjugate vectors
+//! (`−G ≡ G` on the grid: `G = 0` and any point whose every component is
+//! `0` or the Nyquist index of an even axis), then each `[G, −G]` pair
+//! once. [`PwBasis::pack`] maps a full-sphere `c64` row to an `f64` row of
+//! the *same length*,
+//!
+//! ```text
+//! (c_s …,  √2·Re c_G, √2·Im c_G, …)        s self-conjugate, one G per pair
+//! ```
+//!
+//! and [`PwBasis::unpack`] maps it back. The `√2` makes the plain real dot
+//! of two packed rows equal the complex inner product `⟨a|b⟩` of the rows
+//! they came from, so every inner product, norm, overlap matrix and block
+//! product of the eigensolver can run on `f64` data with a quarter of the
+//! flops and half the bytes (see `crate::solver`). `pack` of a row that is
+//! *not* conjugate-symmetric gives the coefficients of `Re ψ(r)`. Pairing
+//! is by grid index negation, so Nyquist points need no special case.
+//! The grid transforms are not part of this: [`crate::Coeff`] scatters a
+//! packed row back to `c_G`/`conj c_G` on the full grid and runs the same
+//! complex sphere-pruned transform pair as a `c64` row.
 
 use ls3df_fft::{Fft3, Fft3Workspace, Occupancy};
 use ls3df_grid::Grid3;
@@ -35,6 +61,8 @@ pub struct PwBasis {
     g2: Vec<f64>,
     /// Cartesian G for each basis vector.
     g_vec: Vec<[f64; 3]>,
+    /// Γ-point half-sphere index behind the packed real rows.
+    half: HalfSphere,
     /// Grid lines the cutoff sphere touches — `Some` exactly when the
     /// transforms are sphere-aware (the `fast` kernel policy).
     sphere: Option<Occupancy>,
@@ -42,6 +70,61 @@ pub struct PwBasis {
     /// transform methods: after warmup, checkout/return is push/pop on a
     /// preallocated Vec and the transforms stay heap-free.
     ws_pool: Mutex<Vec<Fft3Workspace>>,
+}
+
+/// The half-sphere index of a basis: which full-sphere coefficients a
+/// packed real row (see the module docs) keeps, in packed order.
+struct HalfSphere {
+    /// Basis indices of the self-conjugate vectors (`−G ≡ G` on the grid);
+    /// they fill packed slots `0..selfs.len()`.
+    selfs: Vec<usize>,
+    /// Basis indices `[G, −G]` of each conjugate pair, `G` the member that
+    /// comes first in basis order; pair `p` fills packed slots
+    /// `selfs.len() + 2p` (`√2·Re c_G`) and `+ 2p + 1` (`√2·Im c_G`).
+    pairs: Vec<[usize; 2]>,
+    /// `|G|²` per packed slot (both slots of a pair carry the pair's).
+    g2: Vec<f64>,
+}
+
+impl HalfSphere {
+    /// One pass over the basis' grid slots; each vector's partner is found
+    /// by negating its grid index and looking it up in a slot → basis
+    /// index table.
+    fn new(grid: &Grid3, g_slot: &[usize], g2: &[f64]) -> Self {
+        let [n1, n2, n3] = grid.dims;
+        // alloc-audit: basis construction, once per geometry.
+        let mut basis_index = vec![u32::MAX; grid.len()];
+        for (i, &slot) in g_slot.iter().enumerate() {
+            basis_index[slot] = i as u32;
+        }
+        let mut selfs = Vec::new();
+        // alloc-audit: basis construction, once per geometry.
+        let mut pairs = Vec::with_capacity(g_slot.len() / 2);
+        for (i, &slot) in g_slot.iter().enumerate() {
+            let (ix, iy, iz) = grid.coords(slot);
+            let negated = grid.index((n1 - ix) % n1, (n2 - iy) % n2, (n3 - iz) % n3);
+            if negated == slot {
+                selfs.push(i);
+            } else if negated > slot {
+                let partner = basis_index[negated];
+                assert!(
+                    partner != u32::MAX,
+                    "the cutoff sphere is symmetric under G -> -G"
+                );
+                pairs.push([i, partner as usize]);
+            }
+        }
+        let packed_g2 = selfs
+            .iter()
+            .map(|&i| g2[i])
+            .chain(pairs.iter().flat_map(|&[i, _]| [g2[i]; 2]))
+            .collect();
+        HalfSphere {
+            selfs,
+            pairs,
+            g2: packed_g2,
+        }
+    }
 }
 
 impl PwBasis {
@@ -75,6 +158,7 @@ impl PwBasis {
         }
         let fft = Fft3::new(grid.dims[0], grid.dims[1], grid.dims[2]);
         let sphere = (kernel_policy() == KernelPolicy::Fast).then(|| fft.occupancy(&g_slot));
+        let half = HalfSphere::new(&grid, &g_slot, &g2s);
         PwBasis {
             grid,
             fft,
@@ -82,6 +166,7 @@ impl PwBasis {
             g_slot,
             g2: g2s,
             g_vec,
+            half,
             sphere,
             ws_pool: Mutex::new(Vec::new()),
         }
@@ -156,6 +241,59 @@ impl PwBasis {
             .expect("basis always contains G = 0")
     }
 
+    /// `|G|²` per slot of a packed real row.
+    #[inline]
+    pub(crate) fn g2_packed(&self) -> &[f64] {
+        &self.half.g2
+    }
+
+    /// Number of self-conjugate basis vectors (`−G ≡ G` on the grid): the
+    /// leading slots of a packed real row, which hold `c_s` unscaled.
+    /// `1` (just `G = 0`) unless the cutoff sphere reaches a Nyquist plane.
+    pub fn n_self_conjugate(&self) -> usize {
+        self.half.selfs.len()
+    }
+
+    /// Packs a full-sphere coefficient row into the Γ-point real row of
+    /// the same length (layout in the module docs). For a
+    /// conjugate-symmetric row this loses nothing; for a general row the
+    /// result is the packed row of `Re ψ(r)`.
+    pub fn pack(&self, full: &[c64], packed: &mut [f64]) {
+        assert_eq!(full.len(), self.len(), "pack: coefficient count");
+        assert_eq!(packed.len(), self.len(), "pack: packed row length");
+        let (selfs, pairs) = packed.split_at_mut(self.half.selfs.len());
+        for (p, &i) in selfs.iter_mut().zip(&self.half.selfs) {
+            *p = full[i].re;
+        }
+        for (p, &[i, j]) in pairs.chunks_exact_mut(2).zip(&self.half.pairs) {
+            // √2·(c_G + conj c_−G)/2.
+            p[0] = (0.5 * (full[i].re + full[j].re)) * std::f64::consts::SQRT_2;
+            p[1] = (0.5 * (full[i].im - full[j].im)) * std::f64::consts::SQRT_2;
+        }
+    }
+
+    /// Expands a packed real row back to the full-sphere coefficients
+    /// `c_s`, `c_G`, `c_−G = conj c_G` — the inverse of [`PwBasis::pack`]
+    /// on conjugate-symmetric rows.
+    pub fn unpack(&self, packed: &[f64], full: &mut [c64]) {
+        assert_eq!(full.len(), self.len(), "unpack: coefficient count");
+        assert_eq!(packed.len(), self.len(), "unpack: packed row length");
+        let (selfs, pairs) = packed.split_at(self.half.selfs.len());
+        for (&p, &i) in selfs.iter().zip(&self.half.selfs) {
+            full[i] = c64::real(p);
+        }
+        for (p, &[i, j]) in pairs.chunks_exact(2).zip(&self.half.pairs) {
+            // Divided, not multiplied by 1/√2: `x·√2/√2` is within one ulp
+            // of `x`, so state at rest survives a pack/unpack round trip.
+            let c = c64::new(
+                p[0] / std::f64::consts::SQRT_2,
+                p[1] / std::f64::consts::SQRT_2,
+            );
+            full[i] = c;
+            full[j] = c.conj();
+        }
+    }
+
     /// Scatters planewave coefficients onto the grid and synthesizes
     /// `ψ(rᵢ) = (1/√Ω)·Σ_G c_G·e^{iG·rᵢ}` into `buf` (length = grid size).
     ///
@@ -171,6 +309,12 @@ impl PwBasis {
     /// the allocation-free hot-path entry point.
     pub fn wave_to_grid_with(&self, coeffs: &[c64], buf: &mut [c64], ws: &mut Fft3Workspace) {
         self.scatter(coeffs, buf);
+        self.synthesize(buf, ws);
+    }
+
+    /// The transform half of [`PwBasis::wave_to_grid_with`]: `buf` holds
+    /// scattered coefficients on entry, `ψ(rᵢ)` on exit.
+    pub(crate) fn synthesize(&self, buf: &mut [c64], ws: &mut Fft3Workspace) {
         let sqrt_vol = self.grid.volume().sqrt();
         let scale = match &self.sphere {
             // The sphere-aware inverse is the bare Σ_G c_G·e^{iG·r}.
@@ -205,17 +349,28 @@ impl PwBasis {
     /// the allocation-free hot-path entry point. `buf` is consumed as
     /// scratch.
     pub fn grid_to_wave_with(&self, buf: &mut [c64], coeffs: &mut [c64], ws: &mut Fft3Workspace) {
+        self.analyze(buf, ws);
+        self.gather(buf, coeffs);
+        let scale = self.analysis_scale();
+        for c in coeffs.iter_mut() {
+            *c = c.scale(scale);
+        }
+    }
+
+    /// The transform half of [`PwBasis::grid_to_wave_with`]: the raw
+    /// forward transform, whose gathered bins still want
+    /// [`PwBasis::analysis_scale`].
+    pub(crate) fn analyze(&self, buf: &mut [c64], ws: &mut Fft3Workspace) {
         assert_eq!(buf.len(), self.grid.len(), "grid_to_wave: buffer size");
         match &self.sphere {
             Some(sphere) => self.fft.forward_to_sparse(buf, sphere, ws),
             None => self.fft.forward_with(buf, ws),
         }
-        self.gather(buf, coeffs);
-        // forward = Σ_j …; c_G = (√Ω/N)·forward.
-        let scale = self.grid.volume().sqrt() / self.grid.len() as f64;
-        for c in coeffs.iter_mut() {
-            *c = c.scale(scale);
-        }
+    }
+
+    /// forward = Σ_j …; c_G = (√Ω/N)·forward.
+    pub(crate) fn analysis_scale(&self) -> f64 {
+        self.grid.volume().sqrt() / self.grid.len() as f64
     }
 
     /// The cutoff sphere's footprint on the grid, when the transforms are
@@ -242,6 +397,43 @@ impl PwBasis {
         assert_eq!(buf.len(), self.grid.len(), "grid_to_wave: buffer size");
         for (c, slot) in coeffs.iter_mut().zip(&self.g_slot) {
             *c = buf[*slot];
+        }
+    }
+
+    /// [`PwBasis::scatter`] for a packed real row: `c_G` and `conj c_G` go
+    /// to the grid slots of `G` and `−G`.
+    pub(crate) fn scatter_packed(&self, packed: &[f64], buf: &mut [c64]) {
+        assert_eq!(packed.len(), self.len(), "wave_to_grid: coefficient count");
+        assert_eq!(buf.len(), self.grid.len(), "wave_to_grid: buffer size");
+        buf.fill(c64::ZERO);
+        let (selfs, pairs) = packed.split_at(self.half.selfs.len());
+        for (&p, &i) in selfs.iter().zip(&self.half.selfs) {
+            buf[self.g_slot[i]] = c64::real(p);
+        }
+        for (p, &[i, j]) in pairs.chunks_exact(2).zip(&self.half.pairs) {
+            let c = c64::new(
+                p[0] * std::f64::consts::FRAC_1_SQRT_2,
+                p[1] * std::f64::consts::FRAC_1_SQRT_2,
+            );
+            buf[self.g_slot[i]] = c;
+            buf[self.g_slot[j]] = c.conj();
+        }
+    }
+
+    /// [`PwBasis::gather`] into a packed real row: reads the `+G` member
+    /// of every pair (the spectrum of a real grid function is
+    /// conjugate-symmetric, so the `−G` member carries nothing new).
+    pub(crate) fn gather_packed(&self, buf: &[c64], packed: &mut [f64]) {
+        assert_eq!(packed.len(), self.len(), "grid_to_wave: coefficient count");
+        assert_eq!(buf.len(), self.grid.len(), "grid_to_wave: buffer size");
+        let (selfs, pairs) = packed.split_at_mut(self.half.selfs.len());
+        for (p, &i) in selfs.iter_mut().zip(&self.half.selfs) {
+            *p = buf[self.g_slot[i]].re;
+        }
+        for (p, &[i, _]) in pairs.chunks_exact_mut(2).zip(&self.half.pairs) {
+            let c = buf[self.g_slot[i]];
+            p[0] = c.re * std::f64::consts::SQRT_2;
+            p[1] = c.im * std::f64::consts::SQRT_2;
         }
     }
 

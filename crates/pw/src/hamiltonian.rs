@@ -13,20 +13,31 @@
 //! allocates nothing. The single-band path ([`Hamiltonian::apply_vec_with`])
 //! keeps one `dotc`/`axpy` pair per projector: it is the band-by-band
 //! ablation baseline and the fragment retry ladder's last rung.
+//!
+//! Every application is generic over the row representation
+//! ([`Coeff`]): `c64` full-sphere rows, or the Γ-point packed `f64` rows
+//! of [`PwBasis::pack`]. For packed rows the Kleinman–Bylander term is two
+//! *real* GEMMs against the packed projector block (built beside the
+//! complex one, once per geometry) and the kinetic term reads the packed
+//! `|G|²` table. The local term is the same for both: a packed row is
+//! scattered to `c_G`/`conj c_G` on the grid and takes exactly the complex
+//! sphere-pruned transform pair a `c64` row takes — one pair per band;
+//! pairing two real bands per transform is deliberately not done here.
 
-use crate::PwBasis;
+use crate::{Coeff, PwBasis};
 use ls3df_fft::Fft3Workspace;
 use ls3df_grid::RealField;
 use ls3df_math::gemm::{self, gemm_into, GemmScratch, Op};
 use ls3df_math::vec_ops;
-use ls3df_math::{c64, Matrix};
+use ls3df_math::{c64, Matrix, Scalar};
 use ls3df_obs::{counter_add, Counter};
 
-/// Charges one complex block product `(m × k)·(k × n)` to
-/// [`Counter::GemmFlops`] (a complex multiply-add is 8 real flops).
+/// Charges one block product `(m × k)·(k × n)` over `S` to
+/// [`Counter::GemmFlops`]: `S::MADD_FLOPS` real flops per multiply-add
+/// (8 complex, 2 real).
 #[inline(always)]
-pub(crate) fn count_block_product(m: usize, k: usize, n: usize) {
-    counter_add(Counter::GemmFlops, 8 * (m * k * n) as u64);
+pub(crate) fn count_block_product<S: Scalar>(m: usize, k: usize, n: usize) {
+    counter_add(Counter::GemmFlops, S::MADD_FLOPS * (m * k * n) as u64);
 }
 
 /// Assembled Kleinman–Bylander nonlocal potential for a set of atoms on a
@@ -35,6 +46,9 @@ pub(crate) fn count_block_product(m: usize, k: usize, n: usize) {
 pub struct NonlocalPotential {
     /// Projector coefficients, `(n_proj × n_pw)`.
     projectors: Matrix<c64>,
+    /// The same projectors as Γ-point packed real rows ([`PwBasis::pack`]):
+    /// what the `f64` applications multiply against.
+    packed: Matrix<f64>,
     /// KB energy per projector (Hartree).
     energies: Vec<f64>,
 }
@@ -77,6 +91,7 @@ impl NonlocalPotential {
         let active: Vec<usize> = (0..positions.len()).filter(|&a| e_kb[a] != 0.0).collect();
         let npw = basis.len();
         let mut projectors = Matrix::zeros(active.len(), npw);
+        let mut packed = Matrix::zeros(active.len(), npw);
         // alloc-audit: projector assembly — once per Hamiltonian geometry,
         // never inside the CG loop.
         let mut energies = Vec::with_capacity(active.len());
@@ -98,10 +113,12 @@ impl NonlocalPotential {
             for v in p.iter_mut() {
                 *v = v.scale(inv);
             }
+            basis.pack(p, packed.row_mut(row));
             energies.push(e_kb[a]);
         }
         NonlocalPotential {
             projectors,
+            packed,
             energies,
         }
     }
@@ -110,8 +127,17 @@ impl NonlocalPotential {
     pub fn none(basis: &PwBasis) -> Self {
         NonlocalPotential {
             projectors: Matrix::zeros(0, basis.len()),
+            packed: Matrix::zeros(0, basis.len()),
             energies: Vec::new(),
         }
+    }
+
+    pub(crate) fn projectors(&self) -> &Matrix<c64> {
+        &self.projectors
+    }
+
+    pub(crate) fn packed_projectors(&self) -> &Matrix<f64> {
+        &self.packed
     }
 
     /// Number of active projectors.
@@ -126,19 +152,19 @@ impl NonlocalPotential {
 
     /// `hpsi += V_NL·psi` for a whole block (two GEMMs). Allocating shim
     /// over the workspace path [`Hamiltonian::apply_block_with`] takes.
-    pub fn accumulate_block(&self, psi: &Matrix<c64>, hpsi: &mut Matrix<c64>) {
+    pub fn accumulate_block<S: Coeff>(&self, psi: &Matrix<S>, hpsi: &mut Matrix<S>) {
         let mut coeffs = Matrix::zeros(0, 0);
         self.accumulate_block_with(psi, hpsi, &mut coeffs, &mut GemmScratch::new());
     }
 
     /// [`NonlocalPotential::accumulate_block`] through caller-owned
     /// scratch; `coeffs` is reshaped to `(n_proj × n_bands)` on first use.
-    fn accumulate_block_with(
+    fn accumulate_block_with<S: Coeff>(
         &self,
-        psi: &Matrix<c64>,
-        hpsi: &mut Matrix<c64>,
-        coeffs: &mut Matrix<c64>,
-        scratch: &mut GemmScratch<c64>,
+        psi: &Matrix<S>,
+        hpsi: &mut Matrix<S>,
+        coeffs: &mut Matrix<S>,
+        scratch: &mut GemmScratch<S>,
     ) {
         if self.is_empty() {
             return;
@@ -151,22 +177,23 @@ impl NonlocalPotential {
         // coeffs[p][b] = Σ_G β_p·conj(ψ_b) = conj⟨β_p|ψ_b⟩. This orientation
         // (not Ψ·Pᴴ) makes the scalar kernels reproduce the per-band
         // `dotc(β_p, ψ_b)` / `axpy(.., β_p, Hψ_b)` sums bit for bit.
-        let (one, zero) = (c64::ONE, c64::ZERO);
-        let p = &self.projectors;
+        let (one, zero) = (S::ONE, S::ZERO);
+        let p = S::projectors(self);
         gemm_into(scratch, one, p, Op::None, psi, Op::ConjTrans, zero, coeffs);
         for (row, &e) in self.energies.iter().enumerate() {
             vec_ops::dscal(e, coeffs.row_mut(row));
         }
         // hpsi[b] += Σ_p E_p·⟨β_p|ψ_b⟩·β_p.
         gemm_into(scratch, one, coeffs, Op::ConjTrans, p, Op::None, one, hpsi);
-        count_block_product(n_bands, psi.cols(), 2 * n_proj);
+        count_block_product::<S>(n_bands, psi.cols(), 2 * n_proj);
     }
 
     /// `hpsi += V_NL·psi` for a single band, allocation-free: one
     /// `dotc`/`axpy` pair per projector, no intermediate matrix.
-    pub fn accumulate_vec(&self, psi: &[c64], hpsi: &mut [c64]) {
+    pub fn accumulate_vec<S: Coeff>(&self, psi: &[S], hpsi: &mut [S]) {
+        let projectors = S::projectors(self);
         for (p, &e) in self.energies.iter().enumerate() {
-            let beta = self.projectors.row(p);
+            let beta = projectors.row(p);
             let coef = vec_ops::dotc(beta, psi).scale(e);
             vec_ops::axpy(coef, beta, hpsi);
         }
@@ -194,17 +221,18 @@ impl NonlocalPotential {
 /// buffer for the `V(r)·ψ(r)` product, the FFT workspaces behind the pair
 /// of grid transforms, and the block-product scratch of the
 /// Kleinman–Bylander term. One per thread (or band block); never shared
-/// concurrently.
-pub struct HamWorkspace {
+/// concurrently. The grid buffer and FFT scratch are complex whatever the
+/// row representation `S`.
+pub struct HamWorkspace<S: Coeff = c64> {
     /// Real-space grid buffer (`ngrid` points).
     grid: Vec<c64>,
     /// Scratch for the forward/inverse 3-D transforms.
     fft: Fft3Workspace,
     /// Projector coefficients `(n_proj × n_bands)` of the block KB apply.
-    kb_coeffs: Matrix<c64>,
+    kb_coeffs: Matrix<S>,
     /// Pack scratch of every block product on this workspace (the
     /// all-band solver's own products borrow it too).
-    pub(crate) gemm: GemmScratch<c64>,
+    pub(crate) gemm: GemmScratch<S>,
 }
 
 /// The Kohn–Sham Hamiltonian for one (fragment or global) problem, at Γ.
@@ -249,7 +277,7 @@ impl<'a> Hamiltonian<'a> {
     /// Builds the reusable scratch one `H·ψ` application needs (grid
     /// buffer + FFT workspaces). Build once per thread / band block and
     /// pass to the `*_with` application methods.
-    pub fn workspace(&self) -> HamWorkspace {
+    pub fn workspace<S: Coeff>(&self) -> HamWorkspace<S> {
         HamWorkspace {
             // alloc-audit: one-time workspace setup, not a per-application
             // cost — every later apply_*_with call is heap-free.
@@ -267,7 +295,7 @@ impl<'a> Hamiltonian<'a> {
     /// fragments one level up, and a sequential inner loop keeps the
     /// steady state allocation-free (the shim's parallel iterators buffer
     /// their input).
-    pub fn apply_block(&self, psi: &Matrix<c64>) -> Matrix<c64> {
+    pub fn apply_block<S: Coeff>(&self, psi: &Matrix<S>) -> Matrix<S> {
         // alloc-audit: one-shot path; hot loops hold a HamWorkspace and
         // a preallocated output block.
         let mut hpsi = Matrix::zeros(psi.rows(), psi.cols());
@@ -280,11 +308,11 @@ impl<'a> Hamiltonian<'a> {
     /// using caller-owned scratch: local + kinetic band by band, then one
     /// block Kleinman–Bylander apply. Performs no heap allocation once
     /// the workspace has seen the block shape.
-    pub fn apply_block_with(
+    pub fn apply_block_with<S: Coeff>(
         &self,
-        psi: &Matrix<c64>,
-        hpsi: &mut Matrix<c64>,
-        ws: &mut HamWorkspace,
+        psi: &Matrix<S>,
+        hpsi: &mut Matrix<S>,
+        ws: &mut HamWorkspace<S>,
     ) {
         assert_eq!(psi.rows(), hpsi.rows(), "apply_block: band count mismatch");
         assert_eq!(psi.cols(), hpsi.cols(), "apply_block: width mismatch");
@@ -298,10 +326,10 @@ impl<'a> Hamiltonian<'a> {
     /// Applies `H` to a single band (the band-by-band code path).
     ///
     /// Convenience wrapper over [`Hamiltonian::apply_vec_with`].
-    pub fn apply_vec(&self, psi: &[c64]) -> Vec<c64> {
+    pub fn apply_vec<S: Coeff>(&self, psi: &[S]) -> Vec<S> {
         // alloc-audit: one-shot path; hot loops hold a HamWorkspace and a
         // preallocated output vector.
-        let mut hpsi = vec![c64::ZERO; psi.len()];
+        let mut hpsi = vec![S::ZERO; psi.len()];
         let mut ws = self.workspace();
         self.apply_vec_with(psi, &mut hpsi, &mut ws);
         hpsi
@@ -309,42 +337,48 @@ impl<'a> Hamiltonian<'a> {
 
     /// `hpsi = H·psi` for one band through caller-owned scratch,
     /// allocation-free. `hpsi` is fully overwritten.
-    pub fn apply_vec_with(&self, psi: &[c64], hpsi: &mut [c64], ws: &mut HamWorkspace) {
+    pub fn apply_vec_with<S: Coeff>(&self, psi: &[S], hpsi: &mut [S], ws: &mut HamWorkspace<S>) {
         self.apply_local_kinetic(psi, hpsi, ws);
         self.nonlocal.accumulate_vec(psi, hpsi);
     }
 
     /// `hpsi = (−½∇² + V_loc)·psi` for one band; `hpsi` is fully
     /// overwritten.
-    fn apply_local_kinetic(&self, psi: &[c64], hpsi: &mut [c64], ws: &mut HamWorkspace) {
+    fn apply_local_kinetic<S: Coeff>(&self, psi: &[S], hpsi: &mut [S], ws: &mut HamWorkspace<S>) {
         assert_eq!(
             psi.len(),
             self.basis.len(),
             "apply_vec: basis size mismatch"
         );
         assert_eq!(hpsi.len(), psi.len(), "apply_vec: output size mismatch");
-        // Local potential via grid: ψ(G) → ψ(r) → V(r)·ψ(r) → (Vψ)(G).
+        // Local potential via grid: ψ(G) → ψ(r) → V(r)·ψ(r) → (Vψ)(G). A
+        // packed real row lands on the grid as c_G / conj c_G and takes the
+        // same complex transform pair as a full-sphere row.
+        S::scatter(self.basis, psi, &mut ws.grid);
         if let (Some(sphere), Some(v_over_n)) = (self.basis.sphere(), &self.v_over_n) {
             // Both transforms raw and sphere-pruned; V(r)/N is the only
             // scaling the round trip needs.
             let fft = self.basis.fft();
-            self.basis.scatter(psi, &mut ws.grid);
             fft.inverse_from_sparse(&mut ws.grid, sphere, &mut ws.fft);
             for (b, &vv) in ws.grid.iter_mut().zip(v_over_n) {
                 *b = b.scale(vv);
             }
             fft.forward_to_sparse(&mut ws.grid, sphere, &mut ws.fft);
-            self.basis.gather(&ws.grid, hpsi);
+            S::gather(self.basis, &ws.grid, hpsi);
         } else {
-            self.basis.wave_to_grid_with(psi, &mut ws.grid, &mut ws.fft);
+            self.basis.synthesize(&mut ws.grid, &mut ws.fft);
             for (b, &vv) in ws.grid.iter_mut().zip(self.v_local.as_slice()) {
                 *b = b.scale(vv);
             }
-            self.basis
-                .grid_to_wave_with(&mut ws.grid, hpsi, &mut ws.fft);
+            self.basis.analyze(&mut ws.grid, &mut ws.fft);
+            S::gather(self.basis, &ws.grid, hpsi);
+            let scale = self.basis.analysis_scale();
+            for c in hpsi.iter_mut() {
+                *c = c.scale(scale);
+            }
         }
         // Kinetic, diagonal in G.
-        for ((h, &p), &g2i) in hpsi.iter_mut().zip(psi).zip(self.basis.g2()) {
+        for ((h, &p), &g2i) in hpsi.iter_mut().zip(psi).zip(S::g2(self.basis)) {
             *h += p.scale(0.5 * g2i);
         }
     }
@@ -356,9 +390,9 @@ impl<'a> Hamiltonian<'a> {
     }
 
     /// Kinetic energy `⟨ψ|−½∇²|ψ⟩` of one band.
-    pub fn kinetic_expectation(&self, psi: &[c64]) -> f64 {
+    pub fn kinetic_expectation<S: Coeff>(&self, psi: &[S]) -> f64 {
         psi.iter()
-            .zip(self.basis.g2())
+            .zip(S::g2(self.basis))
             .map(|(c, &g2)| 0.5 * g2 * c.norm_sqr())
             .sum()
     }
@@ -366,7 +400,7 @@ impl<'a> Hamiltonian<'a> {
     /// Subspace (Rayleigh–Ritz) matrix `M[i][j] = ⟨ψ_i|H|ψ_j⟩` given the
     /// precomputed `H·ψ` block. Allocating shim over
     /// [`Hamiltonian::subspace_matrix_into`].
-    pub fn subspace_matrix(psi: &Matrix<c64>, hpsi: &Matrix<c64>) -> Matrix<c64> {
+    pub fn subspace_matrix<S: Coeff>(psi: &Matrix<S>, hpsi: &Matrix<S>) -> Matrix<S> {
         let n = psi.rows();
         let (mut raw, mut m) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
         Self::subspace_matrix_into(psi, hpsi, &mut raw, &mut m, &mut GemmScratch::new());
@@ -375,20 +409,20 @@ impl<'a> Hamiltonian<'a> {
 
     /// [`Hamiltonian::subspace_matrix`] into caller-owned `(n_b × n_b)`
     /// matrices: `raw` receives the unsymmetrized product, `m` the result.
-    pub(crate) fn subspace_matrix_into(
-        psi: &Matrix<c64>,
-        hpsi: &Matrix<c64>,
-        raw: &mut Matrix<c64>,
-        m: &mut Matrix<c64>,
-        scratch: &mut GemmScratch<c64>,
+    pub(crate) fn subspace_matrix_into<S: Coeff>(
+        psi: &Matrix<S>,
+        hpsi: &Matrix<S>,
+        raw: &mut Matrix<S>,
+        m: &mut Matrix<S>,
+        scratch: &mut GemmScratch<S>,
     ) {
         // (Ψ·(HΨ)ᴴ)[i][j] = Σ_G ψ_i·conj(Hψ_j) = ⟨ψ_j|H|ψ_i⟩, i.e. the
         // TRANSPOSE of M[i][j] = ⟨ψ_i|H|ψ_j⟩. Undo the transpose and
         // symmetrize against rounding in one pass.
-        let (one, zero) = (c64::ONE, c64::ZERO);
+        let (one, zero) = (S::ONE, S::ZERO);
         gemm_into(scratch, one, psi, Op::None, hpsi, Op::ConjTrans, zero, raw);
         let n = psi.rows();
-        count_block_product(n, psi.cols(), n);
+        count_block_product::<S>(n, psi.cols(), n);
         for i in 0..n {
             for j in 0..n {
                 m[(i, j)] = (raw[(j, i)] + raw[(i, j)].conj()).scale(0.5);

@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 
 mod basis;
+mod coeff;
 pub mod density;
 pub mod dos;
 pub mod ewald;
@@ -30,6 +31,7 @@ pub mod solver;
 pub mod xc;
 
 pub use basis::PwBasis;
+pub use coeff::Coeff;
 pub use dos::{dos, Dos};
 pub use forces::{ewald_forces, local_forces, nonlocal_forces, total_forces};
 pub use hamiltonian::{HamWorkspace, Hamiltonian, NonlocalPotential};

@@ -18,14 +18,38 @@
 //!
 //! Both use the Teter–Payne–Allan kinetic preconditioner and Rayleigh–Ritz
 //! subspace rotations, and converge to the same eigenpairs.
+//!
+//! ## Γ-point real representation
+//!
+//! Both solvers (and the Hamiltonian under them) are written once, generic
+//! over the row representation [`Coeff`]. The two public solve entries —
+//! [`try_solve_all_band_with`] and [`try_solve_band_by_band`] — take and
+//! return full-sphere `c64` blocks and pick the representation:
+//!
+//! * `KernelPolicy::Reference` runs the `c64` instantiation on the block
+//!   as given — the arithmetic the golden digests pin, and the
+//!   complex-arithmetic oracle for the real path;
+//! * `KernelPolicy::Fast` packs the block into Γ-point real rows
+//!   ([`crate::PwBasis::pack`]), runs the `f64` instantiation — every block
+//!   product a real GEMM (a quarter of the flops, half the bytes), a
+//!   real-symmetric subspace matrix, real Cholesky, BLAS-1 on half the data
+//!   — and unpacks on success. On error the caller's block is untouched.
+//!
+//! A start block that is not conjugate-symmetric (a complex random start)
+//! is packed as `Re ψ(r)`; one whose real part vanishes fails the entry
+//! orthonormalization as [`SolverError::DependentStartVectors`] like any
+//! other degenerate start. State at rest (fragment `ψ`, snapshots, the
+//! density accumulation) is always the unpacked full-sphere block.
+//! [`cg_init`]/[`cg_residual`]/[`cg_step`] are the instantiations
+//! themselves (`c64` when handed `c64` blocks, whatever the policy).
 
 use crate::hamiltonian::count_block_product;
-use crate::{HamWorkspace, Hamiltonian, PwBasis};
+use crate::{Coeff, HamWorkspace, Hamiltonian, PwBasis};
 use ls3df_math::cholesky::FactorError;
 use ls3df_math::gemm::{self, gemm_into, GemmScratch, Op};
 use ls3df_math::ortho;
-use ls3df_math::vec_ops::{axpy, dotc, dscal, nrm2};
-use ls3df_math::{c64, eigh_fast as eigh, Matrix};
+use ls3df_math::vec_ops::{axpy, dotc, dscal, nrm2, scal};
+use ls3df_math::{c64, eigh_fast as eigh, kernel_policy, KernelPolicy, Matrix, Scalar};
 use ls3df_obs::{counter_add, Counter};
 
 /// Options controlling the iterative eigensolvers.
@@ -126,9 +150,9 @@ fn tpa(x: f64) -> f64 {
     num / (num + 16.0 * x3 * x)
 }
 
-fn precondition(basis: &PwBasis, residual: &[c64], e_kin: f64, out: &mut [c64]) {
+fn precondition<S: Coeff>(basis: &PwBasis, residual: &[S], e_kin: f64, out: &mut [S]) {
     let ek = e_kin.max(1e-6);
-    for ((o, &r), &g2) in out.iter_mut().zip(residual).zip(basis.g2()) {
+    for ((o, &r), &g2) in out.iter_mut().zip(residual).zip(S::g2(basis)) {
         *o = r.scale(tpa(0.5 * g2 / ek));
     }
 }
@@ -136,16 +160,22 @@ fn precondition(basis: &PwBasis, residual: &[c64], e_kin: f64, out: &mut [c64]) 
 /// Minimizes along `ψ' = cosθ·ψ + sinθ·d` (`d ⊥ ψ`, both normalized) and
 /// applies the optimal rotation to `(ψ, Hψ)` using the precomputed `(d, Hd)`.
 /// Returns the new Rayleigh quotient.
-fn line_minimize(psi: &mut [c64], hpsi: &mut [c64], d: &mut [c64], hd: &mut [c64], a: f64) -> f64 {
-    let c = dotc(d, hd).re;
+fn line_minimize<S: Scalar>(
+    psi: &mut [S],
+    hpsi: &mut [S],
+    d: &mut [S],
+    hd: &mut [S],
+    a: f64,
+) -> f64 {
+    let c = dotc(d, hd).re();
     let w = dotc(psi, hd);
     let wabs = w.abs();
     if wabs > 1e-300 {
-        // Absorb the phase so that Re⟨ψ|H|d⟩ = −|w| (steepest descent
-        // direction along the circle).
+        // Absorb the phase (a sign, for real rows) so that
+        // Re⟨ψ|H|d⟩ = −|w| (steepest descent direction along the circle).
         let u = -(w.conj()).scale(1.0 / wabs);
-        ls3df_math::vec_ops::scal(u, d);
-        ls3df_math::vec_ops::scal(u, hd);
+        scal(u, d);
+        scal(u, hd);
     }
     let w_re = -wabs;
     // E(θ) = (a+c)/2 + (a−c)/2·cos2θ + w_re·sin2θ.
@@ -162,33 +192,37 @@ fn line_minimize(psi: &mut [c64], hpsi: &mut [c64], d: &mut [c64], hd: &mut [c64
 }
 
 /// Preallocated scratch for the all-band CG solver: every per-iteration
-/// temporary the loop needs, sized once for an `(n_bands × n_pw)` block.
+/// temporary the loop needs for an `(n_bands × n_pw)` block in the row
+/// representation `S`.
 ///
 /// Holding one of these across [`solve_all_band_with`] calls (or driving
 /// [`cg_residual`]/[`cg_step`] directly) keeps the steady-state inner
 /// loop free of heap allocations — the property the `alloc-count` test
-/// asserts. A workspace is tied to the block shape and grid it was built
-/// for; never share one between threads.
-pub struct CgWorkspace {
+/// asserts. The `(n_bands × n_pw)` blocks are allocated by the first
+/// [`cg_init`], so a `c64` workspace that only ever serves the solve
+/// entries under the `fast` policy holds the packed real blocks and no
+/// complex ones. A workspace is tied to the block shape and grid it was
+/// built for; never share one between threads.
+pub struct CgWorkspace<S: Coeff = c64> {
     /// `H·ψ` for the current block (kept in sync with `psi` by the steps).
-    hpsi: Matrix<c64>,
+    hpsi: Matrix<S>,
     /// Residual block `R_b = Hψ_b − ε_b·ψ_b`.
-    resid: Matrix<c64>,
+    resid: Matrix<S>,
     /// Preconditioned residual block.
-    pr: Matrix<c64>,
+    pr: Matrix<S>,
     /// Current search-direction block.
-    d: Matrix<c64>,
+    d: Matrix<S>,
     /// Previous search directions (CG memory).
-    d_prev: Matrix<c64>,
+    d_prev: Matrix<S>,
     /// `H·d` for the search block.
-    hd: Matrix<c64>,
+    hd: Matrix<S>,
     /// Rotation output scratch (swapped with `psi`/`hpsi` during RR).
-    rot: Matrix<c64>,
+    rot: Matrix<S>,
     /// `(n_bands × n_bands)` product scratch: the projection overlaps
     /// `Ψ·Dᴴ` and the unsymmetrized Rayleigh–Ritz product.
-    overlap: Matrix<c64>,
+    overlap: Matrix<S>,
     /// `(n_bands × n_bands)` subspace Hamiltonian.
-    subspace: Matrix<c64>,
+    subspace: Matrix<S>,
     /// Per-band `⟨R|P·R⟩` of the current step.
     rkr: Vec<f64>,
     /// Per-band `⟨R|P·R⟩` of the previous step.
@@ -199,23 +233,27 @@ pub struct CgWorkspace {
     have_dir: bool,
     /// Scratch for the `H·ψ` applications; its pack scratch (`ham.gemm`)
     /// serves every block product of the solver.
-    ham: HamWorkspace,
+    ham: HamWorkspace<S>,
+    /// The packed real block and its workspace, built by the first
+    /// [`try_solve_all_band_with`] under the `fast` policy.
+    packed: Option<Box<(Matrix<f64>, CgWorkspace<f64>)>>,
 }
 
-impl CgWorkspace {
+impl<S: Coeff> CgWorkspace<S> {
     /// Builds scratch for `n_bands` bands on the Hamiltonian's basis.
     pub fn new(h: &Hamiltonian<'_>, n_bands: usize) -> Self {
-        let npw = h.basis().len();
-        // alloc-audit: workspace construction — the one-time setup that
-        // makes every later cg_init/cg_residual/cg_step call heap-free.
+        let empty = || Matrix::zeros(0, 0);
+        // alloc-audit: workspace construction — with the block sizing in
+        // cg_init, the one-time setup that makes every later
+        // cg_residual/cg_step call heap-free.
         CgWorkspace {
-            hpsi: Matrix::zeros(n_bands, npw),
-            resid: Matrix::zeros(n_bands, npw),
-            pr: Matrix::zeros(n_bands, npw),
-            d: Matrix::zeros(n_bands, npw),
-            d_prev: Matrix::zeros(n_bands, npw),
-            hd: Matrix::zeros(n_bands, npw),
-            rot: Matrix::zeros(n_bands, npw),
+            hpsi: empty(),
+            resid: empty(),
+            pr: empty(),
+            d: empty(),
+            d_prev: empty(),
+            hd: empty(),
+            rot: empty(),
             overlap: Matrix::zeros(n_bands, n_bands),
             subspace: Matrix::zeros(n_bands, n_bands),
             rkr: vec![0.0; n_bands], // alloc-audit: once per workspace
@@ -223,6 +261,7 @@ impl CgWorkspace {
             eigenvalues: vec![0.0; n_bands],
             have_dir: false,
             ham: h.workspace(),
+            packed: None,
         }
     }
 
@@ -233,12 +272,29 @@ impl CgWorkspace {
 }
 
 /// Initializes the CG state for a (new) block: computes `H·ψ` and the
-/// per-band Rayleigh quotients. Allocation-free; call once before a
-/// sequence of [`cg_residual`]/[`cg_step`] pairs.
-pub fn cg_init(h: &Hamiltonian<'_>, psi: &Matrix<c64>, ws: &mut CgWorkspace) {
+/// per-band Rayleigh quotients. Call once before a sequence of
+/// [`cg_residual`]/[`cg_step`] pairs; allocation-free once the workspace
+/// has seen the block shape.
+pub fn cg_init<S: Coeff>(h: &Hamiltonian<'_>, psi: &Matrix<S>, ws: &mut CgWorkspace<S>) {
+    let (nb, npw) = psi.shape();
+    assert_eq!(nb, ws.eigenvalues.len(), "cg_init: band count mismatch");
+    for block in [
+        &mut ws.hpsi,
+        &mut ws.resid,
+        &mut ws.pr,
+        &mut ws.d,
+        &mut ws.d_prev,
+        &mut ws.hd,
+        &mut ws.rot,
+    ] {
+        if block.shape() != (nb, npw) {
+            // alloc-audit: first cg_init of this block shape only.
+            *block = Matrix::zeros(nb, npw);
+        }
+    }
     h.apply_block_with(psi, &mut ws.hpsi, &mut ws.ham);
-    for b in 0..psi.rows() {
-        ws.eigenvalues[b] = dotc(psi.row(b), ws.hpsi.row(b)).re;
+    for b in 0..nb {
+        ws.eigenvalues[b] = dotc(psi.row(b), ws.hpsi.row(b)).re();
     }
     ws.have_dir = false;
 }
@@ -249,7 +305,7 @@ pub fn cg_init(h: &Hamiltonian<'_>, psi: &Matrix<c64>, ws: &mut CgWorkspace) {
 ///
 /// This is the once-per-outer-iteration step that owns the (small, `n_b²`)
 /// eigensolve — the only part of the loop allowed to allocate.
-fn rr_rotate(psi: &mut Matrix<c64>, ws: &mut CgWorkspace) {
+fn rr_rotate<S: Coeff>(psi: &mut Matrix<S>, ws: &mut CgWorkspace<S>) {
     let (nb, npw) = psi.shape();
     let scratch = &mut ws.ham.gemm;
     Hamiltonian::subspace_matrix_into(psi, &ws.hpsi, &mut ws.overlap, &mut ws.subspace, scratch);
@@ -261,31 +317,46 @@ fn rr_rotate(psi: &mut Matrix<c64>, ws: &mut CgWorkspace) {
         .into_iter()
         .take(n_blocks)
     {
-        gemm_into(scratch, c64::ONE, u, Op::Trans, x, Op::None, c64::ZERO, rot);
+        gemm_into(scratch, S::ONE, u, Op::Trans, x, Op::None, S::ZERO, rot);
         std::mem::swap(x, rot);
-        count_block_product(nb, nb, npw);
+        count_block_product::<S>(nb, nb, npw);
     }
 }
 
 /// Overlap-matrix (Cholesky) orthonormalization `Ψ ← L⁻¹·Ψ` with
 /// `L·Lᴴ = Ψ·Ψᴴ`. `hpsi`, when given, receives the same `L⁻¹` — by
 /// linearity it stays `H·Ψ`, so no extra `H·ψ` is needed.
-fn orthonormalize(
-    psi: &mut Matrix<c64>,
-    hpsi: Option<&mut Matrix<c64>>,
-    scratch: &mut GemmScratch<c64>,
+fn orthonormalize<S: Scalar>(
+    psi: &mut Matrix<S>,
+    hpsi: Option<&mut Matrix<S>>,
+    scratch: &mut GemmScratch<S>,
 ) -> Result<(), FactorError> {
     let (nb, npw) = psi.shape();
     // The overlap and each L⁻¹ apply touch one triangle: half a block
     // product apiece.
     let products = 2 + u64::from(hpsi.is_some());
-    counter_add(Counter::GemmFlops, products * 4 * (nb * nb * npw) as u64);
+    let half_product = S::MADD_FLOPS / 2 * (nb * nb * npw) as u64;
+    counter_add(Counter::GemmFlops, products * half_product);
     ortho::cholesky_orthonormalize_into(psi, hpsi, 1.0, scratch)
+}
+
+/// [`orthonormalize`] once the iteration is under way: a block that lost
+/// positive definiteness is the typed mid-solve collapse.
+fn reorthonormalize<S: Scalar>(
+    psi: &mut Matrix<S>,
+    hpsi: Option<&mut Matrix<S>>,
+    scratch: &mut GemmScratch<S>,
+    iteration: usize,
+) -> Result<(), SolverError> {
+    orthonormalize(psi, hpsi, scratch).map_err(|e| SolverError::OverlapNotPositiveDefinite {
+        iteration,
+        detail: e.to_string(),
+    })
 }
 
 /// Computes the residual block `R_b = Hψ_b − ε_b·ψ_b` into the workspace
 /// and returns the worst band residual norm. Allocation-free.
-pub fn cg_residual(psi: &Matrix<c64>, ws: &mut CgWorkspace) -> f64 {
+pub fn cg_residual<S: Coeff>(psi: &Matrix<S>, ws: &mut CgWorkspace<S>) -> f64 {
     let nb = psi.rows();
     ws.resid.as_mut_slice().copy_from_slice(ws.hpsi.as_slice());
     let mut worst = 0.0_f64;
@@ -303,21 +374,26 @@ pub fn cg_residual(psi: &Matrix<c64>, ws: &mut CgWorkspace) -> f64 {
 /// step, in place. Requires the residuals from [`cg_residual`]; pass
 /// `reset = true` to drop the CG memory (periodic restart).
 /// Allocation-free — the steady-state hot path of PEtot_F.
-pub fn cg_step(h: &Hamiltonian<'_>, psi: &mut Matrix<c64>, ws: &mut CgWorkspace, reset: bool) {
+pub fn cg_step<S: Coeff>(
+    h: &Hamiltonian<'_>,
+    psi: &mut Matrix<S>,
+    ws: &mut CgWorkspace<S>,
+    reset: bool,
+) {
     let nb = psi.rows();
 
     // Preconditioned steepest-descent block + CG memory.
     for b in 0..nb {
         let ekin = h.kinetic_expectation(psi.row(b));
         precondition(h.basis(), ws.resid.row(b), ekin, ws.pr.row_mut(b));
-        ws.rkr[b] = dotc(ws.resid.row(b), ws.pr.row(b)).re.max(1e-300);
+        ws.rkr[b] = dotc(ws.resid.row(b), ws.pr.row(b)).re().max(1e-300);
     }
     ws.d.as_mut_slice().copy_from_slice(ws.pr.as_slice());
     if ws.have_dir && !reset {
         for b in 0..nb {
-            let beta = ws.rkr[b] / ws.rkr_prev[b].max(1e-300);
+            let beta = S::from_re(ws.rkr[b] / ws.rkr_prev[b].max(1e-300));
             for (x, &p) in ws.d.row_mut(b).iter_mut().zip(ws.d_prev.row(b)) {
-                *x = x.mul_add(c64::real(beta), p);
+                *x = x.acc(beta, p);
             }
         }
     }
@@ -327,11 +403,11 @@ pub fn cg_step(h: &Hamiltonian<'_>, psi: &mut Matrix<c64>, ws: &mut CgWorkspace,
     // rows. Overlaps are taken against the unmodified block first (classic
     // Gram–Schmidt): O[j][b] = Σ_G ψ_j·conj(d_b) is the conjugate of the
     // ψ_j coefficient in d_b, so D −= Oᴴ·Ψ removes it.
-    let (one, zero) = (c64::ONE, c64::ZERO);
+    let (one, zero) = (S::ONE, S::ZERO);
     let (scratch, o, d) = (&mut ws.ham.gemm, &mut ws.overlap, &mut ws.d);
     gemm_into(scratch, one, psi, Op::None, d, Op::ConjTrans, zero, o);
     gemm_into(scratch, -one, o, Op::ConjTrans, psi, Op::None, one, d);
-    count_block_product(nb, 2 * nb, psi.cols());
+    count_block_product::<S>(nb, 2 * nb, psi.cols());
     for b in 0..nb {
         let n = nrm2(ws.d.row(b));
         if n > 1e-300 {
@@ -366,9 +442,7 @@ pub fn solve_all_band(
     psi: &mut Matrix<c64>,
     opts: &SolverOptions,
 ) -> SolveStats {
-    // alloc-audit: once per solve — the CG loop itself reuses this scratch.
-    let mut ws = CgWorkspace::new(h, psi.rows());
-    solve_all_band_with(h, psi, opts, &mut ws)
+    try_solve_all_band(h, psi, opts).expect("all-band eigensolve failed")
 }
 
 /// Panicking façade over [`try_solve_all_band_with`] for callers with no
@@ -398,6 +472,10 @@ pub fn try_solve_all_band(
 /// [`solve_all_band`] driving caller-owned scratch, so repeated solves
 /// (one per SCF iteration) reuse one set of block temporaries.
 ///
+/// Under the `fast` policy the solve runs on the Γ-point packed real
+/// block (module docs): `psi` is packed on entry, unpacked on success and
+/// left untouched on error.
+///
 /// Pathological states (dependent start vectors, an indefinite overlap,
 /// NaN residuals) return a typed [`SolverError`] instead of panicking, so
 /// the caller can retry from a fresh start block. Budgeted non-convergence
@@ -407,6 +485,46 @@ pub fn try_solve_all_band_with(
     psi: &mut Matrix<c64>,
     opts: &SolverOptions,
     ws: &mut CgWorkspace,
+) -> Result<SolveStats, SolverError> {
+    if kernel_policy() == KernelPolicy::Reference {
+        return all_band(h, psi, opts, ws);
+    }
+    let (nb, npw) = psi.shape();
+    let (block, real_ws) = &mut **ws.packed.get_or_insert_with(|| {
+        // alloc-audit: first packed solve through this workspace only.
+        Box::new((Matrix::zeros(nb, npw), CgWorkspace::new(h, nb)))
+    });
+    assert_eq!(
+        block.shape(),
+        (nb, npw),
+        "workspace built for another block"
+    );
+    pack_block(h.basis(), psi, block);
+    let stats = all_band(h, block, opts, real_ws)?;
+    unpack_block(h.basis(), block, psi);
+    Ok(stats)
+}
+
+/// Packs every row of a full-sphere block ([`PwBasis::pack`]).
+fn pack_block(basis: &PwBasis, full: &Matrix<c64>, packed: &mut Matrix<f64>) {
+    for b in 0..full.rows() {
+        basis.pack(full.row(b), packed.row_mut(b));
+    }
+}
+
+/// Unpacks every row of a packed real block ([`PwBasis::unpack`]).
+fn unpack_block(basis: &PwBasis, packed: &Matrix<f64>, full: &mut Matrix<c64>) {
+    for b in 0..packed.rows() {
+        basis.unpack(packed.row(b), full.row_mut(b));
+    }
+}
+
+/// The all-band solve in the row representation `S`.
+fn all_band<S: Coeff>(
+    h: &Hamiltonian<'_>,
+    psi: &mut Matrix<S>,
+    opts: &SolverOptions,
+    ws: &mut CgWorkspace<S>,
 ) -> Result<SolveStats, SolverError> {
     let nb = psi.rows();
     let npw = psi.cols();
@@ -446,20 +564,16 @@ pub fn try_solve_all_band_with(
         // Re-impose exact orthonormality every few steps via the overlap
         // matrix; L⁻¹ is applied to Hψ too (linearity) so no extra H·ψ.
         if (iter + 1) % opts.ortho_every == 0 {
-            orthonormalize(psi, Some(&mut ws.hpsi), &mut ws.ham.gemm).map_err(|e| {
-                SolverError::OverlapNotPositiveDefinite {
-                    iteration: iterations,
-                    detail: e.to_string(),
-                }
-            })?;
+            reorthonormalize(psi, Some(&mut ws.hpsi), &mut ws.ham.gemm, iterations)?;
             ws.have_dir = false; // search directions are stale after re-orthonormalization
         }
     }
     // Leave the block exactly orthonormal for downstream consumers (density
     // accumulation, invariant checks): line minimization drifts the rows at
     // the residual level between the periodic re-orthonormalizations above.
-    // The eigenvalues stay accurate to O(residual²).
-    let _ = orthonormalize(psi, None, &mut ws.ham.gemm);
+    // The eigenvalues stay accurate to O(residual²). A block that collapsed
+    // on the last step fails here and must not reach Gen_dens as `Ok`.
+    reorthonormalize(psi, None, &mut ws.ham.gemm, iterations)?;
     Ok(SolveStats {
         // alloc-audit: result reporting, once per solve.
         eigenvalues: ws.eigenvalues.clone(),
@@ -482,10 +596,27 @@ pub fn solve_band_by_band(
 }
 
 /// Fallible band-by-band solve; see [`try_solve_all_band_with`] for the
-/// error contract.
+/// error contract and the choice of row representation.
 pub fn try_solve_band_by_band(
     h: &Hamiltonian<'_>,
     psi: &mut Matrix<c64>,
+    opts: &SolverOptions,
+) -> Result<SolveStats, SolverError> {
+    if kernel_policy() == KernelPolicy::Reference {
+        return band_by_band(h, psi, opts);
+    }
+    // alloc-audit: once per solve, not per step.
+    let mut block = Matrix::zeros(psi.rows(), psi.cols());
+    pack_block(h.basis(), psi, &mut block);
+    let stats = band_by_band(h, &mut block, opts)?;
+    unpack_block(h.basis(), &block, psi);
+    Ok(stats)
+}
+
+/// The band-by-band solve in the row representation `S`.
+fn band_by_band<S: Coeff>(
+    h: &Hamiltonian<'_>,
+    psi: &mut Matrix<S>,
     opts: &SolverOptions,
 ) -> Result<SolveStats, SolverError> {
     let nb = psi.rows();
@@ -498,13 +629,13 @@ pub fn try_solve_band_by_band(
     // band and CG step (the per-step loop below is heap-free).
     // alloc-audit: once per solve, not per step.
     let mut eigenvalues = vec![0.0_f64; nb];
-    let mut v = vec![c64::ZERO; npw];
-    let mut hv = vec![c64::ZERO; npw];
-    let mut r = vec![c64::ZERO; npw]; // alloc-audit: once per solve
-    let mut pr = vec![c64::ZERO; npw];
-    let mut d = vec![c64::ZERO; npw];
-    let mut d_prev = vec![c64::ZERO; npw]; // alloc-audit: once per solve
-    let mut hd = vec![c64::ZERO; npw];
+    let mut v = vec![S::ZERO; npw];
+    let mut hv = vec![S::ZERO; npw];
+    let mut r = vec![S::ZERO; npw]; // alloc-audit: once per solve
+    let mut pr = vec![S::ZERO; npw];
+    let mut d = vec![S::ZERO; npw];
+    let mut d_prev = vec![S::ZERO; npw]; // alloc-audit: once per solve
+    let mut hd = vec![S::ZERO; npw];
     let mut ham_ws = h.workspace();
     let mut worst_residual = 0.0_f64;
     let mut iterations = 0;
@@ -513,7 +644,7 @@ pub fn try_solve_band_by_band(
         // Work on band b, keeping it orthogonal to converged bands 0..b.
         v.copy_from_slice(psi.row(b));
         h.apply_vec_with(&v, &mut hv, &mut ham_ws);
-        let mut eps = dotc(&v, &hv).re;
+        let mut eps = dotc(&v, &hv).re();
         let mut have_prev = false;
         let mut rkr_prev = 0.0_f64;
         let mut res = f64::INFINITY;
@@ -521,7 +652,7 @@ pub fn try_solve_band_by_band(
             iterations = iterations.max(step + 1);
             // Residual.
             r.copy_from_slice(&hv);
-            axpy(c64::real(-eps), &v, &mut r);
+            axpy(S::from_re(-eps), &v, &mut r);
             res = nrm2(&r);
             if !res.is_finite() {
                 return Err(SolverError::NonFiniteResidual {
@@ -539,11 +670,11 @@ pub fn try_solve_band_by_band(
             }
             let o = dotc(&v, &pr);
             axpy(-o, &v, &mut pr);
-            let rkr = dotc(&r, &pr).re.max(1e-300);
+            let rkr = dotc(&r, &pr).re().max(1e-300);
             d.copy_from_slice(&pr);
             if have_prev && step % opts.cg_reset != 0 {
                 let beta = rkr / rkr_prev.max(1e-300);
-                axpy(c64::real(beta), &d_prev, &mut d);
+                axpy(S::from_re(beta), &d_prev, &mut d);
                 // Re-project the combined direction.
                 for j in 0..b {
                     let o = dotc(psi.row(j), &d);
@@ -582,8 +713,9 @@ pub fn try_solve_band_by_band(
 
     // Clean up the per-band drift before the final subspace rotation so the
     // rotation is applied to an exactly orthonormal block (and stays
-    // orthonormality-preserving).
-    let _ = ortho::cholesky_orthonormalize(psi, 1.0);
+    // orthonormality-preserving). A block that collapsed is an error, not
+    // an `Ok` handed to Gen_dens.
+    reorthonormalize(psi, None, &mut ham_ws.gemm, iterations)?;
     // Final subspace rotation to disentangle near-degenerate bands.
     // alloc-audit: once per solve (post-loop reporting, not the hot path).
     let mut hpsi = h.apply_block(psi);
@@ -592,12 +724,12 @@ pub fn try_solve_band_by_band(
     // alloc-audit: once per solve.
     let mut rotated = Matrix::zeros(nb, npw);
     gemm::gemm(
-        c64::ONE,
+        S::ONE,
         &eig.vectors,
         Op::Trans,
         psi,
         Op::None,
-        c64::ZERO,
+        S::ZERO,
         &mut rotated,
     );
     *psi = rotated;
@@ -605,7 +737,7 @@ pub fn try_solve_band_by_band(
     let mut worst = 0.0_f64;
     for b in 0..nb {
         r.copy_from_slice(hpsi.row(b));
-        axpy(c64::real(-eig.values[b]), psi.row(b), &mut r);
+        axpy(S::from_re(-eig.values[b]), psi.row(b), &mut r);
         worst = worst.max(nrm2(&r));
     }
     Ok(SolveStats {
@@ -759,6 +891,146 @@ mod tests {
         match try_solve_band_by_band(&h, &mut psi, &opts) {
             Err(SolverError::DependentStartVectors { .. }) => {}
             other => panic!("expected DependentStartVectors, got {other:?}"),
+        }
+    }
+
+    /// A fragment-like Hamiltonian: a 14³ box at the benchmark cutoff, a
+    /// smooth well and eight Kleinman–Bylander projectors.
+    fn fragment_like(basis: &PwBasis) -> (RealField, NonlocalPotential) {
+        let edge = basis.grid().lengths[0];
+        let v = RealField::from_fn(basis.grid().clone(), |r| {
+            let d2: f64 = r.iter().map(|x| (x - 0.5 * edge).powi(2)).sum();
+            -0.9 * (-d2 / 9.0).exp() + 0.05 * (r[0] * 0.6).cos()
+        });
+        let sites: Vec<[f64; 3]> = (0..8)
+            .map(|a| {
+                let t = a as f64;
+                [
+                    1.0 + 1.2 * t,
+                    edge - 1.5 - 1.1 * t,
+                    2.0 + 0.8 * ((a * 3) % 8) as f64,
+                ]
+            })
+            .collect();
+        let e_kb: Vec<f64> = (0..8).map(|a| 0.65 - 0.15 * a as f64).collect();
+        let nl = NonlocalPotential::new(basis, &sites, |_, q| (-0.6 * q * q).exp(), &e_kb);
+        assert_eq!(nl.len(), 8);
+        (v, nl)
+    }
+
+    #[test]
+    fn real_and_complex_instantiations_agree_on_a_fragment_like_hamiltonian() {
+        // Both instantiations called directly, whatever the policy: the
+        // complex one on the unpacked start block, the real one on the
+        // packed block, the same 40 steps each (a fragment solve is
+        // step-limited, not converged). The real trajectory must shadow the
+        // complex one: same eigenvalues, same density.
+        let basis = PwBasis::new(Grid3::cubic(14, 11.375), 1.5);
+        let (v, nl) = fragment_like(&basis);
+        let h = Hamiltonian::new(&basis, v, &nl);
+        let nb = 6;
+        let opts = SolverOptions {
+            max_iter: 40,
+            tol: 1e-12,
+            ..Default::default()
+        };
+        let mut packed = Matrix::zeros(nb, basis.len());
+        pack_block(&basis, &rand_block(nb, basis.len(), 41), &mut packed);
+        let mut full = Matrix::zeros(nb, basis.len());
+        unpack_block(&basis, &packed, &mut full);
+
+        let real = all_band(&h, &mut packed, &opts, &mut CgWorkspace::new(&h, nb)).unwrap();
+        let complex = all_band(&h, &mut full, &opts, &mut CgWorkspace::new(&h, nb)).unwrap();
+        assert_eq!((real.iterations, complex.iterations), (40, 40));
+        assert!(real.residual < 0.1, "{real:?}");
+        for b in 0..nb {
+            let (r, c) = (real.eigenvalues[b], complex.eigenvalues[b]);
+            assert!((r - c).abs() <= 1e-9, "band {b}: real {r} vs complex {c}");
+        }
+        // Fully occupied, so the density is a property of the subspace.
+        let occupations = vec![2.0; nb];
+        let mut unpacked = Matrix::zeros(nb, basis.len());
+        unpack_block(&basis, &packed, &mut unpacked);
+        assert!(ortho::orthonormality_residual(&unpacked, 1.0) < 1e-12);
+        let rho_r = crate::density::compute_density(&basis, &unpacked, &occupations);
+        let rho_c = crate::density::compute_density(&basis, &full, &occupations);
+        let per_electron = rho_r.diff(&rho_c).integrate_abs() / (2.0 * nb as f64);
+        assert!(
+            per_electron <= 1e-8,
+            "density differs by {per_electron:e} per e⁻"
+        );
+    }
+
+    #[test]
+    fn collapsed_block_at_solver_exit_is_a_typed_error() {
+        // The exit re-orthonormalization used to swallow its failure: a
+        // block that lost positive definiteness on the last step went out
+        // `Ok`. Both instantiations must map it to the typed collapse.
+        fn collapsed<S: Scalar>(mut psi: Matrix<S>) {
+            let dup = psi.row(0).to_vec();
+            psi.row_mut(2).copy_from_slice(&dup);
+            match reorthonormalize(&mut psi, None, &mut GemmScratch::new(), 7) {
+                Err(SolverError::OverlapNotPositiveDefinite { iteration: 7, .. }) => {}
+                other => panic!("expected OverlapNotPositiveDefinite, got {other:?}"),
+            }
+        }
+        let complex = rand_block(4, 60, 23);
+        collapsed(Matrix::from_fn(4, 60, |i, j| complex[(i, j)].re));
+        collapsed(complex);
+        // The success path leaves an orthonormal block.
+        let mut psi = rand_block(4, 60, 29);
+        reorthonormalize(&mut psi, None, &mut GemmScratch::new(), 1).unwrap();
+        assert!(ortho::orthonormality_residual(&psi, 1.0) < 1e-12);
+    }
+
+    #[test]
+    fn phase_rotated_start_block_packs_or_is_dependent() {
+        // e^{iφ}·(real orbitals): the packed block is cos φ times the real
+        // one, so any φ short of π/2 solves to the same spectrum; at π/2
+        // the real part vanishes and the packed start block is degenerate.
+        // The complex instantiation (`reference`) does not care about φ.
+        let basis = PwBasis::new(Grid3::cubic(10, 8.0), 1.4);
+        let v = RealField::from_fn(basis.grid().clone(), |r| 0.3 * (r[0] * 0.7).cos());
+        let nl = NonlocalPotential::none(&basis);
+        let h = Hamiltonian::new(&basis, v, &nl);
+        let nb = 3;
+        let mut packed = Matrix::zeros(nb, basis.len());
+        pack_block(&basis, &rand_block(nb, basis.len(), 31), &mut packed);
+        let mut real_orbitals = Matrix::zeros(nb, basis.len());
+        unpack_block(&basis, &packed, &mut real_orbitals);
+        let rotated = |phi: f64| {
+            let mut m = real_orbitals.clone();
+            scal(c64::cis(phi), m.as_mut_slice());
+            m
+        };
+        let opts = SolverOptions {
+            max_iter: 200,
+            tol: 1e-8,
+            ..Default::default()
+        };
+        let straight = try_solve_all_band(&h, &mut rotated(0.0), &opts).unwrap();
+        let tilted = try_solve_all_band(&h, &mut rotated(1.0), &opts).unwrap();
+        for b in 0..nb {
+            assert!((straight.eigenvalues[b] - tilted.eigenvalues[b]).abs() < 1e-7);
+        }
+        // Exactly imaginary rows (a rotated block's real part is only
+        // rounding-small, not zero).
+        let mut imaginary = real_orbitals.clone();
+        scal(c64::I, imaginary.as_mut_slice());
+        let before = imaginary.clone();
+        for solve in [try_solve_all_band, try_solve_band_by_band] {
+            match solve(&h, &mut imaginary, &opts) {
+                Ok(stats) => assert_eq!(kernel_policy(), KernelPolicy::Reference, "{stats:?}"),
+                Err(SolverError::DependentStartVectors { .. }) => {
+                    assert_eq!(kernel_policy(), KernelPolicy::Fast);
+                    assert!(
+                        imaginary == before,
+                        "the caller's block was modified on error"
+                    );
+                }
+                Err(other) => panic!("unexpected {other:?}"),
+            }
+            imaginary = before.clone();
         }
     }
 

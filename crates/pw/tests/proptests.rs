@@ -33,8 +33,122 @@ fn rand_block(nb: usize, npw: usize, seed: u64) -> Matrix<c64> {
     m
 }
 
+/// A random packed real row and the conjugate-symmetric full-sphere row
+/// it stands for.
+fn real_orbital(basis: &PwBasis, seed: u64) -> (Vec<f64>, Vec<c64>) {
+    let mut state = seed | 1;
+    let packed: Vec<f64> = (0..basis.len())
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64) / ((1u64 << 53) as f64) - 0.5
+        })
+        .collect();
+    let mut full = vec![c64::ZERO; basis.len()];
+    basis.unpack(&packed, &mut full);
+    (packed, full)
+}
+
+/// Distance in units in the last place (same sign assumed).
+fn ulps(a: f64, b: f64) -> u64 {
+    a.to_bits().abs_diff(b.to_bits())
+}
+
+/// An 8³ box whose cutoff sphere just reaches the axis Nyquist points:
+/// `E_cut = ½·G_Nyq²` exactly, so `(4,0,0)`, `(0,4,0)`, `(0,0,4)` are in
+/// the basis — self-conjugate like `G = 0` — and nothing else on a
+/// Nyquist plane is (it would lie outside the sphere).
+fn nyquist_touching_basis() -> PwBasis {
+    let edge = 7.0;
+    let g_nyq = 2.0 * std::f64::consts::PI * 4.0 / edge;
+    PwBasis::new(Grid3::cubic(8, edge), 0.5 * g_nyq * g_nyq)
+}
+
+#[test]
+fn nyquist_axis_points_are_self_conjugate_slots() {
+    let basis = nyquist_touching_basis();
+    assert_eq!(basis.n_self_conjugate(), 4, "G = 0 and three axis points");
+    assert_eq!((basis.len() - 4) % 2, 0);
+    assert_eq!(
+        PwBasis::new(Grid3::cubic(8, 7.0), 1.0).n_self_conjugate(),
+        1
+    );
+
+    // A packed row is a real function on the grid, Nyquist slots included…
+    let (packed, full) = real_orbital(&basis, 77);
+    let mut grid = vec![c64::ZERO; basis.grid().len()];
+    basis.wave_to_grid(&full, &mut grid);
+    let peak = grid.iter().map(|v| v.abs()).fold(0.0, f64::max);
+    assert!(grid.iter().all(|v| v.im.abs() <= 1e-14 * peak));
+    // …survives the round trip…
+    let mut back = vec![0.0; basis.len()];
+    basis.pack(&full, &mut back);
+    assert!(packed.iter().zip(&back).all(|(&a, &b)| ulps(a, b) <= 1));
+    // …and H (local + kinetic) acts on it as on the full-sphere row.
+    let v = RealField::from_fn(basis.grid().clone(), |r| {
+        0.4 * (r[0] * 0.9).cos() - 0.2 * (r[1] * 1.8).sin() * (r[2] * 0.9).cos()
+    });
+    let nl = NonlocalPotential::none(&basis);
+    let h = Hamiltonian::new(&basis, v, &nl);
+    let h_real = h.apply_vec(&packed);
+    let mut h_full = vec![0.0; basis.len()];
+    basis.pack(&h.apply_vec(&full), &mut h_full);
+    let peak = h_full.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+    for (a, b) in h_real.iter().zip(&h_full) {
+        assert!((a - b).abs() <= 1e-13 * peak, "{a} vs {b}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn packed_real_dot_is_the_complex_inner_product(seed in 1u64..500, n in 8usize..13) {
+        let basis = PwBasis::new(Grid3::new([n, 10, 12], [7.0, 8.0, 9.5]), 1.0);
+        let (pa, a) = real_orbital(&basis, seed);
+        let (pb, b) = real_orbital(&basis, seed.wrapping_add(1000));
+        let complex = ls3df_math::vec_ops::dotc(&a, &b);
+        let real = ls3df_math::vec_ops::dotc(&pa, &pb);
+        let scale = basis.len() as f64;
+        prop_assert!((complex.re - real).abs() <= 1e-15 * scale, "{complex:?} vs {real}");
+        prop_assert!(complex.im.abs() <= 1e-15 * scale, "Im = {}", complex.im);
+    }
+
+    #[test]
+    fn unpack_then_pack_is_within_one_ulp_on_symmetric_rows(seed in 1u64..500) {
+        for basis in [PwBasis::new(Grid3::cubic(10, 8.0), 1.3), nyquist_touching_basis()] {
+            let (_, full) = real_orbital(&basis, seed);
+            let mut packed = vec![0.0; basis.len()];
+            basis.pack(&full, &mut packed);
+            let mut back = vec![c64::ZERO; basis.len()];
+            basis.unpack(&packed, &mut back);
+            for (x, y) in full.iter().zip(&back) {
+                prop_assert!(ulps(x.re, y.re) <= 1 && ulps(x.im, y.im) <= 1, "{x:?} vs {y:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn pack_of_a_general_row_is_the_real_part_of_the_orbital(seed in 1u64..500) {
+        let basis = PwBasis::new(Grid3::new([10, 8, 9], [8.0, 6.5, 7.0]), 1.2);
+        let general = rand_block(1, basis.len(), seed);
+        let mut packed = vec![0.0; basis.len()];
+        basis.pack(general.row(0), &mut packed);
+        let mut from_pack = vec![c64::ZERO; basis.len()];
+        basis.unpack(&packed, &mut from_pack);
+        // Re ψ(r) on the grid, analysed back.
+        let mut grid = vec![c64::ZERO; basis.grid().len()];
+        basis.wave_to_grid(general.row(0), &mut grid);
+        for v in &mut grid {
+            *v = c64::real(v.re);
+        }
+        let mut from_grid = vec![c64::ZERO; basis.len()];
+        basis.grid_to_wave(&mut grid, &mut from_grid);
+        for (a, b) in from_pack.iter().zip(&from_grid) {
+            prop_assert!((*a - *b).abs() <= 1e-14, "{a:?} vs {b:?}");
+        }
+    }
 
     #[test]
     fn hamiltonian_hermitian_for_any_real_potential(

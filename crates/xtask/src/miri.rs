@@ -45,7 +45,9 @@ const TARGETS: [(&str, &[&str], Option<&str>); 4] = [
     // Snapshot codec and its byte-mucking corruption tests.
     ("ckpt", &["test", "-p", "ls3df-ckpt", "--lib"], None),
     // The packed GEMM kernel's tier dispatch: the microkernel unit tests
-    // (tier-vs-baseline bit identity, every `Op` pair). Miri's runtime
+    // (tier-vs-baseline bit identity, every `Op` pair — for the `c64`
+    // instantiation and for both register-tile widths of the `f64` one,
+    // each its own `#[target_feature]` monomorphization). Miri's runtime
     // feature detection reports nothing, so the interpreted target is
     // given AVX2 statically — `Tier::host` then selects the
     // `#[target_feature]` instantiation and the one `unsafe` call of

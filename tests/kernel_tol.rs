@@ -25,7 +25,10 @@ use ls3df::math::{
     c64, gemm, gemm_into, vec_ops, Cholesky, GemmScratch, KernelPolicy, Matrix, Op, Tier,
 };
 use ls3df::pseudo::KbProjector;
-use ls3df::pw::{ionic_potential_with, HartreeSolver, Mixer, MixerState, PwAtom, PwBasis};
+use ls3df::pw::{
+    cg_init, cg_residual, cg_step, ionic_potential_with, CgWorkspace, Hamiltonian, HartreeSolver,
+    Mixer, MixerState, NonlocalPotential, PwAtom, PwBasis,
+};
 use ls3df_pseudo::LocalPotential;
 
 /// Complex 1-D transforms, radix-4/split and mixed-radix (fast) vs
@@ -61,6 +64,16 @@ const DOTC_TOL: f64 = 1e-15;
 /// rotation is exact (k = 70 is one pack block summed from zero, the same
 /// order as the row loop).
 const BLOCK_OP_TOL: f64 = 2e-13;
+/// The Γ-point real instantiation of `H·Ψ` and of each block operation of
+/// the all-band solver vs the `c64` instantiation on the unpacked block,
+/// per element of the packed result, relative to its largest element.
+/// Observed worst cases over 14³ / 12×18×18 / 22³ boxes × 5 / 8 / 64 bands
+/// × 0 / 8 / 24 projectors, under either policy: `H·Ψ` 9.7e-16, block KB
+/// apply 1.7e-15, subspace matrix 2.1e-15, orthonormalization 1.8e-15,
+/// one `cg_residual` + `cg_step` 2.0e-15 (its eigenvalues 2.0e-15) — the
+/// two paths do the same sums over half the terms, so they differ by
+/// rounding only.
+const REAL_BLOCK_TOL: f64 = 1e-13;
 
 fn lcg(seed: u64) -> impl FnMut() -> f64 {
     let mut state = seed | 1;
@@ -461,6 +474,173 @@ fn dispatched_tier_is_bit_identical_to_baseline_tier() {
                     "{m}x{k}x{n} {op_a:?}/{op_b:?}: {} tier differs from baseline",
                     Tier::host().name()
                 );
+            }
+        }
+    }
+}
+
+fn same_real_bits(x: &Matrix<f64>, y: &Matrix<f64>) -> bool {
+    x.shape() == y.shape()
+        && x.as_slice()
+            .iter()
+            .zip(y.as_slice())
+            .all(|(u, v)| u.to_bits() == v.to_bits())
+}
+
+#[test]
+fn real_packed_gemm_is_bit_identical_across_tiers_and_tile_widths() {
+    // The `f64` instantiation of the packed kernel runs a wider register
+    // tile than the `c64` one. Neither the CPU tier nor the tile width may
+    // change the order any element of C is summed in: ragged shapes (m, n
+    // multiples of neither tile, k past one pack block) plus the 8-piece
+    // fragment shape, every `Op` pair.
+    let ops = [Op::None, Op::Trans, Op::ConjTrans];
+    for &(m, k, n) in &[(5, 9, 7), (33, 70, 21), (66, 300, 35), (130, 2550, 130)] {
+        for op_a in ops {
+            for op_b in ops {
+                let dims =
+                    |op: Op, r: usize, c: usize| if op == Op::None { (r, c) } else { (c, r) };
+                let mut next = lcg(0x7e41 ^ (m * n) as u64);
+                let mut real = |(r, c): (usize, usize)| Matrix::from_fn(r, c, |_, _| next());
+                let a = real(dims(op_a, m, k));
+                let b = real(dims(op_b, k, n));
+                let c0 = real((m, n));
+                let run = |mut scratch: GemmScratch<f64>| {
+                    let mut c = c0.clone();
+                    gemm_into(&mut scratch, 0.8, &a, op_a, &b, op_b, -0.5, &mut c);
+                    c
+                };
+                let host = run(GemmScratch::with(KernelPolicy::Fast, Tier::host()));
+                let baseline = run(GemmScratch::with(KernelPolicy::Fast, Tier::BASELINE));
+                let narrow = run(GemmScratch::with(KernelPolicy::Fast, Tier::host()).narrow_tile());
+                let what = format!("{m}x{k}x{n} {op_a:?}/{op_b:?}");
+                assert!(same_real_bits(&baseline, &host), "{what}: tier moved a bit");
+                assert!(
+                    same_real_bits(&narrow, &host),
+                    "{what}: tile width moved a bit"
+                );
+            }
+        }
+    }
+}
+
+/// Largest `|real − pack(complex)|` over a block, relative to the largest
+/// element of the packed complex result.
+fn packed_deviation(basis: &PwBasis, real: &Matrix<f64>, complex: &Matrix<c64>) -> f64 {
+    let mut row = vec![0.0; basis.len()];
+    let (mut worst, mut peak) = (0.0_f64, 0.0_f64);
+    for b in 0..real.rows() {
+        basis.pack(complex.row(b), &mut row);
+        for (r, c) in real.row(b).iter().zip(&row) {
+            worst = worst.max((r - c).abs());
+            peak = peak.max(c.abs());
+        }
+    }
+    worst / peak
+}
+
+#[test]
+fn real_block_algebra_matches_the_complex_path() {
+    // What `fast` runs (the `f64` instantiation on Γ-point packed rows)
+    // against what `reference` runs (the `c64` instantiation on the
+    // unpacked block), operation by operation, on the benchmark's fragment
+    // boxes. Both instantiations are called directly, so the comparison
+    // holds under either ambient policy.
+    for (dims, lengths) in [
+        ([14, 14, 14], [11.375, 11.375, 11.375]),
+        ([12, 18, 18], [9.75, 14.625, 14.625]),
+        ([22, 22, 22], [17.875, 17.875, 17.875]),
+    ] {
+        let grid = Grid3::new(dims, lengths);
+        let basis = PwBasis::new(grid.clone(), 1.5);
+        let npw = basis.len();
+        let v = RealField::from_fn(grid, |r| {
+            0.3 * (r[0] * 0.6).cos() - 0.2 * (r[1] * 0.4).sin() + 0.1 * r[2].cos()
+        });
+        for n_proj in [0usize, 8, 24] {
+            let sites: Vec<[f64; 3]> = (0..n_proj)
+                .map(|a| {
+                    let t = a as f64 / n_proj as f64;
+                    [
+                        lengths[0] * t,
+                        lengths[1] * (1.0 - t),
+                        lengths[2] * (3.0 * t).fract(),
+                    ]
+                })
+                .collect();
+            let e_kb: Vec<f64> = (0..n_proj).map(|a| 0.45 - 0.07 * a as f64).collect();
+            let nl = NonlocalPotential::new(&basis, &sites, |_, q| (-0.7 * q * q).exp(), &e_kb);
+            assert_eq!(nl.len(), n_proj);
+            let h = Hamiltonian::new(&basis, v.clone(), &nl);
+            for nb in [5usize, 8, 64] {
+                let what = format!("{dims:?}, {nb} bands, {n_proj} projectors");
+                // An orthonormal packed block and the full-sphere block it
+                // stands for.
+                let mut next = lcg(0x9a11 ^ (npw * nb + n_proj) as u64);
+                let mut packed = Matrix::from_fn(nb, npw, |_, _| next());
+                ls3df::math::ortho::cholesky_orthonormalize(&mut packed, 1.0).unwrap();
+                let mut full = Matrix::zeros(nb, npw);
+                for b in 0..nb {
+                    basis.unpack(packed.row(b), full.row_mut(b));
+                }
+                let check = |name: &str, real: &Matrix<f64>, complex: &Matrix<c64>| {
+                    let dev = packed_deviation(&basis, real, complex);
+                    assert!(dev <= REAL_BLOCK_TOL, "{what}: {name} deviates {dev:e}");
+                };
+
+                // H·Ψ, and its Kleinman–Bylander term alone.
+                let (hp_r, hp_c) = (h.apply_block(&packed), h.apply_block(&full));
+                check("H·Ψ", &hp_r, &hp_c);
+                let (mut kb_r, mut kb_c) = (hp_r.clone(), hp_c.clone());
+                nl.accumulate_block(&packed, &mut kb_r);
+                nl.accumulate_block(&full, &mut kb_c);
+                check("block KB apply", &kb_r, &kb_c);
+
+                // The Rayleigh–Ritz matrix: real-symmetric vs Hermitian
+                // with a vanishing imaginary part.
+                let m_r = Hamiltonian::subspace_matrix(&packed, &hp_r);
+                let m_c = Hamiltonian::subspace_matrix(&full, &hp_c);
+                let peak = m_c.max_abs();
+                for i in 0..nb {
+                    for j in 0..nb {
+                        let d = (m_c[(i, j)] - c64::real(m_r[(i, j)])).abs();
+                        assert!(
+                            d <= REAL_BLOCK_TOL * peak,
+                            "{what}: subspace ({i},{j}) {d:e}"
+                        );
+                    }
+                }
+
+                // Overlap + Cholesky + L⁻¹ on a block that needs it.
+                let (mut o_r, mut o_c) = (hp_r.clone(), hp_c.clone());
+                ls3df::math::ortho::cholesky_orthonormalize(&mut o_r, 1.0).unwrap();
+                ls3df::math::ortho::cholesky_orthonormalize(&mut o_c, 1.0).unwrap();
+                check("orthonormalization", &o_r, &o_c);
+
+                // One residual + CG step (projection, preconditioner,
+                // H·d, line minimization) from the same state.
+                let (mut psi_r, mut psi_c) = (packed.clone(), full.clone());
+                let mut ws_r = CgWorkspace::new(&h, nb);
+                let mut ws_c = CgWorkspace::new(&h, nb);
+                cg_init(&h, &psi_r, &mut ws_r);
+                cg_init(&h, &psi_c, &mut ws_c);
+                let (res_r, res_c) = (
+                    cg_residual(&psi_r, &mut ws_r),
+                    cg_residual(&psi_c, &mut ws_c),
+                );
+                assert!(
+                    (res_r - res_c).abs() <= REAL_BLOCK_TOL * res_c,
+                    "{what}: residual"
+                );
+                cg_step(&h, &mut psi_r, &mut ws_r, false);
+                cg_step(&h, &mut psi_c, &mut ws_c, false);
+                check("cg_step", &psi_r, &psi_c);
+                for (er, ec) in ws_r.eigenvalues().iter().zip(ws_c.eigenvalues()) {
+                    assert!(
+                        (er - ec).abs() <= REAL_BLOCK_TOL * ec.abs().max(1.0),
+                        "{what}: ε"
+                    );
+                }
             }
         }
     }

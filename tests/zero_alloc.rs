@@ -15,7 +15,11 @@
 //! projectors on a 22³ box makes every block product of the CG step —
 //! projection and Kleinman–Bylander — block-sized, so the step is held
 //! heap-free on the packed GEMM kernel too (its pack scratch lives in
-//! the workspace and is sized by the warm-up).
+//! the workspace and is sized by the warm-up). The same step is then
+//! held heap-free on Γ-point packed real rows — the `f64` instantiation
+//! the solve entries run under `fast` — at that 64-band shape (real
+//! GEMMs on the wide register tile) and at 10 bands on the 14³ box (the
+//! crystal8 fragment, scalar kernels).
 //!
 //! Everything lives in one `#[test]` so no concurrent test can perturb the
 //! process-wide allocation counter between the bracketing reads.
@@ -28,7 +32,7 @@ use ls3df::math::{c64, vec_ops, Matrix};
 use ls3df::pseudo::LocalPotential;
 use ls3df::pw::{
     cg_init, cg_residual, cg_step, effective_potential, initial_density, ionic_potential,
-    CgWorkspace, Hamiltonian, HartreeSolver, NonlocalPotential, PwAtom, PwBasis,
+    CgWorkspace, Coeff, Hamiltonian, HartreeSolver, NonlocalPotential, PwAtom, PwBasis,
 };
 
 #[global_allocator]
@@ -97,6 +101,36 @@ fn seed_block(n_bands: usize, npw: usize) -> Matrix<c64> {
         }
     }
     psi
+}
+
+/// Allocations of one steady-state `cg_residual` + `cg_step` on `psi`, in
+/// either row representation. Two warm-up rounds first: the first
+/// `cg_step` has no previous direction, the second runs the full
+/// β-combination path — true steady state — and sizes the pack scratch.
+fn step_allocations<S: Coeff>(h: &Hamiltonian<'_>, mut psi: Matrix<S>) -> u64 {
+    let mut ws = CgWorkspace::new(h, psi.rows());
+    cg_init(h, &psi, &mut ws);
+    for _ in 0..2 {
+        let _ = cg_residual(&psi, &mut ws);
+        cg_step(h, &mut psi, &mut ws, false);
+    }
+    let before = allocation_count();
+    let resid = cg_residual(&psi, &mut ws);
+    cg_step(h, &mut psi, &mut ws, false);
+    let allocs = allocation_count() - before;
+    assert!(resid.is_finite());
+    allocs
+}
+
+/// [`step_allocations`] on the Γ-point packed real rows of `psi`.
+fn real_step_allocations(h: &Hamiltonian<'_>, psi: &Matrix<c64>) -> u64 {
+    let mut packed = Matrix::zeros(psi.rows(), psi.cols());
+    for b in 0..psi.rows() {
+        h.basis().pack(psi.row(b), packed.row_mut(b));
+    }
+    ls3df::math::ortho::cholesky_orthonormalize(&mut packed, 1.0)
+        .expect("the real parts of a random block are independent");
+    step_allocations(h, packed)
 }
 
 #[test]
@@ -194,20 +228,22 @@ fn steady_state_hot_paths_do_not_allocate() {
     let mut psi_big = seed_block(n_big, big_basis.len());
     ls3df::math::ortho::cholesky_orthonormalize(&mut psi_big, 1.0)
         .expect("random block is independent");
-    let mut ws_big = CgWorkspace::new(&h_big, n_big);
-    cg_init(&h_big, &psi_big, &mut ws_big);
-    for _ in 0..2 {
-        let _ = cg_residual(&psi_big, &mut ws_big);
-        cg_step(&h_big, &mut psi_big, &mut ws_big, false);
-    }
-    let before = allocation_count();
-    let resid = cg_residual(&psi_big, &mut ws_big);
-    cg_step(&h_big, &mut psi_big, &mut ws_big, false);
-    let big_allocs = allocation_count() - before;
-    assert!(resid.is_finite());
+    let big_allocs = step_allocations(&h_big, psi_big.clone());
     assert_eq!(
         big_allocs, 0,
         "steady-state cg_residual+cg_step on a 64-band block allocated {big_allocs} times"
+    );
+
+    // --- the same step on Γ-point packed real rows ------------------------
+    let real_big = real_step_allocations(&h_big, &psi_big);
+    assert_eq!(
+        real_big, 0,
+        "steady-state real cg_residual+cg_step on a 64-band block allocated {real_big} times"
+    );
+    let real_box = real_step_allocations(&h_box, &seed_block(10, box_basis.len()));
+    assert_eq!(
+        real_box, 0,
+        "steady-state real cg_residual+cg_step on 10 bands (14³) allocated {real_box} times"
     );
 
     // --- steady-state GENPOT (FFT Poisson) solve ------------------------
