@@ -4,8 +4,8 @@
 # default pool (every crate's and shim's unit tests, the lint fixture
 # corpus and the whole integration suite), the planewave crate's units
 # once more under LS3DF_KERNELS=reference (pw-units [reference]), the
-# feature legs that suite cannot cover (zero-alloc, obs-report [obs],
-# obs-dist), the repo benchmark's unit tests + --smoke gate
+# feature legs that suite cannot cover (zero-alloc, mem-budget,
+# obs-report [obs], obs-dist), the repo benchmark's unit tests + --smoke gate
 # (bench-harness), schedule exploration (cargo xtask schedules), and the
 # Miri unsafe-core gate
 # (cargo xtask miri — skips loudly when Miri is not installed, e.g. in

@@ -146,6 +146,7 @@ fn main() {
         tracer: &mut tracer,
     });
     let mut report = tracer.finish();
+    report.memory = Some(ls.memory_footprint());
     report
         .extra
         .push(("atoms".to_string(), ls3df_obs::Json::num(s.len() as f64)));

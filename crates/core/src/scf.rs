@@ -29,7 +29,7 @@ use ls3df_ckpt::{read_bytes, write_rotated, CheckpointConfig, CkptError, Fingerp
 use ls3df_dist::{CommError, Communicator};
 use ls3df_grid::{Grid3, RealField};
 use ls3df_math::{c64, Matrix};
-use ls3df_obs::{counter_add, span, Counter, Stopwatch};
+use ls3df_obs::{counter_add, span, Counter, MemoryReport, Stopwatch};
 use ls3df_pseudo::PseudoTable;
 use ls3df_pw::{
     density, effective_potential_with, initial_density, ionic_potential, solver, Hamiltonian,
@@ -162,16 +162,16 @@ pub(crate) struct FragmentState {
     nonlocal: NonlocalPotential,
     /// Fixed ΔV_F: confining wall + passivant ionic potentials.
     delta_v: RealField,
+    /// The fragment's one wavefunction block: the last *committed* solve
+    /// (or the start guess). Solves work on a transient candidate and
+    /// replace this only on success ([`supervised_solve`]).
     psi: Matrix<c64>,
-    /// Previous-iteration wavefunctions, refreshed at the start of every
-    /// supervised solve — the quarantine restore buffer (persistent so the
-    /// SCF hot loop stays allocation-free).
-    psi_backup: Matrix<c64>,
     occupations: Vec<f64>,
     atoms: FragmentAtoms,
     injected: InjectedCounters,
-    /// True while the fragment carries restored (stale) wavefunctions
-    /// because its last supervised solve exhausted the retry ladder;
+    /// True while the fragment carries stale (previous-iteration)
+    /// wavefunctions because its last supervised solve exhausted the
+    /// retry ladder;
     /// cleared by the next successful solve. Gen_dens consults this: a
     /// stale fragment density legitimately breaks the patching-
     /// cancellation charge diagnostic, so the check is suspended (the
@@ -560,6 +560,13 @@ struct FragmentOutcome {
     quarantined: bool,
 }
 
+/// Integer cost of one all-band solve of `psi`, from the block shape
+/// alone: the `O(n_b²·n_pw)` block products that dominate it. Orders the
+/// PEtot_F queue; only the order matters.
+fn solve_cost(psi: &Matrix<c64>) -> usize {
+    psi.rows() * psi.rows() * psi.cols()
+}
+
 /// Start-block seed for retry rung `attempt` on fragment `index` — a pure
 /// function of both, so a rerun that hits the same failure retries from
 /// bit-identical vectors.
@@ -568,9 +575,15 @@ fn retry_seed(index: usize, attempt: usize) -> u64 {
 }
 
 /// Runs one fragment's solve under supervision: the primary warm-started
-/// attempt, then the retry ladder, then quarantine (restore the
-/// previous-iteration wavefunctions so Gen_dens patches the previous
-/// density for this fragment).
+/// attempt, then the retry ladder, then quarantine.
+///
+/// Every rung solves a transient *candidate* block — a copy of `fs.psi`
+/// for the primary rung, a fresh deterministic start for the others — and
+/// `fs.psi` is replaced only by a candidate that solved and passed the
+/// invariant checks. A rung that errors or panics, however far it got,
+/// never touches `fs.psi`, so quarantine is simply "leave ψ as it is":
+/// Gen_dens patches the previous iteration's density for this fragment.
+/// One candidate exists per in-flight solve, not per fragment.
 fn supervised_solve(
     fs: &mut FragmentState,
     vf: &RealField,
@@ -580,29 +593,28 @@ fn supervised_solve(
 ) -> FragmentOutcome {
     let _frag_span = span!("frag", index);
     counter_add(Counter::FragmentSolves, 1);
-    // Refresh the quarantine restore buffer with the warm-start block as
-    // it stood before this iteration touched it.
-    fs.psi_backup
-        .as_mut_slice()
-        .copy_from_slice(fs.psi.as_slice());
     let mut faults = Vec::new();
     for (attempt, &action) in ATTEMPT_LADDER.iter().enumerate() {
-        let opts = if action == RetryAction::Primary {
-            base.clone()
+        let (mut candidate, opts) = if action == RetryAction::Primary {
+            // alloc-audit: the one transient ψ copy of a fragment solve,
+            // live only while this solve is in flight.
+            (fs.psi.clone(), base.clone())
         } else {
-            // Escalation rungs discard the (possibly poisoned) block for a
-            // fresh deterministic start, and get the burn-in step budget.
-            fs.psi =
+            // Escalation rungs discard the (possibly poisoned) warm start
+            // for a fresh deterministic one, and get the burn-in budget.
+            let start =
                 ls3df_pw::scf::random_start(fs.psi.rows(), &fs.basis, retry_seed(index, attempt));
-            SolverOptions {
+            let opts = SolverOptions {
                 max_iter: fresh_steps,
                 ..base.clone()
-            }
+            };
+            (start, opts)
         };
         match catch_unwind(AssertUnwindSafe(|| {
-            run_attempt(fs, vf, index, attempt, action, &opts)
+            run_attempt(fs, &mut candidate, vf, index, attempt, action, &opts)
         })) {
             Ok(Ok(residual)) => {
+                fs.psi = candidate;
                 fs.quarantined = false;
                 return FragmentOutcome {
                     residual,
@@ -624,9 +636,6 @@ fn supervised_solve(
             }),
         }
     }
-    fs.psi
-        .as_mut_slice()
-        .copy_from_slice(fs.psi_backup.as_slice());
     fs.quarantined = true;
     FragmentOutcome {
         residual: 0.0,
@@ -635,11 +644,13 @@ fn supervised_solve(
     }
 }
 
-/// One solve attempt: consumes a pending injected fault if any, runs the
-/// rung's solver flavor, and re-checks the numeric invariants *inside*
-/// the supervised scope so a violation is retried rather than aborting.
+/// One solve attempt on the candidate block `psi`: consumes a pending
+/// injected fault if any, runs the rung's solver flavor, and re-checks the
+/// numeric invariants *inside* the supervised scope so a violation is
+/// retried rather than aborting.
 fn run_attempt(
     fs: &mut FragmentState,
+    psi: &mut Matrix<c64>,
     vf: &RealField,
     index: usize,
     attempt: usize,
@@ -648,6 +659,10 @@ fn run_attempt(
 ) -> Result<f64, String> {
     if fs.injected.panics > 0 {
         fs.injected.panics -= 1;
+        // A panic that strikes mid-solve leaves a half-written block
+        // behind; the injected one does too, so tests see that the
+        // candidate — not the fragment's ψ — took the damage.
+        psi.row_mut(0).fill(c64::new(f64::NAN, f64::NAN));
         // panic_any, not panic!: the supervision layer must handle
         // arbitrary payloads, and the house no-panic lint stays meaningful.
         std::panic::panic_any(format!(
@@ -662,7 +677,7 @@ fn run_attempt(
     }
     let h = Hamiltonian::new(&fs.basis, vf.clone(), &fs.nonlocal);
     let stats = match action {
-        RetryAction::BandByBand => solver::try_solve_band_by_band(&h, &mut fs.psi, base),
+        RetryAction::BandByBand => solver::try_solve_band_by_band(&h, psi, base),
         RetryAction::ReducedCg => {
             let reduced = SolverOptions {
                 max_iter: (base.max_iter / 2).max(1),
@@ -670,16 +685,15 @@ fn run_attempt(
                 cg_reset: 1,
                 ..*base
             };
-            solver::try_solve_all_band(&h, &mut fs.psi, &reduced)
+            solver::try_solve_all_band(&h, psi, &reduced)
         }
         RetryAction::Primary | RetryAction::FreshRandomStart => {
-            solver::try_solve_all_band(&h, &mut fs.psi, base)
+            solver::try_solve_all_band(&h, psi, base)
         }
     }
     .map_err(|e| e.to_string())?;
     if check::ENABLED {
-        check::orthonormal("PEtot_F", &fs.psi, 1.0)
-            .map_err(|v| v.for_fragment(index).to_string())?;
+        check::orthonormal("PEtot_F", psi, 1.0).map_err(|v| v.for_fragment(index).to_string())?;
         check::finite_scalar("PEtot_F", "residual", stats.residual)
             .map_err(|v| v.for_fragment(index).to_string())?;
     }
@@ -792,14 +806,12 @@ impl Ls3df {
                     &basis,
                     0xF00D ^ (f.size[0] * 31 + f.size[1] * 37 + f.size[2] * 41) as u64,
                 );
-                let psi_backup = psi.clone();
                 FragmentState {
                     fragment: f,
                     basis,
                     nonlocal,
                     delta_v,
                     psi,
-                    psi_backup,
                     occupations,
                     atoms: fa,
                     injected: InjectedCounters::default(),
@@ -881,6 +893,53 @@ impl Ls3df {
         &self.v_in
     }
 
+    /// Where this calculation's memory is, in bytes by category, beside
+    /// the process' peak resident set so far — call it after
+    /// [`scf`](Ls3df::scf) and the peak is the run's. Each rank accounts
+    /// for the state it holds (every rank assembles every fragment).
+    ///
+    /// * `psi_at_rest` — the fragments' wavefunction blocks, the state
+    ///   kept between outer iterations (one block per fragment).
+    /// * `projectors` — the fragments' Kleinman–Bylander projector blocks
+    ///   (`c64` and packed real copies).
+    /// * `bases_and_fields` — per-fragment planewave index tables and
+    ///   ΔV_F, and the global basis, potentials and density.
+    /// * `solve_workspace` — what the in-flight fragment solves hold at
+    ///   worst: the largest fragment's candidate block and solver blocks,
+    ///   times the threads that solve concurrently.
+    pub fn memory_footprint(&self) -> MemoryReport {
+        let field = |f: &RealField| size_of_val(f.as_slice());
+        let (mut psi, mut projectors, mut largest_solve) = (0, 0, 0);
+        let mut bases_and_fields = self.global_basis.heap_bytes()
+            + field(&self.v_ion_global)
+            + field(&self.v_in)
+            + field(&self.rho);
+        for fs in &self.fragments {
+            let (nb, npw) = fs.psi.shape();
+            let block = size_of_val(fs.psi.as_slice());
+            psi += block;
+            projectors += fs.nonlocal.heap_bytes();
+            bases_and_fields += fs.basis.heap_bytes() + field(&fs.delta_v);
+            largest_solve = largest_solve.max(block + solver::solve_workspace_bytes(nb, npw));
+        }
+        let categories = [
+            ("psi_at_rest", psi),
+            ("projectors", projectors),
+            ("bases_and_fields", bases_and_fields),
+            (
+                "solve_workspace",
+                largest_solve * rayon::current_num_threads(),
+            ),
+        ];
+        MemoryReport {
+            categories: categories
+                .into_iter()
+                .map(|(name, bytes)| (name.to_string(), bytes as u64))
+                .collect(),
+            peak_rss_bytes: ls3df_obs::peak_rss_bytes(),
+        }
+    }
+
     /// Scales every coefficient of fragment `index`'s wavefunction block.
     ///
     /// Validation-support hook: deliberately corrupting one fragment lets
@@ -890,6 +949,17 @@ impl Ls3df {
     /// it.
     pub fn scale_fragment_psi(&mut self, index: usize, factor: f64) {
         self.fragments[index].psi.scale_real(factor);
+    }
+
+    /// FNV-1a over the bit patterns of fragment `index`'s wavefunction
+    /// block. Validation-support hook: equal digests before and after a
+    /// run mean the block was not touched — what a quarantine promises.
+    pub fn fragment_psi_digest(&self, index: usize) -> u64 {
+        let mut fp = Fingerprint::new();
+        for c in self.fragments[index].psi.as_slice() {
+            fp.push_f64(c.re).push_f64(c.im);
+        }
+        fp.finish()
     }
 
     /// **Gen_VF**: slices the global potential into per-fragment
@@ -923,8 +993,8 @@ impl Ls3df {
     /// The supervised PEtot_F stage: every fragment solve runs under
     /// `catch_unwind` with the deterministic retry ladder
     /// ([`ATTEMPT_LADDER`]); fragments that exhaust it are quarantined
-    /// (previous-iteration wavefunctions restored) instead of aborting
-    /// the run. Returns the solve half of this group's report: worst
+    /// (their wavefunctions left as the previous iteration's) instead of
+    /// aborting the run. Returns the solve half of this group's report: worst
     /// residual (quarantined fragments excluded), quarantine flags, faults
     /// and quarantine records, all in fragment order.
     fn petot_f_supervised(&mut self, vfs: &[RealField], steps: usize) -> PetotReport {
@@ -943,24 +1013,33 @@ impl Ls3df {
         // snapshot iterations gather the owners' blocks explicitly).
         let my_group = self.comm.rank();
         let owner = &self.plan.owner;
-        let outcomes: Vec<Option<FragmentOutcome>> = self
+        let mut queue: Vec<(usize, &mut FragmentState, &RealField)> = self
             .fragments
-            .par_iter_mut()
-            .zip(vfs.par_iter())
+            .iter_mut()
+            .zip(vfs)
             .enumerate()
-            .map(|(index, (fs, vf))| {
-                (owner[index] == my_group)
-                    .then(|| supervised_solve(fs, vf, index, &solver_opts, fresh_steps))
-            })
+            .filter(|&(index, _)| owner[index] == my_group)
+            .map(|(index, (fs, vf))| (index, fs, vf))
             .collect();
-        // reduce-audit: `collect` returns outcomes in fragment order
-        // no matter how the pool scheduled the solves, so the max below is
-        // a fixed left-to-right scan and the fault/quarantine lists are in
-        // fragment order — the event stream a ScfObserver sees depends only
-        // on the fragment list, never on LS3DF_THREADS.
+        // Fragment costs span ~70× on the alloy, so the queue is worked
+        // largest-first, one fragment per free thread: the small solves
+        // fill the tail instead of one thread finishing a large one alone.
+        queue.sort_by_key(|&(index, ref fs, _)| (std::cmp::Reverse(solve_cost(&fs.psi)), index));
+        let mut outcomes: Vec<(usize, FragmentOutcome)> = queue
+            .into_par_iter()
+            .map(|(index, fs, vf)| {
+                let outcome = supervised_solve(fs, vf, index, &solver_opts, fresh_steps);
+                (index, outcome)
+            })
+            .collect_queued();
+        // reduce-audit: back in fragment order no matter what the cost
+        // order or the pool did, so the max below is a fixed left-to-right
+        // scan and the fault/quarantine lists are in fragment order — the
+        // event stream a ScfObserver sees depends only on the fragment
+        // list, never on LS3DF_THREADS.
+        outcomes.sort_by_key(|&(index, _)| index);
         let mut out = PetotReport::default();
-        for (index, o) in outcomes.into_iter().enumerate() {
-            let Some(o) = o else { continue };
+        for (index, o) in outcomes {
             out.worst_residual = out.worst_residual.max(o.residual);
             out.flags.push((index, o.quarantined));
             if o.quarantined {
@@ -1045,7 +1124,7 @@ impl Ls3df {
                 // nonnegative, so the region part lives in [0, n_e(F)]
                 // at any solver state — the sharp detector for a
                 // corrupted fragment density. A quarantined fragment
-                // patches its restore-buffer density, which may predate
+                // patches the density of its untouched ψ, which may predate
                 // orthonormalization, so the bound holds only for
                 // fragments the solver actually produced.
                 if !fs.quarantined {
@@ -1467,7 +1546,6 @@ impl Ls3df {
         self.v_in = v_in;
         self.rho = rho;
         for (fs, psi) in self.fragments.iter_mut().zip(blocks) {
-            fs.psi_backup.as_mut_slice().copy_from_slice(psi.as_slice());
             fs.psi = psi;
         }
         let mut run = self.fresh_run();

@@ -14,9 +14,10 @@
 //!    scheme), then [`RetryAction::ReducedCg`] (halved step budget with
 //!    re-orthonormalization every step);
 //! 3. if every rung fails, the fragment is **quarantined** for this outer
-//!    iteration: its previous-iteration wavefunctions are restored, so
-//!    Gen_dens patches the previous density for that fragment instead of
-//!    garbage, and the outer loop continues.
+//!    iteration: solves only ever work on a candidate block that is
+//!    committed on success, so its wavefunctions are still the previous
+//!    iteration's, Gen_dens patches the previous density for that
+//!    fragment instead of garbage, and the outer loop continues.
 //!
 //! Every failed attempt and every quarantine is surfaced through the
 //! [`ScfObserver`](crate::ScfObserver) hooks in fragment order, so the
@@ -90,7 +91,7 @@ impl std::fmt::Display for FragmentFault {
 
 /// A fragment whose whole attempt ladder failed in one outer iteration.
 ///
-/// The fragment's previous-iteration wavefunctions were restored, so
+/// The fragment's wavefunctions stayed the previous iteration's, so
 /// Gen_dens reused its previous density; the run continued.
 #[derive(Clone, Debug)]
 pub struct QuarantineRecord {

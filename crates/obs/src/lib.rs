@@ -51,8 +51,8 @@ pub use clock::Stopwatch;
 pub use json::Json;
 pub use metrics::{counter_add, set_alloc_probe, Counter};
 pub use report::{
-    Attribution, FlopReport, MachineRef, RankSection, RankStatus, Report, SCHEMA_NAME,
-    SCHEMA_VERSION,
+    peak_rss_bytes, Attribution, FlopReport, MachineRef, MemoryReport, RankSection, RankStatus,
+    Report, SCHEMA_NAME, SCHEMA_VERSION,
 };
 pub use span::{flush_thread, FinishedSpan, NO_INDEX};
 pub use telemetry::{set_rank, CommRow, RankPayload, RankTelemetry};

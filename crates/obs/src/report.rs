@@ -153,6 +153,74 @@ pub struct FlopReport {
     pub percent_of_peak: Option<f64>,
 }
 
+/// Where a run's memory went: the producer's own accounting of its
+/// long-lived and per-thread transient state, beside what the OS saw.
+/// "Why is this run larger than the last one" is the difference of two of
+/// these.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MemoryReport {
+    /// `(category, bytes)` in the producer's order — for an LS3DF run
+    /// `psi_at_rest`, `projectors`, `bases_and_fields`, `solve_workspace`
+    /// (see `Ls3df::memory_footprint`).
+    pub categories: Vec<(String, u64)>,
+    /// The process' peak resident set when the report was taken
+    /// ([`peak_rss_bytes`]); `None` where the OS does not say.
+    pub peak_rss_bytes: Option<u64>,
+}
+
+impl MemoryReport {
+    /// One line per category in MiB, then the accounted total against the
+    /// process peak — the block `fig6` and the quickstart print.
+    pub fn table(&self) -> String {
+        use std::fmt::Write as _;
+        const MIB: f64 = 1024.0 * 1024.0;
+        let mut out = String::new();
+        let _ = writeln!(out, "{:<20} {:>10}", "memory", "MiB");
+        for (name, bytes) in &self.categories {
+            let _ = writeln!(out, "{name:<20} {:>10.1}", *bytes as f64 / MIB);
+        }
+        let total: u64 = self.categories.iter().map(|&(_, b)| b).sum();
+        let _ = writeln!(out, "{:<20} {:>10.1}", "accounted", total as f64 / MIB);
+        if let Some(peak) = self.peak_rss_bytes {
+            let _ = writeln!(
+                out,
+                "{:<20} {:>10.1}",
+                "process peak RSS",
+                peak as f64 / MIB
+            );
+        }
+        out
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            (
+                "categories",
+                Json::Obj(
+                    self.categories
+                        .iter()
+                        .map(|(name, bytes)| (name.clone(), Json::num(*bytes as f64)))
+                        .collect(),
+                ),
+            ),
+            (
+                "peak_rss_bytes",
+                self.peak_rss_bytes
+                    .map_or(Json::Null, |b| Json::num(b as f64)),
+            ),
+        ])
+    }
+}
+
+/// The calling process' peak resident set size in bytes (`VmHWM` of
+/// `/proc/self/status`); `None` off Linux or when the line is missing.
+pub fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: u64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    kib.checked_mul(1024)
+}
+
 /// One run's complete observability record; renders to the
 /// `BENCH_*.json` schema via [`Report::to_json`] / [`Report::write`].
 #[derive(Clone, Debug)]
@@ -188,6 +256,9 @@ pub struct Report {
     /// Whether any rank's telemetry was lost (down/missing rank) —
     /// the degradation flag, never an error.
     pub telemetry_incomplete: bool,
+    /// Bytes by category and the process peak, when the producer took
+    /// them (an optional section: documents without it stay valid).
+    pub memory: Option<MemoryReport>,
     /// Free-form producer-specific extras (digest, thread counts, …).
     pub extra: Vec<(String, Json)>,
 }
@@ -210,6 +281,7 @@ impl Report {
             flops: None,
             ranks: Vec::new(),
             telemetry_incomplete: false,
+            memory: None,
             extra: Vec::new(),
         }
     }
@@ -386,6 +458,12 @@ impl Report {
                 "telemetry_incomplete",
                 Json::Bool(self.telemetry_incomplete),
             ),
+            (
+                "memory",
+                self.memory
+                    .as_ref()
+                    .map_or(Json::Null, MemoryReport::to_json),
+            ),
             ("extra", Json::Obj(self.extra.to_vec())),
         ])
     }
@@ -449,6 +527,9 @@ impl Report {
                 "span attribution: {:.1}% of wall under named spans",
                 100.0 * attr.fraction
             );
+        }
+        if let Some(memory) = &self.memory {
+            out.push_str(&memory.table());
         }
         out
     }
@@ -775,6 +856,22 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
     field(doc, "telemetry_incomplete")?
         .as_bool()
         .ok_or("telemetry_incomplete must be a bool")?;
+    // Optional: reports written before the section existed lack the key.
+    match doc.get("memory") {
+        None | Some(Json::Null) => {}
+        Some(m) => {
+            let categories = field(m, "categories")?
+                .as_object()
+                .ok_or("memory.categories must be an object")?;
+            for (name, value) in categories {
+                expect_num(value, name)?;
+            }
+            match field(m, "peak_rss_bytes")? {
+                Json::Null | Json::Num(_) => {}
+                _ => return Err("memory.peak_rss_bytes must be number or null".to_string()),
+            }
+        }
+    }
     field(doc, "extra")?
         .as_object()
         .ok_or("extra must be an object")?;
@@ -855,8 +952,23 @@ mod tests {
         });
         report.counters.push(("fft_flops".to_string(), 12345));
         report.extra.push(("digest".to_string(), Json::str("abc")));
+        report.memory = Some(MemoryReport {
+            categories: vec![("psi_at_rest".to_string(), 3 << 20)],
+            peak_rss_bytes: peak_rss_bytes(),
+        });
+        assert!(report.summary_table().contains("psi_at_rest"));
         let text = report.to_json().render();
         let doc = validate_report_str(&text).expect("schema-valid");
+        let memory = doc.get("memory").expect("memory section");
+        assert_eq!(
+            memory
+                .get("categories")
+                .and_then(|c| c.get("psi_at_rest"))
+                .and_then(Json::as_f64),
+            Some(f64::from(3 << 20))
+        );
+        let bad = text.replace("\"categories\"", "\"categoriez\"");
+        assert!(validate_report_str(&bad).is_err());
         assert_eq!(doc.get("command").and_then(Json::as_str), Some("unit-test"));
         assert_eq!(
             doc.get("extra")

@@ -209,6 +209,18 @@ impl PwBasis {
         &self.grid
     }
 
+    /// Heap bytes of the per-G index tables (slots, `|G|²`, Cartesian `G`,
+    /// the half-sphere index). The FFT plan and the pooled transform
+    /// workspaces are not counted.
+    pub fn heap_bytes(&self) -> usize {
+        size_of_val(self.g_slot.as_slice())
+            + size_of_val(self.g2.as_slice())
+            + size_of_val(self.g_vec.as_slice())
+            + size_of_val(self.half.selfs.as_slice())
+            + size_of_val(self.half.pairs.as_slice())
+            + size_of_val(self.half.g2.as_slice())
+    }
+
     /// The FFT plan for this grid.
     #[inline]
     pub fn fft(&self) -> &Fft3 {

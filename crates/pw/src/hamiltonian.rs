@@ -150,6 +150,14 @@ impl NonlocalPotential {
         self.energies.is_empty()
     }
 
+    /// Heap bytes held: the `c64` projector block, its packed real copy
+    /// and the energies.
+    pub fn heap_bytes(&self) -> usize {
+        size_of_val(self.projectors.as_slice())
+            + size_of_val(self.packed.as_slice())
+            + size_of_val(self.energies.as_slice())
+    }
+
     /// `hpsi += V_NL·psi` for a whole block (two GEMMs). Allocating shim
     /// over the workspace path [`Hamiltonian::apply_block_with`] takes.
     pub fn accumulate_block<S: Coeff>(&self, psi: &Matrix<S>, hpsi: &mut Matrix<S>) {

@@ -48,7 +48,7 @@ use crate::{Coeff, HamWorkspace, Hamiltonian, PwBasis};
 use ls3df_math::cholesky::FactorError;
 use ls3df_math::gemm::{self, gemm_into, GemmScratch, Op};
 use ls3df_math::ortho;
-use ls3df_math::vec_ops::{axpy, dotc, dscal, nrm2, scal};
+use ls3df_math::vec_ops::{axpy, dotc, dscal, nrm2};
 use ls3df_math::{c64, eigh_fast as eigh, kernel_policy, KernelPolicy, Matrix, Scalar};
 use ls3df_obs::{counter_add, Counter};
 
@@ -158,25 +158,16 @@ fn precondition<S: Coeff>(basis: &PwBasis, residual: &[S], e_kin: f64, out: &mut
 }
 
 /// Minimizes along `ψ' = cosθ·ψ + sinθ·d` (`d ⊥ ψ`, both normalized) and
-/// applies the optimal rotation to `(ψ, Hψ)` using the precomputed `(d, Hd)`.
+/// applies the optimal rotation to `(ψ, Hψ)` using the precomputed `(d, Hd)`,
+/// which are read only — the caller keeps `d` as its CG memory.
 /// Returns the new Rayleigh quotient.
-fn line_minimize<S: Scalar>(
-    psi: &mut [S],
-    hpsi: &mut [S],
-    d: &mut [S],
-    hd: &mut [S],
-    a: f64,
-) -> f64 {
+fn line_minimize<S: Scalar>(psi: &mut [S], hpsi: &mut [S], d: &[S], hd: &[S], a: f64) -> f64 {
     let c = dotc(d, hd).re();
     let w = dotc(psi, hd);
     let wabs = w.abs();
-    if wabs > 1e-300 {
-        // Absorb the phase (a sign, for real rows) so that
-        // Re⟨ψ|H|d⟩ = −|w| (steepest descent direction along the circle).
-        let u = -(w.conj()).scale(1.0 / wabs);
-        scal(u, d);
-        scal(u, hd);
-    }
+    // Absorb the phase (a sign, for real rows) so that
+    // Re⟨ψ|H|d⟩ = −|w| (steepest descent direction along the circle).
+    let phase = (wabs > 1e-300).then(|| -(w.conj()).scale(1.0 / wabs));
     let w_re = -wabs;
     // E(θ) = (a+c)/2 + (a−c)/2·cos2θ + w_re·sin2θ.
     let theta0 = 0.5 * (2.0 * w_re).atan2(a - c);
@@ -184,9 +175,21 @@ fn line_minimize<S: Scalar>(
     let (t1, t2) = (theta0, theta0 + std::f64::consts::FRAC_PI_2);
     let theta = if energy(t1) <= energy(t2) { t1 } else { t2 };
     let (s, co) = theta.sin_cos();
-    for i in 0..psi.len() {
-        psi[i] = psi[i].scale(co) + d[i].scale(s);
-        hpsi[i] = hpsi[i].scale(co) + hd[i].scale(s);
+    // Two loops, not `phase.unwrap_or(ONE)`: a multiply by one would turn
+    // a −0.0 imaginary part into +0.0.
+    match phase {
+        Some(u) => {
+            for i in 0..psi.len() {
+                psi[i] = psi[i].scale(co) + (d[i] * u).scale(s);
+                hpsi[i] = hpsi[i].scale(co) + (hd[i] * u).scale(s);
+            }
+        }
+        None => {
+            for i in 0..psi.len() {
+                psi[i] = psi[i].scale(co) + d[i].scale(s);
+                hpsi[i] = hpsi[i].scale(co) + hd[i].scale(s);
+            }
+        }
     }
     energy(theta)
 }
@@ -208,11 +211,12 @@ pub struct CgWorkspace<S: Coeff = c64> {
     hpsi: Matrix<S>,
     /// Residual block `R_b = Hψ_b − ε_b·ψ_b`.
     resid: Matrix<S>,
-    /// Preconditioned residual block.
-    pr: Matrix<S>,
-    /// Current search-direction block.
+    /// The search block under construction: preconditioned residuals,
+    /// then the β-combined, projected, normalized directions. Swapped
+    /// into `d_prev` once complete, so between steps it is scratch.
     d: Matrix<S>,
-    /// Previous search directions (CG memory).
+    /// The latest complete search block — what `H·d` and the line
+    /// minimization read, and the next step's CG memory.
     d_prev: Matrix<S>,
     /// `H·d` for the search block.
     hd: Matrix<S>,
@@ -249,7 +253,6 @@ impl<S: Coeff> CgWorkspace<S> {
         CgWorkspace {
             hpsi: empty(),
             resid: empty(),
-            pr: empty(),
             d: empty(),
             d_prev: empty(),
             hd: empty(),
@@ -271,6 +274,20 @@ impl<S: Coeff> CgWorkspace<S> {
     }
 }
 
+/// Heap bytes of the `(n_bands × n_pw)` blocks one
+/// [`try_solve_all_band`] holds while it runs under the process' kernel
+/// policy: the six blocks [`cg_init`] sizes, plus the packed copy of the
+/// caller's block under `fast` (where all seven are real). The
+/// `n_bands²` matrices, FFT buffers and GEMM pack scratch come on top —
+/// a few MiB whatever the block.
+pub fn solve_workspace_bytes(n_bands: usize, n_pw: usize) -> usize {
+    let block = n_bands * n_pw;
+    match kernel_policy() {
+        KernelPolicy::Reference => 6 * block * size_of::<c64>(),
+        KernelPolicy::Fast => 7 * block * size_of::<f64>(),
+    }
+}
+
 /// Initializes the CG state for a (new) block: computes `H·ψ` and the
 /// per-band Rayleigh quotients. Call once before a sequence of
 /// [`cg_residual`]/[`cg_step`] pairs; allocation-free once the workspace
@@ -281,7 +298,6 @@ pub fn cg_init<S: Coeff>(h: &Hamiltonian<'_>, psi: &Matrix<S>, ws: &mut CgWorksp
     for block in [
         &mut ws.hpsi,
         &mut ws.resid,
-        &mut ws.pr,
         &mut ws.d,
         &mut ws.d_prev,
         &mut ws.hd,
@@ -358,12 +374,12 @@ fn reorthonormalize<S: Scalar>(
 /// and returns the worst band residual norm. Allocation-free.
 pub fn cg_residual<S: Coeff>(psi: &Matrix<S>, ws: &mut CgWorkspace<S>) -> f64 {
     let nb = psi.rows();
-    ws.resid.as_mut_slice().copy_from_slice(ws.hpsi.as_slice());
     let mut worst = 0.0_f64;
     for b in 0..nb {
         let eps = ws.eigenvalues[b];
-        for (r, &p) in ws.resid.row_mut(b).iter_mut().zip(psi.row(b)) {
-            *r -= p.scale(eps);
+        let hp = ws.hpsi.row(b).iter().zip(psi.row(b));
+        for (r, (&h, &p)) in ws.resid.row_mut(b).iter_mut().zip(hp) {
+            *r = h - p.scale(eps);
         }
         worst = worst.max(nrm2(ws.resid.row(b)));
     }
@@ -383,14 +399,12 @@ pub fn cg_step<S: Coeff>(
     let nb = psi.rows();
 
     // Preconditioned steepest-descent block + CG memory.
+    let combine = ws.have_dir && !reset;
     for b in 0..nb {
         let ekin = h.kinetic_expectation(psi.row(b));
-        precondition(h.basis(), ws.resid.row(b), ekin, ws.pr.row_mut(b));
-        ws.rkr[b] = dotc(ws.resid.row(b), ws.pr.row(b)).re().max(1e-300);
-    }
-    ws.d.as_mut_slice().copy_from_slice(ws.pr.as_slice());
-    if ws.have_dir && !reset {
-        for b in 0..nb {
+        precondition(h.basis(), ws.resid.row(b), ekin, ws.d.row_mut(b));
+        ws.rkr[b] = dotc(ws.resid.row(b), ws.d.row(b)).re().max(1e-300);
+        if combine {
             let beta = S::from_re(ws.rkr[b] / ws.rkr_prev[b].max(1e-300));
             for (x, &p) in ws.d.row_mut(b).iter_mut().zip(ws.d_prev.row(b)) {
                 *x = x.acc(beta, p);
@@ -414,19 +428,21 @@ pub fn cg_step<S: Coeff>(
             dscal(1.0 / n, ws.d.row_mut(b));
         }
     }
-    ws.d_prev.as_mut_slice().copy_from_slice(ws.d.as_slice());
+    // The finished block becomes the CG memory by name, not by copy; the
+    // one it replaces is the next step's scratch.
+    std::mem::swap(&mut ws.d, &mut ws.d_prev);
     ws.have_dir = true;
 
     // One H application for the whole search block, then per-band line
     // minimization.
-    h.apply_block_with(&ws.d, &mut ws.hd, &mut ws.ham);
+    h.apply_block_with(&ws.d_prev, &mut ws.hd, &mut ws.ham);
     for b in 0..nb {
         let a = ws.eigenvalues[b];
         ws.eigenvalues[b] = line_minimize(
             psi.row_mut(b),
             ws.hpsi.row_mut(b),
-            ws.d.row_mut(b),
-            ws.hd.row_mut(b),
+            ws.d_prev.row(b),
+            ws.hd.row(b),
             a,
         );
     }
@@ -693,7 +709,7 @@ fn band_by_band<S: Coeff>(
             have_prev = true;
             counter_add(Counter::CgBandIterations, 1);
             h.apply_vec_with(&d, &mut hd, &mut ham_ws);
-            eps = line_minimize(&mut v, &mut hv, &mut d, &mut hd, eps);
+            eps = line_minimize(&mut v, &mut hv, &d, &hd, eps);
         }
         worst_residual = worst_residual.max(res);
         eigenvalues[b] = eps;
@@ -753,6 +769,7 @@ mod tests {
     use super::*;
     use crate::hamiltonian::NonlocalPotential;
     use ls3df_grid::{Grid3, RealField};
+    use ls3df_math::vec_ops::scal;
 
     fn rand_block(nb: usize, npw: usize, seed: u64) -> Matrix<c64> {
         let mut state = seed;

@@ -28,6 +28,11 @@
 //!    --test zero_alloc -q` under the same two scheduling regimes — the
 //!    counting-allocator guard that a steady-state CG step and GENPOT
 //!    solve stay heap-free.
+//!    Then `mem-budget`: `cargo test -p ls3df --features alloc-count
+//!    --test mem_budget -q` — the same allocator's live-byte high-water
+//!    mark over a two-iteration alloy SCF, taken in a child process of
+//!    its own under `LS3DF_THREADS=2`, must stay within the accounted
+//!    footprint (one ψ per fragment, one solve workspace per thread).
 //! 7. `obs-report [obs]`: `cargo test -p ls3df --features obs,alloc-count
 //!    --test obs_report --test observer_order -q` — a small instrumented
 //!    SCF must emit a schema-valid run report with ≥95% wall-time
@@ -107,6 +112,9 @@ const TEST_STEPS: &[CargoStep] = &[
     ("pw-units [reference]", &["test", "-p", "ls3df-pw", "--lib", "-q"], REFERENCE),
     ("zero-alloc [LS3DF_THREADS=1]", ZERO_ALLOC, THREADS_1),
     ("zero-alloc [pool]", ZERO_ALLOC, POOL),
+    ("mem-budget",
+     &["test", "-p", "ls3df", "--features", "alloc-count", "--test", "mem_budget", "-q"],
+     &[]),
     ("obs-report [obs]",
      &["test", "-p", "ls3df", "--features", OBS, "--test", "obs_report", "--test", "observer_order", "-q"],
      &[]),

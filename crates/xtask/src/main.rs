@@ -11,7 +11,7 @@
 //!   and SCF digest matrix under every adversarial work-selection order;
 //! * `cargo xtask ci` — the tier-1 gate: fmt, clippy, lint, the
 //!   workspace test suite under both scheduling regimes, zero-alloc,
-//!   obs-report, obs-dist, bench-harness, schedules, miri — with an
+//!   mem-budget, obs-report, obs-dist, bench-harness, schedules, miri — with an
 //!   `--offline` fallback for each cargo step when the registry is
 //!   unreachable.
 
@@ -36,8 +36,8 @@ fn usage() -> &'static str {
        schedules  run pool tests + an SCF digest matrix under every\n\
                   adversarial work-stealing schedule\n\
        ci         run the full tier-1 gate (fmt, clippy, lint, workspace\n\
-                  tests, zero-alloc, obs-report, obs-dist, bench-harness,\n\
-                  schedules, miri)\n"
+                  tests, zero-alloc, mem-budget, obs-report, obs-dist,\n\
+                  bench-harness, schedules, miri)\n"
 }
 
 /// Workspace root: xtask lives at `<root>/crates/xtask`.

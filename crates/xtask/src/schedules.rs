@@ -11,9 +11,11 @@
 //!
 //! 1. the rayon shim's own unit suite (`cargo test -p rayon`) once per
 //!    schedule with `LS3DF_SCHEDULE` pinned — join correctness, nested-
-//!    join deadlock freedom and panic propagation under each forced
-//!    order, including for the lazily-created *global* pool the library
-//!    drivers use;
+//!    join deadlock freedom, panic propagation, the "at most
+//!    `LS3DF_THREADS` closures in flight, caller included" high-water
+//!    mark and the queued map's start order under each forced order,
+//!    including for the lazily-created *global* pool the library drivers
+//!    use;
 //! 2. the digest matrix (`cargo test -p ls3df --test
 //!    schedule_exploration`) — a short SCF re-executed in a subprocess
 //!    per schedule, asserting the patched-density/history digest is

@@ -66,5 +66,6 @@ fn main() {
         result.rho.integrate(),
         structure.num_electrons()
     );
+    print!("\n{}", calc.memory_footprint().table());
     println!("next steps: examples/accuracy.rs (LS3DF vs direct DFT), the fig6/fig7 bench binaries\n(science runs), and `cargo run -p ls3df-bench --bin table1` (performance model).");
 }

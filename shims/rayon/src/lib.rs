@@ -9,8 +9,10 @@
 //! placeholder it now executes on a **real work-stealing thread pool**
 //! (see [`mod@self::pool`] internals): persistent lazily-spawned workers with
 //! per-worker deques, recursive splitting in [`join`], panic propagation,
-//! and an `LS3DF_THREADS` env override (default: available parallelism;
-//! `1` selects an exact sequential fallback with no worker threads).
+//! and an `LS3DF_THREADS = N` env override (default: available
+//! parallelism) meaning *at most `N` closures in flight, caller included*
+//! — `N − 1` worker threads plus the thread that issued the operation;
+//! `1` selects an exact sequential fallback with no worker threads.
 //!
 //! # Determinism
 //!
@@ -48,8 +50,9 @@ fn identity_pipe<T>() -> IdentityPipe<T> {
     std::convert::identity::<T>
 }
 
-/// Number of worker threads parallel work is spread across (`1` when the
-/// pool is disabled via `LS3DF_THREADS=1` or on single-core hosts).
+/// Number of threads parallel work is spread across, the calling thread
+/// included — the `N` of `LS3DF_THREADS` (`1` when the pool is disabled
+/// via `LS3DF_THREADS=1` or on single-core hosts).
 pub fn current_num_threads() -> usize {
     pool::global_num_threads()
 }
@@ -211,6 +214,16 @@ where
     /// Collects items in source order.
     pub fn collect<C: FromIterator<T>>(self) -> C {
         self.run().into_iter().collect()
+    }
+
+    /// Collects items in source order after *starting* them in source
+    /// order, one item per free thread (not upstream rayon API): for a
+    /// short list of heavy items sorted most expensive first, so the
+    /// cheap ones fill the tail. Everything else should use
+    /// [`collect`](Self::collect), whose recursive halving costs one task
+    /// per leaf rather than one queue pop per item.
+    pub fn collect_queued(self) -> Vec<T> {
+        pool::map_queued(self.src, &self.f)
     }
 }
 
@@ -385,6 +398,12 @@ mod tests {
                 "item {i} diverged"
             );
         }
+    }
+
+    #[test]
+    fn collect_queued_preserves_order() {
+        let out = (0..37usize).into_par_iter().map(|x| x * x).collect_queued();
+        assert_eq!(out, (0..37).map(|x| x * x).collect::<Vec<_>>());
     }
 
     #[test]

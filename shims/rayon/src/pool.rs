@@ -2,12 +2,17 @@
 //!
 //! Architecture (a deliberately small cousin of rayon's registry):
 //!
-//! * **Persistent workers.** The global pool spawns its OS threads the
-//!   first time any parallel operation runs (never at program start) and
-//!   keeps them for the life of the process, parked on a condvar when
-//!   idle. Thread count comes from `LS3DF_THREADS` (default: available
-//!   parallelism); a count of `1` disables the pool entirely and every
-//!   driver takes the exact sequential path.
+//! * **Persistent workers, and the caller is one of the `N`.**
+//!   `LS3DF_THREADS = N` (default: available parallelism) means *at most
+//!   `N` closures in flight, caller included*: the thread that issues a
+//!   parallel operation runs its share of it (and helps while it waits),
+//!   so the pool spawns `N − 1` OS threads — the first time any parallel
+//!   operation runs, never at program start — and keeps them for the life
+//!   of the process, parked on a condvar when idle. `N = 1` spawns
+//!   nothing and every driver takes the exact sequential path.
+//!   [`Pool::n_threads`] (`rayon::current_num_threads()`) and the split
+//!   grain both count the caller, so per-thread scratch sized from them
+//!   matches what can actually be live.
 //! * **Per-worker deques + shared injector.** Each worker owns a deque:
 //!   it pushes and pops split halves at the back (LIFO, cache-warm) while
 //!   thieves and the injector drain from the front (FIFO, oldest = biggest
@@ -20,6 +25,12 @@
 //!   then reclaims `b` if nobody took it — or *helps*, executing other
 //!   queued jobs while waiting for the thief, so nested joins never
 //!   deadlock the fixed-size pool.
+//! * **Queued maps.** `map_queued_on` is the other driver: `N` pullers
+//!   (spawned through the same `join` recursion) take items off one
+//!   shared ticket counter, so items *start* strictly in source order, one
+//!   per free thread — list scheduling, for a handful of heavy items of
+//!   very unequal cost submitted largest-first (PEtot_F's fragments).
+//!   Results still come back in source order.
 //! * **Panic propagation.** A stolen job that panics is caught on the
 //!   thief, carried back through its latch, and re-thrown on the owning
 //!   thread via `resume_unwind` — a panic inside a `par_iter` closure
@@ -44,7 +55,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
@@ -372,25 +383,27 @@ pub(crate) struct Pool {
 }
 
 impl Pool {
-    /// Spawns `n` worker threads (`n ≥ 2`; a 1-thread "pool" is
-    /// represented by no pool at all — the sequential fallback) using the
-    /// schedule from the environment.
+    /// A pool of `n` compute threads — `n − 1` spawned workers plus
+    /// whichever thread calls in (`n ≥ 2`; a 1-thread "pool" is
+    /// represented by no pool at all — the sequential fallback) — using
+    /// the schedule from the environment.
     pub(crate) fn new(n: usize) -> Self {
         Pool::with_schedule(n, Schedule::from_env())
     }
 
-    /// Spawns `n` workers with an explicit work-selection order — the
-    /// entry point of the schedule-exploration harness.
+    /// [`Pool::new`] with an explicit work-selection order — the entry
+    /// point of the schedule-exploration harness.
     pub(crate) fn with_schedule(n: usize, schedule: Schedule) -> Self {
         let n = n.max(2);
+        let workers = n - 1;
         let state = Arc::new(PoolState {
-            queues: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             injector: Mutex::new(VecDeque::new()),
             sleep: Condvar::new(),
             shutdown: AtomicBool::new(false),
             schedule,
         });
-        let handles = (0..n)
+        let handles = (0..workers)
             .map(|index| {
                 let state = Arc::clone(&state);
                 std::thread::Builder::new()
@@ -406,6 +419,7 @@ impl Pool {
         }
     }
 
+    /// Threads that run closures: the workers and the calling thread.
     pub(crate) fn n_threads(&self) -> usize {
         self.n_threads
     }
@@ -564,7 +578,8 @@ pub(crate) fn global() -> Option<&'static Pool> {
         .as_ref()
 }
 
-/// Number of threads parallel work is spread across (1 = sequential).
+/// Number of threads parallel work is spread across, the caller included
+/// (1 = sequential).
 pub(crate) fn global_num_threads() -> usize {
     global().map_or(1, Pool::n_threads)
 }
@@ -588,7 +603,8 @@ where
 }
 
 /// Splitting granularity: enough splits for stealing to balance load
-/// (≈4 leaves per worker), never so many that task overhead dominates.
+/// (≈4 leaves per compute thread, the caller being one of `threads`),
+/// never so many that task overhead dominates.
 /// Affects scheduling only — results are ordered concatenations, so the
 /// grain never changes a single bit of output.
 fn grain_for(len: usize, threads: usize) -> usize {
@@ -621,6 +637,61 @@ where
     F: Fn(S) -> T + Sync,
 {
     map_vec_on(global(), src, f)
+}
+
+/// Maps `f` over `src` preserving order, *starting* items strictly in
+/// source order: `n_threads` pullers share one ticket counter, each takes
+/// the next unstarted item when it is free. For a few heavy items of
+/// unequal cost sorted largest-first this is list scheduling — no thread
+/// idles while an item is unstarted, and the tail is one of the smallest
+/// items — where recursive halving would hand the second thread the
+/// small half of the list. The sequential path is the natural-order loop.
+pub(crate) fn map_queued_on<S, T, F>(pool: Option<&Pool>, src: Vec<S>, f: &F) -> Vec<T>
+where
+    S: Send,
+    T: Send,
+    F: Fn(S) -> T + Sync,
+{
+    let Some(pool) = pool else {
+        return src.into_iter().map(f).collect();
+    };
+    let slots: Vec<Mutex<Option<S>>> = src.into_iter().map(|s| Mutex::new(Some(s))).collect();
+    let next = AtomicUsize::new(0);
+    let puller = |_: usize| {
+        let mut done = Vec::new();
+        loop {
+            // ORDERING: Relaxed — the counter only hands out distinct
+            // tickets; the item itself is published by its slot's mutex.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else {
+                return done;
+            };
+            if let Some(s) = lock(slot).take() {
+                done.push((i, f(s)));
+            }
+        }
+    };
+    let pullers = (0..pool.n_threads()).collect();
+    // Each ticket below `slots.len()` is drawn exactly once (a panicking
+    // item unwinds out of `map_split`), so sorting by ticket restores
+    // source order.
+    let mut done: Vec<(usize, T)> = map_split(pool, pullers, &puller, 1)
+        .into_iter()
+        .flatten()
+        .collect();
+    debug_assert_eq!(done.len(), slots.len());
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, t)| t).collect()
+}
+
+/// [`map_queued_on`] against the global pool.
+pub(crate) fn map_queued<S, T, F>(src: Vec<S>, f: &F) -> Vec<T>
+where
+    S: Send,
+    T: Send,
+    F: Fn(S) -> T + Sync,
+{
+    map_queued_on(global(), src, f)
 }
 
 fn map_split<S, T, F>(pool: &Pool, mut src: Vec<S>, f: &F, grain: usize) -> Vec<T>
@@ -802,6 +873,101 @@ mod tests {
             let (x, y) = pool.join(|| 1, || 2);
             assert_eq!((x, y), (1, 2), "schedule {}", schedule.name());
         }
+    }
+
+    #[test]
+    fn main_thread_map_never_exceeds_n_closures_in_flight() {
+        // LS3DF_THREADS = N means N closures in flight *including* the
+        // caller's. Every closure holds its slot until N closures have
+        // started, so the first N must overlap on N distinct threads: the
+        // high-water mark is exactly N, never the N + 1 of a pool that
+        // spawns N workers and lets the caller compute too.
+        for schedule in Schedule::ALL {
+            for n in [2, 3] {
+                for queued in [false, true] {
+                    let pool = Pool::with_schedule(n, schedule);
+                    let (started, live, high) = (
+                        AtomicUsize::new(0),
+                        AtomicUsize::new(0),
+                        AtomicUsize::new(0),
+                    );
+                    let f = |x: usize| {
+                        // ORDERING: SeqCst throughout — test bookkeeping
+                        // that must read as one total order of enter/leave
+                        // events across threads.
+                        let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                        // ORDERING: SeqCst, as above.
+                        high.fetch_max(now, Ordering::SeqCst);
+                        started.fetch_add(1, Ordering::SeqCst);
+                        // ORDERING: SeqCst, as above.
+                        while started.load(Ordering::SeqCst) < n {
+                            std::thread::yield_now();
+                        }
+                        // ORDERING: SeqCst, as above.
+                        live.fetch_sub(1, Ordering::SeqCst);
+                        x + 1
+                    };
+                    let src: Vec<usize> = (0..64).collect();
+                    let out = if queued {
+                        map_queued_on(Some(&pool), src, &f)
+                    } else {
+                        map_vec_on(Some(&pool), src, &f)
+                    };
+                    assert_eq!(out, (1..=64).collect::<Vec<_>>());
+                    assert_eq!(pool.n_threads(), n);
+                    // ORDERING: SeqCst, as above (the pool is idle here).
+                    assert_eq!(
+                        high.load(Ordering::SeqCst),
+                        n,
+                        "schedule {} n {n} queued {queued}",
+                        schedule.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn queued_map_starts_the_head_of_the_list_first() {
+        // With the list sorted most expensive first, the expensive items
+        // must be the first to start on every schedule — which recursive
+        // halving does not give (its second thread starts at the middle of
+        // the list). Each closure logs its item and then holds its thread
+        // until n have logged, so the first n log entries are exactly the
+        // first n tickets drawn.
+        for schedule in Schedule::ALL {
+            let pool = Pool::with_schedule(3, schedule);
+            let n = pool.n_threads();
+            let log = Mutex::new(Vec::new());
+            let f = |i: usize| {
+                lock(&log).push(i);
+                while lock(&log).len() < n {
+                    std::thread::yield_now();
+                }
+            };
+            map_queued_on(Some(&pool), (0..40).collect(), &f);
+            let mut head = lock(&log)[..n].to_vec();
+            head.sort_unstable();
+            assert_eq!(head, [0, 1, 2], "schedule {}", schedule.name());
+        }
+    }
+
+    #[test]
+    fn queued_map_propagates_panics_and_matches_sequential() {
+        let pool = Pool::new(2);
+        let f = |x: u32| f64::from(x).sqrt();
+        let seq: Vec<f64> = (0..100).map(f).collect();
+        assert_eq!(map_queued_on(Some(&pool), (0..100).collect(), &f), seq);
+        assert_eq!(map_queued_on(None, (0..100).collect(), &f), seq);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            map_queued_on(Some(&pool), (0..10).collect(), &|x: u32| {
+                assert!(x != 7, "boom at seven");
+                x
+            })
+        }));
+        assert!(result.is_err());
+        let (x, y) = pool.join(|| 1, || 2);
+        assert_eq!((x, y), (1, 2));
     }
 
     #[test]

@@ -10,11 +10,52 @@
 //! on one thread in one `#[test]` fn, so cross-thread noise only matters
 //! if library code itself spawns threads inside the probed region — which
 //! is exactly the kind of hidden cost the test exists to catch.
+//!
+//! The allocator also keeps the bytes currently live and their high-water
+//! mark ([`live_bytes`], [`peak_live_bytes`], [`reset_peak`]) — what
+//! `tests/mem_budget.rs` holds an SCF run's footprint against. Those are
+//! whole-process numbers from every thread, so that test runs alone in a
+//! process of its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// Bytes requested from the allocator and not yet freed, process-wide.
+pub fn live_bytes() -> usize {
+    // ORDERING: Relaxed — a statistic read between phases of a test; it
+    // publishes no other data.
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// High-water mark of [`live_bytes`] since process start or the last
+/// [`reset_peak`].
+pub fn peak_live_bytes() -> usize {
+    // ORDERING: Relaxed — as `live_bytes`.
+    PEAK_BYTES.load(Ordering::Relaxed)
+}
+
+/// Restarts the high-water mark from the bytes live now.
+pub fn reset_peak() {
+    // ORDERING: Relaxed — called between phases, with no allocation racing
+    // it that the caller cares to attribute to either side.
+    PEAK_BYTES.store(live_bytes(), Ordering::Relaxed);
+}
+
+fn grew(bytes: usize) {
+    // ORDERING: Relaxed — statistics. The peak is raised to a value the
+    // live counter really took (this thread's own post-add total).
+    let now = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(now, Ordering::Relaxed);
+}
+
+fn shrank(bytes: usize) {
+    // ORDERING: Relaxed — statistics, as above.
+    LIVE_BYTES.fetch_sub(bytes, Ordering::Relaxed);
+}
 
 /// Number of heap allocations (`alloc`, `alloc_zeroed`, or growing
 /// `realloc` — every call that can return fresh memory) since process
@@ -53,7 +94,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
         // published through the counter.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: caller upholds the `GlobalAlloc::alloc` contract.
-        unsafe { System.alloc(layout) }
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
     }
 
     // SAFETY: pure forwarding to `System::alloc_zeroed`; the caller upholds
@@ -62,12 +107,17 @@ unsafe impl GlobalAlloc for CountingAllocator {
         // ORDERING: Relaxed — same argument as `alloc`.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: caller upholds the `GlobalAlloc::alloc_zeroed` contract.
-        unsafe { System.alloc_zeroed(layout) }
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
     }
 
     // SAFETY: pure forwarding to `System::dealloc`; the caller upholds
     // the `GlobalAlloc` layout/pointer contract.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
         // SAFETY: caller upholds the `GlobalAlloc::dealloc` contract.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -78,7 +128,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
         // ORDERING: Relaxed — same argument as `alloc`.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: caller upholds the `GlobalAlloc::realloc` contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            shrank(layout.size());
+            grew(new_size);
+        }
+        p
     }
 }
 
@@ -119,5 +174,7 @@ mod tests {
         // are not counted). Other test threads may allocate concurrently,
         // so ≥ not ==.
         assert!(allocation_count() >= before + 3);
+        // The realloc'd block was the most this test held at once.
+        assert!(peak_live_bytes() >= grown.size());
     }
 }

@@ -4,13 +4,21 @@
 //! event visible through the `ScfObserver` hooks. At production scale one
 //! pathological fragment must never abort a multi-day calculation.
 
-use ls3df::core::{Ls3df, Ls3dfOptions, Ls3dfStep, Passivation};
-use ls3df::{FragmentFault, InjectedFault, QuarantineRecord, RetryAction, ScfObserver};
+use ls3df::core::{Ls3df, Ls3dfBuilder, Ls3dfOptions, Ls3dfStep, Passivation};
+use ls3df::{
+    CheckpointConfig, CheckpointPolicy, FragmentFault, InjectedFault, QuarantineRecord,
+    RetryAction, ScfObserver, Structure,
+};
 use ls3df_atoms::model_crystal;
 use ls3df_pseudo::PseudoTable;
 
 fn small_calc(max_scf: usize) -> Ls3df {
-    let s = model_crystal([2, 2, 2], 6.5);
+    small_builder(&model_crystal([2, 2, 2], 6.5), max_scf)
+        .build()
+        .expect("valid test geometry")
+}
+
+fn small_builder(s: &Structure, max_scf: usize) -> Ls3dfBuilder<'_> {
     let opts = Ls3dfOptions {
         ecut: 1.5,
         piece_pts: [6, 6, 6],
@@ -26,11 +34,7 @@ fn small_calc(max_scf: usize) -> Ls3df {
         pseudo: PseudoTable::deep_well(2.0, 0.8),
         ..Default::default()
     };
-    Ls3df::builder(&s)
-        .fragments([2, 2, 2])
-        .options(opts)
-        .build()
-        .expect("valid test geometry")
+    Ls3df::builder(s).fragments([2, 2, 2]).options(opts)
 }
 
 /// Observer recording every supervision event in arrival order.
@@ -127,6 +131,71 @@ fn exhausted_ladder_quarantines_without_aborting() {
     // Quarantine reuses the previous density: the global density stays
     // finite and charge-conserving.
     assert!(res.rho.as_slice().iter().all(|v| v.is_finite()));
+    assert!((res.rho.integrate() - calc.n_electrons()).abs() < 1e-8);
+}
+
+/// Quarantine is "leave ψ as it is": every rung works on a candidate block
+/// and only a successful one is committed. Four rungs that each die after
+/// scribbling on their candidate (the injected panic poisons it first)
+/// leave the fragment's block — here still the start guess — bit for bit
+/// what it was, and nothing non-finite reaches the density.
+#[test]
+fn rungs_that_panic_mid_write_leave_psi_untouched() {
+    let mut calc = small_calc(1);
+    let (before, neighbour) = (calc.fragment_psi_digest(7), calc.fragment_psi_digest(6));
+    calc.inject_fragment_fault(7, InjectedFault::Panic, 4);
+    let res = calc.scf();
+    assert_eq!(res.quarantined.len(), 1);
+    assert_eq!(calc.fragment_psi_digest(7), before);
+    assert_ne!(
+        calc.fragment_psi_digest(6),
+        neighbour,
+        "a solved fragment's block must change, or the digest proves nothing"
+    );
+    assert!(res.rho.as_slice().iter().all(|v| v.is_finite()));
+}
+
+/// A fragment that exhausts the ladder in iteration 2 keeps its
+/// iteration-1 wavefunctions bit for bit. Iteration 1 runs in one
+/// calculation and is snapshotted; a second one resumes from it — restore
+/// installs ψ and nothing else — and fails fragment 7 four times.
+#[test]
+fn quarantine_in_iteration_2_keeps_the_iteration_1_psi() {
+    let dir = std::env::temp_dir().join(format!("ls3df-fault-psi-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let s = model_crystal([2, 2, 2], 6.5);
+    let mut first = small_builder(&s, 1)
+        .checkpoint(CheckpointConfig {
+            dir: dir.clone(),
+            policy: CheckpointPolicy::EveryN(1),
+            keep_last: 1,
+        })
+        .build()
+        .expect("valid test geometry");
+    let _ = first.scf();
+    let after_iteration_1 = first.fragment_psi_digest(7);
+
+    let mut calc = small_builder(&s, 2)
+        .resume_from(dir.join("scf-000001.ls3df"))
+        .build()
+        .expect("resumable snapshot");
+    assert_eq!(calc.fragment_psi_digest(7), after_iteration_1);
+    // Consumed in this order: two panics, then two solver errors.
+    calc.inject_fragment_fault(7, InjectedFault::Panic, 2);
+    calc.inject_fragment_fault(7, InjectedFault::SolverError, 2);
+    let mut log = FaultLog::default();
+    let res = calc.scf_with(&mut log);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(log.steps, 1, "the resumed run is iteration 2 alone");
+    assert_eq!(log.quarantines.len(), 1);
+    let (iteration, record) = &log.quarantines[0];
+    assert_eq!(
+        (*iteration, record.fragment, record.faults.len()),
+        (2, 7, 4)
+    );
+    assert_eq!(calc.fragment_psi_digest(7), after_iteration_1);
+    assert_ne!(calc.fragment_psi_digest(6), first.fragment_psi_digest(6));
     assert!((res.rho.integrate() - calc.n_electrons()).abs() < 1e-8);
 }
 

@@ -1,0 +1,120 @@
+//! Memory budget of an SCF run (`--features alloc-count`).
+//!
+//! LS3DF's memory is the fragment wavefunctions kept between outer
+//! iterations; everything else a run allocates is either built once
+//! (bases, projectors, fields) or lives only while a fragment solve is in
+//! flight. This test holds a two-iteration run of the benchmark's
+//! 64-atom alloy to exactly that budget, using the byte-counting global
+//! allocator: peak live bytes ≤ ψ at rest, plus projectors, plus bases and
+//! fields, plus `LS3DF_THREADS` × (largest solve's blocks and candidate),
+//! plus a fixed slack. Those are the categories of
+//! [`Ls3df::memory_footprint`], so the footprint a run report prints is
+//! also checked to be an upper bound.
+//!
+//! The counters are process-wide, so the run happens alone in a child
+//! process of this binary (`LS3DF_THREADS=2` latched there).
+#![cfg(feature = "alloc-count")]
+
+use ls3df::alloc_count::{live_bytes, peak_live_bytes, reset_peak, CountingAllocator};
+use ls3df::atoms::{relax, znteo_alloy, ZNTE_LATTICE};
+use ls3df::{Ls3df, Ls3dfOptions, Mixer, Passivation};
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
+
+const MIB: f64 = 1024.0 * 1024.0;
+
+/// What the run may hold beyond the accounted categories: FFT plans and
+/// pooled transform buffers of 65 bases, `n_b²` matrices, GEMM pack
+/// scratch, Gen_VF / Gen_dens temporaries, the pool itself.
+const SLACK_BYTES: usize = 16 << 20;
+
+#[test]
+fn budget_child() {
+    if std::env::var("LS3DF_MATRIX_CHILD").is_err() {
+        return;
+    }
+    assert_eq!(std::env::var("LS3DF_THREADS").as_deref(), Ok("2"));
+    // The benchmark's `znteo64_iter` system and options.
+    let mut s = znteo_alloy([2, 2, 2], ZNTE_LATTICE, 0.03125, 42);
+    relax(&mut s, 1e-4, 3000);
+    let opts = Ls3dfOptions {
+        ecut: 1.2,
+        piece_pts: [6; 3],
+        buffer_pts: [3; 3],
+        passivation: Passivation::PseudoH,
+        wall_height: 1.5,
+        n_extra_bands: 2,
+        cg_steps: 2,
+        initial_cg_steps: 4,
+        fragment_tol: 1e-9,
+        mixer: Mixer::Kerker {
+            alpha: 0.1,
+            q0: 1.0,
+        },
+        max_scf: 2,
+        tol: 1e-10,
+        ..Default::default()
+    };
+    let before_build = live_bytes();
+    let mut calc = Ls3df::builder(&s)
+        .fragments([2, 2, 2])
+        .options(opts)
+        .build()
+        .expect("valid alloy geometry");
+    reset_peak();
+    let res = calc.scf();
+    assert_eq!(res.history.len(), 2);
+    assert!(res.quarantined.is_empty());
+    let peak = peak_live_bytes() - before_build;
+
+    let memory = calc.memory_footprint();
+    let bytes = |name: &str| {
+        let found = memory.categories.iter().find(|(n, _)| n == name);
+        found.unwrap_or_else(|| panic!("no {name} category")).1 as usize
+    };
+    let psi = bytes("psi_at_rest");
+    let accounted: usize = memory.categories.iter().map(|&(_, b)| b as usize).sum();
+    print!("{}", memory.table());
+    println!(
+        "peak live {:.1} MiB, budget {:.1} MiB",
+        peak as f64 / MIB,
+        (accounted + SLACK_BYTES) as f64 / MIB
+    );
+    // On this system: ψ at rest 114.9 MiB, accounted 238.6 MiB, measured
+    // peak 249.0 MiB against a 254.6 MiB budget. A second per-fragment ψ
+    // copy (the restore buffer PR 20 deleted) would put the peak at
+    // ≈ 364 MiB; a third solving thread adds the 22.8 MiB of one more
+    // in-flight solve of the largest fragment.
+    assert!(
+        peak <= accounted + SLACK_BYTES,
+        "peak live bytes {peak} exceed the accounted {accounted} + slack {SLACK_BYTES}"
+    );
+    // The budget must stay tight enough to see a second ψ: were the slack
+    // or an over-estimate to reach ψ's size, the bound would mean nothing.
+    assert!(
+        accounted + SLACK_BYTES < peak + psi / 2,
+        "budget {accounted} + {SLACK_BYTES} is looser than half a ψ copy ({psi}) over the peak {peak}"
+    );
+    assert!(memory.peak_rss_bytes.is_some_and(|rss| rss >= psi as u64));
+}
+
+/// Peak live bytes of a two-iteration alloy SCF stay within the accounted
+/// footprint (module docs).
+#[test]
+fn scf_peak_live_bytes_stay_within_the_accounted_footprint() {
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .args(["--exact", "budget_child", "--nocapture"])
+        .env("LS3DF_MATRIX_CHILD", "1")
+        .env("LS3DF_THREADS", "2")
+        .env_remove("LS3DF_KERNELS")
+        .output()
+        .expect("spawn child test");
+    assert!(
+        out.status.success(),
+        "budget child failed:\n{}\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
