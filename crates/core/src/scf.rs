@@ -158,7 +158,8 @@ struct InjectedCounters {
 /// Per-fragment solver state (persists across outer iterations).
 pub(crate) struct FragmentState {
     fragment: Fragment,
-    basis: PwBasis,
+    /// Shared by every fragment with this box shape.
+    basis: Arc<PwBasis>,
     nonlocal: NonlocalPotential,
     /// Fixed ΔV_F: confining wall + passivant ionic potentials.
     delta_v: RealField,
@@ -756,11 +757,33 @@ impl Ls3df {
         let hartree = HartreeSolver::new(global_grid.clone());
         let (v_in, _) = effective_potential_with(&global_basis, &v_ion_global, &rho0, &hartree);
 
-        // Build fragment states in parallel (basis + projectors + ΔV_F).
+        // The planewave basis and the confining wall depend on the box
+        // grid alone: one of each per box shape, shared by its fragments.
+        // `shape_of[i]` indexes fragment i's shape in `shapes`.
+        let mut shapes: Vec<(Grid3, Fragment)> = Vec::new();
+        let mut shape_of = Vec::with_capacity(fg.fragments().len());
+        for &f in fg.fragments() {
+            let box_grid = fg.box_grid(&f);
+            let known = shapes.iter().position(|(grid, _)| *grid == box_grid);
+            shape_of.push(known.unwrap_or(shapes.len()));
+            if known.is_none() {
+                shapes.push((box_grid, f));
+            }
+        }
+        let shapes: Vec<(Arc<PwBasis>, RealField)> = shapes
+            .into_par_iter()
+            .map(|(box_grid, f)| {
+                let wall = boundary_wall(&fg, &f, opts.wall_height);
+                (Arc::new(PwBasis::new(box_grid, opts.ecut)), wall)
+            })
+            .collect();
+
+        // Build fragment states in parallel (projectors + ΔV_F).
         let fragments: Vec<FragmentState> = fg
             .fragments()
             .par_iter()
-            .map(|&f| {
+            .enumerate()
+            .map(|(i, &f)| {
                 let fa = fragment_atoms(
                     structure,
                     &neighbors,
@@ -769,8 +792,8 @@ impl Ls3df {
                     opts.passivation,
                     &opts.pseudo,
                 );
-                let box_grid = fg.box_grid(&f);
-                let basis = PwBasis::new(box_grid, opts.ecut);
+                let (basis, wall) = &shapes[shape_of[i]];
+                let basis = Arc::clone(basis);
                 let positions: Vec<[f64; 3]> = fa.atoms.iter().map(|a| a.pos).collect();
                 let e_kb: Vec<f64> = fa.atoms.iter().map(|a| a.kb_energy).collect();
                 let widths: Vec<f64> = fa.atoms.iter().map(|a| a.kb_rb).collect();
@@ -787,7 +810,7 @@ impl Ls3df {
                     &e_kb,
                 );
                 // ΔV_F = confining wall + passivant ionic potentials.
-                let mut delta_v = boundary_wall(&fg, &f, opts.wall_height);
+                let mut delta_v = wall.clone();
                 let passivants: Vec<PwAtom> = fa.atoms[fa.n_real..].to_vec();
                 if !passivants.is_empty() {
                     let v_h = ionic_potential(&basis, &passivants);
@@ -902,8 +925,9 @@ impl Ls3df {
     ///   kept between outer iterations (one block per fragment).
     /// * `projectors` — the fragments' Kleinman–Bylander projector blocks
     ///   (`c64` and packed real copies).
-    /// * `bases_and_fields` — per-fragment planewave index tables and
-    ///   ΔV_F, and the global basis, potentials and density.
+    /// * `bases_and_fields` — the planewave index tables (one per
+    ///   fragment box shape), each fragment's ΔV_F, and the global basis,
+    ///   potentials and density.
     /// * `solve_workspace` — what the in-flight fragment solves hold at
     ///   worst: the largest fragment's candidate block and solver blocks,
     ///   times the threads that solve concurrently.
@@ -914,12 +938,17 @@ impl Ls3df {
             + field(&self.v_ion_global)
             + field(&self.v_in)
             + field(&self.rho);
+        let mut counted_bases: Vec<&Arc<PwBasis>> = Vec::new();
         for fs in &self.fragments {
             let (nb, npw) = fs.psi.shape();
             let block = size_of_val(fs.psi.as_slice());
             psi += block;
             projectors += fs.nonlocal.heap_bytes();
-            bases_and_fields += fs.basis.heap_bytes() + field(&fs.delta_v);
+            bases_and_fields += field(&fs.delta_v);
+            if !counted_bases.iter().any(|b| Arc::ptr_eq(b, &fs.basis)) {
+                bases_and_fields += fs.basis.heap_bytes();
+                counted_bases.push(&fs.basis);
+            }
             largest_solve = largest_solve.max(block + solver::solve_workspace_bytes(nb, npw));
         }
         let categories = [
