@@ -7,8 +7,11 @@
 //! sized for a single-core machine; pass arguments to scale up.
 //!
 //! Run: `cargo run -p ls3df-bench --bin fig6 --release -- [m] [iters] [ecut] [piece_pts]`
+//!
+//! Exits non-zero (after writing the report) when the SCF did not
+//! converge: the table is then a record of the run, not a Fig. 6 result.
 
-use ls3df_bench::{arg, to_pw_atoms};
+use ls3df_bench::{arg, exit_unless_converged, to_pw_atoms};
 use ls3df_ckpt::{CheckpointConfig, CkptError};
 use ls3df_core::{
     FragmentFault, Ls3df, Ls3dfOptions, Ls3dfStep, Passivation, QuarantineRecord, ScfObserver,
@@ -70,7 +73,7 @@ impl ScfObserver for Fig6Observer<'_> {
     }
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let m: usize = arg(1, 2);
     let iters: usize = arg(2, 20);
     let ecut: f64 = arg(3, 2.0);
@@ -156,15 +159,18 @@ fn main() {
     ));
     let first = res.history.first().map(|h| h.dv_integral).unwrap_or(1.0);
     println!("{}", "-".repeat(72));
-    let last = res.history.last().unwrap();
+    let last = res.history.last().unwrap().dv_integral;
+    let (moved, factor) = if last <= first {
+        ("dropped", first / last)
+    } else {
+        ("rose", last / first)
+    };
     println!(
-        "converged = {} after {} iterations ({:.0}s total); ∫|ΔV| dropped {:.1e} → {:.1e} ({:.1}×)",
+        "converged = {} after {} iterations ({:.0}s total); ∫|ΔV| {moved} {first:.1e} → {last:.1e} \
+         ({factor:.1}×)",
         res.converged,
         res.history.len(),
         t0.elapsed().as_secs_f64(),
-        first,
-        last.dv_integral,
-        first / last.dv_integral
     );
     println!(
         "paper shape: steady overall decay over 60 iterations with occasional upward jumps \
@@ -211,4 +217,5 @@ fn main() {
     {
         println!("checkpoint written to target/checkpoints/{tag}_*.ck (fig7 will reuse it)");
     }
+    exit_unless_converged(&[("LS3DF", res.converged)])
 }

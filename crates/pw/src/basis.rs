@@ -41,9 +41,25 @@
 //! flops and half the bytes (see `crate::solver`). `pack` of a row that is
 //! *not* conjugate-symmetric gives the coefficients of `Re ψ(r)`. Pairing
 //! is by grid index negation, so Nyquist points need no special case.
-//! The grid transforms are not part of this: [`crate::Coeff`] scatters a
-//! packed row back to `c_G`/`conj c_G` on the full grid and runs the same
-//! complex sphere-pruned transform pair as a `c64` row.
+//!
+//! ## Two real bands per complex transform
+//!
+//! A packed row is a real function on the grid, so two of them fit in
+//! one complex grid function `ψ_a(r) + i·ψ_b(r)`:
+//! [`PwBasis::scatter_packed_pair`] puts `c_a + i·c_b` on the slot of `G`
+//! and `conj c_a + i·conj c_b` on the slot of `−G`, and after a transform
+//! round trip through a real potential [`PwBasis::gather_packed_pair`]
+//! splits the spectrum `F` back into the two rows,
+//!
+//! ```text
+//! A(G) = (F(G) + conj F(−G))/2,   B(G) = (F(G) − conj F(−G))/2i
+//! ```
+//!
+//! (`Re F` / `Im F` on a self-conjugate slot). [`crate::Hamiltonian`] runs
+//! its `f64` blocks this way, one transform pair per two bands. The
+//! full-sphere counterpart, [`PwBasis::wave_pair_to_grid_with`], is what
+//! `compute_density` uses under `fast`, where the `c64` rows at rest are
+//! conjugate-symmetric.
 
 use ls3df_fft::{Fft3, Fft3Workspace, Occupancy};
 use ls3df_grid::Grid3;
@@ -306,6 +322,36 @@ impl PwBasis {
         }
     }
 
+    /// Fills a conjugate-symmetric full-sphere row (a real orbital) with
+    /// one `draw(|G|²)` per half-sphere vector: `Re` of it on each
+    /// self-conjugate vector, `c_G` and `c_−G = conj c_G` for each pair.
+    pub(crate) fn fill_real(&self, full: &mut [c64], mut draw: impl FnMut(f64) -> c64) {
+        assert_eq!(full.len(), self.len(), "fill_real: coefficient count");
+        for &i in &self.half.selfs {
+            full[i] = c64::real(draw(self.g2[i]).re);
+        }
+        for &[i, j] in &self.half.pairs {
+            let c = draw(self.g2[i]);
+            full[i] = c;
+            full[j] = c.conj();
+        }
+    }
+
+    /// How far a full-sphere row is from conjugate symmetry (a real
+    /// orbital): the largest `|c_−G − conj c_G|` over the pairs and
+    /// `|Im c_s|` over the self-conjugate vectors. Exactly `0` for every
+    /// row [`PwBasis::unpack`] wrote.
+    pub fn conjugate_asymmetry(&self, full: &[c64]) -> f64 {
+        assert_eq!(
+            full.len(),
+            self.len(),
+            "conjugate_asymmetry: coefficient count"
+        );
+        let selfs = self.half.selfs.iter().map(|&i| full[i].im.abs());
+        let pairs = (self.half.pairs.iter()).map(|&[i, j]| (full[j] - full[i].conj()).abs());
+        selfs.chain(pairs).fold(0.0, f64::max)
+    }
+
     /// Scatters planewave coefficients onto the grid and synthesizes
     /// `ψ(rᵢ) = (1/√Ω)·Σ_G c_G·e^{iG·rᵢ}` into `buf` (length = grid size).
     ///
@@ -321,6 +367,27 @@ impl PwBasis {
     /// the allocation-free hot-path entry point.
     pub fn wave_to_grid_with(&self, coeffs: &[c64], buf: &mut [c64], ws: &mut Fft3Workspace) {
         self.scatter(coeffs, buf);
+        self.synthesize(buf, ws);
+    }
+
+    /// Two conjugate-symmetric rows in one transform: synthesizes
+    /// `ψ_a(rᵢ) + i·ψ_b(rᵢ)` into `buf`, so `Re`/`Im` of each sample are
+    /// the two real orbitals [`PwBasis::wave_to_grid_with`] would give
+    /// one at a time. Rows that are not conjugate-symmetric mix.
+    pub(crate) fn wave_pair_to_grid_with(
+        &self,
+        a: &[c64],
+        b: &[c64],
+        buf: &mut [c64],
+        ws: &mut Fft3Workspace,
+    ) {
+        assert_eq!(a.len(), self.len(), "wave_to_grid: coefficient count");
+        assert_eq!(b.len(), self.len(), "wave_to_grid: coefficient count");
+        assert_eq!(buf.len(), self.grid.len(), "wave_to_grid: buffer size");
+        buf.fill(c64::ZERO);
+        for ((&slot, &ca), &cb) in self.g_slot.iter().zip(a).zip(b) {
+            buf[slot] = c64::new(ca.re - cb.im, ca.im + cb.re);
+        }
         self.synthesize(buf, ws);
     }
 
@@ -446,6 +513,55 @@ impl PwBasis {
             let c = buf[self.g_slot[i]];
             p[0] = c.re * std::f64::consts::SQRT_2;
             p[1] = c.im * std::f64::consts::SQRT_2;
+        }
+    }
+
+    /// [`PwBasis::scatter_packed`] for two packed rows at once: the grid
+    /// receives the spectrum of `ψ_a(r) + i·ψ_b(r)` (module docs).
+    pub(crate) fn scatter_packed_pair(&self, a: &[f64], b: &[f64], buf: &mut [c64]) {
+        assert_eq!(a.len(), self.len(), "wave_to_grid: coefficient count");
+        assert_eq!(b.len(), self.len(), "wave_to_grid: coefficient count");
+        assert_eq!(buf.len(), self.grid.len(), "wave_to_grid: buffer size");
+        buf.fill(c64::ZERO);
+        let n_self = self.half.selfs.len();
+        let ((a_self, a_pairs), (b_self, b_pairs)) = (a.split_at(n_self), b.split_at(n_self));
+        for ((&pa, &pb), &i) in a_self.iter().zip(b_self).zip(&self.half.selfs) {
+            buf[self.g_slot[i]] = c64::new(pa, pb);
+        }
+        let s = std::f64::consts::FRAC_1_SQRT_2;
+        let rows = a_pairs.chunks_exact(2).zip(b_pairs.chunks_exact(2));
+        for ((pa, pb), &[i, j]) in rows.zip(&self.half.pairs) {
+            // c_a + i·c_b at G, conj c_a + i·conj c_b at −G.
+            buf[self.g_slot[i]] = c64::new((pa[0] - pb[1]) * s, (pa[1] + pb[0]) * s);
+            buf[self.g_slot[j]] = c64::new((pa[0] + pb[1]) * s, (pb[0] - pa[1]) * s);
+        }
+    }
+
+    /// Splits the spectrum `F` of `Vψ_a + i·Vψ_b` (`V` real) into the two
+    /// packed rows, each coefficient times `scale`: `A = (F(G) + conj
+    /// F(−G))/2`, `B = (F(G) − conj F(−G))/2i` — `Re F` and `Im F` on a
+    /// self-conjugate slot.
+    pub(crate) fn gather_packed_pair(&self, buf: &[c64], scale: f64, a: &mut [f64], b: &mut [f64]) {
+        assert_eq!(a.len(), self.len(), "grid_to_wave: coefficient count");
+        assert_eq!(b.len(), self.len(), "grid_to_wave: coefficient count");
+        assert_eq!(buf.len(), self.grid.len(), "grid_to_wave: buffer size");
+        let n_self = self.half.selfs.len();
+        let ((a_self, a_pairs), (b_self, b_pairs)) =
+            (a.split_at_mut(n_self), b.split_at_mut(n_self));
+        for ((pa, pb), &i) in a_self.iter_mut().zip(b_self).zip(&self.half.selfs) {
+            let f = buf[self.g_slot[i]];
+            *pa = f.re * scale;
+            *pb = f.im * scale;
+        }
+        // √2 (packed) · ½ (the split) · scale.
+        let k = scale * std::f64::consts::FRAC_1_SQRT_2;
+        let rows = a_pairs.chunks_exact_mut(2).zip(b_pairs.chunks_exact_mut(2));
+        for ((pa, pb), &[i, j]) in rows.zip(&self.half.pairs) {
+            let (f, m) = (buf[self.g_slot[i]], buf[self.g_slot[j]]);
+            pa[0] = (f.re + m.re) * k;
+            pa[1] = (f.im - m.im) * k;
+            pb[0] = (f.im + m.im) * k;
+            pb[1] = (m.re - f.re) * k;
         }
     }
 

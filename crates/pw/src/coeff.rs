@@ -35,6 +35,13 @@ pub trait Coeff: Scalar + sealed::Sealed {
     /// The Kleinman–Bylander projector block in this representation.
     #[doc(hidden)]
     fn projectors(nonlocal: &NonlocalPotential) -> &Matrix<Self>;
+    /// The block as packed real rows, if that is what it holds — the rows
+    /// two of which share one complex transform.
+    #[doc(hidden)]
+    fn as_real(block: &Matrix<Self>) -> Option<&Matrix<f64>>;
+    /// [`Coeff::as_real`], mutably.
+    #[doc(hidden)]
+    fn as_real_mut(block: &mut Matrix<Self>) -> Option<&mut Matrix<f64>>;
 }
 
 impl Coeff for c64 {
@@ -50,6 +57,12 @@ impl Coeff for c64 {
     fn projectors(nonlocal: &NonlocalPotential) -> &Matrix<c64> {
         nonlocal.projectors()
     }
+    fn as_real(_: &Matrix<c64>) -> Option<&Matrix<f64>> {
+        None
+    }
+    fn as_real_mut(_: &mut Matrix<c64>) -> Option<&mut Matrix<f64>> {
+        None
+    }
 }
 
 impl Coeff for f64 {
@@ -64,5 +77,11 @@ impl Coeff for f64 {
     }
     fn projectors(nonlocal: &NonlocalPotential) -> &Matrix<f64> {
         nonlocal.packed_projectors()
+    }
+    fn as_real(block: &Matrix<f64>) -> Option<&Matrix<f64>> {
+        Some(block)
+    }
+    fn as_real_mut(block: &mut Matrix<f64>) -> Option<&mut Matrix<f64>> {
+        Some(block)
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::PwBasis;
 use ls3df_grid::RealField;
-use ls3df_math::{c64, Matrix};
+use ls3df_math::{c64, kernel_policy, KernelPolicy, Matrix};
 use rayon::prelude::*;
 
 /// Bands per parallel work unit in [`compute_density`]. Fixed (not derived
@@ -17,6 +17,14 @@ const BAND_BLOCK: usize = 8;
 /// in ascending band order, and the ordered partials are combined pairwise.
 /// The summation tree depends only on the band count — never on the rayon
 /// schedule — so repeated runs produce bit-identical densities.
+///
+/// Under the `fast` policy a block synthesizes two occupied bands per
+/// transform, `ψ_a + i·ψ_b`, and adds `f_a·Re² + f_b·Im²`; its odd
+/// occupied band out goes alone. That is exact only for conjugate-symmetric
+/// rows (real orbitals), which is what the solve entries and
+/// `random_start` hand out under `fast`. Pairs never straddle a block, so
+/// the summation tree is the same. `reference` transforms every occupied
+/// band on its own, whatever its symmetry.
 pub fn compute_density(basis: &PwBasis, psi: &Matrix<c64>, occupations: &[f64]) -> RealField {
     assert_eq!(
         psi.rows(),
@@ -24,6 +32,7 @@ pub fn compute_density(basis: &PwBasis, psi: &Matrix<c64>, occupations: &[f64]) 
         "density: occupation count mismatch"
     );
     assert_eq!(psi.cols(), basis.len(), "density: basis mismatch");
+    let pair_bands = kernel_policy() == KernelPolicy::Fast;
     let ngrid = basis.grid().len();
     let nb = psi.rows();
     let blocks: Vec<(usize, usize)> = (0..nb.div_ceil(BAND_BLOCK))
@@ -36,15 +45,25 @@ pub fn compute_density(basis: &PwBasis, psi: &Matrix<c64>, occupations: &[f64]) 
         .map(|(lo, hi)| {
             let mut acc = vec![0.0_f64; ngrid];
             let mut buf = vec![c64::ZERO; ngrid];
-            for b in lo..hi {
-                let f = occupations[b];
-                if f != 0.0 {
-                    basis.wave_to_grid(psi.row(b), &mut buf);
-                    for (a, v) in acc.iter_mut().zip(&buf) {
-                        *a += f * v.norm_sqr();
+            let mut ws = basis.take_fft_workspace();
+            let occupied: Vec<usize> = (lo..hi).filter(|&b| occupations[b] != 0.0).collect();
+            for unit in occupied.chunks(if pair_bands { 2 } else { 1 }) {
+                if let [a, b] = *unit {
+                    basis.wave_pair_to_grid_with(psi.row(a), psi.row(b), &mut buf, &mut ws);
+                    let (fa, fb) = (occupations[a], occupations[b]);
+                    for (x, v) in acc.iter_mut().zip(&buf) {
+                        *x += fa * (v.re * v.re) + fb * (v.im * v.im);
+                    }
+                } else {
+                    let b = unit[0];
+                    basis.wave_to_grid_with(psi.row(b), &mut buf, &mut ws);
+                    let f = occupations[b];
+                    for (x, v) in acc.iter_mut().zip(&buf) {
+                        *x += f * v.norm_sqr();
                     }
                 }
             }
+            basis.return_fft_workspace(ws);
             acc
         })
         .collect();
@@ -85,15 +104,25 @@ mod tests {
     use super::*;
     use ls3df_grid::Grid3;
 
+    /// An orthonormal block of real orbitals (conjugate-symmetric rows).
+    fn real_orbitals(basis: &PwBasis, nb: usize) -> Matrix<c64> {
+        let mut packed = Matrix::from_fn(nb, basis.len(), |i, j| {
+            ((i * 31 + j * 7) as f64).sin() + ((i * 13 + j) as f64).cos()
+        });
+        ls3df_math::ortho::cholesky_orthonormalize(&mut packed, 1.0).unwrap();
+        let mut psi = Matrix::zeros(nb, basis.len());
+        for b in 0..nb {
+            basis.unpack(packed.row(b), psi.row_mut(b));
+        }
+        psi
+    }
+
     #[test]
     fn density_integrates_to_electron_count() {
         let grid = Grid3::cubic(10, 6.0);
         let basis = PwBasis::new(grid, 1.5);
         let nb = 4;
-        let mut psi = Matrix::from_fn(nb, basis.len(), |i, j| {
-            c64::new(((i * 31 + j * 7) as f64).sin(), ((i * 13 + j) as f64).cos())
-        });
-        ls3df_math::ortho::cholesky_orthonormalize(&mut psi, 1.0).unwrap();
+        let psi = real_orbitals(&basis, nb);
         let occ = insulator_occupations(nb, 6.0); // 3 bands × 2
         let rho = compute_density(&basis, &psi, &occ);
         assert!(

@@ -19,10 +19,14 @@
 //! of [`PwBasis::pack`]. For packed rows the Kleinman–Bylander term is two
 //! *real* GEMMs against the packed projector block (built beside the
 //! complex one, once per geometry) and the kinetic term reads the packed
-//! `|G|²` table. The local term is the same for both: a packed row is
-//! scattered to `c_G`/`conj c_G` on the grid and takes exactly the complex
-//! sphere-pruned transform pair a `c64` row takes — one pair per band;
-//! pairing two real bands per transform is deliberately not done here.
+//! `|G|²` table. The local term differs in how many bands share a
+//! transform: a `c64` row takes one complex sphere-pruned transform pair
+//! per band, while a packed block — what the solver runs under `fast` —
+//! takes one pair per *two* bands: rows `2k` and `2k+1` are real
+//! functions in `r`, so they ride as `ψ_a + i·ψ_b` and are split again in
+//! G ([`PwBasis`] module docs, "Two real bands per complex transform").
+//! An odd last band and the single-band path keep one pair per band, and
+//! the `c64` instantiation — all that `reference` runs — is unchanged.
 
 use crate::{Coeff, PwBasis};
 use ls3df_fft::Fft3Workspace;
@@ -313,9 +317,10 @@ impl<'a> Hamiltonian<'a> {
     }
 
     /// Applies `H` to a block of bands into a caller-owned output block
-    /// using caller-owned scratch: local + kinetic band by band, then one
-    /// block Kleinman–Bylander apply. Performs no heap allocation once
-    /// the workspace has seen the block shape.
+    /// using caller-owned scratch: local + kinetic band by band (two bands
+    /// per transform pair for a packed real block), then one block
+    /// Kleinman–Bylander apply. Performs no heap allocation once the
+    /// workspace has seen the block shape.
     pub fn apply_block_with<S: Coeff>(
         &self,
         psi: &Matrix<S>,
@@ -324,8 +329,19 @@ impl<'a> Hamiltonian<'a> {
     ) {
         assert_eq!(psi.rows(), hpsi.rows(), "apply_block: band count mismatch");
         assert_eq!(psi.cols(), hpsi.cols(), "apply_block: width mismatch");
-        for b in 0..psi.rows() {
-            self.apply_local_kinetic(psi.row(b), hpsi.row_mut(b), ws);
+        let nb = psi.rows();
+        let (grid, fft) = (&mut ws.grid, &mut ws.fft);
+        // Bands below `paired` went through a transform pair two at a time.
+        let mut paired = 0;
+        if let (Some(psi_r), Some(hpsi_r)) = (S::as_real(psi), S::as_real_mut(hpsi)) {
+            paired = nb - nb % 2;
+            for b in (0..paired).step_by(2) {
+                let (ha, hb) = hpsi_r.rows_mut2(b, b + 1);
+                self.apply_local_kinetic_pair([psi_r.row(b), psi_r.row(b + 1)], ha, hb, grid, fft);
+            }
+        }
+        for b in paired..nb {
+            self.apply_local_kinetic(psi.row(b), hpsi.row_mut(b), grid, fft);
         }
         self.nonlocal
             .accumulate_block_with(psi, hpsi, &mut ws.kb_coeffs, &mut ws.gemm);
@@ -346,46 +362,82 @@ impl<'a> Hamiltonian<'a> {
     /// `hpsi = H·psi` for one band through caller-owned scratch,
     /// allocation-free. `hpsi` is fully overwritten.
     pub fn apply_vec_with<S: Coeff>(&self, psi: &[S], hpsi: &mut [S], ws: &mut HamWorkspace<S>) {
-        self.apply_local_kinetic(psi, hpsi, ws);
+        self.apply_local_kinetic(psi, hpsi, &mut ws.grid, &mut ws.fft);
         self.nonlocal.accumulate_vec(psi, hpsi);
     }
 
     /// `hpsi = (−½∇² + V_loc)·psi` for one band; `hpsi` is fully
     /// overwritten.
-    fn apply_local_kinetic<S: Coeff>(&self, psi: &[S], hpsi: &mut [S], ws: &mut HamWorkspace<S>) {
+    fn apply_local_kinetic<S: Coeff>(
+        &self,
+        psi: &[S],
+        hpsi: &mut [S],
+        grid: &mut [c64],
+        fft: &mut Fft3Workspace,
+    ) {
         assert_eq!(
             psi.len(),
             self.basis.len(),
             "apply_vec: basis size mismatch"
         );
         assert_eq!(hpsi.len(), psi.len(), "apply_vec: output size mismatch");
-        // Local potential via grid: ψ(G) → ψ(r) → V(r)·ψ(r) → (Vψ)(G). A
-        // packed real row lands on the grid as c_G / conj c_G and takes the
-        // same complex transform pair as a full-sphere row.
-        S::scatter(self.basis, psi, &mut ws.grid);
-        if let (Some(sphere), Some(v_over_n)) = (self.basis.sphere(), &self.v_over_n) {
-            // Both transforms raw and sphere-pruned; V(r)/N is the only
-            // scaling the round trip needs.
-            let fft = self.basis.fft();
-            fft.inverse_from_sparse(&mut ws.grid, sphere, &mut ws.fft);
-            for (b, &vv) in ws.grid.iter_mut().zip(v_over_n) {
-                *b = b.scale(vv);
-            }
-            fft.forward_to_sparse(&mut ws.grid, sphere, &mut ws.fft);
-            S::gather(self.basis, &ws.grid, hpsi);
-        } else {
-            self.basis.synthesize(&mut ws.grid, &mut ws.fft);
-            for (b, &vv) in ws.grid.iter_mut().zip(self.v_local.as_slice()) {
-                *b = b.scale(vv);
-            }
-            self.basis.analyze(&mut ws.grid, &mut ws.fft);
-            S::gather(self.basis, &ws.grid, hpsi);
-            let scale = self.basis.analysis_scale();
+        // A packed real row lands on the grid as c_G / conj c_G and takes
+        // the same complex transform pair as a full-sphere row.
+        S::scatter(self.basis, psi, grid);
+        let scale = self.local_round_trip(grid, fft);
+        S::gather(self.basis, grid, hpsi);
+        if let Some(scale) = scale {
             for c in hpsi.iter_mut() {
                 *c = c.scale(scale);
             }
         }
-        // Kinetic, diagonal in G.
+        self.add_kinetic(psi, hpsi);
+    }
+
+    /// [`Hamiltonian::apply_local_kinetic`] for two packed real rows in one
+    /// transform pair: `ψ_a + i·ψ_b` goes round the grid and the two
+    /// results are split out of its spectrum.
+    fn apply_local_kinetic_pair(
+        &self,
+        [a, b]: [&[f64]; 2],
+        ha: &mut [f64],
+        hb: &mut [f64],
+        grid: &mut [c64],
+        fft: &mut Fft3Workspace,
+    ) {
+        self.basis.scatter_packed_pair(a, b, grid);
+        let scale = self.local_round_trip(grid, fft).unwrap_or(1.0);
+        self.basis.gather_packed_pair(grid, scale, ha, hb);
+        self.add_kinetic(a, ha);
+        self.add_kinetic(b, hb);
+    }
+
+    /// The local potential on scattered coefficients, in place:
+    /// `ψ(G) → ψ(r) → V(r)·ψ(r) → (Vψ)(G)`. Returns the factor the
+    /// gathered coefficients still need, if any.
+    fn local_round_trip(&self, grid: &mut [c64], fft: &mut Fft3Workspace) -> Option<f64> {
+        if let (Some(sphere), Some(v_over_n)) = (self.basis.sphere(), &self.v_over_n) {
+            // Both transforms raw and sphere-pruned; V(r)/N is the only
+            // scaling the round trip needs.
+            let plan = self.basis.fft();
+            plan.inverse_from_sparse(grid, sphere, fft);
+            for (b, &vv) in grid.iter_mut().zip(v_over_n) {
+                *b = b.scale(vv);
+            }
+            plan.forward_to_sparse(grid, sphere, fft);
+            None
+        } else {
+            self.basis.synthesize(grid, fft);
+            for (b, &vv) in grid.iter_mut().zip(self.v_local.as_slice()) {
+                *b = b.scale(vv);
+            }
+            self.basis.analyze(grid, fft);
+            Some(self.basis.analysis_scale())
+        }
+    }
+
+    /// `hpsi += −½∇²·psi`, diagonal in G.
+    fn add_kinetic<S: Coeff>(&self, psi: &[S], hpsi: &mut [S]) {
         for ((h, &p), &g2i) in hpsi.iter_mut().zip(psi).zip(S::g2(self.basis)) {
             *h += p.scale(0.5 * g2i);
         }

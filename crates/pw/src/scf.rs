@@ -14,7 +14,7 @@ use crate::potential::{effective_potential_with, initial_density, ionic_potentia
 use crate::solver::{solve_all_band_with, CgWorkspace, SolverOptions};
 use crate::{ewald, PwBasis};
 use ls3df_grid::{Grid3, RealField};
-use ls3df_math::{c64, Matrix};
+use ls3df_math::{c64, kernel_policy, KernelPolicy, Matrix};
 
 /// Options for an SCF run.
 #[derive(Clone, Debug)]
@@ -154,7 +154,10 @@ pub fn setup(
 }
 
 /// Deterministic random starting wavefunctions (seeded, so runs are
-/// reproducible).
+/// reproducible). Under the `fast` policy the rows are real orbitals
+/// (conjugate-symmetric, one draw per `±G` pair): the solver would keep
+/// only the real part of a complex start anyway, and `compute_density`
+/// pairs bands on the assumption that every row at rest is one.
 pub fn random_start(n_bands: usize, basis: &PwBasis, seed: u64) -> Matrix<c64> {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
     let mut next = move || {
@@ -164,11 +167,23 @@ pub fn random_start(n_bands: usize, basis: &PwBasis, seed: u64) -> Matrix<c64> {
         ((state >> 33) as f64) / (u32::MAX as f64) - 0.5
     };
     // Weight low-G components more: better overlap with smooth low states.
-    let g2 = basis.g2().to_vec();
-    Matrix::from_fn(n_bands, basis.len(), |_, j| {
-        let damp = 1.0 / (1.0 + g2[j]);
+    let mut draw = |g2: f64| {
+        let damp = 1.0 / (1.0 + g2);
         c64::new(next() * damp, next() * damp)
-    })
+    };
+    if kernel_policy() == KernelPolicy::Fast {
+        // Rows staged in one buffer and appended: the block is written
+        // once, never zeroed first.
+        let mut row = vec![c64::ZERO; basis.len()];
+        let mut data = Vec::with_capacity(n_bands * basis.len());
+        for _ in 0..n_bands {
+            basis.fill_real(&mut row, &mut draw);
+            data.extend_from_slice(&row);
+        }
+        return Matrix::from_vec(n_bands, basis.len(), data);
+    }
+    let g2 = basis.g2().to_vec();
+    Matrix::from_fn(n_bands, basis.len(), |_, j| draw(g2[j]))
 }
 
 /// Runs the full self-consistent loop for `system`.

@@ -39,7 +39,9 @@
 //! is packed as `Re ψ(r)`; one whose real part vanishes fails the entry
 //! orthonormalization as [`SolverError::DependentStartVectors`] like any
 //! other degenerate start. State at rest (fragment `ψ`, snapshots, the
-//! density accumulation) is always the unpacked full-sphere block.
+//! density accumulation) is always the unpacked full-sphere block — under
+//! `fast` therefore exactly conjugate-symmetric, which is what lets
+//! `compute_density` synthesize two bands per transform.
 //! [`cg_init`]/[`cg_residual`]/[`cg_step`] are the instantiations
 //! themselves (`c64` when handed `c64` blocks, whatever the policy).
 

@@ -50,6 +50,18 @@ fn real_orbital(basis: &PwBasis, seed: u64) -> (Vec<f64>, Vec<c64>) {
     (packed, full)
 }
 
+/// An orthonormal block of random real orbitals: the packed rows and the
+/// conjugate-symmetric full-sphere rows they stand for.
+fn real_orbitals(basis: &PwBasis, nb: usize, seed: u64) -> (Matrix<f64>, Matrix<c64>) {
+    let mut packed = rand_block(nb, basis.len(), seed).re();
+    ls3df_math::ortho::cholesky_orthonormalize(&mut packed, 1.0).unwrap();
+    let mut full = Matrix::zeros(nb, basis.len());
+    for b in 0..nb {
+        basis.unpack(packed.row(b), full.row_mut(b));
+    }
+    (packed, full)
+}
+
 /// Distance in units in the last place (same sign assumed).
 fn ulps(a: f64, b: f64) -> u64 {
     a.to_bits().abs_diff(b.to_bits())
@@ -193,12 +205,60 @@ proptest! {
     #[test]
     fn density_nonnegative_and_normalized(seed in 1u64..500, nb in 1usize..5) {
         let (basis, _) = basis_and_potential(8, 6.0, 0.0, seed);
-        let psi = rand_block(nb, basis.len(), seed);
+        let psi = real_orbitals(&basis, nb, seed).1;
         let occ: Vec<f64> = (0..nb).map(|b| if b % 2 == 0 { 2.0 } else { 1.0 }).collect();
         let n_expect: f64 = occ.iter().sum();
         let rho = ls3df_pw::density::compute_density(&basis, &psi, &occ);
         prop_assert!(rho.min() >= -1e-12);
         prop_assert!((rho.integrate() - n_expect).abs() < 1e-9);
+    }
+
+    #[test]
+    fn two_real_bands_per_transform_match_one_band_per_transform(
+        seed in 1u64..500,
+        nb in 1usize..8,
+        which in 0usize..2,
+    ) {
+        // Random conjugate-symmetric blocks, on a basis whose sphere stops
+        // short of the Nyquist planes and on one that touches them.
+        let basis = match which {
+            0 => PwBasis::new(Grid3::cubic(8, 6.5), 1.0),
+            _ => nyquist_touching_basis(),
+        };
+        let phase = seed as f64;
+        let v = RealField::from_fn(basis.grid().clone(), |r| {
+            0.4 * (r[0] * 0.9 + phase).cos() - 0.2 * (r[1] * 1.8).sin() * (r[2] * 0.9).cos()
+        });
+        let (packed, full) = real_orbitals(&basis, nb, seed);
+
+        // H·ψ: the paired block apply vs the single-band path per row.
+        let nl = NonlocalPotential::new(&basis, &[[2.0, 3.0, 1.0]], |_, q| (-q * q).exp(), &[0.6]);
+        let h = Hamiltonian::new(&basis, v, &nl);
+        let paired = h.apply_block(&packed);
+        let peak = paired.max_abs();
+        for b in 0..nb {
+            let single = h.apply_vec(packed.row(b));
+            for (x, y) in paired.row(b).iter().zip(&single) {
+                prop_assert!((x - y).abs() <= 1e-12 * peak, "band {b}: {x} vs {y}");
+            }
+        }
+
+        // ρ (two occupied bands per transform under `fast`) vs one band
+        // per transform, with a zero-occupation tail.
+        let occ: Vec<f64> = (0..nb).map(|b| [2.0, 1.5, 2.0, 0.5, 0.0][b.min(4)]).collect();
+        let n_e: f64 = occ.iter().sum();
+        let rho = ls3df_pw::density::compute_density(&basis, &full, &occ);
+        let mut single = vec![0.0; basis.grid().len()];
+        let mut grid = vec![c64::ZERO; basis.grid().len()];
+        for (b, &f) in occ.iter().enumerate() {
+            basis.wave_to_grid(full.row(b), &mut grid);
+            for (s, v) in single.iter_mut().zip(&grid) {
+                *s += f * v.norm_sqr();
+            }
+        }
+        let err: f64 = rho.as_slice().iter().zip(&single).map(|(a, b)| (a - b).abs()).sum::<f64>()
+            * basis.grid().dv();
+        prop_assert!(err <= 1e-13 * n_e.max(1.0), "∫|Δρ| = {err:e}");
     }
 
     #[test]

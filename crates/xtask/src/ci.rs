@@ -24,6 +24,12 @@
 //!    eigensolver, so step 4 no longer drives the `c64` instantiation —
 //!    the arithmetic the golden digests pin and the complex oracle of the
 //!    real path — through the solver's own unit tests; this leg does.
+//!    Then `kernel-tol [reference]`, under both scheduling regimes: the
+//!    fast-vs-reference tolerance contract (`tests/kernel_tol.rs`) and the
+//!    planewave properties (`crates/pw/tests/proptests.rs`) with the
+//!    ambient policy flipped, so the paired-transform checks (which pin
+//!    both policies explicitly) run beside reference-built bases and
+//!    solvers; step 4 runs them under `fast`.
 //! 6. `zero-alloc`: `cargo test -p ls3df --features alloc-count --lib
 //!    --test zero_alloc -q` under the same two scheduling regimes — the
 //!    counting-allocator guard that a steady-state CG step and GENPOT
@@ -91,6 +97,15 @@ const THREADS_1: StepEnv<'static> = &[("LS3DF_THREADS", Some("1"))];
 const POOL: StepEnv<'static> = &[("LS3DF_THREADS", None)];
 /// Reference arithmetic: the `c64` instantiation of the eigensolver.
 const REFERENCE: StepEnv<'static> = &[("LS3DF_KERNELS", Some("reference"))];
+/// Reference arithmetic under each scheduling regime.
+const REFERENCE_THREADS_1: StepEnv<'static> = &[
+    ("LS3DF_KERNELS", Some("reference")),
+    ("LS3DF_THREADS", Some("1")),
+];
+const REFERENCE_POOL: StepEnv<'static> = &[
+    ("LS3DF_KERNELS", Some("reference")),
+    ("LS3DF_THREADS", None),
+];
 
 const OBS: &str = "obs,alloc-count";
 
@@ -110,6 +125,8 @@ const TEST_STEPS: &[CargoStep] = &[
     ("test [LS3DF_THREADS=1]", &["test", "--workspace", "-q"], THREADS_1),
     ("test [pool]", &["test", "--workspace", "-q"], POOL),
     ("pw-units [reference]", &["test", "-p", "ls3df-pw", "--lib", "-q"], REFERENCE),
+    ("kernel-tol [reference, LS3DF_THREADS=1]", KERNEL_TOL, REFERENCE_THREADS_1),
+    ("kernel-tol [reference, pool]", KERNEL_TOL, REFERENCE_POOL),
     ("zero-alloc [LS3DF_THREADS=1]", ZERO_ALLOC, THREADS_1),
     ("zero-alloc [pool]", ZERO_ALLOC, POOL),
     ("mem-budget",
@@ -127,6 +144,11 @@ const TEST_STEPS: &[CargoStep] = &[
     ("bench-harness [smoke]",
      &["run", "--release", "--offline", "--quiet", "--manifest-path", "benchmark/Cargo.toml", "--", "--smoke"],
      &[]),
+];
+
+#[rustfmt::skip]
+const KERNEL_TOL: &[&str] = &[
+    "test", "-p", "ls3df", "-p", "ls3df-pw", "--test", "kernel_tol", "--test", "proptests", "-q",
 ];
 
 #[rustfmt::skip]

@@ -13,10 +13,11 @@
 //! twiddle, a dropped Nyquist bin), not on benign rounding differences
 //! between build environments.
 //!
-//! Runs under both `LS3DF_THREADS` regimes in CI (`cargo xtask ci`,
-//! `kernel-tol` steps): the fast kernels must meet the same bounds at any
-//! thread count, which they do trivially because their arithmetic is
-//! schedule-independent by construction.
+//! Runs under both `LS3DF_THREADS` regimes and both ambient policies in CI
+//! (`cargo xtask ci`: the workspace `test` steps under `fast`, the
+//! `kernel-tol` steps under `reference`): the fast kernels must meet the
+//! same bounds at any thread count, which they do trivially because their
+//! arithmetic is schedule-independent by construction.
 
 use ls3df::fft::dft::dft_forward;
 use ls3df::fft::{Fft1d, Fft3, Fft3r, RealFft1d};
@@ -25,6 +26,7 @@ use ls3df::math::{
     c64, gemm, gemm_into, vec_ops, Cholesky, GemmScratch, KernelPolicy, Matrix, Op, Tier,
 };
 use ls3df::pseudo::KbProjector;
+use ls3df::pw::density::compute_density;
 use ls3df::pw::{
     cg_init, cg_residual, cg_step, ionic_potential_with, CgWorkspace, Hamiltonian, HartreeSolver,
     Mixer, MixerState, NonlocalPotential, PwAtom, PwBasis,
@@ -74,6 +76,17 @@ const BLOCK_OP_TOL: f64 = 2e-13;
 /// two paths do the same sums over half the terms, so they differ by
 /// rounding only.
 const REAL_BLOCK_TOL: f64 = 1e-13;
+/// `H·Ψ` on packed real rows with two bands per complex transform pair vs
+/// one band per pair, per element, relative to the largest element.
+/// Observed worst case over the 14³ / Nyquist-touching 12³ boxes × 1 / 6 /
+/// 7 bands, sphere-aware and full-grid: 2.3e-16 (a lone band is exact —
+/// it takes the same code either way).
+const PAIRED_H_TOL: f64 = 1e-12;
+/// The density with two occupied bands per synthesis vs one, as
+/// `∫|Δρ| / N_e`. Observed worst case over the same boxes: 1.8e-16 (under
+/// `reference`, where nothing pairs, the block summation tree alone gives
+/// 7.8e-17).
+const PAIRED_DENSITY_TOL: f64 = 1e-13;
 
 fn lcg(seed: u64) -> impl FnMut() -> f64 {
     let mut state = seed | 1;
@@ -643,6 +656,109 @@ fn real_block_algebra_matches_the_complex_path() {
                 }
             }
         }
+    }
+}
+
+/// The benchmark's one-piece fragment box at its cutoff, and a box whose
+/// cutoff sphere reaches the Nyquist planes (`E_cut = ½·G_Nyq²`). Their
+/// transforms are sphere-aware under `fast` and full-grid under
+/// `reference`; CI runs this file under both.
+fn pairing_bases() -> [PwBasis; 2] {
+    let edge = 9.75;
+    let g_nyq = std::f64::consts::PI * 12.0 / edge;
+    let touching = PwBasis::new(Grid3::cubic(12, edge), 0.5 * g_nyq * g_nyq);
+    assert!(touching.n_self_conjugate() > 1, "sphere reaches Nyquist");
+    [PwBasis::new(Grid3::cubic(14, 11.375), 1.5), touching]
+}
+
+/// An orthonormal block of random real orbitals: the packed rows and the
+/// conjugate-symmetric full-sphere rows they stand for.
+fn real_orbitals(basis: &PwBasis, nb: usize, seed: u64) -> (Matrix<f64>, Matrix<c64>) {
+    let mut next = lcg(seed);
+    let mut packed = Matrix::from_fn(nb, basis.len(), |_, _| next());
+    ls3df::math::ortho::cholesky_orthonormalize(&mut packed, 1.0).unwrap();
+    let mut full = Matrix::zeros(nb, basis.len());
+    for b in 0..nb {
+        basis.unpack(packed.row(b), full.row_mut(b));
+    }
+    (packed, full)
+}
+
+#[test]
+fn paired_h_apply_matches_one_band_per_transform() {
+    // `apply_block_with::<f64>` (bands 2k, 2k+1 share one transform pair)
+    // vs the single-band path (one pair per band), on even, odd and
+    // one-band blocks, with Kleinman–Bylander projectors.
+    for basis in pairing_bases() {
+        let lengths = basis.grid().lengths;
+        let v = RealField::from_fn(basis.grid().clone(), |r| {
+            0.3 * (r[0] * 0.6).cos() - 0.2 * (r[1] * 0.4).sin() + 0.1 * r[2].cos()
+        });
+        let sites: Vec<[f64; 3]> = (0..8)
+            .map(|a| {
+                let t = a as f64 / 8.0;
+                [
+                    lengths[0] * t,
+                    lengths[1] * (1.0 - t),
+                    lengths[2] * (3.0 * t).fract(),
+                ]
+            })
+            .collect();
+        let nl = NonlocalPotential::new(&basis, &sites, |_, q| (-0.7 * q * q).exp(), &[0.4; 8]);
+        let h = Hamiltonian::new(&basis, v, &nl);
+        for nb in [1usize, 6, 7] {
+            let (psi, _) = real_orbitals(&basis, nb, 0xFA12 ^ (nb * basis.len()) as u64);
+            let paired = h.apply_block(&psi);
+            let mut worst = 0.0_f64;
+            for b in 0..nb {
+                let single = h.apply_vec(psi.row(b));
+                for (p, s) in paired.row(b).iter().zip(&single) {
+                    worst = worst.max((p - s).abs());
+                }
+            }
+            let worst = worst / paired.max_abs();
+            assert!(
+                worst <= PAIRED_H_TOL,
+                "{:?} ({} self-conjugate), {nb} bands: paired vs single {worst:e}",
+                basis.grid().dims,
+                basis.n_self_conjugate()
+            );
+        }
+    }
+}
+
+#[test]
+fn paired_density_matches_one_band_per_transform() {
+    // `compute_density` (two occupied bands per synthesis under `fast`)
+    // vs one `wave_to_grid` per band, on real orbitals: 19 bands over
+    // three band blocks, fractional occupations and a zero-occupation
+    // tail, so blocks end on an odd occupied band too.
+    let occupations: Vec<f64> = (0..19)
+        .map(|b| match b {
+            0..=9 => 2.0,
+            10 => 1.5,
+            11..=12 => 0.5,
+            _ => 0.0,
+        })
+        .collect();
+    let n_e: f64 = occupations.iter().sum();
+    for basis in pairing_bases() {
+        let (_, psi) = real_orbitals(&basis, occupations.len(), 0xDE45 ^ basis.len() as u64);
+        let rho = compute_density(&basis, &psi, &occupations);
+        let mut single = RealField::zeros(basis.grid().clone());
+        let mut grid = vec![c64::ZERO; basis.grid().len()];
+        for (b, &f) in occupations.iter().enumerate() {
+            basis.wave_to_grid(psi.row(b), &mut grid);
+            for (s, v) in single.as_mut_slice().iter_mut().zip(&grid) {
+                *s += f * v.norm_sqr();
+            }
+        }
+        let err = rho.diff(&single).integrate_abs() / n_e;
+        assert!(
+            err <= PAIRED_DENSITY_TOL,
+            "{:?}: ∫|Δρ|/N_e = {err:e}",
+            basis.grid().dims
+        );
     }
 }
 

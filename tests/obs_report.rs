@@ -133,6 +133,42 @@ fn instrumented_run_emits_schema_valid_report() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// FFT accounting charges a paired transform once: `H·Ψ` on an n-band
+/// packed real block adds exactly `⌈n/2⌉` transform pairs to
+/// `fft_flops` (and two 3-D transforms per pair).
+#[cfg(feature = "obs")]
+#[test]
+fn paired_h_apply_charges_one_transform_pair_per_two_bands() {
+    use ls3df::grid::{Grid3, RealField};
+    use ls3df::math::Matrix;
+    use ls3df::obs::metrics::counter_value;
+    use ls3df::obs::Counter;
+    use ls3df::pw::{Hamiltonian, NonlocalPotential, PwBasis};
+
+    let _guard = obs_lock();
+    let grid = Grid3::cubic(14, 11.375);
+    let basis = PwBasis::new(grid.clone(), 1.5);
+    let nl = NonlocalPotential::none(&basis);
+    let h = Hamiltonian::new(&basis, RealField::constant(grid, 0.1), &nl);
+    let charged = |nb: usize| {
+        let psi = Matrix::<f64>::zeros(nb, basis.len());
+        let (flops, transforms) = (Counter::FftFlops, Counter::Fft3Transforms);
+        let before = (counter_value(flops), counter_value(transforms));
+        let _ = h.apply_block(&psi);
+        (
+            counter_value(flops) - before.0,
+            counter_value(transforms) - before.1,
+        )
+    };
+    let (pair_flops, pair_transforms) = charged(1);
+    assert!(pair_flops > 0);
+    assert_eq!(pair_transforms, 2);
+    for nb in 1..=10_usize {
+        let pairs = nb.div_ceil(2) as u64;
+        assert_eq!(charged(nb), (pairs * pair_flops, 2 * pairs), "{nb} bands");
+    }
+}
+
 /// Without the feature: spans are zero-sized no-ops, the registries stay
 /// empty, and reports still validate (with `obs_enabled: false`).
 #[cfg(not(feature = "obs"))]

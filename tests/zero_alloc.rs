@@ -11,8 +11,10 @@
 //! active Kleinman–Bylander projector so the nonlocal accumulation is
 //! exercised too. A 14³ box at the benchmark's cutoff (the one-piece
 //! fragment of `crystal8_*`) puts the sphere-pruned, folded-scaling
-//! `apply_block_with` under the same gate, and a 64-band block with 12
-//! projectors on a 22³ box makes every block product of the CG step —
+//! `apply_block_with` under the same gate — one band per transform pair
+//! on `c64` rows, two on packed real rows (9 and 10 bands) — and a
+//! 64-band block with 12 projectors on a 22³ box makes every block
+//! product of the CG step —
 //! projection and Kleinman–Bylander — block-sized, so the step is held
 //! heap-free on the packed GEMM kernel too (its pack scratch lives in
 //! the workspace and is sized by the warm-up). The same step is then
@@ -199,6 +201,28 @@ fn steady_state_hot_paths_do_not_allocate() {
         "steady-state apply_block_with on the 14³ box allocated {apply_allocs} times"
     );
     assert!(hpsi_box.as_slice().iter().all(|v| v.is_finite()));
+
+    // --- the same box, two packed real bands per transform pair ----------
+    // An even and an odd band count (the odd one ends on a lone band).
+    let mut paired_ws = h_box.workspace();
+    for nb in [9, 10] {
+        let full = seed_block(nb, box_basis.len());
+        let mut psi = Matrix::zeros(nb, box_basis.len());
+        for b in 0..nb {
+            box_basis.pack(full.row(b), psi.row_mut(b));
+        }
+        let mut hpsi = Matrix::zeros(nb, box_basis.len());
+        h_box.apply_block_with(&psi, &mut hpsi, &mut paired_ws);
+        let before = allocation_count();
+        h_box.apply_block_with(&psi, &mut hpsi, &mut paired_ws);
+        let paired_allocs = allocation_count() - before;
+        assert_eq!(
+            paired_allocs, 0,
+            "steady-state paired apply_block_with ({nb} bands, 14³) allocated \
+             {paired_allocs} times"
+        );
+        assert!(hpsi.as_slice().iter().all(|v| v.is_finite()));
+    }
 
     // --- steady-state CG step on the packed GEMM kernel ------------------
     // 64 bands × ~500 planewaves with 12 projectors: the projection
