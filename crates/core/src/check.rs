@@ -25,10 +25,7 @@
 //!   point within the fragmentation scheme's declared tolerance (checked
 //!   once at assembly);
 //! * **orthonormality** — fragment wavefunction blocks stay orthonormal
-//!   after each PEtot_F eigensolver pass;
-//! * **real orbitals at rest** — under the `fast` kernel policy every
-//!   fragment row reaching Gen_dens is conjugate-symmetric, the property
-//!   that lets the density synthesize two bands per transform.
+//!   after each PEtot_F eigensolver pass.
 //!
 //! Checking is compiled in for debug/test builds and for release builds
 //! with the `validate` feature; otherwise [`ENABLED`] is `false` and
@@ -40,7 +37,6 @@
 
 use ls3df_grid::RealField;
 use ls3df_math::{c64, Matrix};
-use ls3df_pw::PwBasis;
 
 /// Whether invariant checking is active in this build.
 pub const ENABLED: bool = cfg!(any(debug_assertions, feature = "validate"));
@@ -90,12 +86,6 @@ pub const PATCH_LINEARITY_TOL_REL: f64 = 1e-8;
 /// after an eigensolver pass (the solvers re-orthonormalize every
 /// iteration; anything worse than this means the block degenerated).
 pub const ORTHO_TOL: f64 = 1e-6;
-
-/// Conjugate asymmetry ([`PwBasis::conjugate_asymmetry`]) allowed in a
-/// normalized fragment row at rest under the `fast` policy. The solver's
-/// unpack and `random_start` write `c_−G = conj c_G` exactly, so this
-/// only leaves room for rounding by a later real-linear operation.
-pub const CONJ_SYMMETRY_TOL: f64 = 1e-12;
 
 /// Allowed deviation of the per-grid-point `Σ_F α_F` patching weight
 /// from 1 for the sign-alternating scheme (exact integer cancellation —
@@ -339,30 +329,6 @@ pub fn orthonormal(step: &str, psi: &Matrix<c64>, metric: f64) -> Result<(), Inv
     Ok(())
 }
 
-/// Every row of `psi` is a real orbital on `basis` (conjugate-symmetric
-/// within [`CONJ_SYMMETRY_TOL`]) — what the density's two-bands-per-
-/// transform synthesis assumes under the `fast` policy.
-pub fn conjugate_symmetric(
-    step: &str,
-    basis: &PwBasis,
-    psi: &Matrix<c64>,
-) -> Result<(), InvariantViolation> {
-    for b in 0..psi.rows() {
-        let asymmetry = basis.conjugate_asymmetry(psi.row(b));
-        if asymmetry.is_nan() || asymmetry > CONJ_SYMMETRY_TOL {
-            return Err(InvariantViolation {
-                step: step.to_string(),
-                fragment: None,
-                detail: format!(
-                    "band {b} is not a real orbital: |c(−G) − conj c(G)| reaches \
-                     {asymmetry:.3e} (tolerance {CONJ_SYMMETRY_TOL:.0e})"
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,22 +417,6 @@ mod tests {
         let mut bad = Matrix::<c64>::identity(4);
         bad.scale_real(10.0);
         assert!(orthonormal("PEtot_F", &bad, 1.0).is_err());
-    }
-
-    #[test]
-    fn conjugate_symmetry_accepts_real_orbitals_only() {
-        let basis = PwBasis::new(Grid3::cubic(8, 6.0), 1.0);
-        let packed = Matrix::from_fn(2, basis.len(), |i, j| ((3 * i + j) as f64).sin());
-        let mut psi = Matrix::zeros(2, basis.len());
-        for b in 0..2 {
-            basis.unpack(packed.row(b), psi.row_mut(b));
-        }
-        assert!(conjugate_symmetric("Gen_dens", &basis, &psi).is_ok());
-        psi.scale_real(-3.0);
-        assert!(conjugate_symmetric("Gen_dens", &basis, &psi).is_ok());
-        ls3df_math::vec_ops::scal(c64::cis(0.3), psi.row_mut(1));
-        let err = conjugate_symmetric("Gen_dens", &basis, &psi).unwrap_err();
-        assert!(err.detail.contains("band 1"), "{}", err.detail);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use ls3df_atoms::{topology_cutoff, Structure};
 use ls3df_ckpt::{read_bytes, write_rotated, CheckpointConfig, CkptError, Fingerprint, Snapshot};
 use ls3df_dist::{CommError, Communicator};
 use ls3df_grid::{Grid3, RealField};
-use ls3df_math::{c64, kernel_policy, KernelPolicy, Matrix};
+use ls3df_math::{c64, Matrix};
 use ls3df_obs::{counter_add, span, Counter, MemoryReport, Stopwatch};
 use ls3df_pseudo::PseudoTable;
 use ls3df_pw::{
@@ -1100,12 +1100,6 @@ impl Ls3df {
             .par_iter()
             .map(|&i| {
                 let fs = &self.fragments[i];
-                if check::ENABLED && kernel_policy() == KernelPolicy::Fast {
-                    check::enforce(
-                        check::conjugate_symmetric("Gen_dens", &fs.basis, &fs.psi)
-                            .map_err(|v| v.for_fragment(i)),
-                    );
-                }
                 let rho_f = density::compute_density(&fs.basis, &fs.psi, &fs.occupations);
                 // Extract the region part of the box density.
                 let off = self.fg.region_offset_in_box();
@@ -1728,9 +1722,9 @@ mod tests {
         let res = calc.scf_with(&mut retries);
         assert!(res.quarantined.is_empty(), "the ladder must recover");
         assert!((res.rho.integrate() - calc.n_electrons()).abs() < 1e-8);
-        match kernel_policy() {
-            KernelPolicy::Reference => assert!(retries.0.is_empty()),
-            KernelPolicy::Fast => {
+        match ls3df_math::kernel_policy() {
+            ls3df_math::KernelPolicy::Reference => assert!(retries.0.is_empty()),
+            ls3df_math::KernelPolicy::Fast => {
                 assert_eq!(retries.0.len(), 1, "{:?}", retries.0);
                 let fault = &retries.0[0];
                 assert_eq!((fault.fragment, fault.attempt), (3, 0));

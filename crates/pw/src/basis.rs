@@ -58,8 +58,8 @@
 //! (`Re F` / `Im F` on a self-conjugate slot). [`crate::Hamiltonian`] runs
 //! its `f64` blocks this way, one transform pair per two bands. The
 //! full-sphere counterpart, [`PwBasis::wave_pair_to_grid_with`], is what
-//! `compute_density` uses under `fast`, where the `c64` rows at rest are
-//! conjugate-symmetric.
+//! `compute_density` uses under `fast` for two `c64` rows that
+//! [`PwBasis::is_conjugate_symmetric`] accepts.
 
 use ls3df_fft::{Fft3, Fft3Workspace, Occupancy};
 use ls3df_grid::Grid3;
@@ -337,19 +337,18 @@ impl PwBasis {
         }
     }
 
-    /// How far a full-sphere row is from conjugate symmetry (a real
-    /// orbital): the largest `|c_−G − conj c_G|` over the pairs and
-    /// `|Im c_s|` over the self-conjugate vectors. Exactly `0` for every
-    /// row [`PwBasis::unpack`] wrote.
-    pub fn conjugate_asymmetry(&self, full: &[c64]) -> f64 {
+    /// Whether a full-sphere row is exactly conjugate-symmetric (a real
+    /// orbital): `c_−G = conj c_G` on every pair and `Im c_s = 0` on every
+    /// self-conjugate vector, bit for bit. True for every row
+    /// [`PwBasis::unpack`] or [`PwBasis::fill_real`] wrote.
+    pub fn is_conjugate_symmetric(&self, full: &[c64]) -> bool {
         assert_eq!(
             full.len(),
             self.len(),
-            "conjugate_asymmetry: coefficient count"
+            "is_conjugate_symmetric: coefficient count"
         );
-        let selfs = self.half.selfs.iter().map(|&i| full[i].im.abs());
-        let pairs = (self.half.pairs.iter()).map(|&[i, j]| (full[j] - full[i].conj()).abs());
-        selfs.chain(pairs).fold(0.0, f64::max)
+        self.half.selfs.iter().all(|&i| full[i].im == 0.0)
+            && (self.half.pairs.iter()).all(|&[i, j]| full[j] == full[i].conj())
     }
 
     /// Scatters planewave coefficients onto the grid and synthesizes
@@ -373,7 +372,8 @@ impl PwBasis {
     /// Two conjugate-symmetric rows in one transform: synthesizes
     /// `ψ_a(rᵢ) + i·ψ_b(rᵢ)` into `buf`, so `Re`/`Im` of each sample are
     /// the two real orbitals [`PwBasis::wave_to_grid_with`] would give
-    /// one at a time. Rows that are not conjugate-symmetric mix.
+    /// one at a time. Rows that are not conjugate-symmetric mix, so callers
+    /// check [`PwBasis::is_conjugate_symmetric`] first.
     pub(crate) fn wave_pair_to_grid_with(
         &self,
         a: &[c64],

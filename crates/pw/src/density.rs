@@ -1,6 +1,7 @@
 //! Electron density construction from wavefunction blocks.
 
 use crate::PwBasis;
+use ls3df_fft::Fft3Workspace;
 use ls3df_grid::RealField;
 use ls3df_math::{c64, kernel_policy, KernelPolicy, Matrix};
 use rayon::prelude::*;
@@ -18,13 +19,14 @@ const BAND_BLOCK: usize = 8;
 /// The summation tree depends only on the band count — never on the rayon
 /// schedule — so repeated runs produce bit-identical densities.
 ///
-/// Under the `fast` policy a block synthesizes two occupied bands per
-/// transform, `ψ_a + i·ψ_b`, and adds `f_a·Re² + f_b·Im²`; its odd
-/// occupied band out goes alone. That is exact only for conjugate-symmetric
-/// rows (real orbitals), which is what the solve entries and
-/// `random_start` hand out under `fast`. Pairs never straddle a block, so
-/// the summation tree is the same. `reference` transforms every occupied
-/// band on its own, whatever its symmetry.
+/// Under the `fast` policy a block synthesizes two occupied real orbitals
+/// (rows [`PwBasis::is_conjugate_symmetric`] accepts) per transform,
+/// `ψ_a + i·ψ_b`, and adds `f_a·Re² + f_b·Im²`. Any other occupied row,
+/// and a real orbital left without a partner in its block, goes through a
+/// transform of its own, so the density is right for any input. The solve
+/// entries and `random_start` hand out real orbitals under `fast`. Pairs
+/// never straddle a block, so the summation tree is the same.
+/// `reference` transforms every occupied band on its own.
 pub fn compute_density(basis: &PwBasis, psi: &Matrix<c64>, occupations: &[f64]) -> RealField {
     assert_eq!(
         psi.rows(),
@@ -33,6 +35,7 @@ pub fn compute_density(basis: &PwBasis, psi: &Matrix<c64>, occupations: &[f64]) 
     );
     assert_eq!(psi.cols(), basis.len(), "density: basis mismatch");
     let pair_bands = kernel_policy() == KernelPolicy::Fast;
+    let pairable = |b: usize| pair_bands && basis.is_conjugate_symmetric(psi.row(b));
     let ngrid = basis.grid().len();
     let nb = psi.rows();
     let blocks: Vec<(usize, usize)> = (0..nb.div_ceil(BAND_BLOCK))
@@ -46,22 +49,30 @@ pub fn compute_density(basis: &PwBasis, psi: &Matrix<c64>, occupations: &[f64]) 
             let mut acc = vec![0.0_f64; ngrid];
             let mut buf = vec![c64::ZERO; ngrid];
             let mut ws = basis.take_fft_workspace();
-            let occupied: Vec<usize> = (lo..hi).filter(|&b| occupations[b] != 0.0).collect();
-            for unit in occupied.chunks(if pair_bands { 2 } else { 1 }) {
-                if let [a, b] = *unit {
+            let single = |b: usize, acc: &mut [f64], buf: &mut [c64], ws: &mut Fft3Workspace| {
+                basis.wave_to_grid_with(psi.row(b), buf, ws);
+                let f = occupations[b];
+                for (x, v) in acc.iter_mut().zip(&*buf) {
+                    *x += f * v.norm_sqr();
+                }
+            };
+            // A real orbital waiting for the next one in the block.
+            let mut waiting = None;
+            for b in (lo..hi).filter(|&b| occupations[b] != 0.0) {
+                if !pairable(b) {
+                    single(b, &mut acc, &mut buf, &mut ws);
+                } else if let Some(a) = waiting.take() {
                     basis.wave_pair_to_grid_with(psi.row(a), psi.row(b), &mut buf, &mut ws);
                     let (fa, fb) = (occupations[a], occupations[b]);
                     for (x, v) in acc.iter_mut().zip(&buf) {
                         *x += fa * (v.re * v.re) + fb * (v.im * v.im);
                     }
                 } else {
-                    let b = unit[0];
-                    basis.wave_to_grid_with(psi.row(b), &mut buf, &mut ws);
-                    let f = occupations[b];
-                    for (x, v) in acc.iter_mut().zip(&buf) {
-                        *x += f * v.norm_sqr();
-                    }
+                    waiting = Some(b);
                 }
+            }
+            if let Some(a) = waiting {
+                single(a, &mut acc, &mut buf, &mut ws);
             }
             basis.return_fft_workspace(ws);
             acc
@@ -106,8 +117,12 @@ mod tests {
 
     /// An orthonormal block of real orbitals (conjugate-symmetric rows).
     fn real_orbitals(basis: &PwBasis, nb: usize) -> Matrix<c64> {
-        let mut packed = Matrix::from_fn(nb, basis.len(), |i, j| {
-            ((i * 31 + j * 7) as f64).sin() + ((i * 13 + j) as f64).cos()
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut packed = Matrix::from_fn(nb, basis.len(), |_, _| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64) / ((1u64 << 53) as f64) - 0.5
         });
         ls3df_math::ortho::cholesky_orthonormalize(&mut packed, 1.0).unwrap();
         let mut psi = Matrix::zeros(nb, basis.len());
@@ -122,7 +137,10 @@ mod tests {
         let grid = Grid3::cubic(10, 6.0);
         let basis = PwBasis::new(grid, 1.5);
         let nb = 4;
-        let psi = real_orbitals(&basis, nb);
+        let mut psi = Matrix::from_fn(nb, basis.len(), |i, j| {
+            c64::new(((i * 31 + j * 7) as f64).sin(), ((i * 13 + j) as f64).cos())
+        });
+        ls3df_math::ortho::cholesky_orthonormalize(&mut psi, 1.0).unwrap();
         let occ = insulator_occupations(nb, 6.0); // 3 bands × 2
         let rho = compute_density(&basis, &psi, &occ);
         assert!(
@@ -131,6 +149,49 @@ mod tests {
             rho.integrate()
         );
         assert!(rho.min() >= -1e-12, "density must be non-negative");
+    }
+
+    #[test]
+    fn real_orbital_density_integrates_to_electron_count() {
+        let basis = PwBasis::new(Grid3::cubic(10, 6.0), 1.5);
+        let nb = 5;
+        let psi = real_orbitals(&basis, nb);
+        let occ = [2.0, 1.0, 2.0, 1.5, 0.5];
+        let rho = compute_density(&basis, &psi, &occ);
+        assert!(
+            (rho.integrate() - 7.0).abs() < 1e-9,
+            "N = {}",
+            rho.integrate()
+        );
+        assert!(rho.min() >= -1e-12, "density must be non-negative");
+    }
+
+    #[test]
+    fn complex_rows_among_real_orbitals_keep_their_own_density() {
+        // Bands 1 and 3 are complex (not real orbitals). Under `fast` the
+        // real ones pair around them; each complex one must still add its
+        // own |ψ|², not Re²/Im² of a mix with a neighbour.
+        let basis = PwBasis::new(Grid3::cubic(10, 6.0), 1.5);
+        let nb = 5;
+        let mut psi = real_orbitals(&basis, nb);
+        for b in [1, 3] {
+            for (j, c) in psi.row_mut(b).iter_mut().enumerate() {
+                *c *= c64::cis(0.3 * j as f64);
+            }
+        }
+        let occ = [2.0, 1.0, 2.0, 1.5, 0.5];
+        let rho = compute_density(&basis, &psi, &occ);
+        let mut expect = vec![0.0; basis.grid().len()];
+        let mut buf = vec![c64::ZERO; basis.grid().len()];
+        for (b, &f) in occ.iter().enumerate() {
+            basis.wave_to_grid(psi.row(b), &mut buf);
+            for (e, v) in expect.iter_mut().zip(&buf) {
+                *e += f * v.norm_sqr();
+            }
+        }
+        for (r, e) in rho.as_slice().iter().zip(&expect) {
+            assert!((r - e).abs() < 1e-13, "{r} vs {e}");
+        }
     }
 
     #[test]

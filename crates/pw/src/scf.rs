@@ -157,7 +157,7 @@ pub fn setup(
 /// reproducible). Under the `fast` policy the rows are real orbitals
 /// (conjugate-symmetric, one draw per `±G` pair): the solver would keep
 /// only the real part of a complex start anyway, and `compute_density`
-/// pairs bands on the assumption that every row at rest is one.
+/// synthesizes two real orbitals per transform.
 pub fn random_start(n_bands: usize, basis: &PwBasis, seed: u64) -> Matrix<c64> {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
     let mut next = move || {

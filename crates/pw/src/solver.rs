@@ -41,7 +41,7 @@
 //! other degenerate start. State at rest (fragment `ψ`, snapshots, the
 //! density accumulation) is always the unpacked full-sphere block — under
 //! `fast` therefore exactly conjugate-symmetric, which is what lets
-//! `compute_density` synthesize two bands per transform.
+//! `compute_density` synthesize two of these bands per transform.
 //! [`cg_init`]/[`cg_residual`]/[`cg_step`] are the instantiations
 //! themselves (`c64` when handed `c64` blocks, whatever the policy).
 

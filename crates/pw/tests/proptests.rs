@@ -205,6 +205,17 @@ proptest! {
     #[test]
     fn density_nonnegative_and_normalized(seed in 1u64..500, nb in 1usize..5) {
         let (basis, _) = basis_and_potential(8, 6.0, 0.0, seed);
+        let psi = rand_block(nb, basis.len(), seed);
+        let occ: Vec<f64> = (0..nb).map(|b| if b % 2 == 0 { 2.0 } else { 1.0 }).collect();
+        let n_expect: f64 = occ.iter().sum();
+        let rho = ls3df_pw::density::compute_density(&basis, &psi, &occ);
+        prop_assert!(rho.min() >= -1e-12);
+        prop_assert!((rho.integrate() - n_expect).abs() < 1e-9);
+    }
+
+    #[test]
+    fn real_orbital_density_nonnegative_and_normalized(seed in 1u64..500, nb in 1usize..5) {
+        let (basis, _) = basis_and_potential(8, 6.0, 0.0, seed);
         let psi = real_orbitals(&basis, nb, seed).1;
         let occ: Vec<f64> = (0..nb).map(|b| if b % 2 == 0 { 2.0 } else { 1.0 }).collect();
         let n_expect: f64 = occ.iter().sum();
@@ -218,9 +229,12 @@ proptest! {
         seed in 1u64..500,
         nb in 1usize..8,
         which in 0usize..2,
+        complex_rows in 0u32..128,
     ) {
         // Random conjugate-symmetric blocks, on a basis whose sphere stops
-        // short of the Nyquist planes and on one that touches them.
+        // short of the Nyquist planes and on one that touches them. The
+        // density also sees the block with the rows set in `complex_rows`
+        // swapped for complex ones.
         let basis = match which {
             0 => PwBasis::new(Grid3::cubic(8, 6.5), 1.0),
             _ => nyquist_touching_basis(),
@@ -229,7 +243,7 @@ proptest! {
         let v = RealField::from_fn(basis.grid().clone(), |r| {
             0.4 * (r[0] * 0.9 + phase).cos() - 0.2 * (r[1] * 1.8).sin() * (r[2] * 0.9).cos()
         });
-        let (packed, full) = real_orbitals(&basis, nb, seed);
+        let (packed, real_full) = real_orbitals(&basis, nb, seed);
 
         // H·ψ: the paired block apply vs the single-band path per row.
         let nl = NonlocalPotential::new(&basis, &[[2.0, 3.0, 1.0]], |_, q| (-q * q).exp(), &[0.6]);
@@ -243,22 +257,29 @@ proptest! {
             }
         }
 
-        // ρ (two occupied bands per transform under `fast`) vs one band
-        // per transform, with a zero-occupation tail.
+        // ρ (two occupied real orbitals per transform under `fast`) vs one
+        // band per transform, with a zero-occupation tail.
         let occ: Vec<f64> = (0..nb).map(|b| [2.0, 1.5, 2.0, 0.5, 0.0][b.min(4)]).collect();
         let n_e: f64 = occ.iter().sum();
-        let rho = ls3df_pw::density::compute_density(&basis, &full, &occ);
-        let mut single = vec![0.0; basis.grid().len()];
-        let mut grid = vec![c64::ZERO; basis.grid().len()];
-        for (b, &f) in occ.iter().enumerate() {
-            basis.wave_to_grid(full.row(b), &mut grid);
-            for (s, v) in single.iter_mut().zip(&grid) {
-                *s += f * v.norm_sqr();
-            }
+        let complex = rand_block(nb, basis.len(), seed ^ 0x5A5A);
+        let mut mixed = real_full.clone();
+        for b in (0..nb).filter(|b| complex_rows >> b & 1 == 1) {
+            mixed.row_mut(b).copy_from_slice(complex.row(b));
         }
-        let err: f64 = rho.as_slice().iter().zip(&single).map(|(a, b)| (a - b).abs()).sum::<f64>()
-            * basis.grid().dv();
-        prop_assert!(err <= 1e-13 * n_e.max(1.0), "∫|Δρ| = {err:e}");
+        for full in [&real_full, &mixed] {
+            let rho = ls3df_pw::density::compute_density(&basis, full, &occ);
+            let mut single = vec![0.0; basis.grid().len()];
+            let mut grid = vec![c64::ZERO; basis.grid().len()];
+            for (b, &f) in occ.iter().enumerate() {
+                basis.wave_to_grid(full.row(b), &mut grid);
+                for (s, v) in single.iter_mut().zip(&grid) {
+                    *s += f * v.norm_sqr();
+                }
+            }
+            let err: f64 = rho.as_slice().iter().zip(&single).map(|(a, b)| (a - b).abs()).sum::<f64>()
+                * basis.grid().dv();
+            prop_assert!(err <= 1e-13 * n_e.max(1.0), "∫|Δρ| = {err:e}");
+        }
     }
 
     #[test]

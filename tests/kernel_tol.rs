@@ -729,10 +729,12 @@ fn paired_h_apply_matches_one_band_per_transform() {
 
 #[test]
 fn paired_density_matches_one_band_per_transform() {
-    // `compute_density` (two occupied bands per synthesis under `fast`)
-    // vs one `wave_to_grid` per band, on real orbitals: 19 bands over
-    // three band blocks, fractional occupations and a zero-occupation
-    // tail, so blocks end on an odd occupied band too.
+    // `compute_density` (two occupied real orbitals per synthesis under
+    // `fast`) vs one `wave_to_grid` per band: 19 bands over three band
+    // blocks, fractional occupations and a zero-occupation tail, so blocks
+    // end on an odd occupied band too. Once on real orbitals only, once
+    // with complex rows in between, which must each go through their own
+    // transform and leave the real ones around them to pair.
     let occupations: Vec<f64> = (0..19)
         .map(|b| match b {
             0..=9 => 2.0,
@@ -742,9 +744,19 @@ fn paired_density_matches_one_band_per_transform() {
         })
         .collect();
     let n_e: f64 = occupations.iter().sum();
-    for basis in pairing_bases() {
-        let (_, psi) = real_orbitals(&basis, occupations.len(), 0xDE45 ^ basis.len() as u64);
-        let rho = compute_density(&basis, &psi, &occupations);
+    let bases = pairing_bases();
+    for (basis, complex_rows) in bases
+        .iter()
+        .flat_map(|basis| [(basis, &[][..]), (basis, &[3, 8, 9, 11][..])])
+    {
+        let (_, mut psi) = real_orbitals(basis, occupations.len(), 0xDE45 ^ basis.len() as u64);
+        for &b in complex_rows {
+            for (j, c) in psi.row_mut(b).iter_mut().enumerate() {
+                *c *= c64::cis(0.1 * j as f64);
+            }
+            assert!(!basis.is_conjugate_symmetric(psi.row(b)));
+        }
+        let rho = compute_density(basis, &psi, &occupations);
         let mut single = RealField::zeros(basis.grid().clone());
         let mut grid = vec![c64::ZERO; basis.grid().len()];
         for (b, &f) in occupations.iter().enumerate() {
@@ -756,7 +768,7 @@ fn paired_density_matches_one_band_per_transform() {
         let err = rho.diff(&single).integrate_abs() / n_e;
         assert!(
             err <= PAIRED_DENSITY_TOL,
-            "{:?}: ∫|Δρ|/N_e = {err:e}",
+            "{:?}, complex rows {complex_rows:?}: ∫|Δρ|/N_e = {err:e}",
             basis.grid().dims
         );
     }
