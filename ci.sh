@@ -2,12 +2,10 @@
 # Tier-1 CI gate for ls3df-rs: formatting, clippy, the token-aware repo
 # lint, `cargo test --workspace` under LS3DF_THREADS=1 and under the
 # default pool (every crate's and shim's unit tests, the lint fixture
-# corpus and the whole integration suite), the planewave crate's units
-# once more under LS3DF_KERNELS=reference (pw-units [reference]), the
-# feature legs that suite cannot cover (zero-alloc, mem-budget,
-# obs-report [obs], obs-dist), the repo benchmark's unit tests + --smoke gate
-# (bench-harness), schedule exploration (cargo xtask schedules), and the
-# Miri unsafe-core gate
+# corpus and the whole integration suite), the feature legs that suite
+# cannot cover (zero-alloc, mem-budget, obs-report [obs], obs-dist), the
+# repo benchmark's unit tests + --smoke gate (bench-harness), schedule
+# exploration (cargo xtask schedules), and the Miri unsafe-core gate
 # (cargo xtask miri — skips loudly when Miri is not installed, e.g. in
 # this offline container). Step list: crates/xtask/src/ci.rs.
 #

@@ -877,8 +877,7 @@ fn main() {
 
     // --- sphere-pruned, folded-scaling H·ψ vs the full-grid path ---------
     // The crystal8 benchmark's 1- and 8-piece fragment boxes at its
-    // cutoff; 8 bands. (Under LS3DF_KERNELS=reference the basis does not
-    // prune and both rows time the same work.)
+    // cutoff; 8 bands. The full-grid row is rebuilt from the public plan.
     println!("\nH·ψ, 8 bands, E_cut = 1.5 (local potential + kinetic):");
     for (nb3, edge) in [(14usize, 11.375), (22, 17.875)] {
         let box_grid = Grid3::cubic(nb3, edge);

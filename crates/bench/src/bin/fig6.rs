@@ -208,11 +208,13 @@ fn main() -> std::process::ExitCode {
         Err(e) => eprintln!("run report write failed: {e}"),
     }
 
-    // Checkpoint the converged state for fig7 (FSM post-processing).
+    // Checkpoint a converged state for fig7 (FSM post-processing), which
+    // loads the potential as converged.
     let dir = Path::new("target/checkpoints");
-    std::fs::create_dir_all(dir).ok();
     let tag = format!("znteo_m{m}");
-    if ls3df_grid::save_field(&res.v_eff, &dir.join(format!("{tag}_veff.ck"))).is_ok()
+    if res.converged
+        && std::fs::create_dir_all(dir).is_ok()
+        && ls3df_grid::save_field(&res.v_eff, &dir.join(format!("{tag}_veff.ck"))).is_ok()
         && ls3df_grid::save_field(&res.rho, &dir.join(format!("{tag}_rho.ck"))).is_ok()
     {
         println!("checkpoint written to target/checkpoints/{tag}_*.ck (fig7 will reuse it)");

@@ -10,14 +10,17 @@
 //!   with energy within the oxygen band.
 //!
 //! Run: `cargo run -p ls3df-bench --bin fig7 --release -- [m] [iters] [n_states]`
+//!
+//! Exits non-zero (after printing the analysis) when the SCF it ran did
+//! not converge: the states are then those of an unconverged potential.
 
-use ls3df_bench::{arg, to_pw_atoms};
+use ls3df_bench::{arg, exit_unless_converged, to_pw_atoms};
 use ls3df_core::{analysis, folded_spectrum, FsmOptions, Ls3df, Ls3dfOptions, Passivation};
 
 use ls3df_pseudo::PseudoTable;
 use ls3df_pw::{Mixer, NonlocalPotential};
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let m: usize = arg(1, 2);
     let iters: usize = arg(2, 15);
     let n_states: usize = arg(3, 6);
@@ -68,13 +71,14 @@ fn main() {
             Err(e) => println!("snapshot {} not usable: {e}", snap.display()),
         }
     }
-    // Legacy potential-only cache (read alone does not allow resuming the
-    // SCF — it skips it when the converged potential is already on disk).
+    // Potential-only cache, written only by a converged SCF (read alone
+    // does not allow resuming the SCF — it skips it when the converged
+    // potential is already on disk).
     let ck = std::path::Path::new("target/checkpoints").join(format!("znteo_m{m}_veff.ck"));
-    let v_eff = match (resumed, ls3df_grid::load_field(&ck)) {
+    let (v_eff, converged) = match (resumed, ls3df_grid::load_field(&ck)) {
         (false, Ok(v)) if v.grid() == &ls.global_grid => {
             println!("loaded converged potential from {}", ck.display());
-            v
+            (v, true)
         }
         _ => {
             let res = ls.scf();
@@ -84,11 +88,13 @@ fn main() {
                 res.converged
             );
             // Save for reruns (the FSM stage may be iterated on separately).
-            std::fs::create_dir_all("target/checkpoints").ok();
-            if ls3df_grid::save_field(&res.v_eff, &ck).is_ok() {
-                println!("checkpoint written to {}", ck.display());
+            if res.converged {
+                std::fs::create_dir_all("target/checkpoints").ok();
+                if ls3df_grid::save_field(&res.v_eff, &ck).is_ok() {
+                    println!("checkpoint written to {}", ck.display());
+                }
             }
-            res.v_eff
+            (res.v_eff, res.converged)
         }
     };
 
@@ -194,4 +200,5 @@ fn main() {
         "paper shape targets: lowest empty states O-enriched (clustered on O atoms) and more \
          localized (higher IPR) at higher energy within the O band."
     );
+    exit_unless_converged(&[("LS3DF", converged)])
 }

@@ -1681,10 +1681,10 @@ mod tests {
 
     #[test]
     fn start_block_with_no_real_part_is_retried_from_a_fresh_start() {
-        // i·(real orbitals): under `fast` the solve entry packs Re ψ(r),
-        // which vanishes, so the primary attempt fails as dependent start
+        // i·(real orbitals): the solve entry packs Re ψ(r), which
+        // vanishes, so the primary attempt fails as dependent start
         // vectors — and the ladder's fresh random start must recover with
-        // nothing quarantined. `reference` solves the complex block as is.
+        // nothing quarantined.
         struct Retries(Vec<FragmentFault>);
         impl ScfObserver for &mut Retries {
             fn on_fragment_retry(&mut self, _iteration: usize, fault: &FragmentFault) {
@@ -1722,15 +1722,10 @@ mod tests {
         let res = calc.scf_with(&mut retries);
         assert!(res.quarantined.is_empty(), "the ladder must recover");
         assert!((res.rho.integrate() - calc.n_electrons()).abs() < 1e-8);
-        match ls3df_math::kernel_policy() {
-            ls3df_math::KernelPolicy::Reference => assert!(retries.0.is_empty()),
-            ls3df_math::KernelPolicy::Fast => {
-                assert_eq!(retries.0.len(), 1, "{:?}", retries.0);
-                let fault = &retries.0[0];
-                assert_eq!((fault.fragment, fault.attempt), (3, 0));
-                assert_eq!(fault.action, RetryAction::Primary);
-                assert!(fault.detail.contains("linearly dependent"), "{fault}");
-            }
-        }
+        assert_eq!(retries.0.len(), 1, "{:?}", retries.0);
+        let fault = &retries.0[0];
+        assert_eq!((fault.fragment, fault.attempt), (3, 0));
+        assert_eq!(fault.action, RetryAction::Primary);
+        assert!(fault.detail.contains("linearly dependent"), "{fault}");
     }
 }

@@ -24,11 +24,10 @@
 //! mirror order z → y → x, so the passes it can prune — lines whose
 //! outputs nobody reads — come last. Both are unnormalized; the caller
 //! folds `1/N` into its own scaling. The full transforms keep x → y → z
-//! in both directions: that is the arithmetic order the golden digests
-//! pin under `LS3DF_KERNELS=reference`.
+//! in both directions.
 
 use crate::plan::{Direction, Fft1d, Fft1dWorkspace};
-use ls3df_math::{c64, kernel_policy, KernelPolicy};
+use ls3df_math::{c64, KernelPolicy};
 use ls3df_obs::{counter_add, Counter};
 
 /// Reusable scratch for one [`Fft3`] plan (one [`Fft1dWorkspace`] per
@@ -61,14 +60,13 @@ pub struct Occupancy {
 }
 
 impl Fft3 {
-    /// Builds a plan for an `(n1, n2, n3)` grid (x fastest) under the
-    /// process-wide kernel policy.
+    /// Builds a plan for an `(n1, n2, n3)` grid (x fastest).
     pub fn new(n1: usize, n2: usize, n3: usize) -> Self {
-        Self::new_with(n1, n2, n3, kernel_policy())
+        Self::new_with(n1, n2, n3, KernelPolicy::Fast)
     }
 
     /// [`Fft3::new`] with an explicit [`KernelPolicy`] — lets tests and
-    /// benches hold both kernel variants in one process.
+    /// benches hold the reference oracle beside the production plan.
     pub fn new_with(n1: usize, n2: usize, n3: usize, policy: KernelPolicy) -> Self {
         assert!(n1 >= 1 && n2 >= 1 && n3 >= 1, "Fft3::new: degenerate grid");
         Fft3 {

@@ -19,10 +19,10 @@
 //!   and real-transform entry points are allocation-free;
 //! * [`dft`] — O(n²) reference transforms for testing.
 //!
-//! Kernel selection (radix-4 and mixed-radix vs the pre-PR-8 radix-2 +
-//! Bluestein arithmetic) is governed by `LS3DF_KERNELS` via
-//! [`ls3df_math::kernel_policy`]; `*_with` constructors take the policy
-//! explicitly.
+//! Plain constructors build the production plans (radix-4 and
+//! mixed-radix); the `*_with` constructors take an explicit
+//! [`ls3df_math::KernelPolicy`], whose `Reference` value selects the
+//! radix-2 + Bluestein oracle the tolerance tests compare against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,17 +5,16 @@
 //!
 //! * power-of-two lengths use an iterative Cooley–Tukey kernel with
 //!   precomputed twiddles and bit-reversal tables — radix-4 stages under
-//!   the default `fast` policy (34 real flops per 4 outputs per 2 levels,
-//!   vs radix-2's 40, and half the passes over the data), radix-2 under
-//!   `LS3DF_KERNELS=reference` (the exact pre-PR-8 arithmetic the golden
-//!   digests pin);
-//! * under `fast`, every other length whose prime factors are ≤ 13 —
+//!   the production `Fast` policy (34 real flops per 4 outputs per 2
+//!   levels, vs radix-2's 40, and half the passes over the data), radix-2
+//!   under the `Reference` oracle;
+//! * under `Fast`, every other length whose prime factors are ≤ 13 —
 //!   the fragment box edges 12, 14, 18, 22, the paper's 40-point cell,
 //!   the half-length 6 inside the packed real transform — runs the
 //!   mixed-radix Stockham kernel of [`crate::mixed`], batched across
 //!   lines on the strided passes;
 //! * everything else (a larger prime factor, or any non-power-of-two
-//!   under `reference`) goes through Bluestein's chirp-z algorithm,
+//!   under `Reference`) goes through Bluestein's chirp-z algorithm,
 //!   which re-expresses an arbitrary-n DFT as a cyclic convolution of
 //!   power-of-two size.
 //!
@@ -23,7 +22,7 @@
 //! `inverse` carries the full `1/n`.
 
 use crate::mixed::Mixed;
-use ls3df_math::{c64, kernel_policy, KernelPolicy};
+use ls3df_math::{c64, KernelPolicy};
 use ls3df_obs::{counter_add, Counter};
 use std::f64::consts::PI;
 
@@ -136,14 +135,13 @@ pub(crate) enum Direction {
 }
 
 impl Fft1d {
-    /// Builds a plan for transforms of length `n` (n ≥ 1) under the
-    /// process-wide [`kernel_policy`].
+    /// Builds a plan for transforms of length `n` (n ≥ 1).
     pub fn new(n: usize) -> Self {
-        Self::new_with(n, kernel_policy())
+        Self::new_with(n, KernelPolicy::Fast)
     }
 
     /// [`Fft1d::new`] with an explicit [`KernelPolicy`] — lets tests and
-    /// benches hold both kernel variants in one process.
+    /// benches hold the reference oracle beside the production plan.
     pub fn new_with(n: usize, policy: KernelPolicy) -> Self {
         assert!(n >= 1, "Fft1d::new: length must be ≥ 1");
         let mixed = || match policy {

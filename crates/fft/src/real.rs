@@ -33,7 +33,7 @@
 //! carries the full `1/n` (and 1/N for [`Fft3r`]).
 
 use crate::plan::{Direction, Fft1d, Fft1dWorkspace};
-use ls3df_math::{c64, kernel_policy, KernelPolicy};
+use ls3df_math::{c64, KernelPolicy};
 use ls3df_obs::{counter_add, Counter};
 use std::f64::consts::PI;
 
@@ -70,10 +70,9 @@ pub struct RealFftWorkspace {
 }
 
 impl RealFft1d {
-    /// Builds a plan for real lines of length `n` (n ≥ 1) under the
-    /// process-wide kernel policy.
+    /// Builds a plan for real lines of length `n` (n ≥ 1).
     pub fn new(n: usize) -> Self {
-        Self::new_with(n, kernel_policy())
+        Self::new_with(n, KernelPolicy::Fast)
     }
 
     /// [`RealFft1d::new`] with an explicit [`KernelPolicy`] (the policy
@@ -302,10 +301,9 @@ pub struct Fft3rWorkspace {
 }
 
 impl Fft3r {
-    /// Builds packed 3-D plans for a real `dims` grid under the
-    /// process-wide kernel policy.
+    /// Builds packed 3-D plans for a real `dims` grid.
     pub fn new(dims: [usize; 3]) -> Self {
-        Self::new_with(dims, kernel_policy())
+        Self::new_with(dims, KernelPolicy::Fast)
     }
 
     /// [`Fft3r::new`] with an explicit [`KernelPolicy`].

@@ -42,8 +42,8 @@ fn lcg_signal(n: usize, seed: u64) -> Vec<c64> {
 
 proptest! {
     /// Round trip, Parseval and linearity of the mixed-radix kernel over
-    /// random 2·3·5·7·11·13-smooth lengths (explicitly `Fast`, so the
-    /// property holds whatever `LS3DF_KERNELS` says).
+    /// random 2·3·5·7·11·13-smooth lengths (explicitly `Fast`: the
+    /// `Reference` plan for these lengths is Bluestein).
     #[test]
     fn smooth_lengths_roundtrip_parseval_linearity(
         n in smooth_length(),

@@ -19,14 +19,13 @@
 //! packs `op(A)`/`op(B)` straight from the stored operands; everything
 //! else runs one of two scalar loops — a row-`axpy` form when `op(B)` is
 //! stored row-wise, a row-dot form when it is transposed. The scalar
-//! loops accumulate in ascending `k` directly into `C`, which is the
-//! summation order [`KernelPolicy::Reference`] pins (the solver's
-//! pre-GEMM `dotc`/`axpy` row loops had exactly this order, so the golden
-//! digests did not move when it went back to block products).
+//! loops accumulate in ascending `k` directly into `C`: the summation
+//! order of the solver's `dotc`/`axpy` row loops, which
+//! [`KernelPolicy::Reference`] keeps at every shape as the oracle.
 //! [`matmul_naive`] stays as the unoptimized end of the `ablation` bench.
 
 use crate::microkernel::{self, block_sized, conj_if, Product, View};
-use crate::policy::{kernel_policy, KernelPolicy};
+use crate::policy::KernelPolicy;
 use crate::{Matrix, Scalar};
 use rayon::prelude::*;
 
@@ -51,9 +50,8 @@ const BLOCK: usize = 64;
 /// output, not just the result, is identical at every `LS3DF_THREADS`.
 const ROWS_PER_TASK: usize = 16;
 
-/// General matrix-matrix product `C ← α·op(A)·op(B) + β·C` under the
-/// process-wide [`kernel_policy`] (allocating shim over [`gemm_into`]).
-/// Panics on shape mismatch.
+/// General matrix-matrix product `C ← α·op(A)·op(B) + β·C` (allocating
+/// shim over [`gemm_into`]). Panics on shape mismatch.
 pub fn gemm<S: Scalar>(
     alpha: S,
     a: &Matrix<S>,
@@ -63,11 +61,11 @@ pub fn gemm<S: Scalar>(
     beta: S,
     c: &mut Matrix<S>,
 ) {
-    gemm_with(kernel_policy(), alpha, a, op_a, b, op_b, beta, c);
+    gemm_with(KernelPolicy::Fast, alpha, a, op_a, b, op_b, beta, c);
 }
 
 /// [`gemm`] with an explicit [`KernelPolicy`] — lets tests and benches
-/// compare both arithmetic variants inside one process.
+/// compare the production arithmetic with the reference oracle.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_with<S: Scalar>(
     policy: KernelPolicy,
@@ -323,7 +321,7 @@ fn scalar_dot<S: Scalar>(
 /// overlap matrix is Hermitian by construction, so the general product
 /// wastes a factor of two.
 pub fn overlap_hermitian<S: Scalar>(psi: &Matrix<S>, weight: f64) -> Matrix<S> {
-    overlap_hermitian_with(kernel_policy(), psi, weight)
+    overlap_hermitian_with(KernelPolicy::Fast, psi, weight)
 }
 
 /// [`overlap_hermitian`] with an explicit [`KernelPolicy`].
@@ -484,8 +482,8 @@ mod tests {
 
     #[test]
     fn every_op_pair_matches_naive_on_every_path() {
-        // Scalar loops (small shape; `reference` at any shape), the packed
-        // kernel (`fast`, block-sized), with and without the pool: the
+        // Scalar loops (small shape; `Reference` at any shape), the packed
+        // kernel (`Fast`, block-sized), with and without the pool: the
         // allocating shim may spread rows over it, `gemm_into` never does,
         // and both must agree bit for bit.
         let op_of = |m: &Matrix<c64>, op: Op| match op {

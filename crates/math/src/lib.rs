@@ -58,7 +58,7 @@ pub use gemm::{
 pub use matrix::Matrix;
 #[doc(hidden)]
 pub use microkernel::force_baseline_tier;
-pub use policy::{kernel_policy, KernelPolicy};
+pub use policy::KernelPolicy;
 pub use scalar::Scalar;
 
 pub use cholesky::Cholesky;

@@ -48,11 +48,11 @@
 //! schedule. The packed kernel runs on the calling thread and walks `k`
 //! in fixed [`KC`]-blocks in ascending order, each block summed from zero
 //! in a register tile and then added to `C`; the `MC`/`NC` cache blocking
-//! only changes which tile is computed when. Only the `reference`-policy
+//! only changes which tile is computed when. Only the reference oracle's
 //! bit patterns differ (gated by `tests/kernel_tol.rs`).
 
 use crate::gemm::Op;
-use crate::policy::{kernel_policy, KernelPolicy};
+use crate::policy::KernelPolicy;
 use crate::{Matrix, Scalar};
 use std::sync::OnceLock;
 
@@ -200,13 +200,14 @@ pub struct GemmScratch<S: Scalar> {
 }
 
 impl<S: Scalar> GemmScratch<S> {
-    /// Scratch under the process-wide [`kernel_policy`] and [`Tier::host`].
+    /// Scratch for the production ([`KernelPolicy::Fast`]) arithmetic on
+    /// [`Tier::host`].
     pub fn new() -> Self {
-        Self::with(kernel_policy(), Tier::host())
+        Self::with(KernelPolicy::Fast, Tier::host())
     }
 
     /// Scratch with an explicit policy and tier — lets tests and benches
-    /// compare the variants inside one process.
+    /// compare the reference oracle and the tiers inside one process.
     pub fn with(policy: KernelPolicy, tier: Tier) -> Self {
         GemmScratch {
             policy,

@@ -1,34 +1,19 @@
-//! Process-wide kernel policy: which arithmetic variant the hot kernels
-//! run.
+//! Which arithmetic a kernel runs: the production kernels, or the
+//! original scalar arithmetic kept as a test oracle.
 //!
-//! PR 8 introduces kernels whose *results* differ from the original
-//! scalar code at the last-bit level — radix-4 butterflies, the packed
-//! r2c/c2r transform path, lane-split dot products, and the packed GEMM
-//! microkernel all re-associate floating-point sums. Every one of them is
-//! deterministic (bit-identical across `LS3DF_THREADS` and
-//! `LS3DF_SCHEDULE`), but none reproduces the radix-2 / straight-loop
-//! bit patterns that the golden digests in `tests/scheme_digest.rs` pin.
+//! The optimized kernels — radix-4 and mixed-radix butterflies, the packed
+//! r2c/c2r transform path, lane-split dot products, the packed GEMM
+//! microkernel — re-associate floating-point sums, so their results differ
+//! from the original scalar code at the last-bit level. Every one of them
+//! is deterministic (bit-identical across `LS3DF_THREADS` and
+//! `LS3DF_SCHEDULE`).
 //!
-//! [`KernelPolicy`] resolves that tension the same way `LS3DF_THREADS`
-//! and `LS3DF_SCHEDULE` configure the runtime: an environment switch
-//! latched once per process.
-//!
-//! * `LS3DF_KERNELS=fast` (or unset) — the optimized kernels. Guarded by
-//!   the tolerance suite in `tests/kernel_tol.rs` (per-kernel bounds vs
-//!   the reference path).
-//! * `LS3DF_KERNELS=reference` — the original scalar kernels, unchanged
-//!   arithmetic, still covered by the exact golden digests.
-//!
-//! The policy is read through [`kernel_policy`] exactly once (OnceLock),
-//! so a process can never mix variants mid-run; plans and solvers built
-//! after the first read see the same answer as ones built before.
-//! Unrecognized values fall back to [`KernelPolicy::Fast`] — the
-//! reference path is a validation surface, not something a production
-//! run should land on via a typo. Tests and benches that need *both*
-//! variants in one process use the explicit `*_with`/`with_policy`
-//! constructors instead of the global switch.
-
-use std::sync::OnceLock;
+//! There is one production arithmetic: every plain constructor and entry
+//! point (`Fft1d::new`, `GemmScratch::new`, `gemm`, `dotc`, …) runs
+//! [`KernelPolicy::Fast`]. [`KernelPolicy::Reference`] is reached only
+//! through the explicit `*_with`/`with` constructors, which the per-kernel
+//! tolerance suite (`tests/kernel_tol.rs`) and the kernels' own unit tests
+//! use to compare both variants inside one process.
 
 /// Which arithmetic variant the FFT/GEMM/BLAS-1 hot kernels use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,62 +23,9 @@ pub enum KernelPolicy {
     /// across thread counts, but *not* bit-identical to the reference
     /// arithmetic — gated by per-kernel tolerance tests.
     Fast,
-    /// The pre-PR-8 scalar kernels, bit-for-bit: radix-2 only, complex
-    /// 3-D transforms on real fields, sequential dot products. The golden
-    /// digest tests run under this policy.
+    /// The original scalar kernels, bit-for-bit: radix-2 and Bluestein
+    /// only, complex 3-D transforms on real fields, sequential dot
+    /// products, scalar GEMM loops. A test oracle, never run in
+    /// production.
     Reference,
-}
-
-impl KernelPolicy {
-    /// The `LS3DF_KERNELS` value selecting this policy.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelPolicy::Fast => "fast",
-            KernelPolicy::Reference => "reference",
-        }
-    }
-
-    fn parse(s: &str) -> Option<KernelPolicy> {
-        match s.trim() {
-            "fast" => Some(KernelPolicy::Fast),
-            "reference" => Some(KernelPolicy::Reference),
-            _ => None,
-        }
-    }
-}
-
-static POLICY: OnceLock<KernelPolicy> = OnceLock::new();
-
-/// The process-wide kernel policy, latched from `LS3DF_KERNELS` on first
-/// call. Unset or unrecognized values resolve to [`KernelPolicy::Fast`].
-pub fn kernel_policy() -> KernelPolicy {
-    *POLICY.get_or_init(|| {
-        std::env::var("LS3DF_KERNELS")
-            .ok()
-            .and_then(|s| KernelPolicy::parse(&s))
-            .unwrap_or(KernelPolicy::Fast)
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_accepts_exact_names_only() {
-        assert_eq!(KernelPolicy::parse("fast"), Some(KernelPolicy::Fast));
-        assert_eq!(
-            KernelPolicy::parse(" reference\n"),
-            Some(KernelPolicy::Reference)
-        );
-        assert_eq!(KernelPolicy::parse("FAST"), None);
-        assert_eq!(KernelPolicy::parse("scalar"), None);
-    }
-
-    #[test]
-    fn policy_is_latched() {
-        // Whatever the environment says, two reads agree — the OnceLock
-        // guarantees a process never mixes kernel variants.
-        assert_eq!(kernel_policy(), kernel_policy());
-    }
 }

@@ -5,14 +5,13 @@
 //! shape (one wavefunction at a time), which is exactly why its performance
 //! was limited to ~15% of peak before the all-band (BLAS-3) rewrite.
 
-use crate::policy::{kernel_policy, KernelPolicy};
+use crate::policy::KernelPolicy;
 use crate::{c64, microkernel, Scalar};
 
-/// Inner product `⟨x|y⟩ = Σ conj(x_i)·y_i` under the process-wide
-/// [`kernel_policy`].
+/// Inner product `⟨x|y⟩ = Σ conj(x_i)·y_i` (the `Fast` arithmetic).
 #[inline]
 pub fn dotc<S: Scalar>(x: &[S], y: &[S]) -> S {
-    dotc_with(kernel_policy(), x, y)
+    dotc_with(KernelPolicy::Fast, x, y)
 }
 
 /// [`dotc`] with an explicit [`KernelPolicy`]: `Fast` breaks the serial

@@ -9,15 +9,14 @@
 //!   `Σᵢ |ψ(rᵢ)|²·dv = 1`, and [`PwBasis::grid_to_wave`] is its exact
 //!   left inverse.
 //!
-//! Under the default `fast` kernel policy the grid transfers are
-//! **sphere-aware**: the coefficients live inside the cutoff sphere, a
-//! small part of the FFT box (radius ≈ 3 grid units on a 14³ fragment
-//! box at `E_cut = 1.5`), so the synthesis transforms only the x-lines
-//! and y-pencils the sphere touches before its full z pass, and the
-//! analysis runs the mirror order and skips every line whose outputs the
-//! basis never reads (`ls3df_fft::Occupancy`, built once per basis).
-//! `LS3DF_KERNELS=reference` keeps the full x → y → z transforms, whose
-//! arithmetic order the golden digests pin.
+//! The grid transfers are **sphere-aware**: the coefficients live inside
+//! the cutoff sphere, a small part of the FFT box (radius ≈ 3 grid units
+//! on a 14³ fragment box at `E_cut = 1.5`), so the synthesis transforms
+//! only the x-lines and y-pencils the sphere touches before its full z
+//! pass, and the analysis runs the mirror order and skips every line whose
+//! outputs the basis never reads (`ls3df_fft::Occupancy`, built once per
+//! basis). `tests/kernel_tol.rs` rebuilds the full-grid transfers from the
+//! public plan as their oracle.
 //!
 //! ## Γ-point packed real rows
 //!
@@ -58,12 +57,12 @@
 //! (`Re F` / `Im F` on a self-conjugate slot). [`crate::Hamiltonian`] runs
 //! its `f64` blocks this way, one transform pair per two bands. The
 //! full-sphere counterpart, [`PwBasis::wave_pair_to_grid_with`], is what
-//! `compute_density` uses under `fast` for two `c64` rows that
+//! `compute_density` uses for two `c64` rows that
 //! [`PwBasis::is_conjugate_symmetric`] accepts.
 
 use ls3df_fft::{Fft3, Fft3Workspace, Occupancy};
 use ls3df_grid::Grid3;
-use ls3df_math::{c64, kernel_policy, KernelPolicy};
+use ls3df_math::c64;
 use std::sync::Mutex;
 
 /// Planewave basis bound to a periodic grid.
@@ -79,9 +78,9 @@ pub struct PwBasis {
     g_vec: Vec<[f64; 3]>,
     /// Γ-point half-sphere index behind the packed real rows.
     half: HalfSphere,
-    /// Grid lines the cutoff sphere touches — `Some` exactly when the
-    /// transforms are sphere-aware (the `fast` kernel policy).
-    sphere: Option<Occupancy>,
+    /// Grid lines the cutoff sphere touches: what the sphere-aware
+    /// transforms skip the rest by.
+    sphere: Occupancy,
     /// Pool of FFT workspaces backing the convenience (non-`_with`)
     /// transform methods: after warmup, checkout/return is push/pop on a
     /// preallocated Vec and the transforms stay heap-free.
@@ -173,7 +172,7 @@ impl PwBasis {
             }
         }
         let fft = Fft3::new(grid.dims[0], grid.dims[1], grid.dims[2]);
-        let sphere = (kernel_policy() == KernelPolicy::Fast).then(|| fft.occupancy(&g_slot));
+        let sphere = fft.occupancy(&g_slot);
         let half = HalfSphere::new(&grid, &g_slot, &g2s);
         PwBasis {
             grid,
@@ -393,20 +392,10 @@ impl PwBasis {
 
     /// The transform half of [`PwBasis::wave_to_grid_with`]: `buf` holds
     /// scattered coefficients on entry, `ψ(rᵢ)` on exit.
-    pub(crate) fn synthesize(&self, buf: &mut [c64], ws: &mut Fft3Workspace) {
-        let sqrt_vol = self.grid.volume().sqrt();
-        let scale = match &self.sphere {
-            // The sphere-aware inverse is the bare Σ_G c_G·e^{iG·r}.
-            Some(sphere) => {
-                self.fft.inverse_from_sparse(buf, sphere, ws);
-                1.0 / sqrt_vol
-            }
-            // inverse = (1/N)·Σ; we need (1/√Ω)·Σ → scale by N/√Ω.
-            None => {
-                self.fft.inverse_with(buf, ws);
-                self.grid.len() as f64 / sqrt_vol
-            }
-        };
+    fn synthesize(&self, buf: &mut [c64], ws: &mut Fft3Workspace) {
+        // The sphere-aware inverse is the bare Σ_G c_G·e^{iG·r}.
+        self.fft.inverse_from_sparse(buf, &self.sphere, ws);
+        let scale = 1.0 / self.grid.volume().sqrt();
         for v in buf.iter_mut() {
             *v = v.scale(scale);
         }
@@ -428,36 +417,21 @@ impl PwBasis {
     /// the allocation-free hot-path entry point. `buf` is consumed as
     /// scratch.
     pub fn grid_to_wave_with(&self, buf: &mut [c64], coeffs: &mut [c64], ws: &mut Fft3Workspace) {
-        self.analyze(buf, ws);
+        assert_eq!(buf.len(), self.grid.len(), "grid_to_wave: buffer size");
+        self.fft.forward_to_sparse(buf, &self.sphere, ws);
         self.gather(buf, coeffs);
-        let scale = self.analysis_scale();
+        // forward = Σ_j …; c_G = (√Ω/N)·forward.
+        let scale = self.grid.volume().sqrt() / self.grid.len() as f64;
         for c in coeffs.iter_mut() {
             *c = c.scale(scale);
         }
     }
 
-    /// The transform half of [`PwBasis::grid_to_wave_with`]: the raw
-    /// forward transform, whose gathered bins still want
-    /// [`PwBasis::analysis_scale`].
-    pub(crate) fn analyze(&self, buf: &mut [c64], ws: &mut Fft3Workspace) {
-        assert_eq!(buf.len(), self.grid.len(), "grid_to_wave: buffer size");
-        match &self.sphere {
-            Some(sphere) => self.fft.forward_to_sparse(buf, sphere, ws),
-            None => self.fft.forward_with(buf, ws),
-        }
-    }
-
-    /// forward = Σ_j …; c_G = (√Ω/N)·forward.
-    pub(crate) fn analysis_scale(&self) -> f64 {
-        self.grid.volume().sqrt() / self.grid.len() as f64
-    }
-
-    /// The cutoff sphere's footprint on the grid, when the transforms are
-    /// sphere-aware (`fast` kernel policy) — for callers that run the
-    /// sparse transforms themselves to fold the normalizations into
+    /// The cutoff sphere's footprint on the grid — for callers that run
+    /// the sparse transforms themselves to fold the normalizations into
     /// their own pass over the grid ([`crate::Hamiltonian`]).
-    pub(crate) fn sphere(&self) -> Option<&Occupancy> {
-        self.sphere.as_ref()
+    pub(crate) fn sphere(&self) -> &Occupancy {
+        &self.sphere
     }
 
     /// Zeroes `buf` and drops the coefficients onto their grid slots.
@@ -538,10 +512,9 @@ impl PwBasis {
     }
 
     /// Splits the spectrum `F` of `Vψ_a + i·Vψ_b` (`V` real) into the two
-    /// packed rows, each coefficient times `scale`: `A = (F(G) + conj
-    /// F(−G))/2`, `B = (F(G) − conj F(−G))/2i` — `Re F` and `Im F` on a
-    /// self-conjugate slot.
-    pub(crate) fn gather_packed_pair(&self, buf: &[c64], scale: f64, a: &mut [f64], b: &mut [f64]) {
+    /// packed rows: `A = (F(G) + conj F(−G))/2`, `B = (F(G) − conj
+    /// F(−G))/2i` — `Re F` and `Im F` on a self-conjugate slot.
+    pub(crate) fn gather_packed_pair(&self, buf: &[c64], a: &mut [f64], b: &mut [f64]) {
         assert_eq!(a.len(), self.len(), "grid_to_wave: coefficient count");
         assert_eq!(b.len(), self.len(), "grid_to_wave: coefficient count");
         assert_eq!(buf.len(), self.grid.len(), "grid_to_wave: buffer size");
@@ -550,11 +523,11 @@ impl PwBasis {
             (a.split_at_mut(n_self), b.split_at_mut(n_self));
         for ((pa, pb), &i) in a_self.iter_mut().zip(b_self).zip(&self.half.selfs) {
             let f = buf[self.g_slot[i]];
-            *pa = f.re * scale;
-            *pb = f.im * scale;
+            *pa = f.re;
+            *pb = f.im;
         }
-        // √2 (packed) · ½ (the split) · scale.
-        let k = scale * std::f64::consts::FRAC_1_SQRT_2;
+        // √2 (packed) · ½ (the split).
+        let k = std::f64::consts::FRAC_1_SQRT_2;
         let rows = a_pairs.chunks_exact_mut(2).zip(b_pairs.chunks_exact_mut(2));
         for ((pa, pb), &[i, j]) in rows.zip(&self.half.pairs) {
             let (f, m) = (buf[self.g_slot[i]], buf[self.g_slot[j]]);

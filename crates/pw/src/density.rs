@@ -3,7 +3,7 @@
 use crate::PwBasis;
 use ls3df_fft::Fft3Workspace;
 use ls3df_grid::RealField;
-use ls3df_math::{c64, kernel_policy, KernelPolicy, Matrix};
+use ls3df_math::{c64, Matrix};
 use rayon::prelude::*;
 
 /// Bands per parallel work unit in [`compute_density`]. Fixed (not derived
@@ -19,14 +19,14 @@ const BAND_BLOCK: usize = 8;
 /// The summation tree depends only on the band count — never on the rayon
 /// schedule — so repeated runs produce bit-identical densities.
 ///
-/// Under the `fast` policy a block synthesizes two occupied real orbitals
-/// (rows [`PwBasis::is_conjugate_symmetric`] accepts) per transform,
-/// `ψ_a + i·ψ_b`, and adds `f_a·Re² + f_b·Im²`. Any other occupied row,
-/// and a real orbital left without a partner in its block, goes through a
-/// transform of its own, so the density is right for any input. The solve
-/// entries and `random_start` hand out real orbitals under `fast`. Pairs
-/// never straddle a block, so the summation tree is the same.
-/// `reference` transforms every occupied band on its own.
+/// A block synthesizes two occupied real orbitals (rows
+/// [`PwBasis::is_conjugate_symmetric`] accepts) per transform,
+/// `ψ_a + i·ψ_b`, and adds `f_a·Re² + f_b·Im²`. Any other occupied row —
+/// a complex row from a public caller or an old snapshot — and a real
+/// orbital left without a partner in its block goes through a transform
+/// of its own, so the density is right for any input. The solve entries
+/// and `random_start` hand out real orbitals. Pairs never straddle a
+/// block, so the summation tree is the same.
 pub fn compute_density(basis: &PwBasis, psi: &Matrix<c64>, occupations: &[f64]) -> RealField {
     assert_eq!(
         psi.rows(),
@@ -34,8 +34,6 @@ pub fn compute_density(basis: &PwBasis, psi: &Matrix<c64>, occupations: &[f64]) 
         "density: occupation count mismatch"
     );
     assert_eq!(psi.cols(), basis.len(), "density: basis mismatch");
-    let pair_bands = kernel_policy() == KernelPolicy::Fast;
-    let pairable = |b: usize| pair_bands && basis.is_conjugate_symmetric(psi.row(b));
     let ngrid = basis.grid().len();
     let nb = psi.rows();
     let blocks: Vec<(usize, usize)> = (0..nb.div_ceil(BAND_BLOCK))
@@ -59,7 +57,7 @@ pub fn compute_density(basis: &PwBasis, psi: &Matrix<c64>, occupations: &[f64]) 
             // A real orbital waiting for the next one in the block.
             let mut waiting = None;
             for b in (lo..hi).filter(|&b| occupations[b] != 0.0) {
-                if !pairable(b) {
+                if !basis.is_conjugate_symmetric(psi.row(b)) {
                     single(b, &mut acc, &mut buf, &mut ws);
                 } else if let Some(a) = waiting.take() {
                     basis.wave_pair_to_grid_with(psi.row(a), psi.row(b), &mut buf, &mut ws);
@@ -168,9 +166,9 @@ mod tests {
 
     #[test]
     fn complex_rows_among_real_orbitals_keep_their_own_density() {
-        // Bands 1 and 3 are complex (not real orbitals). Under `fast` the
-        // real ones pair around them; each complex one must still add its
-        // own |ψ|², not Re²/Im² of a mix with a neighbour.
+        // Bands 1 and 3 are complex (not real orbitals). The real ones
+        // pair around them; each complex one must still add its own |ψ|²,
+        // not Re²/Im² of a mix with a neighbour.
         let basis = PwBasis::new(Grid3::cubic(10, 6.0), 1.5);
         let nb = 5;
         let mut psi = real_orbitals(&basis, nb);

@@ -21,12 +21,12 @@
 //! complex one, once per geometry) and the kinetic term reads the packed
 //! `|G|²` table. The local term differs in how many bands share a
 //! transform: a `c64` row takes one complex sphere-pruned transform pair
-//! per band, while a packed block — what the solver runs under `fast` —
+//! per band, while a packed block — what the solver runs —
 //! takes one pair per *two* bands: rows `2k` and `2k+1` are real
 //! functions in `r`, so they ride as `ψ_a + i·ψ_b` and are split again in
 //! G ([`PwBasis`] module docs, "Two real bands per complex transform").
-//! An odd last band and the single-band path keep one pair per band, and
-//! the `c64` instantiation — all that `reference` runs — is unchanged.
+//! An odd last band, the single-band path and the `c64` instantiation
+//! keep one pair per band.
 
 use crate::{Coeff, PwBasis};
 use ls3df_fft::Fft3Workspace;
@@ -251,13 +251,11 @@ pub struct HamWorkspace<S: Coeff = c64> {
 pub struct Hamiltonian<'a> {
     basis: &'a PwBasis,
     nonlocal: &'a NonlocalPotential,
-    /// Effective local potential on the real-space grid (Hartree).
-    v_local: RealField,
-    /// `V(r)/N` on the grid, cached when the basis transforms are
-    /// sphere-aware: the one factor left of an H·ψ's normalizations
-    /// (`1/N` inverse, `N/√Ω` synthesis, `V(r)`, `√Ω/N` analysis) once
-    /// both transforms run unnormalized.
-    v_over_n: Option<Vec<f64>>,
+    /// The effective local potential over the grid size, `V(r)/N`: the
+    /// one factor left of an H·ψ's normalizations (`1/N` inverse, `N/√Ω`
+    /// synthesis, `V(r)`, `√Ω/N` analysis) once both sphere-pruned
+    /// transforms run unnormalized.
+    v_over_n: RealField,
 }
 
 impl<'a> Hamiltonian<'a> {
@@ -269,14 +267,11 @@ impl<'a> Hamiltonian<'a> {
             basis.grid(),
             "Hamiltonian: potential grid mismatch"
         );
-        let inv_n = 1.0 / basis.grid().len() as f64;
-        let v_over_n = basis
-            .sphere()
-            .map(|_| v_local.as_slice().iter().map(|v| v * inv_n).collect());
+        let mut v_over_n = v_local;
+        v_over_n.scale(1.0 / basis.grid().len() as f64);
         Hamiltonian {
             basis,
             nonlocal,
-            v_local,
             v_over_n,
         }
     }
@@ -384,13 +379,8 @@ impl<'a> Hamiltonian<'a> {
         // A packed real row lands on the grid as c_G / conj c_G and takes
         // the same complex transform pair as a full-sphere row.
         S::scatter(self.basis, psi, grid);
-        let scale = self.local_round_trip(grid, fft);
+        self.local_round_trip(grid, fft);
         S::gather(self.basis, grid, hpsi);
-        if let Some(scale) = scale {
-            for c in hpsi.iter_mut() {
-                *c = c.scale(scale);
-            }
-        }
         self.add_kinetic(psi, hpsi);
     }
 
@@ -406,34 +396,22 @@ impl<'a> Hamiltonian<'a> {
         fft: &mut Fft3Workspace,
     ) {
         self.basis.scatter_packed_pair(a, b, grid);
-        let scale = self.local_round_trip(grid, fft).unwrap_or(1.0);
-        self.basis.gather_packed_pair(grid, scale, ha, hb);
+        self.local_round_trip(grid, fft);
+        self.basis.gather_packed_pair(grid, ha, hb);
         self.add_kinetic(a, ha);
         self.add_kinetic(b, hb);
     }
 
     /// The local potential on scattered coefficients, in place:
-    /// `ψ(G) → ψ(r) → V(r)·ψ(r) → (Vψ)(G)`. Returns the factor the
-    /// gathered coefficients still need, if any.
-    fn local_round_trip(&self, grid: &mut [c64], fft: &mut Fft3Workspace) -> Option<f64> {
-        if let (Some(sphere), Some(v_over_n)) = (self.basis.sphere(), &self.v_over_n) {
-            // Both transforms raw and sphere-pruned; V(r)/N is the only
-            // scaling the round trip needs.
-            let plan = self.basis.fft();
-            plan.inverse_from_sparse(grid, sphere, fft);
-            for (b, &vv) in grid.iter_mut().zip(v_over_n) {
-                *b = b.scale(vv);
-            }
-            plan.forward_to_sparse(grid, sphere, fft);
-            None
-        } else {
-            self.basis.synthesize(grid, fft);
-            for (b, &vv) in grid.iter_mut().zip(self.v_local.as_slice()) {
-                *b = b.scale(vv);
-            }
-            self.basis.analyze(grid, fft);
-            Some(self.basis.analysis_scale())
+    /// `ψ(G) → ψ(r) → V(r)·ψ(r) → (Vψ)(G)`. Both transforms are raw and
+    /// sphere-pruned; `V(r)/N` is the only scaling the round trip needs.
+    fn local_round_trip(&self, grid: &mut [c64], fft: &mut Fft3Workspace) {
+        let (plan, sphere) = (self.basis.fft(), self.basis.sphere());
+        plan.inverse_from_sparse(grid, sphere, fft);
+        for (b, &vv) in grid.iter_mut().zip(self.v_over_n.as_slice()) {
+            *b = b.scale(vv);
         }
+        plan.forward_to_sparse(grid, sphere, fft);
     }
 
     /// `hpsi += −½∇²·psi`, diagonal in G.

@@ -6,13 +6,13 @@
 
 use ls3df_fft::{Fft3, Fft3Workspace, Fft3r, Fft3rWorkspace};
 use ls3df_grid::{Grid3, RealField};
-use ls3df_math::{c64, kernel_policy, KernelPolicy};
+use ls3df_math::{c64, KernelPolicy};
 use std::sync::Mutex;
 
 /// Scratch one Poisson solve needs; the variant matches the solver's
 /// kernel policy (a solver pool never mixes variants).
 enum HartreeScratch {
-    /// Reference path: full complex grid buffer + complex FFT scratch.
+    /// Reference oracle: full complex grid buffer + complex FFT scratch.
     Complex { buf: Vec<c64>, ws: Fft3Workspace },
     /// Fast path: packed `(n1/2+1)·n2·n3` spectrum + r2c FFT scratch.
     Packed { spec: Vec<c64>, ws: Fft3rWorkspace },
@@ -22,11 +22,11 @@ enum HartreeScratch {
 /// (including Bluestein filter FFTs) and the reciprocal-space kernel
 /// are built once at construction, not per solve.
 ///
-/// Under [`KernelPolicy::Fast`] the solve runs through the packed
-/// [`Fft3r`] r2c/c2r transform — ρ and V are real, so only the
-/// non-redundant Hermitian half of the spectrum is ever computed or
-/// scaled. [`KernelPolicy::Reference`] keeps the pre-PR-8 complex-grid
-/// arithmetic bit-for-bit (the golden-digest anchor).
+/// The solve runs through the packed [`Fft3r`] r2c/c2r transform — ρ
+/// and V are real, so only the non-redundant Hermitian half of the
+/// spectrum is ever computed or scaled. A solver built with
+/// [`KernelPolicy::Reference`] keeps the original complex-grid
+/// arithmetic as the oracle `tests/kernel_tol.rs` compares against.
 ///
 /// [`HartreeSolver::solve_into`] is the steady-state GENPOT entry point:
 /// after the first call has warmed the internal scratch pool it performs
@@ -47,14 +47,13 @@ pub struct HartreeSolver {
 }
 
 impl HartreeSolver {
-    /// Builds the solver for a grid geometry (plans + kernels, once)
-    /// under the process-wide kernel policy.
+    /// Builds the solver for a grid geometry (plans + kernels, once).
     pub fn new(grid: Grid3) -> Self {
-        Self::new_with(grid, kernel_policy())
+        Self::new_with(grid, KernelPolicy::Fast)
     }
 
     /// [`HartreeSolver::new`] with an explicit [`KernelPolicy`] — lets
-    /// tests and benches compare both paths in one process.
+    /// tests and benches compare the reference oracle in one process.
     pub fn new_with(grid: Grid3, policy: KernelPolicy) -> Self {
         let fft = Fft3::new(grid.dims[0], grid.dims[1], grid.dims[2]);
         let rfft = Fft3r::new_with(grid.dims, policy);

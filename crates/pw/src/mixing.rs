@@ -12,7 +12,7 @@
 
 use ls3df_fft::{Fft3, Fft3r, Fft3rWorkspace};
 use ls3df_grid::RealField;
-use ls3df_math::{c64, kernel_policy, KernelPolicy, Matrix};
+use ls3df_math::{c64, KernelPolicy, Matrix};
 
 /// Mixing scheme selector.
 #[derive(Clone, Debug)]
@@ -62,7 +62,7 @@ pub struct MixerState {
     /// Kerker damping factors `α·G²/(G²+q₀²)` cached per grid geometry —
     /// the reciprocal-space sweep then reads a flat table instead of
     /// recomputing `coords`/`g2` per point per iteration. (Reference
-    /// path; the fast path caches [`KerkerPacked`] instead.)
+    /// oracle; the production path caches [`KerkerPacked`] instead.)
     kerker: Option<(ls3df_grid::Grid3, Vec<f64>)>,
     kerker_packed: Option<KerkerPacked>,
     /// Complex scratch reused across the reference Kerker round-trips.
@@ -70,13 +70,13 @@ pub struct MixerState {
 }
 
 impl MixerState {
-    /// Creates the state for a scheme under the process-wide kernel
-    /// policy.
+    /// Creates the state for a scheme.
     pub fn new(scheme: Mixer) -> Self {
-        Self::new_with(scheme, kernel_policy())
+        Self::new_with(scheme, KernelPolicy::Fast)
     }
 
-    /// [`MixerState::new`] with an explicit [`KernelPolicy`].
+    /// [`MixerState::new`] with an explicit [`KernelPolicy`] — the
+    /// reference Kerker oracle for the tolerance tests.
     pub fn new_with(scheme: Mixer, policy: KernelPolicy) -> Self {
         MixerState {
             scheme,

@@ -4,7 +4,7 @@
 use crate::{hartree, xc, PwBasis};
 use ls3df_fft::Fft3r;
 use ls3df_grid::RealField;
-use ls3df_math::{c64, kernel_policy, KernelPolicy};
+use ls3df_math::{c64, KernelPolicy};
 use ls3df_pseudo::LocalPotential;
 
 /// One atom as the planewave engine sees it: position + pseudopotential
@@ -24,13 +24,12 @@ pub struct PwAtom {
 /// Builds the total ionic local potential `V_ion(r)` on the basis grid by
 /// reciprocal-space assembly (structure factor × form factor).
 pub fn ionic_potential(basis: &PwBasis, atoms: &[PwAtom]) -> RealField {
-    ionic_potential_with(basis, atoms, kernel_policy())
+    ionic_potential_with(basis, atoms, KernelPolicy::Fast)
 }
 
 /// [`ionic_potential`] under an explicit [`KernelPolicy`] — the in-process
 /// A/B entry point for the fast-vs-reference tolerance gate
-/// (`tests/kernel_tol.rs`); production callers use [`ionic_potential`],
-/// which latches the policy from `LS3DF_KERNELS`.
+/// (`tests/kernel_tol.rs`); production callers use [`ionic_potential`].
 pub fn ionic_potential_with(basis: &PwBasis, atoms: &[PwAtom], policy: KernelPolicy) -> RealField {
     synthesize_real_field_with(basis, atoms, |a, q| atoms[a].local.fourier(q), policy)
 }
@@ -45,7 +44,7 @@ fn synthesize_real_field<F: Fn(usize, f64) -> f64>(
     atoms: &[PwAtom],
     form: F,
 ) -> RealField {
-    synthesize_real_field_with(basis, atoms, form, kernel_policy())
+    synthesize_real_field_with(basis, atoms, form, KernelPolicy::Fast)
 }
 
 fn synthesize_real_field_with<F: Fn(usize, f64) -> f64>(

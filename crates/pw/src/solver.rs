@@ -24,26 +24,23 @@
 //! Both solvers (and the Hamiltonian under them) are written once, generic
 //! over the row representation [`Coeff`]. The two public solve entries —
 //! [`try_solve_all_band_with`] and [`try_solve_band_by_band`] — take and
-//! return full-sphere `c64` blocks and pick the representation:
-//!
-//! * `KernelPolicy::Reference` runs the `c64` instantiation on the block
-//!   as given — the arithmetic the golden digests pin, and the
-//!   complex-arithmetic oracle for the real path;
-//! * `KernelPolicy::Fast` packs the block into Γ-point real rows
-//!   ([`crate::PwBasis::pack`]), runs the `f64` instantiation — every block
-//!   product a real GEMM (a quarter of the flops, half the bytes), a
-//!   real-symmetric subspace matrix, real Cholesky, BLAS-1 on half the data
-//!   — and unpacks on success. On error the caller's block is untouched.
+//! return full-sphere `c64` blocks, pack them into Γ-point real rows
+//! ([`crate::PwBasis::pack`]) and run the `f64` instantiation: every block
+//! product a real GEMM (a quarter of the flops, half the bytes), a
+//! real-symmetric subspace matrix, real Cholesky, BLAS-1 on half the data.
+//! They unpack on success; on error the caller's block is untouched. The
+//! `c64` instantiation is the complex-arithmetic oracle the unit tests
+//! hold the real one to.
 //!
 //! A start block that is not conjugate-symmetric (a complex random start)
 //! is packed as `Re ψ(r)`; one whose real part vanishes fails the entry
 //! orthonormalization as [`SolverError::DependentStartVectors`] like any
 //! other degenerate start. State at rest (fragment `ψ`, snapshots, the
-//! density accumulation) is always the unpacked full-sphere block — under
-//! `fast` therefore exactly conjugate-symmetric, which is what lets
-//! `compute_density` synthesize two of these bands per transform.
-//! [`cg_init`]/[`cg_residual`]/[`cg_step`] are the instantiations
-//! themselves (`c64` when handed `c64` blocks, whatever the policy).
+//! density accumulation) is the unpacked full-sphere block, exactly
+//! conjugate-symmetric, which is what lets `compute_density` synthesize
+//! two of these bands per transform. [`cg_init`]/[`cg_residual`]/
+//! [`cg_step`] are the instantiations themselves (`c64` when handed `c64`
+//! blocks).
 
 use crate::hamiltonian::count_block_product;
 use crate::{Coeff, HamWorkspace, Hamiltonian, PwBasis};
@@ -51,7 +48,7 @@ use ls3df_math::cholesky::FactorError;
 use ls3df_math::gemm::{self, gemm_into, GemmScratch, Op};
 use ls3df_math::ortho;
 use ls3df_math::vec_ops::{axpy, dotc, dscal, nrm2};
-use ls3df_math::{c64, eigh_fast as eigh, kernel_policy, KernelPolicy, Matrix, Scalar};
+use ls3df_math::{c64, eigh_fast as eigh, Matrix, Scalar};
 use ls3df_obs::{counter_add, Counter};
 
 /// Options controlling the iterative eigensolvers.
@@ -205,9 +202,9 @@ fn line_minimize<S: Scalar>(psi: &mut [S], hpsi: &mut [S], d: &[S], hd: &[S], a:
 /// loop free of heap allocations — the property the `alloc-count` test
 /// asserts. The `(n_bands × n_pw)` blocks are allocated by the first
 /// [`cg_init`], so a `c64` workspace that only ever serves the solve
-/// entries under the `fast` policy holds the packed real blocks and no
-/// complex ones. A workspace is tied to the block shape and grid it was
-/// built for; never share one between threads.
+/// entries holds the packed real blocks and no complex ones. A workspace
+/// is tied to the block shape and grid it was built for; never share one
+/// between threads.
 pub struct CgWorkspace<S: Coeff = c64> {
     /// `H·ψ` for the current block (kept in sync with `psi` by the steps).
     hpsi: Matrix<S>,
@@ -241,7 +238,7 @@ pub struct CgWorkspace<S: Coeff = c64> {
     /// serves every block product of the solver.
     ham: HamWorkspace<S>,
     /// The packed real block and its workspace, built by the first
-    /// [`try_solve_all_band_with`] under the `fast` policy.
+    /// [`try_solve_all_band_with`].
     packed: Option<Box<(Matrix<f64>, CgWorkspace<f64>)>>,
 }
 
@@ -277,17 +274,12 @@ impl<S: Coeff> CgWorkspace<S> {
 }
 
 /// Heap bytes of the `(n_bands × n_pw)` blocks one
-/// [`try_solve_all_band`] holds while it runs under the process' kernel
-/// policy: the six blocks [`cg_init`] sizes, plus the packed copy of the
-/// caller's block under `fast` (where all seven are real). The
+/// [`try_solve_all_band`] holds while it runs: the six real blocks
+/// [`cg_init`] sizes plus the packed copy of the caller's block. The
 /// `n_bands²` matrices, FFT buffers and GEMM pack scratch come on top —
 /// a few MiB whatever the block.
 pub fn solve_workspace_bytes(n_bands: usize, n_pw: usize) -> usize {
-    let block = n_bands * n_pw;
-    match kernel_policy() {
-        KernelPolicy::Reference => 6 * block * size_of::<c64>(),
-        KernelPolicy::Fast => 7 * block * size_of::<f64>(),
-    }
+    7 * n_bands * n_pw * size_of::<f64>()
 }
 
 /// Initializes the CG state for a (new) block: computes `H·ψ` and the
@@ -490,9 +482,8 @@ pub fn try_solve_all_band(
 /// [`solve_all_band`] driving caller-owned scratch, so repeated solves
 /// (one per SCF iteration) reuse one set of block temporaries.
 ///
-/// Under the `fast` policy the solve runs on the Γ-point packed real
-/// block (module docs): `psi` is packed on entry, unpacked on success and
-/// left untouched on error.
+/// The solve runs on the Γ-point packed real block (module docs): `psi`
+/// is packed on entry, unpacked on success and left untouched on error.
 ///
 /// Pathological states (dependent start vectors, an indefinite overlap,
 /// NaN residuals) return a typed [`SolverError`] instead of panicking, so
@@ -504,9 +495,6 @@ pub fn try_solve_all_band_with(
     opts: &SolverOptions,
     ws: &mut CgWorkspace,
 ) -> Result<SolveStats, SolverError> {
-    if kernel_policy() == KernelPolicy::Reference {
-        return all_band(h, psi, opts, ws);
-    }
     let (nb, npw) = psi.shape();
     let (block, real_ws) = &mut **ws.packed.get_or_insert_with(|| {
         // alloc-audit: first packed solve through this workspace only.
@@ -620,9 +608,6 @@ pub fn try_solve_band_by_band(
     psi: &mut Matrix<c64>,
     opts: &SolverOptions,
 ) -> Result<SolveStats, SolverError> {
-    if kernel_policy() == KernelPolicy::Reference {
-        return band_by_band(h, psi, opts);
-    }
     // alloc-audit: once per solve, not per step.
     let mut block = Matrix::zeros(psi.rows(), psi.cols());
     pack_block(h.basis(), psi, &mut block);
@@ -939,11 +924,11 @@ mod tests {
 
     #[test]
     fn real_and_complex_instantiations_agree_on_a_fragment_like_hamiltonian() {
-        // Both instantiations called directly, whatever the policy: the
-        // complex one on the unpacked start block, the real one on the
-        // packed block, the same 40 steps each (a fragment solve is
-        // step-limited, not converged). The real trajectory must shadow the
-        // complex one: same eigenvalues, same density.
+        // Both instantiations of both schemes called directly: the complex
+        // one on the unpacked start block, the real one on the packed
+        // block, the same 40 steps each (a fragment solve is step-limited,
+        // not converged). The real trajectory must shadow the complex one:
+        // same eigenvalues, same density.
         let basis = PwBasis::new(Grid3::cubic(14, 11.375), 1.5);
         let (v, nl) = fragment_like(&basis);
         let h = Hamiltonian::new(&basis, v, &nl);
@@ -953,31 +938,47 @@ mod tests {
             tol: 1e-12,
             ..Default::default()
         };
-        let mut packed = Matrix::zeros(nb, basis.len());
-        pack_block(&basis, &rand_block(nb, basis.len(), 41), &mut packed);
-        let mut full = Matrix::zeros(nb, basis.len());
-        unpack_block(&basis, &packed, &mut full);
+        let mut start = Matrix::zeros(nb, basis.len());
+        pack_block(&basis, &rand_block(nb, basis.len(), 41), &mut start);
+        let mut start_full = Matrix::zeros(nb, basis.len());
+        unpack_block(&basis, &start, &mut start_full);
 
-        let real = all_band(&h, &mut packed, &opts, &mut CgWorkspace::new(&h, nb)).unwrap();
-        let complex = all_band(&h, &mut full, &opts, &mut CgWorkspace::new(&h, nb)).unwrap();
-        assert_eq!((real.iterations, complex.iterations), (40, 40));
-        assert!(real.residual < 0.1, "{real:?}");
-        for b in 0..nb {
-            let (r, c) = (real.eigenvalues[b], complex.eigenvalues[b]);
-            assert!((r - c).abs() <= 1e-9, "band {b}: real {r} vs complex {c}");
+        for scheme in ["all-band", "band-by-band"] {
+            let (mut packed, mut full) = (start.clone(), start_full.clone());
+            let (real, complex) = if scheme == "all-band" {
+                (
+                    all_band(&h, &mut packed, &opts, &mut CgWorkspace::new(&h, nb)).unwrap(),
+                    all_band(&h, &mut full, &opts, &mut CgWorkspace::new(&h, nb)).unwrap(),
+                )
+            } else {
+                (
+                    band_by_band::<f64>(&h, &mut packed, &opts).unwrap(),
+                    band_by_band::<c64>(&h, &mut full, &opts).unwrap(),
+                )
+            };
+            assert_eq!(real.iterations, 40, "{scheme}");
+            assert_eq!(complex.iterations, 40, "{scheme}");
+            assert!(real.residual < 0.1, "{scheme}: {real:?}");
+            for b in 0..nb {
+                let (r, c) = (real.eigenvalues[b], complex.eigenvalues[b]);
+                assert!(
+                    (r - c).abs() <= 1e-9,
+                    "{scheme}, band {b}: real {r} vs complex {c}"
+                );
+            }
+            // Fully occupied, so the density is a property of the subspace.
+            let occupations = vec![2.0; nb];
+            let mut unpacked = Matrix::zeros(nb, basis.len());
+            unpack_block(&basis, &packed, &mut unpacked);
+            assert!(ortho::orthonormality_residual(&unpacked, 1.0) < 1e-12);
+            let rho_r = crate::density::compute_density(&basis, &unpacked, &occupations);
+            let rho_c = crate::density::compute_density(&basis, &full, &occupations);
+            let per_electron = rho_r.diff(&rho_c).integrate_abs() / (2.0 * nb as f64);
+            assert!(
+                per_electron <= 1e-8,
+                "{scheme}: density differs by {per_electron:e} per e⁻"
+            );
         }
-        // Fully occupied, so the density is a property of the subspace.
-        let occupations = vec![2.0; nb];
-        let mut unpacked = Matrix::zeros(nb, basis.len());
-        unpack_block(&basis, &packed, &mut unpacked);
-        assert!(ortho::orthonormality_residual(&unpacked, 1.0) < 1e-12);
-        let rho_r = crate::density::compute_density(&basis, &unpacked, &occupations);
-        let rho_c = crate::density::compute_density(&basis, &full, &occupations);
-        let per_electron = rho_r.diff(&rho_c).integrate_abs() / (2.0 * nb as f64);
-        assert!(
-            per_electron <= 1e-8,
-            "density differs by {per_electron:e} per e⁻"
-        );
     }
 
     #[test]
@@ -1007,7 +1008,6 @@ mod tests {
         // e^{iφ}·(real orbitals): the packed block is cos φ times the real
         // one, so any φ short of π/2 solves to the same spectrum; at π/2
         // the real part vanishes and the packed start block is degenerate.
-        // The complex instantiation (`reference`) does not care about φ.
         let basis = PwBasis::new(Grid3::cubic(10, 8.0), 1.4);
         let v = RealField::from_fn(basis.grid().clone(), |r| 0.3 * (r[0] * 0.7).cos());
         let nl = NonlocalPotential::none(&basis);
@@ -1039,17 +1039,13 @@ mod tests {
         let before = imaginary.clone();
         for solve in [try_solve_all_band, try_solve_band_by_band] {
             match solve(&h, &mut imaginary, &opts) {
-                Ok(stats) => assert_eq!(kernel_policy(), KernelPolicy::Reference, "{stats:?}"),
-                Err(SolverError::DependentStartVectors { .. }) => {
-                    assert_eq!(kernel_policy(), KernelPolicy::Fast);
-                    assert!(
-                        imaginary == before,
-                        "the caller's block was modified on error"
-                    );
-                }
-                Err(other) => panic!("unexpected {other:?}"),
+                Err(SolverError::DependentStartVectors { .. }) => {}
+                other => panic!("expected DependentStartVectors, got {other:?}"),
             }
-            imaginary = before.clone();
+            assert!(
+                imaginary == before,
+                "the caller's block was modified on error"
+            );
         }
     }
 

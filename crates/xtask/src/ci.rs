@@ -18,19 +18,7 @@
 //!    group balance, the `LS3DF_GROUPS` digest matrix, worker-kill
 //!    robustness, the obs-off no-op contract; the steps below exist only
 //!    where the features differ or the package is outside the workspace.
-//! 5. `pw-units [reference]`: `LS3DF_KERNELS=reference cargo test -p
-//!    ls3df-pw --lib -q`. Under the default `fast` policy the solve
-//!    entries run the Γ-point real (`f64`) instantiation of the
-//!    eigensolver, so step 4 no longer drives the `c64` instantiation —
-//!    the arithmetic the golden digests pin and the complex oracle of the
-//!    real path — through the solver's own unit tests; this leg does.
-//!    Then `kernel-tol [reference]`, under both scheduling regimes: the
-//!    fast-vs-reference tolerance contract (`tests/kernel_tol.rs`) and the
-//!    planewave properties (`crates/pw/tests/proptests.rs`) with the
-//!    ambient policy flipped, so the paired-transform checks (which pin
-//!    both policies explicitly) run beside reference-built bases and
-//!    solvers; step 4 runs them under `fast`.
-//! 6. `zero-alloc`: `cargo test -p ls3df --features alloc-count --lib
+//! 5. `zero-alloc`: `cargo test -p ls3df --features alloc-count --lib
 //!    --test zero_alloc -q` under the same two scheduling regimes — the
 //!    counting-allocator guard that a steady-state CG step and GENPOT
 //!    solve stay heap-free.
@@ -39,12 +27,12 @@
 //!    mark over a two-iteration alloy SCF, taken in a child process of
 //!    its own under `LS3DF_THREADS=2`, must stay within the accounted
 //!    footprint (one ψ per fragment, one solve workspace per thread).
-//! 7. `obs-report [obs]`: `cargo test -p ls3df --features obs,alloc-count
+//! 6. `obs-report [obs]`: `cargo test -p ls3df --features obs,alloc-count
 //!    --test obs_report --test observer_order -q` — a small instrumented
 //!    SCF must emit a schema-valid run report with ≥95% wall-time
 //!    attribution and the allocator probe feeding the metrics registry,
 //!    and the observer hook order must hold with spans compiled in.
-//! 8. `obs-dist`: `cargo test -p ls3df --features obs,alloc-count --test
+//! 7. `obs-dist`: `cargo test -p ls3df --features obs,alloc-count --test
 //!    obs_dist_report --test dist_fault -q` — the rank-aware
 //!    observability gate: an obs-enabled multi-group SCF must produce one
 //!    merged schema-v2 report whose per-rank `fragment_solves` counters
@@ -52,7 +40,7 @@
 //!    killed worker must surface as a `down` rank section (typed
 //!    comm-error kind) with `telemetry_incomplete` set, and the committed
 //!    `BENCH_fig5.json` must stay schema-valid.
-//! 9. `bench-harness`: `cargo test -q --offline --manifest-path
+//! 8. `bench-harness`: `cargo test -q --offline --manifest-path
 //!    benchmark/Cargo.toml` (the repo benchmark's own unit tests: the
 //!    percentile rule, span arithmetic, `/proc` parsing, manifest ==
 //!    `BENCHMARK.json`) and then its `--smoke` gate — all four
@@ -61,9 +49,9 @@
 //!    trajectories bit-identical across thread/rank/resume variants);
 //!    a non-zero exit fails the step. The benchmark is a package of
 //!    its own outside the workspace, so nothing else builds or tests it.
-//! 10. `cargo xtask schedules` (in-process) — pool suite + SCF digest
-//!     matrix under every adversarial work-stealing schedule.
-//! 11. `cargo xtask miri` (in-process) — the curated unsafe-core filter
+//! 9. `cargo xtask schedules` (in-process) — pool suite + SCF digest
+//!    matrix under every adversarial work-stealing schedule.
+//! 10. `cargo xtask miri` (in-process) — the curated unsafe-core filter
 //!     under Miri; reported as a loud SKIP when the nightly component is
 //!     unavailable (the offline container cannot install it).
 //!
@@ -95,17 +83,6 @@ const THREADS_1: StepEnv<'static> = &[("LS3DF_THREADS", Some("1"))];
 /// Default work-stealing pool (variable removed so an operator's own
 /// setting can't mask either regime).
 const POOL: StepEnv<'static> = &[("LS3DF_THREADS", None)];
-/// Reference arithmetic: the `c64` instantiation of the eigensolver.
-const REFERENCE: StepEnv<'static> = &[("LS3DF_KERNELS", Some("reference"))];
-/// Reference arithmetic under each scheduling regime.
-const REFERENCE_THREADS_1: StepEnv<'static> = &[
-    ("LS3DF_KERNELS", Some("reference")),
-    ("LS3DF_THREADS", Some("1")),
-];
-const REFERENCE_POOL: StepEnv<'static> = &[
-    ("LS3DF_KERNELS", Some("reference")),
-    ("LS3DF_THREADS", None),
-];
 
 const OBS: &str = "obs,alloc-count";
 
@@ -124,9 +101,6 @@ const CHECK_STEPS: &[CargoStep] = &[
 const TEST_STEPS: &[CargoStep] = &[
     ("test [LS3DF_THREADS=1]", &["test", "--workspace", "-q"], THREADS_1),
     ("test [pool]", &["test", "--workspace", "-q"], POOL),
-    ("pw-units [reference]", &["test", "-p", "ls3df-pw", "--lib", "-q"], REFERENCE),
-    ("kernel-tol [reference, LS3DF_THREADS=1]", KERNEL_TOL, REFERENCE_THREADS_1),
-    ("kernel-tol [reference, pool]", KERNEL_TOL, REFERENCE_POOL),
     ("zero-alloc [LS3DF_THREADS=1]", ZERO_ALLOC, THREADS_1),
     ("zero-alloc [pool]", ZERO_ALLOC, POOL),
     ("mem-budget",
@@ -144,11 +118,6 @@ const TEST_STEPS: &[CargoStep] = &[
     ("bench-harness [smoke]",
      &["run", "--release", "--offline", "--quiet", "--manifest-path", "benchmark/Cargo.toml", "--", "--smoke"],
      &[]),
-];
-
-#[rustfmt::skip]
-const KERNEL_TOL: &[&str] = &[
-    "test", "-p", "ls3df", "-p", "ls3df-pw", "--test", "kernel_tol", "--test", "proptests", "-q",
 ];
 
 #[rustfmt::skip]

@@ -5,13 +5,13 @@
 //! replays the single-process fragment-order patch, so group count is
 //! pure partitioning, never physics.
 //!
-//! [`GOLDEN`] is the same pre-refactor digest `tests/scheme_digest.rs`
-//! pins (identical workload, identical digest function, identical
-//! `LS3DF_KERNELS=reference` policy), so a single-process run, a
-//! 2-group run, and a 4-group run must all land on the exact digest the
-//! repo has carried since the scheme refactor. The options fingerprint
-//! is asserted equal across group counts too — snapshots stay
-//! exchangeable at any `LS3DF_GROUPS`.
+//! [`GOLDEN`] is the same digest `tests/scheme_digest.rs` pins (identical
+//! workload, identical digest function), so a single-process run, a
+//! 2-group run, and a 4-group run must all land on the exact digest of
+//! the single-process SCF. The options fingerprint is asserted equal
+//! across group counts too — snapshots stay exchangeable at any
+//! `LS3DF_GROUPS`. To regenerate, follow the capture recipe in
+//! `tests/scheme_digest.rs` and copy the value into both files.
 //!
 //! The child half is SPMD: the parent re-execs this test binary with
 //! `LS3DF_GROUPS` set; the child's `build()` spawns its workers, which
@@ -23,9 +23,9 @@ use ls3df::pw::Mixer;
 use ls3df_atoms::model_crystal;
 use ls3df_pseudo::PseudoTable;
 
-/// The pre-refactor SCF digest (see `tests/scheme_digest.rs::GOLDEN` —
-/// same capture, same workload, same reference-kernel policy).
-const GOLDEN: u64 = 0xb56c_8071_4d82_04e2;
+/// The single-process SCF digest (see `tests/scheme_digest.rs::GOLDEN` —
+/// same capture, same workload).
+const GOLDEN: u64 = 0x8547_cfaa_c469_d83c;
 
 /// Same options as `tests/scheme_digest.rs::reference_opts`.
 fn reference_opts() -> Ls3dfOptions {
@@ -80,7 +80,6 @@ fn child_run(groups: &str, threads: &str) -> (String, String, usize) {
         .env("LS3DF_DIST_DIGEST_CHILD", "1")
         .env("LS3DF_GROUPS", groups)
         .env("LS3DF_THREADS", threads)
-        .env("LS3DF_KERNELS", "reference")
         .output()
         .expect("spawn dist_digest_child");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();

@@ -103,7 +103,6 @@ fn killed_worker_surfaces_as_typed_error_naming_the_rank() {
         .env("LS3DF_DIST_FAULT_CHILD", "1")
         .env("LS3DF_DIST_TIMEOUT_MS", "15000")
         .env("LS3DF_THREADS", "2")
-        .env("LS3DF_KERNELS", "reference")
         .output()
         .expect("spawn dist_fault_child");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
@@ -200,7 +199,6 @@ fn killed_worker_lands_down_in_merged_report() {
         .env("LS3DF_DIST_FAULT_OBS_CHILD", "1")
         .env("LS3DF_DIST_TIMEOUT_MS", "15000")
         .env("LS3DF_THREADS", "2")
-        .env("LS3DF_KERNELS", "reference")
         .output()
         .expect("spawn dist_fault_obs_child");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();

@@ -2,8 +2,14 @@
 //! paper's combinatorial claims, at paper-like scales (pure geometry — no
 //! solver, so these run everywhere).
 
-use ls3df::core::{Fragment, FragmentGrid};
+use ls3df::atoms::{model_crystal, relax, topology_cutoff, znteo_alloy, ZNTE_LATTICE};
+use ls3df::core::{
+    fragment_atoms, Fragment, FragmentGrid, FragmentScheme, Overlapping, Passivation,
+    SignAlternating,
+};
+use ls3df::PseudoTable;
 use ls3df_grid::Grid3;
+use std::sync::Arc;
 
 #[test]
 fn partition_of_unity_at_paper_scales() {
@@ -86,4 +92,55 @@ fn buffers_do_not_change_region_bookkeeping() {
         assert_eq!(fg.region_dims(&f), [8, 8, 8]);
         assert_eq!(fg.box_grid(&f).dims, [8 + 2 * buffer; 3]);
     }
+}
+
+/// `Σ_F α_F·n_e(F) − N_e` for `s` cut into `m` pieces under `scheme`,
+/// counting the fragment atoms `Ls3df::assemble` solves (region atoms plus
+/// passivants) at fig6's 8 points and 3 buffer points per piece.
+fn patch_electron_excess(
+    s: &ls3df::Structure,
+    m: [usize; 3],
+    scheme: Arc<dyn FragmentScheme>,
+    passivation: Passivation,
+    pseudo: &PseudoTable,
+) -> f64 {
+    let global = Grid3::new(m.map(|m| 8 * m), s.lengths);
+    let fg = FragmentGrid::with_scheme(scheme, m, &global, [3; 3]).expect("valid decomposition");
+    let neighbors = s.neighbor_list_within(topology_cutoff(s));
+    let patched: f64 = fg
+        .fragments()
+        .iter()
+        .map(|f| f.alpha() * fragment_atoms(s, &neighbors, &fg, f, passivation, pseudo).n_electrons)
+        .sum();
+    patched - s.num_electrons()
+}
+
+#[test]
+fn patched_electron_count_equals_the_systems() {
+    // Σ_F α_F·n_e(F) = N_e on fig6's relaxed 2×2×2 alloy under
+    // `Overlapping` (every fragment spans the cell, so nothing is
+    // passivated) and on the crystal8 set (`WallOnly`). The same alloy under
+    // the sign-alternating scheme is not asserted: it sums to 8 electrons,
+    // not 256 (ROADMAP item 1).
+    let mut alloy = znteo_alloy([2; 3], ZNTE_LATTICE, 0.03125, 42);
+    relax(&mut alloy, 1e-4, 3000);
+    let overlapping = patch_electron_excess(
+        &alloy,
+        [2; 3],
+        Arc::new(Overlapping::default()),
+        Passivation::PseudoH,
+        &PseudoTable::default(),
+    );
+    let crystal8 = patch_electron_excess(
+        &model_crystal([2; 3], 6.5),
+        [2; 3],
+        Arc::new(SignAlternating),
+        Passivation::WallOnly,
+        &PseudoTable::deep_well(2.0, 0.8),
+    );
+    assert!(
+        overlapping.abs() <= 1e-12,
+        "alloy, overlapping: {overlapping}"
+    );
+    assert!(crystal8.abs() <= 1e-12, "crystal8: {crystal8}");
 }

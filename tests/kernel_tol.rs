@@ -1,23 +1,23 @@
-//! Per-kernel tolerance contract between `KernelPolicy::Fast` and
-//! `KernelPolicy::Reference` (see DESIGN.md "Kernel architecture").
+//! Per-kernel tolerance contract between the production arithmetic
+//! (`KernelPolicy::Fast`) and its oracles (see DESIGN.md "Kernel
+//! architecture").
 //!
-//! PR policy: the *reference* path is pinned bit-for-bit by the golden
-//! digests (`tests/scheme_digest.rs` children run with
-//! `LS3DF_KERNELS=reference`); the *fast* path (r2c/c2r packing, radix-4
-//! and mixed-radix butterflies, sphere-pruned grid transfers, lane-split
-//! dots, the packed GEMM microkernel) is allowed to re-round, and THIS
-//! file is the contract that says by how much.
-//! Every bound below is a pinned constant — loosening one is a reviewed
-//! decision, not a test tweak. The bounds are deliberately ~100× above
-//! observed worst cases so they fail on algorithmic regressions (a wrong
-//! twiddle, a dropped Nyquist bin), not on benign rounding differences
-//! between build environments.
+//! The production kernels (r2c/c2r packing, radix-4 and mixed-radix
+//! butterflies, sphere-pruned grid transfers, lane-split dots, the packed
+//! GEMM microkernel, the Γ-point real block algebra) re-round relative to
+//! the original scalar arithmetic, which `KernelPolicy::Reference` keeps
+//! behind the explicit `*_with` constructors, and to the full-grid and
+//! `c64` paths rebuilt here; THIS file is the contract that says by how
+//! much. Every bound below is a pinned constant — loosening one is a
+//! reviewed decision, not a test tweak. The bounds are deliberately ~100×
+//! above observed worst cases so they fail on algorithmic regressions (a
+//! wrong twiddle, a dropped Nyquist bin), not on benign rounding
+//! differences between build environments.
 //!
-//! Runs under both `LS3DF_THREADS` regimes and both ambient policies in CI
-//! (`cargo xtask ci`: the workspace `test` steps under `fast`, the
-//! `kernel-tol` steps under `reference`): the fast kernels must meet the
-//! same bounds at any thread count, which they do trivially because their
-//! arithmetic is schedule-independent by construction.
+//! Runs under both `LS3DF_THREADS` regimes in CI (`cargo xtask ci`, the
+//! workspace `test` steps): the fast kernels must meet the same bounds at
+//! any thread count, which they do trivially because their arithmetic is
+//! schedule-independent by construction.
 
 use ls3df::fft::dft::dft_forward;
 use ls3df::fft::{Fft1d, Fft3, Fft3r, RealFft1d};
@@ -70,7 +70,7 @@ const BLOCK_OP_TOL: f64 = 2e-13;
 /// the all-band solver vs the `c64` instantiation on the unpacked block,
 /// per element of the packed result, relative to its largest element.
 /// Observed worst cases over 14³ / 12×18×18 / 22³ boxes × 5 / 8 / 64 bands
-/// × 0 / 8 / 24 projectors, under either policy: `H·Ψ` 9.7e-16, block KB
+/// × 0 / 8 / 24 projectors: `H·Ψ` 9.7e-16, block KB
 /// apply 1.7e-15, subspace matrix 2.1e-15, orthonormalization 1.8e-15,
 /// one `cg_residual` + `cg_step` 2.0e-15 (its eigenvalues 2.0e-15) — the
 /// two paths do the same sums over half the terms, so they differ by
@@ -79,13 +79,11 @@ const REAL_BLOCK_TOL: f64 = 1e-13;
 /// `H·Ψ` on packed real rows with two bands per complex transform pair vs
 /// one band per pair, per element, relative to the largest element.
 /// Observed worst case over the 14³ / Nyquist-touching 12³ boxes × 1 / 6 /
-/// 7 bands, sphere-aware and full-grid: 2.3e-16 (a lone band is exact —
-/// it takes the same code either way).
+/// 7 bands: 2.3e-16 (a lone band is exact — it takes the same code either
+/// way).
 const PAIRED_H_TOL: f64 = 1e-12;
 /// The density with two occupied bands per synthesis vs one, as
-/// `∫|Δρ| / N_e`. Observed worst case over the same boxes: 1.8e-16 (under
-/// `reference`, where nothing pairs, the block summation tree alone gives
-/// 7.8e-17).
+/// `∫|Δρ| / N_e`. Observed worst case over the same boxes: 1.8e-16.
 const PAIRED_DENSITY_TOL: f64 = 1e-13;
 
 fn lcg(seed: u64) -> impl FnMut() -> f64 {
@@ -187,8 +185,6 @@ fn pruned_grid_transfers_match_full_grid_path() {
     // The 1-, 8- and mixed-piece fragment boxes at the benchmark's
     // cutoff. The full-grid path is rebuilt from the public plan: same
     // scatter, `Fft3::inverse_with`/`forward_with`, same scale factors.
-    // (Under LS3DF_KERNELS=reference the basis takes that path itself
-    // and the differences are exactly zero.)
     for (dims, lengths) in [
         ([14, 14, 14], [11.375, 11.375, 11.375]),
         ([22, 22, 22], [17.875, 17.875, 17.875]),
@@ -554,11 +550,10 @@ fn packed_deviation(basis: &PwBasis, real: &Matrix<f64>, complex: &Matrix<c64>) 
 
 #[test]
 fn real_block_algebra_matches_the_complex_path() {
-    // What `fast` runs (the `f64` instantiation on Γ-point packed rows)
-    // against what `reference` runs (the `c64` instantiation on the
+    // What the solver runs (the `f64` instantiation on Γ-point packed
+    // rows) against its complex oracle (the `c64` instantiation on the
     // unpacked block), operation by operation, on the benchmark's fragment
-    // boxes. Both instantiations are called directly, so the comparison
-    // holds under either ambient policy.
+    // boxes.
     for (dims, lengths) in [
         ([14, 14, 14], [11.375, 11.375, 11.375]),
         ([12, 18, 18], [9.75, 14.625, 14.625]),
@@ -660,9 +655,7 @@ fn real_block_algebra_matches_the_complex_path() {
 }
 
 /// The benchmark's one-piece fragment box at its cutoff, and a box whose
-/// cutoff sphere reaches the Nyquist planes (`E_cut = ½·G_Nyq²`). Their
-/// transforms are sphere-aware under `fast` and full-grid under
-/// `reference`; CI runs this file under both.
+/// cutoff sphere reaches the Nyquist planes (`E_cut = ½·G_Nyq²`).
 fn pairing_bases() -> [PwBasis; 2] {
     let edge = 9.75;
     let g_nyq = std::f64::consts::PI * 12.0 / edge;
@@ -729,8 +722,8 @@ fn paired_h_apply_matches_one_band_per_transform() {
 
 #[test]
 fn paired_density_matches_one_band_per_transform() {
-    // `compute_density` (two occupied real orbitals per synthesis under
-    // `fast`) vs one `wave_to_grid` per band: 19 bands over three band
+    // `compute_density` (two occupied real orbitals per synthesis) vs
+    // one `wave_to_grid` per band: 19 bands over three band
     // blocks, fractional occupations and a zero-occupation tail, so blocks
     // end on an odd occupied band too. Once on real orbitals only, once
     // with complex rows in between, which must each go through their own
@@ -913,7 +906,7 @@ fn block_operations(
 
 #[test]
 fn block_operations_match_the_row_loops_they_replace() {
-    // 70·70·400 is block-sized: under `fast` every product below runs on
+    // 70·70·400 is block-sized: under `Fast` every product below runs on
     // the packed kernel and is held to BLOCK_OP_TOL.
     for (name, rows, block) in block_operations(KernelPolicy::Fast, 70, 400) {
         let peak = rows.max_abs();
@@ -933,10 +926,9 @@ fn block_operations_match_the_row_loops_they_replace() {
 
 #[test]
 fn block_operations_keep_the_row_loop_bits_off_the_packed_kernel() {
-    // `reference` never packs, and `fast` does not below block size (the
+    // `Reference` never packs, and `Fast` does not below block size (the
     // crystal8 fragments: 10 bands × ~500 planewaves): there the scalar
-    // kernels must reproduce the row loops' summation order exactly — it
-    // is what the `reference`-pinned golden digests rest on.
+    // kernels must reproduce the row loops' summation order exactly.
     for (policy, nb, npw) in [
         (KernelPolicy::Reference, 70, 400),
         (KernelPolicy::Reference, 10, 500),

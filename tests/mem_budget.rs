@@ -108,7 +108,6 @@ fn scf_peak_live_bytes_stay_within_the_accounted_footprint() {
         .args(["--exact", "budget_child", "--nocapture"])
         .env("LS3DF_MATRIX_CHILD", "1")
         .env("LS3DF_THREADS", "2")
-        .env_remove("LS3DF_KERNELS")
         .output()
         .expect("spawn child test");
     assert!(

@@ -138,7 +138,6 @@ fn merged_report_counters_sum_to_single_process_totals() {
             .env("LS3DF_OBS_DIST_CHILD", "1")
             .env("LS3DF_GROUPS", groups.to_string())
             .env("LS3DF_THREADS", "2")
-            .env("LS3DF_KERNELS", "reference")
             .env("LS3DF_DIST_TIMEOUT_MS", "60000")
             .env("LS3DF_OBS_DIST_REPORT_PATH", &report_path)
             .output()

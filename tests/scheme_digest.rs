@@ -1,42 +1,37 @@
-//! Bit-identity gate for the `FragmentScheme` refactor: the
-//! sign-alternating scheme routed through the trait (both the builder
-//! default and an explicit `.scheme(SignAlternating)`) must reproduce the
-//! **pre-refactor** SCF density digest exactly, at every thread count.
+//! Bit-identity gate for the `FragmentScheme` trait: the sign-alternating
+//! scheme (both the builder default and an explicit
+//! `.scheme(SignAlternating)`) must reproduce the pinned SCF density
+//! digest exactly, at every thread count.
 //!
-//! [`GOLDEN`] was captured from the hard-wired pre-trait geometry by
-//! running the identical calculation (`model_crystal([2,2,2], 6.5)`,
-//! `small_opts`, `max_scf = 2` — the same workload as
-//! `tests/ls3df_pipeline.rs::thread_matrix_child`) before the refactor
-//! landed. The digest covers every `rho` sample plus the per-step
-//! `dv_integral`/`worst_residual` bit patterns, so any single-bit drift
-//! in the fragment enumeration order, `α_F` arithmetic, or wall geometry
-//! fails this test.
+//! [`GOLDEN`] is the digest of `model_crystal([2,2,2], 6.5)` under
+//! `reference_opts` (`max_scf = 2` — the same workload as
+//! `tests/ls3df_pipeline.rs::thread_matrix_child`), computed with the
+//! production kernels. The digest covers every `rho` sample plus the
+//! per-step `dv_integral`/`worst_residual` bit patterns, so any single-bit
+//! drift in the fragment enumeration order, `α_F` arithmetic, wall
+//! geometry or kernel arithmetic fails this test.
 //!
 //! The digest depends on the platform libm (`cos`/`exp`), so it is pinned
-//! per build environment, not universally portable. It is also defined on
-//! the **reference kernel path** (`LS3DF_KERNELS=reference`: radix-2
-//! complex FFTs, scalar dots and GEMM) — the child processes pin that
-//! variable, because the default fast kernels (r2c packing, radix-4,
-//! lane-split accumulators) legitimately re-round and are gated by
-//! `tests/kernel_tol.rs` tolerances instead of bit identity. To
-//! regenerate after an *intentional* physics change:
+//! per build environment, not universally portable. To regenerate after
+//! an *intentional* change of physics or arithmetic:
 //!
 //! ```text
-//! LS3DF_SCHEME_DIGEST_CHILD=explicit LS3DF_THREADS=1 LS3DF_KERNELS=reference \
+//! LS3DF_SCHEME_DIGEST_CHILD=explicit LS3DF_THREADS=1 \
 //!   cargo test -q --test scheme_digest -- --exact scheme_digest_child --nocapture
 //! ```
 //!
-//! and copy the printed `LS3DF_DIGEST=` value into [`GOLDEN`] — after
-//! confirming the change is supposed to move the density.
+//! and copy the printed `LS3DF_DIGEST=` value into [`GOLDEN`] (and into
+//! `tests/dist_digest.rs`, which pins the same digest) — after confirming
+//! the change is supposed to move the density.
 
 use ls3df::core::{Ls3df, Ls3dfOptions, Passivation, SignAlternating};
 use ls3df::pw::Mixer;
 use ls3df_atoms::model_crystal;
 use ls3df_pseudo::PseudoTable;
 
-/// Pre-refactor SCF digest of the reference workload (threads 1/2/max all
-/// agree; see the module docs for the capture procedure).
-const GOLDEN: u64 = 0xb56c_8071_4d82_04e2;
+/// SCF digest of the reference workload (threads 1/2/max all agree; see
+/// the module docs for the capture procedure).
+const GOLDEN: u64 = 0x8547_cfaa_c469_d83c;
 
 /// Same options as `tests/ls3df_pipeline.rs::small_opts`, with the
 /// thread-matrix `max_scf = 2` baked in.
@@ -92,7 +87,6 @@ fn child_digest(mode: &str, threads: &str) -> String {
         .args(["--exact", "scheme_digest_child", "--nocapture"])
         .env("LS3DF_SCHEME_DIGEST_CHILD", mode)
         .env("LS3DF_THREADS", threads)
-        .env("LS3DF_KERNELS", "reference")
         .output()
         .expect("spawn scheme_digest_child");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
@@ -112,7 +106,7 @@ fn child_digest(mode: &str, threads: &str) -> String {
 }
 
 /// The acceptance gate: sign-alternating through `FragmentScheme` is
-/// bit-identical to the pre-refactor densities at `LS3DF_THREADS` ∈
+/// bit-identical to the pinned densities at `LS3DF_THREADS` ∈
 /// {1, 2, host parallelism}, through both the explicit-`.scheme(..)` and
 /// the default construction path.
 #[test]
@@ -126,7 +120,7 @@ fn sign_alternating_through_trait_matches_pre_refactor_golden() {
         let digest = child_digest("explicit", threads);
         assert_eq!(
             digest, golden,
-            "explicit SignAlternating diverged from the pre-refactor run \
+            "explicit SignAlternating diverged from the pinned golden \
              at LS3DF_THREADS={threads}"
         );
     }
@@ -135,6 +129,6 @@ fn sign_alternating_through_trait_matches_pre_refactor_golden() {
     let digest = child_digest("default", "1");
     assert_eq!(
         digest, golden,
-        "builder default scheme diverged from the pre-refactor run"
+        "builder default scheme diverged from the pinned golden"
     );
 }

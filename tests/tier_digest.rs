@@ -73,7 +73,6 @@ fn child(mode: &str) -> (String, String) {
     let out = std::process::Command::new(&exe)
         .args(["--exact", "tier_digest_child", "--nocapture"])
         .env("LS3DF_TIER_DIGEST_CHILD", mode)
-        .env_remove("LS3DF_KERNELS")
         .output()
         .expect("spawn tier_digest_child");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();

@@ -5,23 +5,20 @@
 //! all-band CG step (`cg_residual` + `cg_step`) and a steady-state GENPOT
 //! Poisson solve (`HartreeSolver::solve_into`) perform **zero** heap
 //! allocations. The system deliberately uses a 12³ grid — never a power
-//! of two, so the FFT lines run the kernels with scratch to get wrong:
-//! the mixed-radix ping-pong rows under the default `fast` policy,
-//! Bluestein's convolution buffer under `reference` — and carries an
-//! active Kleinman–Bylander projector so the nonlocal accumulation is
-//! exercised too. A 14³ box at the benchmark's cutoff (the one-piece
-//! fragment of `crystal8_*`) puts the sphere-pruned, folded-scaling
-//! `apply_block_with` under the same gate — one band per transform pair
-//! on `c64` rows, two on packed real rows (9 and 10 bands) — and a
-//! 64-band block with 12 projectors on a 22³ box makes every block
-//! product of the CG step —
-//! projection and Kleinman–Bylander — block-sized, so the step is held
-//! heap-free on the packed GEMM kernel too (its pack scratch lives in
-//! the workspace and is sized by the warm-up). The same step is then
-//! held heap-free on Γ-point packed real rows — the `f64` instantiation
-//! the solve entries run under `fast` — at that 64-band shape (real
-//! GEMMs on the wide register tile) and at 10 bands on the 14³ box (the
-//! crystal8 fragment, scalar kernels).
+//! of two, so the FFT lines run the kernel with scratch to get wrong, the
+//! mixed-radix ping-pong rows — and carries an active Kleinman–Bylander
+//! projector so the nonlocal accumulation is exercised too. A 14³ box at
+//! the benchmark's cutoff (the one-piece fragment of `crystal8_*`) puts
+//! the sphere-pruned, folded-scaling `apply_block_with` under the same
+//! gate — one band per transform pair on `c64` rows, two on packed real
+//! rows (9 and 10 bands) — and a 64-band block with 12 projectors on a
+//! 22³ box makes every block product of the CG step — projection and
+//! Kleinman–Bylander — block-sized, so the step is held heap-free on the
+//! packed GEMM kernel too (its pack scratch lives in the workspace and is
+//! sized by the warm-up). The same step is then held heap-free on Γ-point
+//! packed real rows — the `f64` instantiation the solve entries run — at
+//! that 64-band shape (real GEMMs on the wide register tile) and at 10
+//! bands on the 14³ box (the crystal8 fragment, scalar kernels).
 //!
 //! Everything lives in one `#[test]` so no concurrent test can perturb the
 //! process-wide allocation counter between the bracketing reads.
@@ -44,8 +41,7 @@ const N_BANDS: usize = 4;
 
 fn test_system() -> (PwBasis, Vec<PwAtom>) {
     // 12 = 2²·3: non-power-of-two on purpose, so all three FFT passes go
-    // through workspace scratch (mixed-radix rows, or Bluestein's buffer
-    // under LS3DF_KERNELS=reference).
+    // through workspace scratch (the mixed-radix rows).
     let grid = Grid3::cubic(12, 6.0);
     let basis = PwBasis::new(grid, 2.0);
     let atoms = vec![
@@ -227,7 +223,7 @@ fn steady_state_hot_paths_do_not_allocate() {
     // --- steady-state CG step on the packed GEMM kernel ------------------
     // 64 bands × ~500 planewaves with 12 projectors: the projection
     // products (64·64·npw) and both KB products (12·64·npw) are past the
-    // block-size crossover, so under `fast` they pack.
+    // block-size crossover, so they pack.
     let big_grid = Grid3::cubic(22, 17.875);
     let big_basis = PwBasis::new(big_grid.clone(), 1.5);
     let n_big = 64;
@@ -271,11 +267,10 @@ fn steady_state_hot_paths_do_not_allocate() {
     );
 
     // --- steady-state GENPOT (FFT Poisson) solve ------------------------
-    // Both kernel policies must hold the zero-alloc contract: the fast
+    // Both solvers must hold the zero-alloc contract: the production
     // path (12 is even → packed r2c forward + c2r inverse through the
-    // Fft3rWorkspace in the pooled scratch) and the reference path (the
-    // complex Fft3 round trip). Explicit policies so the guard does not
-    // depend on the ambient LS3DF_KERNELS setting.
+    // Fft3rWorkspace in the pooled scratch) and the reference oracle (the
+    // complex Fft3 round trip).
     for policy in [KernelPolicy::Fast, KernelPolicy::Reference] {
         let hartree = HartreeSolver::new_with(basis.grid().clone(), policy);
         let mut v_h = RealField::zeros(basis.grid().clone());
