@@ -36,10 +36,11 @@ struct Fig6Observer<'a> {
 impl ScfObserver for Fig6Observer<'_> {
     fn on_step(&mut self, h: &Ls3dfStep) {
         println!(
-            "{:>5} {:>14.6e} {:>11.2e} | {:>7.2}s {:>7.2}s {:>7.2}s {:>7.2}s",
+            "{:>5} {:>14.6e} {:>11.2e} {:>9.5} | {:>7.2}s {:>7.2}s {:>7.2}s {:>7.2}s",
             h.iteration,
             h.dv_integral,
             h.worst_residual,
+            h.charge_ratio,
             h.timings.gen_vf,
             h.timings.petot_f,
             h.timings.gen_dens,
@@ -129,10 +130,10 @@ fn main() -> std::process::ExitCode {
 
     let t0 = std::time::Instant::now();
     println!("\nFigure 6 — ∫|V_out − V_in| d³r vs SCF iteration (measured)");
-    println!("{}", "-".repeat(72));
+    println!("{}", "-".repeat(82));
     println!(
-        "{:>5} {:>14} {:>11} | {:>8} {:>8} {:>8} {:>8}",
-        "iter", "∫|ΔV| (a.u.)", "residual", "Gen_VF", "PEtot_F", "Gendens", "GENPOT"
+        "{:>5} {:>14} {:>11} {:>9} | {:>8} {:>8} {:>8} {:>8}",
+        "iter", "∫|ΔV| (a.u.)", "residual", "q/N_e", "Gen_VF", "PEtot_F", "Gendens", "GENPOT"
     );
     // Rate the run against the paper's primary machine model at this
     // host's core count (%-of-peak next to the paper's ~40% figure).
@@ -158,7 +159,7 @@ fn main() -> std::process::ExitCode {
         ls3df_obs::Json::num(ls.n_fragments() as f64),
     ));
     let first = res.history.first().map(|h| h.dv_integral).unwrap_or(1.0);
-    println!("{}", "-".repeat(72));
+    println!("{}", "-".repeat(82));
     let last = res.history.last().unwrap().dv_integral;
     let (moved, factor) = if last <= first {
         ("dropped", first / last)

@@ -27,8 +27,12 @@ use crate::CkptError;
 /// Magic tag opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"LS3DFCKP";
 
-/// Format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 1;
+/// Format version this build writes and reads. Version 2: an LS3DF
+/// snapshot's `PSI` blocks hold packed real rows (one `f64` per
+/// coefficient, not a `(re, im)` pair) and each step record carries
+/// `q/N_e`; a version-1 file is refused as
+/// [`CkptError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Hard cap on a single section payload (64 GiB) — guards the reader
 /// against allocating off a corrupt length field.

@@ -36,7 +36,7 @@
 //! panicking with the step name — the same contract as `debug_assert!`.
 
 use ls3df_grid::RealField;
-use ls3df_math::{c64, Matrix};
+use ls3df_math::Matrix;
 
 /// Whether invariant checking is active in this build.
 pub const ENABLED: bool = cfg!(any(debug_assertions, feature = "validate"));
@@ -161,14 +161,10 @@ pub fn finite_field(step: &str, field: &RealField) -> Result<(), InvariantViolat
     }
 }
 
-/// Every coefficient of `m` is finite (wavefunction blocks, overlap
-/// matrices); reports the first offending (band, coefficient) pair.
-pub fn finite_matrix(step: &str, m: &Matrix<c64>) -> Result<(), InvariantViolation> {
-    match m
-        .as_slice()
-        .iter()
-        .position(|v| !v.re.is_finite() || !v.im.is_finite())
-    {
+/// Every coefficient of a packed wavefunction block is finite; reports
+/// the first offending (band, coefficient) pair.
+pub fn finite_matrix(step: &str, m: &Matrix<f64>) -> Result<(), InvariantViolation> {
+    match m.as_slice().iter().position(|v| !v.is_finite()) {
         None => Ok(()),
         Some(idx) => {
             let cols = m.cols().max(1);
@@ -312,8 +308,9 @@ pub fn patching_weights(
     Ok(())
 }
 
-/// Fragment wavefunction block orthonormality after an eigensolver pass.
-pub fn orthonormal(step: &str, psi: &Matrix<c64>, metric: f64) -> Result<(), InvariantViolation> {
+/// Fragment wavefunction block orthonormality after an eigensolver pass
+/// (packed rows: their real overlap is the complex one).
+pub fn orthonormal(step: &str, psi: &Matrix<f64>, metric: f64) -> Result<(), InvariantViolation> {
     finite_matrix(step, psi)?;
     let residual = ls3df_math::ortho::orthonormality_residual(psi, metric);
     if !residual.is_finite() || residual > ORTHO_TOL {
@@ -412,9 +409,9 @@ mod tests {
 
     #[test]
     fn orthonormality_detects_scaling() {
-        let psi = Matrix::<c64>::identity(4);
+        let psi = Matrix::<f64>::identity(4);
         assert!(orthonormal("PEtot_F", &psi, 1.0).is_ok());
-        let mut bad = Matrix::<c64>::identity(4);
+        let mut bad = Matrix::<f64>::identity(4);
         bad.scale_real(10.0);
         assert!(orthonormal("PEtot_F", &bad, 1.0).is_err());
     }

@@ -13,12 +13,14 @@
 //! | `VIN`      | global input potential (the mixed `V_in` for the next iteration) |
 //! | `RHO`      | latest patched density |
 //! | `MIXER`    | Pulay `(V_in, residual)` history |
-//! | `PSI`      | every fragment's wavefunction block (warm-start state) |
+//! | `PSI`      | every fragment's wavefunction block (warm-start state), packed real rows |
 //!
 //! `PSI` is what makes checkpoint+kill+resume **bit-identical** to an
 //! uninterrupted run: fragments warm-start from their previous
 //! wavefunctions, so resuming with anything but the exact blocks would
-//! converge to the same physics along a different bit pattern.
+//! converge to the same physics along a different bit pattern. It stores
+//! the packed `f64` rows the fragments keep, bit for bit: unpacking to
+//! full-sphere coefficients and packing again on resume is not bit-exact.
 //!
 //! The fingerprint covers the physics (geometry, cutoff, decomposition,
 //! solver schedule, mixer, pseudopotentials) but deliberately **not** the
@@ -30,7 +32,7 @@ use crate::scf::{Ls3dfOptions, Ls3dfStep, StepTimings};
 use crate::scheme::FragmentScheme;
 use ls3df_atoms::{Species, Structure};
 use ls3df_ckpt::{ByteReader, ByteWriter, CkptError, Fingerprint, SectionId};
-use ls3df_math::{c64, Matrix};
+use ls3df_math::Matrix;
 use ls3df_pseudo::PseudoParams;
 use ls3df_pw::Mixer;
 
@@ -194,13 +196,14 @@ pub(crate) fn decode_state(payload: &[u8]) -> Result<(usize, bool), CkptError> {
     Ok((iteration, converged))
 }
 
-/// Writes one step record: iteration, `∫|ΔV|`, worst residual and the
-/// four stage timings — the layout the `SCFHIST` section and the
+/// Writes one step record: iteration, `∫|ΔV|`, worst residual, `q/N_e`
+/// and the four stage timings — the layout the `SCFHIST` section and the
 /// end-of-iteration broadcast share.
 pub(crate) fn put_step(w: &mut ByteWriter, s: &Ls3dfStep) {
     w.put_u64(s.iteration as u64)
         .put_f64(s.dv_integral)
         .put_f64(s.worst_residual)
+        .put_f64(s.charge_ratio)
         .put_f64(s.timings.gen_vf)
         .put_f64(s.timings.petot_f)
         .put_f64(s.timings.gen_dens)
@@ -212,6 +215,7 @@ pub(crate) fn get_step(r: &mut ByteReader<'_>, what: &str) -> Result<Ls3dfStep, 
     let iteration = r.get_count(MAX_COUNT, &format!("{what}.iteration"))?;
     let dv_integral = r.get_f64(&format!("{what}.dv_integral"))?;
     let worst_residual = r.get_f64(&format!("{what}.worst_residual"))?;
+    let charge_ratio = r.get_f64(&format!("{what}.charge_ratio"))?;
     let mut t = [0f64; 4];
     for (k, slot) in t.iter_mut().enumerate() {
         *slot = r.get_f64(&format!("{what}.timings[{k}]"))?;
@@ -220,6 +224,7 @@ pub(crate) fn get_step(r: &mut ByteReader<'_>, what: &str) -> Result<Ls3dfStep, 
         iteration,
         dv_integral,
         worst_residual,
+        charge_ratio,
         timings: StepTimings {
             gen_vf: t[0],
             petot_f: t[1],
@@ -230,7 +235,7 @@ pub(crate) fn get_step(r: &mut ByteReader<'_>, what: &str) -> Result<Ls3dfStep, 
 }
 
 pub(crate) fn encode_history(history: &[Ls3dfStep]) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(8 + history.len() * 56);
+    let mut w = ByteWriter::with_capacity(8 + history.len() * 64);
     w.put_u64(history.len() as u64);
     for s in history {
         put_step(&mut w, s);
@@ -279,25 +284,23 @@ pub(crate) fn decode_mixer_history(payload: &[u8]) -> Result<MixerHistory, CkptE
     Ok(out)
 }
 
-/// Writes one wavefunction block: `rows`, `cols`, then every coefficient
-/// as `(re, im)` — the layout the `PSI` section and the distributed
-/// snapshot gather share.
-pub(crate) fn put_psi_block(w: &mut ByteWriter, m: &Matrix<c64>) {
+/// Writes one packed wavefunction block: `rows`, `cols`, then every
+/// packed coefficient's bits — the layout the `PSI` section and the
+/// distributed snapshot gather share.
+pub(crate) fn put_psi_block(w: &mut ByteWriter, m: &Matrix<f64>) {
     w.put_u64(m.rows() as u64).put_u64(m.cols() as u64);
-    for v in m.as_slice() {
-        w.put_f64(v.re).put_f64(v.im);
-    }
+    w.put_f64_slice(m.as_slice());
 }
 
 /// Reads fragment `i`'s block, which must have exactly the `nb × npw`
 /// shape this calculation assembled for it (checked before anything is
-/// allocated).
+/// allocated, so a corrupt shape field never sizes an allocation).
 pub(crate) fn get_psi_block(
     r: &mut ByteReader<'_>,
     section: SectionId,
     i: usize,
     (nb, npw): (usize, usize),
-) -> Result<Matrix<c64>, CkptError> {
+) -> Result<Matrix<f64>, CkptError> {
     let rows = r.get_u64(&format!("fragment {i} band count"))?;
     let cols = r.get_u64(&format!("fragment {i} planewave count"))?;
     if (rows, cols) != (nb as u64, npw as u64) {
@@ -308,13 +311,12 @@ pub(crate) fn get_psi_block(
             ),
         });
     }
-    let flat = r.get_f64_vec(2 * nb * npw, &format!("fragment {i} wavefunctions"))?;
-    let data: Vec<c64> = flat.chunks_exact(2).map(|p| c64::new(p[0], p[1])).collect();
+    let data = r.get_f64_vec(nb * npw, &format!("fragment {i} wavefunctions"))?;
     Ok(Matrix::from_vec(nb, npw, data))
 }
 
 pub(crate) fn encode_psi_blocks<'a>(
-    blocks: impl ExactSizeIterator<Item = &'a Matrix<c64>>,
+    blocks: impl ExactSizeIterator<Item = &'a Matrix<f64>>,
 ) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(blocks.len() as u64);
@@ -329,7 +331,7 @@ pub(crate) fn encode_psi_blocks<'a>(
 pub(crate) fn decode_psi_blocks(
     payload: &[u8],
     expected_shapes: &[(usize, usize)],
-) -> Result<Vec<Matrix<c64>>, CkptError> {
+) -> Result<Vec<Matrix<f64>>, CkptError> {
     let mut r = ByteReader::new(payload);
     let n = r.get_count(MAX_COUNT, "fragment count")?;
     if n != expected_shapes.len() {
@@ -368,6 +370,7 @@ mod tests {
                 iteration: 1,
                 dv_integral: 0.5,
                 worst_residual: 1e-3,
+                charge_ratio: 0.96875,
                 timings: StepTimings {
                     gen_vf: 0.1,
                     petot_f: 2.0,
@@ -379,6 +382,7 @@ mod tests {
                 iteration: 2,
                 dv_integral: 0.25,
                 worst_residual: 5e-4,
+                charge_ratio: 1.0,
                 timings: StepTimings::default(),
             },
         ];
@@ -387,6 +391,7 @@ mod tests {
         assert_eq!(back[0].iteration, 1);
         assert_eq!(back[0].dv_integral.to_bits(), 0.5f64.to_bits());
         assert_eq!(back[1].worst_residual.to_bits(), 5e-4f64.to_bits());
+        assert_eq!(back[0].charge_ratio.to_bits(), 0.96875f64.to_bits());
     }
 
     #[test]
@@ -414,8 +419,8 @@ mod tests {
 
     #[test]
     fn psi_blocks_roundtrip_and_validate_shape() {
-        let a = Matrix::from_fn(2, 3, |i, j| c64::new(i as f64, j as f64 + 0.5));
-        let b = Matrix::from_fn(1, 4, |_, j| c64::new(-(j as f64), 2.0));
+        let a = Matrix::from_fn(2, 3, |i, j| i as f64 - j as f64 * 0.5);
+        let b = Matrix::from_fn(1, 4, |_, j| -(j as f64) / 3.0);
         let bytes = encode_psi_blocks([&a, &b].into_iter());
         let back = decode_psi_blocks(&bytes, &[(2, 3), (1, 4)]).unwrap();
         assert_eq!(back[0].as_slice(), a.as_slice());
@@ -480,5 +485,102 @@ mod tests {
         assert_eq!(decode_scheme_id(&bytes).unwrap(), "sign-alternating");
         // Truncated payload is a typed error, not a panic.
         assert!(decode_scheme_id(&bytes[..bytes.len() - 3]).is_err());
+    }
+
+    /// The two packed-ψ decoders on bytes from a disk or a peer: arbitrary
+    /// input is a typed error or a well-shaped value — never a panic, and
+    /// never an allocation sized by an unchecked length field (the counts
+    /// below reach `u64::MAX`; allocating off one would abort the test).
+    mod fuzz {
+        use super::*;
+        use crate::distrib::{decode_psi_gather, encode_psi_gather};
+        use ls3df_ckpt::Snapshot;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        const SHAPES: [(usize, usize); 3] = [(2, 3), (1, 4), (3, 2)];
+
+        fn blocks() -> Vec<Matrix<f64>> {
+            SHAPES
+                .iter()
+                .map(|&(nb, npw)| Matrix::from_fn(nb, npw, |i, j| i as f64 - 0.25 * j as f64))
+                .collect()
+        }
+
+        /// A genuine encoding of each decoder's input: the `PSI` payload
+        /// and the `DPSI` payload (fragments 2 and 0).
+        fn genuine() -> [Vec<u8>; 2] {
+            let b = blocks();
+            let gather = encode_psi_gather(&[(2, &b[2]), (0, &b[0])]);
+            [
+                encode_psi_blocks(b.iter()),
+                gather.require(crate::distrib::SEC_DPSI).unwrap().to_vec(),
+            ]
+        }
+
+        /// Runs both decoders on `payload`; whatever they accept must have
+        /// the shapes asked for.
+        fn decode_both(payload: &[u8]) -> Result<(), TestCaseError> {
+            if let Ok(out) = decode_psi_blocks(payload, &SHAPES) {
+                prop_assert_eq!(out.len(), SHAPES.len());
+                for (m, &shape) in out.iter().zip(&SHAPES) {
+                    prop_assert_eq!(m.shape(), shape);
+                }
+            }
+            let mut snap = Snapshot::new();
+            snap.push(crate::distrib::SEC_DPSI, payload.to_vec());
+            if let Ok(out) = decode_psi_gather(&snap, &SHAPES) {
+                prop_assert!(out.len() <= SHAPES.len());
+                for (index, m) in &out {
+                    prop_assert_eq!(m.shape(), SHAPES[*index]);
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #[test]
+            fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(0u32..256, 0..400)) {
+                let payload: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+                decode_both(&payload)?;
+            }
+
+            #[test]
+            fn damaged_genuine_payloads_never_panic(
+                which in 0usize..2,
+                at in 0usize..4096,
+                word in 0u64..u64::MAX,
+                cut in 0usize..4096,
+            ) {
+                // Overwrite one 8-byte word (a count, a shape, an index or
+                // a coefficient) with anything, then maybe truncate.
+                let mut payload = genuine()[which].clone();
+                let at = at % payload.len().saturating_sub(7).max(1);
+                let end = (at + 8).min(payload.len());
+                payload[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+                decode_both(&payload)?;
+                payload.truncate(cut % (payload.len() + 1));
+                decode_both(&payload)?;
+            }
+        }
+
+        #[test]
+        fn genuine_payloads_decode_bit_exact() {
+            let [psi, gather] = genuine();
+            let b = blocks();
+            let out = decode_psi_blocks(&psi, &SHAPES).unwrap();
+            for (m, want) in out.iter().zip(&b) {
+                assert_eq!(m.as_slice(), want.as_slice());
+            }
+            let mut snap = Snapshot::new();
+            snap.push(crate::distrib::SEC_DPSI, gather);
+            let out = decode_psi_gather(&snap, &SHAPES).unwrap();
+            assert_eq!(out[0].0, 2);
+            assert_eq!(out[0].1.as_slice(), b[2].as_slice());
+            // Huge counts are typed errors, not allocations.
+            let mut w = ByteWriter::new();
+            w.put_u64(u64::MAX);
+            assert!(decode_psi_blocks(&w.into_bytes(), &SHAPES).is_err());
+        }
     }
 }

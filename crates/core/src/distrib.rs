@@ -20,7 +20,8 @@
 //!   flag), so every rank finishes the iteration with identical state
 //!   and identical history.
 //! * **Psi gather** (rank r → rank 0, snapshot iterations only): the
-//!   owned fragments' wavefunction blocks, so rank 0 can cut a snapshot
+//!   owned fragments' packed wavefunction blocks, bit for bit, so rank 0
+//!   can cut a snapshot
 //!   containing every fragment — snapshots stay group-count-independent
 //!   and resumable at any `LS3DF_GROUPS`.
 //!
@@ -34,7 +35,7 @@ use crate::supervise::{FragmentFault, QuarantineRecord, RetryAction, ATTEMPT_LAD
 use ls3df_ckpt::{ByteReader, ByteWriter, CkptError, SectionId, Snapshot};
 use ls3df_dist::{CommError, Communicator};
 use ls3df_grid::{decode_field, encode_field, RealField};
-use ls3df_math::{c64, Matrix};
+use ls3df_math::Matrix;
 
 /// Worker solve summary (residual, seconds, flags, events).
 pub(crate) const SEC_DSUMMARY: SectionId = SectionId::new("DSUMMARY");
@@ -277,11 +278,11 @@ pub(crate) fn decode_vnext(snap: &Snapshot) -> Result<VnextMessage, CkptError> {
     })
 }
 
-/// Wavefunction blocks tagged with their fragment index.
-pub(crate) type PsiBlocks = Vec<(usize, Matrix<c64>)>;
+/// Packed wavefunction blocks tagged with their fragment index.
+pub(crate) type PsiBlocks = Vec<(usize, Matrix<f64>)>;
 
 /// Serializes indexed wavefunction blocks (snapshot-iteration gather).
-pub(crate) fn encode_psi_gather(blocks: &[(usize, &Matrix<c64>)]) -> Snapshot {
+pub(crate) fn encode_psi_gather(blocks: &[(usize, &Matrix<f64>)]) -> Snapshot {
     let mut w = ByteWriter::new();
     w.put_u64(blocks.len() as u64);
     for (index, psi) in blocks {
@@ -362,7 +363,7 @@ pub(crate) fn share_vnext(
 pub(crate) fn gather_psi(
     comm: &dyn Communicator,
     iteration: usize,
-    own: &[(usize, &Matrix<c64>)],
+    own: &[(usize, &Matrix<f64>)],
     shapes: &[(usize, usize)],
 ) -> Result<Option<PsiBlocks>, CommError> {
     let tag = PSI_GATHER_TAG | iteration as u32;
@@ -449,6 +450,7 @@ mod tests {
                 iteration: 7,
                 dv_integral: 0.125,
                 worst_residual: 1e-5,
+                charge_ratio: 1.25,
                 timings: StepTimings {
                     gen_vf: 0.1,
                     petot_f: 0.2,
@@ -465,6 +467,7 @@ mod tests {
             back.step.dv_integral.to_bits(),
             msg.step.dv_integral.to_bits()
         );
+        assert_eq!(back.step.charge_ratio.to_bits(), 1.25f64.to_bits());
         assert!(back.converged);
         for (a, b) in back.v_in.as_slice().iter().zip(msg.v_in.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -473,11 +476,7 @@ mod tests {
 
     #[test]
     fn psi_gather_roundtrip_preserves_blocks() {
-        let mut m = Matrix::<c64>::zeros(2, 3);
-        for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
-            v.re = i as f64;
-            v.im = -(i as f64) * 0.5;
-        }
+        let m = Matrix::from_fn(2, 3, |i, j| i as f64 - j as f64 * 0.5);
         let bytes = encode_psi_gather(&[(4, &m)]).encode().unwrap();
         let shapes = [(1, 1), (1, 1), (1, 1), (1, 1), (2, 3)];
         let back = decode_psi_gather(&Snapshot::decode(&bytes).unwrap(), &shapes).unwrap();
@@ -485,8 +484,7 @@ mod tests {
         assert_eq!(back[0].0, 4);
         assert_eq!(back[0].1.rows(), 2);
         for (a, b) in back[0].1.as_slice().iter().zip(m.as_slice()) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
@@ -535,7 +533,7 @@ mod tests {
             assert_eq!(err.kind(), Malformed, "list {list}");
         }
 
-        let snap = encode_psi_gather(&[(1, &Matrix::<c64>::zeros(2, 3))]);
+        let snap = encode_psi_gather(&[(1, &Matrix::<f64>::zeros(2, 3))]);
         assert!(decode_psi_gather(&snap, &[(9, 9), (2, 3)]).is_ok());
         for shapes in [&[(9, 9), (3, 2)][..], &[(9, 9), (2, 4)], &[(2, 3)]] {
             let err = decode_psi_gather(&snap, shapes).expect_err("bad block");

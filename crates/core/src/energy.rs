@@ -71,13 +71,14 @@ impl Ls3df {
                 let h = Hamiltonian::new(fs.basis(), vf.clone(), fs.nonlocal());
                 let hpsi = h.apply_block(fs.psi());
                 // Band energies as Rayleigh quotients (robust even when the
-                // block is not perfectly converged).
+                // block is not perfectly converged); on packed rows the
+                // real dot is the complex inner product.
                 let mut band_energy = 0.0;
                 for (b, &f) in fs.occupations().iter().enumerate() {
                     if f == 0.0 {
                         continue;
                     }
-                    let eps = ls3df_math::vec_ops::dotc(fs.psi().row(b), hpsi.row(b)).re;
+                    let eps = ls3df_math::vec_ops::dotc(fs.psi().row(b), hpsi.row(b));
                     band_energy += f * eps;
                 }
                 // Remove the local-potential double count over ΩF.

@@ -60,7 +60,7 @@ impl Ls3df {
                 let f_nl = nonlocal_forces(
                     fs.basis(),
                     &fa.atoms[..fa.n_real],
-                    fs.psi(),
+                    &fs.basis().unpack_block(fs.psi()),
                     fs.occupations(),
                 );
                 fa.global_indices

@@ -121,6 +121,7 @@ mod tests {
             iteration,
             dv_integral: 1.0,
             worst_residual: 0.5,
+            charge_ratio: 1.0,
             timings: StepTimings::default(),
         }
     }

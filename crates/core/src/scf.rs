@@ -10,7 +10,9 @@
 //! single-process run is its `M = 1` world, not a separate code path.
 //!
 //! Each fragment keeps its wavefunctions between outer iterations (warm
-//! start). Per-step wall-clock timings are recorded so the machine-model
+//! start), as Γ-point packed real rows (`ls3df_pw::PwBasis::pack`): the
+//! representation its solves, Gen_dens, the energy and snapshots all read
+//! directly. Per-step wall-clock timings are recorded so the machine-model
 //! calibration in `ls3df-hpc` can use measured constants.
 
 use crate::check;
@@ -28,7 +30,7 @@ use ls3df_atoms::{topology_cutoff, Structure};
 use ls3df_ckpt::{read_bytes, write_rotated, CheckpointConfig, CkptError, Fingerprint, Snapshot};
 use ls3df_dist::{CommError, Communicator};
 use ls3df_grid::{Grid3, RealField};
-use ls3df_math::{c64, Matrix};
+use ls3df_math::Matrix;
 use ls3df_obs::{counter_add, span, Counter, MemoryReport, Stopwatch};
 use ls3df_pseudo::PseudoTable;
 use ls3df_pw::{
@@ -143,6 +145,10 @@ pub struct Ls3dfStep {
     pub dv_integral: f64,
     /// Worst fragment eigensolver residual this iteration.
     pub worst_residual: f64,
+    /// Gen_dens' patched charge over the electron count, `q/N_e` with
+    /// `q = ∫ρ_patched` *before* the renormalization `ρ ← ρ·N_e/q`: how
+    /// far the patch is from conserving charge on its own (1 when exact).
+    pub charge_ratio: f64,
     /// Timing breakdown.
     pub timings: StepTimings,
 }
@@ -163,10 +169,11 @@ pub(crate) struct FragmentState {
     nonlocal: NonlocalPotential,
     /// Fixed ΔV_F: confining wall + passivant ionic potentials.
     delta_v: RealField,
-    /// The fragment's one wavefunction block: the last *committed* solve
-    /// (or the start guess). Solves work on a transient candidate and
-    /// replace this only on success ([`supervised_solve`]).
-    psi: Matrix<c64>,
+    /// The fragment's one wavefunction block, as packed real rows: the
+    /// last *committed* solve (or the start guess). Solves work on a
+    /// transient candidate and replace this only on success
+    /// ([`supervised_solve`]).
+    psi: Matrix<f64>,
     occupations: Vec<f64>,
     atoms: FragmentAtoms,
     injected: InjectedCounters,
@@ -187,7 +194,7 @@ impl FragmentState {
     pub(crate) fn nonlocal(&self) -> &NonlocalPotential {
         &self.nonlocal
     }
-    pub(crate) fn psi(&self) -> &Matrix<c64> {
+    pub(crate) fn psi(&self) -> &Matrix<f64> {
         &self.psi
     }
     pub(crate) fn occupations(&self) -> &[f64] {
@@ -564,7 +571,7 @@ struct FragmentOutcome {
 /// Integer cost of one all-band solve of `psi`, from the block shape
 /// alone: the `O(n_b²·n_pw)` block products that dominate it. Orders the
 /// PEtot_F queue; only the order matters.
-fn solve_cost(psi: &Matrix<c64>) -> usize {
+fn solve_cost(psi: &Matrix<f64>) -> usize {
     psi.rows() * psi.rows() * psi.cols()
 }
 
@@ -603,8 +610,11 @@ fn supervised_solve(
         } else {
             // Escalation rungs discard the (possibly poisoned) warm start
             // for a fresh deterministic one, and get the burn-in budget.
-            let start =
-                ls3df_pw::scf::random_start(fs.psi.rows(), &fs.basis, retry_seed(index, attempt));
+            let start = ls3df_pw::scf::random_start_packed(
+                fs.psi.rows(),
+                &fs.basis,
+                retry_seed(index, attempt),
+            );
             let opts = SolverOptions {
                 max_iter: fresh_steps,
                 ..base.clone()
@@ -651,7 +661,7 @@ fn supervised_solve(
 /// retried rather than aborting.
 fn run_attempt(
     fs: &mut FragmentState,
-    psi: &mut Matrix<c64>,
+    psi: &mut Matrix<f64>,
     vf: &RealField,
     index: usize,
     attempt: usize,
@@ -663,7 +673,7 @@ fn run_attempt(
         // A panic that strikes mid-solve leaves a half-written block
         // behind; the injected one does too, so tests see that the
         // candidate — not the fragment's ψ — took the damage.
-        psi.row_mut(0).fill(c64::new(f64::NAN, f64::NAN));
+        psi.row_mut(0).fill(f64::NAN);
         // panic_any, not panic!: the supervision layer must handle
         // arbitrary payloads, and the house no-panic lint stays meaningful.
         std::panic::panic_any(format!(
@@ -678,7 +688,7 @@ fn run_attempt(
     }
     let h = Hamiltonian::new(&fs.basis, vf.clone(), &fs.nonlocal);
     let stats = match action {
-        RetryAction::BandByBand => solver::try_solve_band_by_band(&h, psi, base),
+        RetryAction::BandByBand => solver::try_solve_band_by_band_packed(&h, psi, base),
         RetryAction::ReducedCg => {
             let reduced = SolverOptions {
                 max_iter: (base.max_iter / 2).max(1),
@@ -686,10 +696,10 @@ fn run_attempt(
                 cg_reset: 1,
                 ..*base
             };
-            solver::try_solve_all_band(&h, psi, &reduced)
+            solver::try_solve_all_band_packed(&h, psi, &reduced)
         }
         RetryAction::Primary | RetryAction::FreshRandomStart => {
-            solver::try_solve_all_band(&h, psi, base)
+            solver::try_solve_all_band_packed(&h, psi, base)
         }
     }
     .map_err(|e| e.to_string())?;
@@ -824,7 +834,7 @@ impl Ls3df {
                 // bit-identical fragment solutions (exact patched-density
                 // periodicity for ideal crystals — tested in
                 // tests/ls3df_pipeline.rs).
-                let psi = ls3df_pw::scf::random_start(
+                let psi = ls3df_pw::scf::random_start_packed(
                     n_bands,
                     &basis,
                     0xF00D ^ (f.size[0] * 31 + f.size[1] * 37 + f.size[2] * 41) as u64,
@@ -921,16 +931,17 @@ impl Ls3df {
     /// [`scf`](Ls3df::scf) and the peak is the run's. Each rank accounts
     /// for the state it holds (every rank assembles every fragment).
     ///
-    /// * `psi_at_rest` — the fragments' wavefunction blocks, the state
-    ///   kept between outer iterations (one block per fragment).
-    /// * `projectors` — the fragments' Kleinman–Bylander projector blocks
-    ///   (`c64` and packed real copies).
+    /// * `psi_at_rest` — the fragments' packed wavefunction blocks, the
+    ///   state kept between outer iterations (one block per fragment).
+    /// * `projectors` — the fragments' packed Kleinman–Bylander projector
+    ///   blocks.
     /// * `bases_and_fields` — the planewave index tables (one per
     ///   fragment box shape), each fragment's ΔV_F, and the global basis,
     ///   potentials and density.
     /// * `solve_workspace` — what the in-flight fragment solves hold at
-    ///   worst: the largest fragment's candidate block and solver blocks,
-    ///   times the threads that solve concurrently.
+    ///   worst: the largest fragment's candidate and solver blocks
+    ///   ([`solver::solve_workspace_bytes`]), times the threads that solve
+    ///   concurrently.
     pub fn memory_footprint(&self) -> MemoryReport {
         let field = |f: &RealField| size_of_val(f.as_slice());
         let (mut psi, mut projectors, mut largest_solve) = (0, 0, 0);
@@ -941,15 +952,14 @@ impl Ls3df {
         let mut counted_bases: Vec<&Arc<PwBasis>> = Vec::new();
         for fs in &self.fragments {
             let (nb, npw) = fs.psi.shape();
-            let block = size_of_val(fs.psi.as_slice());
-            psi += block;
+            psi += size_of_val(fs.psi.as_slice());
             projectors += fs.nonlocal.heap_bytes();
             bases_and_fields += field(&fs.delta_v);
             if !counted_bases.iter().any(|b| Arc::ptr_eq(b, &fs.basis)) {
                 bases_and_fields += fs.basis.heap_bytes();
                 counted_bases.push(&fs.basis);
             }
-            largest_solve = largest_solve.max(block + solver::solve_workspace_bytes(nb, npw));
+            largest_solve = largest_solve.max(solver::solve_workspace_bytes(nb, npw));
         }
         let categories = [
             ("psi_at_rest", psi),
@@ -969,6 +979,15 @@ impl Ls3df {
         }
     }
 
+    /// `(bands, planewaves, projectors)` of fragment `index`: the shape of
+    /// its packed wavefunction block and of its projector block — what
+    /// [`Ls3df::memory_footprint`] accounts, for tests that recount it.
+    pub fn fragment_block_shape(&self, index: usize) -> (usize, usize, usize) {
+        let fs = &self.fragments[index];
+        let (nb, npw) = fs.psi.shape();
+        (nb, npw, fs.nonlocal.len())
+    }
+
     /// Scales every coefficient of fragment `index`'s wavefunction block.
     ///
     /// Validation-support hook: deliberately corrupting one fragment lets
@@ -980,13 +999,14 @@ impl Ls3df {
         self.fragments[index].psi.scale_real(factor);
     }
 
-    /// FNV-1a over the bit patterns of fragment `index`'s wavefunction
-    /// block. Validation-support hook: equal digests before and after a
-    /// run mean the block was not touched — what a quarantine promises.
+    /// FNV-1a over the bit patterns of fragment `index`'s (packed)
+    /// wavefunction block. Validation-support hook: equal digests before
+    /// and after a run mean the block was not touched — what a quarantine
+    /// promises.
     pub fn fragment_psi_digest(&self, index: usize) -> u64 {
         let mut fp = Fingerprint::new();
-        for c in self.fragments[index].psi.as_slice() {
-            fp.push_f64(c.re).push_f64(c.im);
+        for &x in self.fragments[index].psi.as_slice() {
+            fp.push_f64(x);
         }
         fp.finish()
     }
@@ -1087,7 +1107,7 @@ impl Ls3df {
     /// electron count.
     pub fn gen_dens(&self) -> RealField {
         let all: Vec<usize> = (0..self.fragments.len()).collect();
-        self.patch_density(self.gen_dens_parts(&all))
+        self.patch_density(self.gen_dens_parts(&all)).0
     }
 
     /// The parallel half of **Gen_dens**, restricted to `indices`: each
@@ -1130,13 +1150,15 @@ impl Ls3df {
     /// The sequential half of **Gen_dens**: accumulates region parts in
     /// fixed ascending fragment order (the global-array reduction),
     /// verifies the patching invariants, and renormalizes to the exact
-    /// electron count. `parts` must be sorted by fragment index — the
+    /// electron count, returning it with `q/N_e` (the patched charge
+    /// before that renormalization, over the electron count). `parts` must
+    /// be sorted by fragment index — the
     /// caller guarantees it (`gen_dens_parts` preserves the order of its
     /// `indices`, and the global layer sorts its fold), so the summation tree
     /// is a function of the fragment list alone — the patched density is
     /// bit-identical from run to run, across LS3DF_THREADS settings, and
     /// across group counts.
-    fn patch_density(&self, parts: Vec<(usize, RealField)>) -> RealField {
+    fn patch_density(&self, parts: Vec<(usize, RealField)>) -> (RealField, f64) {
         let _s = span!("gen_dens");
         let mut rho = RealField::zeros(self.global_grid.clone());
         let mut signed_region_charge = 0.0;
@@ -1201,7 +1223,7 @@ impl Ls3df {
         if q.abs() > 1e-12 {
             rho.scale(self.n_electrons / q);
         }
-        rho
+        (rho, q / self.n_electrons)
     }
 
     /// **GENPOT**: global Poisson + XC from the patched density, through
@@ -1413,7 +1435,7 @@ impl Ls3df {
         }
 
         let t = Stopwatch::start();
-        let rho = self.patch_density(folded.regions);
+        let (rho, charge_ratio) = self.patch_density(folded.regions);
         timings.gen_dens += t.seconds();
         observer.on_stage(iteration, ScfStage::GenDens, timings.gen_dens);
 
@@ -1439,6 +1461,7 @@ impl Ls3df {
                 iteration,
                 dv_integral,
                 worst_residual: folded.worst_residual,
+                charge_ratio,
                 timings,
             },
             converged,
@@ -1459,7 +1482,7 @@ impl Ls3df {
             _ => return Ok(()),
         };
         let _s = span!("snapshot");
-        let own: Vec<(usize, &Matrix<c64>)> = self.plan.groups[self.comm.rank()]
+        let own: Vec<(usize, &Matrix<f64>)> = self.plan.groups[self.comm.rank()]
             .iter()
             .map(|&i| (i, &self.fragments[i].psi))
             .collect();
@@ -1680,11 +1703,11 @@ mod tests {
     }
 
     #[test]
-    fn start_block_with_no_real_part_is_retried_from_a_fresh_start() {
-        // i·(real orbitals): the solve entry packs Re ψ(r), which
-        // vanishes, so the primary attempt fails as dependent start
-        // vectors — and the ladder's fresh random start must recover with
-        // nothing quarantined.
+    fn degenerate_start_block_is_retried_from_a_fresh_start() {
+        // A packed start block whose rows all repeat the first: the
+        // primary attempt fails its entry orthonormalization as dependent
+        // start vectors — and the ladder's fresh random start must recover
+        // with nothing quarantined.
         struct Retries(Vec<FragmentFault>);
         impl ScfObserver for &mut Retries {
             fn on_fragment_retry(&mut self, _iteration: usize, fault: &FragmentFault) {
@@ -1711,12 +1734,10 @@ mod tests {
             .build()
             .expect("valid test geometry");
         let fs = &mut calc.fragments[3];
-        let mut packed = vec![0.0; fs.basis.len()];
-        for b in 0..fs.psi.rows() {
-            fs.basis.pack(fs.psi.row(b), &mut packed);
-            fs.basis.unpack(&packed, fs.psi.row_mut(b));
+        let first = fs.psi.row(0).to_vec();
+        for b in 1..fs.psi.rows() {
+            fs.psi.row_mut(b).copy_from_slice(&first);
         }
-        ls3df_math::vec_ops::scal(c64::I, fs.psi.as_mut_slice());
 
         let mut retries = Retries(Vec::new());
         let res = calc.scf_with(&mut retries);
@@ -1727,5 +1748,74 @@ mod tests {
         assert_eq!((fault.fragment, fault.attempt), (3, 0));
         assert_eq!(fault.action, RetryAction::Primary);
         assert!(fault.detail.contains("linearly dependent"), "{fault}");
+    }
+
+    #[test]
+    fn charge_ratio_is_the_patched_charge_before_renormalization() {
+        // The crystal8 set, two iterations, a snapshot after each: every
+        // step's q/N_e round-trips through the snapshot bit for bit, the
+        // last equals ∫ρ_patched/N_e re-patched from the fragments' final
+        // ψ before renormalization, and the run digest ignores it.
+        let s = ls3df_atoms::model_crystal([2, 2, 2], 6.5);
+        let opts = Ls3dfOptions {
+            ecut: 1.5,
+            piece_pts: [6, 6, 6],
+            buffer_pts: [2, 2, 2],
+            passivation: Passivation::WallOnly,
+            wall_height: 1.5,
+            n_extra_bands: 2,
+            cg_steps: 4,
+            initial_cg_steps: 12,
+            max_scf: 2,
+            tol: 1e-12,
+            pseudo: PseudoTable::deep_well(2.0, 0.8),
+            ..Default::default()
+        };
+        let dir = std::env::temp_dir().join(format!("ls3df-charge-ratio-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut calc = Ls3df::builder(&s)
+            .fragments([2, 2, 2])
+            .options(opts.clone())
+            .checkpoint(CheckpointConfig {
+                dir: dir.clone(),
+                policy: ls3df_ckpt::CheckpointPolicy::EveryN(1),
+                keep_last: 1,
+            })
+            .build()
+            .expect("valid test geometry");
+        let mut res = calc.scf();
+        assert_eq!(res.history.len(), 2);
+
+        let all: Vec<usize> = (0..calc.n_fragments()).collect();
+        let mut patched = RealField::zeros(calc.global_grid.clone());
+        for (i, region) in calc.gen_dens_parts(&all) {
+            let f = &calc.fragments[i].fragment;
+            patched.accumulate_subbox(calc.fg.region_origin(f), &region, f.alpha());
+        }
+        let q = patched.integrate() / calc.n_electrons();
+        let last = res.history[1].charge_ratio;
+        assert_eq!(q.to_bits(), last.to_bits(), "{q} vs {last}");
+        assert!((last - 1.0).abs() < 0.25, "q/N_e = {last}");
+
+        let path = ls3df_ckpt::latest_snapshot(&dir)
+            .expect("list snapshots")
+            .expect("a snapshot per iteration");
+        let mut resumed = Ls3df::builder(&s)
+            .fragments([2, 2, 2])
+            .options(opts)
+            .build()
+            .expect("valid test geometry");
+        resumed.restore_from(&path).expect("resume");
+        let history = &resumed.resume.as_ref().expect("restored run").history;
+        for (a, b) in history.iter().zip(&res.history) {
+            assert_eq!(a.charge_ratio.to_bits(), b.charge_ratio.to_bits());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let digest = res.digest();
+        for step in &mut res.history {
+            step.charge_ratio = f64::NAN;
+        }
+        assert_eq!(res.digest(), digest, "q/N_e is not part of the digest");
     }
 }

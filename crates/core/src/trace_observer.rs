@@ -206,6 +206,7 @@ impl ScfObserver for &mut TraceObserver {
             iteration: step.iteration as u64,
             dv_integral: step.dv_integral,
             worst_residual: step.worst_residual,
+            charge_ratio: step.charge_ratio,
             stage_seconds: vec![
                 (ScfStage::GenVf.name().to_string(), t.gen_vf),
                 (ScfStage::PetotF.name().to_string(), t.petot_f),
@@ -255,6 +256,7 @@ mod tests {
                 iteration: 1,
                 dv_integral: 0.25,
                 worst_residual: 1e-4,
+                charge_ratio: 1.0,
                 timings: StepTimings {
                     gen_vf: 0.5,
                     petot_f: 2.0,

@@ -68,6 +68,9 @@ pub struct StepRow {
     pub dv_integral: f64,
     /// Worst fragment residual this iteration.
     pub worst_residual: f64,
+    /// Patched charge over the electron count before renormalization,
+    /// `q/N_e` (LS3DF's Gen_dens; 1 when the patch conserves charge).
+    pub charge_ratio: f64,
     /// Per-stage seconds for this iteration, in stage order.
     pub stage_seconds: Vec<(String, f64)>,
 }
@@ -385,6 +388,7 @@ impl Report {
                         ("iteration", Json::num(s.iteration as f64)),
                         ("dv_integral", Json::num(s.dv_integral)),
                         ("worst_residual", Json::num(s.worst_residual)),
+                        ("charge_ratio", Json::num(s.charge_ratio)),
                         ("stages", per_stage),
                     ])
                 })
@@ -948,6 +952,7 @@ mod tests {
             iteration: 1,
             dv_integral: 0.5,
             worst_residual: 1e-6,
+            charge_ratio: 0.875,
             stage_seconds: vec![("PEtot_F".to_string(), 0.7)],
         });
         report.counters.push(("fft_flops".to_string(), 12345));
@@ -959,6 +964,11 @@ mod tests {
         assert!(report.summary_table().contains("psi_at_rest"));
         let text = report.to_json().render();
         let doc = validate_report_str(&text).expect("schema-valid");
+        let steps = doc.get("steps").and_then(Json::as_array).expect("steps");
+        assert_eq!(
+            steps[0].get("charge_ratio").and_then(Json::as_f64),
+            Some(0.875)
+        );
         let memory = doc.get("memory").expect("memory section");
         assert_eq!(
             memory

@@ -55,15 +55,15 @@
 //! ```
 //!
 //! (`Re F` / `Im F` on a self-conjugate slot). [`crate::Hamiltonian`] runs
-//! its `f64` blocks this way, one transform pair per two bands. The
-//! full-sphere counterpart, [`PwBasis::wave_pair_to_grid_with`], is what
-//! `compute_density` uses for two `c64` rows that
-//! [`PwBasis::is_conjugate_symmetric`] accepts.
+//! its `f64` blocks this way, one transform pair per two bands, and
+//! `compute_density` synthesizes two occupied packed rows per transform.
+//! A `c64` block reaches the density through the same pairing only for
+//! rows [`PwBasis::is_conjugate_symmetric`] accepts.
 
 use ls3df_fft::{Fft3, Fft3Workspace, Occupancy};
 use ls3df_grid::Grid3;
-use ls3df_math::c64;
-use std::sync::Mutex;
+use ls3df_math::{c64, Matrix};
+use std::sync::{Arc, Mutex};
 
 /// Planewave basis bound to a periodic grid.
 pub struct PwBasis {
@@ -76,8 +76,9 @@ pub struct PwBasis {
     g2: Vec<f64>,
     /// Cartesian G for each basis vector.
     g_vec: Vec<[f64; 3]>,
-    /// Γ-point half-sphere index behind the packed real rows.
-    half: HalfSphere,
+    /// Γ-point half-sphere index behind the packed real rows; shared with
+    /// the projector blocks built on this basis, which unpack through it.
+    half: Arc<HalfSphere>,
     /// Grid lines the cutoff sphere touches: what the sphere-aware
     /// transforms skip the rest by.
     sphere: Occupancy,
@@ -89,7 +90,7 @@ pub struct PwBasis {
 
 /// The half-sphere index of a basis: which full-sphere coefficients a
 /// packed real row (see the module docs) keeps, in packed order.
-struct HalfSphere {
+pub(crate) struct HalfSphere {
     /// Basis indices of the self-conjugate vectors (`−G ≡ G` on the grid);
     /// they fill packed slots `0..selfs.len()`.
     selfs: Vec<usize>,
@@ -140,6 +141,37 @@ impl HalfSphere {
             g2: packed_g2,
         }
     }
+
+    /// [`PwBasis::unpack`] on this index.
+    pub(crate) fn unpack(&self, packed: &[f64], full: &mut [c64]) {
+        assert_eq!(full.len(), packed.len(), "unpack: packed row length");
+        let (selfs, pairs) = packed.split_at(self.selfs.len());
+        for (&p, &i) in selfs.iter().zip(&self.selfs) {
+            full[i] = c64::real(p);
+        }
+        for (p, &[i, j]) in pairs.chunks_exact(2).zip(&self.pairs) {
+            // Divided, not multiplied by 1/√2: `x·√2/√2` is within one ulp
+            // of `x`.
+            let c = c64::new(
+                p[0] / std::f64::consts::SQRT_2,
+                p[1] / std::f64::consts::SQRT_2,
+            );
+            full[i] = c;
+            full[j] = c.conj();
+        }
+    }
+
+    /// [`PwBasis::unpack`] of every row of a packed block.
+    pub(crate) fn unpack_block(&self, packed: &Matrix<f64>) -> Matrix<c64> {
+        let (rows, cols) = packed.shape();
+        // alloc-audit: one full-sphere block per call — the `c64` façades
+        // and post-processing, never the SCF hot path.
+        let mut full = Matrix::zeros(rows, cols);
+        for b in 0..rows {
+            self.unpack(packed.row(b), full.row_mut(b));
+        }
+        full
+    }
 }
 
 impl PwBasis {
@@ -173,7 +205,7 @@ impl PwBasis {
         }
         let fft = Fft3::new(grid.dims[0], grid.dims[1], grid.dims[2]);
         let sphere = fft.occupancy(&g_slot);
-        let half = HalfSphere::new(&grid, &g_slot, &g2s);
+        let half = Arc::new(HalfSphere::new(&grid, &g_slot, &g2s));
         PwBasis {
             grid,
             fft,
@@ -304,42 +336,54 @@ impl PwBasis {
     /// on conjugate-symmetric rows.
     pub fn unpack(&self, packed: &[f64], full: &mut [c64]) {
         assert_eq!(full.len(), self.len(), "unpack: coefficient count");
-        assert_eq!(packed.len(), self.len(), "unpack: packed row length");
-        let (selfs, pairs) = packed.split_at(self.half.selfs.len());
-        for (&p, &i) in selfs.iter().zip(&self.half.selfs) {
-            full[i] = c64::real(p);
-        }
-        for (p, &[i, j]) in pairs.chunks_exact(2).zip(&self.half.pairs) {
-            // Divided, not multiplied by 1/√2: `x·√2/√2` is within one ulp
-            // of `x`, so state at rest survives a pack/unpack round trip.
-            let c = c64::new(
-                p[0] / std::f64::consts::SQRT_2,
-                p[1] / std::f64::consts::SQRT_2,
-            );
-            full[i] = c;
-            full[j] = c.conj();
-        }
+        self.half.unpack(packed, full);
     }
 
-    /// Fills a conjugate-symmetric full-sphere row (a real orbital) with
-    /// one `draw(|G|²)` per half-sphere vector: `Re` of it on each
-    /// self-conjugate vector, `c_G` and `c_−G = conj c_G` for each pair.
-    pub(crate) fn fill_real(&self, full: &mut [c64], mut draw: impl FnMut(f64) -> c64) {
-        assert_eq!(full.len(), self.len(), "fill_real: coefficient count");
-        for &i in &self.half.selfs {
-            full[i] = c64::real(draw(self.g2[i]).re);
+    /// [`PwBasis::pack`] of every row of a full-sphere block.
+    pub fn pack_block(&self, full: &Matrix<c64>) -> Matrix<f64> {
+        let (rows, cols) = full.shape();
+        // alloc-audit: one packed block per call (the `c64` façades).
+        let mut packed = Matrix::zeros(rows, cols);
+        for b in 0..rows {
+            self.pack(full.row(b), packed.row_mut(b));
         }
-        for &[i, j] in &self.half.pairs {
+        packed
+    }
+
+    /// [`PwBasis::unpack`] of every row of a packed block: the full-sphere
+    /// `c64` block a packed state stands for.
+    pub fn unpack_block(&self, packed: &Matrix<f64>) -> Matrix<c64> {
+        assert_eq!(packed.cols(), self.len(), "unpack: packed row length");
+        self.half.unpack_block(packed)
+    }
+
+    /// The half-sphere index, shared with what unpacks rows of this basis
+    /// later ([`crate::NonlocalPotential`]'s lazy `c64` block).
+    pub(crate) fn half_sphere(&self) -> &Arc<HalfSphere> {
+        &self.half
+    }
+
+    /// Fills a packed real row (a real orbital) with one `draw(|G|²)` per
+    /// half-sphere vector: `Re` of it on each self-conjugate slot,
+    /// `(√2·Re, √2·Im)` of it for each pair — bit for bit [`PwBasis::pack`]
+    /// of the conjugate-symmetric row whose `c_G` is the draw.
+    pub(crate) fn fill_packed(&self, packed: &mut [f64], mut draw: impl FnMut(f64) -> c64) {
+        assert_eq!(packed.len(), self.len(), "fill_packed: packed row length");
+        let (selfs, pairs) = packed.split_at_mut(self.half.selfs.len());
+        for (p, &i) in selfs.iter_mut().zip(&self.half.selfs) {
+            *p = draw(self.g2[i]).re;
+        }
+        for (p, &[i, _]) in pairs.chunks_exact_mut(2).zip(&self.half.pairs) {
             let c = draw(self.g2[i]);
-            full[i] = c;
-            full[j] = c.conj();
+            p[0] = c.re * std::f64::consts::SQRT_2;
+            p[1] = c.im * std::f64::consts::SQRT_2;
         }
     }
 
     /// Whether a full-sphere row is exactly conjugate-symmetric (a real
     /// orbital): `c_−G = conj c_G` on every pair and `Im c_s = 0` on every
     /// self-conjugate vector, bit for bit. True for every row
-    /// [`PwBasis::unpack`] or [`PwBasis::fill_real`] wrote.
+    /// [`PwBasis::unpack`] wrote.
     pub fn is_conjugate_symmetric(&self, full: &[c64]) -> bool {
         assert_eq!(
             full.len(),
@@ -368,18 +412,12 @@ impl PwBasis {
         self.synthesize(buf, ws);
     }
 
-    /// Two conjugate-symmetric rows in one transform: synthesizes
-    /// `ψ_a(rᵢ) + i·ψ_b(rᵢ)` into `buf`, so `Re`/`Im` of each sample are
-    /// the two real orbitals [`PwBasis::wave_to_grid_with`] would give
-    /// one at a time. Rows that are not conjugate-symmetric mix, so callers
-    /// check [`PwBasis::is_conjugate_symmetric`] first.
-    pub(crate) fn wave_pair_to_grid_with(
-        &self,
-        a: &[c64],
-        b: &[c64],
-        buf: &mut [c64],
-        ws: &mut Fft3Workspace,
-    ) {
+    /// Zeroes `buf` and drops two conjugate-symmetric full-sphere rows on
+    /// the grid as `c_a + i·c_b`: one synthesis then gives
+    /// `ψ_a(rᵢ) + i·ψ_b(rᵢ)`, whose `Re`/`Im` are the two real orbitals.
+    /// Rows that are not conjugate-symmetric mix, so callers check
+    /// [`PwBasis::is_conjugate_symmetric`] first.
+    pub(crate) fn scatter_pair(&self, a: &[c64], b: &[c64], buf: &mut [c64]) {
         assert_eq!(a.len(), self.len(), "wave_to_grid: coefficient count");
         assert_eq!(b.len(), self.len(), "wave_to_grid: coefficient count");
         assert_eq!(buf.len(), self.grid.len(), "wave_to_grid: buffer size");
@@ -387,12 +425,11 @@ impl PwBasis {
         for ((&slot, &ca), &cb) in self.g_slot.iter().zip(a).zip(b) {
             buf[slot] = c64::new(ca.re - cb.im, ca.im + cb.re);
         }
-        self.synthesize(buf, ws);
     }
 
     /// The transform half of [`PwBasis::wave_to_grid_with`]: `buf` holds
     /// scattered coefficients on entry, `ψ(rᵢ)` on exit.
-    fn synthesize(&self, buf: &mut [c64], ws: &mut Fft3Workspace) {
+    pub(crate) fn synthesize(&self, buf: &mut [c64], ws: &mut Fft3Workspace) {
         // The sphere-aware inverse is the bare Σ_G c_G·e^{iG·r}.
         self.fft.inverse_from_sparse(buf, &self.sphere, ws);
         let scale = 1.0 / self.grid.volume().sqrt();

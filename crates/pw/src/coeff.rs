@@ -1,15 +1,16 @@
 //! The two coefficient representations of a wavefunction row.
 //!
-//! The eigensolver and the Hamiltonian are written once, generic over
-//! [`Coeff`]: `c64` rows hold the full cutoff sphere (`n_pw` complex
-//! coefficients), `f64` rows the Γ-point packed half sphere (`n_pw` reals,
-//! see [`PwBasis::pack`]). The trait supplies the few places where the two
-//! differ — how a row meets the FFT grid, which `|G|²` belongs to a slot,
-//! which projector block it is multiplied against; everything else
-//! (inner products, `axpy`s, block products, factorizations) is
-//! [`Scalar`] arithmetic. Sealed: the representation is an implementation
-//! choice of this crate, made at the two solve entries of
-//! [`crate::solver`].
+//! The eigensolver, the Hamiltonian and the density are written once,
+//! generic over [`Coeff`]: `f64` rows are the Γ-point packed half sphere
+//! (`n_pw` reals, see [`PwBasis::pack`]) — the representation every
+//! production block is kept in — and `c64` rows the full cutoff sphere
+//! (`n_pw` complex coefficients), which the `Matrix<c64>` façades and the
+//! complex test oracles use. The trait supplies the few places where the
+//! two differ — how a row meets the FFT grid, which `|G|²` belongs to a
+//! slot, which projector block it is multiplied against, whether two rows
+//! may share a transform; everything else (inner products, `axpy`s, block
+//! products, factorizations) is [`Scalar`] arithmetic. Sealed: the set of
+//! representations is this crate's choice.
 
 use crate::{NonlocalPotential, PwBasis};
 use ls3df_math::{c64, Matrix, Scalar};
@@ -32,6 +33,15 @@ pub trait Coeff: Scalar + sealed::Sealed {
     /// Reads a row back off the grid slots, unscaled.
     #[doc(hidden)]
     fn gather(basis: &PwBasis, buf: &[c64], row: &mut [Self]);
+    /// Whether the row is a real orbital, so that it may share a
+    /// synthesis with another one ([`Coeff::scatter_pair`]): always for a
+    /// packed row, only when exactly conjugate-symmetric for a `c64` row.
+    #[doc(hidden)]
+    fn is_real_orbital(basis: &PwBasis, row: &[Self]) -> bool;
+    /// Zeroes `buf` and drops two real-orbital rows on the grid so that
+    /// one synthesis gives `ψ_a(r) + i·ψ_b(r)`.
+    #[doc(hidden)]
+    fn scatter_pair(basis: &PwBasis, a: &[Self], b: &[Self], buf: &mut [c64]);
     /// The Kleinman–Bylander projector block in this representation.
     #[doc(hidden)]
     fn projectors(nonlocal: &NonlocalPotential) -> &Matrix<Self>;
@@ -54,6 +64,12 @@ impl Coeff for c64 {
     fn gather(basis: &PwBasis, buf: &[c64], row: &mut [c64]) {
         basis.gather(buf, row);
     }
+    fn is_real_orbital(basis: &PwBasis, row: &[c64]) -> bool {
+        basis.is_conjugate_symmetric(row)
+    }
+    fn scatter_pair(basis: &PwBasis, a: &[c64], b: &[c64], buf: &mut [c64]) {
+        basis.scatter_pair(a, b, buf);
+    }
     fn projectors(nonlocal: &NonlocalPotential) -> &Matrix<c64> {
         nonlocal.projectors()
     }
@@ -74,6 +90,12 @@ impl Coeff for f64 {
     }
     fn gather(basis: &PwBasis, buf: &[c64], row: &mut [f64]) {
         basis.gather_packed(buf, row);
+    }
+    fn is_real_orbital(_: &PwBasis, _: &[f64]) -> bool {
+        true
+    }
+    fn scatter_pair(basis: &PwBasis, a: &[f64], b: &[f64], buf: &mut [c64]) {
+        basis.scatter_packed_pair(a, b, buf);
     }
     fn projectors(nonlocal: &NonlocalPotential) -> &Matrix<f64> {
         nonlocal.packed_projectors()

@@ -1,6 +1,6 @@
 //! Electron density construction from wavefunction blocks.
 
-use crate::PwBasis;
+use crate::{Coeff, PwBasis};
 use ls3df_fft::Fft3Workspace;
 use ls3df_grid::RealField;
 use ls3df_math::{c64, Matrix};
@@ -19,15 +19,20 @@ const BAND_BLOCK: usize = 8;
 /// The summation tree depends only on the band count — never on the rayon
 /// schedule — so repeated runs produce bit-identical densities.
 ///
-/// A block synthesizes two occupied real orbitals (rows
-/// [`PwBasis::is_conjugate_symmetric`] accepts) per transform,
-/// `ψ_a + i·ψ_b`, and adds `f_a·Re² + f_b·Im²`. Any other occupied row —
-/// a complex row from a public caller or an old snapshot — and a real
-/// orbital left without a partner in its block goes through a transform
-/// of its own, so the density is right for any input. The solve entries
-/// and `random_start` hand out real orbitals. Pairs never straddle a
-/// block, so the summation tree is the same.
-pub fn compute_density(basis: &PwBasis, psi: &Matrix<c64>, occupations: &[f64]) -> RealField {
+/// A block synthesizes two occupied real orbitals per transform,
+/// `ψ_a + i·ψ_b`, and adds `f_a·Re² + f_b·Im²`. Every packed `f64` row is
+/// a real orbital by construction, so a packed block — the state every
+/// production path keeps — pairs its rows unconditionally. A `c64` row
+/// pairs only when [`PwBasis::is_conjugate_symmetric`] accepts it; any
+/// other occupied row, and a real orbital left without a partner in its
+/// block, goes through a transform of its own, so the density is right
+/// for any input. Pairs never straddle a block, so the summation tree is
+/// the same.
+pub fn compute_density<S: Coeff>(
+    basis: &PwBasis,
+    psi: &Matrix<S>,
+    occupations: &[f64],
+) -> RealField {
     assert_eq!(
         psi.rows(),
         occupations.len(),
@@ -48,7 +53,8 @@ pub fn compute_density(basis: &PwBasis, psi: &Matrix<c64>, occupations: &[f64]) 
             let mut buf = vec![c64::ZERO; ngrid];
             let mut ws = basis.take_fft_workspace();
             let single = |b: usize, acc: &mut [f64], buf: &mut [c64], ws: &mut Fft3Workspace| {
-                basis.wave_to_grid_with(psi.row(b), buf, ws);
+                S::scatter(basis, psi.row(b), buf);
+                basis.synthesize(buf, ws);
                 let f = occupations[b];
                 for (x, v) in acc.iter_mut().zip(&*buf) {
                     *x += f * v.norm_sqr();
@@ -57,10 +63,11 @@ pub fn compute_density(basis: &PwBasis, psi: &Matrix<c64>, occupations: &[f64]) 
             // A real orbital waiting for the next one in the block.
             let mut waiting = None;
             for b in (lo..hi).filter(|&b| occupations[b] != 0.0) {
-                if !basis.is_conjugate_symmetric(psi.row(b)) {
+                if !S::is_real_orbital(basis, psi.row(b)) {
                     single(b, &mut acc, &mut buf, &mut ws);
                 } else if let Some(a) = waiting.take() {
-                    basis.wave_pair_to_grid_with(psi.row(a), psi.row(b), &mut buf, &mut ws);
+                    S::scatter_pair(basis, psi.row(a), psi.row(b), &mut buf);
+                    basis.synthesize(&mut buf, &mut ws);
                     let (fa, fb) = (occupations[a], occupations[b]);
                     for (x, v) in acc.iter_mut().zip(&buf) {
                         *x += fa * (v.re * v.re) + fb * (v.im * v.im);
@@ -115,6 +122,11 @@ mod tests {
 
     /// An orthonormal block of real orbitals (conjugate-symmetric rows).
     fn real_orbitals(basis: &PwBasis, nb: usize) -> Matrix<c64> {
+        basis.unpack_block(&packed_orbitals(basis, nb))
+    }
+
+    /// An orthonormal block of packed real rows.
+    fn packed_orbitals(basis: &PwBasis, nb: usize) -> Matrix<f64> {
         let mut state = 0x2545_F491_4F6C_DD1D_u64;
         let mut packed = Matrix::from_fn(nb, basis.len(), |_, _| {
             state = state
@@ -123,11 +135,7 @@ mod tests {
             ((state >> 11) as f64) / ((1u64 << 53) as f64) - 0.5
         });
         ls3df_math::ortho::cholesky_orthonormalize(&mut packed, 1.0).unwrap();
-        let mut psi = Matrix::zeros(nb, basis.len());
-        for b in 0..nb {
-            basis.unpack(packed.row(b), psi.row_mut(b));
-        }
-        psi
+        packed
     }
 
     #[test]
@@ -162,6 +170,18 @@ mod tests {
             rho.integrate()
         );
         assert!(rho.min() >= -1e-12, "density must be non-negative");
+    }
+
+    #[test]
+    fn packed_rows_give_the_density_of_the_orbitals_they_stand_for() {
+        let basis = PwBasis::new(Grid3::cubic(10, 6.0), 1.5);
+        let packed = packed_orbitals(&basis, 5);
+        let occ = [2.0, 1.0, 2.0, 1.5, 0.5];
+        let rho = compute_density(&basis, &packed, &occ);
+        let full = compute_density(&basis, &basis.unpack_block(&packed), &occ);
+        for (r, f) in rho.as_slice().iter().zip(full.as_slice()) {
+            assert!((r - f).abs() < 1e-13, "{r} vs {f}");
+        }
     }
 
     #[test]

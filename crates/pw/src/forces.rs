@@ -384,7 +384,8 @@ mod tests {
             res.history.last().map(|h| h.dv_integral)
         );
         let basis = PwBasis::new(grid, sys.ecut);
-        let f = total_forces(&basis, &sys.atoms, &res.rho, &res.psi, &res.occupations);
+        let psi = basis.unpack_block(&res.psi);
+        let f = total_forces(&basis, &sys.atoms, &res.rho, &psi, &res.occupations);
         for c in 0..3 {
             assert!(
                 f[0][c].abs() < 1e-3,

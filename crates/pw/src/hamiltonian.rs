@@ -15,10 +15,11 @@
 //! ablation baseline and the fragment retry ladder's last rung.
 //!
 //! Every application is generic over the row representation
-//! ([`Coeff`]): `c64` full-sphere rows, or the Γ-point packed `f64` rows
-//! of [`PwBasis::pack`]. For packed rows the Kleinman–Bylander term is two
-//! *real* GEMMs against the packed projector block (built beside the
-//! complex one, once per geometry) and the kinetic term reads the packed
+//! ([`Coeff`]): the Γ-point packed `f64` rows of [`PwBasis::pack`], or
+//! `c64` full-sphere rows. For packed rows the Kleinman–Bylander term is
+//! two *real* GEMMs against the packed projector block — the only one a
+//! [`NonlocalPotential`] builds; a `c64` application unpacks a complex copy
+//! the first time it needs one — and the kinetic term reads the packed
 //! `|G|²` table. The local term differs in how many bands share a
 //! transform: a `c64` row takes one complex sphere-pruned transform pair
 //! per band, while a packed block — what the solver runs —
@@ -28,6 +29,7 @@
 //! An odd last band, the single-band path and the `c64` instantiation
 //! keep one pair per band.
 
+use crate::basis::HalfSphere;
 use crate::{Coeff, PwBasis};
 use ls3df_fft::Fft3Workspace;
 use ls3df_grid::RealField;
@@ -35,6 +37,7 @@ use ls3df_math::gemm::{self, gemm_into, GemmScratch, Op};
 use ls3df_math::vec_ops;
 use ls3df_math::{c64, Matrix, Scalar};
 use ls3df_obs::{counter_add, Counter};
+use std::sync::{Arc, OnceLock};
 
 /// Charges one block product `(m × k)·(k × n)` over `S` to
 /// [`Counter::GemmFlops`]: `S::MADD_FLOPS` real flops per multiply-add
@@ -48,11 +51,16 @@ pub(crate) fn count_block_product<S: Scalar>(m: usize, k: usize, n: usize) {
 /// given basis: `V_NL = Σ_a E_a·|β_a⟩⟨β_a|` with `⟨G|β_a⟩` normalized over
 /// the basis.
 pub struct NonlocalPotential {
-    /// Projector coefficients, `(n_proj × n_pw)`.
-    projectors: Matrix<c64>,
-    /// The same projectors as Γ-point packed real rows ([`PwBasis::pack`]):
-    /// what the `f64` applications multiply against.
+    /// Projector coefficients as Γ-point packed real rows
+    /// ([`PwBasis::pack`]), `(n_proj × n_pw)`: what the `f64` applications
+    /// multiply against.
     packed: Matrix<f64>,
+    /// The basis' half-sphere index, to unpack `packed` with.
+    half: Arc<HalfSphere>,
+    /// The full-sphere `c64` projector block, unpacked from `packed` the
+    /// first time a `c64` application asks for it (never, on the packed
+    /// production path).
+    complex: OnceLock<Matrix<c64>>,
     /// KB energy per projector (Hartree).
     energies: Vec<f64>,
 }
@@ -94,7 +102,6 @@ impl NonlocalPotential {
         assert_eq!(positions.len(), e_kb.len());
         let active: Vec<usize> = (0..positions.len()).filter(|&a| e_kb[a] != 0.0).collect();
         let npw = basis.len();
-        let mut projectors = Matrix::zeros(active.len(), npw);
         let mut packed = Matrix::zeros(active.len(), npw);
         // alloc-audit: projector assembly — once per Hamiltonian geometry,
         // never inside the CG loop.
@@ -103,9 +110,11 @@ impl NonlocalPotential {
         // alloc-audit: per-geometry staging for the batched radial form
         // factors — reused across atoms, freed before the CG loop starts.
         let mut radial = vec![0.0_f64; npw];
+        // alloc-audit: per-geometry staging row of the full-sphere
+        // projector, packed into `packed` row by row.
+        let mut p = vec![c64::ZERO; npw];
         for (row, &a) in active.iter().enumerate() {
             let r_a = positions[a];
-            let p = projectors.row_mut(row);
             form_batch(a, &qs, &mut radial);
             let mut norm2 = 0.0;
             for (i, g) in basis.g_vectors().iter().enumerate() {
@@ -117,12 +126,13 @@ impl NonlocalPotential {
             for v in p.iter_mut() {
                 *v = v.scale(inv);
             }
-            basis.pack(p, packed.row_mut(row));
+            basis.pack(&p, packed.row_mut(row));
             energies.push(e_kb[a]);
         }
         NonlocalPotential {
-            projectors,
             packed,
+            half: Arc::clone(basis.half_sphere()),
+            complex: OnceLock::new(),
             energies,
         }
     }
@@ -130,14 +140,17 @@ impl NonlocalPotential {
     /// An empty nonlocal potential (local-only Hamiltonian).
     pub fn none(basis: &PwBasis) -> Self {
         NonlocalPotential {
-            projectors: Matrix::zeros(0, basis.len()),
             packed: Matrix::zeros(0, basis.len()),
+            half: Arc::clone(basis.half_sphere()),
+            complex: OnceLock::new(),
             energies: Vec::new(),
         }
     }
 
+    /// The full-sphere `c64` projector block, unpacked on first use.
     pub(crate) fn projectors(&self) -> &Matrix<c64> {
-        &self.projectors
+        self.complex
+            .get_or_init(|| self.half.unpack_block(&self.packed))
     }
 
     pub(crate) fn packed_projectors(&self) -> &Matrix<f64> {
@@ -154,12 +167,12 @@ impl NonlocalPotential {
         self.energies.is_empty()
     }
 
-    /// Heap bytes held: the `c64` projector block, its packed real copy
-    /// and the energies.
+    /// Heap bytes held: the packed projector block and the energies, plus
+    /// the `c64` block if a `c64` application has built it.
     pub fn heap_bytes(&self) -> usize {
-        size_of_val(self.projectors.as_slice())
-            + size_of_val(self.packed.as_slice())
+        size_of_val(self.packed.as_slice())
             + size_of_val(self.energies.as_slice())
+            + self.complex.get().map_or(0, |m| size_of_val(m.as_slice()))
     }
 
     /// `hpsi += V_NL·psi` for a whole block (two GEMMs). Allocating shim
@@ -216,7 +229,7 @@ impl NonlocalPotential {
         if self.is_empty() {
             return 0.0;
         }
-        let b = gemm::matmul_nh(psi, &self.projectors);
+        let b = gemm::matmul_nh(psi, self.projectors());
         let mut e = 0.0;
         for band in 0..b.rows() {
             let mut acc = 0.0;
@@ -611,7 +624,9 @@ mod tests {
             |_, q| (-q * q / 3.0).exp(),
             &[1.0],
         );
-        let p = nl.projectors.row(0);
+        let p = nl.projectors().row(0);
         assert!((dotc(p, p).re - 1.0).abs() < 1e-12);
+        let packed = nl.packed_projectors().row(0);
+        assert!((dotc(packed, packed) - 1.0).abs() < 1e-12);
     }
 }

@@ -11,7 +11,7 @@ use crate::hamiltonian::{Hamiltonian, NonlocalPotential};
 use crate::hartree::HartreeSolver;
 use crate::mixing::{Mixer, MixerState};
 use crate::potential::{effective_potential_with, initial_density, ionic_potential, PwAtom};
-use crate::solver::{solve_all_band_with, CgWorkspace, SolverOptions};
+use crate::solver::{solve_all_band_packed_with, CgWorkspace, SolverOptions};
 use crate::{ewald, PwBasis};
 use ls3df_grid::{Grid3, RealField};
 use ls3df_math::{c64, Matrix};
@@ -100,8 +100,10 @@ pub struct ScfStep {
 pub struct ScfResult {
     /// Eigenvalues of the final iteration (Hartree, ascending).
     pub eigenvalues: Vec<f64>,
-    /// Final wavefunctions `(n_bands × n_pw)`.
-    pub psi: Matrix<c64>,
+    /// Final wavefunctions `(n_bands × n_pw)`, as Γ-point packed real rows
+    /// ([`PwBasis::pack`]; [`PwBasis::unpack_block`] gives the
+    /// full-sphere block).
+    pub psi: Matrix<f64>,
     /// Final (output) density.
     pub rho: RealField,
     /// Final self-consistent effective potential (the `V_in` of the last
@@ -154,11 +156,16 @@ pub fn setup(
 }
 
 /// Deterministic random starting wavefunctions (seeded, so runs are
-/// reproducible). The rows are real orbitals (conjugate-symmetric, one
-/// draw per `±G` pair): the solver would keep only the real part of a
-/// complex start anyway, and `compute_density` synthesizes two real
-/// orbitals per transform.
+/// reproducible) as full-sphere rows: [`random_start_packed`] unpacked.
+/// The rows are real orbitals (conjugate-symmetric).
 pub fn random_start(n_bands: usize, basis: &PwBasis, seed: u64) -> Matrix<c64> {
+    basis.unpack_block(&random_start_packed(n_bands, basis, seed))
+}
+
+/// Deterministic random starting wavefunctions as Γ-point packed real
+/// rows, one draw per half-sphere vector (`±G` pair): the start block of
+/// every fragment and of the direct SCF.
+pub fn random_start_packed(n_bands: usize, basis: &PwBasis, seed: u64) -> Matrix<f64> {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
     let mut next = move || {
         state = state
@@ -173,10 +180,10 @@ pub fn random_start(n_bands: usize, basis: &PwBasis, seed: u64) -> Matrix<c64> {
     };
     // Rows staged in one buffer and appended: the block is written once,
     // never zeroed first.
-    let mut row = vec![c64::ZERO; basis.len()];
+    let mut row = vec![0.0; basis.len()];
     let mut data = Vec::with_capacity(n_bands * basis.len());
     for _ in 0..n_bands {
-        basis.fill_real(&mut row, &mut draw);
+        basis.fill_packed(&mut row, &mut draw);
         data.extend_from_slice(&row);
     }
     Matrix::from_vec(n_bands, basis.len(), data)
@@ -188,13 +195,13 @@ pub fn scf(system: &DftSystem, opts: &ScfOptions) -> ScfResult {
     let n_occ = system.n_occupied();
     let n_bands = n_occ + opts.n_extra_bands;
     let occupations = insulator_occupations(n_bands, system.n_electrons());
-    let mut psi = random_start(n_bands, &basis, 12345);
+    let mut psi = random_start_packed(n_bands, &basis, 12345);
     let e_ii = system.ewald_energy();
 
     // Per-geometry caches shared by every SCF iteration: the Poisson
     // solver (FFT plan + reciprocal kernel) and the CG block scratch.
     let hartree = HartreeSolver::new(basis.grid().clone());
-    let mut cg_ws: Option<CgWorkspace> = None;
+    let mut cg_ws: Option<CgWorkspace<f64>> = None;
     let (mut v_in, _) = effective_potential_with(&basis, &v_ion, &rho0, &hartree);
     let mut mixer = MixerState::new(opts.mixer.clone());
     let mut history: Vec<ScfStep> = Vec::new();
@@ -206,7 +213,7 @@ pub fn scf(system: &DftSystem, opts: &ScfOptions) -> ScfResult {
         // Solve the bands in the current potential.
         let h = Hamiltonian::new(&basis, v_in.clone(), &nonlocal);
         let ws = cg_ws.get_or_insert_with(|| CgWorkspace::new(&h, psi.rows()));
-        let stats = solve_all_band_with(&h, &mut psi, &opts.solver, ws);
+        let stats = solve_all_band_packed_with(&h, &mut psi, &opts.solver, ws);
         eigenvalues = stats.eigenvalues.clone();
 
         // New density and output potential.

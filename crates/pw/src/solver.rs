@@ -22,25 +22,26 @@
 //! ## Γ-point real representation
 //!
 //! Both solvers (and the Hamiltonian under them) are written once, generic
-//! over the row representation [`Coeff`]. The two public solve entries —
-//! [`try_solve_all_band_with`] and [`try_solve_band_by_band`] — take and
-//! return full-sphere `c64` blocks, pack them into Γ-point real rows
-//! ([`crate::PwBasis::pack`]) and run the `f64` instantiation: every block
-//! product a real GEMM (a quarter of the flops, half the bytes), a
-//! real-symmetric subspace matrix, real Cholesky, BLAS-1 on half the data.
-//! They unpack on success; on error the caller's block is untouched. The
-//! `c64` instantiation is the complex-arithmetic oracle the unit tests
-//! hold the real one to.
+//! over the row representation [`Coeff`], and production runs the `f64`
+//! instantiation on Γ-point packed real rows ([`crate::PwBasis::pack`]):
+//! every block product a real GEMM (a quarter of the flops, half the
+//! bytes), a real-symmetric subspace matrix, real Cholesky, BLAS-1 on half
+//! the data. The packed entries — [`try_solve_all_band_packed`],
+//! [`solve_all_band_packed_with`] and [`try_solve_band_by_band_packed`] —
+//! solve the caller's packed block in place: no pack, no unpack, no copy.
+//! On error the block is left part-way; callers that must keep their
+//! state solve a candidate copy (`ls3df-core`'s supervised solve does).
 //!
-//! A start block that is not conjugate-symmetric (a complex random start)
-//! is packed as `Re ψ(r)`; one whose real part vanishes fails the entry
-//! orthonormalization as [`SolverError::DependentStartVectors`] like any
-//! other degenerate start. State at rest (fragment `ψ`, snapshots, the
-//! density accumulation) is the unpacked full-sphere block, exactly
-//! conjugate-symmetric, which is what lets `compute_density` synthesize
-//! two of these bands per transform. [`cg_init`]/[`cg_residual`]/
-//! [`cg_step`] are the instantiations themselves (`c64` when handed `c64`
-//! blocks).
+//! The `Matrix<c64>` entries ([`solve_all_band`], [`try_solve_all_band_with`],
+//! [`try_solve_band_by_band`], …) are façades over the packed ones: they
+//! pack the caller's full-sphere block, solve, and unpack on success; on
+//! error the caller's block is untouched. A start block that is not
+//! conjugate-symmetric (a complex random start) is packed as `Re ψ(r)`;
+//! one whose real part vanishes fails the entry orthonormalization as
+//! [`SolverError::DependentStartVectors`] like any other degenerate start.
+//! The `c64` instantiation itself is the complex-arithmetic oracle the unit
+//! tests hold the real one to; [`cg_init`]/[`cg_residual`]/[`cg_step`] run
+//! whichever instantiation they are handed.
 
 use crate::hamiltonian::count_block_product;
 use crate::{Coeff, HamWorkspace, Hamiltonian, PwBasis};
@@ -201,8 +202,8 @@ fn line_minimize<S: Scalar>(psi: &mut [S], hpsi: &mut [S], d: &[S], hd: &[S], a:
 /// [`cg_residual`]/[`cg_step`] directly) keeps the steady-state inner
 /// loop free of heap allocations — the property the `alloc-count` test
 /// asserts. The `(n_bands × n_pw)` blocks are allocated by the first
-/// [`cg_init`], so a `c64` workspace that only ever serves the solve
-/// entries holds the packed real blocks and no complex ones. A workspace
+/// [`cg_init`], so a `c64` workspace that only ever serves the `c64` solve
+/// façades holds the packed real blocks and no complex ones. A workspace
 /// is tied to the block shape and grid it was built for; never share one
 /// between threads.
 pub struct CgWorkspace<S: Coeff = c64> {
@@ -237,8 +238,8 @@ pub struct CgWorkspace<S: Coeff = c64> {
     /// Scratch for the `H·ψ` applications; its pack scratch (`ham.gemm`)
     /// serves every block product of the solver.
     ham: HamWorkspace<S>,
-    /// The packed real block and its workspace, built by the first
-    /// [`try_solve_all_band_with`].
+    /// The packed copy of the caller's block and its workspace, built by
+    /// the first `c64` [`try_solve_all_band_with`].
     packed: Option<Box<(Matrix<f64>, CgWorkspace<f64>)>>,
 }
 
@@ -273,11 +274,11 @@ impl<S: Coeff> CgWorkspace<S> {
     }
 }
 
-/// Heap bytes of the `(n_bands × n_pw)` blocks one
-/// [`try_solve_all_band`] holds while it runs: the six real blocks
-/// [`cg_init`] sizes plus the packed copy of the caller's block. The
-/// `n_bands²` matrices, FFT buffers and GEMM pack scratch come on top —
-/// a few MiB whatever the block.
+/// Heap bytes of the `(n_bands × n_pw)` blocks one supervised packed
+/// solve holds while it runs: the six real blocks [`cg_init`] sizes plus
+/// the candidate block it solves in place. The `n_bands²` matrices, FFT
+/// buffers and GEMM pack scratch come on top — a few MiB whatever the
+/// block.
 pub fn solve_workspace_bytes(n_bands: usize, n_pw: usize) -> usize {
     7 * n_bands * n_pw * size_of::<f64>()
 }
@@ -467,6 +468,19 @@ pub fn solve_all_band_with(
     try_solve_all_band_with(h, psi, opts, ws).expect("all-band eigensolve failed")
 }
 
+/// The all-band solve on a packed real block, in place, through
+/// caller-owned scratch so repeated solves reuse one set of block
+/// temporaries; panics on a [`SolverError`], for callers with no recovery
+/// path (the direct SCF).
+pub fn solve_all_band_packed_with(
+    h: &Hamiltonian<'_>,
+    psi: &mut Matrix<f64>,
+    opts: &SolverOptions,
+    ws: &mut CgWorkspace<f64>,
+) -> SolveStats {
+    all_band(h, psi, opts, ws).expect("all-band eigensolve failed")
+}
+
 /// Fallible all-band solve (see [`solve_all_band`]); allocates its own
 /// workspace.
 pub fn try_solve_all_band(
@@ -482,13 +496,9 @@ pub fn try_solve_all_band(
 /// [`solve_all_band`] driving caller-owned scratch, so repeated solves
 /// (one per SCF iteration) reuse one set of block temporaries.
 ///
-/// The solve runs on the Γ-point packed real block (module docs): `psi`
-/// is packed on entry, unpacked on success and left untouched on error.
-///
-/// Pathological states (dependent start vectors, an indefinite overlap,
-/// NaN residuals) return a typed [`SolverError`] instead of panicking, so
-/// the caller can retry from a fresh start block. Budgeted non-convergence
-/// is still reported through [`SolveStats::converged`].
+/// A façade over the packed solve (module docs): `psi` is packed into the
+/// workspace's copy on entry, unpacked on success and left untouched on
+/// error.
 pub fn try_solve_all_band_with(
     h: &Hamiltonian<'_>,
     psi: &mut Matrix<c64>,
@@ -509,6 +519,24 @@ pub fn try_solve_all_band_with(
     let stats = all_band(h, block, opts, real_ws)?;
     unpack_block(h.basis(), block, psi);
     Ok(stats)
+}
+
+/// The all-band solve on a packed real block, in place, on a workspace of
+/// its own — what every PEtot_F fragment solve runs.
+///
+/// Pathological states (dependent start vectors, an indefinite overlap,
+/// NaN residuals) return a typed [`SolverError`] instead of panicking, so
+/// the caller can retry from a fresh start block; `psi` is then left
+/// part-way. Budgeted non-convergence is still reported through
+/// [`SolveStats::converged`].
+pub fn try_solve_all_band_packed(
+    h: &Hamiltonian<'_>,
+    psi: &mut Matrix<f64>,
+    opts: &SolverOptions,
+) -> Result<SolveStats, SolverError> {
+    // alloc-audit: once per solve — the CG loop itself reuses this scratch.
+    let mut ws = CgWorkspace::new(h, psi.rows());
+    all_band(h, psi, opts, &mut ws)
 }
 
 /// Packs every row of a full-sphere block ([`PwBasis::pack`]).
@@ -601,19 +629,28 @@ pub fn solve_band_by_band(
     try_solve_band_by_band(h, psi, opts).expect("band-by-band eigensolve failed")
 }
 
-/// Fallible band-by-band solve; see [`try_solve_all_band_with`] for the
-/// error contract and the choice of row representation.
+/// Fallible band-by-band solve; a façade over
+/// [`try_solve_band_by_band_packed`] with the error contract of
+/// [`try_solve_all_band_with`].
 pub fn try_solve_band_by_band(
     h: &Hamiltonian<'_>,
     psi: &mut Matrix<c64>,
     opts: &SolverOptions,
 ) -> Result<SolveStats, SolverError> {
-    // alloc-audit: once per solve, not per step.
-    let mut block = Matrix::zeros(psi.rows(), psi.cols());
-    pack_block(h.basis(), psi, &mut block);
+    let mut block = h.basis().pack_block(psi);
     let stats = band_by_band(h, &mut block, opts)?;
     unpack_block(h.basis(), &block, psi);
     Ok(stats)
+}
+
+/// The band-by-band solve on a packed real block, in place (the error
+/// contract of [`try_solve_all_band_packed`]).
+pub fn try_solve_band_by_band_packed(
+    h: &Hamiltonian<'_>,
+    psi: &mut Matrix<f64>,
+    opts: &SolverOptions,
+) -> Result<SolveStats, SolverError> {
+    band_by_band(h, psi, opts)
 }
 
 /// The band-by-band solve in the row representation `S`.

@@ -140,6 +140,13 @@ fn wrong_format_version_and_magic_are_typed_errors() {
     wrong_version[8..12].copy_from_slice(&99u32.to_le_bytes());
     let err = resume_error("version", &wrong_version);
     assert_eq!(err.kind(), CkptErrorKind::UnsupportedVersion, "{err}");
+    // Version 1 stored full-sphere `(re, im)` blocks: refused by version,
+    // never decoded as packed rows.
+    assert_eq!(ls3df::ckpt::FORMAT_VERSION, 2);
+    let mut version_1 = good.to_vec();
+    version_1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let err = resume_error("version-1", &version_1);
+    assert_eq!(err.kind(), CkptErrorKind::UnsupportedVersion, "{err}");
 
     let mut wrong_magic = good.to_vec();
     wrong_magic[..8].copy_from_slice(b"NOTLS3DF");

@@ -25,7 +25,7 @@ use ls3df_pseudo::PseudoTable;
 
 /// The single-process SCF digest (see `tests/scheme_digest.rs::GOLDEN` —
 /// same capture, same workload).
-const GOLDEN: u64 = 0x8547_cfaa_c469_d83c;
+const GOLDEN: u64 = 0x80a8_e30e_b48f_672d;
 
 /// Same options as `tests/scheme_digest.rs::reference_opts`.
 fn reference_opts() -> Ls3dfOptions {

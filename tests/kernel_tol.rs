@@ -28,8 +28,10 @@ use ls3df::math::{
 use ls3df::pseudo::KbProjector;
 use ls3df::pw::density::compute_density;
 use ls3df::pw::{
-    cg_init, cg_residual, cg_step, ionic_potential_with, CgWorkspace, Hamiltonian, HartreeSolver,
-    Mixer, MixerState, NonlocalPotential, PwAtom, PwBasis,
+    cg_init, cg_residual, cg_step, ionic_potential_with, try_solve_all_band_packed,
+    try_solve_all_band_with, try_solve_band_by_band, try_solve_band_by_band_packed, CgWorkspace,
+    Hamiltonian, HartreeSolver, Mixer, MixerState, NonlocalPotential, PwAtom, PwBasis,
+    SolverOptions,
 };
 use ls3df_pseudo::LocalPotential;
 
@@ -85,6 +87,13 @@ const PAIRED_H_TOL: f64 = 1e-12;
 /// The density with two occupied bands per synthesis vs one, as
 /// `∫|Δρ| / N_e`. Observed worst case over the same boxes: 1.8e-16.
 const PAIRED_DENSITY_TOL: f64 = 1e-13;
+/// The density of packed rows (what Gen_dens reads) vs the `c64` density
+/// of the unpacked rows, as `∫|Δρ| / N_e`: the same pairing, the
+/// `1/√2` folded into the scatter instead of the unpack.
+const PACKED_DENSITY_TOL: f64 = 1e-13;
+/// A packed solve entry vs the `c64` façade from the same start block:
+/// eigenvalues, absolute (Hartree).
+const PACKED_SOLVE_EIG_TOL: f64 = 1e-12;
 
 fn lcg(seed: u64) -> impl FnMut() -> f64 {
     let mut state = seed | 1;
@@ -764,6 +773,86 @@ fn paired_density_matches_one_band_per_transform() {
             "{:?}, complex rows {complex_rows:?}: ∫|Δρ|/N_e = {err:e}",
             basis.grid().dims
         );
+    }
+}
+
+#[test]
+fn packed_density_matches_the_unpacked_density() {
+    // Gen_dens on the packed rows fragments keep vs `compute_density` of
+    // the full-sphere block they stand for, with the occupations of
+    // `paired_density_matches_one_band_per_transform`.
+    let occupations: Vec<f64> = (0..19)
+        .map(|b| match b {
+            0..=9 => 2.0,
+            10 => 1.5,
+            11..=12 => 0.5,
+            _ => 0.0,
+        })
+        .collect();
+    let n_e: f64 = occupations.iter().sum();
+    for basis in pairing_bases() {
+        let (packed, full) = real_orbitals(&basis, occupations.len(), 0xD0E5 ^ basis.len() as u64);
+        let rho = compute_density(&basis, &packed, &occupations);
+        let oracle = compute_density(&basis, &full, &occupations);
+        let err = rho.diff(&oracle).integrate_abs() / n_e;
+        assert!(
+            err <= PACKED_DENSITY_TOL,
+            "{:?}: ∫|Δρ|/N_e = {err:e}",
+            basis.grid().dims
+        );
+    }
+}
+
+#[test]
+fn packed_solve_entries_match_the_complex_facades() {
+    // The packed entries (what PEtot_F and the direct SCF call) against
+    // the `Matrix<c64>` façades the benchmark calls, from the same start
+    // block, on the benchmark's one-piece fragment box with projectors:
+    // the façade packs its block and runs the same arithmetic, so
+    // eigenvalues and density agree to rounding.
+    let basis = PwBasis::new(Grid3::cubic(14, 11.375), 1.5);
+    let v = RealField::from_fn(basis.grid().clone(), |r| {
+        let d2: f64 = r.iter().map(|x| (x - 5.6875).powi(2)).sum();
+        -0.9 * (-d2 / 9.0).exp() + 0.05 * (r[0] * 0.6).cos()
+    });
+    let sites: Vec<[f64; 3]> = (0..8)
+        .map(|a| [1.0 + 1.2 * a as f64, 9.8 - 1.1 * a as f64, 2.0 + a as f64])
+        .collect();
+    let nl = NonlocalPotential::new(&basis, &sites, |_, q| (-0.6 * q * q).exp(), &[0.5; 8]);
+    let h = Hamiltonian::new(&basis, v, &nl);
+    let nb = 9;
+    let occupations = ls3df::pw::density::insulator_occupations(nb, 14.0);
+    let opts = SolverOptions {
+        max_iter: 30,
+        tol: 1e-12,
+        ..Default::default()
+    };
+    let start = ls3df::pw::scf::random_start(nb, &basis, 0x5017);
+    for scheme in ["all-band", "band-by-band"] {
+        let mut full = start.clone();
+        let mut packed = basis.pack_block(&start);
+        let (c, r) = if scheme == "all-band" {
+            (
+                try_solve_all_band_with(&h, &mut full, &opts, &mut CgWorkspace::new(&h, nb)),
+                try_solve_all_band_packed(&h, &mut packed, &opts),
+            )
+        } else {
+            (
+                try_solve_band_by_band(&h, &mut full, &opts),
+                try_solve_band_by_band_packed(&h, &mut packed, &opts),
+            )
+        };
+        let (c, r) = (c.unwrap(), r.unwrap());
+        for (b, (ec, er)) in c.eigenvalues.iter().zip(&r.eigenvalues).enumerate() {
+            assert!(
+                (ec - er).abs() <= PACKED_SOLVE_EIG_TOL,
+                "{scheme}, band {b}: façade {ec} vs packed {er}"
+            );
+        }
+        let rho_c = compute_density(&basis, &full, &occupations);
+        let rho_r = compute_density(&basis, &packed, &occupations);
+        let err = rho_c.diff(&rho_r).integrate_abs() / 14.0;
+        assert!(err <= PACKED_DENSITY_TOL, "{scheme}: ∫|Δρ|/N_e = {err:e}");
     }
 }
 

@@ -9,7 +9,10 @@
 //! fields, plus `LS3DF_THREADS` × (largest solve's blocks and candidate),
 //! plus a fixed slack. Those are the categories of
 //! [`Ls3df::memory_footprint`], so the footprint a run report prints is
-//! also checked to be an upper bound.
+//! also checked to be an upper bound — and the ψ, projector and solve
+//! categories are recounted from the fragment shapes: everything at rest
+//! is packed real rows, 8 bytes per coefficient, and no `c64` projector
+//! block is ever built.
 //!
 //! The counters are process-wide, so the run happens alone in a child
 //! process of this binary (`LS3DF_THREADS=2` latched there).
@@ -17,6 +20,7 @@
 
 use ls3df::alloc_count::{live_bytes, peak_live_bytes, reset_peak, CountingAllocator};
 use ls3df::atoms::{relax, znteo_alloy, ZNTE_LATTICE};
+use ls3df::pw::solver::solve_workspace_bytes;
 use ls3df::{Ls3df, Ls3dfOptions, Mixer, Passivation};
 
 #[global_allocator]
@@ -26,8 +30,9 @@ const MIB: f64 = 1024.0 * 1024.0;
 
 /// What the run may hold beyond the accounted categories: FFT plans and
 /// pooled transform buffers of 65 bases, `n_b²` matrices, GEMM pack
-/// scratch, Gen_VF / Gen_dens temporaries, the pool itself.
-const SLACK_BYTES: usize = 16 << 20;
+/// scratch, Gen_VF / Gen_dens temporaries, the pool itself (measured:
+/// 5.7 MiB over the accounted bytes).
+const SLACK_BYTES: usize = 12 << 20;
 
 #[test]
 fn budget_child() {
@@ -74,6 +79,27 @@ fn budget_child() {
         found.unwrap_or_else(|| panic!("no {name} category")).1 as usize
     };
     let psi = bytes("psi_at_rest");
+    // Recount the packed categories from the fragment shapes.
+    let f64_bytes = size_of::<f64>();
+    let (mut psi_expect, mut projectors_expect, mut largest_solve) = (0, 0, 0);
+    for i in 0..calc.n_fragments() {
+        let (nb, npw, n_proj) = calc.fragment_block_shape(i);
+        psi_expect += f64_bytes * nb * npw;
+        projectors_expect += f64_bytes * (n_proj * npw + n_proj);
+        // Six real CG blocks plus the candidate the solve runs on.
+        assert_eq!(solve_workspace_bytes(nb, npw), 7 * f64_bytes * nb * npw);
+        largest_solve = largest_solve.max(solve_workspace_bytes(nb, npw));
+    }
+    assert_eq!(
+        psi, psi_expect,
+        "ψ at rest is one packed f64 per coefficient"
+    );
+    assert_eq!(
+        bytes("projectors"),
+        projectors_expect,
+        "projectors are the packed blocks and energies alone"
+    );
+    assert_eq!(bytes("solve_workspace"), 2 * largest_solve);
     let accounted: usize = memory.categories.iter().map(|&(_, b)| b as usize).sum();
     print!("{}", memory.table());
     println!(
@@ -81,11 +107,12 @@ fn budget_child() {
         peak as f64 / MIB,
         (accounted + SLACK_BYTES) as f64 / MIB
     );
-    // On this system: ψ at rest 114.9 MiB, accounted 238.6 MiB, measured
-    // peak 249.0 MiB against a 254.6 MiB budget. A second per-fragment ψ
-    // copy (the restore buffer PR 20 deleted) would put the peak at
-    // ≈ 364 MiB; a third solving thread adds the 22.8 MiB of one more
-    // in-flight solve of the largest fragment.
+    // On this system: ψ at rest 57.4 MiB (114.9 MiB as full-sphere `c64`),
+    // projectors 23.8 MiB (71 MiB with the `c64` copy), accounted
+    // 119.0 MiB, measured peak 124.7 MiB against a 131.0 MiB budget. A
+    // second per-fragment ψ copy would put the peak at ≈ 182 MiB; a third
+    // solving thread adds the 17.7 MiB of one more in-flight solve of the
+    // largest fragment.
     assert!(
         peak <= accounted + SLACK_BYTES,
         "peak live bytes {peak} exceed the accounted {accounted} + slack {SLACK_BYTES}"
