@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod defects;
 mod species;
 pub mod stats;
 mod structure;

@@ -36,12 +36,6 @@ impl Species {
         }
     }
 
-    /// Ionic (pseudo) charge seen by the electrons; equal to the valence
-    /// so the supercell is charge neutral.
-    pub fn ion_charge(self) -> f64 {
-        self.valence()
-    }
-
     /// Covalent radius in Bohr (used for neighbor detection).
     pub fn covalent_radius(self) -> f64 {
         match self {

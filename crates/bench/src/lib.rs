@@ -7,6 +7,7 @@
 //!
 //! | Binary | Regenerates |
 //! |---|---|
+//! | `fig1` | Figure 1 (2-D fragment schematic + partition-of-unity check) as text |
 //! | `table1` | Table I (Tflop/s + %peak, 28 rows, model vs paper) |
 //! | `fig3` | Strong-scaling speedups + Amdahl fits |
 //! | `fig4` | Efficiency vs concurrency scatter |
@@ -17,6 +18,9 @@
 //! | `accuracy` | LS3DF vs direct DFT eigenvalue/density agreement |
 //! | `ablation` | Comm-algorithm + solver-variant ablations |
 //! | `znteo_scheme_ablation` | Fragmentation-scheme ablation (sign-alternating vs overlapping) on ZnTeO |
+//! | `buffer_ablation` | Fragment buffer width vs patched-density error against direct DFT |
+//! | `petot_scaling` | PEtot_F thread scaling of the work-stealing pool |
+//! | `fft_kernels` | FFT/GEMM kernel A/B table (`BENCH_fft_kernels.json`) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -60,38 +60,6 @@ pub fn species_weight(
     inside / total.max(1e-300)
 }
 
-/// Dipole moment `p = ∫ r·ρ(r) d³r` of a density distribution relative to
-/// the box center, computed with minimum-image coordinates so a localized
-/// blob near the boundary is handled correctly. The paper's earlier
-/// validation (ref. [16]) compared thousand-atom quantum-rod dipole
-/// moments between LS3DF and direct LDA to <1%.
-pub fn dipole_moment(density: &RealField) -> [f64; 3] {
-    let grid = density.grid();
-    let center = [
-        grid.lengths[0] * 0.5,
-        grid.lengths[1] * 0.5,
-        grid.lengths[2] * 0.5,
-    ];
-    let dv = grid.dv();
-    let mut p = [0.0_f64; 3];
-    for (idx, &d) in density.as_slice().iter().enumerate() {
-        let (ix, iy, iz) = grid.coords(idx);
-        let r = grid.position(ix, iy, iz);
-        let rel = grid.min_image(center, r);
-        for c in 0..3 {
-            // A point exactly half a box away is equidistant through both
-            // images; its first moment averages to zero.
-            let x = if (rel[c].abs() - 0.5 * grid.lengths[c]).abs() < 1e-9 {
-                0.0
-            } else {
-                rel[c]
-            };
-            p[c] += x * d * dv;
-        }
-    }
-    p
-}
-
 /// Fraction of the cell volume within `radius` of atoms of `species`
 /// (the baseline against which [`species_weight`] indicates clustering).
 pub fn species_volume_fraction(
@@ -178,33 +146,6 @@ mod tests {
             w > 5.0 * vf,
             "clustered state must exceed the volume baseline"
         );
-    }
-
-    #[test]
-    fn dipole_of_symmetric_density_vanishes() {
-        let grid = Grid3::cubic(10, 8.0);
-        let sym = RealField::from_fn(grid.clone(), |r| {
-            let d2 = (r[0] - 4.0).powi(2) + (r[1] - 4.0).powi(2) + (r[2] - 4.0).powi(2);
-            (-d2 / 3.0).exp()
-        });
-        let p = dipole_moment(&sym);
-        for c in 0..3 {
-            assert!(p[c].abs() < 1e-10, "p[{c}] = {}", p[c]);
-        }
-    }
-
-    #[test]
-    fn dipole_points_from_center_to_offset_blob() {
-        let grid = Grid3::cubic(12, 9.0);
-        let blob = RealField::from_fn(grid.clone(), |r| {
-            let d2 = (r[0] - 6.5).powi(2) + (r[1] - 4.5).powi(2) + (r[2] - 4.5).powi(2);
-            (-d2).exp()
-        });
-        let p = dipole_moment(&blob);
-        let q = blob.integrate();
-        // Centroid offset ≈ +2 Bohr along x from the box center (4.5).
-        assert!((p[0] / q - 2.0).abs() < 0.05, "⟨x⟩ = {}", p[0] / q);
-        assert!(p[1].abs() / q < 0.05 && p[2].abs() / q < 0.05);
     }
 
     #[test]

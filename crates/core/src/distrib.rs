@@ -393,9 +393,9 @@ mod tests {
         f
     }
 
-    #[test]
-    fn petot_report_roundtrip_is_bit_exact() {
-        let report = PetotReport {
+    /// A report for 4 fragments with every list non-empty.
+    fn sample_report() -> PetotReport {
+        PetotReport {
             worst_residual: 3.25e-4,
             petot_seconds: 1.5,
             flags: vec![(0, false), (3, true)],
@@ -415,7 +415,32 @@ mod tests {
                 }],
             }],
             regions: vec![(0, sample_field(0.5)), (3, sample_field(-1.0))],
-        };
+        }
+    }
+
+    fn sample_vnext() -> VnextMessage {
+        VnextMessage {
+            v_in: sample_field(2.0),
+            rho: sample_field(-3.0),
+            step: Ls3dfStep {
+                iteration: 7,
+                dv_integral: 0.125,
+                worst_residual: 1e-5,
+                charge_ratio: 1.25,
+                timings: StepTimings {
+                    gen_vf: 0.1,
+                    petot_f: 0.2,
+                    gen_dens: 0.3,
+                    genpot: 0.4,
+                },
+            },
+            converged: true,
+        }
+    }
+
+    #[test]
+    fn petot_report_roundtrip_is_bit_exact() {
+        let report = sample_report();
         let snap = encode_petot_report(&report);
         let bytes = snap.encode().unwrap();
         let back = decode_petot_report(&Snapshot::decode(&bytes).unwrap(), 4).unwrap();
@@ -443,23 +468,7 @@ mod tests {
 
     #[test]
     fn vnext_roundtrip_preserves_step_and_fields() {
-        let msg = VnextMessage {
-            v_in: sample_field(2.0),
-            rho: sample_field(-3.0),
-            step: Ls3dfStep {
-                iteration: 7,
-                dv_integral: 0.125,
-                worst_residual: 1e-5,
-                charge_ratio: 1.25,
-                timings: StepTimings {
-                    gen_vf: 0.1,
-                    petot_f: 0.2,
-                    gen_dens: 0.3,
-                    genpot: 0.4,
-                },
-            },
-            converged: true,
-        };
+        let msg = sample_vnext();
         let bytes = encode_vnext(&msg).encode().unwrap();
         let back = decode_vnext(&Snapshot::decode(&bytes).unwrap()).unwrap();
         assert_eq!(back.step.iteration, 7);
@@ -546,6 +555,96 @@ mod tests {
         assert!(decode_action(9).is_err());
         for code in 0..4 {
             assert_eq!(action_code(decode_action(code).unwrap()), code);
+        }
+    }
+
+    /// Arbitrary and damaged section payloads through the two decoders
+    /// rank 0 and its peers run on every frame: a typed error or a value
+    /// that keeps the decoder's promises, never a panic.
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        const N_FRAGMENTS: usize = 4;
+
+        /// Every section of a genuine PEtot report and of a genuine
+        /// end-of-iteration broadcast.
+        fn genuine() -> Vec<(SectionId, Vec<u8>)> {
+            let report = encode_petot_report(&sample_report());
+            let vnext = encode_vnext(&sample_vnext());
+            let section = |snap: &Snapshot, id| (id, snap.require(id).unwrap().to_vec());
+            vec![
+                section(&report, SEC_DSUMMARY),
+                section(&report, SEC_DREGIONS),
+                section(&vnext, SEC_DVIN),
+                section(&vnext, SEC_DRHO),
+                section(&vnext, SEC_DSTEP),
+            ]
+        }
+
+        fn field_is_whole(f: &RealField) -> bool {
+            f.as_slice().len() == f.grid().len()
+        }
+
+        /// Rebuilds both messages from [`genuine`] sections, section
+        /// `which` replaced by `payload`, and decodes them; whatever they
+        /// accept must name only real fragments and whole fields.
+        fn decode_both(which: usize, payload: &[u8]) -> Result<(), TestCaseError> {
+            let mut report = Snapshot::new();
+            let mut vnext = Snapshot::new();
+            for (k, (id, bytes)) in genuine().into_iter().enumerate() {
+                let bytes = if k == which { payload.to_vec() } else { bytes };
+                let snap = if k < 2 { &mut report } else { &mut vnext };
+                snap.push(id, bytes);
+            }
+            if let Ok(r) = decode_petot_report(&report, N_FRAGMENTS) {
+                let faults = r
+                    .faults
+                    .iter()
+                    .chain(r.quarantined.iter().flat_map(|q| &q.faults));
+                prop_assert!(r.flags.iter().all(|&(f, _)| f < N_FRAGMENTS));
+                prop_assert!(faults.map(|f| f.fragment).all(|f| f < N_FRAGMENTS));
+                prop_assert!(r.quarantined.iter().all(|q| q.fragment < N_FRAGMENTS));
+                prop_assert!(r
+                    .regions
+                    .iter()
+                    .all(|(f, field)| *f < N_FRAGMENTS && field_is_whole(field)));
+            }
+            if let Ok(m) = decode_vnext(&vnext) {
+                prop_assert!(field_is_whole(&m.v_in) && field_is_whole(&m.rho));
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #[test]
+            fn arbitrary_bytes_never_panic(
+                which in 0usize..5,
+                bytes in prop::collection::vec(0u32..256, 0..400),
+            ) {
+                let payload: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+                decode_both(which, &payload)?;
+            }
+
+            #[test]
+            fn damaged_genuine_payloads_never_panic(
+                which in 0usize..5,
+                at in 0usize..4096,
+                word in 0u64..u64::MAX,
+                cut in 0usize..4096,
+            ) {
+                // Overwrite one 8-byte word (a count, an index, a length,
+                // a grid dimension or a sample) with anything, then maybe
+                // truncate.
+                let mut payload = genuine()[which].1.clone();
+                let at = at % payload.len().saturating_sub(7).max(1);
+                let end = (at + 8).min(payload.len());
+                payload[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+                decode_both(which, &payload)?;
+                payload.truncate(cut % (payload.len() + 1));
+                decode_both(which, &payload)?;
+            }
         }
     }
 }

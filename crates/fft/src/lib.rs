@@ -3,10 +3,10 @@
 //! FFT substrate for the LS3DF reproduction (the role FFTW/vendor FFTs play
 //! in the original Fortran code).
 //!
-//! * [`Fft1d`] — split radix-4/radix-2 Cooley–Tukey for power-of-two
-//!   lengths, a mixed-radix Stockham kernel for every other length
-//!   whose prime factors are ≤ 13 (the fragment boxes' 12/14/18/22, the
-//!   paper's 40 points per cell), Bluestein chirp-z for the rest;
+//! * [`Fft1d`] — a mixed-radix Stockham kernel for every length whose
+//!   prime factors are ≤ 13 (the fragment boxes' 12/14/18/22, the 16³
+//!   global grid, the paper's 40 points per cell), Bluestein chirp-z for
+//!   the rest;
 //! * [`RealFft1d`]/[`Fft3r`] — packed r2c/c2r transforms for real fields
 //!   (ρ, V): one half-length complex FFT per real line plus a Hermitian
 //!   unpack, roughly halving the GENPOT/Kerker transform work;
@@ -19,10 +19,10 @@
 //!   and real-transform entry points are allocation-free;
 //! * [`dft`] — O(n²) reference transforms for testing.
 //!
-//! Plain constructors build the production plans (radix-4 and
-//! mixed-radix); the `*_with` constructors take an explicit
-//! [`ls3df_math::KernelPolicy`], whose `Reference` value selects the
-//! radix-2 + Bluestein oracle the tolerance tests compare against.
+//! Plain constructors build the production plans (mixed-radix); the
+//! `*_with` constructors take an explicit [`ls3df_math::KernelPolicy`],
+//! whose `Reference` value selects the radix-2 + Bluestein oracle the
+//! tolerance tests compare against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

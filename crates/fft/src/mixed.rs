@@ -1,8 +1,9 @@
 //! Mixed-radix Stockham kernel for smooth lengths (prime factors ≤ 13).
 //!
 //! The LS3DF fragment boxes are `n·piece_pts + 2·buffer_pts` points per
-//! axis — 12/18 or 14/22 in the committed workloads — never a power of
-//! two. This kernel factors such an `n` into radices from
+//! axis — 12/18 or 14/22 in the committed workloads — and the global
+//! grids are 12³ or 16³: every production length is 13-smooth, powers of
+//! two included. This kernel factors such an `n` into radices from
 //! {13, 11, 7, 5, 4, 3, 2} and runs one decimation-in-frequency Stockham
 //! stage per factor: a stage of radix `r` on sub-length `n_cur = r·m`
 //! with `s` = the product of the earlier radices maps
@@ -474,6 +475,8 @@ mod tests {
         assert_eq!(radices(22), Some(vec![11, 2]));
         assert_eq!(radices(40), Some(vec![5, 4, 2]));
         assert_eq!(radices(6), Some(vec![3, 2]));
+        assert_eq!(radices(16), Some(vec![4, 4]));
+        assert_eq!(radices(32), Some(vec![4, 4, 2]));
         assert_eq!(radices(13 * 11 * 7), Some(vec![13, 11, 7]));
         for n in [17, 19, 23, 34, 46, 51] {
             assert!(radices(n).is_none(), "n={n}");

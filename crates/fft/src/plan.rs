@@ -3,20 +3,19 @@
 //! Plan selection depends only on the factorisation of `n` and the
 //! [`KernelPolicy`]:
 //!
-//! * power-of-two lengths use an iterative Cooley–Tukey kernel with
-//!   precomputed twiddles and bit-reversal tables — radix-4 stages under
-//!   the production `Fast` policy (34 real flops per 4 outputs per 2
-//!   levels, vs radix-2's 40, and half the passes over the data), radix-2
-//!   under the `Reference` oracle;
-//! * under `Fast`, every other length whose prime factors are ≤ 13 —
-//!   the fragment box edges 12, 14, 18, 22, the paper's 40-point cell,
-//!   the half-length 6 inside the packed real transform — runs the
-//!   mixed-radix Stockham kernel of [`crate::mixed`], batched across
-//!   lines on the strided passes;
-//! * everything else (a larger prime factor, or any non-power-of-two
+//! * under the production `Fast` policy, every length n ≥ 2 whose prime
+//!   factors are ≤ 13 — the fragment box edges 12, 14, 18, 22, the
+//!   paper's 40-point cell, the 16³ global grid, the half-lengths 6 and 8
+//!   inside the packed real transform — runs the mixed-radix Stockham
+//!   kernel of [`crate::mixed`] (powers of two as radix-4 stages plus at
+//!   most one radix-2), batched across lines on the strided passes;
+//! * under the `Reference` oracle, power-of-two lengths run an iterative
+//!   radix-2 Cooley–Tukey kernel with precomputed twiddles and a
+//!   bit-reversal table;
+//! * everything else (a prime factor above 13, or any non-power-of-two
 //!   under `Reference`) goes through Bluestein's chirp-z algorithm,
 //!   which re-expresses an arbitrary-n DFT as a cyclic convolution of
-//!   power-of-two size.
+//!   power-of-two size, transformed by the radix-2 kernel.
 //!
 //! Conventions: `forward` is unnormalized (`Σ x_j e^{-2πi jk/n}`);
 //! `inverse` carries the full `1/n`.
@@ -27,7 +26,7 @@ use ls3df_obs::{counter_add, Counter};
 use std::f64::consts::PI;
 
 /// Lines gathered per block by the strided batch API of the in-place
-/// kernels (power-of-two, Bluestein): big enough that the strided gather
+/// kernels (radix-2, Bluestein): big enough that the strided gather
 /// reads [`LINE_BLOCK`] consecutive elements per touched cache line,
 /// small enough that a block (`LINE_BLOCK·n` complex values) stays
 /// L1-resident for typical grid edges.
@@ -40,8 +39,8 @@ const LINE_BLOCK: usize = 8;
 /// calls; a workspace is tied to the plan length it was built for.
 pub struct Fft1dWorkspace {
     /// Kernel scratch: the Bluestein convolution buffer (length `m`) or
-    /// the mixed-radix ping-pong rows; empty for trivial and
-    /// power-of-two plans, which transform fully in place.
+    /// the mixed-radix ping-pong rows; empty for trivial and radix-2
+    /// plans, which transform fully in place.
     pub(crate) scratch: Vec<c64>,
     /// Gather buffer for the blocked strided API of the in-place kernels
     /// (`LINE_BLOCK · n`; empty for mixed-radix plans, which run on the
@@ -61,35 +60,11 @@ pub struct Fft1d {
 enum Kind {
     /// n == 1.
     Trivial,
-    Pow2(Pow2),
+    /// Powers of two under `Reference` (the oracle).
+    Radix2(Radix2),
+    /// Every 13-smooth n ≥ 2 under `Fast`.
     Mixed(Mixed),
     Bluestein(Box<Bluestein>),
-}
-
-/// The power-of-two kernel variant, picked by [`KernelPolicy`] at plan
-/// build: radix-4 for `Fast` (n ≥ 4), radix-2 for `Reference` (and the
-/// degenerate n = 2).
-enum Pow2 {
-    R2(Radix2),
-    R4(Radix4),
-}
-
-impl Pow2 {
-    fn new(n: usize, policy: KernelPolicy) -> Self {
-        if policy == KernelPolicy::Fast && n >= 4 {
-            Pow2::R4(Radix4::new(n))
-        } else {
-            Pow2::R2(Radix2::new(n))
-        }
-    }
-
-    #[inline]
-    fn run(&self, data: &mut [c64], fwd: bool) {
-        match self {
-            Pow2::R2(r) => r.run(data, fwd),
-            Pow2::R4(r) => r.run(data, fwd),
-        }
-    }
 }
 
 struct Radix2 {
@@ -101,26 +76,13 @@ struct Radix2 {
     twiddles_inv: Vec<c64>,
 }
 
-struct Radix4 {
-    /// Bit-reversal permutation table (the same permutation radix-2
-    /// uses; the radix-4 stages consume bit pairs in reversed order, see
-    /// [`Radix4::run`]).
-    rev: Vec<u32>,
-    /// Forward twiddles, grouped by stage as `(w, w², w³)` triples.
-    twiddles_fwd: Vec<c64>,
-    /// Inverse twiddles, same layout.
-    twiddles_inv: Vec<c64>,
-    /// log2 n is odd: one radix-2 stage runs before the radix-4 stages.
-    half_stage: bool,
-}
-
 struct Bluestein {
     /// Forward chirp `a_j = e^{-iπ j²/n}`.
     chirp_fwd: Vec<c64>,
     /// FFT (size m) of the forward-direction filter `b_j = e^{+iπ j²/n}`.
     filter_fwd: Vec<c64>,
-    /// Inner power-of-two plan of size m ≥ 2n−1.
-    inner: Pow2,
+    /// Inner radix-2 plan of size m ≥ 2n−1.
+    inner: Radix2,
     m: usize,
 }
 
@@ -144,18 +106,12 @@ impl Fft1d {
     /// benches hold the reference oracle beside the production plan.
     pub fn new_with(n: usize, policy: KernelPolicy) -> Self {
         assert!(n >= 1, "Fft1d::new: length must be ≥ 1");
-        let mixed = || match policy {
-            KernelPolicy::Fast => Mixed::new(n),
-            KernelPolicy::Reference => None,
-        };
-        let kind = if n == 1 {
-            Kind::Trivial
-        } else if n.is_power_of_two() {
-            Kind::Pow2(Pow2::new(n, policy))
-        } else if let Some(plan) = mixed() {
-            Kind::Mixed(plan)
-        } else {
-            Kind::Bluestein(Box::new(Bluestein::new(n, policy)))
+        let bluestein = || Kind::Bluestein(Box::new(Bluestein::new(n)));
+        let kind = match policy {
+            _ if n == 1 => Kind::Trivial,
+            KernelPolicy::Fast => Mixed::new(n).map_or_else(bluestein, Kind::Mixed),
+            KernelPolicy::Reference if n.is_power_of_two() => Kind::Radix2(Radix2::new(n)),
+            KernelPolicy::Reference => bluestein(),
         };
         let line_flops = estimated_line_flops(n, &kind);
         Fft1d {
@@ -173,8 +129,7 @@ impl Fft1d {
         if ls3df_obs::ENABLED {
             let counter = match &self.kind {
                 Kind::Trivial => Counter::FftLinesTrivial,
-                Kind::Pow2(Pow2::R2(_)) => Counter::FftLinesRadix2,
-                Kind::Pow2(Pow2::R4(_)) => Counter::FftLinesRadix4,
+                Kind::Radix2(_) => Counter::FftLinesRadix2,
                 Kind::Mixed(_) => Counter::FftLinesMixed,
                 Kind::Bluestein(_) => Counter::FftLinesBluestein,
             };
@@ -201,7 +156,7 @@ impl Fft1d {
         let fwd = dir == Direction::Forward;
         match &self.kind {
             Kind::Trivial => {}
-            Kind::Pow2(p) => p.run(data, fwd),
+            Kind::Radix2(r) => r.run(data, fwd),
             Kind::Mixed(mx) => mx.run(data, 1, 1, fwd, scratch),
             Kind::Bluestein(b) => {
                 assert_eq!(scratch.len(), b.m, "Fft1d: workspace plan mismatch");
@@ -274,7 +229,7 @@ impl Fft1d {
     fn workspace_for(&self, strided: bool) -> Fft1dWorkspace {
         let (scratch, batch) = match &self.kind {
             Kind::Trivial => (0, 0),
-            Kind::Pow2(_) => (0, LINE_BLOCK * self.n),
+            Kind::Radix2(_) => (0, LINE_BLOCK * self.n),
             Kind::Mixed(mx) if strided => (mx.block_scratch_len(), 0),
             Kind::Mixed(mx) => (mx.line_scratch_len(), 0),
             Kind::Bluestein(b) => (b.m, LINE_BLOCK * self.n),
@@ -324,7 +279,7 @@ impl Fft1d {
     /// `i` in `0..n` — the natural layout of the y/z pencils of a 3-D grid
     /// with x fastest. Mixed-radix plans run their butterflies on those
     /// rows directly, the line index innermost; the in-place kernels
-    /// (power-of-two, Bluestein) process lines in blocks of
+    /// (radix-2, Bluestein) process lines in blocks of
     /// [`LINE_BLOCK`] through the workspace gather buffer. Either way
     /// each line sees exactly the arithmetic of [`Fft1d::forward`], so
     /// the result is bit-identical to a line-by-line loop.
@@ -370,7 +325,9 @@ impl Fft1d {
                 let fwd = dir == Direction::Forward;
                 mx.run_strided(data, n_lines, stride, fwd, self.scale(dir), &mut ws.scratch);
             }
-            Kind::Pow2(_) | Kind::Bluestein(_) => self.run_gathered(data, n_lines, stride, ws, dir),
+            Kind::Radix2(_) | Kind::Bluestein(_) => {
+                self.run_gathered(data, n_lines, stride, ws, dir)
+            }
         }
     }
 
@@ -423,15 +380,12 @@ impl Fft1d {
 
 /// Flop estimate for one transformed line, fixed at plan build.
 ///
-/// Radix-2 uses the standard `5·n·log2 n` complex-FFT count. Radix-4
-/// counts its *actual* arithmetic — 34 real flops per butterfly, n/4
-/// butterflies per stage, one stage per two levels (`8.5·n` per pair of
-/// levels vs radix-2's `10·n`), plus one `5·n` radix-2 stage when
-/// log2 n is odd — and the mixed-radix plan likewise sums its stages'
+/// Radix-2 uses the standard `5·n·log2 n` complex-FFT count. The
+/// mixed-radix plan counts its *actual* arithmetic — its stages'
 /// butterflies and non-trivial twiddle multiplies
-/// ([`Mixed::line_flops`]), so the Gflop/s the obs layer derives never
+/// ([`Mixed::line_flops`]) — so the Gflop/s the obs layer derives never
 /// credits a faster kernel with work it did not do. Bluestein runs two
-/// inner power-of-two transforms of size
+/// inner radix-2 transforms of size
 /// `m = (2n−1).next_power_of_two()` (the size-m filter FFT is amortized
 /// into the plan) plus the chirp multiply, filter multiply, and
 /// de-chirp — `O(m + n)` complex multiplies at 6 flops each, with the
@@ -439,25 +393,17 @@ impl Fft1d {
 fn estimated_line_flops(n: usize, kind: &Kind) -> u64 {
     match kind {
         Kind::Trivial => 0,
-        Kind::Pow2(p) => pow2_line_flops(n, p),
+        Kind::Radix2(_) => radix2_line_flops(n),
         Kind::Mixed(mx) => mx.line_flops(),
         Kind::Bluestein(b) => {
             let m = b.m as u64;
-            2 * pow2_line_flops(b.m, &b.inner) + 6 * m + 14 * n as u64
+            2 * radix2_line_flops(b.m) + 6 * m + 14 * n as u64
         }
     }
 }
 
-fn pow2_line_flops(n: usize, p: &Pow2) -> u64 {
-    let levels = u64::from(n.trailing_zeros());
-    match p {
-        Pow2::R2(_) => 5 * n as u64 * levels,
-        Pow2::R4(_) => {
-            let pairs = levels / 2;
-            let extra_r2 = levels % 2;
-            (17 * n as u64 / 2) * pairs + 5 * n as u64 * extra_r2
-        }
-    }
+fn radix2_line_flops(n: usize) -> u64 {
+    5 * n as u64 * u64::from(n.trailing_zeros())
 }
 
 impl Radix2 {
@@ -521,118 +467,10 @@ impl Radix2 {
     }
 }
 
-/// Radix-4 decimation-in-time kernel for power-of-two n ≥ 4.
-///
-/// Works on the same bit-reversed input layout as [`Radix2`]: within a
-/// group of four size-h sub-DFTs being merged, bit reversal places the
-/// sub-DFT of subsequence `j ≡ r (mod 4)` at block offset `rev2(r)·h`
-/// (two bits swap: r = 1 lands at offset 2h, r = 2 at offset h). Each
-/// butterfly then combines
-///
-/// ```text
-/// t0 = A[k]          t1 = w·B[k]        t2 = w²·C[k]      t3 = w³·D[k]
-/// X[k]    = (t0+t2) + (t1+t3)     X[k+2h] = (t0+t2) − (t1+t3)
-/// X[k+h]  = (t0−t2) ∓ i(t1−t3)    X[k+3h] = (t0−t2) ± i(t1−t3)
-/// ```
-///
-/// (upper signs forward) — 3 complex multiplies + 8 complex adds = 34
-/// real flops per 4 outputs, where two radix-2 levels spend 40, and one
-/// pass over the data where radix-2 makes two. When log2 n is odd a
-/// single twiddle-free radix-2 stage (h = 1, w = 1) runs first.
-impl Radix4 {
-    fn new(n: usize) -> Self {
-        debug_assert!(n.is_power_of_two() && n >= 4);
-        let bits = n.trailing_zeros();
-        let rev: Vec<u32> = (0..n as u32)
-            .map(|i| i.reverse_bits() >> (32 - bits))
-            .collect();
-        let half_stage = bits % 2 == 1;
-        // Radix-4 stage with quarter size h uses 3h twiddles (w, w², w³
-        // per k).
-        // alloc-audit: plan construction (once per geometry, not per call).
-        let mut twiddles_fwd = Vec::new();
-        let mut twiddles_inv = Vec::new();
-        let mut h = if half_stage { 2 } else { 1 };
-        while h < n {
-            for k in 0..h {
-                let angle = PI * k as f64 / (2.0 * h as f64); // 2πk/(4h)
-                for mult in 1..=3 {
-                    twiddles_fwd.push(c64::cis(-angle * mult as f64));
-                    twiddles_inv.push(c64::cis(angle * mult as f64));
-                }
-            }
-            h *= 4;
-        }
-        Radix4 {
-            rev,
-            twiddles_fwd,
-            twiddles_inv,
-            half_stage,
-        }
-    }
-
-    fn run(&self, data: &mut [c64], forward: bool) {
-        let n = data.len();
-        // Bit-reversal permutation (identical to the radix-2 kernel).
-        for i in 0..n {
-            let j = self.rev[i] as usize;
-            if i < j {
-                data.swap(i, j);
-            }
-        }
-        if self.half_stage {
-            // One twiddle-free radix-2 level: pairs (2i, 2i+1).
-            for i in (0..n).step_by(2) {
-                let a = data[i];
-                let b = data[i + 1];
-                data[i] = a + b;
-                data[i + 1] = a - b;
-            }
-        }
-        let tw = if forward {
-            &self.twiddles_fwd
-        } else {
-            &self.twiddles_inv
-        };
-        let mut h = if self.half_stage { 2 } else { 1 };
-        let mut tw_off = 0;
-        while h < n {
-            let step = 4 * h;
-            for start in (0..n).step_by(step) {
-                for k in 0..h {
-                    let w = &tw[tw_off + 3 * k..tw_off + 3 * k + 3];
-                    let t0 = data[start + k];
-                    // Bit reversal swaps the two merged bits: the j≡1
-                    // sub-DFT sits at offset 2h, j≡2 at offset h.
-                    let t1 = data[start + k + 2 * h] * w[0];
-                    let t2 = data[start + k + h] * w[1];
-                    let t3 = data[start + k + 3 * h] * w[2];
-                    let u0 = t0 + t2;
-                    let u1 = t0 - t2;
-                    let u2 = t1 + t3;
-                    let u3 = t1 - t3;
-                    data[start + k] = u0 + u2;
-                    data[start + k + 2 * h] = u0 - u2;
-                    // ∓i·u3: forward rotates by −i = (im, −re).
-                    let rot = if forward {
-                        c64::new(u3.im, -u3.re)
-                    } else {
-                        c64::new(-u3.im, u3.re)
-                    };
-                    data[start + k + h] = u1 + rot;
-                    data[start + k + 3 * h] = u1 - rot;
-                }
-            }
-            tw_off += 3 * h;
-            h = step;
-        }
-    }
-}
-
 impl Bluestein {
-    fn new(n: usize, policy: KernelPolicy) -> Self {
+    fn new(n: usize) -> Self {
         let m = (2 * n - 1).next_power_of_two();
-        let inner = Pow2::new(m, policy);
+        let inner = Radix2::new(m);
         // Chirp with the squared index reduced mod 2n for angle accuracy.
         let chirp = |j: usize, sign: f64| -> c64 {
             let q = ((j as u128 * j as u128) % (2 * n as u128)) as f64;
@@ -720,7 +558,7 @@ mod tests {
             let x = rand_signal(n, n as u64);
             let expect = dft_forward(&x);
             let mut got = x.clone();
-            Fft1d::new(n).forward(&mut got);
+            Fft1d::new_with(n, KernelPolicy::Reference).forward(&mut got);
             assert!(max_err(&got, &expect) < 1e-10 * n as f64, "n={n}");
         }
     }
@@ -748,8 +586,7 @@ mod tests {
     fn plan_kind_follows_factorisation_and_policy() {
         let kind = |n, policy| match Fft1d::new_with(n, policy).kind {
             Kind::Trivial => "trivial",
-            Kind::Pow2(Pow2::R2(_)) => "radix2",
-            Kind::Pow2(Pow2::R4(_)) => "radix4",
+            Kind::Radix2(_) => "radix2",
             Kind::Mixed(_) => "mixed",
             Kind::Bluestein(_) => "bluestein",
         };
@@ -757,10 +594,12 @@ mod tests {
             assert_eq!(kind(n, KernelPolicy::Fast), "mixed", "n={n}");
             assert_eq!(kind(n, KernelPolicy::Reference), "bluestein", "n={n}");
         }
+        for n in [2usize, 4, 8, 16, 32, 64, 1024] {
+            assert_eq!(kind(n, KernelPolicy::Fast), "mixed", "n={n}");
+            assert_eq!(kind(n, KernelPolicy::Reference), "radix2", "n={n}");
+        }
         assert_eq!(kind(1, KernelPolicy::Fast), "trivial");
-        assert_eq!(kind(2, KernelPolicy::Fast), "radix2");
-        assert_eq!(kind(16, KernelPolicy::Fast), "radix4");
-        assert_eq!(kind(16, KernelPolicy::Reference), "radix2");
+        assert_eq!(kind(1, KernelPolicy::Reference), "trivial");
         assert_eq!(kind(34, KernelPolicy::Fast), "bluestein");
     }
 

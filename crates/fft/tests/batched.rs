@@ -8,7 +8,7 @@
 //! tests pin down the contract that every batched path is
 //! **bit-identical** (exact `==` on both f64 components, not a
 //! tolerance) to transforming each line one at a time with the classic
-//! per-line API, across power-of-two (radix-4), mixed-radix, Bluestein
+//! per-line API, across mixed-radix (powers of two included), Bluestein
 //! (a prime factor above 13), and length-1 (trivial) plans — and that
 //! columns beyond `n_lines` are left untouched.
 
@@ -88,8 +88,8 @@ fn check_strided(n: usize, n_lines: usize, stride: usize, seed: u64) -> Result<(
 }
 
 proptest! {
-    /// Batched == line-by-line across power-of-two, mixed-radix,
-    /// Bluestein (17, 19, 23, 34, 38) and trivial plans, for every
+    /// Batched == line-by-line across mixed-radix (powers of two
+    /// included), Bluestein (17, 19, 23, 34, 38) and trivial plans, for every
     /// (n_lines, stride) shape including partial blocks — the
     /// mixed-radix kernel works 16 lines at a time, so strides up to 40
     /// cover zero, one and two full blocks plus a ragged tail —
@@ -170,12 +170,12 @@ fn fft3_fragment_boxes_match_line_by_line_passes() {
 /// Deterministic anchors for the shapes the SCF loop actually uses.
 #[test]
 fn fixed_shapes_batched_equivalence() {
-    // (n, n_lines, stride): power-of-two, mixed-radix (incl. the
+    // (n, n_lines, stride): mixed-radix (incl. powers of two, the
     // fragment box edges and the paper's 40), Bluestein, and dimension-1
     // cases.
     for &(n, n_lines, stride) in &[
-        (8usize, 8usize, 8usize), // power of two, full block multiple
-        (8, 5, 8),                // power of two, partial final block
+        (8usize, 8usize, 8usize), // mixed 4·2, full block multiple
+        (8, 5, 8),                // mixed 4·2, partial final block
         (12, 10, 10),             // mixed 4·3, n_lines == stride < one block
         (14, 196, 196),           // mixed 7·2: the 14³ z pass
         (18, 37, 40),             // mixed 3·3·2 (three stages), ragged tail

@@ -142,12 +142,13 @@ proptest! {
     }
 
     #[test]
-    fn radix4_agrees_with_radix2(
+    fn mixed_agrees_with_radix2_on_pow2(
         level in 1u32..8,
         seed in 0u64..1000,
     ) {
-        // Power-of-two lengths route the fast policy through the radix-4
-        // kernel and the reference policy through radix-2; the spectra
+        // Power-of-two lengths route the fast policy through the
+        // mixed-radix kernel ({4, 2} stages) and the reference policy
+        // through radix-2; the spectra
         // must agree to rounding. (Every pow2 ≤ 1024 is swept exhaustively
         // by tests/kernel_tol.rs; this samples the same property under
         // random data.)

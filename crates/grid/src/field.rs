@@ -112,11 +112,6 @@ impl<S: Scalar> Field<S> {
         self.data.iter().map(|v| v.abs()).sum::<f64>() * self.grid.dv()
     }
 
-    /// `(∫ |f|² d³r)^{1/2}`.
-    pub fn l2_norm(&self) -> f64 {
-        (self.data.iter().map(|v| v.norm_sqr()).sum::<f64>() * self.grid.dv()).sqrt()
-    }
-
     /// Largest |value| on the grid.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().map(|v| v.abs()).fold(0.0, f64::max)
@@ -236,14 +231,6 @@ impl ComplexField {
             data: self.data.iter().map(|z| z.re).collect(),
         }
     }
-
-    /// `|ψ|²` as a real field (density contribution of one state).
-    pub fn norm_sqr_field(&self) -> RealField {
-        Field {
-            grid: self.grid.clone(),
-            data: self.data.iter().map(|z| z.norm_sqr()).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -316,15 +303,6 @@ mod tests {
         }
         for &v in acc.as_slice() {
             assert_eq!(v, 1.0);
-        }
-    }
-
-    #[test]
-    fn complex_density() {
-        let f = ComplexField::constant(grid(), c64::new(0.6, 0.8));
-        let d = f.norm_sqr_field();
-        for &v in d.as_slice() {
-            assert!((v - 1.0).abs() < 1e-15);
         }
     }
 

@@ -206,4 +206,53 @@ mod tests {
         assert_eq!(names, vec!["a.ck".to_string()]);
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// Arbitrary and damaged payloads through [`decode_field`], which
+    /// reads every field a rank receives and every saved field: a typed
+    /// error or a whole field, never a panic.
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        fn genuine() -> Vec<u8> {
+            let g = Grid3::new([3, 2, 4], [1.5, 2.0, 0.75]);
+            encode_field(&RealField::from_fn(g, |r| r[0] - 2.0 * r[2]))
+        }
+
+        fn decode(payload: &[u8]) -> Result<(), TestCaseError> {
+            if let Ok(f) = decode_field(payload) {
+                let g = f.grid();
+                prop_assert_eq!(f.as_slice().len(), g.len());
+                prop_assert!(g.dims.iter().all(|&d| d > 0));
+                prop_assert!(g.lengths.iter().all(|&l| l > 0.0 && l.is_finite()));
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #[test]
+            fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(0u32..256, 0..400)) {
+                let payload: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+                decode(&payload)?;
+            }
+
+            #[test]
+            fn damaged_genuine_payloads_never_panic(
+                at in 0usize..4096,
+                word in 0u64..u64::MAX,
+                cut in 0usize..4096,
+            ) {
+                // Overwrite one 8-byte word (a dimension, a length or a
+                // sample) with anything, then maybe truncate.
+                let mut payload = genuine();
+                let at = at % payload.len().saturating_sub(7).max(1);
+                let end = (at + 8).min(payload.len());
+                payload[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+                decode(&payload)?;
+                payload.truncate(cut % (payload.len() + 1));
+                decode(&payload)?;
+            }
+        }
+    }
 }

@@ -79,11 +79,6 @@ impl<S: Scalar> Cholesky<S> {
         &self.l
     }
 
-    /// Consumes the factorization, returning `L`.
-    pub fn into_l(self) -> Matrix<S> {
-        self.l
-    }
-
     /// Solves `L·x = b` in place (forward substitution).
     pub fn solve_l(&self, b: &mut [S]) {
         let n = self.l.rows();
@@ -187,34 +182,10 @@ impl<S: Scalar> Cholesky<S> {
 /// forward substitution (a multiple of the register tile's rows).
 const SOLVE_ROWS: usize = 16;
 
-/// Inverse of a lower-triangular matrix (small sizes; used by tests and the
-/// Löwdin orthogonalization path).
-pub fn invert_lower<S: Scalar>(l: &Matrix<S>) -> Matrix<S> {
-    assert!(l.is_square());
-    let n = l.rows();
-    let mut inv = Matrix::<S>::zeros(n, n);
-    for j in 0..n {
-        // Solve L·x = e_j by forward substitution.
-        let mut x = vec![S::ZERO; n];
-        x[j] = S::ONE;
-        for i in j..n {
-            let mut s = x[i];
-            for k in j..i {
-                s = s.acc(-(l[(i, k)]), x[k]);
-            }
-            x[i] = s.scale(1.0 / l[(i, i)].re());
-        }
-        for i in j..n {
-            inv[(i, j)] = x[i];
-        }
-    }
-    inv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{c64, gemm::matmul, gemm::matmul_nh, Matrix};
+    use crate::{c64, gemm::matmul_nh, Matrix};
 
     fn spd_complex(n: usize, seed: u64) -> Matrix<c64> {
         let mut state = seed;
@@ -318,20 +289,6 @@ mod tests {
             assert!(worst < 1e-12, "{policy:?}: {worst:e}");
             if policy == crate::KernelPolicy::Reference {
                 assert!(x == expect, "reference keeps the row-loop bits");
-            }
-        }
-    }
-
-    #[test]
-    fn invert_lower_is_inverse() {
-        let a = spd_complex(8, 11);
-        let ch = Cholesky::new(&a).unwrap();
-        let linv = invert_lower(ch.l());
-        let prod = matmul(&linv, ch.l());
-        for i in 0..8 {
-            for j in 0..8 {
-                let expect = if i == j { c64::ONE } else { c64::ZERO };
-                assert!((prod[(i, j)] - expect).abs() < 1e-10);
             }
         }
     }

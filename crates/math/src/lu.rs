@@ -10,7 +10,6 @@ use crate::{Matrix, Scalar};
 pub struct Lu<S: Scalar> {
     lu: Matrix<S>,
     piv: Vec<usize>,
-    sign_flips: usize,
 }
 
 /// Error for singular systems.
@@ -35,7 +34,6 @@ impl<S: Scalar> Lu<S> {
         let n = a.rows();
         let mut lu = a.clone();
         let mut piv: Vec<usize> = (0..n).collect();
-        let mut sign_flips = 0;
         for k in 0..n {
             // Pivot selection.
             let mut p = k;
@@ -52,7 +50,6 @@ impl<S: Scalar> Lu<S> {
             }
             if p != k {
                 piv.swap(p, k);
-                sign_flips += 1;
                 let (rp, rk) = lu.rows_mut2(p, k);
                 rp.swap_with_slice(rk);
             }
@@ -66,11 +63,7 @@ impl<S: Scalar> Lu<S> {
                 }
             }
         }
-        Ok(Lu {
-            lu,
-            piv,
-            sign_flips,
-        })
+        Ok(Lu { lu, piv })
     }
 
     /// Solves `A·x = b`.
@@ -96,19 +89,6 @@ impl<S: Scalar> Lu<S> {
             x[i] = s / self.lu[(i, i)];
         }
         x
-    }
-
-    /// Determinant.
-    pub fn det(&self) -> S {
-        let mut d = if self.sign_flips.is_multiple_of(2) {
-            S::ONE
-        } else {
-            -S::ONE
-        };
-        for i in 0..self.lu.rows() {
-            d *= self.lu[(i, i)];
-        }
-        d
     }
 }
 
@@ -152,13 +132,6 @@ mod tests {
         let x = solve(&a, &[5.0, 10.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-14);
         assert!((x[1] - 3.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn det_matches_known() {
-        let a = Matrix::from_vec(3, 3, vec![6.0, 1.0, 1.0, 4.0, -2.0, 5.0, 2.0, 8.0, 7.0]);
-        let lu = Lu::new(&a).unwrap();
-        assert!((lu.det() - (-306.0)).abs() < 1e-10);
     }
 
     #[test]

@@ -89,17 +89,6 @@ pub fn orthonormality_residual<S: Scalar>(psi: &Matrix<S>, metric: f64) -> f64 {
     err
 }
 
-/// Projects out of `x` its components along the (orthonormal) rows of
-/// `basis`: `x ← x − Σᵢ w·⟨bᵢ|x⟩·bᵢ`. Used by the folded spectrum method
-/// to keep states orthogonal to already-converged ones.
-pub fn project_out<S: Scalar>(basis: &Matrix<S>, x: &mut [S], metric: f64) {
-    for i in 0..basis.rows() {
-        let b = basis.row(i);
-        let overlap = dotc(b, x).scale(metric);
-        axpy(-overlap, b, x);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,16 +154,5 @@ mod tests {
         let row0 = psi.row(0).to_vec();
         psi.row_mut(1).copy_from_slice(&row0);
         assert!(gram_schmidt(&mut psi, 1.0).is_err());
-    }
-
-    #[test]
-    fn project_out_removes_components() {
-        let mut basis = rand_block(3, 30, 6);
-        gram_schmidt(&mut basis, 1.0).unwrap();
-        let mut x = rand_block(1, 30, 7).into_vec();
-        project_out(&basis, &mut x, 1.0);
-        for i in 0..3 {
-            assert!(dotc(basis.row(i), &x).abs() < 1e-12);
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Which arithmetic a kernel runs: the production kernels, or the
 //! original scalar arithmetic kept as a test oracle.
 //!
-//! The optimized kernels — radix-4 and mixed-radix butterflies, the packed
+//! The optimized kernels — mixed-radix Stockham butterflies, the packed
 //! r2c/c2r transform path, lane-split dot products, the packed GEMM
 //! microkernel — re-associate floating-point sums, so their results differ
 //! from the original scalar code at the last-bit level. Every one of them
@@ -18,7 +18,7 @@
 /// Which arithmetic variant the FFT/GEMM/BLAS-1 hot kernels use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPolicy {
-    /// Optimized kernels: radix-4 butterflies, packed r2c/c2r path,
+    /// Optimized kernels: mixed-radix FFT butterflies, packed r2c/c2r path,
     /// lane-split accumulators, packed GEMM microkernel. Deterministic
     /// across thread counts, but *not* bit-identical to the reference
     /// arithmetic — gated by per-kernel tolerance tests.

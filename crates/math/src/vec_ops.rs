@@ -6,7 +6,7 @@
 //! was limited to ~15% of peak before the all-band (BLAS-3) rewrite.
 
 use crate::policy::KernelPolicy;
-use crate::{c64, microkernel, Scalar};
+use crate::{microkernel, Scalar};
 
 /// Inner product `⟨x|y⟩ = Σ conj(x_i)·y_i` (the `Fast` arithmetic).
 #[inline]
@@ -96,35 +96,10 @@ pub fn copy<S: Scalar>(src: &[S], dst: &mut [S]) {
     dst.copy_from_slice(src);
 }
 
-/// Maximum absolute element.
-#[inline]
-pub fn amax<S: Scalar>(x: &[S]) -> f64 {
-    x.iter().map(|v| v.abs()).fold(0.0_f64, f64::max)
-}
-
-/// Pointwise product accumulated into `out`: `out_i += a_i · b_i`.
-#[inline]
-pub fn hadamard_acc<S: Scalar>(a: &[S], b: &[S], out: &mut [S]) {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), out.len());
-    for i in 0..a.len() {
-        out[i] = out[i].acc(a[i], b[i]);
-    }
-}
-
-/// Converts a real slice to complex (imaginary parts zero).
-pub fn promote(x: &[f64]) -> Vec<c64> {
-    x.iter().map(|&v| c64::real(v)).collect()
-}
-
-/// Extracts real parts of a complex slice.
-pub fn real_parts(x: &[c64]) -> Vec<f64> {
-    x.iter().map(|z| z.re).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::c64;
 
     #[test]
     fn dotc_conjugates_left_argument() {
@@ -161,26 +136,11 @@ mod tests {
     }
 
     #[test]
-    fn amax_finds_peak() {
-        let x = [c64::new(1.0, 0.0), c64::new(3.0, 4.0), c64::new(-2.0, 0.0)];
-        assert_eq!(amax(&x), 5.0);
-    }
-
-    #[test]
     fn scaling_ops() {
         let mut x = [c64::new(1.0, -1.0), c64::new(2.0, 2.0)];
         dscal(0.5, &mut x);
         assert!((x[0] - c64::new(0.5, -0.5)).abs() < 1e-15);
         scal(c64::I, &mut x);
         assert!((x[0] - c64::new(0.5, 0.5)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn hadamard_accumulates() {
-        let a = [2.0, 3.0];
-        let b = [5.0, 7.0];
-        let mut out = [1.0, 1.0];
-        hadamard_acc(&a, &b, &mut out);
-        assert_eq!(out, [11.0, 22.0]);
     }
 }

@@ -36,7 +36,7 @@
 //! single relaxed atomic adds and span open/close is two monotonic clock
 //! reads plus a `Vec` push.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

@@ -25,8 +25,6 @@ pub enum Counter {
     FftLinesRadix2,
     /// 1-D line transforms through a Bluestein plan.
     FftLinesBluestein,
-    /// 1-D line transforms through a radix-4 plan.
-    FftLinesRadix4,
     /// 1-D real (r2c/c2r) line transforms through a packed plan.
     FftLinesReal,
     /// Whole 3-D transforms (forward or inverse).
@@ -62,11 +60,10 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in reporting order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 18] = [
         Counter::FftLinesTrivial,
         Counter::FftLinesRadix2,
         Counter::FftLinesBluestein,
-        Counter::FftLinesRadix4,
         Counter::FftLinesReal,
         Counter::Fft3Transforms,
         Counter::FftFlops,
@@ -90,7 +87,6 @@ impl Counter {
             Counter::FftLinesTrivial => "fft_lines_trivial",
             Counter::FftLinesRadix2 => "fft_lines_radix2",
             Counter::FftLinesBluestein => "fft_lines_bluestein",
-            Counter::FftLinesRadix4 => "fft_lines_radix4",
             Counter::FftLinesReal => "fft_lines_real",
             Counter::Fft3Transforms => "fft3_transforms",
             Counter::FftFlops => "fft_flops",
@@ -226,11 +222,10 @@ mod tests {
         // counter is a report-schema change: update the golden list
         // here AND document the delta in EXPERIMENTS.md. New counters
         // are appended, never inserted.
-        const GOLDEN: [&str; 19] = [
+        const GOLDEN: [&str; 18] = [
             "fft_lines_trivial",
             "fft_lines_radix2",
             "fft_lines_bluestein",
-            "fft_lines_radix4",
             "fft_lines_real",
             "fft3_transforms",
             "fft_flops",

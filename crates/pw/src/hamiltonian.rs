@@ -434,12 +434,6 @@ impl<'a> Hamiltonian<'a> {
         }
     }
 
-    /// Rayleigh quotient `⟨ψ|H|ψ⟩` for a normalized band.
-    pub fn expectation(&self, psi: &[c64]) -> f64 {
-        let hpsi = self.apply_vec(psi);
-        vec_ops::dotc(psi, &hpsi).re
-    }
-
     /// Kinetic energy `⟨ψ|−½∇²|ψ⟩` of one band.
     pub fn kinetic_expectation<S: Coeff>(&self, psi: &[S]) -> f64 {
         psi.iter()
@@ -561,7 +555,7 @@ mod tests {
         let nl = NonlocalPotential::none(&basis);
         let h = Hamiltonian::new(&basis, v, &nl);
         let psi = rand_block(1, basis.len(), 5);
-        let e = h.expectation(psi.row(0));
+        let e = dotc(psi.row(0), &h.apply_vec(psi.row(0))).re;
         let kin = h.kinetic_expectation(psi.row(0));
         assert!((e - kin - v0).abs() < 1e-10, "e = {e}, kinetic = {kin}");
     }

@@ -81,9 +81,8 @@
 //!   the 3-line window (e.g. a bench driver re-execing itself to get an
 //!   isolated measurement process). Test code is exempt — the SPMD
 //!   subprocess tests re-exec the test binary by design.
-//! * `forbid-unsafe` — the workspace's unsafe surface is exactly four
-//!   places: `shims/rayon` (the work-stealing pool), `crates/obs`
-//!   (reserved for future probe internals), the `ls3df` facade
+//! * `forbid-unsafe` — the workspace's unsafe surface is exactly three
+//!   places: `shims/rayon` (the work-stealing pool), the `ls3df` facade
 //!   (`src/alloc_count.rs`), and one item of `crates/math`: the call into
 //!   the AVX2 instantiation of the packed GEMM kernel in
 //!   `crates/math/src/microkernel.rs`. Those crate roots must carry
@@ -217,7 +216,7 @@ const COMM_IDENTS: [&str; 6] = [
 /// Crates allowed to contain `unsafe` (root must `#![deny(unsafe_code)]`
 /// and every site needs `#[allow]` + `SAFETY:`). Everything else must
 /// `#![forbid(unsafe_code)]`.
-const UNSAFE_CRATES: [&str; 4] = ["shims/rayon/", "crates/obs/", "src/", "crates/math/"];
+const UNSAFE_CRATES: [&str; 3] = ["shims/rayon/", "src/", "crates/math/"];
 
 /// `crates/math/` is on the surface for a single `unsafe`: the dispatch
 /// into the `#[target_feature(enable = "avx2")]` instantiation of the
@@ -1005,7 +1004,7 @@ fn rule_forbid_unsafe(f: &FileCtx<'_>, out: &mut FileReport) {
                         "this crate is on the audited unsafe surface (per-site \
                          `#[allow]` + `SAFETY:` only)"
                     } else {
-                        "the workspace's unsafe surface is shims/rayon, crates/obs, \
+                        "the workspace's unsafe surface is shims/rayon, \
                          src/alloc_count.rs and one call in crates/math/src/microkernel.rs"
                     }
                 ),
@@ -1023,9 +1022,8 @@ fn rule_forbid_unsafe(f: &FileCtx<'_>, out: &mut FileReport) {
     } else if !designated {
         (
             0,
-            "`unsafe` outside the audited surface (shims/rayon, crates/obs, \
-             src/alloc_count.rs, microkernel::run in crates/math) — move the code \
-             behind a safe API there",
+            "`unsafe` outside the audited surface (shims/rayon, src/alloc_count.rs, \
+             microkernel::run in crates/math) — move the code behind a safe API there",
         )
     } else {
         return;
@@ -1484,6 +1482,9 @@ mod tests {
             "#![forbid(unsafe_code)]\nfn f() {}",
         );
         assert!(!v.contains(&"forbid-unsafe"));
+        // ls3df-obs holds no `unsafe` and is off the surface.
+        let v = rules_hit("crates/obs/src/lib.rs", "#![deny(unsafe_code)]\nfn f() {}");
+        assert!(v.contains(&"forbid-unsafe"));
         // …a designated one needs deny…
         let v = rules_hit(
             "shims/rayon/src/lib.rs",

@@ -25,7 +25,7 @@ use ls3df_pseudo::PseudoTable;
 
 /// The single-process SCF digest (see `tests/scheme_digest.rs::GOLDEN` —
 /// same capture, same workload).
-const GOLDEN: u64 = 0x80a8_e30e_b48f_672d;
+const GOLDEN: u64 = 0xeba2_0b58_e229_cae3;
 
 /// Same options as `tests/scheme_digest.rs::reference_opts`.
 fn reference_opts() -> Ls3dfOptions {

@@ -119,15 +119,24 @@ fn patch_electron_excess(
 fn patched_electron_count_equals_the_systems() {
     // Σ_F α_F·n_e(F) = N_e on fig6's relaxed 2×2×2 alloy under
     // `Overlapping` (every fragment spans the cell, so nothing is
-    // passivated) and on the crystal8 set (`WallOnly`). The same alloy under
-    // the sign-alternating scheme is not asserted: it sums to 8 electrons,
-    // not 256 (ROADMAP item 1).
+    // passivated), on the same alloy cut into m = 3 pieces per axis under
+    // the sign-alternating scheme (the signs cancel the passivants'
+    // charge), and on the crystal8 set (`WallOnly`). The alloy under the
+    // sign-alternating scheme at m = 2 is not asserted: it sums to 8
+    // electrons, not 256 (ROADMAP item 1).
     let mut alloy = znteo_alloy([2; 3], ZNTE_LATTICE, 0.03125, 42);
     relax(&mut alloy, 1e-4, 3000);
     let overlapping = patch_electron_excess(
         &alloy,
         [2; 3],
         Arc::new(Overlapping::default()),
+        Passivation::PseudoH,
+        &PseudoTable::default(),
+    );
+    let sign_alternating_m3 = patch_electron_excess(
+        &alloy,
+        [3; 3],
+        Arc::new(SignAlternating),
         Passivation::PseudoH,
         &PseudoTable::default(),
     );
@@ -141,6 +150,10 @@ fn patched_electron_count_equals_the_systems() {
     assert!(
         overlapping.abs() <= 1e-12,
         "alloy, overlapping: {overlapping}"
+    );
+    assert!(
+        sign_alternating_m3.abs() <= 1e-12,
+        "alloy, sign-alternating, m = 3: {sign_alternating_m3}"
     );
     assert!(crystal8.abs() <= 1e-12, "crystal8: {crystal8}");
 }

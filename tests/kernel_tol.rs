@@ -2,7 +2,7 @@
 //! (`KernelPolicy::Fast`) and its oracles (see DESIGN.md "Kernel
 //! architecture").
 //!
-//! The production kernels (r2c/c2r packing, radix-4 and mixed-radix
+//! The production kernels (r2c/c2r packing, mixed-radix Stockham
 //! butterflies, sphere-pruned grid transfers, lane-split dots, the packed
 //! GEMM microkernel, the Γ-point real block algebra) re-round relative to
 //! the original scalar arithmetic, which `KernelPolicy::Reference` keeps
@@ -35,9 +35,8 @@ use ls3df::pw::{
 };
 use ls3df_pseudo::LocalPotential;
 
-/// Complex 1-D transforms, radix-4/split and mixed-radix (fast) vs
-/// radix-2 and Bluestein (reference), per-bin, relative to the spectrum
-/// peak.
+/// Complex 1-D transforms, mixed-radix (fast) vs radix-2 and Bluestein
+/// (reference), per-bin, relative to the spectrum peak.
 const FFT1D_TOL: f64 = 1e-12;
 /// Sphere-pruned `wave_to_grid_with`/`grid_to_wave_with` (raw transforms,
 /// one folded scale) vs the full-grid path (per-axis `1/n`, then the
@@ -106,9 +105,10 @@ fn lcg(seed: u64) -> impl FnMut() -> f64 {
 }
 
 #[test]
-fn radix4_matches_radix2_every_pow2() {
-    // Every power of two ≤ 1024: below 1024 covers both the even-level
-    // (pure radix-4) and odd-level (radix-4 + one radix-2 stage) shapes.
+fn mixed_matches_radix2_every_pow2() {
+    // Every power of two ≤ 1024 covers both the even-level (radix-4
+    // stages only) and odd-level (radix-4 stages + one radix-2 stage)
+    // factorisations of the mixed-radix plan.
     let mut n = 2;
     while n <= 1024 {
         let mut next = lcg(0xA11CE ^ n as u64);
