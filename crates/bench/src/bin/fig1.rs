@@ -16,7 +16,7 @@ fn main() {
     // The four 2-D fragment types from one corner, as x-y slices of the
     // 3-D fragments with s_z = 2.
     for (s1, s2) in [(1usize, 1usize), (1, 2), (2, 1), (2, 2)] {
-        let f = Fragment::sign_alternating([0, 0, 0], [s1, s2, 2]);
+        let f = Fragment::new([0, 0, 0], [s1, s2, 2]);
         let alpha = f.alpha();
         println!("fragment {}x{} (x-y), α = {:+}", s1, s2, alpha as i64);
         for row in (0..2).rev() {

@@ -15,9 +15,8 @@
 //! | `fig6` | Real LS3DF SCF convergence on a scaled ZnTeO alloy |
 //! | `fig7` | FSM band-edge states + O-localization analysis |
 //! | `crossover` | LS3DF vs O(N³) model sweep + real scaled measurement |
-//! | `accuracy` | LS3DF vs direct DFT eigenvalue/density agreement |
+//! | `accuracy` | LS3DF vs direct DFT eigenvalue/density agreement (`znteo`: fig6's alloy, energy after 12 iterations) |
 //! | `ablation` | Comm-algorithm + solver-variant ablations |
-//! | `znteo_scheme_ablation` | Fragmentation-scheme ablation (sign-alternating vs overlapping) on ZnTeO |
 //! | `buffer_ablation` | Fragment buffer width vs patched-density error against direct DFT |
 //! | `petot_scaling` | PEtot_F thread scaling of the work-stealing pool |
 //! | `fft_kernels` | FFT/GEMM kernel A/B table (`BENCH_fft_kernels.json`) |

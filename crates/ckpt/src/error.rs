@@ -64,11 +64,6 @@ pub enum CkptError {
         stored: u64,
         /// Fingerprint of the resuming calculation.
         current: u64,
-        /// Fragmentation-scheme id the snapshot was written under
-        /// (`"unknown"` for snapshots predating the scheme section).
-        stored_scheme: String,
-        /// Fragmentation-scheme id of the resuming calculation.
-        current_scheme: String,
     },
     /// A section decoded structurally but its contents are inconsistent
     /// with the resuming calculation (wrong grid, wrong fragment count…).
@@ -152,26 +147,11 @@ impl std::fmt::Display for CkptError {
             CkptError::DuplicateSection { section } => {
                 write!(f, "snapshot carries `{section}` twice — ambiguous restore")
             }
-            CkptError::FingerprintMismatch {
-                stored,
-                current,
-                stored_scheme,
-                current_scheme,
-            } => {
-                write!(
-                    f,
-                    "options fingerprint mismatch: snapshot written under {stored:016x}, \
-                     this calculation is {current:016x} — refusing to resume under different physics"
-                )?;
-                if stored_scheme != current_scheme {
-                    write!(
-                        f,
-                        " (snapshot used fragmentation scheme `{stored_scheme}`, \
-                         this calculation uses `{current_scheme}`)"
-                    )?;
-                }
-                Ok(())
-            }
+            CkptError::FingerprintMismatch { stored, current } => write!(
+                f,
+                "options fingerprint mismatch: snapshot written under {stored:016x}, \
+                 this calculation is {current:016x} — refusing to resume under different physics"
+            ),
             CkptError::Malformed { section, detail } => {
                 write!(f, "section `{section}` is inconsistent: {detail}")
             }
@@ -199,24 +179,9 @@ mod tests {
         let f = CkptError::FingerprintMismatch {
             stored: 1,
             current: 2,
-            stored_scheme: "sign-alternating".into(),
-            current_scheme: "overlapping".into(),
         };
         assert_eq!(f.kind(), CkptErrorKind::FingerprintMismatch);
         let msg = f.to_string();
         assert!(msg.contains("different physics"), "{msg}");
-        // A cross-scheme refusal names both schemes…
-        assert!(
-            msg.contains("sign-alternating") && msg.contains("overlapping"),
-            "{msg}"
-        );
-        // …while a same-scheme mismatch doesn't blame the scheme.
-        let same = CkptError::FingerprintMismatch {
-            stored: 1,
-            current: 2,
-            stored_scheme: "sign-alternating".into(),
-            current_scheme: "sign-alternating".into(),
-        };
-        assert!(!same.to_string().contains("fragmentation scheme"));
     }
 }

@@ -27,12 +27,13 @@ use crate::CkptError;
 /// Magic tag opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"LS3DFCKP";
 
-/// Format version this build writes and reads. Version 2: an LS3DF
-/// snapshot's `PSI` blocks hold packed real rows (one `f64` per
-/// coefficient, not a `(re, im)` pair) and each step record carries
-/// `q/N_e`; a version-1 file is refused as
+/// Format version this build writes and reads. Version 2 made an LS3DF
+/// snapshot's `PSI` blocks packed real rows (one `f64` per coefficient,
+/// not a `(re, im)` pair) and gave each step record `q/N_e`. Version 3
+/// drops the `SCHEME` section and the fragmentation-scheme words of the
+/// options fingerprint. A file of any other version is refused as
 /// [`CkptError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Hard cap on a single section payload (64 GiB) — guards the reader
 /// against allocating off a corrupt length field.

@@ -21,9 +21,8 @@
 //! * **patching linearity** — the assembled density's integral equals
 //!   the signed sum of per-fragment region charges to rounding accuracy
 //!   (tight at every iteration, independent of solver convergence);
-//! * **partition of unity** — the `α_F` weights sum to 1 on every grid
-//!   point within the fragmentation scheme's declared tolerance (checked
-//!   once at assembly);
+//! * **partition of unity** — the `α_F` weights sum to exactly 1 on every
+//!   grid point (checked once at assembly);
 //! * **orthonormality** — fragment wavefunction blocks stay orthonormal
 //!   after each PEtot_F eigensolver pass.
 //!
@@ -86,13 +85,6 @@ pub const PATCH_LINEARITY_TOL_REL: f64 = 1e-8;
 /// after an eigensolver pass (the solvers re-orthonormalize every
 /// iteration; anything worse than this means the block degenerated).
 pub const ORTHO_TOL: f64 = 1e-6;
-
-/// Allowed deviation of the per-grid-point `Σ_F α_F` patching weight
-/// from 1 for the sign-alternating scheme (exact integer cancellation —
-/// any deviation is a geometry bug). Other schemes declare their own
-/// allowance via `FragmentScheme::unity_tolerance`, which is what
-/// [`patching_weights`] actually enforces.
-pub const WEIGHT_TOL: f64 = 0.0;
 
 /// A violated numeric invariant: which SCF step produced the bad value,
 /// and what was wrong with it.
@@ -286,22 +278,21 @@ pub fn patching_linearity(
     Ok(())
 }
 
-/// The `Σ_F α_F` partition of unity over the global grid (every point
-/// covered with net weight 1, within the scheme's declared tolerance).
+/// The `Σ_F α_F` partition of unity over the global grid: every point
+/// covered with net weight exactly 1 (the ±1 weights cancel exactly, so
+/// any deviation is a geometry bug).
 pub fn patching_weights(
     fg: &crate::fragment::FragmentGrid,
     global: &ls3df_grid::Grid3,
 ) -> Result<(), InvariantViolation> {
     let deviation = fg.partition_of_unity(global);
-    let tol = fg.unity_tolerance();
-    if deviation > tol {
+    if deviation > 0.0 {
         return Err(InvariantViolation {
             step: "patching-weights".to_string(),
             fragment: None,
             detail: format!(
                 "Σ_F α_F deviates from 1 by {deviation:.3e} somewhere on the global grid \
-                 — scheme `{}` allows {tol:.1e}; fragment geometry is inconsistent",
-                fg.scheme().id()
+                 — fragment geometry is inconsistent"
             ),
         });
     }
@@ -420,22 +411,6 @@ mod tests {
     fn weights_ok_for_valid_decomposition() {
         let g = Grid3::new([6, 6, 6], [6.0, 6.0, 6.0]);
         let fg = crate::fragment::FragmentGrid::new([2, 2, 2], &g, [1, 1, 1]).unwrap();
-        assert!(patching_weights(&fg, &g).is_ok());
-    }
-
-    #[test]
-    fn weights_ok_for_overlapping_scheme_within_tolerance() {
-        use crate::scheme::Overlapping;
-        let g = Grid3::new([9, 9, 9], [9.0, 9.0, 9.0]);
-        let fg = crate::fragment::FragmentGrid::with_scheme(
-            std::sync::Arc::new(Overlapping::new([3, 3, 3])),
-            [3, 3, 3],
-            &g,
-            [1, 1, 1],
-        )
-        .unwrap();
-        // 1/27 weights don't cancel exactly; the scheme's declared
-        // tolerance must absorb the rounding.
         assert!(patching_weights(&fg, &g).is_ok());
     }
 

@@ -7,7 +7,6 @@
 //! | section    | contents |
 //! |------------|----------|
 //! | `FPRINT`   | FNV-1a fingerprint of the physical options (refuses resume under different physics) |
-//! | `SCHEME`   | fragmentation-scheme id (names both schemes in a cross-scheme refusal) |
 //! | `STATE`    | last completed outer iteration + converged flag |
 //! | `SCFHIST`  | the [`Ls3dfStep`] convergence history |
 //! | `VIN`      | global input potential (the mixed `V_in` for the next iteration) |
@@ -29,7 +28,6 @@
 
 use crate::passivate::Passivation;
 use crate::scf::{Ls3dfOptions, Ls3dfStep, StepTimings};
-use crate::scheme::FragmentScheme;
 use ls3df_atoms::{Species, Structure};
 use ls3df_ckpt::{ByteReader, ByteWriter, CkptError, Fingerprint, SectionId};
 use ls3df_math::Matrix;
@@ -38,9 +36,6 @@ use ls3df_pw::Mixer;
 
 /// Options-fingerprint section.
 pub(crate) const SEC_FPRINT: SectionId = SectionId::new("FPRINT");
-/// Fragmentation-scheme id section (diagnostic: lets a fingerprint
-/// refusal name the snapshot's scheme).
-pub(crate) const SEC_SCHEME: SectionId = SectionId::new("SCHEME");
 /// Iteration counter + converged flag section.
 pub(crate) const SEC_STATE: SectionId = SectionId::new("STATE");
 /// Convergence-history section.
@@ -77,15 +72,8 @@ pub(crate) fn options_fingerprint(
     structure: &Structure,
     m: [usize; 3],
     opts: &Ls3dfOptions,
-    scheme: &dyn FragmentScheme,
 ) -> u64 {
     let mut fp = Fingerprint::new();
-    // Fragmentation scheme: id + its own parameters. A snapshot written
-    // under one scheme must refuse to resume under another — the fragment
-    // sets (and so the PSI section layout) differ.
-    fp.push_str("scheme");
-    fp.push_str(scheme.id());
-    scheme.fingerprint(&mut fp);
     // Geometry.
     for d in 0..3 {
         fp.push_f64(structure.lengths[d]);
@@ -155,23 +143,6 @@ pub(crate) fn encode_fingerprint(fingerprint: u64) -> Vec<u8> {
 
 pub(crate) fn decode_fingerprint(payload: &[u8]) -> Result<u64, CkptError> {
     ByteReader::new(payload).get_u64("options fingerprint")
-}
-
-pub(crate) fn encode_scheme_id(id: &str) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(8 + id.len());
-    w.put_u64(id.len() as u64);
-    w.put_bytes(id.as_bytes());
-    w.into_bytes()
-}
-
-pub(crate) fn decode_scheme_id(payload: &[u8]) -> Result<String, CkptError> {
-    let mut r = ByteReader::new(payload);
-    let n = r.get_count(MAX_COUNT, "scheme id length")?;
-    let bytes = r.get_bytes(n, "scheme id")?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| CkptError::Malformed {
-        section: SEC_SCHEME.name(),
-        detail: "scheme id is not valid UTF-8".to_string(),
-    })
 }
 
 pub(crate) fn encode_state(iteration: usize, converged: bool) -> Vec<u8> {
@@ -273,7 +244,10 @@ pub(crate) fn encode_mixer_history(history: &[(Vec<f64>, Vec<f64>)]) -> Vec<u8> 
 pub(crate) fn decode_mixer_history(payload: &[u8]) -> Result<MixerHistory, CkptError> {
     let mut r = ByteReader::new(payload);
     let n = r.get_count(MAX_COUNT, "mixer history length")?;
-    let mut out = Vec::with_capacity(n);
+    // Every entry holds at least its two 8-byte length words, so the
+    // payload bounds how many can follow; a corrupt count must not size
+    // the reservation.
+    let mut out = Vec::with_capacity(n.min(r.remaining() / 16));
     for i in 0..n {
         let nv = r.get_count(MAX_COUNT, &format!("mixer entry {i} V_in length"))?;
         let v_in = r.get_f64_vec(nv, &format!("mixer entry {i} V_in"))?;
@@ -440,27 +414,25 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_physics_not_run_control() {
-        use crate::scheme::SignAlternating;
         let s = Structure::new([10.0, 10.0, 10.0], Vec::new());
         let base = Ls3dfOptions::default();
-        let scheme = SignAlternating;
-        let f0 = options_fingerprint(&s, [2, 2, 2], &base, &scheme);
+        let f0 = options_fingerprint(&s, [2, 2, 2], &base);
         // Same inputs → same fingerprint.
-        assert_eq!(f0, options_fingerprint(&s, [2, 2, 2], &base, &scheme));
+        assert_eq!(f0, options_fingerprint(&s, [2, 2, 2], &base));
         // max_scf / tol are run control, not physics.
         let relaxed = Ls3dfOptions {
             max_scf: 500,
             tol: 1e-9,
             ..base.clone()
         };
-        assert_eq!(f0, options_fingerprint(&s, [2, 2, 2], &relaxed, &scheme));
+        assert_eq!(f0, options_fingerprint(&s, [2, 2, 2], &relaxed));
         // Cutoff, decomposition and mixer ARE physics.
         let hot = Ls3dfOptions {
             ecut: base.ecut * 2.0,
             ..base.clone()
         };
-        assert_ne!(f0, options_fingerprint(&s, [2, 2, 2], &hot, &scheme));
-        assert_ne!(f0, options_fingerprint(&s, [2, 2, 4], &base, &scheme));
+        assert_ne!(f0, options_fingerprint(&s, [2, 2, 2], &hot));
+        assert_ne!(f0, options_fingerprint(&s, [2, 2, 4], &base));
         let remixed = Ls3dfOptions {
             mixer: Mixer::Pulay {
                 alpha: 0.5,
@@ -468,26 +440,10 @@ mod tests {
             },
             ..base.clone()
         };
-        assert_ne!(f0, options_fingerprint(&s, [2, 2, 2], &remixed, &scheme));
-        // So is the fragmentation scheme — and its parameters.
-        use crate::scheme::Overlapping;
-        let f_ov = options_fingerprint(&s, [2, 2, 2], &base, &Overlapping::default());
-        assert_ne!(f0, f_ov);
-        assert_ne!(
-            f_ov,
-            options_fingerprint(&s, [3, 3, 3], &base, &Overlapping::new([3, 3, 3]))
-        );
+        assert_ne!(f0, options_fingerprint(&s, [2, 2, 2], &remixed));
     }
 
-    #[test]
-    fn scheme_id_roundtrips() {
-        let bytes = encode_scheme_id("sign-alternating");
-        assert_eq!(decode_scheme_id(&bytes).unwrap(), "sign-alternating");
-        // Truncated payload is a typed error, not a panic.
-        assert!(decode_scheme_id(&bytes[..bytes.len() - 3]).is_err());
-    }
-
-    /// The two packed-ψ decoders on bytes from a disk or a peer: arbitrary
+    /// The section decoders on bytes from a disk or a peer: arbitrary
     /// input is a typed error or a well-shaped value — never a panic, and
     /// never an allocation sized by an unchecked length field (the counts
     /// below reach `u64::MAX`; allocating off one would abort the test).
@@ -538,11 +494,67 @@ mod tests {
             Ok(())
         }
 
+        /// Genuine `STATE`, `SCFHIST`, `MIXER` and `FPRINT` payloads.
+        fn genuine_sections() -> [Vec<u8>; 4] {
+            let step = |iteration| Ls3dfStep {
+                iteration,
+                dv_integral: 0.5 / iteration as f64,
+                worst_residual: 1e-3,
+                charge_ratio: 0.97,
+                timings: StepTimings::default(),
+            };
+            [
+                encode_state(7, false),
+                encode_history(&[step(1), step(2), step(3)]),
+                encode_mixer_history(&[
+                    (vec![1.0, -2.5, 3.75], vec![0.1, 0.2, 0.3]),
+                    (vec![4.0, 5.0], vec![-0.5, 0.25]),
+                ]),
+                encode_fingerprint(0x0123_4567_89ab_cdef),
+            ]
+        }
+
+        /// Runs the four section decoders on `payload`; whatever they
+        /// accept must fit in the bytes it was read from.
+        fn decode_sections(payload: &[u8]) -> Result<(), TestCaseError> {
+            if decode_state(payload).is_ok() {
+                prop_assert!(payload.len() >= 12);
+            }
+            if let Ok(history) = decode_history(payload) {
+                prop_assert!(8 + 64 * history.len() <= payload.len());
+            }
+            if let Ok(history) = decode_mixer_history(payload) {
+                let words: usize = history.iter().map(|(v, r)| 2 + v.len() + r.len()).sum();
+                prop_assert!(8 + 8 * words <= payload.len());
+            }
+            if decode_fingerprint(payload).is_ok() {
+                prop_assert!(payload.len() >= 8);
+            }
+            Ok(())
+        }
+
         proptest! {
             #[test]
             fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(0u32..256, 0..400)) {
                 let payload: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
                 decode_both(&payload)?;
+                decode_sections(&payload)?;
+            }
+
+            #[test]
+            fn damaged_genuine_sections_never_panic(
+                which in 0usize..4,
+                at in 0usize..4096,
+                word in 0u64..u64::MAX,
+                cut in 0usize..4096,
+            ) {
+                let mut payload = genuine_sections()[which].clone();
+                let at = at % payload.len().saturating_sub(7).max(1);
+                let end = (at + 8).min(payload.len());
+                payload[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+                decode_sections(&payload)?;
+                payload.truncate(cut % (payload.len() + 1));
+                decode_sections(&payload)?;
             }
 
             #[test]
@@ -577,10 +589,29 @@ mod tests {
             let out = decode_psi_gather(&snap, &SHAPES).unwrap();
             assert_eq!(out[0].0, 2);
             assert_eq!(out[0].1.as_slice(), b[2].as_slice());
+            let [state, history, mixer, fingerprint] = genuine_sections();
+            assert_eq!(decode_state(&state).unwrap(), (7, false));
+            assert_eq!(decode_history(&history).unwrap().len(), 3);
+            assert_eq!(decode_mixer_history(&mixer).unwrap().len(), 2);
+            assert_eq!(
+                decode_fingerprint(&fingerprint).unwrap(),
+                0x0123_4567_89ab_cdef
+            );
             // Huge counts are typed errors, not allocations.
             let mut w = ByteWriter::new();
             w.put_u64(u64::MAX);
             assert!(decode_psi_blocks(&w.into_bytes(), &SHAPES).is_err());
+        }
+
+        /// Regression: a `MIXER` entry count at the cap (2³² entries) in
+        /// an otherwise empty payload must not size a reservation before
+        /// any entry is read.
+        #[test]
+        fn mixer_entry_count_at_the_cap_is_a_typed_error() {
+            let mut w = ByteWriter::new();
+            w.put_u64(MAX_COUNT);
+            let err = decode_mixer_history(&w.into_bytes()).unwrap_err();
+            assert_eq!(err.kind(), ls3df_ckpt::CkptErrorKind::Truncated);
         }
     }
 }

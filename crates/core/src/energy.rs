@@ -59,9 +59,8 @@ impl Ls3df {
         }
     }
 
-    /// Per-fragment α-weighted quantum energies `α_F·(T_F + E_NL,F)`
-    /// (the weights come from the fragmentation scheme: `±1` for
-    /// sign-alternating, normalized positive reals for overlapping).
+    /// Per-fragment α-weighted quantum energies `α_F·(T_F + E_NL,F)`,
+    /// with `α_F = ±1`.
     pub fn fragment_quantum_energies(&self, vfs: &[ls3df_grid::RealField]) -> Vec<f64> {
         use rayon::prelude::*;
         self.fragment_states()

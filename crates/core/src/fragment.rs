@@ -1,11 +1,9 @@
 //! Fragment geometry: the heart of the LS3DF patching scheme.
 //!
 //! The periodic supercell is divided into `M = m1 × m2 × m3` *pieces*
-//! (the paper uses one eight-atom zinc-blende cell per piece). Which
-//! fragments exist — and with what patching weight `α_F` — is decided by
-//! a [`FragmentScheme`](crate::scheme::FragmentScheme). The paper's
-//! sign-alternating scheme defines **eight fragments** per corner with
-//! sizes `{1,2} × {1,2} × {1,2}` pieces and weight
+//! (the paper uses one eight-atom zinc-blende cell per piece). Every
+//! piece corner carries **eight fragments** with sizes
+//! `{1,2} × {1,2} × {1,2}` pieces and patching weight
 //!
 //! ```text
 //! α_F = Π_d sign_d,   sign_d = +1 if size_d = 2, −1 if size_d = 1
@@ -13,62 +11,89 @@
 //!
 //! (`+1` for 2×2×2; `−1` for the three 2×2×1 types; `+1` for the three
 //! 2×1×1 types; `−1` for 1×1×1 — the 3-D extension of the paper's Fig. 1).
-//! Summing `α_F · (anything accumulated over the fragment interior)` over
-//! all fragments covers every piece with net weight exactly **one** —
-//! the partition of unity tested by [`FragmentGrid::partition_of_unity`]
-//! and exploited by `Gen_dens`. Other schemes (e.g.
-//! [`Overlapping`](crate::scheme::Overlapping)) satisfy the same
-//! invariant with different fragment sets and weights; each declares its
-//! own tolerance via
-//! [`FragmentScheme::unity_tolerance`](crate::scheme::FragmentScheme::unity_tolerance).
+//! Every artificial fragment surface appears once with `+1` and once with
+//! `−1`, so summing `α_F · (anything accumulated over the fragment
+//! interior)` over all fragments covers every piece with net weight
+//! exactly **one**: the integer weights cancel exactly in floating point.
+//! [`FragmentGrid::partition_of_unity`] measures the deviation, which is
+//! `0.0` for every valid decomposition, and `Gen_dens` relies on it.
 //!
-//! [`FragmentGrid`] carries the metric bookkeeping (piece sizes, buffer
-//! widths, box/region geometry) shared by every scheme; the scheme
-//! contributes only the fragment enumeration and weights.
+//! [`FragmentGrid`] enumerates the fragments once, in a fixed order, and
+//! carries the metric bookkeeping (piece sizes, buffer widths, box/region
+//! geometry).
 
-use crate::scheme::{FragmentError, FragmentScheme, SignAlternating};
 use ls3df_grid::Grid3;
-use std::sync::Arc;
 
-/// One fragment: corner piece index, size in pieces, and patching weight.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Why a fragment decomposition could not be built. Surfaced by the
+/// builder as [`Ls3dfError::Fragmentation`](crate::scf::Ls3dfError);
+/// nothing in the construction path panics on bad geometry.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FragmentError {
+    /// Fewer pieces along `axis` than the largest fragment extent (2): a
+    /// fragment would wrap onto itself.
+    TooFewPieces {
+        /// Offending dimension (0 = x, 1 = y, 2 = z).
+        axis: usize,
+        /// The requested piece count.
+        m: usize,
+        /// The minimum along this axis.
+        min: usize,
+    },
+    /// The global grid does not divide evenly into `m` pieces along
+    /// `axis`, so pieces would have fractional grid points.
+    Indivisible {
+        /// Offending dimension (0 = x, 1 = y, 2 = z).
+        axis: usize,
+        /// Global grid points along the axis.
+        points: usize,
+        /// The requested piece count.
+        m: usize,
+    },
+}
+
+impl std::fmt::Display for FragmentError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FragmentError::TooFewPieces { axis, m, min } => write!(
+                f,
+                "axis {axis} has {m} piece(s), needs ≥ {min} so no fragment wraps onto itself"
+            ),
+            FragmentError::Indivisible { axis, points, m } => write!(
+                f,
+                "global grid axis {axis} ({points} points) not divisible into {m} pieces"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FragmentError {}
+
+/// Largest fragment extent in pieces, and so the fewest pieces an axis
+/// may have.
+const MIN_PIECES: usize = 2;
+
+/// One fragment: corner piece index and size in pieces.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Fragment {
     /// Piece index of the fragment's low corner `(i, j, k)`.
     pub corner: [usize; 3],
-    /// Fragment extent in pieces per dimension.
+    /// Fragment extent in pieces per dimension, each 1 or 2.
     pub size: [usize; 3],
-    /// Patching weight `α_F` (the sign-alternating scheme uses `±1`;
-    /// overlapping schemes use normalized positive reals).
-    pub weight: f64,
 }
 
 impl Fragment {
-    /// A fragment with an explicit patching weight.
-    pub fn new(corner: [usize; 3], size: [usize; 3], weight: f64) -> Self {
-        Fragment {
-            corner,
-            size,
-            weight,
-        }
+    /// The fragment at `corner` spanning `size` pieces.
+    pub fn new(corner: [usize; 3], size: [usize; 3]) -> Self {
+        Fragment { corner, size }
     }
 
-    /// A fragment weighted by the paper's sign rule
-    /// `α_F = Π_d (+1 if size_d = 2, −1 otherwise)`.
-    pub fn sign_alternating(corner: [usize; 3], size: [usize; 3]) -> Self {
-        let mut weight = 1.0;
-        for d in 0..3 {
-            weight *= if size[d] == 2 { 1.0 } else { -1.0 };
-        }
-        Fragment {
-            corner,
-            size,
-            weight,
-        }
-    }
-
-    /// The patching weight `α_F`.
+    /// The patching weight `α_F = Π_d (+1 if size_d = 2, −1 otherwise)`.
     pub fn alpha(&self) -> f64 {
-        self.weight
+        let mut alpha = 1.0;
+        for d in 0..3 {
+            alpha *= if self.size[d] == 2 { 1.0 } else { -1.0 };
+        }
+        alpha
     }
 
     /// Number of pieces covered.
@@ -115,10 +140,9 @@ impl std::fmt::Display for FragmentId {
     }
 }
 
-/// The fragment decomposition of a supercell: a
-/// [`FragmentScheme`](crate::scheme::FragmentScheme) bound to concrete
-/// piece/buffer geometry, with the fragment list enumerated once and
-/// cached in the scheme's canonical order.
+/// The fragment decomposition of a supercell: the fragment list for a
+/// concrete piece/buffer geometry, enumerated once and cached in its
+/// canonical order.
 #[derive(Clone, Debug)]
 pub struct FragmentGrid {
     /// Pieces per dimension.
@@ -131,32 +155,19 @@ pub struct FragmentGrid {
     /// Buffer width added around the fragment region on each side, in
     /// grid points per dimension (sets the fragment box ΩF).
     pub buffer_pts: [usize; 3],
-    scheme: Arc<dyn FragmentScheme>,
     fragments: Vec<Fragment>,
 }
 
 impl FragmentGrid {
     /// Builds the decomposition for a global grid of `m · piece_pts`
-    /// points under the default sign-alternating scheme. Rejects bad
-    /// geometry with a typed [`FragmentError`] instead of panicking.
+    /// points. Rejects bad geometry with a typed [`FragmentError`]
+    /// instead of panicking.
     pub fn new(
         m: [usize; 3],
         global: &Grid3,
         buffer_pts: [usize; 3],
     ) -> Result<Self, FragmentError> {
-        Self::with_scheme(Arc::new(SignAlternating), m, global, buffer_pts)
-    }
-
-    /// Builds the decomposition under an explicit scheme. The scheme
-    /// validates the piece counts against its own minimums; divisibility
-    /// of the global grid into pieces is checked here.
-    pub fn with_scheme(
-        scheme: Arc<dyn FragmentScheme>,
-        m: [usize; 3],
-        global: &Grid3,
-        buffer_pts: [usize; 3],
-    ) -> Result<Self, FragmentError> {
-        scheme.validate(m)?;
+        Self::check_pieces(m)?;
         for axis in 0..3 {
             if !global.dims[axis].is_multiple_of(m[axis]) {
                 return Err(FragmentError::Indivisible {
@@ -176,31 +187,44 @@ impl FragmentGrid {
             global.lengths[1] / m[1] as f64,
             global.lengths[2] / m[2] as f64,
         ];
-        let fragments = scheme.fragments(m);
+        // Canonical order: corners k, j, i (x fastest), then the eight
+        // sizes s3, s2, s1 (s1 fastest). Gen_dens accumulates fragment
+        // densities in exactly this order, so it is part of the
+        // determinism contract.
+        let mut fragments = Vec::with_capacity(8 * m[0] * m[1] * m[2]);
+        for k in 0..m[2] {
+            for j in 0..m[1] {
+                for i in 0..m[0] {
+                    for s3 in 1..=2 {
+                        for s2 in 1..=2 {
+                            for s1 in 1..=2 {
+                                fragments.push(Fragment::new([i, j, k], [s1, s2, s3]));
+                            }
+                        }
+                    }
+                }
+            }
+        }
         Ok(FragmentGrid {
             m,
             piece_pts,
             piece_len,
             buffer_pts,
-            scheme,
             fragments,
         })
     }
 
-    /// The scheme this decomposition was built under.
-    pub fn scheme(&self) -> &dyn FragmentScheme {
-        &*self.scheme
-    }
-
-    /// Shared handle to the scheme (for rebuilding a compatible grid).
-    pub fn scheme_arc(&self) -> Arc<dyn FragmentScheme> {
-        Arc::clone(&self.scheme)
-    }
-
-    /// The scheme's partition-of-unity tolerance (see
-    /// [`FragmentScheme::unity_tolerance`](crate::scheme::FragmentScheme::unity_tolerance)).
-    pub fn unity_tolerance(&self) -> f64 {
-        self.scheme.unity_tolerance()
+    /// Rejects a piece count below 2 on any axis, where a size-2
+    /// fragment would wrap onto itself.
+    pub(crate) fn check_pieces(m: [usize; 3]) -> Result<(), FragmentError> {
+        match (0..3).find(|&axis| m[axis] < MIN_PIECES) {
+            Some(axis) => Err(FragmentError::TooFewPieces {
+                axis,
+                m: m[axis],
+                min: MIN_PIECES,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Total number of corners (= pieces).
@@ -213,7 +237,7 @@ impl FragmentGrid {
         self.fragments.len()
     }
 
-    /// All fragments, in the scheme's canonical (deterministic) order.
+    /// All fragments, in canonical (deterministic) order.
     pub fn fragments(&self) -> &[Fragment] {
         &self.fragments
     }
@@ -271,8 +295,8 @@ impl FragmentGrid {
 
     /// Verifies the partition of unity: accumulating `α_F` over every
     /// fragment region covers each global grid point with net weight 1.
-    /// Returns the maximum deviation; a correct decomposition stays
-    /// within [`unity_tolerance`](Self::unity_tolerance).
+    /// Returns the maximum deviation, which is exactly `0.0` for every
+    /// valid decomposition.
     pub fn partition_of_unity(&self, global: &Grid3) -> f64 {
         let mut weight = vec![0.0_f64; global.len()];
         for f in &self.fragments {
@@ -299,7 +323,6 @@ impl FragmentGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::Overlapping;
 
     fn grid(m: [usize; 3], pts: usize) -> Grid3 {
         Grid3::new(
@@ -312,7 +335,7 @@ mod tests {
     fn alpha_signs_match_paper() {
         // 2D analogue in the paper: +1 for 1×1 and 2×2, −1 for mixed.
         // 3D: α = (−1)^(#dims of size 1).
-        let mk = |s: [usize; 3]| Fragment::sign_alternating([0, 0, 0], s).alpha();
+        let mk = |s: [usize; 3]| Fragment::new([0, 0, 0], s).alpha();
         assert_eq!(mk([2, 2, 2]), 1.0);
         assert_eq!(mk([1, 2, 2]), -1.0);
         assert_eq!(mk([2, 1, 2]), -1.0);
@@ -338,32 +361,37 @@ mod tests {
 
     #[test]
     fn partition_of_unity_exact() {
-        for m in [[2usize, 2, 2], [3, 2, 4], [3, 3, 3]] {
-            let g = grid(m, 3);
-            let fg = FragmentGrid::new(m, &g, [1, 1, 1]).unwrap();
-            assert_eq!(fg.partition_of_unity(&g), 0.0, "m = {m:?}");
+        // Every decomposition in m ∈ {2,3,4}³, at buffer widths {0,1,2}:
+        // the ±1 weights cancel exactly, whatever the box size.
+        for mx in 2..=4usize {
+            for my in 2..=4usize {
+                for mz in 2..=4usize {
+                    let m = [mx, my, mz];
+                    let g = grid(m, 3);
+                    for b in 0..=2usize {
+                        let fg = FragmentGrid::new(m, &g, [b; 3]).unwrap();
+                        assert_eq!(fg.partition_of_unity(&g), 0.0, "m = {m:?}, buffer {b}");
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn partition_of_unity_overlapping() {
-        // 1/8 weights are exact in binary: deviation is exactly 0.
-        let g = grid([3, 3, 3], 3);
-        let fg =
-            FragmentGrid::with_scheme(Arc::new(Overlapping::default()), [3, 3, 3], &g, [1, 1, 1])
-                .unwrap();
-        assert_eq!(fg.partition_of_unity(&g), 0.0);
-        assert_eq!(fg.n_fragments(), 27, "one fragment per corner");
-        // 1/27 weights round: deviation bounded by the declared tolerance.
-        let fg = FragmentGrid::with_scheme(
-            Arc::new(Overlapping::new([3, 3, 3])),
-            [3, 3, 3],
-            &g,
-            [1, 1, 1],
-        )
-        .unwrap();
-        let dev = fg.partition_of_unity(&g);
-        assert!(dev <= fg.unity_tolerance(), "dev {dev:e}");
+    fn canonical_order_is_corner_major_then_size() {
+        let fg = FragmentGrid::new([3, 2, 2], &grid([3, 2, 2], 2), [1, 1, 1]).unwrap();
+        let frags = fg.fragments();
+        assert_eq!(frags[0], Fragment::new([0, 0, 0], [1, 1, 1]));
+        assert_eq!(frags[1], Fragment::new([0, 0, 0], [2, 1, 1]));
+        assert_eq!(frags[2], Fragment::new([0, 0, 0], [1, 2, 1]));
+        assert_eq!(frags[4], Fragment::new([0, 0, 0], [1, 1, 2]));
+        assert_eq!(frags[7], Fragment::new([0, 0, 0], [2, 2, 2]));
+        assert_eq!(frags[8], Fragment::new([1, 0, 0], [1, 1, 1]));
+        assert_eq!(frags[8 * 3], Fragment::new([0, 1, 0], [1, 1, 1]));
+        assert_eq!(frags[8 * 6], Fragment::new([0, 0, 1], [1, 1, 1]));
+        // Four positive and four negative fragments per corner.
+        let plus = frags.iter().filter(|f| f.alpha() > 0.0).count();
+        assert_eq!(2 * plus, frags.len());
     }
 
     #[test]
@@ -378,7 +406,7 @@ mod tests {
     fn box_geometry() {
         let g = grid([4, 4, 4], 6);
         let fg = FragmentGrid::new([4, 4, 4], &g, [2, 2, 2]).unwrap();
-        let f = Fragment::sign_alternating([1, 2, 3], [2, 1, 2]);
+        let f = Fragment::new([1, 2, 3], [2, 1, 2]);
         assert_eq!(fg.region_origin(&f), [6, 12, 18]);
         assert_eq!(fg.region_dims(&f), [12, 6, 12]);
         assert_eq!(fg.box_origin(&f), [4, 10, 16]);
@@ -396,7 +424,7 @@ mod tests {
     fn region_bounds_physical() {
         let g = grid([2, 2, 2], 4);
         let fg = FragmentGrid::new([2, 2, 2], &g, [1, 1, 1]).unwrap();
-        let f = Fragment::sign_alternating([1, 0, 1], [1, 2, 1]);
+        let f = Fragment::new([1, 0, 1], [1, 2, 1]);
         let (lo, hi) = fg.region_bounds(&f);
         assert_eq!(lo, [4.0, 0.0, 4.0]);
         assert_eq!(hi, [8.0, 8.0, 8.0]);
@@ -409,7 +437,6 @@ mod tests {
         assert_eq!(
             err,
             FragmentError::TooFewPieces {
-                scheme: "sign-alternating",
                 axis: 0,
                 m: 1,
                 min: 2,
@@ -429,14 +456,19 @@ mod tests {
                 m: 2,
             }
         );
+        assert!(err.to_string().contains("not divisible"), "{err}");
     }
 
     #[test]
     fn fragment_id_displays_without_allocation_until_rendered() {
-        let f = Fragment::sign_alternating([1, 2, 3], [2, 1, 2]);
+        let f = Fragment::new([1, 2, 3], [2, 1, 2]);
         let id = f.id();
         let copied = id; // Copy: no clone needed
         assert_eq!(copied.to_string(), "F[1,2,3](2x1x2)");
         assert_eq!(id, copied);
+        // Unique per fragment, so ids can key maps.
+        let fg = FragmentGrid::new([2, 2, 2], &grid([2, 2, 2], 4), [1, 1, 1]).unwrap();
+        let ids: std::collections::HashSet<_> = fg.fragments().iter().map(|f| f.id()).collect();
+        assert_eq!(ids.len(), fg.n_fragments());
     }
 }

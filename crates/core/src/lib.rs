@@ -5,12 +5,10 @@
 //! Kohn–Sham DFT scheme whose sign-alternating fragment patching cancels
 //! the artificial boundary effects of dividing the supercell.
 //!
-//! * [`scheme`] — the [`FragmentScheme`] trait: pluggable fragmentation
-//!   (the paper's sign-alternating `{1,2}³` scheme and the
-//!   overlapping-fragments alternative), each owning its `α_F` weights
-//!   and partition-of-unity contract;
-//! * [`FragmentGrid`]/[`Fragment`] — a scheme bound to concrete
-//!   piece/buffer geometry (paper Fig. 1, extended to 3-D);
+//! * [`FragmentGrid`]/[`Fragment`] — the eight `{1,2}³` fragments per
+//!   piece corner with weights `α_F = ±1`, bound to concrete
+//!   piece/buffer geometry (paper Fig. 1, extended to 3-D), whose
+//!   partition of unity is exact;
 //! * [`passivate`] — pseudo-hydrogen passivation of cut bonds and the
 //!   ΔV_F boundary potential;
 //! * [`Ls3df`] — the four-step SCF loop Gen_VF → PEtot_F → Gen_dens →
@@ -39,15 +37,13 @@ pub mod groups;
 pub mod observer;
 mod passivate;
 pub mod scf;
-pub mod scheme;
 pub mod supervise;
 mod trace_observer;
 
 pub use energy::Ls3dfEnergy;
-pub use fragment::{Fragment, FragmentGrid, FragmentId};
+pub use fragment::{Fragment, FragmentError, FragmentGrid, FragmentId};
 pub use fsm::{folded_spectrum, scan_band, FsmOptions, FsmState};
 pub use groups::{fragment_costs, plan_groups, GroupPlan};
-pub use scheme::{registered_schemes, FragmentError, FragmentScheme, Overlapping, SignAlternating};
 // Checkpoint configuration/error types are part of the driver's public
 // surface (builder + observer signatures), so re-export them here.
 pub use ls3df_ckpt::{CheckpointConfig, CheckpointPolicy, CkptError, CkptErrorKind};

@@ -143,11 +143,8 @@ pub fn fragment_atoms(
 }
 
 /// Builds the confining-wall part of ΔV_F on the fragment box grid: zero
-/// over the region and inner buffer, rising smoothly (cos² ramp) to
-/// `height` across the outer part of the buffer. How much of the buffer
-/// the ramp occupies is scheme-specific
-/// ([`FragmentScheme::wall_ramp_fraction`](crate::scheme::FragmentScheme::wall_ramp_fraction);
-/// the paper's sign-alternating scheme uses the outer half). This is the
+/// over the region and inner half of the buffer, rising smoothly (cos²
+/// ramp) to `height` across the outer half of the buffer. This is the
 /// model ΔV_F (paper: "a fixed passivation potential … only nonzero near
 /// its boundary").
 pub fn boundary_wall(fg: &FragmentGrid, f: &Fragment, height: f64) -> RealField {
@@ -155,14 +152,13 @@ pub fn boundary_wall(fg: &FragmentGrid, f: &Fragment, height: f64) -> RealField 
     let dims = grid.dims;
     let spacing = grid.spacing();
     let buffer: [f64; 3] = std::array::from_fn(|d| fg.buffer_pts[d] as f64 * spacing[d]);
-    let ramp_fraction = fg.scheme().wall_ramp_fraction();
     RealField::from_fn(grid, move |r| {
         let mut v: f64 = 0.0;
         for d in 0..3 {
             let len = dims[d] as f64 * spacing[d];
             // Distance from the nearer box face along axis d.
             let edge = r[d].min(len - r[d]).max(0.0);
-            let ramp_width = (buffer[d] * ramp_fraction).max(spacing[d]);
+            let ramp_width = (buffer[d] * 0.5).max(spacing[d]);
             if edge < ramp_width && buffer[d] > 0.0 {
                 // cos² ramp: height at the face (edge = 0), zero at the
                 // inner end of the ramp.
@@ -239,7 +235,7 @@ mod tests {
     #[test]
     fn one_cell_fragment_has_expected_passivation() {
         let (s, nbrs, fg, _) = setup();
-        let f = Fragment::sign_alternating([0, 0, 0], [1, 1, 1]);
+        let f = Fragment::new([0, 0, 0], [1, 1, 1]);
         let fa = fragment_atoms(
             &s,
             &nbrs,
@@ -263,7 +259,7 @@ mod tests {
     #[test]
     fn passivants_sit_in_buffer_not_region() {
         let (s, nbrs, fg, _) = setup();
-        let f = Fragment::sign_alternating([1, 0, 1], [1, 1, 1]);
+        let f = Fragment::new([1, 0, 1], [1, 1, 1]);
         let fa = fragment_atoms(
             &s,
             &nbrs,
@@ -300,7 +296,7 @@ mod tests {
     #[test]
     fn boundary_wall_shape() {
         let (_, _, fg, _) = setup();
-        let f = Fragment::sign_alternating([0, 0, 0], [1, 1, 1]);
+        let f = Fragment::new([0, 0, 0], [1, 1, 1]);
         let wall = boundary_wall(&fg, &f, 2.0);
         // Zero at the box center.
         let g = wall.grid().clone();
@@ -317,7 +313,7 @@ mod tests {
     #[test]
     fn wall_only_electron_count_matches_region_valence() {
         let (s, nbrs, fg, _) = setup();
-        let f = Fragment::sign_alternating([0, 1, 0], [2, 1, 1]);
+        let f = Fragment::new([0, 1, 0], [2, 1, 1]);
         let fa = fragment_atoms(
             &s,
             &nbrs,

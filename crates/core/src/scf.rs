@@ -18,11 +18,10 @@
 use crate::check;
 use crate::ckpt;
 use crate::distrib::{self, PetotReport};
-use crate::fragment::{Fragment, FragmentGrid};
+use crate::fragment::{Fragment, FragmentError, FragmentGrid};
 use crate::groups::{plan_groups, GroupPlan};
 use crate::observer::{ScfObserver, ScfStage, SilentObserver};
 use crate::passivate::{boundary_wall, fragment_atoms, FragmentAtoms, Passivation};
-use crate::scheme::{FragmentError, FragmentScheme, SignAlternating};
 use crate::supervise::{
     panic_detail, FragmentFault, InjectedFault, QuarantineRecord, RetryAction, ATTEMPT_LADDER,
 };
@@ -291,9 +290,8 @@ pub enum Ls3dfError {
     /// [`Ls3dfBuilder::fragments`] was never called: the piece counts
     /// have no meaningful default (they are the problem size).
     FragmentsNotSet,
-    /// The fragmentation scheme rejected the decomposition (too few
-    /// pieces, indivisible grid, degenerate scheme parameters — see
-    /// [`FragmentError`]).
+    /// The piece decomposition is invalid (too few pieces or an
+    /// indivisible grid — see [`FragmentError`]).
     Fragmentation(FragmentError),
     /// `piece_pts` is zero along `axis`: the global grid would be empty.
     EmptyPiece {
@@ -389,7 +387,6 @@ pub struct Ls3dfBuilder<'a> {
     structure: &'a Structure,
     m: Option<[usize; 3]>,
     opts: Ls3dfOptions,
-    scheme: Arc<dyn FragmentScheme>,
     initial_potential: Option<RealField>,
     ckpt: Option<CheckpointConfig>,
     resume_from: Option<PathBuf>,
@@ -397,27 +394,10 @@ pub struct Ls3dfBuilder<'a> {
 }
 
 impl<'a> Ls3dfBuilder<'a> {
-    /// Sets the piece decomposition `m = [m1, m2, m3]` (required; the
-    /// scheme's [`min_pieces`](FragmentScheme::min_pieces) bounds apply —
-    /// `m[d] ≥ 2` for the default scheme).
+    /// Sets the piece decomposition `m = [m1, m2, m3]` (required;
+    /// `m[d] ≥ 2`, so no size-2 fragment wraps onto itself).
     pub fn fragments(mut self, m: [usize; 3]) -> Self {
         self.m = Some(m);
-        self
-    }
-
-    /// Selects the fragmentation scheme (defaults to the paper's
-    /// [`SignAlternating`]; see [`crate::scheme`] for alternatives like
-    /// [`Overlapping`](crate::scheme::Overlapping)).
-    pub fn scheme(mut self, scheme: impl FragmentScheme + 'static) -> Self {
-        self.scheme = Arc::new(scheme);
-        self
-    }
-
-    /// Like [`Ls3dfBuilder::scheme`] but takes an already-erased scheme —
-    /// the form [`crate::scheme::registered_schemes`] hands out, so sweeps
-    /// over the registry can drive the builder directly.
-    pub fn scheme_arc(mut self, scheme: Arc<dyn FragmentScheme>) -> Self {
-        self.scheme = scheme;
         self
     }
 
@@ -482,7 +462,7 @@ impl<'a> Ls3dfBuilder<'a> {
     /// out over the worker pool).
     pub fn build(self) -> Result<Ls3df, Ls3dfError> {
         let m = self.m.ok_or(Ls3dfError::FragmentsNotSet)?;
-        self.scheme.validate(m)?;
+        FragmentGrid::check_pieces(m)?;
         for axis in 0..3 {
             if self.opts.piece_pts[axis] == 0 {
                 return Err(Ls3dfError::EmptyPiece { axis });
@@ -506,7 +486,7 @@ impl<'a> Ls3dfBuilder<'a> {
                     .and_then(|v| v.parse().ok())
             })
             .unwrap_or(1);
-        let mut calc = Ls3df::assemble(self.structure, m, self.opts, self.scheme, groups)?;
+        let mut calc = Ls3df::assemble(self.structure, m, self.opts, groups)?;
         if let Some(v) = self.initial_potential {
             calc.v_in = v;
         }
@@ -719,7 +699,6 @@ impl Ls3df {
             structure,
             m: None,
             opts: Ls3dfOptions::default(),
-            scheme: Arc::new(SignAlternating),
             initial_potential: None,
             ckpt: None,
             resume_from: None,
@@ -737,12 +716,11 @@ impl Ls3df {
         structure: &Structure,
         m: [usize; 3],
         opts: Ls3dfOptions,
-        scheme: Arc<dyn FragmentScheme>,
         groups: usize,
     ) -> Result<Self, Ls3dfError> {
         let global_dims: [usize; 3] = std::array::from_fn(|d| m[d] * opts.piece_pts[d]);
         let global_grid = Grid3::new(global_dims, structure.lengths);
-        let fg = FragmentGrid::with_scheme(scheme, m, &global_grid, opts.buffer_pts)?;
+        let fg = FragmentGrid::new(m, &global_grid, opts.buffer_pts)?;
         if check::ENABLED {
             check::enforce(check::patching_weights(&fg, &global_grid));
         }
@@ -861,7 +839,7 @@ impl Ls3df {
             .map(|a| a.species.valence())
             .collect();
         let ewald = ls3df_pw::ewald::ewald_energy(&positions, &charges, structure.lengths);
-        let fingerprint = ckpt::options_fingerprint(structure, m, &opts, fg.scheme());
+        let fingerprint = ckpt::options_fingerprint(structure, m, &opts);
         let comm = ls3df_dist::communicator(groups)?;
         let plan = plan_groups(&fg, structure, comm.size());
         Ok(Ls3df {
@@ -1103,7 +1081,7 @@ impl Ls3df {
     }
 
     /// **Gen_dens**: patches fragment densities into the global density
-    /// with the scheme's `α_F` weights, then rescales to the exact
+    /// with the `α_F = ±1` weights, then rescales to the exact
     /// electron count.
     pub fn gen_dens(&self) -> RealField {
         let all: Vec<usize> = (0..self.fragments.len()).collect();
@@ -1529,10 +1507,6 @@ impl Ls3df {
         let mut snap = Snapshot::new();
         snap.push(ckpt::SEC_FPRINT, ckpt::encode_fingerprint(self.fingerprint))
             .push(
-                ckpt::SEC_SCHEME,
-                ckpt::encode_scheme_id(self.fg.scheme().id()),
-            )
-            .push(
                 ckpt::SEC_STATE,
                 ckpt::encode_state(run.iteration, run.converged),
             )
@@ -1562,17 +1536,9 @@ impl Ls3df {
         let snap = Snapshot::decode(&bytes)?;
         let stored = ckpt::decode_fingerprint(snap.require(ckpt::SEC_FPRINT)?)?;
         if stored != self.fingerprint {
-            // Older snapshots carry no scheme section; report what's known
-            // so a cross-scheme resume names both schemes in the error.
-            let stored_scheme = snap
-                .get(ckpt::SEC_SCHEME)
-                .and_then(|b| ckpt::decode_scheme_id(b).ok())
-                .unwrap_or_else(|| "unknown".to_string());
             return Err(CkptError::FingerprintMismatch {
                 stored,
                 current: self.fingerprint,
-                stored_scheme,
-                current_scheme: self.fg.scheme().id().to_string(),
             });
         }
         let (start_iteration, converged) = ckpt::decode_state(snap.require(ckpt::SEC_STATE)?)?;
@@ -1655,8 +1621,19 @@ mod tests {
                 .err()
                 .expect("must fail"),
             Ls3dfError::Fragmentation(FragmentError::TooFewPieces {
-                scheme: "sign-alternating",
                 axis: 0,
+                m: 1,
+                min: 2,
+            })
+        );
+        assert_eq!(
+            Ls3df::builder(&s)
+                .fragments([2, 1, 2])
+                .build()
+                .err()
+                .expect("must fail"),
+            Ls3dfError::Fragmentation(FragmentError::TooFewPieces {
+                axis: 1,
                 m: 1,
                 min: 2,
             })

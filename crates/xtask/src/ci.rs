@@ -14,7 +14,7 @@
 //!    bit-identity suite in `crates/fft/tests/batched.rs`, the lint
 //!    engine's rule units and fixture corpus) gated by nothing. Every
 //!    default-feature suite rides here — checkpoint resume, the
-//!    fragmentation-scheme contract and digest, the kernel tolerance gate,
+//!    golden patched-density digest, the kernel tolerance gate,
 //!    group balance, the `LS3DF_GROUPS` digest matrix, worker-kill
 //!    robustness, the obs-off no-op contract; the steps below exist only
 //!    where the features differ or the package is outside the workspace.

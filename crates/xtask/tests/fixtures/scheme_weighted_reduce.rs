@@ -1,6 +1,6 @@
-//! lint-path: crates/core/src/scheme.rs
+//! lint-path: crates/core/src/fragment.rs
 //!
-//! Scheme-weighted accumulations: an α-weighted parallel reduction is
+//! α-weighted accumulations: an α-weighted parallel reduction is
 //! exactly the schedule-shaped float sum the determinism contract bans
 //! (weights of mixed sign make the combine order visible in the last
 //! bits), and a weight table in a randomized-iteration container fires

@@ -56,7 +56,7 @@ fn main() {
     let fg = FragmentGrid::new(m, &grid, [buffer; 3]).expect("valid decomposition");
     let nbrs = s.neighbor_list_within(topology_cutoff(&s));
     for size in [[1usize, 1, 1], [2, 1, 1], [2, 2, 2]] {
-        let f = Fragment::sign_alternating([1, 1, 1], size);
+        let f = Fragment::new([1, 1, 1], size);
         let fa = fragment_atoms(&s, &nbrs, &fg, &f, Passivation::WallOnly, &table);
         let box_grid = fg.box_grid(&f);
         let basis = pw::PwBasis::new(box_grid.clone(), ecut);

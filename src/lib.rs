@@ -35,11 +35,10 @@ pub use ls3df_pw as pw;
 pub use ls3df_atoms::Structure;
 pub use ls3df_ckpt::{CheckpointConfig, CheckpointPolicy, CkptError, CkptErrorKind};
 pub use ls3df_core::{
-    fragment_costs, plan_groups, registered_schemes, Fragment, FragmentError, FragmentFault,
-    FragmentGrid, FragmentId, FragmentScheme, GroupPlan, InjectedFault, Ls3df, Ls3dfBuilder,
-    Ls3dfError, Ls3dfOptions, Ls3dfResult, Ls3dfStep, Overlapping, Passivation, QuarantineRecord,
-    RetryAction, ScfObserver, ScfStage, SignAlternating, SilentObserver, StepTimings,
-    TraceObserver,
+    fragment_costs, plan_groups, Fragment, FragmentError, FragmentFault, FragmentGrid, FragmentId,
+    GroupPlan, InjectedFault, Ls3df, Ls3dfBuilder, Ls3dfError, Ls3dfOptions, Ls3dfResult,
+    Ls3dfStep, Passivation, QuarantineRecord, RetryAction, ScfObserver, ScfStage, SilentObserver,
+    StepTimings, TraceObserver,
 };
 pub use ls3df_dist::{CommError, Communicator};
 pub use ls3df_pseudo::PseudoTable;

@@ -3,13 +3,9 @@
 //! solver, so these run everywhere).
 
 use ls3df::atoms::{model_crystal, relax, topology_cutoff, znteo_alloy, ZNTE_LATTICE};
-use ls3df::core::{
-    fragment_atoms, Fragment, FragmentGrid, FragmentScheme, Overlapping, Passivation,
-    SignAlternating,
-};
+use ls3df::core::{fragment_atoms, Fragment, FragmentGrid, Passivation};
 use ls3df::PseudoTable;
 use ls3df_grid::Grid3;
-use std::sync::Arc;
 
 #[test]
 fn partition_of_unity_at_paper_scales() {
@@ -71,7 +67,7 @@ fn two_dimensional_limit_matches_paper_figure_1() {
     // 1×2 / 2×1. In our 3-D code the 2-D case is size_z = 2 fixed… check
     // that the sign pattern restricted to two varying dimensions matches
     // after factoring out the z contribution.
-    let alpha = |s: [usize; 3]| Fragment::sign_alternating([0, 0, 0], s).alpha();
+    let alpha = |s: [usize; 3]| Fragment::new([0, 0, 0], s).alpha();
     // With s_z = 2 (sign +1), the x-y pattern is the 2-D one inverted?
     // No: α₂D(s1,s2) = α₃D(s1,s2,2).
     assert_eq!(alpha([1, 1, 2]), 1.0); // 1×1 → +1 ✓
@@ -87,25 +83,24 @@ fn buffers_do_not_change_region_bookkeeping() {
     for buffer in [0usize, 1, 2] {
         let fg = FragmentGrid::new(m, &grid, [buffer; 3]).expect("valid decomposition");
         assert_eq!(fg.partition_of_unity(&grid), 0.0);
-        let f = Fragment::sign_alternating([2, 2, 2], [2, 2, 2]);
+        let f = Fragment::new([2, 2, 2], [2, 2, 2]);
         // Region is buffer-independent; the box grows by 2·buffer.
         assert_eq!(fg.region_dims(&f), [8, 8, 8]);
         assert_eq!(fg.box_grid(&f).dims, [8 + 2 * buffer; 3]);
     }
 }
 
-/// `Σ_F α_F·n_e(F) − N_e` for `s` cut into `m` pieces under `scheme`,
+/// `Σ_F α_F·n_e(F) − N_e` for `s` cut into `m` pieces,
 /// counting the fragment atoms `Ls3df::assemble` solves (region atoms plus
 /// passivants) at fig6's 8 points and 3 buffer points per piece.
 fn patch_electron_excess(
     s: &ls3df::Structure,
     m: [usize; 3],
-    scheme: Arc<dyn FragmentScheme>,
     passivation: Passivation,
     pseudo: &PseudoTable,
 ) -> f64 {
     let global = Grid3::new(m.map(|m| 8 * m), s.lengths);
-    let fg = FragmentGrid::with_scheme(scheme, m, &global, [3; 3]).expect("valid decomposition");
+    let fg = FragmentGrid::new(m, &global, [3; 3]).expect("valid decomposition");
     let neighbors = s.neighbor_list_within(topology_cutoff(s));
     let patched: f64 = fg
         .fragments()
@@ -117,43 +112,24 @@ fn patch_electron_excess(
 
 #[test]
 fn patched_electron_count_equals_the_systems() {
-    // Σ_F α_F·n_e(F) = N_e on fig6's relaxed 2×2×2 alloy under
-    // `Overlapping` (every fragment spans the cell, so nothing is
-    // passivated), on the same alloy cut into m = 3 pieces per axis under
-    // the sign-alternating scheme (the signs cancel the passivants'
-    // charge), and on the crystal8 set (`WallOnly`). The alloy under the
-    // sign-alternating scheme at m = 2 is not asserted: it sums to 8
-    // electrons, not 256 (ROADMAP item 1).
+    // Σ_F α_F·n_e(F) = N_e on fig6's relaxed alloy cut into m = 3
+    // pieces per axis (the signs cancel the passivants' charge) and on the
+    // crystal8 set (`WallOnly`). The alloy at m = 2 is not asserted: it
+    // sums to 8 electrons, not 256 (ROADMAP item 1).
     let mut alloy = znteo_alloy([2; 3], ZNTE_LATTICE, 0.03125, 42);
     relax(&mut alloy, 1e-4, 3000);
-    let overlapping = patch_electron_excess(
-        &alloy,
-        [2; 3],
-        Arc::new(Overlapping::default()),
-        Passivation::PseudoH,
-        &PseudoTable::default(),
-    );
-    let sign_alternating_m3 = patch_electron_excess(
+    let alloy_m3 = patch_electron_excess(
         &alloy,
         [3; 3],
-        Arc::new(SignAlternating),
         Passivation::PseudoH,
         &PseudoTable::default(),
     );
     let crystal8 = patch_electron_excess(
         &model_crystal([2; 3], 6.5),
         [2; 3],
-        Arc::new(SignAlternating),
         Passivation::WallOnly,
         &PseudoTable::deep_well(2.0, 0.8),
     );
-    assert!(
-        overlapping.abs() <= 1e-12,
-        "alloy, overlapping: {overlapping}"
-    );
-    assert!(
-        sign_alternating_m3.abs() <= 1e-12,
-        "alloy, sign-alternating, m = 3: {sign_alternating_m3}"
-    );
+    assert!(alloy_m3.abs() <= 1e-12, "alloy, m = 3: {alloy_m3}");
     assert!(crystal8.abs() <= 1e-12, "crystal8: {crystal8}");
 }

@@ -1,7 +1,6 @@
-//! Bit-identity gate for the `FragmentScheme` trait: the sign-alternating
-//! scheme (both the builder default and an explicit
-//! `.scheme(SignAlternating)`) must reproduce the pinned SCF density
-//! digest exactly, at every thread count.
+//! Bit-identity gate for the fragment patching: the sign-alternating
+//! `{1,2}³` fragment set must reproduce the pinned SCF density digest
+//! exactly, at every thread count.
 //!
 //! [`GOLDEN`] is the digest of `model_crystal([2,2,2], 6.5)` under
 //! `reference_opts` (`max_scf = 2` — the same workload as
@@ -16,7 +15,7 @@
 //! an *intentional* change of physics or arithmetic:
 //!
 //! ```text
-//! LS3DF_SCHEME_DIGEST_CHILD=explicit LS3DF_THREADS=1 \
+//! LS3DF_SCHEME_DIGEST_CHILD=1 LS3DF_THREADS=1 \
 //!   cargo test -q --test scheme_digest -- --exact scheme_digest_child --nocapture
 //! ```
 //!
@@ -24,7 +23,7 @@
 //! `tests/dist_digest.rs`, which pins the same digest) — after confirming
 //! the change is supposed to move the density.
 
-use ls3df::core::{Ls3df, Ls3dfOptions, Passivation, SignAlternating};
+use ls3df::core::{Ls3df, Ls3dfOptions, Passivation};
 use ls3df::pw::Mixer;
 use ls3df_atoms::model_crystal;
 use ls3df_pseudo::PseudoTable;
@@ -57,58 +56,47 @@ fn reference_opts() -> Ls3dfOptions {
 }
 
 /// Child half: inert under a plain `cargo test`; when re-execed with
-/// `LS3DF_SCHEME_DIGEST_CHILD` set to `explicit` or `default` it runs the
-/// reference workload through that construction path and prints the
-/// digest.
+/// `LS3DF_SCHEME_DIGEST_CHILD` set it runs the reference workload and
+/// prints the digest.
 #[test]
 fn scheme_digest_child() {
-    let Ok(mode) = std::env::var("LS3DF_SCHEME_DIGEST_CHILD") else {
+    if std::env::var_os("LS3DF_SCHEME_DIGEST_CHILD").is_none() {
         return;
-    };
+    }
     let s = model_crystal([2, 2, 2], 6.5);
-    let builder = Ls3df::builder(&s)
+    let mut calc = Ls3df::builder(&s)
         .fragments([2, 2, 2])
-        .options(reference_opts());
-    let builder = match mode.as_str() {
-        // The trait path the issue gates on: scheme passed explicitly.
-        "explicit" => builder.scheme(SignAlternating),
-        // The compatibility path: callers that never mention schemes.
-        "default" => builder,
-        other => panic!("unknown LS3DF_SCHEME_DIGEST_CHILD mode `{other}`"),
-    };
-    let mut calc = builder.build().expect("valid reference geometry");
+        .options(reference_opts())
+        .build()
+        .expect("valid reference geometry");
     let res = calc.scf();
     println!("LS3DF_DIGEST={:016x}", res.digest());
 }
 
-fn child_digest(mode: &str, threads: &str) -> String {
+fn child_digest(threads: &str) -> String {
     let exe = std::env::current_exe().expect("test binary path");
     let out = std::process::Command::new(&exe)
         .args(["--exact", "scheme_digest_child", "--nocapture"])
-        .env("LS3DF_SCHEME_DIGEST_CHILD", mode)
+        .env("LS3DF_SCHEME_DIGEST_CHILD", "1")
         .env("LS3DF_THREADS", threads)
         .output()
         .expect("spawn scheme_digest_child");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(
         out.status.success(),
-        "child (mode={mode}, LS3DF_THREADS={threads}) failed:\n{stdout}\n{}",
+        "child (LS3DF_THREADS={threads}) failed:\n{stdout}\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     stdout
         .lines()
         .find_map(|l| l.split("LS3DF_DIGEST=").nth(1))
         .map(str::trim)
-        .unwrap_or_else(|| {
-            panic!("no digest line from child (mode={mode}, threads={threads}):\n{stdout}")
-        })
+        .unwrap_or_else(|| panic!("no digest line from child (threads={threads}):\n{stdout}"))
         .to_string()
 }
 
-/// The acceptance gate: sign-alternating through `FragmentScheme` is
-/// bit-identical to the pinned densities at `LS3DF_THREADS` ∈
-/// {1, 2, host parallelism}, through both the explicit-`.scheme(..)` and
-/// the default construction path.
+/// The acceptance gate: the patched density is bit-identical to the
+/// pinned golden at `LS3DF_THREADS` ∈ {1, 2, host parallelism}.
 #[test]
 fn sign_alternating_through_trait_matches_pre_refactor_golden() {
     let golden = format!("{GOLDEN:016x}");
@@ -117,18 +105,10 @@ fn sign_alternating_through_trait_matches_pre_refactor_golden() {
         .unwrap_or(1)
         .to_string();
     for threads in ["1", "2", max.as_str()] {
-        let digest = child_digest("explicit", threads);
+        let digest = child_digest(threads);
         assert_eq!(
             digest, golden,
-            "explicit SignAlternating diverged from the pinned golden \
-             at LS3DF_THREADS={threads}"
+            "patched density diverged from the pinned golden at LS3DF_THREADS={threads}"
         );
     }
-    // The builder default must be the same scheme — one thread count
-    // suffices since the explicit path already swept the matrix.
-    let digest = child_digest("default", "1");
-    assert_eq!(
-        digest, golden,
-        "builder default scheme diverged from the pinned golden"
-    );
 }
