@@ -1,8 +1,9 @@
 #!/bin/sh
-# Tier-1 CI gate for ls3df-rs: formatting, clippy, the token-aware repo
-# lint, `cargo test --workspace` under LS3DF_THREADS=1 and under the
-# default pool (every crate's and shim's unit tests, the lint fixture
-# corpus and the whole integration suite), the feature legs that suite
+# Tier-1 CI gate for ls3df-rs: formatting, clippy, rustdoc with warnings
+# denied, the token-aware repo lint, `cargo test --workspace` under
+# LS3DF_THREADS=1 and under the default pool (every crate's and shim's
+# unit tests, the lint fixture corpus and the whole integration suite),
+# the feature legs that suite
 # cannot cover (zero-alloc, mem-budget, obs-report [obs], obs-dist), the
 # repo benchmark's unit tests + --smoke gate (bench-harness), schedule
 # exploration (cargo xtask schedules), and the Miri unsafe-core gate

@@ -17,7 +17,7 @@ pub enum Species {
     /// Oxygen (substitutional on the Te sublattice).
     O,
     /// Passivant pseudo-hydrogen, placed on dangling bonds created by the
-    /// fragment division (paper ref. [18]). The fractional valence charge
+    /// fragment division (paper ref. \[18\]). The fractional valence charge
     /// depends on which bond it saturates; see [`Species::passivant_charge`].
     H,
 }

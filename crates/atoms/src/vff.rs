@@ -1,7 +1,7 @@
 //! Keating valence force field (VFF) relaxation.
 //!
 //! The paper relaxes the ZnTeO alloy geometries with a classical VFF
-//! (ref. [19]) rather than ab initio forces: "we found that the atomic
+//! (ref. \[19\]) rather than ab initio forces: "we found that the atomic
 //! relaxation can be described accurately by the classical valence force
 //! field (VFF) method". We implement the standard Keating form
 //!

@@ -3,10 +3,10 @@
 //! "Before" reconstructs the pre-optimization kernels from the same
 //! public primitives: a 3-D transform that walks the y/z passes line by
 //! line through freshly allocated gather buffers and the allocating
-//! [`Fft1d::forward`]/[`inverse`] calls (which build Bluestein scratch per
+//! [`Fft1d::forward`]/[`inverse`](Fft1d::inverse) calls (which build Bluestein scratch per
 //! call), and a Poisson solve through [`hartree_potential`], which
 //! rebuilds the [`Fft3`] plan and reciprocal kernel every call. "After"
-//! is the shipped path: [`Fft3::forward_with`]/[`inverse_with`] through
+//! is the shipped path: [`Fft3::forward_with`]/[`inverse_with`](Fft3::inverse_with) through
 //! one reused workspace (batched strided line transforms) and
 //! [`HartreeSolver::solve_into`] (cached plan + pooled scratch).
 //!

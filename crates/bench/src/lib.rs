@@ -1,9 +1,8 @@
 //! # ls3df-bench
 //!
 //! Benchmark harness: one report binary per paper table/figure (run with
-//! `cargo run -p ls3df-bench --bin <name> --release`) plus criterion
-//! microbenches for the §IV optimization ablations
-//! (`cargo bench -p ls3df-bench`).
+//! `cargo run -p ls3df-bench --bin <name> --release`). The §IV
+//! optimization ablations are bins too: `ablation` and `fft_kernels`.
 //!
 //! | Binary | Regenerates |
 //! |---|---|

@@ -141,7 +141,9 @@ impl Snapshot {
         Ok(out)
     }
 
-    /// Parses and CRC-verifies a serialized snapshot.
+    /// Parses and CRC-verifies a serialized snapshot. The bytes must hold
+    /// exactly the sections the header counts: bytes after the last
+    /// section (say, behind a damaged count) are [`CkptError::Malformed`].
     pub fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
         let mut r = crate::ByteReader::new(bytes);
         let magic = r.get_bytes(8, "magic tag")?;
@@ -187,6 +189,12 @@ impl Snapshot {
             sections.push(Section {
                 id,
                 payload: payload.to_vec(),
+            });
+        }
+        if r.remaining() != 0 {
+            return Err(CkptError::Malformed {
+                section: String::new(),
+                detail: format!("{} trailing bytes after the last section", r.remaining()),
             });
         }
         Ok(Snapshot { sections })
@@ -280,6 +288,64 @@ mod tests {
             s.encode().unwrap_err().kind(),
             CkptErrorKind::DuplicateSection
         );
+    }
+
+    #[test]
+    fn bytes_after_the_counted_sections_are_malformed() {
+        // The section count is outside every CRC: a count one short must
+        // not silently drop the last section.
+        let mut bad = sample().encode().unwrap();
+        bad[12..16].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            Snapshot::decode(&bad).unwrap_err().kind(),
+            CkptErrorKind::Malformed
+        );
+    }
+
+    /// Arbitrary and damaged containers: a typed error, or a snapshot
+    /// that re-encodes to exactly the bytes it was read from.
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        fn decode(bytes: &[u8]) -> Result<(), TestCaseError> {
+            if let Ok(snap) = Snapshot::decode(bytes) {
+                prop_assert_eq!(snap.encode().unwrap(), bytes.to_vec());
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #[test]
+            fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(0u32..256, 0..400)) {
+                let mut payload: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+                decode(&payload)?;
+                // Behind a valid magic and version, so the section table
+                // is what gets read.
+                let mut framed = MAGIC.to_vec();
+                framed.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+                framed.append(&mut payload);
+                decode(&framed)?;
+            }
+
+            #[test]
+            fn damaged_genuine_snapshots_never_panic(
+                at in 0usize..4096,
+                word in 0u64..u64::MAX,
+                cut in 0usize..4096,
+            ) {
+                // Overwrite one 8-byte word (a count, an id, a length, a
+                // checksum or payload) with anything, then maybe truncate.
+                let mut bytes = sample().encode().unwrap();
+                let at = at % bytes.len().saturating_sub(7).max(1);
+                let end = (at + 8).min(bytes.len());
+                bytes[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+                decode(&bytes)?;
+                bytes.truncate(cut % (bytes.len() + 1));
+                decode(&bytes)?;
+            }
+        }
     }
 
     #[test]

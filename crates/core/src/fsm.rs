@@ -3,7 +3,7 @@
 //!
 //! The paper (§VII): "The converged potential V(r) is then used to solve
 //! the Schrödinger equation for the whole system for only the band edge
-//! states. This was done using our folded spectrum method [22]." FSM
+//! states. This was done using our folded spectrum method \[22\]." FSM
 //! minimizes `⟨ψ|(H − ε_ref)²|ψ⟩`: the spectrum of the folded operator has
 //! its minimum at the eigenstate closest to the reference energy `ε_ref`,
 //! so placing `ε_ref` inside the gap retrieves the band-edge states at

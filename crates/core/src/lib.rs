@@ -9,8 +9,8 @@
 //!   piece corner with weights `α_F = ±1`, bound to concrete
 //!   piece/buffer geometry (paper Fig. 1, extended to 3-D), whose
 //!   partition of unity is exact;
-//! * [`passivate`] — pseudo-hydrogen passivation of cut bonds and the
-//!   ΔV_F boundary potential;
+//! * [`fragment_atoms`], [`boundary_wall`] — pseudo-hydrogen passivation
+//!   of cut bonds and the ΔV_F boundary potential;
 //! * [`Ls3df`] — the four-step SCF loop Gen_VF → PEtot_F → Gen_dens →
 //!   GENPOT (paper Fig. 2): one stage sequence every processor group
 //!   runs, each group's fragment solves fanned out over rayon;
@@ -30,7 +30,6 @@ pub mod check;
 mod ckpt;
 mod distrib;
 mod energy;
-mod forces;
 mod fragment;
 pub mod fsm;
 pub mod groups;

@@ -21,7 +21,7 @@ use crate::distrib::{self, PetotReport};
 use crate::fragment::{Fragment, FragmentError, FragmentGrid};
 use crate::groups::{plan_groups, GroupPlan};
 use crate::observer::{ScfObserver, ScfStage, SilentObserver};
-use crate::passivate::{boundary_wall, fragment_atoms, FragmentAtoms, Passivation};
+use crate::passivate::{boundary_wall, fragment_atoms, Passivation};
 use crate::supervise::{
     panic_detail, FragmentFault, InjectedFault, QuarantineRecord, RetryAction, ATTEMPT_LADDER,
 };
@@ -174,7 +174,6 @@ pub(crate) struct FragmentState {
     /// ([`supervised_solve`]).
     psi: Matrix<f64>,
     occupations: Vec<f64>,
-    atoms: FragmentAtoms,
     injected: InjectedCounters,
     /// True while the fragment carries stale (previous-iteration)
     /// wavefunctions because its last supervised solve exhausted the
@@ -201,9 +200,6 @@ impl FragmentState {
     }
     pub(crate) fn fragment(&self) -> &Fragment {
         &self.fragment
-    }
-    pub(crate) fn atoms(&self) -> &FragmentAtoms {
-        &self.atoms
     }
 }
 
@@ -824,7 +820,6 @@ impl Ls3df {
                     delta_v,
                     psi,
                     occupations,
-                    atoms: fa,
                     injected: InjectedCounters::default(),
                     quarantined: false,
                 }

@@ -12,7 +12,7 @@
 //!   no-ops.
 //! * [`LocalProcs`] — worker processes spawned by a launcher (rank 0),
 //!   exchanging length-prefixed CRC-checked frames over Unix-domain
-//!   sockets. See [`local`] module docs for the topology.
+//!   sockets. See [`LocalProcs`] for the topology.
 //!
 //! A real MPI binding can later slot in behind the same trait without
 //! touching the SCF driver.

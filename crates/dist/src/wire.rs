@@ -145,12 +145,11 @@ pub(crate) fn encode_f64s(values: &[f64]) -> Vec<u8> {
 
 /// Decodes exactly `n` doubles (typed error on any length mismatch).
 pub(crate) fn decode_f64s(bytes: &[u8], n: usize) -> Result<Vec<f64>, CommError> {
-    if bytes.len() != n * 8 {
+    if n.checked_mul(8) != Some(bytes.len()) {
         return Err(CommError::Protocol {
             detail: format!(
-                "reduce payload is {} bytes, expected {}",
-                bytes.len(),
-                n * 8
+                "reduce payload is {} bytes, expected {n} doubles",
+                bytes.len()
             ),
         });
     }
@@ -209,5 +208,60 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert!(decode_f64s(&encode_f64s(&xs), 3).is_err());
+        // A count whose byte length overflows is a mismatch, not a panic.
+        assert!(decode_f64s(&encode_f64s(&xs), usize::MAX / 4).is_err());
+    }
+
+    /// Arbitrary and damaged frames and reduce payloads, as a peer rank
+    /// might send them: a typed protocol error or a value that fits in
+    /// the bytes it came from — never a panic.
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        /// Container header, two section headers and the 24-byte frame
+        /// header: the least a frame can carry besides its payload.
+        const FRAME_OVERHEAD: usize = 16 + 2 * 20 + 24;
+
+        fn decode(bytes: &[u8], n: usize) -> Result<(), TestCaseError> {
+            if let Ok(frame) = decode_frame(bytes) {
+                prop_assert!(FRAME_OVERHEAD + frame.payload.len() <= bytes.len());
+            }
+            if let Ok(values) = decode_f64s(bytes, n) {
+                prop_assert_eq!(values.len(), n);
+                prop_assert_eq!(encode_f64s(&values), bytes.to_vec());
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #[test]
+            fn arbitrary_bytes_never_panic(
+                bytes in prop::collection::vec(0u32..256, 0..400),
+                n in 0usize..64,
+            ) {
+                let payload: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+                decode(&payload, n)?;
+                decode(&payload, payload.len() / 8)?;
+            }
+
+            #[test]
+            fn damaged_genuine_frames_never_panic(
+                at in 0usize..4096,
+                word in 0u64..u64::MAX,
+                cut in 0usize..4096,
+            ) {
+                // Overwrite one 8-byte word (a rank, a kind, a length, a
+                // checksum or payload) with anything, then maybe truncate.
+                let mut bytes = encode_frame(3, 0, KIND_REDUCE, 9, &encode_f64s(&[1.5, -2.0])).unwrap();
+                let at = at % bytes.len().saturating_sub(7).max(1);
+                let end = (at + 8).min(bytes.len());
+                bytes[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+                decode(&bytes, 2)?;
+                bytes.truncate(cut % (bytes.len() + 1));
+                decode(&bytes, 2)?;
+            }
+        }
     }
 }

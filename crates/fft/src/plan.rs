@@ -280,7 +280,7 @@ impl Fft1d {
     /// with x fastest. Mixed-radix plans run their butterflies on those
     /// rows directly, the line index innermost; the in-place kernels
     /// (radix-2, Bluestein) process lines in blocks of
-    /// [`LINE_BLOCK`] through the workspace gather buffer. Either way
+    /// `LINE_BLOCK` through the workspace gather buffer. Either way
     /// each line sees exactly the arithmetic of [`Fft1d::forward`], so
     /// the result is bit-identical to a line-by-line loop.
     pub fn forward_strided(

@@ -125,7 +125,7 @@ impl<S: Scalar> Cholesky<S> {
 
     /// [`Cholesky::solve_l_block`] through caller-owned scratch. Block-sized
     /// shapes under [`crate::KernelPolicy::Fast`] run a blocked forward
-    /// substitution, in place: each [`SOLVE_ROWS`]-row block first takes
+    /// substitution, in place: each `SOLVE_ROWS`-row block first takes
     /// `X_I −= L[I, <I]·X[<I]` as one product on the packed kernel, then
     /// its own triangle row by row — all but `SOLVE_ROWS/n` of the work is
     /// a GEMM. Smaller shapes and [`crate::KernelPolicy::Reference`] keep

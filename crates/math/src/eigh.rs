@@ -120,11 +120,6 @@ fn finish<S: Scalar>(a: Matrix<S>, v: Matrix<S>) -> Eig<S> {
     Eig { values, vectors }
 }
 
-/// Eigenvalues only (ascending); convenience wrapper.
-pub fn eigvalsh<S: Scalar>(a: &Matrix<S>) -> Vec<f64> {
-    eigh(a).values
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,10 +9,10 @@
 //!
 //! * [`c64`] — complex double scalar;
 //! * [`Matrix`] — dense row-major container over [`Scalar`] (`f64`/`c64`);
-//! * [`gemm`] — block products `C ← α·op(A)·op(B) + β·C`: a packed
+//! * [`mod@gemm`] — block products `C ← α·op(A)·op(B) + β·C`: a packed
 //!   register-tile kernel compiled per CPU tier for block-sized shapes,
 //!   scalar loops below, allocation-free through a [`GemmScratch`];
-//! * [`cholesky`], [`eigh`], [`lu`] — the factorizations the solver needs
+//! * [`cholesky`], [`mod@eigh`], [`lu`] — the factorizations the solver needs
 //!   (overlap orthogonalization, subspace diagonalization, mixing solves);
 //! * [`ortho`] — band-by-band Gram–Schmidt *and* all-band overlap-matrix
 //!   orthonormalization (the paper's optimization #1, ablatable);
@@ -62,8 +62,8 @@ pub use policy::KernelPolicy;
 pub use scalar::Scalar;
 
 pub use cholesky::Cholesky;
-pub use eigh::{eigh, eigvalsh, Eig};
-pub use lu::{lstsq, polyfit, polyval, solve, Lu};
+pub use eigh::{eigh, Eig};
+pub use lu::{lstsq, solve, Lu};
 pub use tridiag::eigh_tridiagonal;
 
 /// Hermitian (`c64`) or real-symmetric (`f64`) eigendecomposition with

@@ -107,19 +107,6 @@ pub fn lstsq(a: &Matrix<f64>, b: &[f64]) -> Result<Vec<f64>, SingularError> {
     solve(&ata, &atb)
 }
 
-/// Fits `y ≈ c₀ + c₁·x + … + c_d·x^d`; returns the `d+1` coefficients.
-pub fn polyfit(x: &[f64], y: &[f64], degree: usize) -> Result<Vec<f64>, SingularError> {
-    assert_eq!(x.len(), y.len(), "polyfit: length mismatch");
-    assert!(x.len() > degree, "polyfit: need more points than degree");
-    let a = Matrix::from_fn(x.len(), degree + 1, |i, j| x[i].powi(j as i32));
-    lstsq(&a, y)
-}
-
-/// Evaluates a polynomial with coefficients in ascending-power order.
-pub fn polyval(coeffs: &[f64], x: f64) -> f64 {
-    coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,19 +158,9 @@ mod tests {
         // Overdetermined but consistent: y = 2 + 3x.
         let xs = [0.0, 1.0, 2.0, 3.0, 4.0];
         let ys: Vec<f64> = xs.iter().map(|&x| 2.0 + 3.0 * x).collect();
-        let c = polyfit(&xs, &ys, 1).unwrap();
+        let a = Matrix::from_fn(xs.len(), 2, |i, j| if j == 0 { 1.0 } else { xs[i] });
+        let c = lstsq(&a, &ys).unwrap();
         assert!((c[0] - 2.0).abs() < 1e-10);
         assert!((c[1] - 3.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn polyfit_quadratic_with_noiseless_data() {
-        let xs: Vec<f64> = (0..20).map(|i| i as f64 / 4.0).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| 1.0 - 0.5 * x + 0.25 * x * x).collect();
-        let c = polyfit(&xs, &ys, 2).unwrap();
-        assert!((c[0] - 1.0).abs() < 1e-9);
-        assert!((c[1] + 0.5).abs() < 1e-9);
-        assert!((c[2] - 0.25).abs() < 1e-9);
-        assert!((polyval(&c, 2.0) - (1.0 - 1.0 + 1.0)).abs() < 1e-9);
     }
 }

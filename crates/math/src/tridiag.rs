@@ -2,7 +2,7 @@
 //! Hermitian matrices (the `zhetrd`/`steqr` pipeline of LAPACK, written
 //! from scratch).
 //!
-//! The cyclic Jacobi solver in [`crate::eigh`] is unconditionally robust
+//! The cyclic Jacobi solver in [`mod@crate::eigh`] is unconditionally robust
 //! but costs O(n³) *per sweep*; the subspace problems in the all-band CG
 //! solver hit it once per iteration with n = number of bands (up to a few
 //! hundred for large fragments). This pipeline does the whole job in

@@ -65,15 +65,6 @@ pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
     }
 }
 
-/// `y ← α·x + β·y`.
-#[inline]
-pub fn axpby<S: Scalar>(alpha: S, x: &[S], beta: S, y: &mut [S]) {
-    assert_eq!(x.len(), y.len(), "axpby: length mismatch");
-    for (&a, b) in x.iter().zip(y.iter_mut()) {
-        *b = (*b * beta).acc(alpha, a);
-    }
-}
-
 /// `x ← α·x`.
 #[inline]
 pub fn scal<S: Scalar>(alpha: S, x: &mut [S]) {
@@ -88,12 +79,6 @@ pub fn dscal<S: Scalar>(s: f64, x: &mut [S]) {
     for v in x {
         *v = v.scale(s);
     }
-}
-
-/// Copies `src` into `dst`.
-#[inline]
-pub fn copy<S: Scalar>(src: &[S], dst: &mut [S]) {
-    dst.copy_from_slice(src);
 }
 
 #[cfg(test)]
@@ -117,15 +102,6 @@ mod tests {
         let mut y = [10.0, 20.0, 30.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, [12.0, 24.0, 36.0]);
-    }
-
-    #[test]
-    fn axpby_complex() {
-        let x = [c64::new(1.0, 0.0), c64::new(0.0, 1.0)];
-        let mut y = [c64::new(1.0, 1.0), c64::new(2.0, 0.0)];
-        axpby(c64::real(2.0), &x, c64::real(-1.0), &mut y);
-        assert!((y[0] - c64::new(1.0, -1.0)).abs() < 1e-15);
-        assert!((y[1] - c64::new(-2.0, 2.0)).abs() < 1e-15);
     }
 
     #[test]

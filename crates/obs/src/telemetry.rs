@@ -19,7 +19,7 @@
 //!   epilogue; the report assembly later drains them with
 //!   [`take_stash`];
 //! * **merge** — [`merge_ranks`] folds the local harvest plus the
-//!   stashed remote payloads into a [`Report`](crate::report::Report):
+//!   stashed remote payloads into a [`Report`]:
 //!   per-rank counter tables and span aggregates, a per-SCF-iteration
 //!   `PEtot_F` straggler-gap series (max−min rank time), the measured
 //!   imbalance ratio against the scheduler's predicted cost bins, and
@@ -47,6 +47,19 @@ const MAX_SPANS: u64 = 1 << 26;
 const MAX_LIST: u32 = 1 << 20;
 const MAX_STR: u32 = 1 << 12;
 const MAX_BUCKETS: u32 = 64;
+
+/// Fewest payload bytes one entry of each list can occupy (a string is
+/// at least its 4-byte length): a decoded count must fit in the bytes
+/// left before anything is reserved for it.
+const LABEL_WIRE: usize = 4;
+/// Label id, index, start, end, depth, tid.
+const SPAN_WIRE: usize = 4 + 8 + 8 + 8 + 4 + 4;
+/// Tid, name.
+const THREAD_WIRE: usize = 4 + 4;
+/// Name, value.
+const COUNTER_WIRE: usize = 4 + 8;
+/// Op, kind, tag class, frames, bytes, latency, two bucket counts.
+const COMM_WIRE: usize = 3 * 4 + 3 * 8 + 2 * 4;
 
 /// Packed world coordinates: rank in the high 32 bits, size in the low
 /// 32. Default (never set) decodes as rank 0 of a size-1 world.
@@ -218,22 +231,35 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
-    fn count(&mut self, max: u32, what: &str) -> Result<usize, String> {
+    /// Reads a `u32` entry count, capped at `max` and by the entries of
+    /// at least `wire` bytes the rest of the payload can hold.
+    fn count(&mut self, max: u32, wire: usize, what: &str) -> Result<usize, String> {
         let n = self.u32(what)?;
         if n > max {
             return Err(format!("telemetry {what} count {n} exceeds cap {max}"));
+        }
+        self.fits(u64::from(n), wire, what)
+    }
+
+    /// `n` entries of at least `wire` bytes each fit in the bytes left.
+    fn fits(&self, n: u64, wire: usize, what: &str) -> Result<usize, String> {
+        let left = self.buf.len() - self.pos;
+        if n > (left / wire) as u64 {
+            return Err(format!(
+                "telemetry {what} count {n} needs {wire} bytes each, {left} left"
+            ));
         }
         Ok(n as usize)
     }
 
     fn str(&mut self, what: &str) -> Result<String, String> {
-        let n = self.count(MAX_STR, what)?;
+        let n = self.count(MAX_STR, 1, what)?;
         let bytes = self.take(n, what)?;
         Ok(String::from_utf8_lossy(bytes).into_owned())
     }
 
     fn bucket_list(&mut self, what: &str) -> Result<Vec<u64>, String> {
-        let n = self.count(MAX_BUCKETS, what)?;
+        let n = self.count(MAX_BUCKETS, 8, what)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.u64(what)?);
@@ -245,7 +271,7 @@ impl<'a> Reader<'a> {
 /// Serializes a [`RankTelemetry`] into the compact binary payload
 /// format. The inverse of [`decode_telemetry`].
 pub fn encode_telemetry(t: &RankTelemetry) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + 36 * t.spans.len());
+    let mut out = Vec::with_capacity(64 + SPAN_WIRE * t.spans.len());
     put_u32(&mut out, MAGIC);
     put_u32(&mut out, FORMAT_VERSION);
     put_u32(&mut out, t.rank as u32);
@@ -334,7 +360,7 @@ pub fn decode_telemetry(bytes: &[u8]) -> Result<RankTelemetry, String> {
     let rank = r.u32("rank")? as usize;
     let size = r.u32("size")? as usize;
 
-    let n_labels = r.count(MAX_LABELS, "label")?;
+    let n_labels = r.count(MAX_LABELS, LABEL_WIRE, "label")?;
     let mut labels = Vec::with_capacity(n_labels);
     for _ in 0..n_labels {
         labels.push(intern(&r.str("label")?));
@@ -344,7 +370,8 @@ pub fn decode_telemetry(bytes: &[u8]) -> Result<RankTelemetry, String> {
     if n_spans > MAX_SPANS {
         return Err(format!("telemetry span count {n_spans} exceeds cap"));
     }
-    let mut spans = Vec::with_capacity(n_spans as usize);
+    let n_spans = r.fits(n_spans, SPAN_WIRE, "span")?;
+    let mut spans = Vec::with_capacity(n_spans);
     for _ in 0..n_spans {
         let id = r.u32("span label id")? as usize;
         let label = *labels
@@ -365,21 +392,21 @@ pub fn decode_telemetry(bytes: &[u8]) -> Result<RankTelemetry, String> {
         });
     }
 
-    let n_threads = r.count(MAX_LIST, "thread")?;
+    let n_threads = r.count(MAX_LIST, THREAD_WIRE, "thread")?;
     let mut threads = Vec::with_capacity(n_threads);
     for _ in 0..n_threads {
         let tid = r.u32("thread id")?;
         threads.push((tid, r.str("thread name")?));
     }
 
-    let n_counters = r.count(MAX_LIST, "counter")?;
+    let n_counters = r.count(MAX_LIST, COUNTER_WIRE, "counter")?;
     let mut counters = Vec::with_capacity(n_counters);
     for _ in 0..n_counters {
         let name = r.str("counter name")?;
         counters.push((name, r.u64("counter value")?));
     }
 
-    let n_comm = r.count(MAX_LIST, "comm row")?;
+    let n_comm = r.count(MAX_LIST, COMM_WIRE, "comm row")?;
     let mut comm = Vec::with_capacity(n_comm);
     for _ in 0..n_comm {
         comm.push(CommRow {
@@ -777,6 +804,74 @@ mod tests {
         let mut bad = bytes.clone();
         bad.extend_from_slice(&[1, 2, 3]);
         assert!(decode_telemetry(&bad).is_err());
+    }
+
+    #[test]
+    fn span_count_beyond_the_payload_fails_before_reserving() {
+        // No labels, so the span count sits right after the 16-byte
+        // header and the 4-byte label count. Claiming `MAX_SPANS` spans
+        // (3 GiB of `FinishedSpan`) with no span bytes behind the count
+        // must fail on the count itself, not later at a span field.
+        let empty = RankTelemetry {
+            rank: 1,
+            size: 2,
+            spans: Vec::new(),
+            threads: Vec::new(),
+            counters: Vec::new(),
+            comm: Vec::new(),
+        };
+        let mut bytes = encode_telemetry(&empty);
+        bytes[20..28].copy_from_slice(&MAX_SPANS.to_le_bytes());
+        let err = decode_telemetry(&bytes).unwrap_err();
+        assert!(err.contains(&format!("span count {MAX_SPANS}")), "{err}");
+    }
+
+    /// [`decode_telemetry`] reads what worker ranks send: arbitrary and
+    /// damaged payloads are a typed error or a telemetry that fits in the
+    /// bytes it came from — never a panic, and never a reservation sized
+    /// by a count the payload cannot hold.
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        fn decode(payload: &[u8]) -> Result<(), TestCaseError> {
+            if let Ok(t) = decode_telemetry(payload) {
+                // Header 16, label count 4, span count 8, list counts 12.
+                let least = 40
+                    + SPAN_WIRE * t.spans.len()
+                    + THREAD_WIRE * t.threads.len()
+                    + COUNTER_WIRE * t.counters.len()
+                    + COMM_WIRE * t.comm.len();
+                prop_assert!(least <= payload.len());
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #[test]
+            fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(0u32..256, 0..400)) {
+                let payload: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+                decode(&payload)?;
+            }
+
+            #[test]
+            fn damaged_genuine_payloads_never_panic(
+                at in 0usize..4096,
+                word in 0u64..u64::MAX,
+                cut in 0usize..4096,
+            ) {
+                // Overwrite one 8-byte word (a count, a length, a label id
+                // or a value) with anything, then maybe truncate.
+                let mut payload = encode_telemetry(&sample(1));
+                let at = at % payload.len().saturating_sub(7).max(1);
+                let end = (at + 8).min(payload.len());
+                payload[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+                decode(&payload)?;
+                payload.truncate(cut % (payload.len() + 1));
+                decode(&payload)?;
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Model norm-conserving pseudopotentials for the LS3DF reproduction:
 //! analytic q-space local parts, Kleinman–Bylander separable nonlocal
 //! projectors (the paper's §V choice), and fractional-charge passivant
-//! pseudo-hydrogens for fragment surface passivation (paper ref. [18]).
+//! pseudo-hydrogens for fragment surface passivation (paper ref. \[18\]).
 //!
 //! **Substitution:** real Zn/Te/O norm-conserving pseudopotential tables
 //! are replaced by two-term analytic models of the same shape; see

@@ -14,7 +14,7 @@ const BAND_BLOCK: usize = 8;
 /// Builds `ρ(r) = Σ_b f_b·|ψ_b(r)|²` on the basis grid.
 ///
 /// Band-parallel with a **fixed-order tree reduction**: bands are cut into
-/// [`BAND_BLOCK`]-sized blocks, each block accumulates its partial density
+/// `BAND_BLOCK`-sized blocks, each block accumulates its partial density
 /// in ascending band order, and the ordered partials are combined pairwise.
 /// The summation tree depends only on the band count — never on the rayon
 /// schedule — so repeated runs produce bit-identical densities.

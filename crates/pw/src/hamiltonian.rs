@@ -33,7 +33,7 @@ use crate::basis::HalfSphere;
 use crate::{Coeff, PwBasis};
 use ls3df_fft::Fft3Workspace;
 use ls3df_grid::RealField;
-use ls3df_math::gemm::{self, gemm_into, GemmScratch, Op};
+use ls3df_math::gemm::{gemm_into, GemmScratch, Op};
 use ls3df_math::vec_ops;
 use ls3df_math::{c64, Matrix, Scalar};
 use ls3df_obs::{counter_add, Counter};
@@ -222,23 +222,6 @@ impl NonlocalPotential {
             let coef = vec_ops::dotc(beta, psi).scale(e);
             vec_ops::axpy(coef, beta, hpsi);
         }
-    }
-
-    /// Nonlocal energy contribution `Σ_b f_b·Σ_p E_p·|⟨β_p|ψ_b⟩|²`.
-    pub fn energy(&self, psi: &Matrix<c64>, occupations: &[f64]) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let b = gemm::matmul_nh(psi, self.projectors());
-        let mut e = 0.0;
-        for band in 0..b.rows() {
-            let mut acc = 0.0;
-            for (p, v) in b.row(band).iter().enumerate() {
-                acc += self.energies[p] * v.norm_sqr();
-            }
-            e += occupations[band] * acc;
-        }
-        e
     }
 }
 
@@ -443,8 +426,8 @@ impl<'a> Hamiltonian<'a> {
     }
 
     /// Subspace (Rayleigh–Ritz) matrix `M[i][j] = ⟨ψ_i|H|ψ_j⟩` given the
-    /// precomputed `H·ψ` block. Allocating shim over
-    /// [`Hamiltonian::subspace_matrix_into`].
+    /// precomputed `H·ψ` block. Allocating shim over the crate's
+    /// in-place `subspace_matrix_into`.
     pub fn subspace_matrix<S: Coeff>(psi: &Matrix<S>, hpsi: &Matrix<S>) -> Matrix<S> {
         let n = psi.rows();
         let (mut raw, mut m) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
@@ -518,7 +501,7 @@ mod tests {
         let psi = rand_block(4, basis.len(), 3);
         let hpsi = h.apply_block(&psi);
         // ⟨ψ_i|Hψ_j⟩ must be Hermitian for an orthonormal block.
-        let m = gemm::matmul_nh(&psi, &hpsi);
+        let m = ls3df_math::gemm::matmul_nh(&psi, &hpsi);
         assert!(
             m.hermiticity_error() < 1e-10,
             "err = {}",
@@ -569,10 +552,20 @@ mod tests {
             |_, q| (-q * q / 2.0).exp(),
             &[2.0],
         );
-        let psi = rand_block(2, basis.len(), 8);
-        let e = nl.energy(&psi, &[1.0, 1.0]);
-        assert!(e >= 0.0);
-        assert!(e <= 2.0 * 2.0 + 1e-12, "bounded by E_kb per band");
+        // Σ_b f_b·⟨ψ_b|V_NL ψ_b⟩ over orthonormal packed rows lies in
+        // [0, Σ_b f_b·Σ_p E_p].
+        let occupations = [1.0, 1.0];
+        let mut psi = basis.pack_block(&rand_block(occupations.len(), basis.len(), 8));
+        ls3df_math::ortho::cholesky_orthonormalize(&mut psi, 1.0).unwrap();
+        let mut vpsi = Matrix::zeros(psi.rows(), psi.cols());
+        nl.accumulate_block(&psi, &mut vpsi);
+        let e: f64 = occupations
+            .iter()
+            .enumerate()
+            .map(|(b, f)| f * dotc(psi.row(b), vpsi.row(b)))
+            .sum();
+        assert!(e >= 0.0, "e = {e}");
+        assert!(e <= 2.0 * 2.0 + 1e-12, "bounded by E_kb per band: e = {e}");
     }
 
     #[test]

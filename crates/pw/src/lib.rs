@@ -10,7 +10,7 @@
 //! projectors and block Hamiltonian ([`hamiltonian`]), all-band and
 //! band-by-band preconditioned CG eigensolvers ([`solver`] — the paper's
 //! BLAS-3 vs BLAS-2 ablation), potential mixing ([`mixing`]) and the SCF
-//! driver ([`scf`]).
+//! driver ([`mod@scf`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,7 +20,6 @@ mod coeff;
 pub mod density;
 pub mod dos;
 pub mod ewald;
-pub mod forces;
 pub mod hamiltonian;
 pub mod hartree;
 pub mod mixing;
@@ -33,7 +32,6 @@ pub mod xc;
 pub use basis::PwBasis;
 pub use coeff::Coeff;
 pub use dos::{dos, Dos};
-pub use forces::{ewald_forces, local_forces, nonlocal_forces, total_forces};
 pub use hamiltonian::{HamWorkspace, Hamiltonian, NonlocalPotential};
 pub use hartree::HartreeSolver;
 pub use mixing::{Mixer, MixerState};

@@ -2,8 +2,11 @@
 //!
 //! 1. `cargo fmt --all -- --check`
 //! 2. `cargo clippy --workspace --all-targets -- -D warnings`
-//! 3. `cargo xtask lint` (in-process)
-//! 4. `cargo test --workspace -q` twice: once with `LS3DF_THREADS=1`
+//! 3. `RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps` — a
+//!    dangling or ambiguous intra-doc link (say, to a deleted item) is
+//!    invisible to clippy.
+//! 4. `cargo xtask lint` (in-process)
+//! 5. `cargo test --workspace -q` twice: once with `LS3DF_THREADS=1`
 //!    (exact sequential fallback) and once with the variable unset
 //!    (work-stealing pool at the host's parallelism) — the determinism
 //!    contract says both schedules must produce bit-identical physics, so
@@ -18,7 +21,7 @@
 //!    group balance, the `LS3DF_GROUPS` digest matrix, worker-kill
 //!    robustness, the obs-off no-op contract; the steps below exist only
 //!    where the features differ or the package is outside the workspace.
-//! 5. `zero-alloc`: `cargo test -p ls3df --features alloc-count --lib
+//! 6. `zero-alloc`: `cargo test -p ls3df --features alloc-count --lib
 //!    --test zero_alloc -q` under the same two scheduling regimes — the
 //!    counting-allocator guard that a steady-state CG step and GENPOT
 //!    solve stay heap-free.
@@ -27,12 +30,12 @@
 //!    mark over a two-iteration alloy SCF, taken in a child process of
 //!    its own under `LS3DF_THREADS=2`, must stay within the accounted
 //!    footprint (one ψ per fragment, one solve workspace per thread).
-//! 6. `obs-report [obs]`: `cargo test -p ls3df --features obs,alloc-count
+//! 7. `obs-report [obs]`: `cargo test -p ls3df --features obs,alloc-count
 //!    --test obs_report --test observer_order -q` — a small instrumented
 //!    SCF must emit a schema-valid run report with ≥95% wall-time
 //!    attribution and the allocator probe feeding the metrics registry,
 //!    and the observer hook order must hold with spans compiled in.
-//! 7. `obs-dist`: `cargo test -p ls3df --features obs,alloc-count --test
+//! 8. `obs-dist`: `cargo test -p ls3df --features obs,alloc-count --test
 //!    obs_dist_report --test dist_fault -q` — the rank-aware
 //!    observability gate: an obs-enabled multi-group SCF must produce one
 //!    merged schema-v2 report whose per-rank `fragment_solves` counters
@@ -40,7 +43,7 @@
 //!    killed worker must surface as a `down` rank section (typed
 //!    comm-error kind) with `telemetry_incomplete` set, and the committed
 //!    `BENCH_fig5.json` must stay schema-valid.
-//! 8. `bench-harness`: `cargo test -q --offline --manifest-path
+//! 9. `bench-harness`: `cargo test -q --offline --manifest-path
 //!    benchmark/Cargo.toml` (the repo benchmark's own unit tests: the
 //!    percentile rule, span arithmetic, `/proc` parsing, manifest ==
 //!    `BENCHMARK.json`) and then its `--smoke` gate — all four
@@ -49,9 +52,9 @@
 //!    trajectories bit-identical across thread/rank/resume variants);
 //!    a non-zero exit fails the step. The benchmark is a package of
 //!    its own outside the workspace, so nothing else builds or tests it.
-//! 9. `cargo xtask schedules` (in-process) — pool suite + SCF digest
-//!    matrix under every adversarial work-stealing schedule.
-//! 10. `cargo xtask miri` (in-process) — the curated unsafe-core filter
+//! 10. `cargo xtask schedules` (in-process) — pool suite + SCF digest
+//!     matrix under every adversarial work-stealing schedule.
+//! 11. `cargo xtask miri` (in-process) — the curated unsafe-core filter
 //!     under Miri; reported as a loud SKIP when the nightly component is
 //!     unavailable (the offline container cannot install it).
 //!
@@ -94,6 +97,7 @@ type CargoStep = (&'static str, &'static [&'static str], StepEnv<'static>);
 const CHECK_STEPS: &[CargoStep] = &[
     ("fmt", &["fmt", "--all", "--", "--check"], &[]),
     ("clippy", &["clippy", "--workspace", "--all-targets", "--", "-D", "warnings"], &[]),
+    ("doc", &["doc", "--workspace", "--no-deps"], &[("RUSTDOCFLAGS", Some("-D warnings"))]),
 ];
 
 /// The cargo steps after it.

@@ -19,7 +19,7 @@
 //! * every byte of the input belongs to exactly one token (whitespace is
 //!   skipped, everything else is covered);
 //! * `line` is the 1-based line of the token's first byte;
-//! * maximal munch for operators ([`PUNCTS`] is longest-first), so `==`
+//! * maximal munch for operators (`PUNCTS` is longest-first), so `==`
 //!   never lexes as two `=`;
 //! * comment tokens carry their full text (`// …`, `/* … */`) so escape
 //!   hatches (`// SAFETY:`, `// ORDERING:`, …) can be matched against

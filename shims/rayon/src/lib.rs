@@ -7,7 +7,7 @@
 //! cannot be resolved; this path dependency keeps the workspace compiling
 //! and the API call sites unchanged — but unlike the original sequential
 //! placeholder it now executes on a **real work-stealing thread pool**
-//! (see [`mod@self::pool`] internals): persistent lazily-spawned workers with
+//! (see the `pool` module internals): persistent lazily-spawned workers with
 //! per-worker deques, recursive splitting in [`join`], panic propagation,
 //! and an `LS3DF_THREADS = N` env override (default: available
 //! parallelism) meaning *at most `N` closures in flight, caller included*
