@@ -5,8 +5,8 @@
 # unit tests, the lint fixture corpus and the whole integration suite),
 # the feature legs that suite
 # cannot cover (zero-alloc, mem-budget, obs-report [obs], obs-dist), the
-# repo benchmark's unit tests + --smoke gate (bench-harness), schedule
-# exploration (cargo xtask schedules), and the Miri unsafe-core gate
+# repo benchmark's unit tests + --smoke gate (bench-harness), the
+# model crystal's `accuracy` bin (must exit 0), schedule exploration (cargo xtask schedules), and the Miri unsafe-core gate
 # (cargo xtask miri — skips loudly when Miri is not installed, e.g. in
 # this offline container). Step list: crates/xtask/src/ci.rs.
 #

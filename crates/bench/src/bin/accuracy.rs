@@ -13,14 +13,22 @@
 //! energy. It does not converge yet (ROADMAP item 1), so the bin prints
 //! the numbers and then exits non-zero, like every accuracy bin.
 //!
+//! Every run ends with the fixed-potential table: one [`Ls3df::respond`]
+//! in the converged direct potential (30 CG steps × 6 rounds on the model
+//! crystal, 12 × 4 on ZnTe), printing each fragment shape's charge
+//! retention `r_F = q_region / z_region` (min / mean / max), the patched
+//! charge against the electron count, and the density and potential
+//! errors of the rescaled patch against direct.
+//!
 //! Run: `cargo run -p ls3df-bench --bin accuracy --release -- [model|znte|znteo] [m] [seed]`
 
 use ls3df_atoms::{model_crystal, relax, znteo_alloy, ZNTE_LATTICE};
-use ls3df_bench::{exit_unless_converged, to_pw_atoms};
-use ls3df_core::{Ls3df, Ls3dfOptions, Passivation};
+use ls3df_bench::exit_unless_converged;
+use ls3df_core::{Effort, Ls3df, Ls3dfOptions, Passivation, Patch};
 use ls3df_pseudo::PseudoTable;
 use ls3df_pw::{
-    solve_all_band, DftSystem, Hamiltonian, Mixer, NonlocalPotential, ScfOptions, SolverOptions,
+    solve_all_band, DftSystem, Hamiltonian, Mixer, NonlocalPotential, PwAtom, ScfOptions,
+    SolverOptions,
 };
 
 fn main() -> std::process::ExitCode {
@@ -49,6 +57,10 @@ fn main() -> std::process::ExitCode {
             Passivation::WallOnly,
         ),
     };
+    // The fixed-potential table's solver effort, per system.
+    let znte = matches!(kind.as_str(), "znte" | "znteo");
+    let (cg_steps, rounds) = if znte { (12, 4) } else { (30, 6) };
+    let effort = Effort { cg_steps, rounds };
     println!(
         "system: {} ({} atoms, {} electrons)",
         s.formula(),
@@ -61,7 +73,7 @@ fn main() -> std::process::ExitCode {
     let sys = DftSystem {
         grid,
         ecut,
-        atoms: to_pw_atoms(&s, &table),
+        atoms: PwAtom::of_structure(&s, &table),
     };
     let t = std::time::Instant::now();
     let direct = ls3df_pw::scf(
@@ -120,7 +132,7 @@ fn main() -> std::process::ExitCode {
     let t = std::time::Instant::now();
     let mut ls = Ls3df::builder(&s)
         .fragments([m, m, m])
-        .options(opts)
+        .options(opts.clone())
         .build()
         .expect("valid accuracy-bench geometry");
     let res = ls.scf();
@@ -134,9 +146,9 @@ fn main() -> std::process::ExitCode {
     let ratios: Vec<String> = res
         .history
         .iter()
-        .map(|step| format!("{:.3}", step.charge_ratio))
+        .map(|step| format!("{:.3} ({:.3})", step.charge_ratio, step.retention_min))
         .collect();
-    println!("  q/N_e per iteration: {}", ratios.join(", "));
+    println!("  q/N_e (r_F min) per iteration: {}", ratios.join(", "));
     // The fragment-assembled energy (α-weighted fragment kinetic +
     // nonlocal terms plus the global electrostatics and XC).
     let e_frag = ls.total_energy().total();
@@ -151,15 +163,7 @@ fn main() -> std::process::ExitCode {
     // §V methodology: take the converged LS3DF potential, solve the full
     // system's eigenvalues in it, compare with the direct SCF eigenvalues.
     let basis = ls.global_basis();
-    let positions: Vec<[f64; 3]> = sys.atoms.iter().map(|a| a.pos).collect();
-    let widths: Vec<f64> = sys.atoms.iter().map(|a| a.kb_rb).collect();
-    let e_kb: Vec<f64> = sys.atoms.iter().map(|a| a.kb_energy).collect();
-    let nl = NonlocalPotential::new(
-        basis,
-        &positions,
-        |a, q| (-q * q * widths[a] * widths[a] / 2.0).exp(),
-        &e_kb,
-    );
+    let nl = NonlocalPotential::of_atoms(basis, &sys.atoms);
     let h = Hamiltonian::new(basis, res.v_eff.clone(), &nl);
     let n_bands = direct.eigenvalues.len();
     let mut psi = ls3df_pw::scf::random_start(n_bands, basis, 5);
@@ -219,5 +223,60 @@ fn main() -> std::process::ExitCode {
         "  total energy: LS3DF {:.6} vs direct {:.6} Ha → Δ = {:.1} meV/atom   (paper: 'a few meV per atom')",
         e_ls3df, direct.total_energy, de
     );
+
+    // The fixed-potential map at the direct answer.
+    let t = std::time::Instant::now();
+    let mut fixed = Ls3df::builder(&s)
+        .fragments([m, m, m])
+        .options(opts)
+        .initial_potential(direct.v_eff.clone())
+        .build()
+        .expect("valid accuracy-bench geometry");
+    let patch = fixed
+        .respond(effort)
+        .expect("a one-process world cannot fail to communicate")
+        .expect("a one-process world is its own global rank");
+    println!(
+        "\nfixed-potential map at V_direct ({} rounds × {} CG steps at most, \
+         worst residual {:.1e}, {:.1}s):",
+        effort.rounds,
+        effort.cg_steps,
+        patch.worst_residual,
+        t.elapsed().as_secs_f64()
+    );
+    print_retention(&fixed, &patch);
+    let (n_e, q, mut rho) = (s.num_electrons(), patch.q, patch.rho);
+    rho.scale(n_e / q);
+    let d_rho = rho.diff(&direct.rho).integrate_abs() / n_e;
+    let d_v = fixed.genpot(&rho).diff(&direct.v_eff).integrate_abs();
+    println!("  Σα·q_region = {q:.3} (N_e = {n_e})");
+    println!("  ∫|Δρ|/N_e after the N_e/q rescale = {d_rho:.3e}");
+    println!("  ∫|V[ρ] − V_direct| = {d_v:.3e}");
     exit_unless_converged(&[("direct DFT", direct.converged), ("LS3DF", res.converged)])
+}
+
+/// Charge retention `r_F` (min / mean / max) per fragment shape, by the
+/// number of pieces it spans; fragments with no atom in their region are
+/// left out.
+fn print_retention(calc: &Ls3df, patch: &Patch) {
+    println!(
+        "  {:>6} {:>9} {:>7} {:>7} {:>7}",
+        "pieces", "fragments", "r_F min", "mean", "max"
+    );
+    for pieces in [1, 2, 4, 8] {
+        let r: Vec<f64> = (calc.fg.fragments().iter().zip(&patch.fragments))
+            .filter(|(f, c)| f.size.iter().product::<usize>() == pieces && c.z_region > 0.0)
+            .map(|(_, c)| c.retention())
+            .collect();
+        let (lo, hi) = (r.iter()).fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
+            (lo.min(x), hi.max(x))
+        });
+        if !r.is_empty() {
+            let mean = r.iter().sum::<f64>() / r.len() as f64;
+            println!(
+                "  {pieces:>6} {:>9} {lo:>7.4} {mean:>7.4} {hi:>7.4}",
+                r.len()
+            );
+        }
+    }
 }

@@ -10,10 +10,10 @@
 //! Run: `cargo run -p ls3df-bench --bin buffer_ablation --release -- [max_buffer]`
 
 use ls3df_atoms::model_crystal;
-use ls3df_bench::{arg, exit_unless_converged, to_pw_atoms};
+use ls3df_bench::{arg, exit_unless_converged};
 use ls3df_core::{Ls3df, Ls3dfOptions, Passivation};
 use ls3df_pseudo::PseudoTable;
-use ls3df_pw::{DftSystem, Mixer, ScfOptions};
+use ls3df_pw::{DftSystem, Mixer, PwAtom, ScfOptions};
 
 fn main() -> std::process::ExitCode {
     let max_buffer: usize = arg(1, 4);
@@ -28,7 +28,7 @@ fn main() -> std::process::ExitCode {
     let sys = DftSystem {
         grid: ls3df_grid::Grid3::new([m * piece_pts; 3], s.lengths),
         ecut,
-        atoms: to_pw_atoms(&s, &table),
+        atoms: PwAtom::of_structure(&s, &table),
     };
     let direct = ls3df_pw::scf(
         &sys,

@@ -10,13 +10,13 @@
 //! Run: `cargo run -p ls3df-bench --bin crossover --release -- [measure] [max_m]`
 
 use ls3df_atoms::model_crystal;
-use ls3df_bench::{arg, to_pw_atoms};
+use ls3df_bench::arg;
 use ls3df_core::{Ls3df, Ls3dfOptions, Passivation};
 use ls3df_hpc::{
     crossover_atoms, crossover_sweep, speed_ratio, DirectCodeModel, MachineSpec, Problem,
 };
 use ls3df_pseudo::PseudoTable;
-use ls3df_pw::{DftSystem, Mixer, ScfOptions};
+use ls3df_pw::{DftSystem, Mixer, PwAtom, ScfOptions};
 use std::time::Instant;
 
 fn main() {
@@ -76,7 +76,7 @@ fn main() {
         let sys = DftSystem {
             grid: ls3df_grid::Grid3::new([m * piece_pts; 3], s.lengths),
             ecut,
-            atoms: to_pw_atoms(&s, &table),
+            atoms: PwAtom::of_structure(&s, &table),
         };
         let n_iter = 3;
         let t = Instant::now();

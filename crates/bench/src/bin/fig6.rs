@@ -11,7 +11,7 @@
 //! Exits non-zero (after writing the report) when the SCF did not
 //! converge: the table is then a record of the run, not a Fig. 6 result.
 
-use ls3df_bench::{arg, exit_unless_converged, to_pw_atoms};
+use ls3df_bench::{arg, exit_unless_converged};
 use ls3df_ckpt::{CheckpointConfig, CkptError};
 use ls3df_core::{
     FragmentFault, Ls3df, Ls3dfOptions, Ls3dfStep, Passivation, QuarantineRecord, ScfObserver,
@@ -36,11 +36,12 @@ struct Fig6Observer<'a> {
 impl ScfObserver for Fig6Observer<'_> {
     fn on_step(&mut self, h: &Ls3dfStep) {
         println!(
-            "{:>5} {:>14.6e} {:>11.2e} {:>9.5} | {:>7.2}s {:>7.2}s {:>7.2}s {:>7.2}s",
+            "{:>5} {:>14.6e} {:>11.2e} {:>9.5} {:>7.4} | {:>7.2}s {:>7.2}s {:>7.2}s {:>7.2}s",
             h.iteration,
             h.dv_integral,
             h.worst_residual,
             h.charge_ratio,
+            h.retention_min,
             h.timings.gen_vf,
             h.timings.petot_f,
             h.timings.gen_dens,
@@ -126,14 +127,21 @@ fn main() -> std::process::ExitCode {
         ls.global_grid.dims,
         t0.elapsed().as_secs_f64()
     );
-    let _ = to_pw_atoms(&s, &PseudoTable::default()); // (documented helper; used by fig7)
 
     let t0 = std::time::Instant::now();
     println!("\nFigure 6 — ∫|V_out − V_in| d³r vs SCF iteration (measured)");
-    println!("{}", "-".repeat(82));
+    println!("{}", "-".repeat(90));
     println!(
-        "{:>5} {:>14} {:>11} {:>9} | {:>8} {:>8} {:>8} {:>8}",
-        "iter", "∫|ΔV| (a.u.)", "residual", "q/N_e", "Gen_VF", "PEtot_F", "Gendens", "GENPOT"
+        "{:>5} {:>14} {:>11} {:>9} {:>7} | {:>8} {:>8} {:>8} {:>8}",
+        "iter",
+        "∫|ΔV| (a.u.)",
+        "residual",
+        "q/N_e",
+        "r_F min",
+        "Gen_VF",
+        "PEtot_F",
+        "Gendens",
+        "GENPOT"
     );
     // Rate the run against the paper's primary machine model at this
     // host's core count (%-of-peak next to the paper's ~40% figure).
@@ -159,7 +167,7 @@ fn main() -> std::process::ExitCode {
         ls3df_obs::Json::num(ls.n_fragments() as f64),
     ));
     let first = res.history.first().map(|h| h.dv_integral).unwrap_or(1.0);
-    println!("{}", "-".repeat(82));
+    println!("{}", "-".repeat(90));
     let last = res.history.last().unwrap().dv_integral;
     let (moved, factor) = if last <= first {
         ("dropped", first / last)

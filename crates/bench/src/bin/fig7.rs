@@ -14,11 +14,11 @@
 //! Exits non-zero (after printing the analysis) when the SCF it ran did
 //! not converge: the states are then those of an unconverged potential.
 
-use ls3df_bench::{arg, exit_unless_converged, to_pw_atoms};
+use ls3df_bench::{arg, exit_unless_converged};
 use ls3df_core::{analysis, folded_spectrum, FsmOptions, Ls3df, Ls3dfOptions, Passivation};
 
 use ls3df_pseudo::PseudoTable;
-use ls3df_pw::{Mixer, NonlocalPotential};
+use ls3df_pw::{Mixer, NonlocalPotential, PwAtom};
 
 fn main() -> std::process::ExitCode {
     let m: usize = arg(1, 2);
@@ -100,17 +100,8 @@ fn main() -> std::process::ExitCode {
 
     // Full-system Hamiltonian in the converged potential.
     let basis = ls.global_basis();
-    let table = PseudoTable::default();
-    let atoms = to_pw_atoms(&s, &table);
-    let positions: Vec<[f64; 3]> = atoms.iter().map(|a| a.pos).collect();
-    let widths: Vec<f64> = atoms.iter().map(|a| a.kb_rb).collect();
-    let e_kb: Vec<f64> = atoms.iter().map(|a| a.kb_energy).collect();
-    let nl = NonlocalPotential::new(
-        basis,
-        &positions,
-        |a, q| (-q * q * widths[a] * widths[a] / 2.0).exp(),
-        &e_kb,
-    );
+    let atoms = PwAtom::of_structure(&s, &PseudoTable::default());
+    let nl = NonlocalPotential::of_atoms(basis, &atoms);
     let h = ls3df_pw::Hamiltonian::new(basis, v_eff.clone(), &nl);
 
     // FSM around the gap. With an explicit 4th argument a single reference

@@ -23,26 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ls3df_atoms::Structure;
-use ls3df_pseudo::PseudoTable;
-use ls3df_pw::PwAtom;
-
-/// Converts a structure + pseudopotential table into planewave atoms.
-pub fn to_pw_atoms(s: &Structure, table: &PseudoTable) -> Vec<PwAtom> {
-    s.atoms
-        .iter()
-        .map(|a| {
-            let p = table.get(a.species);
-            PwAtom {
-                pos: a.pos,
-                local: p.local,
-                kb_rb: p.kb.rb,
-                kb_energy: p.kb.e_kb,
-            }
-        })
-        .collect()
-}
-
 /// Exit status of a bin that prints accuracy numbers: failure, naming the
 /// unconverged runs on stderr, unless every listed SCF converged — an
 /// error measured from or against an unconverged SCF is not a result.
@@ -62,19 +42,4 @@ pub fn arg<T: std::str::FromStr>(n: usize, default: T) -> T {
         .nth(n)
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ls3df_atoms::model_crystal;
-
-    #[test]
-    fn pw_atoms_inherit_table() {
-        let s = model_crystal([2, 2, 2], 5.0);
-        let t = PseudoTable::deep_well(2.0, 0.8);
-        let atoms = to_pw_atoms(&s, &t);
-        assert_eq!(atoms.len(), 8);
-        assert!(atoms.iter().all(|a| a.local.z == 2.0 && a.kb_energy == 0.0));
-    }
 }

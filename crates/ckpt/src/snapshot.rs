@@ -31,9 +31,10 @@ pub const MAGIC: [u8; 8] = *b"LS3DFCKP";
 /// snapshot's `PSI` blocks packed real rows (one `f64` per coefficient,
 /// not a `(re, im)` pair) and gave each step record `q/N_e`. Version 3
 /// drops the `SCHEME` section and the fragmentation-scheme words of the
-/// options fingerprint. A file of any other version is refused as
-/// [`CkptError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 3;
+/// options fingerprint. Version 4 gives each step record the minimum
+/// fragment charge retention after `q/N_e`. A file of any other version
+/// is refused as [`CkptError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Hard cap on a single section payload (64 GiB) — guards the reader
 /// against allocating off a corrupt length field.

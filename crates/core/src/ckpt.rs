@@ -167,14 +167,15 @@ pub(crate) fn decode_state(payload: &[u8]) -> Result<(usize, bool), CkptError> {
     Ok((iteration, converged))
 }
 
-/// Writes one step record: iteration, `∫|ΔV|`, worst residual, `q/N_e`
-/// and the four stage timings — the layout the `SCFHIST` section and the
-/// end-of-iteration broadcast share.
+/// Writes one step record: iteration, `∫|ΔV|`, worst residual, `q/N_e`,
+/// the minimum charge retention and the four stage timings — the layout
+/// the `SCFHIST` section and the end-of-iteration broadcast share.
 pub(crate) fn put_step(w: &mut ByteWriter, s: &Ls3dfStep) {
     w.put_u64(s.iteration as u64)
         .put_f64(s.dv_integral)
         .put_f64(s.worst_residual)
         .put_f64(s.charge_ratio)
+        .put_f64(s.retention_min)
         .put_f64(s.timings.gen_vf)
         .put_f64(s.timings.petot_f)
         .put_f64(s.timings.gen_dens)
@@ -187,6 +188,7 @@ pub(crate) fn get_step(r: &mut ByteReader<'_>, what: &str) -> Result<Ls3dfStep, 
     let dv_integral = r.get_f64(&format!("{what}.dv_integral"))?;
     let worst_residual = r.get_f64(&format!("{what}.worst_residual"))?;
     let charge_ratio = r.get_f64(&format!("{what}.charge_ratio"))?;
+    let retention_min = r.get_f64(&format!("{what}.retention_min"))?;
     let mut t = [0f64; 4];
     for (k, slot) in t.iter_mut().enumerate() {
         *slot = r.get_f64(&format!("{what}.timings[{k}]"))?;
@@ -196,6 +198,7 @@ pub(crate) fn get_step(r: &mut ByteReader<'_>, what: &str) -> Result<Ls3dfStep, 
         dv_integral,
         worst_residual,
         charge_ratio,
+        retention_min,
         timings: StepTimings {
             gen_vf: t[0],
             petot_f: t[1],
@@ -206,7 +209,7 @@ pub(crate) fn get_step(r: &mut ByteReader<'_>, what: &str) -> Result<Ls3dfStep, 
 }
 
 pub(crate) fn encode_history(history: &[Ls3dfStep]) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(8 + history.len() * 64);
+    let mut w = ByteWriter::with_capacity(8 + history.len() * 72);
     w.put_u64(history.len() as u64);
     for s in history {
         put_step(&mut w, s);
@@ -345,6 +348,7 @@ mod tests {
                 dv_integral: 0.5,
                 worst_residual: 1e-3,
                 charge_ratio: 0.96875,
+                retention_min: 0.9375,
                 timings: StepTimings {
                     gen_vf: 0.1,
                     petot_f: 2.0,
@@ -357,6 +361,7 @@ mod tests {
                 dv_integral: 0.25,
                 worst_residual: 5e-4,
                 charge_ratio: 1.0,
+                retention_min: f64::NAN,
                 timings: StepTimings::default(),
             },
         ];
@@ -366,6 +371,8 @@ mod tests {
         assert_eq!(back[0].dv_integral.to_bits(), 0.5f64.to_bits());
         assert_eq!(back[1].worst_residual.to_bits(), 5e-4f64.to_bits());
         assert_eq!(back[0].charge_ratio.to_bits(), 0.96875f64.to_bits());
+        assert_eq!(back[0].retention_min.to_bits(), 0.9375f64.to_bits());
+        assert!(back[1].retention_min.is_nan());
     }
 
     #[test]
@@ -501,6 +508,7 @@ mod tests {
                 dv_integral: 0.5 / iteration as f64,
                 worst_residual: 1e-3,
                 charge_ratio: 0.97,
+                retention_min: 0.5,
                 timings: StepTimings::default(),
             };
             [

@@ -2,10 +2,10 @@
 //! wire codecs, over the `ls3df-ckpt` section container.
 //!
 //! The driver in `crate::scf` runs one stage sequence on every rank; the
-//! helpers here ([`gather_reports`], [`share_vnext`], [`gather_psi`]) and
-//! `ls3df_dist::collect_rank_telemetry` are the only code that looks at
-//! the communicator's rank and size. In the `M = 1` world they hand
-//! values through untouched: nothing is serialized.
+//! helpers here ([`gather_reports`], [`on_root`], [`share_vnext`],
+//! [`gather_psi`]) and `ls3df_dist::collect_rank_telemetry` are the only
+//! code that looks at the communicator's rank and size. In the `M = 1`
+//! world they hand values through untouched: nothing is serialized.
 //!
 //! Three message shapes cross the communicator per outer iteration:
 //!
@@ -30,7 +30,7 @@
 //! what they return. Typed errors, no physics.
 
 use crate::ckpt::{get_psi_block, get_step, put_psi_block, put_step};
-use crate::scf::Ls3dfStep;
+use crate::scf::{Ls3dfStep, Patch};
 use crate::supervise::{FragmentFault, QuarantineRecord, RetryAction, ATTEMPT_LADDER};
 use ls3df_ckpt::{ByteReader, ByteWriter, CkptError, SectionId, Snapshot};
 use ls3df_dist::{CommError, Communicator};
@@ -257,7 +257,7 @@ pub(crate) struct VnextMessage {
 
 /// Serializes the end-of-iteration broadcast.
 pub(crate) fn encode_vnext(msg: &VnextMessage) -> Snapshot {
-    let mut step = ByteWriter::with_capacity(64);
+    let mut step = ByteWriter::with_capacity(80);
     put_step(&mut step, &msg.step);
     step.put_u32(u32::from(msg.converged));
     let mut snap = Snapshot::new();
@@ -338,17 +338,25 @@ pub(crate) fn gather_reports(
     Ok(reports)
 }
 
-/// Share-from-root of the end-of-iteration state: `global_layer` runs on
-/// rank 0 only, and every rank returns the message it formed there.
+/// Runs `global` on rank 0 only: `Some` of its value there, `None` on
+/// every other rank (the global layer's work, e.g. the patch).
+pub(crate) fn on_root<T>(comm: &dyn Communicator, global: impl FnOnce() -> T) -> Option<T> {
+    (comm.rank() == 0).then(global)
+}
+
+/// Share-from-root of the end-of-iteration state: rank 0 holds the
+/// iteration's [`Patch`] (see [`on_root`]) and runs `global_layer` on it,
+/// and every rank returns the message formed there.
 pub(crate) fn share_vnext(
     comm: &dyn Communicator,
-    global_layer: impl FnOnce() -> VnextMessage,
+    patch: Option<Patch>,
+    global_layer: impl FnOnce(Patch) -> VnextMessage,
 ) -> Result<VnextMessage, CommError> {
-    if comm.rank() != 0 {
+    let Some(patch) = patch else {
         let bytes = comm.broadcast(0, Vec::new())?;
         return decode_vnext(&Snapshot::decode(&bytes).map_err(proto_err)?).map_err(proto_err);
-    }
-    let msg = global_layer();
+    };
+    let msg = global_layer(patch);
     if comm.size() > 1 {
         comm.broadcast(0, encode_vnext(&msg).encode().map_err(proto_err)?)?;
     }
@@ -427,6 +435,7 @@ mod tests {
                 dv_integral: 0.125,
                 worst_residual: 1e-5,
                 charge_ratio: 1.25,
+                retention_min: 0.875,
                 timings: StepTimings {
                     gen_vf: 0.1,
                     petot_f: 0.2,
@@ -477,6 +486,7 @@ mod tests {
             msg.step.dv_integral.to_bits()
         );
         assert_eq!(back.step.charge_ratio.to_bits(), 1.25f64.to_bits());
+        assert_eq!(back.step.retention_min.to_bits(), 0.875f64.to_bits());
         assert!(back.converged);
         for (a, b) in back.v_in.as_slice().iter().zip(msg.v_in.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());

@@ -49,8 +49,8 @@ pub use ls3df_ckpt::{CheckpointConfig, CheckpointPolicy, CkptError, CkptErrorKin
 pub use observer::{ScfObserver, ScfStage, SilentObserver};
 pub use passivate::{boundary_wall, fragment_atoms, FragmentAtoms, Passivation};
 pub use scf::{
-    fragment_occupations, Ls3df, Ls3dfBuilder, Ls3dfError, Ls3dfOptions, Ls3dfResult, Ls3dfStep,
-    StepTimings,
+    fragment_occupations, Effort, Ls3df, Ls3dfBuilder, Ls3dfError, Ls3dfOptions, Ls3dfResult,
+    Ls3dfStep, Patch, RegionCharge, StepTimings,
 };
 pub use supervise::{FragmentFault, InjectedFault, QuarantineRecord, RetryAction, ATTEMPT_LADDER};
 pub use trace_observer::TraceObserver;

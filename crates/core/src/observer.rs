@@ -122,6 +122,7 @@ mod tests {
             dv_integral: 1.0,
             worst_residual: 0.5,
             charge_ratio: 1.0,
+            retention_min: 1.0,
             timings: StepTimings::default(),
         }
     }

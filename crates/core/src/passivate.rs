@@ -82,13 +82,7 @@ pub fn fragment_atoms(
 
     for (idx, atom) in structure.atoms.iter().enumerate() {
         if in_region(atom.pos) {
-            let p = pseudo.get(atom.species);
-            atoms.push(PwAtom {
-                pos: to_box(atom.pos),
-                local: p.local,
-                kb_rb: p.kb.rb,
-                kb_energy: p.kb.e_kb,
-            });
+            atoms.push(PwAtom::new(to_box(atom.pos), &pseudo.get(atom.species)));
             global_indices.push(idx);
             n_electrons += atom.species.valence();
         }
@@ -122,13 +116,7 @@ pub fn fragment_atoms(
                 let inside_box = atoms[k].pos;
                 let h_pos: [f64; 3] = std::array::from_fn(|d| inside_box[d] + frac * dvec[d]);
                 let charge = si.passivant_charge();
-                let p = passivant_params(charge);
-                atoms.push(PwAtom {
-                    pos: h_pos,
-                    local: p.local,
-                    kb_rb: p.kb.rb,
-                    kb_energy: p.kb.e_kb,
-                });
+                atoms.push(PwAtom::new(h_pos, &passivant_params(charge)));
                 n_electrons += charge;
             }
         }

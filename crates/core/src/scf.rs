@@ -148,8 +148,73 @@ pub struct Ls3dfStep {
     /// `q = ∫ρ_patched` *before* the renormalization `ρ ← ρ·N_e/q`: how
     /// far the patch is from conserving charge on its own (1 when exact).
     pub charge_ratio: f64,
+    /// The worst fragment's charge retention, [`Patch::retention_min`]:
+    /// the minimum `q_region / z_region` (NaN if no region holds an atom).
+    pub retention_min: f64,
     /// Timing breakdown.
     pub timings: StepTimings,
+}
+
+/// How hard [`Ls3df::respond`] works the fragment eigenproblems. The
+/// default, zero rounds, solves nothing.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Effort {
+    /// Eigensolver steps per fragment per PEtot_F round.
+    pub cg_steps: usize,
+    /// PEtot_F rounds at most, stopping once the worst residual is below
+    /// `Ls3dfOptions::fragment_tol`; `0` patches the current ψ unsolved.
+    pub rounds: usize,
+}
+
+/// One fragment's charge in a [`Patch`].
+#[derive(Clone, Copy, Debug)]
+pub struct RegionCharge {
+    /// `∫_region ρ_F`: the fragment's charge inside its patched region.
+    pub q_region: f64,
+    /// Valence charge of the region's own atoms (passivants excluded).
+    pub z_region: f64,
+    /// The fragment's electron count `n_e(F)` (passivants included).
+    pub n_e: f64,
+}
+
+impl RegionCharge {
+    /// Charge retention `r_F = q_region / z_region` (1: all of it kept).
+    pub fn retention(&self) -> f64 {
+        self.q_region / self.z_region
+    }
+}
+
+/// What [`Ls3df::respond`] returns: the patched density at the current
+/// input potential, before the renormalization to the electron count.
+pub struct Patch {
+    /// `Σ_F α_F ρ_F|region`, not renormalized.
+    pub rho: RealField,
+    /// `∫ρ` of the patch (equal to `Σ_F α_F q_region`).
+    pub q: f64,
+    /// Worst residual after the last round (quarantined excluded).
+    pub worst_residual: f64,
+    /// The last round's failed solve attempts, fragment order.
+    pub faults: Vec<FragmentFault>,
+    /// Fragments whose whole retry ladder failed in the last round.
+    pub quarantined: Vec<QuarantineRecord>,
+    /// Gen_VF, PEtot_F and Gen_dens seconds (`genpot` is 0).
+    pub timings: StepTimings,
+    /// PEtot_F seconds per processor group (index = group rank).
+    pub group_petot_seconds: Vec<f64>,
+    /// Per-fragment charges, in fragment order.
+    pub fragments: Vec<RegionCharge>,
+}
+
+impl Patch {
+    /// The minimum [`RegionCharge::retention`] over the fragments whose
+    /// region holds an atom (`z_region > 0`); NaN if none does.
+    pub fn retention_min(&self) -> f64 {
+        self.fragments
+            .iter()
+            .filter(|f| f.z_region > 0.0)
+            .map(RegionCharge::retention)
+            .fold(f64::NAN, f64::min)
+    }
 }
 
 /// Pending injected failures for one fragment (validation hook: consumed
@@ -174,6 +239,8 @@ pub(crate) struct FragmentState {
     /// ([`supervised_solve`]).
     psi: Matrix<f64>,
     occupations: Vec<f64>,
+    /// Valence charge of the region's own atoms ([`RegionCharge::z_region`]).
+    z_region: f64,
     injected: InjectedCounters,
     /// True while the fragment carries stale (previous-iteration)
     /// wavefunctions because its last supervised solve exhausted the
@@ -247,13 +314,12 @@ pub struct Ls3dfResult {
     pub v_eff: RealField,
     /// Fragments whose whole retry ladder failed in some iteration (their
     /// previous-iteration density was reused; empty on a healthy run).
-    /// In a multi-group run the global rank (0) holds the merged list;
-    /// workers only see their own fragments' records.
+    /// In a multi-group run only the global rank (0) holds the list.
     pub quarantined: Vec<QuarantineRecord>,
     /// PEtot_F wall seconds accumulated per processor group over the
     /// whole run (index = group rank; one entry for a single-process
-    /// run). Workers only fill their own slot; the global rank holds
-    /// every group's total — the per-group load report.
+    /// run) — the per-group load report. Only the global rank (0) fills
+    /// it; a worker's entries stay 0.
     pub group_petot_seconds: Vec<f64>,
 }
 
@@ -723,19 +789,7 @@ impl Ls3df {
         let neighbors = structure.neighbor_list_within(topology_cutoff(structure));
 
         let global_basis = PwBasis::new(global_grid.clone(), opts.ecut);
-        let global_atoms: Vec<PwAtom> = structure
-            .atoms
-            .iter()
-            .map(|a| {
-                let p = opts.pseudo.get(a.species);
-                PwAtom {
-                    pos: a.pos,
-                    local: p.local,
-                    kb_rb: p.kb.rb,
-                    kb_energy: p.kb.e_kb,
-                }
-            })
-            .collect();
+        let global_atoms = PwAtom::of_structure(structure, &opts.pseudo);
         let v_ion_global = ionic_potential(&global_basis, &global_atoms);
         let rho0 = initial_density(&global_basis, &global_atoms, 1.4);
         let hartree = HartreeSolver::new(global_grid.clone());
@@ -803,6 +857,11 @@ impl Ls3df {
                 let n_occ = (fa.n_electrons / 2.0).ceil() as usize;
                 let n_bands = (n_occ + opts.n_extra_bands).max(1);
                 let occupations = fragment_occupations(n_bands, fa.n_electrons);
+                let z_region = fa
+                    .global_indices
+                    .iter()
+                    .map(|&g| structure.atoms[g].species.valence())
+                    .sum();
                 // Seed by fragment *type* only: fragments of the same size
                 // start from the same guess, so identical pieces produce
                 // bit-identical fragment solutions (exact patched-density
@@ -820,6 +879,7 @@ impl Ls3df {
                     delta_v,
                     psi,
                     occupations,
+                    z_region,
                     injected: InjectedCounters::default(),
                     quarantined: false,
                 }
@@ -1004,12 +1064,93 @@ impl Ls3df {
             .collect()
     }
 
-    /// **PEtot_F**: advances every fragment's eigenproblem by
-    /// `opts.cg_steps` solver iterations in its current potential.
-    /// Returns the worst residual across fragments.
-    pub fn petot_f(&mut self, vfs: &[RealField]) -> f64 {
-        self.petot_f_supervised(vfs, self.opts.cg_steps)
-            .worst_residual
+    /// The fixed-potential map the SCF iterates: **Gen_VF** at the current
+    /// input potential, [`Effort`]'s **PEtot_F** rounds, then
+    /// **Gen_dens**'s patch, *not* renormalized to the electron count. The
+    /// input potential and stored density stay as they are; the fragments
+    /// keep the wavefunctions solved here.
+    ///
+    /// Every rank must call it (each solves its group's fragments and
+    /// stops its rounds on their worst residual); only the global rank
+    /// (0), which holds every region, gets `Some`.
+    pub fn respond(&mut self, effort: Effort) -> Result<Option<Patch>, CommError> {
+        self.respond_observed(0, effort, &mut SilentObserver)
+    }
+
+    /// [`Ls3df::respond`], sending the Gen_VF and PEtot_F stage events of
+    /// outer iteration `iteration` (its gather tag) to `observer`.
+    fn respond_observed<O: ScfObserver>(
+        &mut self,
+        iteration: usize,
+        effort: Effort,
+        observer: &mut O,
+    ) -> Result<Option<Patch>, CommError> {
+        let mut timings = StepTimings::default();
+        let t = Stopwatch::start();
+        let vfs = {
+            let _s = span!("gen_vf");
+            self.gen_vf()
+        };
+        timings.gen_vf = t.seconds();
+        observer.on_stage(iteration, ScfStage::GenVf, timings.gen_vf);
+
+        let t = Stopwatch::start();
+        let mut report = PetotReport::default();
+        for _ in 0..effort.rounds {
+            report = self.petot_f_supervised(&vfs, effort.cg_steps);
+            if report.worst_residual < self.opts.fragment_tol {
+                break;
+            }
+        }
+        report.petot_seconds = t.seconds();
+
+        // Region densities travel bit-exact: the group count cannot change ρ.
+        let t = Stopwatch::start();
+        report.regions = self.gen_dens_parts(&self.plan.groups[self.comm.rank()]);
+        timings.gen_dens = t.seconds();
+
+        // The PEtot_F stage time includes the gather: on rank 0 that is the
+        // barrier wait (the paper reports the stage, not a rank).
+        let t = Stopwatch::start();
+        timings.petot_f = report.petot_seconds;
+        let reports = distrib::gather_reports(&*self.comm, iteration, report, self.n_fragments())?;
+        timings.petot_f += t.seconds();
+        observer.on_stage(iteration, ScfStage::PetotF, timings.petot_f);
+
+        // Fold the reports this rank holds (rank 0: every group's) into
+        // ascending fragment order, the order a one-group run produces them in.
+        let mut folded = PetotReport::default();
+        let mut group_petot_seconds = vec![0.0; self.plan.n_groups];
+        for (r, report) in reports {
+            folded.worst_residual = folded.worst_residual.max(report.worst_residual);
+            group_petot_seconds[r] += report.petot_seconds;
+            // Quarantine flags drive the Gen_dens check suspension.
+            for (i, quarantined) in report.flags {
+                self.fragments[i].quarantined = quarantined;
+            }
+            folded.faults.extend(report.faults);
+            folded.quarantined.extend(report.quarantined);
+            folded.regions.extend(report.regions);
+        }
+        folded.faults.sort_by_key(|f| (f.fragment, f.attempt));
+        folded.quarantined.sort_by_key(|r| r.fragment);
+        folded.regions.sort_by_key(|&(i, _)| i);
+
+        Ok(distrib::on_root(&*self.comm, || {
+            let t = Stopwatch::start();
+            let (rho, q, fragments) = self.patch_density(folded.regions);
+            timings.gen_dens += t.seconds();
+            Patch {
+                rho,
+                q,
+                worst_residual: folded.worst_residual,
+                faults: folded.faults,
+                quarantined: folded.quarantined,
+                timings,
+                group_petot_seconds,
+                fragments,
+            }
+        }))
     }
 
     /// The supervised PEtot_F stage: every fragment solve runs under
@@ -1075,14 +1216,6 @@ impl Ls3df {
         out
     }
 
-    /// **Gen_dens**: patches fragment densities into the global density
-    /// with the `α_F = ±1` weights, then rescales to the exact
-    /// electron count.
-    pub fn gen_dens(&self) -> RealField {
-        let all: Vec<usize> = (0..self.fragments.len()).collect();
-        self.patch_density(self.gen_dens_parts(&all)).0
-    }
-
     /// The parallel half of **Gen_dens**, restricted to `indices`: each
     /// listed fragment's box density reduced to its region. Every rank
     /// computes this for its owned fragments and the global layer merges
@@ -1121,28 +1254,33 @@ impl Ls3df {
     }
 
     /// The sequential half of **Gen_dens**: accumulates region parts in
-    /// fixed ascending fragment order (the global-array reduction),
-    /// verifies the patching invariants, and renormalizes to the exact
-    /// electron count, returning it with `q/N_e` (the patched charge
-    /// before that renormalization, over the electron count). `parts` must
-    /// be sorted by fragment index — the
-    /// caller guarantees it (`gen_dens_parts` preserves the order of its
-    /// `indices`, and the global layer sorts its fold), so the summation tree
-    /// is a function of the fragment list alone — the patched density is
-    /// bit-identical from run to run, across LS3DF_THREADS settings, and
-    /// across group counts.
-    fn patch_density(&self, parts: Vec<(usize, RealField)>) -> (RealField, f64) {
+    /// fixed ascending fragment order (the global-array reduction) and
+    /// verifies the patching invariants, returning the patch with its
+    /// charge `q = ∫ρ` and each part's [`RegionCharge`] — the
+    /// renormalization to the electron count is the SCF's global layer's.
+    /// `parts` must be sorted by fragment index — the caller guarantees it
+    /// (`gen_dens_parts` preserves the order of its `indices`, and
+    /// `respond` sorts its fold), so the summation tree is a function of
+    /// the fragment list alone — the patched density is bit-identical from
+    /// run to run, across LS3DF_THREADS settings, and across group counts.
+    fn patch_density(&self, parts: Vec<(usize, RealField)>) -> (RealField, f64, Vec<RegionCharge>) {
         let _s = span!("gen_dens");
         let mut rho = RealField::zeros(self.global_grid.clone());
         let mut signed_region_charge = 0.0;
         let mut gross_patch_scale = 0.0;
+        let mut charges = Vec::with_capacity(parts.len());
         for (i, region) in parts {
             let fs = &self.fragments[i];
             let origin = self.fg.region_origin(&fs.fragment);
             rho.accumulate_subbox(origin, &region, fs.fragment.alpha());
+            let charge = RegionCharge {
+                q_region: region.integrate(),
+                z_region: fs.z_region,
+                n_e: fs.occupations.iter().sum(),
+            };
+            charges.push(charge);
             if check::ENABLED {
-                let region_q = region.integrate();
-                let n_e_f: f64 = fs.occupations.iter().sum();
+                let (region_q, n_e_f) = (charge.q_region, charge.n_e);
                 // Structural per-fragment bound: the box density
                 // integrates to the fragment's own electron count and is
                 // nonnegative, so the region part lives in [0, n_e(F)]
@@ -1161,7 +1299,7 @@ impl Ls3df {
                 gross_patch_scale += fs.fragment.alpha().abs() * n_e_f;
             }
         }
-        // Global invariants, verified *before* the renormalization hides
+        // Global invariants, verified *before* the renormalization can hide
         // any violation. Patching linearity (∫ρ = Σ α_F ∫ρ_F|region) is
         // exact up to rounding at every iteration and catches assembly
         // bugs; the physics check against the electron count is a loose
@@ -1172,7 +1310,7 @@ impl Ls3df {
         // diagnostic assumes every fragment density came from the same
         // input potential; a quarantined fragment patches a stale
         // density, so while one is present only finiteness is enforced
-        // (the renormalization below still pins the exact electron
+        // (the SCF's renormalization still pins the exact electron
         // count).
         let q = rho.integrate();
         if check::ENABLED {
@@ -1192,11 +1330,7 @@ impl Ls3df {
                 ));
             }
         }
-        // Charge renormalization.
-        if q.abs() > 1e-12 {
-            rho.scale(self.n_electrons / q);
-        }
-        (rho, q / self.n_electrons)
+        (rho, q, charges)
     }
 
     /// **GENPOT**: global Poisson + XC from the patched density, through
@@ -1307,73 +1441,33 @@ impl Ls3df {
     }
 
     /// One outer iteration: the paper's §III hierarchy as one stage
-    /// sequence, the same on every rank. Each group solves its own
-    /// fragments and reports their region densities; rank 0 — the thin
-    /// global layer — patches ρ, runs GENPOT and mixes; every rank adopts
-    /// the shared result. Only the `distrib` exchanges know the world's
-    /// size and who is rank 0.
+    /// sequence, the same on every rank. [`Ls3df::respond`] solves each
+    /// group's fragments and patches their regions on rank 0; there the
+    /// thin global layer renormalizes ρ, runs GENPOT and mixes; every rank
+    /// adopts the shared result. Only the `distrib` exchanges know the
+    /// world's size and who is rank 0.
     fn scf_iteration<O: ScfObserver>(
         &mut self,
         run: &mut ScfRun,
         observer: &mut O,
     ) -> Result<(), CommError> {
         let iteration = run.iteration;
-        let mut timings = StepTimings::default();
         let _iter_span = span!("scf_iter", iteration);
-
-        let t = Stopwatch::start();
-        let vfs = {
-            let _s = span!("gen_vf");
-            self.gen_vf()
-        };
-        timings.gen_vf = t.seconds();
-        observer.on_stage(iteration, ScfStage::GenVf, timings.gen_vf);
-
-        let t = Stopwatch::start();
-        let steps = match iteration {
+        let cg_steps = match iteration {
             1 => self.opts.initial_cg_steps.max(self.opts.cg_steps),
             _ => self.opts.cg_steps,
         };
-        let mut report = self.petot_f_supervised(&vfs, steps);
-        report.petot_seconds = t.seconds();
-
-        // Region densities travel bit-exact: the group count cannot change ρ.
-        let t = Stopwatch::start();
-        report.regions = self.gen_dens_parts(&self.plan.groups[self.comm.rank()]);
-        timings.gen_dens = t.seconds();
-
-        // The PEtot_F stage time includes the gather: on rank 0 that is the
-        // barrier wait (the paper reports the stage, not a rank).
-        let t = Stopwatch::start();
-        timings.petot_f = report.petot_seconds;
-        let reports = distrib::gather_reports(&*self.comm, iteration, report, self.n_fragments())?;
-        timings.petot_f += t.seconds();
-        observer.on_stage(iteration, ScfStage::PetotF, timings.petot_f);
-
-        // Fold the reports this rank holds (rank 0: every group's) into
-        // ascending fragment order, the order a one-group run produces them in.
-        let mut folded = PetotReport::default();
-        for (r, report) in reports {
-            folded.worst_residual = folded.worst_residual.max(report.worst_residual);
-            run.group_petot_seconds[r] += report.petot_seconds;
-            // Quarantine flags drive the Gen_dens check suspension.
-            for (i, quarantined) in report.flags {
-                self.fragments[i].quarantined = quarantined;
-            }
-            folded.faults.extend(report.faults);
-            folded.quarantined.extend(report.quarantined);
-            folded.regions.extend(report.regions);
-        }
-        folded.faults.sort_by_key(|f| (f.fragment, f.attempt));
-        folded.quarantined.sort_by_key(|r| r.fragment);
-        folded.regions.sort_by_key(|&(i, _)| i);
-        run.quarantined.extend(folded.quarantined.iter().cloned());
+        let effort = Effort {
+            cg_steps,
+            rounds: 1,
+        };
+        let patch = self.respond_observed(iteration, effort, observer)?;
 
         // Every rank finishes the iteration with identical state and history.
         // V_in becomes the *next* iteration's input before any snapshot is
         // cut: a resumed run starts from the potential it would have used.
-        let msg = distrib::share_vnext(&*self.comm, || {
-            self.global_layer(iteration, folded, timings, &mut run.mixer, observer)
+        let msg = distrib::share_vnext(&*self.comm, patch, |patch| {
+            self.global_layer(iteration, patch, run, observer)
         })?;
         self.v_in = msg.v_in;
         self.rho = msg.rho;
@@ -1388,27 +1482,38 @@ impl Ls3df {
     }
 
     /// The global layer of one iteration (rank 0 only): replays the fault
-    /// events, then Gen_dens patch, GENPOT and mixing. `timings` arrives
-    /// holding this rank's stages so far (`gen_dens`: its own regions).
+    /// events, renormalizes the patch to the electron count, then GENPOT
+    /// and mixing.
     fn global_layer<O: ScfObserver>(
         &self,
         iteration: usize,
-        folded: PetotReport,
-        mut timings: StepTimings,
-        mixer: &mut MixerState,
+        patch: Patch,
+        run: &mut ScfRun,
         observer: &mut O,
     ) -> distrib::VnextMessage {
-        counter_add(Counter::RetryRungs, folded.faults.len() as u64);
-        counter_add(Counter::Quarantines, folded.quarantined.len() as u64);
-        for fault in &folded.faults {
+        counter_add(Counter::RetryRungs, patch.faults.len() as u64);
+        counter_add(Counter::Quarantines, patch.quarantined.len() as u64);
+        for fault in &patch.faults {
             observer.on_fragment_retry(iteration, fault);
         }
-        for record in &folded.quarantined {
+        for record in &patch.quarantined {
             observer.on_fragment_quarantined(iteration, record);
         }
+        for (total, seconds) in run
+            .group_petot_seconds
+            .iter_mut()
+            .zip(&patch.group_petot_seconds)
+        {
+            *total += seconds;
+        }
+        let retention_min = patch.retention_min();
+        run.quarantined.extend(patch.quarantined);
+        let (q, mut rho, mut timings) = (patch.q, patch.rho, patch.timings);
 
         let t = Stopwatch::start();
-        let (rho, charge_ratio) = self.patch_density(folded.regions);
+        if q.abs() > 1e-12 {
+            rho.scale(self.n_electrons / q);
+        }
         timings.gen_dens += t.seconds();
         observer.on_stage(iteration, ScfStage::GenDens, timings.gen_dens);
 
@@ -1419,7 +1524,7 @@ impl Ls3df {
             let dv_integral = v_out.diff(&self.v_in).integrate_abs();
             let mixed = {
                 let _m = span!("mix");
-                mixer.mix(&self.v_in, &v_out, self.global_basis.fft())
+                run.mixer.mix(&self.v_in, &v_out, self.global_basis.fft())
             };
             (v_out, dv_integral, mixed)
         };
@@ -1433,8 +1538,9 @@ impl Ls3df {
             step: Ls3dfStep {
                 iteration,
                 dv_integral,
-                worst_residual: folded.worst_residual,
-                charge_ratio,
+                worst_residual: patch.worst_residual,
+                charge_ratio: q / self.n_electrons,
+                retention_min,
                 timings,
             },
             converged,
@@ -1586,6 +1692,20 @@ impl Ls3df {
 mod tests {
     use super::*;
 
+    /// The crystal8 set on 6-point pieces with a 2-point buffer.
+    fn small_crystal_opts() -> Ls3dfOptions {
+        Ls3dfOptions {
+            ecut: 1.5,
+            piece_pts: [6, 6, 6],
+            buffer_pts: [2, 2, 2],
+            passivation: Passivation::WallOnly,
+            wall_height: 1.5,
+            n_extra_bands: 2,
+            pseudo: PseudoTable::deep_well(2.0, 0.8),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn fragment_occupations_fractional() {
         assert_eq!(fragment_occupations(4, 6.0), vec![2.0, 2.0, 2.0, 0.0]);
@@ -1688,17 +1808,10 @@ mod tests {
         }
         let s = ls3df_atoms::model_crystal([2, 2, 2], 6.5);
         let opts = Ls3dfOptions {
-            ecut: 1.5,
-            piece_pts: [6, 6, 6],
-            buffer_pts: [2, 2, 2],
-            passivation: Passivation::WallOnly,
-            wall_height: 1.5,
-            n_extra_bands: 2,
             cg_steps: 6,
             initial_cg_steps: 10,
             max_scf: 1,
-            pseudo: PseudoTable::deep_well(2.0, 0.8),
-            ..Default::default()
+            ..small_crystal_opts()
         };
         let mut calc = Ls3df::builder(&s)
             .fragments([2, 2, 2])
@@ -1725,23 +1838,17 @@ mod tests {
     #[test]
     fn charge_ratio_is_the_patched_charge_before_renormalization() {
         // The crystal8 set, two iterations, a snapshot after each: every
-        // step's q/N_e round-trips through the snapshot bit for bit, the
-        // last equals ∫ρ_patched/N_e re-patched from the fragments' final
-        // ψ before renormalization, and the run digest ignores it.
+        // step's q/N_e and retention round-trip through the snapshot bit
+        // for bit, the last step's equal those of an unsolved `respond`
+        // (rounds 0) re-patching the fragments' final ψ, and the run digest
+        // ignores both.
         let s = ls3df_atoms::model_crystal([2, 2, 2], 6.5);
         let opts = Ls3dfOptions {
-            ecut: 1.5,
-            piece_pts: [6, 6, 6],
-            buffer_pts: [2, 2, 2],
-            passivation: Passivation::WallOnly,
-            wall_height: 1.5,
-            n_extra_bands: 2,
             cg_steps: 4,
             initial_cg_steps: 12,
             max_scf: 2,
             tol: 1e-12,
-            pseudo: PseudoTable::deep_well(2.0, 0.8),
-            ..Default::default()
+            ..small_crystal_opts()
         };
         let dir = std::env::temp_dir().join(format!("ls3df-charge-ratio-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1758,16 +1865,17 @@ mod tests {
         let mut res = calc.scf();
         assert_eq!(res.history.len(), 2);
 
-        let all: Vec<usize> = (0..calc.n_fragments()).collect();
-        let mut patched = RealField::zeros(calc.global_grid.clone());
-        for (i, region) in calc.gen_dens_parts(&all) {
-            let f = &calc.fragments[i].fragment;
-            patched.accumulate_subbox(calc.fg.region_origin(f), &region, f.alpha());
-        }
-        let q = patched.integrate() / calc.n_electrons();
+        let patch = calc
+            .respond(Effort::default())
+            .expect("one rank")
+            .expect("root");
+        let q = patch.q / calc.n_electrons();
         let last = res.history[1].charge_ratio;
         assert_eq!(q.to_bits(), last.to_bits(), "{q} vs {last}");
         assert!((last - 1.0).abs() < 0.25, "q/N_e = {last}");
+        let retention = res.history[1].retention_min;
+        assert_eq!(patch.retention_min().to_bits(), retention.to_bits());
+        assert!(retention > 0.5 && retention <= 1.0, "r_F min = {retention}");
 
         let path = ls3df_ckpt::latest_snapshot(&dir)
             .expect("list snapshots")
@@ -1781,13 +1889,15 @@ mod tests {
         let history = &resumed.resume.as_ref().expect("restored run").history;
         for (a, b) in history.iter().zip(&res.history) {
             assert_eq!(a.charge_ratio.to_bits(), b.charge_ratio.to_bits());
+            assert_eq!(a.retention_min.to_bits(), b.retention_min.to_bits());
         }
         let _ = std::fs::remove_dir_all(&dir);
 
         let digest = res.digest();
         for step in &mut res.history {
             step.charge_ratio = f64::NAN;
+            step.retention_min = f64::NAN;
         }
-        assert_eq!(res.digest(), digest, "q/N_e is not part of the digest");
+        assert_eq!(res.digest(), digest, "q/N_e and r_F are not in the digest");
     }
 }

@@ -257,6 +257,7 @@ mod tests {
                 dv_integral: 0.25,
                 worst_residual: 1e-4,
                 charge_ratio: 1.0,
+                retention_min: 1.0,
                 timings: StepTimings {
                     gen_vf: 0.5,
                     petot_f: 2.0,

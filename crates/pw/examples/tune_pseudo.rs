@@ -5,25 +5,11 @@
 //! Run: `cargo run -p ls3df-pw --example tune_pseudo --release [ecut_ha]`
 
 use ls3df_atoms::{znte_supercell, Species, ZNTE_LATTICE};
-use ls3df_pseudo::params_for;
+use ls3df_pseudo::PseudoTable;
 use ls3df_pw::{grid_for, scf, DftSystem, PwAtom, ScfOptions};
 
-fn to_pw_atoms(s: &ls3df_atoms::Structure) -> Vec<PwAtom> {
-    s.atoms
-        .iter()
-        .map(|a| {
-            let p = params_for(a.species);
-            PwAtom {
-                pos: a.pos,
-                local: p.local,
-                kb_rb: p.kb.rb,
-                kb_energy: p.kb.e_kb,
-            }
-        })
-        .collect()
-}
-
 fn main() {
+    let table = PseudoTable::default();
     let ecut: f64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -40,7 +26,7 @@ fn main() {
     let sys = DftSystem {
         grid: grid_for(s.lengths, ecut),
         ecut,
-        atoms: to_pw_atoms(&s),
+        atoms: PwAtom::of_structure(&s, &table),
     };
     println!(
         "ZnTe 1x1x1: {} atoms, {} electrons, grid {:?}, ecut {} Ha",
@@ -83,7 +69,7 @@ fn main() {
     let sys2 = DftSystem {
         grid: grid_for(s2.lengths, ecut),
         ecut,
-        atoms: to_pw_atoms(&s2),
+        atoms: PwAtom::of_structure(&s2, &table),
     };
     println!(
         "\nZnTe:O {} ({} electrons)",

@@ -30,7 +30,7 @@
 //! keep one pair per band.
 
 use crate::basis::HalfSphere;
-use crate::{Coeff, PwBasis};
+use crate::{Coeff, PwAtom, PwBasis};
 use ls3df_fft::Fft3Workspace;
 use ls3df_grid::RealField;
 use ls3df_math::gemm::{gemm_into, GemmScratch, Op};
@@ -84,6 +84,20 @@ impl NonlocalPotential {
                 }
             },
             e_kb,
+        )
+    }
+
+    /// Gaussian projectors `exp(−q²·r_b²/2)` of strength `kb_energy` on
+    /// every atom — a [`crate::DftSystem`]'s nonlocal part.
+    pub fn of_atoms(basis: &PwBasis, atoms: &[PwAtom]) -> Self {
+        let positions: Vec<[f64; 3]> = atoms.iter().map(|a| a.pos).collect();
+        let e_kb: Vec<f64> = atoms.iter().map(|a| a.kb_energy).collect();
+        let rb = |a: usize| atoms[a].kb_rb;
+        Self::new(
+            basis,
+            &positions,
+            |a, q| (-q * q * rb(a) * rb(a) / 2.0).exp(),
+            &e_kb,
         )
     }
 

@@ -2,10 +2,11 @@
 //! self-consistent effective potential `V_eff = V_ion + V_H[ρ] + V_xc[ρ]`.
 
 use crate::{hartree, xc, PwBasis};
+use ls3df_atoms::Structure;
 use ls3df_fft::Fft3r;
 use ls3df_grid::RealField;
 use ls3df_math::{c64, KernelPolicy};
-use ls3df_pseudo::LocalPotential;
+use ls3df_pseudo::{LocalPotential, PseudoParams, PseudoTable};
 
 /// One atom as the planewave engine sees it: position + pseudopotential
 /// parameters (the chemistry lives in `ls3df-atoms`/`ls3df-pseudo`).
@@ -19,6 +20,26 @@ pub struct PwAtom {
     pub kb_rb: f64,
     /// KB projector strength (Hartree); 0 = no nonlocal part.
     pub kb_energy: f64,
+}
+
+impl PwAtom {
+    /// The atom of pseudopotential `p` at `pos`.
+    pub fn new(pos: [f64; 3], p: &PseudoParams) -> Self {
+        PwAtom {
+            pos,
+            local: p.local,
+            kb_rb: p.kb.rb,
+            kb_energy: p.kb.e_kb,
+        }
+    }
+
+    /// Every atom of `s`, with its species' entry of `table`.
+    pub fn of_structure(s: &Structure, table: &PseudoTable) -> Vec<PwAtom> {
+        s.atoms
+            .iter()
+            .map(|a| PwAtom::new(a.pos, &table.get(a.species)))
+            .collect()
+    }
 }
 
 /// Builds the total ionic local potential `V_ion(r)` on the basis grid by
@@ -182,6 +203,14 @@ fn assemble_effective(
 mod tests {
     use super::*;
     use ls3df_grid::Grid3;
+
+    #[test]
+    fn structure_atoms_inherit_table() {
+        let s = ls3df_atoms::model_crystal([2, 2, 2], 5.0);
+        let atoms = PwAtom::of_structure(&s, &PseudoTable::deep_well(2.0, 0.8));
+        assert_eq!(atoms.len(), 8);
+        assert!(atoms.iter().all(|a| a.local.z == 2.0 && a.kb_energy == 0.0));
+    }
 
     fn test_atoms() -> Vec<PwAtom> {
         vec![

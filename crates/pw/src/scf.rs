@@ -141,15 +141,7 @@ pub fn setup(
     init_width: f64,
 ) -> (PwBasis, NonlocalPotential, RealField, RealField) {
     let basis = PwBasis::new(system.grid.clone(), system.ecut);
-    let positions: Vec<[f64; 3]> = system.atoms.iter().map(|a| a.pos).collect();
-    let e_kb: Vec<f64> = system.atoms.iter().map(|a| a.kb_energy).collect();
-    let widths: Vec<f64> = system.atoms.iter().map(|a| a.kb_rb).collect();
-    let nonlocal = NonlocalPotential::new(
-        &basis,
-        &positions,
-        |a, q| (-q * q * widths[a] * widths[a] / 2.0).exp(),
-        &e_kb,
-    );
+    let nonlocal = NonlocalPotential::of_atoms(&basis, &system.atoms);
     let v_ion = ionic_potential(&basis, &system.atoms);
     let rho0 = initial_density(&basis, &system.atoms, init_width);
     (basis, nonlocal, v_ion, rho0)

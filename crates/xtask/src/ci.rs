@@ -52,9 +52,13 @@
 //!    trajectories bit-identical across thread/rank/resume variants);
 //!    a non-zero exit fails the step. The benchmark is a package of
 //!    its own outside the workspace, so nothing else builds or tests it.
-//! 10. `cargo xtask schedules` (in-process) — pool suite + SCF digest
+//! 10. `accuracy`: `cargo run -p ls3df-bench --bin accuracy --release
+//!     --offline` — the model crystal's LS3DF and direct SCFs must both
+//!     converge (exit 0), and the run prints the fixed-potential table
+//!     from `Ls3df::respond`, which nothing else runs.
+//! 11. `cargo xtask schedules` (in-process) — pool suite + SCF digest
 //!     matrix under every adversarial work-stealing schedule.
-//! 11. `cargo xtask miri` (in-process) — the curated unsafe-core filter
+//! 12. `cargo xtask miri` (in-process) — the curated unsafe-core filter
 //!     under Miri; reported as a loud SKIP when the nightly component is
 //!     unavailable (the offline container cannot install it).
 //!
@@ -121,6 +125,9 @@ const TEST_STEPS: &[CargoStep] = &[
      &[]),
     ("bench-harness [smoke]",
      &["run", "--release", "--offline", "--quiet", "--manifest-path", "benchmark/Cargo.toml", "--", "--smoke"],
+     &[]),
+    ("accuracy",
+     &["run", "-p", "ls3df-bench", "--bin", "accuracy", "--release", "--offline"],
      &[]),
 ];
 

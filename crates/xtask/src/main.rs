@@ -11,9 +11,9 @@
 //!   and SCF digest matrix under every adversarial work-selection order;
 //! * `cargo xtask ci` — the tier-1 gate: fmt, clippy, lint, the
 //!   workspace test suite under both scheduling regimes, zero-alloc,
-//!   mem-budget, obs-report, obs-dist, bench-harness, schedules, miri — with an
-//!   `--offline` fallback for each cargo step when the registry is
-//!   unreachable.
+//!   mem-budget, obs-report, obs-dist, bench-harness, accuracy, schedules,
+//!   miri — with an `--offline` fallback for each cargo step when the
+//!   registry is unreachable.
 
 #![forbid(unsafe_code)]
 
@@ -37,7 +37,7 @@ fn usage() -> &'static str {
                   adversarial work-stealing schedule\n\
        ci         run the full tier-1 gate (fmt, clippy, lint, workspace\n\
                   tests, zero-alloc, mem-budget, obs-report, obs-dist,\n\
-                  bench-harness, schedules, miri)\n"
+                  bench-harness, accuracy, schedules, miri)\n"
 }
 
 /// Workspace root: xtask lives at `<root>/crates/xtask`.

@@ -140,11 +140,12 @@ fn wrong_format_version_and_magic_are_typed_errors() {
     wrong_version[8..12].copy_from_slice(&99u32.to_le_bytes());
     let err = resume_error("version", &wrong_version);
     assert_eq!(err.kind(), CkptErrorKind::UnsupportedVersion, "{err}");
-    // Version 1 stored full-sphere `(re, im)` blocks and version 2 a
-    // `SCHEME` section and scheme words in the fingerprint: both are
-    // refused by version, never decoded.
-    assert_eq!(ls3df::ckpt::FORMAT_VERSION, 3);
-    for old in [1u32, 2] {
+    // Version 1 stored full-sphere `(re, im)` blocks, version 2 a
+    // `SCHEME` section and scheme words in the fingerprint, and version 3
+    // step records without the charge retention: all are refused by
+    // version, never decoded.
+    assert_eq!(ls3df::ckpt::FORMAT_VERSION, 4);
+    for old in [1u32, 2, 3] {
         let mut stale = good.to_vec();
         stale[8..12].copy_from_slice(&old.to_le_bytes());
         let err = resume_error(&format!("version-{old}"), &stale);

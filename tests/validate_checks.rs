@@ -3,7 +3,7 @@
 //! with the right SCF step name (debug/test builds compile the layer in;
 //! see `ls3df_core::check::ENABLED`).
 
-use ls3df::core::{Ls3df, Ls3dfOptions, Passivation};
+use ls3df::core::{Effort, Ls3df, Ls3dfOptions, Passivation};
 use ls3df::grid::{Grid3, RealField};
 use ls3df::pw::Mixer;
 use ls3df_atoms::model_crystal;
@@ -45,7 +45,8 @@ fn small_calc(v_in: Option<RealField>) -> Ls3df {
 
 /// A fragment whose density went wrong (here: its wavefunctions scaled by
 /// 10, inflating its density 100×) must trip the Gen_dens charge check
-/// *before* the renormalization silently absorbs the corruption.
+/// *before* the renormalization silently absorbs the corruption. The patch
+/// runs with no solve round: a solve would re-orthonormalize the scaled ψ.
 #[test]
 #[should_panic(expected = "LS3DF invariant violated at Gen_dens")]
 fn corrupted_fragment_density_trips_charge_check() {
@@ -53,7 +54,7 @@ fn corrupted_fragment_density_trips_charge_check() {
     for i in 0..4 {
         calc.scale_fragment_psi(i, 10.0);
     }
-    let _ = calc.gen_dens();
+    let _ = calc.respond(Effort::default());
 }
 
 /// A NaN injected into the global input potential must be reported by the
