@@ -21,6 +21,8 @@
 //! | `fft_kernels` | FFT/GEMM kernel A/B table (`BENCH_fft_kernels.json`) |
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 #![warn(missing_docs)]
 
 /// Exit status of a bin that prints accuracy numbers: failure, naming the

@@ -130,6 +130,10 @@ impl std::error::Error for InvariantViolation {}
 
 /// Panics on a violation (the `debug_assert!` contract: invariant
 /// violations are programming errors and must not propagate silently).
+#[expect(
+    clippy::panic,
+    reason = "enforce() implements the debug_assert contract: a violated numeric invariant is a programming error and must abort, not propagate"
+)]
 pub fn enforce(result: Result<(), InvariantViolation>) {
     if let Err(v) = result {
         panic!("{v}");

@@ -115,9 +115,9 @@ impl Fragment {
 /// Allocation-free fragment identifier: carries corner and extent, and
 /// renders as `F[i,j,k](s1xs2xs3)` via [`Display`](std::fmt::Display).
 /// Replaces the old `Fragment::label() -> String` in fault/observer hot
-/// paths — `Copy`, `Eq`, and `Hash`, so it can key maps and travel
+/// paths — `Copy`, `Ord`, and `Hash`, so it can key maps and travel
 /// through channels without heap traffic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FragmentId {
     /// Piece index of the fragment's low corner.
     pub corner: [usize; 3],
@@ -468,7 +468,7 @@ mod tests {
         assert_eq!(id, copied);
         // Unique per fragment, so ids can key maps.
         let fg = FragmentGrid::new([2, 2, 2], &grid([2, 2, 2], 4), [1, 1, 1]).unwrap();
-        let ids: std::collections::HashSet<_> = fg.fragments().iter().map(|f| f.id()).collect();
+        let ids: std::collections::BTreeSet<_> = fg.fragments().iter().map(|f| f.id()).collect();
         assert_eq!(ids.len(), fg.n_fragments());
     }
 }

@@ -49,6 +49,10 @@ pub struct FsmState {
 /// Finds the `opts.n_states` eigenstates of `h` closest to `e_ref` by
 /// minimizing the folded operator `(H − ε_ref)²` with a preconditioned
 /// block steepest-descent + Rayleigh–Ritz scheme.
+#[expect(
+    clippy::expect_used,
+    reason = "the seeded random start block is full-rank with probability 1, so its orthonormalization cannot fail"
+)]
 pub fn folded_spectrum(
     h: &Hamiltonian<'_>,
     e_ref: f64,

@@ -69,9 +69,13 @@ pub fn fragment_atoms(
     let in_region = |pos: [f64; 3]| -> bool {
         (0..3).all(|d| wrap(pos[d] - lo[d], lengths[d]) < region_len[d])
     };
-    // Box-frame coordinates: offset from the box origin, wrapped into the
-    // global cell first (the box is smaller than origin + global period in
-    // every sane configuration).
+    // Box-frame coordinates: offset from the box origin, wrapped into
+    // [0, global period). That is right only while the box is no longer
+    // than the period. At m = 2 a size-2 box is longer, so the wrap can
+    // place a region atom in the low buffer instead of the region: on
+    // fig6's relaxed alloy, 11, 25 and 44 region atoms of the 2-, 4- and
+    // 8-piece boxes land there. ROADMAP item 4 (image-aware placement,
+    // which must land with image-aware cut bonds) is the fix.
     let to_box = |pos: [f64; 3]| -> [f64; 3] {
         std::array::from_fn(|d| wrap(pos[d] - box_origin[d], lengths[d]))
     };

@@ -148,7 +148,8 @@ mod tests {
         assert_eq!(ATTEMPT_LADDER[0], RetryAction::Primary);
         assert_eq!(ATTEMPT_LADDER.len(), 4);
         // Names are distinct (they key log lines and test assertions).
-        let names: std::collections::HashSet<_> = ATTEMPT_LADDER.iter().map(|a| a.name()).collect();
+        let names: std::collections::BTreeSet<_> =
+            ATTEMPT_LADDER.iter().map(|a| a.name()).collect();
         assert_eq!(names.len(), 4);
     }
 

@@ -37,6 +37,8 @@
 //! handle [`CommError`] use the driver's `try_scf` entry points.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 #![warn(missing_docs)]
 
 mod collect;

@@ -5,6 +5,8 @@
 //! paper's Gen_VF and Gen_dens steps).
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 #![warn(missing_docs)]
 
 mod field;

@@ -32,6 +32,8 @@
 // One audited `unsafe`: the call into the AVX2 instantiation of the packed
 // kernel (`microkernel::run`). The `forbid-unsafe` lint allows no second.
 #![deny(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 #![warn(missing_docs)]
 #![allow(non_camel_case_types)]
 

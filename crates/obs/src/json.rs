@@ -171,7 +171,7 @@ fn push_indent(out: &mut String, indent: usize) {
 fn render_number(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
-    } else if v == v.trunc() && v.abs() < 9.0e15 {
+    } else if v.fract() == 0.0 && v.abs() < 9.0e15 {
         let _ = write!(out, "{}", v as i64);
     } else {
         // `{:?}` is Rust's shortest round-trip float formatting.

@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_snake_case() {
-        let names: std::collections::HashSet<_> = Counter::ALL.iter().map(|c| c.name()).collect();
+        let names: std::collections::BTreeSet<_> = Counter::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), Counter::ALL.len());
         for name in names {
             assert!(name

@@ -627,8 +627,8 @@ pub fn aggregate_spans(
 
     let mut rows: Vec<SpanRow> = Vec::new();
     let mut child_seconds: Vec<f64> = Vec::new();
-    let mut index_of_path: std::collections::HashMap<String, usize> =
-        std::collections::HashMap::new();
+    let mut index_of_path: std::collections::BTreeMap<String, usize> =
+        std::collections::BTreeMap::new();
     let mut stack: Vec<(&'static str, usize)> = Vec::new(); // (label, row index)
     let mut last_tid = None;
     for span in &order {

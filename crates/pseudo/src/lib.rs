@@ -10,6 +10,8 @@
 //! DESIGN.md for why this preserves the algorithmic behaviour under study.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 #![warn(missing_docs)]
 
 mod db;

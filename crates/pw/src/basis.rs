@@ -293,6 +293,10 @@ impl PwBasis {
     }
 
     /// Index of the `G = 0` planewave within the basis.
+    #[expect(
+        clippy::expect_used,
+        reason = "G = 0 lies inside every ecut > 0 sphere by construction, so g0_index() always finds it"
+    )]
     pub fn g0_index(&self) -> usize {
         self.g2
             .iter()
@@ -609,6 +613,10 @@ impl PwBasis {
     /// average `(F(G) + conj(F(−G)))/2` reproduces the complex path's
     /// real-part projection exactly. Only those planes pay the second
     /// structure-factor evaluation.
+    #[expect(
+        clippy::expect_used,
+        reason = "`out_g` has exactly one slot per visited bin (asserted on entry), so the slot iterator never runs dry"
+    )]
     pub fn lattice_sum_packed<F: Fn(usize, f64) -> f64>(
         &self,
         positions: &[[f64; 3]],

@@ -448,6 +448,10 @@ pub fn cg_step<S: Coeff>(
 ///
 /// `psi` holds the starting guess `(n_bands × n_pw)` and is overwritten by
 /// the converged eigenvectors (ascending eigenvalue order).
+#[expect(
+    clippy::expect_used,
+    reason = "start blocks are full-rank and the iterate overlap stays positive definite by construction; documented invariant expect"
+)]
 pub fn solve_all_band(
     h: &Hamiltonian<'_>,
     psi: &mut Matrix<c64>,
@@ -459,6 +463,10 @@ pub fn solve_all_band(
 /// Panicking façade over [`try_solve_all_band_with`] for callers with no
 /// recovery path (benches, tests, one-shot tools). The supervised fragment
 /// loop in `ls3df-core` uses the `try_` form instead.
+#[expect(
+    clippy::expect_used,
+    reason = "start blocks are full-rank and the iterate overlap stays positive definite by construction; documented invariant expect"
+)]
 pub fn solve_all_band_with(
     h: &Hamiltonian<'_>,
     psi: &mut Matrix<c64>,
@@ -472,6 +480,10 @@ pub fn solve_all_band_with(
 /// caller-owned scratch so repeated solves reuse one set of block
 /// temporaries; panics on a [`SolverError`], for callers with no recovery
 /// path (the direct SCF).
+#[expect(
+    clippy::expect_used,
+    reason = "start blocks are full-rank and the iterate overlap stays positive definite by construction; documented invariant expect"
+)]
 pub fn solve_all_band_packed_with(
     h: &Hamiltonian<'_>,
     psi: &mut Matrix<f64>,
@@ -621,6 +633,10 @@ fn all_band<S: Coeff>(
 /// orthogonalization after every step (the pre-optimization PEtot scheme).
 ///
 /// Panicking façade over [`try_solve_band_by_band`].
+#[expect(
+    clippy::expect_used,
+    reason = "start blocks are full-rank and the iterate overlap stays positive definite by construction; documented invariant expect"
+)]
 pub fn solve_band_by_band(
     h: &Hamiltonian<'_>,
     psi: &mut Matrix<c64>,

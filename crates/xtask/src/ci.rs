@@ -1,7 +1,10 @@
 //! `cargo xtask ci`: the tier-1 gate, chaining
 //!
 //! 1. `cargo fmt --all -- --check`
-//! 2. `cargo clippy --workspace --all-targets -- -D warnings`
+//! 2. `cargo clippy --workspace --all-targets -- -D warnings` — also
+//!    the house no-panic, float-compare and hash-container rules, through
+//!    the root `clippy.toml` and the lint attributes every library root
+//!    carries (`xtask::lint::ROOT_LINT_ATTRS`).
 //! 3. `RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps` — a
 //!    dangling or ambiguous intra-doc link (say, to a deleted item) is
 //!    invisible to clippy.

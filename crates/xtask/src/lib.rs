@@ -4,6 +4,8 @@
 //! [`lint::lint_source`] on in-memory snippets; the subcommand plumbing
 //! (`ci`, `miri`, `schedules`) stays in the binary.
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 #![warn(missing_docs)]
 
 pub mod lexer;

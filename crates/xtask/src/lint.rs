@@ -1,31 +1,19 @@
 //! The LS3DF source lint pass — a token-aware analysis engine (no `syn`,
 //! no external deps — the build runs offline). Every file is lexed by
 //! [`crate::lexer`] into real tokens, so rules fire on code only:
-//! `panic!` inside a string literal, `Ordering::Relaxed` in a doc
+//! `Instant::now()` inside a string literal, `Ordering::Relaxed` in a doc
 //! comment, or `unsafe` in a raw string can never trip a rule (the
 //! failure mode of the old line-stripping lint — see
 //! `tests/fixtures/` for the regression corpus).
 //!
-//! Rules (ids are what the allowlist references):
+//! Rules (the ids are what `//~ ERROR` fixture markers and the report
+//! use). The no-panic, exact-float-compare and hash-container rules are
+//! clippy's (`clippy.toml` and the lint attributes every library root
+//! carries, which `forbid-unsafe` checks), and unseeded randomness does
+//! not compile: the vendored `rand` has no entropy source.
 //!
-//! * `no-unwrap` — no `.unwrap()`, `.expect(...)`, or `panic!` in library
-//!   code. A silently-propagated panic in a fragment solve kills a whole
-//!   LS3DF run; library paths must return `Result` (see
-//!   `ls3df_grid::io`/`ls3df_atoms::xyz` for the house pattern). Test
-//!   code — `tests/`, `benches/`, `examples/`, and everything from a
-//!   file's first `#[cfg(test)]` line onward — is exempt, as are binary
-//!   drivers (`src/bin/`, `src/main.rs`): a top-level CLI may abort.
-//! * `no-float-eq` — no `==`/`!=` where an operand looks like a float
-//!   (float literal, `f32`/`f64` token). Exact float equality silently
-//!   breaks under reordered reductions; compare against a tolerance.
-//!   Comparisons against the literal `0.0` are exempt: the exact-zero
-//!   sentinel (unset occupation, the G = 0 vector, LU breakdown) is
-//!   well-defined IEEE equality and fuzzing it would be wrong.
 //! * `unsafe-comment` — every `unsafe` needs a `// SAFETY:` comment on
 //!   one of the three preceding lines (or its own).
-//! * `seeded-rng` — no `thread_rng`, `from_entropy`, or `rand::random`
-//!   anywhere: every random draw in this workspace must be seeded, or
-//!   the bit-identical-runs guarantee (ls3df-core::check) dies.
 //! * `hot-alloc` — no `vec![`, `Vec::with_capacity`, `.to_vec()`, or
 //!   `.clone()` in the SCF hot-path files (`crates/fft/src/` and the
 //!   `hamiltonian`/`solver`/`basis` modules of `ls3df-pw`) unless an
@@ -64,13 +52,6 @@
 //!   determinism arguments are written as paragraphs. (The pre-PR-6
 //!   `// Audited reduction:` phrasing is no longer honored; every site
 //!   has been converted.)
-//! * `hash-iter` — no `HashMap`/`HashSet` in the physics crates
-//!   (`crates/{core,pw,fft,math,grid,atoms,pseudo}/src`): their iteration
-//!   order is randomized per process, so anything they feed — a float
-//!   accumulation, a file, an event stream — loses run-to-run
-//!   reproducibility. Use `BTreeMap`/`BTreeSet` or an index-keyed `Vec`.
-//!   Escape: `// hash-audit:` in the 3-line window (for maps that are
-//!   provably never iterated). Test code is exempt.
 //! * `comm-audit` — no raw process/socket primitives (`Command`, `Stdio`,
 //!   `UnixStream`, `UnixListener`, `TcpStream`, `TcpListener`) outside
 //!   the communication surface: `crates/dist/src/` (the transport + the
@@ -92,17 +73,12 @@
 //!   forbidden crate is a violation in its own right. In `crates/math`
 //!   the allowance is a count, not a scope: the first `unsafe` token of
 //!   `microkernel.rs` is the audited one, a second one there — or any in
-//!   another file of the crate — fires.
-//!
-//! Allowlist: `xtask-lint-allow.txt` at the workspace root. Each
-//! non-comment line is `<path> <rule-id> <reason…>` (whitespace-separated,
-//! path relative to the root, reason mandatory). An entry silences the
-//! rule for that whole file; entries that match nothing are hard CI
-//! failures (with a sharper message when the file itself is gone — the
-//! moved/renamed-file case), so the allowlist cannot go stale.
+//!   another file of the crate — fires. Every library root must also
+//!   carry [`ROOT_LINT_ATTRS`], so a new crate cannot skip the rules
+//!   clippy enforces.
 //!
 //! Machine-readable output: every run writes `target/lint-report.json`
-//! (schema `ls3df-lint-report/v1`) with per-rule violation counts, file
+//! (schema `ls3df-lint-report/v2`) with per-rule violation counts, file
 //! counts, and the full atomic-ordering inventory, so BENCH-style trend
 //! tracking can pick it up.
 //! The run's stdout summary is a table of violations and escape
@@ -113,17 +89,13 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Every rule id, in reporting order.
-pub const RULES: [&str; 12] = [
-    "no-unwrap",
-    "no-float-eq",
+pub const RULES: [&str; 8] = [
     "unsafe-comment",
-    "seeded-rng",
     "hot-alloc",
     "ckpt-atomic",
     "raw-timer",
     "atomic-ordering",
     "float-reduce",
-    "hash-iter",
     "comm-audit",
     "forbid-unsafe",
 ];
@@ -132,14 +104,13 @@ pub const RULES: [&str; 12] = [
 /// carrying it, inside the rule's line window, silences a hit. Counting
 /// those comments next to the violations shows how often a rule fires on
 /// real code and is argued down, as opposed to never firing at all.
-const ESCAPE_MARKERS: [(&str, &str); 8] = [
+const ESCAPE_MARKERS: [(&str, &str); 7] = [
     ("unsafe-comment", "SAFETY:"),
     ("hot-alloc", "alloc-audit:"),
     ("ckpt-atomic", "ckpt-audit:"),
     ("raw-timer", "obs-audit:"),
     ("atomic-ordering", "ORDERING:"),
     ("float-reduce", "reduce-audit:"),
-    ("hash-iter", "hash-audit:"),
     ("comm-audit", "comm-audit:"),
 ];
 
@@ -174,21 +145,6 @@ const FLOAT_REDUCE_SCOPE: [&str; 4] = [
 
 fn in_float_reduce_scope(path: &str) -> bool {
     FLOAT_REDUCE_SCOPE.iter().any(|p| path.starts_with(p))
-}
-
-/// Physics crates where hash-iteration order would leak into results.
-const HASH_ITER_SCOPE: [&str; 7] = [
-    "crates/core/src/",
-    "crates/pw/src/",
-    "crates/fft/src/",
-    "crates/math/src/",
-    "crates/grid/src/",
-    "crates/atoms/src/",
-    "crates/pseudo/src/",
-];
-
-fn in_hash_iter_scope(path: &str) -> bool {
-    HASH_ITER_SCOPE.iter().any(|p| path.starts_with(p))
 }
 
 /// The sanctioned communication surface: the `ls3df-dist` transport (it
@@ -228,9 +184,9 @@ fn in_unsafe_crate(path: &str) -> bool {
     UNSAFE_CRATES.iter().any(|p| path.starts_with(p))
 }
 
-/// Is `path` a crate root whose `#![forbid/deny(unsafe_code)]` attribute
-/// the `forbid-unsafe` rule checks? Library roots only — binaries and
-/// examples are covered by the per-token check instead.
+/// Is `path` a crate root whose attributes the `forbid-unsafe` rule
+/// checks? Library roots only — binaries and examples are covered by the
+/// per-token check instead.
 fn is_crate_root(path: &str) -> bool {
     if path == "src/lib.rs" {
         return true;
@@ -238,6 +194,14 @@ fn is_crate_root(path: &str) -> bool {
     let parts: Vec<&str> = path.split('/').collect();
     matches!(parts.as_slice(), [top, _, "src", "lib.rs"] if *top == "crates" || *top == "shims")
 }
+
+/// The lint attributes every library root carries beside its
+/// `unsafe_code` level: through them (and `clippy.toml`), clippy keeps
+/// panics and exact float compares out of library code.
+pub const ROOT_LINT_ATTRS: [&str; 2] = [
+    "#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]",
+    "#![cfg_attr(not(test), warn(clippy::float_cmp))]",
+];
 
 /// The parallel-iterator sources of the rayon shim: a reduction chained
 /// on any of these is schedule-shaped unless audited.
@@ -250,16 +214,8 @@ const PAR_SOURCES: [&str; 6] = [
     "par_bridge",
 ];
 
-const ALLOWLIST_FILE: &str = "xtask-lint-allow.txt";
-
 /// Directories under the workspace root that contain lintable sources.
 const SOURCE_ROOTS: [&str; 5] = ["crates", "shims", "src", "tests", "examples"];
-
-struct AllowEntry {
-    path: String,
-    rule: String,
-    used: bool,
-}
 
 /// One rule hit.
 pub struct Violation {
@@ -295,11 +251,10 @@ pub struct FileReport {
     pub ordering_sites: Vec<OrderingSite>,
 }
 
-/// Runs the lint pass over the workspace; returns the number of problems
-/// (violations + stale allowlist entries; 0 = clean) and writes the
-/// machine-readable report to `target/lint-report.json`.
+/// Runs the lint pass over the workspace; returns the number of
+/// violations (0 = clean) and writes the machine-readable report to
+/// `target/lint-report.json`.
 pub fn run(root: &Path) -> Result<usize, String> {
-    let mut allow = load_allowlist(root)?;
     let mut files = Vec::new();
     for dir in SOURCE_ROOTS {
         collect_rs_files(&root.join(dir), &mut files);
@@ -318,10 +273,7 @@ pub fn run(root: &Path) -> Result<usize, String> {
         let content =
             std::fs::read_to_string(file).map_err(|e| format!("cannot read {rel}: {e}"))?;
         count_escape_comments(&content, &mut escapes);
-        let mut report = lint_source(&rel, &content);
-        report
-            .violations
-            .retain(|v| !allowed(&mut allow, &v.path, v.rule));
+        let report = lint_source(&rel, &content);
         violations.extend(report.violations);
         ordering_sites.extend(report.ordering_sites);
     }
@@ -330,29 +282,11 @@ pub fn run(root: &Path) -> Result<usize, String> {
     for v in &violations {
         let _ = writeln!(out, "{}:{}: [{}] {}", v.path, v.line, v.rule, v.message);
     }
-    let mut stale = 0;
-    for entry in &allow {
-        if !entry.used {
-            let gone = !root.join(&entry.path).is_file();
-            let why = if gone {
-                "the file no longer exists (moved or renamed?) — update the path"
-            } else {
-                "the rule no longer fires there"
-            };
-            let _ = writeln!(
-                out,
-                "{ALLOWLIST_FILE}: stale entry `{} {}`: {why}; remove it (stale entries \
-                 are hard CI failures)",
-                entry.path, entry.rule
-            );
-            stale += 1;
-        }
-    }
     if !out.is_empty() {
         eprint!("{out}");
     }
     println!(
-        "xtask lint: {} files, {} violation(s), {stale} stale allowlist entries",
+        "xtask lint: {} files, {} violation(s)",
         files.len(),
         violations.len()
     );
@@ -368,8 +302,8 @@ pub fn run(root: &Path) -> Result<usize, String> {
             .map_or("-".to_string(), |k| escapes[k].to_string());
         println!("  {rule:<16} {hits:>10} {escaped:>15}");
     }
-    write_report(root, files.len(), &violations, stale, &ordering_sites)?;
-    Ok(violations.len() + stale)
+    write_report(root, files.len(), &violations, &ordering_sites)?;
+    Ok(violations.len())
 }
 
 /// Adds to `counts` (one slot per [`ESCAPE_MARKERS`] entry) the plain
@@ -389,7 +323,7 @@ fn count_escape_comments(content: &str, counts: &mut [usize; ESCAPE_MARKERS.len(
     }
 }
 
-/// Lints a single source file (no allowlist, no filesystem): the entry
+/// Lints a single source file (no filesystem): the entry
 /// point the fixture corpus drives. `path` is workspace-relative and
 /// decides rule scoping exactly as in a real run.
 pub fn lint_source(path: &str, content: &str) -> FileReport {
@@ -400,19 +334,14 @@ pub fn lint_source(path: &str, content: &str) -> FileReport {
         toks: lexer::code_tokens(&tokens),
         test_start_line: test_region_start(&tokens),
         path_exempt: is_test_path(path),
-        bin_exempt: is_bin_path(path),
     };
     let mut report = FileReport::default();
-    rule_no_unwrap(&file, &mut report);
-    rule_no_float_eq(&file, &mut report);
     rule_unsafe_comment(&file, &mut report);
-    rule_seeded_rng(&file, &mut report);
     rule_hot_alloc(&file, &mut report);
     rule_ckpt_atomic(&file, &mut report);
     rule_raw_timer(&file, &mut report);
     rule_atomic_ordering(&file, &mut report);
     rule_float_reduce(&file, &mut report);
-    rule_hash_iter(&file, &mut report);
     rule_comm_audit(&file, &mut report);
     rule_forbid_unsafe(&file, &mut report);
     report
@@ -431,7 +360,6 @@ struct FileCtx<'a> {
     /// 1-based line of the first `#[cfg(test)]`; `usize::MAX` when none.
     test_start_line: usize,
     path_exempt: bool,
-    bin_exempt: bool,
 }
 
 impl FileCtx<'_> {
@@ -494,118 +422,9 @@ fn is_test_path(path: &str) -> bool {
         .any(|d| path.starts_with(d) || path.contains(&format!("/{d}")))
 }
 
-/// Binary drivers: exempt from `no-unwrap` only (a CLI entry point may
-/// abort on bad input; everything it calls may not).
-fn is_bin_path(path: &str) -> bool {
-    path.contains("/bin/") || path == "src/main.rs" || path.ends_with("/src/main.rs")
-}
-
 // ---------------------------------------------------------------------------
 // Rule passes
 // ---------------------------------------------------------------------------
-
-fn rule_no_unwrap(f: &FileCtx<'_>, out: &mut FileReport) {
-    if f.path_exempt || f.bin_exempt {
-        return;
-    }
-    for i in 0..f.toks.len() {
-        let t = f.toks[i];
-        if f.in_test(t.line) {
-            continue;
-        }
-        let needle = if is_punct(t, ".")
-            && f.toks.get(i + 1).is_some_and(|n| is_ident(n, "unwrap"))
-            && f.toks.get(i + 2).is_some_and(|n| is_punct(n, "("))
-        {
-            Some(".unwrap()")
-        } else if is_punct(t, ".")
-            && f.toks.get(i + 1).is_some_and(|n| is_ident(n, "expect"))
-            && f.toks.get(i + 2).is_some_and(|n| is_punct(n, "("))
-        {
-            Some(".expect(")
-        } else if is_ident(t, "panic") && f.toks.get(i + 1).is_some_and(|n| is_punct(n, "!")) {
-            Some("panic!")
-        } else {
-            None
-        };
-        if let Some(needle) = needle {
-            f.report(
-                out,
-                t.line,
-                "no-unwrap",
-                format!("`{needle}` in library code — return a Result instead"),
-            );
-        }
-    }
-}
-
-/// Delimiters that bound a comparison operand (token edition of the old
-/// character scan; `&&`/`||` lex as single tokens).
-fn is_operand_delim(t: &Token<'_>) -> bool {
-    t.kind == TokenKind::Punct
-        && matches!(
-            t.text,
-            "," | ";" | "(" | ")" | "{" | "}" | "[" | "]" | "&" | "|" | "&&" | "||"
-        )
-}
-
-/// `0.0`, `0.`, `0.0f64`, `0_0.0` — the exact-zero sentinel.
-fn is_zero_float(t: &Token<'_>) -> bool {
-    if t.kind != TokenKind::Float {
-        return false;
-    }
-    let s = t
-        .text
-        .trim_end_matches("f64")
-        .trim_end_matches("f32")
-        .trim_end_matches('_');
-    s.contains('.') && s.bytes().all(|b| matches!(b, b'0' | b'.' | b'_'))
-}
-
-fn rule_no_float_eq(f: &FileCtx<'_>, out: &mut FileReport) {
-    if f.path_exempt {
-        return;
-    }
-    for i in 0..f.toks.len() {
-        let t = f.toks[i];
-        if f.in_test(t.line) || !(is_punct(t, "==") || is_punct(t, "!=")) {
-            continue;
-        }
-        // Operand token runs on each side, bounded by delimiters.
-        let lhs: Vec<&Token<'_>> = f.toks[..i]
-            .iter()
-            .rev()
-            .take_while(|t| !is_operand_delim(t))
-            .copied()
-            .collect();
-        let rhs: Vec<&Token<'_>> = f.toks[i + 1..]
-            .iter()
-            .take_while(|t| !is_operand_delim(t))
-            .copied()
-            .collect();
-        // Exact-zero sentinel: an operand that is just `0.0` (optionally
-        // negated) is well-defined IEEE equality.
-        let side_is_zero = |side: &[&Token<'_>]| {
-            let non_sign: Vec<&&Token<'_>> = side.iter().filter(|t| !is_punct(t, "-")).collect();
-            non_sign.len() == 1 && is_zero_float(non_sign[0])
-        };
-        if side_is_zero(&lhs) || side_is_zero(&rhs) {
-            continue;
-        }
-        let looks_float = |side: &[&Token<'_>]| {
-            side.iter()
-                .any(|t| t.kind == TokenKind::Float || is_ident(t, "f64") || is_ident(t, "f32"))
-        };
-        if looks_float(&lhs) || looks_float(&rhs) {
-            f.report(
-                out,
-                t.line,
-                "no-float-eq",
-                format!("float `{}` comparison — use a tolerance", t.text),
-            );
-        }
-    }
-}
 
 fn rule_unsafe_comment(f: &FileCtx<'_>, out: &mut FileReport) {
     // Policed everywhere, tests included.
@@ -616,33 +435,6 @@ fn rule_unsafe_comment(f: &FileCtx<'_>, out: &mut FileReport) {
                 t.line,
                 "unsafe-comment",
                 "`unsafe` without a `// SAFETY:` comment on it or the 3 lines above".into(),
-            );
-        }
-    }
-}
-
-fn rule_seeded_rng(f: &FileCtx<'_>, out: &mut FileReport) {
-    // Policed everywhere, tests included.
-    for i in 0..f.toks.len() {
-        let t = f.toks[i];
-        let needle = if is_ident(t, "thread_rng") {
-            Some("thread_rng")
-        } else if is_ident(t, "from_entropy") {
-            Some("from_entropy")
-        } else if is_ident(t, "rand")
-            && f.toks.get(i + 1).is_some_and(|n| is_punct(n, "::"))
-            && f.toks.get(i + 2).is_some_and(|n| is_ident(n, "random"))
-        {
-            Some("rand::random")
-        } else {
-            None
-        };
-        if let Some(needle) = needle {
-            f.report(
-                out,
-                t.line,
-                "seeded-rng",
-                format!("`{needle}` — all randomness must be explicitly seeded"),
             );
         }
     }
@@ -933,34 +725,6 @@ fn scan_for_each_closure(
     }
 }
 
-fn rule_hash_iter(f: &FileCtx<'_>, out: &mut FileReport) {
-    if !in_hash_iter_scope(f.path) || f.path_exempt {
-        return;
-    }
-    for t in &f.toks {
-        if f.in_test(t.line) {
-            continue;
-        }
-        if (is_ident(t, "HashMap") || is_ident(t, "HashSet"))
-            && !f.window_has(t.line, 3, "hash-audit:")
-        {
-            f.report(
-                out,
-                t.line,
-                "hash-iter",
-                format!(
-                    "`{}` in a physics crate — its iteration order is randomized \
-                     per process, so anything it feeds (float sums, I/O, event \
-                     order) loses reproducibility; use BTreeMap/BTreeSet or an \
-                     index-keyed Vec, or justify a never-iterated map with \
-                     `// hash-audit:`",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
 fn rule_comm_audit(f: &FileCtx<'_>, out: &mut FileReport) {
     if in_comm_surface(f.path) || f.path_exempt {
         return;
@@ -993,7 +757,7 @@ fn rule_forbid_unsafe(f: &FileCtx<'_>, out: &mut FileReport) {
     let designated = in_unsafe_crate(f.path);
     if is_crate_root(f.path) {
         let want = if designated { "deny" } else { "forbid" };
-        if !has_crate_unsafe_attr(f, want) {
+        if !has_inner_attr(f, &format!("#![{want}(unsafe_code)]")) {
             f.report(
                 out,
                 1,
@@ -1007,6 +771,16 @@ fn rule_forbid_unsafe(f: &FileCtx<'_>, out: &mut FileReport) {
                         "the workspace's unsafe surface is shims/rayon, \
                          src/alloc_count.rs and one call in crates/math/src/microkernel.rs"
                     }
+                ),
+            );
+        }
+        for attr in ROOT_LINT_ATTRS.iter().filter(|a| !has_inner_attr(f, a)) {
+            f.report(
+                out,
+                1,
+                "forbid-unsafe",
+                format!(
+                    "crate root must carry `{attr}` — clippy enforces the library rules through it"
                 ),
             );
         }
@@ -1034,61 +808,18 @@ fn rule_forbid_unsafe(f: &FileCtx<'_>, out: &mut FileReport) {
     }
 }
 
-/// Does the file carry `#![level(unsafe_code)]`?
-fn has_crate_unsafe_attr(f: &FileCtx<'_>, level: &str) -> bool {
-    let pat = ["#", "!", "[", level, "(", "unsafe_code", ")", "]"];
-    (0..f.toks.len()).any(|i| {
-        f.toks[i..].len() >= pat.len()
-            && f.toks[i..i + pat.len()]
-                .iter()
-                .zip(pat)
-                .all(|(t, p)| t.text == p)
-    })
+/// Does the file's code carry `attr`, token for token?
+fn has_inner_attr(f: &FileCtx<'_>, attr: &str) -> bool {
+    let tokens = lexer::lex(attr);
+    let pat = lexer::code_tokens(&tokens);
+    f.toks
+        .windows(pat.len())
+        .any(|w| w.iter().zip(&pat).all(|(t, p)| t.text == p.text))
 }
 
 // ---------------------------------------------------------------------------
-// Allowlist, file walk, report
+// File walk, report
 // ---------------------------------------------------------------------------
-
-fn load_allowlist(root: &Path) -> Result<Vec<AllowEntry>, String> {
-    let path = root.join(ALLOWLIST_FILE);
-    let Ok(content) = std::fs::read_to_string(&path) else {
-        return Ok(Vec::new()); // no allowlist = nothing allowed
-    };
-    let mut entries = Vec::new();
-    for (i, line) in content.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(path), Some(rule)) = (parts.next(), parts.next()) else {
-            return Err(format!(
-                "{ALLOWLIST_FILE}:{}: need `<path> <rule> <reason…>`",
-                i + 1
-            ));
-        };
-        if !RULES.contains(&rule) {
-            return Err(format!(
-                "{ALLOWLIST_FILE}:{}: unknown rule `{rule}` (known: {})",
-                i + 1,
-                RULES.join(", ")
-            ));
-        }
-        if parts.next().is_none() {
-            return Err(format!(
-                "{ALLOWLIST_FILE}:{}: entry `{path} {rule}` has no reason — justify it",
-                i + 1
-            ));
-        }
-        entries.push(AllowEntry {
-            path: path.to_string(),
-            rule: rule.to_string(),
-            used: false,
-        });
-    }
-    Ok(entries)
-}
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -1109,17 +840,6 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-fn allowed(allow: &mut [AllowEntry], path: &str, rule: &str) -> bool {
-    let mut hit = false;
-    for e in allow.iter_mut() {
-        if e.rule == rule && e.path == path {
-            e.used = true;
-            hit = true;
-        }
-    }
-    hit
-}
-
 /// Writes `target/lint-report.json`: per-rule counts plus the full
 /// atomic-ordering inventory (hand-rolled JSON — same no-deps policy as
 /// `ls3df-obs`).
@@ -1127,14 +847,12 @@ fn write_report(
     root: &Path,
     files_scanned: usize,
     violations: &[Violation],
-    stale: usize,
     ordering_sites: &[OrderingSite],
 ) -> Result<(), String> {
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"ls3df-lint-report/v1\",");
+    let _ = writeln!(json, "  \"schema\": \"ls3df-lint-report/v2\",");
     let _ = writeln!(json, "  \"files_scanned\": {files_scanned},");
     let _ = writeln!(json, "  \"violations\": {},", violations.len());
-    let _ = writeln!(json, "  \"stale_allowlist_entries\": {stale},");
     json.push_str("  \"rules\": {\n");
     for (k, rule) in RULES.iter().enumerate() {
         let count = violations.iter().filter(|v| v.rule == *rule).count();
@@ -1205,62 +923,13 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_in_library_code_fires() {
-        let v = rules_hit("crates/pw/src/mixing.rs", "fn f() { x.unwrap(); }");
-        assert!(v.contains(&"no-unwrap"));
-        // …but `.unwrap_or` is a different identifier entirely.
-        let v = rules_hit("crates/pw/src/mixing.rs", "fn f() { x.unwrap_or(0); }");
-        assert!(!v.contains(&"no-unwrap"));
-    }
-
-    #[test]
-    fn unwrap_in_strings_and_comments_is_invisible() {
-        let src = "fn f() {\n  let a = \".unwrap()\";\n  // also .unwrap() and panic!\n  let b = r#\"panic!\"#;\n}";
-        assert!(violations("crates/pw/src/mixing.rs", src).is_empty());
-    }
-
-    #[test]
-    fn float_eq_detection() {
-        let path = "crates/pw/src/mixing.rs";
-        assert!(rules_hit(path, "fn f() { if x == 1.0 {} }").contains(&"no-float-eq"));
-        assert!(rules_hit(path, "fn f() { if 0.5 != y {} }").contains(&"no-float-eq"));
-        assert!(rules_hit(path, "fn f() { let c = a == b as f64; }").contains(&"no-float-eq"));
-        assert!(rules_hit(path, "fn f() { if n == 2 {} }").is_empty());
-        assert!(rules_hit(path, "fn f() { if s == t {} }").is_empty());
-        assert!(rules_hit(path, "fn f() { let c = x <= 1.0; }").is_empty());
-        assert!(rules_hit(path, "fn f() { match x { _ => 1.0 }; }").is_empty());
-        // Delimiter bounds the operand: the float in the *other* argument
-        // of a call must not taint an integer comparison.
-        assert!(rules_hit(path, "fn f() { g(1.0, a == b); }").is_empty());
-    }
-
-    #[test]
-    fn zero_sentinel_is_exempt() {
-        let path = "crates/pw/src/mixing.rs";
-        assert!(rules_hit(path, "fn f() { if f == 0.0 {} }").is_empty());
-        assert!(rules_hit(path, "fn f() { let c = e_kb != 0.0; }").is_empty());
-        assert!(rules_hit(path, "fn f() { let c = x == -0.0; }").is_empty());
-        assert!(rules_hit(path, "fn f() { let c = y == 0.0_f64; }").is_empty());
-        // …but only the literal zero; near-zero constants still fire.
-        assert!(rules_hit(path, "fn f() { let c = x == 0.01; }").contains(&"no-float-eq"));
-        assert!(rules_hit(path, "fn f() { let c = x == 10.0; }").contains(&"no-float-eq"));
-    }
-
-    #[test]
-    fn bin_paths_detected() {
-        assert!(is_bin_path("crates/bench/src/bin/fig3.rs"));
-        assert!(is_bin_path("crates/xtask/src/main.rs"));
-        assert!(!is_bin_path("crates/pw/src/solver.rs"));
-    }
-
-    #[test]
     fn test_region_starts_at_cfg_test() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n  fn t() { x.unwrap(); }\n}\n";
-        assert!(violations("crates/pw/src/mixing.rs", src).is_empty());
-        let src = "fn lib() { x.unwrap(); }\n#[cfg(test)]\nmod tests {}\n";
+        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n  fn t() { Instant::now(); }\n}\n";
+        assert!(violations("crates/core/src/scf.rs", src).is_empty());
+        let src = "fn lib() { Instant::now(); }\n#[cfg(test)]\nmod tests {}\n";
         assert_eq!(
-            violations("crates/pw/src/mixing.rs", src),
-            [(1, "no-unwrap")]
+            violations("crates/core/src/scf.rs", src),
+            [(1, "raw-timer")]
         );
     }
 
@@ -1434,20 +1103,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_iter_scoping() {
-        let bad = "use std::collections::HashMap;\nfn f(m: &HashMap<u32, f64>) {}";
-        assert!(rules_hit("crates/pw/src/scf.rs", bad).contains(&"hash-iter"));
-        // Out of physics scope: fine.
-        assert!(!rules_hit("crates/hpc/src/cost.rs", bad).contains(&"hash-iter"));
-        // Test code: fine.
-        let test_only = "#[cfg(test)]\nmod tests { use std::collections::HashSet;\n }";
-        assert!(!rules_hit("crates/core/src/supervise.rs", test_only).contains(&"hash-iter"));
-        // Audited: fine.
-        let ok = "// hash-audit: lookup-only, never iterated\nuse std::collections::HashMap;";
-        assert!(!rules_hit("crates/pw/src/scf.rs", ok).contains(&"hash-iter"));
-    }
-
-    #[test]
     fn comm_audit_scoping_and_escape() {
         let spawn = "fn f() { let c = std::process::Command::new(\"cargo\"); }";
         // Outside the surface, raw process/socket primitives fire.
@@ -1472,27 +1127,32 @@ mod tests {
         assert!(!rules_hit("crates/core/src/scf.rs", near).contains(&"comm-audit"));
     }
 
+    /// A crate root with every lint attribute and the given
+    /// `unsafe_code` level.
+    fn root(level: &str) -> String {
+        format!(
+            "#![{level}(unsafe_code)]\n{}\nfn f() {{}}",
+            ROOT_LINT_ATTRS.join("\n")
+        )
+    }
+
     #[test]
     fn forbid_unsafe_root_attributes() {
         // A non-designated crate root needs forbid…
-        let v = rules_hit("crates/fft/src/lib.rs", "//! Docs.\nfn f() {}");
-        assert!(v.contains(&"forbid-unsafe"));
-        let v = rules_hit(
-            "crates/fft/src/lib.rs",
-            "#![forbid(unsafe_code)]\nfn f() {}",
-        );
-        assert!(!v.contains(&"forbid-unsafe"));
+        let v = rules_hit("crates/fft/src/lib.rs", &root("warn"));
+        assert_eq!(v, ["forbid-unsafe"]);
+        assert!(rules_hit("crates/fft/src/lib.rs", &root("forbid")).is_empty());
         // ls3df-obs holds no `unsafe` and is off the surface.
-        let v = rules_hit("crates/obs/src/lib.rs", "#![deny(unsafe_code)]\nfn f() {}");
-        assert!(v.contains(&"forbid-unsafe"));
-        // …a designated one needs deny…
-        let v = rules_hit(
-            "shims/rayon/src/lib.rs",
-            "#![forbid(unsafe_code)]\nfn f() {}",
+        assert_eq!(
+            rules_hit("crates/obs/src/lib.rs", &root("deny")),
+            ["forbid-unsafe"]
         );
-        assert!(v.contains(&"forbid-unsafe"));
-        let v = rules_hit("shims/rayon/src/lib.rs", "#![deny(unsafe_code)]\nfn f() {}");
-        assert!(!v.contains(&"forbid-unsafe"));
+        // …a designated one needs deny…
+        assert_eq!(
+            rules_hit("shims/rayon/src/lib.rs", &root("forbid")),
+            ["forbid-unsafe"]
+        );
+        assert!(rules_hit("shims/rayon/src/lib.rs", &root("deny")).is_empty());
         // …and unsafe tokens outside the surface fire wherever they are.
         let v = rules_hit(
             "crates/fft/src/plan.rs",
@@ -1508,15 +1168,28 @@ mod tests {
     }
 
     #[test]
+    fn forbid_unsafe_names_the_missing_lint_attribute() {
+        for (k, attr) in ROOT_LINT_ATTRS.iter().enumerate() {
+            let src = root("forbid").replace(attr, "");
+            let v = lint_source("crates/grid/src/lib.rs", &src).violations;
+            assert_eq!(v.len(), 1);
+            assert!(v[0].message.contains(attr));
+            assert!(!v[0].message.contains(ROOT_LINT_ATTRS[1 - k]));
+        }
+        // Only library roots carry them: a module or a bin need not.
+        let bare = "#![forbid(unsafe_code)]\nfn f() {}";
+        assert!(rules_hit("crates/grid/src/io.rs", bare).is_empty());
+        assert!(rules_hit("crates/bench/src/bin/fig3.rs", bare).is_empty());
+    }
+
+    #[test]
     fn forbid_unsafe_allows_math_exactly_one_item() {
         // The math root is on the surface: deny, not forbid.
-        let v = rules_hit(
-            "crates/math/src/lib.rs",
-            "#![forbid(unsafe_code)]\nfn f() {}",
+        assert_eq!(
+            rules_hit("crates/math/src/lib.rs", &root("forbid")),
+            ["forbid-unsafe"]
         );
-        assert!(v.contains(&"forbid-unsafe"));
-        let v = rules_hit("crates/math/src/lib.rs", "#![deny(unsafe_code)]\nfn f() {}");
-        assert!(!v.contains(&"forbid-unsafe"));
+        assert!(rules_hit("crates/math/src/lib.rs", &root("deny")).is_empty());
         // The dispatch call in microkernel.rs is the one allowed `unsafe`…
         let one = "// SAFETY: tier detected\nfn run() { unsafe { avx2() } }";
         assert!(!rules_hit(MATH_UNSAFE_FILE, one).contains(&"forbid-unsafe"));

@@ -2,8 +2,8 @@
 //! in `.cargo/config.toml`).
 //!
 //! * `cargo xtask lint` — the token-aware LS3DF source analysis over all
-//!   workspace sources (see [`xtask::lint`] for the rules and the
-//!   allowlist format); writes `target/lint-report.json`;
+//!   workspace sources, for the rules clippy cannot check (see
+//!   [`xtask::lint`]); writes `target/lint-report.json`;
 //! * `cargo xtask miri` — the curated unsafe-core test filter under the
 //!   Miri interpreter (skips loudly when the nightly component is not
 //!   installed — the offline container cannot fetch it);
@@ -29,15 +29,16 @@ fn usage() -> &'static str {
     "usage: cargo xtask <command>\n\
      \n\
      commands:\n\
-       lint       run the token-aware LS3DF source rules over the workspace\n\
-                  (report: target/lint-report.json)\n\
+       lint       run the token-aware LS3DF source rules clippy cannot\n\
+                  check over the workspace (report: target/lint-report.json)\n\
        miri       run the curated unsafe-core test filter under Miri\n\
                   (skips loudly when the nightly component is unavailable)\n\
        schedules  run pool tests + an SCF digest matrix under every\n\
                   adversarial work-stealing schedule\n\
-       ci         run the full tier-1 gate (fmt, clippy, lint, workspace\n\
-                  tests, zero-alloc, mem-budget, obs-report, obs-dist,\n\
-                  bench-harness, accuracy, schedules, miri)\n"
+       ci         run the full tier-1 gate (fmt, clippy with the no-panic,\n\
+                  float-compare and hash-container rules, doc, lint,\n\
+                  workspace tests, zero-alloc, mem-budget, obs-report,\n\
+                  obs-dist, bench-harness, accuracy, schedules, miri)\n"
 }
 
 /// Workspace root: xtask lives at `<root>/crates/xtask`.

@@ -5,6 +5,8 @@
 //! `unsafe` outside `microkernel.rs` fires.
 
 #![deny(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 #[allow(unsafe_code)]
 pub fn first(v: &[f64]) -> f64 {

@@ -3,11 +3,8 @@
 //! α-weighted accumulations: an α-weighted parallel reduction is
 //! exactly the schedule-shaped float sum the determinism contract bans
 //! (weights of mixed sign make the combine order visible in the last
-//! bits), and a weight table in a randomized-iteration container fires
-//! hash-iter. The ordered-collect house pattern and audited sites are
+//! bits). The ordered-collect house pattern and audited sites are
 //! silent.
-
-use std::collections::HashMap; //~ ERROR hash-iter
 
 fn bad_weighted_sum(fragments: &[Fragment], densities: &[f64]) -> f64 {
     fragments
@@ -37,12 +34,6 @@ fn ordered_weighted_sum(fragments: &[Fragment], densities: &[f64]) -> f64 {
 fn audited_solve_count(fragments: &[Fragment]) -> u64 {
     // reduce-audit: integer fragment count — order-free, no floats.
     fragments.par_iter().map(|f| f.n_pieces() as u64).sum::<u64>()
-}
-
-fn lookup_only_weights() {
-    // hash-audit: keyed weight lookups only — never iterated.
-    let by_id: HashMap<u64, f64> = HashMap::new();
-    drop(by_id);
 }
 
 fn sequential_weighted(fragments: &[Fragment]) -> f64 {

@@ -3,16 +3,17 @@
 //! The false-positive regression corpus: every needle below lives in a
 //! string literal, raw string, or comment — exactly where the old
 //! line-stripping lint fired and the token engine must not. The virtual
-//! path is a hot-path, instrumented, physics-scope file, so every rule
-//! that could fire is armed. Expected violations: none.
+//! path is a hot-path, instrumented, physics-scope file outside the
+//! communication surface, so every rule that could fire is armed.
+//! Expected violations: none.
 
 fn strings_are_data() -> Vec<&'static str> {
     collect_prose(
-        ".unwrap() and .expect(oops) and panic!(no)",
         "vec![0.0; n] Vec::with_capacity(9) data.to_vec() x.clone()",
         "Instant::now() in a string is just prose",
-        "HashMap and HashSet as words",
-        "thread_rng from_entropy rand::random",
+        "Command::new(cargo) and TcpStream::connect(addr) as words",
+        "fs::write(\"scf-000001.ls3df\", bytes) names a snapshot",
+        "xs.par_iter().map(f).sum::<f64>()",
     )
 }
 
@@ -20,11 +21,11 @@ fn raw_strings_too() -> &'static str {
     r#"unsafe { transmute() } // still just bytes"#
 }
 
-// A line comment may say anything: x.unwrap(); panic!("x"); unsafe {}
-// vec![1; 2]; Instant::now(); xs.par_iter().sum::<f64>(); HashMap::new()
-/// Doc comments as well: `a == 1.0` and `fs::File::create(p)`.
+// A line comment may say anything: Stdio::piped(); unsafe {}
+// vec![1; 2]; Instant::now(); xs.par_iter().sum::<f64>(); x.clone()
+/// Doc comments as well: `UnixStream::pair()` and `fs::File::create(p)`.
 fn comments_are_prose() {}
 
-/* Block comments: .expect("…") and Vec::with_capacity(4) and
-   /* nested: from_entropy() and x == 2.5 */ unsafe impl Send */
+/* Block comments: Command::new("sh") and Vec::with_capacity(4) and
+   /* nested: xs.into_par_iter().fold(0.0, add) */ unsafe impl Send */
 fn block_comments_too() {}

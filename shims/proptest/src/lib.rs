@@ -3,14 +3,15 @@
 //! range/tuple strategies, `prop_map`/`prop_flat_map`,
 //! `prop::collection::vec`, and `prop::array::uniform3`.
 //!
-//! Cases are generated from a **fixed seed** (deterministic across runs —
-//! the property `cargo xtask lint`'s `seeded-rng` rule enforces), so a
-//! failure reproduces by just re-running the test. There is no shrinking:
+//! Cases are generated from a **fixed seed** (deterministic across runs),
+//! so a failure reproduces by just re-running the test. There is no shrinking:
 //! on failure the macro panics with the case number and the assertion
 //! message. The default case count is 64 per test (the real proptest uses
 //! 256); tests override it with `ProptestConfig::with_cases`.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 pub mod strategy {
     //! The [`Strategy`] trait and its combinators.
 
@@ -306,6 +307,10 @@ pub mod test_runner {
         /// Runs `body` once per case with a per-case deterministic RNG;
         /// panics (with the case index, so the failure is reproducible by
         /// re-running) on the first `Err`.
+        #[expect(
+            clippy::panic,
+            reason = "test-harness shim: a failing property must panic the enclosing #[test] exactly like upstream proptest"
+        )]
         pub fn run(&mut self, mut body: impl FnMut(&mut TestRng) -> Result<(), TestCaseError>) {
             for case in 0..self.config.cases {
                 let mut rng = TestRng::new(0x1_5EED_u64.wrapping_mul(case as u64 + 1));

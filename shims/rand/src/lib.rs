@@ -3,14 +3,15 @@
 //! needs, and `SliceRandom::shuffle`.
 //!
 //! Only **seeded** construction is provided — there is deliberately no
-//! `thread_rng`/`from_entropy`, which keeps every random draw in the
-//! workspace reproducible (the `cargo xtask lint` `seeded-rng` rule
-//! enforces the same property at the source level). The generator is
-//! splitmix64-seeded xoshiro256**, which passes the statistical tests that
-//! matter for alloy-site shuffling; it does **not** reproduce crates-io
-//! `StdRng` streams bit-for-bit.
+//! `thread_rng`/`from_entropy`/`random`, so an unseeded draw anywhere in
+//! the workspace does not compile and every random draw is reproducible.
+//! The generator is splitmix64-seeded xoshiro256**, which passes the
+//! statistical tests that matter for alloy-site shuffling; it does
+//! **not** reproduce crates-io `StdRng` streams bit-for-bit.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 /// A random number source (subset of `rand::RngCore` + `rand::Rng`).
 pub trait Rng {
     /// The next 64 uniformly random bits.

@@ -32,6 +32,8 @@
 // This crate (with `ls3df::alloc_count`) is the workspace's audited
 // unsafe surface: deny globally, allow per site with a SAFETY: comment.
 #![deny(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 mod pool;
 

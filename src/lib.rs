@@ -16,6 +16,8 @@
 //! ```
 // `alloc_count` is the facade's (audited, SAFETY-commented) unsafe site.
 #![deny(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 #[cfg(feature = "alloc-count")]
 pub mod alloc_count;
