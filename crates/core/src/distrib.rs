@@ -14,7 +14,10 @@
 //!   per-fragment quarantine flags, the fault/quarantine event lists,
 //!   and the *bit-exact* region densities of its owned fragments
 //!   (`ls3df_grid::encode_field`, raw little-endian f64 bits), which is
-//!   what makes the patched density bit-identical at any group count.
+//!   what makes the patched density bit-identical at any group count. A
+//!   class member holding its representative's ψ sends no region: rank 0
+//!   patches the representative's at the member's origin (a class never
+//!   spans groups, so the representative's part is in the same report).
 //! * **Vnext broadcast** (rank 0 → all): the next input potential, the
 //!   patched density, and the completed step record (+ convergence
 //!   flag), so every rank finishes the iteration with identical state
@@ -81,7 +84,8 @@ pub(crate) struct PetotReport {
     pub(crate) faults: Vec<FragmentFault>,
     /// Fragments whose whole ladder failed, fragment order.
     pub(crate) quarantined: Vec<QuarantineRecord>,
-    /// `(fragment index, region density)` for every owned fragment.
+    /// `(fragment index, region density)` for every owned fragment but
+    /// the class members holding their representative's ψ.
     pub(crate) regions: Vec<(usize, RealField)>,
 }
 

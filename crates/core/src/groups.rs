@@ -20,6 +20,11 @@
 //!    `ceil(remaining cost / groups left)`, with a feasibility guard
 //!    that leaves at least one fragment for every later group.
 //!
+//! The calculation plans translation classes rather than fragments
+//! ([`plan_class_groups`]): a class walks the curve as one unit at its
+//! representative's place and cost, so it never spans groups, and a
+//! system without shared classes plans exactly as [`plan_groups`].
+//!
 //! The adaptive target makes the imbalance provably small: targets are
 //! non-increasing along the walk, so every group's cost is below
 //! `ceil(total/M) + max single fragment cost` — i.e. the max/mean
@@ -105,30 +110,50 @@ pub fn fragment_costs(fg: &FragmentGrid, structure: &Structure) -> Vec<u64> {
         .collect()
 }
 
-/// Assigns fragments to `n_groups` processor groups.
+/// Assigns fragments to `n_groups` processor groups, each fragment a
+/// class of its own ([`plan_class_groups`] with no sharing).
 ///
 /// Deterministic for a fixed geometry and group count: the curve order,
 /// the integer cost model, and the greedy walk contain no floating-point
 /// comparisons, hashing, or iteration-order dependence. Fragments are
 /// indexed in the fragment grid's canonical order.
 pub fn plan_groups(fg: &FragmentGrid, structure: &Structure, n_groups: usize) -> GroupPlan {
+    let singletons: Vec<usize> = (0..fg.n_fragments()).collect();
+    plan_class_groups(fg, structure, &singletons, n_groups)
+}
+
+/// Assigns translation classes to `n_groups` processor groups;
+/// `rep_of[f]` is fragment `f`'s representative, the lowest index of its
+/// class (`Ls3df::representatives`).
+///
+/// The walk moves whole classes: a class sits at its representative's
+/// place on the curve, costs what its representative costs (its members
+/// take that one solution), and its members follow it into the same
+/// group. With every fragment its own representative this is the plan of
+/// [`plan_groups`].
+pub fn plan_class_groups(
+    fg: &FragmentGrid,
+    structure: &Structure,
+    rep_of: &[usize],
+    n_groups: usize,
+) -> GroupPlan {
     let n = fg.n_fragments();
     let g = n_groups.max(1);
     let fragments = fg.fragments();
 
-    // Space-filling-curve order of fragment indices; ties (fragments of
-    // different sizes sharing a corner) break on the canonical index.
-    let mut curve: Vec<usize> = (0..n).collect();
+    // Space-filling-curve order of the representatives; ties (fragments
+    // of different sizes sharing a corner) break on the canonical index.
+    let mut curve: Vec<usize> = (0..n).filter(|&i| rep_of[i] == i).collect();
     curve.sort_by_key(|&i| (morton_key(fragments[i].corner), i));
+    let units = curve.len();
 
     let cost: Vec<u64> = fragments
         .iter()
         .map(|f| fragment_cost(fg, structure, f))
         .collect();
-    let mut remaining_cost: u64 = cost.iter().sum();
+    let mut remaining_cost: u64 = curve.iter().map(|&r| cost[r]).sum();
 
-    let mut owner = vec![0usize; n];
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); g];
+    let mut class_owner = vec![0usize; n];
     let mut costs = vec![0u64; g];
     let mut pos = 0usize;
     for gi in 0..g {
@@ -138,18 +163,22 @@ pub fn plan_groups(fg: &FragmentGrid, structure: &Structure, n_groups: usize) ->
         // which is what bounds the final imbalance.
         let target = remaining_cost.div_ceil(groups_left as u64);
         let mut acc = 0u64;
-        while pos < n && acc < target && (n - pos) > (groups_left - 1) {
-            let f = curve[pos];
-            owner[f] = gi;
-            groups[gi].push(f);
-            acc += cost[f];
+        while pos < units && acc < target && (units - pos) > (groups_left - 1) {
+            let r = curve[pos];
+            class_owner[r] = gi;
+            acc += cost[r];
             pos += 1;
         }
         remaining_cost -= acc;
         costs[gi] = acc;
-        groups[gi].sort_unstable();
     }
-    debug_assert_eq!(pos, n, "every fragment assigned");
+    debug_assert_eq!(pos, units, "every class assigned");
+    // Members follow their representative.
+    let owner: Vec<usize> = rep_of.iter().map(|&r| class_owner[r]).collect();
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); g];
+    for (f, &gi) in owner.iter().enumerate() {
+        groups[gi].push(f);
+    }
     GroupPlan {
         n_groups: g,
         owner,

@@ -16,7 +16,9 @@
 //!   runs, each group's fragment solves fanned out over rayon;
 //! * [`groups`] — fragment→processor-group assignment (space-filling
 //!   curve + cost-model bin-packing) for the paper's two-level
-//!   hierarchy, running over the `ls3df-dist` communicator;
+//!   hierarchy, running over the `ls3df-dist` communicator; translation-
+//!   equivalent fragments ([`Ls3df::representatives`]) form one class,
+//!   solved once per PEtot_F round and planned as one unit;
 //! * [`fsm`] — the folded spectrum method for band-edge states of the
 //!   full system from the converged potential (paper §VII);
 //! * [`analysis`] — localization metrics for the oxygen-induced states
@@ -30,6 +32,7 @@
 pub mod analysis;
 pub mod check;
 mod ckpt;
+mod classes;
 mod distrib;
 mod energy;
 mod fragment;
@@ -44,7 +47,7 @@ mod trace_observer;
 pub use energy::Ls3dfEnergy;
 pub use fragment::{Fragment, FragmentError, FragmentGrid, FragmentId};
 pub use fsm::{folded_spectrum, scan_band, FsmOptions, FsmState};
-pub use groups::{fragment_costs, plan_groups, GroupPlan};
+pub use groups::{fragment_costs, plan_class_groups, plan_groups, GroupPlan};
 // Checkpoint configuration/error types are part of the driver's public
 // surface (builder + observer signatures), so re-export them here.
 pub use ls3df_ckpt::{CheckpointConfig, CheckpointPolicy, CkptError, CkptErrorKind};

@@ -17,9 +17,10 @@
 
 use crate::check;
 use crate::ckpt;
+use crate::classes::{self, ClassKey};
 use crate::distrib::{self, PetotReport};
 use crate::fragment::{Fragment, FragmentError, FragmentGrid};
-use crate::groups::{plan_groups, GroupPlan};
+use crate::groups::{plan_class_groups, GroupPlan};
 use crate::observer::{ScfObserver, ScfStage, SilentObserver};
 use crate::passivate::{boundary_wall, fragment_atoms, Passivation};
 use crate::supervise::{
@@ -300,6 +301,9 @@ pub struct Ls3df {
     comm: Arc<dyn Communicator>,
     /// Fragment→group assignment for `comm.size()` groups.
     plan: GroupPlan,
+    /// `rep_of[i]`: the representative of fragment `i`'s translation
+    /// class ([`crate::classes`]), `i` itself for a representative.
+    rep_of: Vec<usize>,
 }
 
 /// Result of an LS3DF SCF run.
@@ -820,8 +824,9 @@ impl Ls3df {
             })
             .collect();
 
-        // Build fragment states in parallel (projectors + ΔV_F).
-        let fragments: Vec<FragmentState> = fg
+        // Build fragment states in parallel (projectors + ΔV_F), each with
+        // the key of its translation class.
+        let built: Vec<(FragmentState, ClassKey)> = fg
             .fragments()
             .par_iter()
             .enumerate()
@@ -866,17 +871,16 @@ impl Ls3df {
                     .iter()
                     .map(|&g| structure.atoms[g].species.valence())
                     .sum();
-                // Seed by fragment *type* only: fragments of the same size
-                // start from the same guess, so identical pieces produce
-                // bit-identical fragment solutions (exact patched-density
-                // periodicity for ideal crystals — tested in
-                // tests/ls3df_pipeline.rs).
+                // Seed by fragment size: the members of a translation class
+                // start from their representative's guess, and PEtot_F hands
+                // them its solution (`Ls3df::representatives`).
                 let psi = ls3df_pw::scf::random_start_packed(
                     n_bands,
                     &basis,
                     0xF00D ^ (f.size[0] * 31 + f.size[1] * 37 + f.size[2] * 41) as u64,
                 );
-                FragmentState {
+                let key = ClassKey::new(f.size, &occupations, &fa.atoms);
+                let state = FragmentState {
                     fragment: f,
                     basis,
                     nonlocal,
@@ -886,9 +890,12 @@ impl Ls3df {
                     z_region,
                     injected: InjectedCounters::default(),
                     quarantined: false,
-                }
+                };
+                (state, key)
             })
             .collect();
+        let (fragments, keys): (Vec<FragmentState>, Vec<ClassKey>) = built.into_iter().unzip();
+        let rep_of = classes::representatives(&keys);
 
         let n_electrons = structure.num_electrons();
         let positions: Vec<[f64; 3]> = structure.atoms.iter().map(|a| a.pos).collect();
@@ -900,7 +907,7 @@ impl Ls3df {
         let ewald = ls3df_pw::ewald::ewald_energy(&positions, &charges, structure.lengths);
         let fingerprint = ckpt::options_fingerprint(structure, m, &opts);
         let comm = ls3df_dist::communicator(groups)?;
-        let plan = plan_groups(&fg, structure, comm.size());
+        let plan = plan_class_groups(&fg, structure, &rep_of, comm.size());
         Ok(Ls3df {
             fg,
             global_grid,
@@ -918,6 +925,7 @@ impl Ls3df {
             resume: None,
             comm,
             plan,
+            rep_of,
         })
     }
 
@@ -933,10 +941,21 @@ impl Ls3df {
         &self.comm
     }
 
-    /// The fragment→group assignment ([`plan_groups`] over the
+    /// The fragment→group assignment ([`plan_class_groups`] over the
     /// communicator's size; one group owns everything in a one-rank world).
+    /// A translation class never spans groups.
     pub fn group_plan(&self) -> &GroupPlan {
         &self.plan
+    }
+
+    /// Each fragment's representative: the lowest-index fragment whose box
+    /// holds the same atoms at the same box-frame positions (to
+    /// 1e-9 Bohr) with the same occupations — the fragment itself when no
+    /// earlier one does. PEtot_F solves the representatives; a member
+    /// takes its representative's solution while their Gen_VF potentials
+    /// agree to `fragment_tol`.
+    pub fn representatives(&self) -> &[usize] {
+        &self.rep_of
     }
 
     /// The latest patched density.
@@ -1138,13 +1157,12 @@ impl Ls3df {
         }
         folded.faults.sort_by_key(|f| (f.fragment, f.attempt));
         folded.quarantined.sort_by_key(|r| r.fragment);
-        folded.regions.sort_by_key(|&(i, _)| i);
 
-        Ok(distrib::on_root(&*self.comm, || {
+        distrib::on_root(&*self.comm, || {
             let t = Stopwatch::start();
-            let (rho, q, fragments) = self.patch_density(folded.regions);
+            let (rho, q, fragments) = self.patch_density(folded.regions)?;
             timings.gen_dens += t.seconds();
-            Patch {
+            Ok(Patch {
                 rho,
                 q,
                 worst_residual: folded.worst_residual,
@@ -1153,17 +1171,38 @@ impl Ls3df {
                 timings,
                 group_petot_seconds,
                 fragments,
-            }
-        }))
+            })
+        })
+        .transpose()
+    }
+
+    /// Whether member `i` takes its representative's solution this round
+    /// instead of solving: it has a representative other than itself, no
+    /// pending injected fault, was not quarantined in the previous round,
+    /// and its V_F is within `fragment_tol` (max-abs) of the
+    /// representative's. Then the representative's ψ solves its problem
+    /// within the solver's own tolerance, since ‖δV·ψ‖ ≤ max|δV|.
+    fn shares_solution(&self, i: usize, vfs: &[RealField]) -> bool {
+        let (fs, rep) = (&self.fragments[i], self.rep_of[i]);
+        rep != i
+            && fs.injected.panics + fs.injected.solver_errors == 0
+            && !fs.quarantined
+            && vfs[i]
+                .as_slice()
+                .iter()
+                .zip(vfs[rep].as_slice())
+                .all(|(a, b)| (a - b).abs() <= self.opts.fragment_tol)
     }
 
     /// The supervised PEtot_F stage: every fragment solve runs under
     /// `catch_unwind` with the deterministic retry ladder
     /// ([`ATTEMPT_LADDER`]); fragments that exhaust it are quarantined
     /// (their wavefunctions left as the previous iteration's) instead of
-    /// aborting the run. Returns the solve half of this group's report: worst
-    /// residual (quarantined fragments excluded), quarantine flags, faults
-    /// and quarantine records, all in fragment order.
+    /// aborting the run. A member that [shares](Ls3df::shares_solution)
+    /// does not solve: it gets a copy of its representative's ψ, residual
+    /// and quarantine outcome. Returns the solve half of this group's
+    /// report: worst residual (quarantined fragments excluded), quarantine
+    /// flags, faults and quarantine records, all in fragment order.
     fn petot_f_supervised(&mut self, vfs: &[RealField], steps: usize) -> PetotReport {
         let _s = span!("petot_f");
         let solver_opts = SolverOptions {
@@ -1179,13 +1218,15 @@ impl Ls3df {
         // keep their state untouched (the global layer never reads it, and
         // snapshot iterations gather the owners' blocks explicitly).
         let my_group = self.comm.rank();
-        let owner = &self.plan.owner;
+        let (shared, solved): (Vec<usize>, Vec<usize>) = self.plan.groups[my_group]
+            .iter()
+            .partition(|&&index| self.shares_solution(index, vfs));
         let mut queue: Vec<(usize, &mut FragmentState, &RealField)> = self
             .fragments
             .iter_mut()
             .zip(vfs)
             .enumerate()
-            .filter(|&(index, _)| owner[index] == my_group)
+            .filter(|&(index, _)| solved.binary_search(&index).is_ok())
             .map(|(index, (fs, vf))| (index, fs, vf))
             .collect();
         // Fragment costs span ~70× on the alloy, so the queue is worked
@@ -1217,16 +1258,52 @@ impl Ls3df {
             }
             out.faults.extend(o.faults);
         }
+        // A class never spans groups, so each sharing member's
+        // representative was solved above. The member copies its committed
+        // ψ in place and takes its quarantine outcome; its residual is the
+        // representative's, so the worst residual stands.
+        counter_add(Counter::FragmentShares, shared.len() as u64);
+        for &index in &shared {
+            let (head, tail) = self.fragments.split_at_mut(index);
+            let (rep, member) = (&head[self.rep_of[index]], &mut tail[0]);
+            member
+                .psi
+                .as_mut_slice()
+                .copy_from_slice(rep.psi.as_slice());
+            member.quarantined = rep.quarantined;
+            out.flags.push((index, rep.quarantined));
+        }
+        out.flags.sort_unstable_by_key(|&(index, _)| index);
         out
     }
 
+    /// Whether fragment `i` is a class member holding its representative's
+    /// ψ bit for bit (it shared the last solve): its region part is then
+    /// the representative's, bit for bit.
+    fn holds_representative_psi(&self, i: usize) -> bool {
+        let rep = self.rep_of[i];
+        rep != i
+            && self.fragments[i]
+                .psi
+                .as_slice()
+                .iter()
+                .zip(self.fragments[rep].psi.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
     /// The parallel half of **Gen_dens**, restricted to `indices`: each
-    /// listed fragment's box density reduced to its region. Every rank
-    /// computes this for its owned fragments and the global layer merges
-    /// the parts.
+    /// listed fragment's box density reduced to its region, once per solved
+    /// class — a member that holds its representative's ψ sends no part of
+    /// its own. Every rank computes this for its owned fragments and the
+    /// global layer merges the parts.
     fn gen_dens_parts(&self, indices: &[usize]) -> Vec<(usize, RealField)> {
         let _s = span!("gen_dens");
-        indices
+        let own_psi: Vec<usize> = indices
+            .iter()
+            .copied()
+            .filter(|&i| !self.holds_representative_psi(i))
+            .collect();
+        own_psi
             .par_iter()
             .map(|&i| {
                 let fs = &self.fragments[i];
@@ -1257,28 +1334,40 @@ impl Ls3df {
             .collect()
     }
 
-    /// The sequential half of **Gen_dens**: accumulates region parts in
-    /// fixed ascending fragment order (the global-array reduction) and
-    /// verifies the patching invariants, returning the patch with its
-    /// charge `q = ∫ρ` and each part's [`RegionCharge`] — the
-    /// renormalization to the electron count is the SCF's global layer's.
-    /// `parts` must be sorted by fragment index — the caller guarantees it
-    /// (`gen_dens_parts` preserves the order of its `indices`, and
-    /// `respond` sorts its fold), so the summation tree is a function of
-    /// the fragment list alone — the patched density is bit-identical from
-    /// run to run, across LS3DF_THREADS settings, and across group counts.
-    fn patch_density(&self, parts: Vec<(usize, RealField)>) -> (RealField, f64, Vec<RegionCharge>) {
+    /// The sequential half of **Gen_dens**: accumulates every fragment's
+    /// region part — its own, or else its representative's — in fixed
+    /// ascending fragment order (the global-array reduction) and verifies
+    /// the patching invariants, returning the patch with its charge
+    /// `q = ∫ρ` and each fragment's [`RegionCharge`] — the renormalization
+    /// to the electron count is the SCF's global layer's. The summation
+    /// tree is a function of the fragment list alone, so the patched
+    /// density is bit-identical from run to run, across LS3DF_THREADS
+    /// settings, and across group counts. A fragment with neither part is
+    /// a protocol error: some group's report left it out.
+    fn patch_density(
+        &self,
+        parts: Vec<(usize, RealField)>,
+    ) -> Result<(RealField, f64, Vec<RegionCharge>), CommError> {
         let _s = span!("gen_dens");
+        let mut slot = vec![None; self.fragments.len()];
+        for (k, &(i, _)) in parts.iter().enumerate() {
+            slot[i] = Some(k);
+        }
+        let part_charge: Vec<f64> = parts.iter().map(|(_, region)| region.integrate()).collect();
         let mut rho = RealField::zeros(self.global_grid.clone());
         let mut signed_region_charge = 0.0;
         let mut gross_patch_scale = 0.0;
-        let mut charges = Vec::with_capacity(parts.len());
-        for (i, region) in parts {
-            let fs = &self.fragments[i];
+        let mut charges = Vec::with_capacity(self.fragments.len());
+        for (i, fs) in self.fragments.iter().enumerate() {
+            let k = slot[i]
+                .or(slot[self.rep_of[i]])
+                .ok_or_else(|| CommError::Protocol {
+                    detail: format!("Gen_dens: no region part for fragment {i} or its class"),
+                })?;
             let origin = self.fg.region_origin(&fs.fragment);
-            rho.accumulate_subbox(origin, &region, fs.fragment.alpha());
+            rho.accumulate_subbox(origin, &parts[k].1, fs.fragment.alpha());
             let charge = RegionCharge {
-                q_region: region.integrate(),
+                q_region: part_charge[k],
                 z_region: fs.z_region,
                 n_e: fs.occupations.iter().sum(),
             };
@@ -1334,7 +1423,7 @@ impl Ls3df {
                 ));
             }
         }
-        (rho, q, charges)
+        Ok((rho, q, charges))
     }
 
     /// **GENPOT**: global Poisson + XC from the patched density, through

@@ -43,7 +43,8 @@ pub enum Counter {
     RetryRungs,
     /// Fragments quarantined after ladder exhaustion.
     Quarantines,
-    /// Supervised fragment solves (one per fragment per PEtot_F pass).
+    /// Supervised fragment solves (one per solved fragment per PEtot_F
+    /// round).
     FragmentSolves,
     /// Bytes written to communicator transports (frames + length prefixes).
     CommBytesSent,
@@ -56,11 +57,15 @@ pub enum Counter {
     /// Floating-point operations of the all-band solver's block products
     /// (`8·m·n·k` per complex GEMM; triangular products count half).
     GemmFlops,
+    /// Class members that took their representative's solution instead
+    /// of solving (one per member per PEtot_F round), so
+    /// `fragment_solves + fragment_shares` = fragments × rounds.
+    FragmentShares,
 }
 
 impl Counter {
     /// Every counter, in reporting order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 19] = [
         Counter::FftLinesTrivial,
         Counter::FftLinesRadix2,
         Counter::FftLinesBluestein,
@@ -79,6 +84,7 @@ impl Counter {
         Counter::CommAllreduceCalls,
         Counter::FftLinesMixed,
         Counter::GemmFlops,
+        Counter::FragmentShares,
     ];
 
     /// Stable snake_case identifier (JSON report key).
@@ -102,6 +108,7 @@ impl Counter {
             Counter::CommAllreduceCalls => "comm_allreduce_calls",
             Counter::FftLinesMixed => "fft_lines_mixed",
             Counter::GemmFlops => "gemm_flops",
+            Counter::FragmentShares => "fragment_shares",
         }
     }
 }
@@ -222,7 +229,7 @@ mod tests {
         // counter is a report-schema change: update the golden list
         // here AND document the delta in EXPERIMENTS.md. New counters
         // are appended, never inserted.
-        const GOLDEN: [&str; 18] = [
+        const GOLDEN: [&str; 19] = [
             "fft_lines_trivial",
             "fft_lines_radix2",
             "fft_lines_bluestein",
@@ -241,6 +248,7 @@ mod tests {
             "comm_allreduce_calls",
             "fft_lines_mixed",
             "gemm_flops",
+            "fragment_shares",
         ];
         let names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names, GOLDEN);

@@ -41,8 +41,10 @@
 //! 8. `obs-dist`: `cargo test -p ls3df --features obs,alloc-count --test
 //!    obs_dist_report --test dist_fault -q` — the rank-aware
 //!    observability gate: an obs-enabled multi-group SCF must produce one
-//!    merged schema-v2 report whose per-rank `fragment_solves` counters
-//!    sum to the single-process total at `LS3DF_GROUPS ∈ {1, 2, 4}`, a
+//!    merged schema-v2 report whose per-rank `fragment_solves` and
+//!    `fragment_shares` counters sum to the single-process totals at
+//!    `LS3DF_GROUPS ∈ {1, 2, 4}` (solves plus shares = fragments ×
+//!    iterations), a
 //!    killed worker must surface as a `down` rank section (typed
 //!    comm-error kind) with `telemetry_incomplete` set, and the committed
 //!    `BENCH_fig5.json` must stay schema-valid.

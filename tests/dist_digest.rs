@@ -25,7 +25,7 @@ use ls3df_pseudo::PseudoTable;
 
 /// The single-process SCF digest (see `tests/scheme_digest.rs::GOLDEN` —
 /// same capture, same workload).
-const GOLDEN: u64 = 0xeba2_0b58_e229_cae3;
+const GOLDEN: u64 = 0xf1d9_6157_e9c2_db7b;
 
 /// Same options as `tests/scheme_digest.rs::reference_opts`.
 fn reference_opts() -> Ls3dfOptions {

@@ -11,9 +11,11 @@
 //! * `merged_report_counters_sum_to_single_process_totals` — SPMD
 //!   subprocess matrix at `LS3DF_GROUPS ∈ {1, 2, 4}` (same re-exec
 //!   pattern as `tests/dist_digest.rs`): every group count's merged
-//!   report must account for the *same* total `fragment_solves`, the
-//!   multi-group reports must carry one `up` rank section per group
-//!   with per-rank counters summing to the single-process total, and
+//!   report must account for the *same* totals of `fragment_solves` and
+//!   `fragment_shares`, which together cover every fragment in every
+//!   iteration, the multi-group reports must carry one `up` rank section
+//!   per group with per-rank counters summing to the single-process
+//!   totals, and
 //!   the derived straggler-gap / imbalance / comm-attribution sections
 //!   must be present. Only meaningful with spans compiled in, so it is
 //!   a no-op without the `obs` feature.
@@ -26,7 +28,8 @@ use ls3df_pseudo::PseudoTable;
 use std::path::Path;
 
 /// Fixed iteration count (tol never met in 2 iterations) so every group
-/// count does identical work and `fragment_solves` totals are exact.
+/// count does identical work and the `fragment_solves` and
+/// `fragment_shares` totals are exact.
 fn fixed_work_opts() -> Ls3dfOptions {
     Ls3dfOptions {
         ecut: 1.5,
@@ -130,7 +133,7 @@ fn merged_report_counters_sum_to_single_process_totals() {
     let exe = std::env::current_exe().expect("test binary path");
     let dir = std::env::temp_dir().join(format!("ls3df_obs_dist_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("report scratch dir");
-    let mut totals: Vec<(usize, u64)> = Vec::new();
+    let mut totals: Vec<(usize, [u64; 2])> = Vec::new();
     for groups in [1usize, 2, 4] {
         let report_path = dir.join(format!("report_groups{groups}.json"));
         let out = std::process::Command::new(&exe)
@@ -153,7 +156,7 @@ fn merged_report_counters_sum_to_single_process_totals() {
             .find_map(|l| l.split("OBS_NFRAGS=").nth(1))
             .and_then(|v| v.trim().parse().ok())
             .unwrap_or_else(|| panic!("no OBS_NFRAGS line (groups={groups}):\n{stdout}"));
-        // 2 fixed iterations solve every fragment exactly twice.
+        // 2 fixed iterations solve or share every fragment exactly twice.
         let expected = 2 * n_frags;
 
         let text = std::fs::read_to_string(&report_path)
@@ -178,13 +181,15 @@ fn merged_report_counters_sum_to_single_process_totals() {
             // Single-process world: no merge, the flat counter table is
             // the whole story.
             assert!(ranks.is_empty(), "no rank sections in a world of one");
-            doc.get("counters")
-                .and_then(|c| c.get("fragment_solves"))
-                .and_then(Json::as_f64)
-                .expect("fragment_solves counter") as u64
+            ["fragment_solves", "fragment_shares"].map(|name| {
+                doc.get("counters")
+                    .and_then(|c| c.get(name))
+                    .and_then(Json::as_f64)
+                    .unwrap_or_else(|| panic!("{name} counter")) as u64
+            })
         } else {
             assert_eq!(ranks.len(), groups, "one rank section per group");
-            let mut sum = 0;
+            let mut sum = [0; 2];
             for (r, rank) in ranks.iter().enumerate() {
                 assert_eq!(
                     rank.get("status").and_then(Json::as_str),
@@ -193,7 +198,8 @@ fn merged_report_counters_sum_to_single_process_totals() {
                 );
                 let solves = rank_counter(rank, "fragment_solves");
                 assert!(solves > 0, "rank {r} solved nothing (groups={groups})");
-                sum += solves;
+                sum[0] += solves;
+                sum[1] += rank_counter(rank, "fragment_shares");
             }
             // The derived sections exist for multi-rank runs.
             let extra = doc
@@ -209,8 +215,9 @@ fn merged_report_counters_sum_to_single_process_totals() {
             sum
         };
         assert_eq!(
-            total, expected,
-            "fragment_solves must account for every solve (groups={groups})"
+            total[0] + total[1],
+            expected,
+            "fragment_solves + fragment_shares must account for every fragment (groups={groups})"
         );
         totals.push((groups, total));
     }
