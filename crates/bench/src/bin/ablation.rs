@@ -1,15 +1,14 @@
-//! Regenerates the paper **§IV optimization ablations**:
+//! Regenerates the paper **§IV optimization ablations**, each *measured*
+//! with this repository's real solvers on fragment-sized problems:
 //!
-//! 1. communication algorithm for Gen_VF/Gen_dens — file I/O vs in-memory
-//!    collectives vs point-to-point (model: 22 s → 2.5 s → sub-second);
-//! 2. all-band (BLAS-3) vs band-by-band (BLAS-2) eigensolver — *measured*
-//!    with this repository's real solvers on a fragment-sized problem
-//!    (paper: PEtot went from 15% to 45–56% of peak);
-//! 3. Gram–Schmidt vs overlap-matrix orthogonalization — measured.
+//! 1. all-band (BLAS-3) vs band-by-band (BLAS-2) eigensolver (paper:
+//!    PEtot went from 15% to 45–56% of peak);
+//! 2. Gram–Schmidt vs overlap-matrix orthogonalization;
+//! 3. blocked vs naive GEMM at the paper's typical fragment shape;
+//! 4. q-space vs real-space Kleinman–Bylander projectors (paper §V).
 //!
 //! Run: `cargo run -p ls3df-bench --bin ablation --release`
 
-use ls3df_hpc::{iteration_time, CommAlgo, MachineSpec, Problem};
 use ls3df_math::{c64, Matrix};
 use ls3df_pw::{
     solve_all_band, solve_band_by_band, Hamiltonian, NonlocalPotential, PwBasis, SolverOptions,
@@ -17,31 +16,8 @@ use ls3df_pw::{
 use std::time::Instant;
 
 fn main() {
-    // ---- 1. Communication algorithm (model) ------------------------------
-    println!("ablation 1 — Gen_VF/Gen_dens/GENPOT communication algorithm (model)");
-    let p = Problem::new(8, 6, 9); // the 2,000-atom CdSe rod analogue scale
-    println!(
-        "{:>16} {:>14} {:>20}",
-        "algorithm", "comm (s)", "share of iteration"
-    );
-    for (name, algo) in [
-        ("file I/O", CommAlgo::FileIo),
-        ("collectives", CommAlgo::Collective),
-        ("point-to-point", CommAlgo::PointToPoint),
-    ] {
-        let machine = MachineSpec::franklin().with_comm(algo);
-        let t = iteration_time(&machine, &p, 8640, 40);
-        println!(
-            "{:>16} {:>14.2} {:>19.1}%",
-            name,
-            t.comm,
-            100.0 * t.comm / t.total()
-        );
-    }
-    println!("(paper: 22 s + 19 s + 22 s originally → 2.5 + 2.2 + 0.4 s after optimization,\n a further ~6x from isend/irecv on Intrepid)\n");
-
-    // ---- 2. All-band vs band-by-band (measured) --------------------------
-    println!("ablation 2 — eigensolver variant on a fragment-sized problem (measured)");
+    // ---- 1. All-band vs band-by-band (measured) --------------------------
+    println!("ablation 1 — eigensolver variant on a fragment-sized problem (measured)");
     // A realistic fragment: ~1,500 planewaves × 32 bands (the paper's
     // production fragments are 3000 × 200 per group member).
     let grid = ls3df_grid::Grid3::cubic(24, 18.0);
@@ -89,8 +65,8 @@ fn main() {
         sb.residual / sa.residual
     );
 
-    // ---- 3. Orthogonalization variant (measured) --------------------------
-    println!("ablation 3 — orthogonalization kernel on a wavefunction block (measured)");
+    // ---- 2. Orthogonalization variant (measured) --------------------------
+    println!("ablation 2 — orthogonalization kernel on a wavefunction block (measured)");
     let npw = basis.len();
     let block = ls3df_pw::scf::random_start(96, &basis, 9);
     let reps = 10;
@@ -110,12 +86,12 @@ fn main() {
     println!("  Gram–Schmidt (band-by-band): {:>8.4}s", t_gs);
     println!("  overlap-matrix (Cholesky):   {:>8.4}s", t_ch);
     println!(
-        "  ratio {:.2}× — note: the overlap-matrix win in the paper comes from vendor\n  DGEMM + within-group parallelism; on this scalar single-core build the\n  streaming Gram–Schmidt dots are competitive (the BLAS-3 *shape* is what\n  this ablation verifies; ablation 4 shows the blocking win directly)",
+        "  ratio {:.2}× — note: the overlap-matrix win in the paper comes from vendor\n  DGEMM + within-group parallelism; on this scalar single-core build the\n  streaming Gram–Schmidt dots are competitive (the BLAS-3 *shape* is what\n  this ablation verifies; ablation 3 shows the blocking win directly)",
         t_gs / t_ch
     );
 
-    // ---- 4. GEMM kernel (measured; paper's DGEMM-sized matrices) ----------
-    println!("\nablation 4 — GEMM kernel at the paper's typical fragment shape (measured)");
+    // ---- 3. GEMM kernel (measured; paper's DGEMM-sized matrices) ----------
+    println!("\nablation 3 — GEMM kernel at the paper's typical fragment shape (measured)");
     let (m, k, n) = (200, 3000, 200); // paper: 'typical matrix … 3000 × 200'
     let a = Matrix::from_fn(m, k, |i, j| {
         c64::new((i + j) as f64 * 1e-4, (i as f64 - j as f64) * 1e-4)
@@ -137,11 +113,11 @@ fn main() {
         t_naive / t_blocked
     );
 
-    // ---- 5. q-space vs real-space nonlocal projectors (measured) ----------
+    // ---- 4. q-space vs real-space nonlocal projectors (measured) ----------
     // Paper §V: "a reciprocal q-space implementation of the nonlocal
     // potential is faster than a real-space implementation" for their
     // fragment sizes.
-    println!("\nablation 5 — Kleinman–Bylander projector implementation (measured)");
+    println!("\nablation 4 — Kleinman–Bylander projector implementation (measured)");
     let grid = ls3df_grid::Grid3::cubic(20, 16.0);
     let basis = PwBasis::new(grid.clone(), 2.0);
     let v = ls3df_grid::RealField::from_fn(grid.clone(), |r| 0.05 * (r[0] - 8.0));

@@ -1,66 +1,20 @@
-//! Regenerates the paper §VI **crossover analysis**: LS3DF O(N) vs
-//! conventional O(N³) planewave codes.
+//! The paper §VI **crossover analysis**, LS3DF O(N) vs conventional
+//! O(N³) planewave codes, *measured* with this repository's real solvers
+//! on single-core scaled-down model crystals: seconds per SCF iteration
+//! of direct `pw::scf` vs LS3DF over the same iteration count, for
+//! m×m×m crystals with m = 2..=max_m.
 //!
-//! Part 1 is the calibrated model sweep at paper scale (crossover atom
-//! count and the 13,824-atom speed ratio). Part 2 *measures* the same
-//! crossover shape with this repository's real solvers on single-core
-//! scaled-down model crystals: direct `pw::scf` vs one LS3DF outer
-//! iteration cost extrapolated over the same iteration count.
-//!
-//! Run: `cargo run -p ls3df-bench --bin crossover --release -- [measure] [max_m]`
+//! Run: `cargo run -p ls3df-bench --bin crossover --release -- [max_m]`
 
 use ls3df_atoms::model_crystal;
 use ls3df_bench::arg;
 use ls3df_core::{Ls3df, Ls3dfOptions, Passivation};
-use ls3df_hpc::{
-    crossover_atoms, crossover_sweep, speed_ratio, DirectCodeModel, MachineSpec, Problem,
-};
 use ls3df_pseudo::PseudoTable;
 use ls3df_pw::{DftSystem, Mixer, PwAtom, ScfOptions};
 use std::time::Instant;
 
 fn main() {
-    // ---- Part 1: paper-scale model --------------------------------------
-    let machine = MachineSpec::franklin();
-    let direct = DirectCodeModel::paratec();
-    let sweep = crossover_sweep(
-        &machine,
-        &direct,
-        17280,
-        40,
-        &[2, 3, 4, 5, 6, 8, 10, 12, 16],
-    );
-    println!("crossover (model, Franklin, 17,280 cores): t per SCF iteration");
-    println!(
-        "{:>8} {:>14} {:>14} {:>10}",
-        "atoms", "LS3DF (s)", "direct (s)", "ratio"
-    );
-    for p in &sweep {
-        println!(
-            "{:>8} {:>14.2} {:>14.2} {:>10.2}",
-            p.atoms,
-            p.t_ls3df,
-            p.t_direct,
-            p.t_direct / p.t_ls3df
-        );
-    }
-    match crossover_atoms(&sweep) {
-        Some(x) => println!(
-            "model crossover at ≈{x:.0} atoms (paper text: ~600; but see EXPERIMENTS.md — \
-             the paper's own PARATEC measurement implies an earlier crossover)"
-        ),
-        None => println!("no crossover in the sweep range"),
-    }
-    let r = speed_ratio(&machine, &direct, &Problem::new(12, 12, 12), 17280, 10);
-    println!("model speed ratio at 13,824 atoms: {r:.0}× (paper: ~400×)\n");
-
-    // ---- Part 2: real measured scaled-down crossover ---------------------
-    let measure: usize = arg(1, 1);
-    if measure == 0 {
-        println!("(measured part skipped; pass 1 as the first argument to enable)");
-        return;
-    }
-    let max_m: usize = arg(2, 3);
+    let max_m: usize = arg(1, 3);
     println!("measured single-core crossover on deep-well model crystals (a = 6.5 Bohr, E_cut = 1.5 Ha):");
     println!(
         "{:>8} {:>8} {:>16} {:>16} {:>10}",

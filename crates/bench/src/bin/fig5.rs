@@ -1,33 +1,23 @@
-//! Regenerates paper **Figure 5**: weak-scaling floating-point rates on
-//! Franklin, Jaguar and Intrepid (log-log Tflop/s vs cores at constant
-//! atoms-per-core).
+//! Paper **Figure 5** is weak-scaling Tflop/s measured on Franklin,
+//! Jaguar and Intrepid, which no single host resembles, so this bin
+//! records what it can measure instead: real two-level runs on the host
+//! it runs on. It re-runs a small SCF once per group count (1 and
+//! `LS3DF_GROUPS`, 2 when unset) over the `ls3df-dist` processor-group
+//! communicator and writes measured PEtot_F wall times, per-group load
+//! balance and the density digest to `BENCH_fig5.json`, every point
+//! tagged `provenance: "measured"`. The digest must be identical across
+//! group counts (the distributed loop is pure partitioning); the bin
+//! exits non-zero when it is not.
 //!
-//! Two kinds of points land in `BENCH_fig5.json`, distinguished by a
-//! `provenance` tag on every entry:
-//!
-//! * `"model"` — the paper machines' curves from the `ls3df-hpc` flop
-//!   model (always emitted; no host hardware resembles Franklin).
-//! * `"measured"` — real two-level runs on *this* host: when
-//!   `LS3DF_GROUPS` is set above 1, the binary re-runs a small SCF once
-//!   per group count (1 and the requested count) over the `ls3df-dist`
-//!   processor-group communicator and records measured PEtot_F wall
-//!   times, per-group load balance, and the density digest (which must
-//!   be identical across group counts — the distributed loop is pure
-//!   partitioning).
-//!
-//! Run: `cargo run -p ls3df-bench --bin fig5 --release`
-//! Measured leg: `LS3DF_GROUPS=2 cargo run -p ls3df-bench --bin fig5 --release`
+//! Run: `cargo run -p ls3df-bench --bin fig5 --release` (with
+//! `LS3DF_GROUPS=4` it measures 1 and 4 groups)
 
 use ls3df_atoms::model_crystal;
 use ls3df_core::{Ls3df, Ls3dfOptions, Passivation};
-use ls3df_hpc::{weak_scaling, MachineSpec, Problem};
 use ls3df_obs::{Json, Report, Stopwatch};
 use ls3df_pseudo::PseudoTable;
 use ls3df_pw::Mixer;
 use std::path::Path;
-
-/// (problem, cores, cores-per-group) triples for one machine's curve.
-type RunSet = Vec<(Problem, usize, usize)>;
 
 /// One measured run at whatever `LS3DF_GROUPS` this process was started
 /// with. SPMD: the launcher and its spawned workers all run this same
@@ -159,13 +149,13 @@ fn parse_measured(stdout: &str) -> Option<Measured> {
     })
 }
 
-/// Runs the measured leg: one subprocess per group count (fresh process
-/// per point — the processor-group world is bootstrapped once per
-/// process), collecting the machine-readable rows.
-fn run_measured(requested: usize) -> Vec<Measured> {
+/// Runs one subprocess per group count (fresh process per point — the
+/// processor-group world is bootstrapped once per process), collecting
+/// the machine-readable rows.
+fn run_measured(group_counts: &[usize]) -> Vec<Measured> {
     let exe = std::env::current_exe().expect("bench binary path");
     let mut rows = Vec::new();
-    for groups in [1usize, requested] {
+    for &groups in group_counts {
         // comm-audit: re-exec per group count so each measured point gets
         // a fresh communicator world; all SCF traffic inside the child
         // flows through the ls3df-dist transport.
@@ -197,150 +187,65 @@ fn main() {
         return;
     }
     let sw = Stopwatch::start();
-    println!("Figure 5 — weak scaling flop rates on different machines (model)");
-
-    let sets: Vec<(MachineSpec, RunSet)> = vec![
-        (
-            MachineSpec::franklin(),
-            vec![
-                (Problem::new(3, 3, 3), 270, 10),
-                (Problem::new(4, 4, 4), 1280, 20),
-                (Problem::new(5, 5, 5), 2500, 20),
-                (Problem::new(6, 6, 6), 4320, 20),
-                (Problem::new(8, 8, 8), 10240, 20),
-                (Problem::new(10, 10, 8), 16000, 20),
-                (Problem::new(12, 12, 12), 17280, 10),
-            ],
-        ),
-        (
-            MachineSpec::jaguar(),
-            vec![
-                (Problem::new(8, 8, 6), 7680, 20),
-                (Problem::new(16, 8, 6), 15360, 20),
-                (Problem::new(16, 12, 8), 30720, 20),
-            ],
-        ),
-        (
-            MachineSpec::intrepid(),
-            vec![
-                (Problem::new(4, 4, 4), 4096, 64),
-                (Problem::new(8, 4, 4), 8192, 64),
-                (Problem::new(8, 8, 4), 16384, 64),
-                (Problem::new(8, 8, 8), 32768, 64),
-                (Problem::new(16, 8, 8), 65536, 64),
-                (Problem::new(16, 16, 8), 131072, 64),
-            ],
-        ),
-    ];
-
-    let mut machine_objs = Vec::new();
-    for (machine, runs) in &sets {
-        println!("\n{}", machine.name);
-        println!(
-            "{:>9} {:>8} {:>12} {:>12}",
-            "cores", "atoms", "Tflop/s", "log-log slope"
-        );
-        let pts = weak_scaling(machine, runs);
-        let mut prev: Option<(usize, f64)> = None;
-        for p in &pts {
-            let slope = prev
-                .map(|(c0, t0)| (p.tflops / t0).log2() / (p.cores as f64 / c0 as f64).log2())
-                .map(|s| format!("{s:.3}"))
-                .unwrap_or_else(|| "-".into());
-            println!(
-                "{:>9} {:>8} {:>12.2} {:>12}",
-                p.cores, p.atoms, p.tflops, slope
-            );
-            prev = Some((p.cores, p.tflops));
-        }
-        let point_objs = pts
-            .iter()
-            .map(|p| {
-                Json::obj(vec![
-                    ("cores", Json::num(p.cores as f64)),
-                    ("atoms", Json::num(p.atoms as f64)),
-                    ("tflops", Json::num(p.tflops)),
-                    ("provenance", Json::str("model")),
-                ])
-            })
-            .collect();
-        machine_objs.push(Json::obj(vec![
-            ("machine", Json::str(machine.name)),
-            ("points", Json::Arr(point_objs)),
-        ]));
-    }
-
-    println!(
-        "\npaper shape checks: straight log-log lines (slope ≈ 1); Jaguar has the fastest \
-         per-core speed; Intrepid reaches the largest total rate (107.5 Tflop/s at 131,072 cores)."
-    );
-
-    // Measured leg: real processor-group runs on this host, once per
-    // group count, when the operator opted in via LS3DF_GROUPS.
     let requested = std::env::var("LS3DF_GROUPS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&g| g > 1);
-    let mut measured_objs = Vec::new();
-    if let Some(groups) = requested {
-        println!("\nmeasured two-level runs on this host (LS3DF_GROUPS={groups}):");
+        .filter(|&g| g >= 1)
+        .unwrap_or(2);
+    let mut group_counts = vec![1, requested];
+    group_counts.dedup();
+    println!("Figure 5 — measured two-level runs on this host (groups {group_counts:?})");
+    println!(
+        "{:>8} {:>12} {:>10} {:>14} {:>10} {:>14} {:>18}",
+        "groups",
+        "PEtot_F (s)",
+        "speedup",
+        "max group (s)",
+        "imbalance",
+        "straggler (s)",
+        "density digest"
+    );
+    let rows = run_measured(&group_counts);
+    let base = rows[0].petot;
+    for r in &rows {
         println!(
-            "{:>8} {:>12} {:>10} {:>14} {:>10} {:>14} {:>18}",
-            "groups",
-            "PEtot_F (s)",
-            "speedup",
-            "max group (s)",
-            "imbalance",
-            "straggler (s)",
-            "density digest"
+            "{:>8} {:>12.3} {:>9.2}\u{d7} {:>14.3} {:>10.3} {:>14.3} {:>18}",
+            r.groups,
+            r.petot,
+            base / r.petot.max(1e-12),
+            r.max_group,
+            r.imbalance,
+            r.straggler,
+            r.digest
         );
-        let rows = run_measured(groups);
-        let base = rows[0].petot;
-        for r in &rows {
-            println!(
-                "{:>8} {:>12.3} {:>9.2}\u{d7} {:>14.3} {:>10.3} {:>14.3} {:>18}",
-                r.groups,
-                r.petot,
-                base / r.petot.max(1e-12),
-                r.max_group,
-                r.imbalance,
-                r.straggler,
-                r.digest
-            );
-        }
-        if rows.iter().any(|r| r.digest != rows[0].digest) {
-            eprintln!("DETERMINISM VIOLATION: density digests differ across group counts");
-            std::process::exit(1);
-        }
-        println!("all group counts produced bit-identical densities");
-        measured_objs = rows
-            .iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("groups", Json::num(r.groups as f64)),
-                    ("petot_seconds", Json::num(r.petot)),
-                    ("total_seconds", Json::num(r.total)),
-                    ("max_group_seconds", Json::num(r.max_group)),
-                    ("imbalance_ratio", Json::num(r.imbalance)),
-                    (
-                        "predicted_imbalance_ratio",
-                        Json::num(r.predicted_imbalance),
-                    ),
-                    ("straggler_gap_seconds", Json::num(r.straggler)),
-                    ("digest", Json::str(r.digest.clone())),
-                    ("provenance", Json::str("measured")),
-                ])
-            })
-            .collect();
-    } else {
-        println!("\n(set LS3DF_GROUPS>1 to add measured multi-process points to BENCH_fig5.json)");
     }
+    if rows.iter().any(|r| r.digest != rows[0].digest) {
+        eprintln!("DETERMINISM VIOLATION: density digests differ across group counts");
+        std::process::exit(1);
+    }
+    println!("all group counts produced bit-identical densities");
+    let measured_objs = rows
+        .iter()
+        .map(|r| {
+            Json::obj(vec![
+                ("groups", Json::num(r.groups as f64)),
+                ("petot_seconds", Json::num(r.petot)),
+                ("total_seconds", Json::num(r.total)),
+                ("max_group_seconds", Json::num(r.max_group)),
+                ("imbalance_ratio", Json::num(r.imbalance)),
+                (
+                    "predicted_imbalance_ratio",
+                    Json::num(r.predicted_imbalance),
+                ),
+                ("straggler_gap_seconds", Json::num(r.straggler)),
+                ("digest", Json::str(r.digest.clone())),
+                ("provenance", Json::str("measured")),
+            ])
+        })
+        .collect();
 
-    // Machine-readable curves (EXPERIMENTS.md documents the schema).
+    // Machine-readable points (EXPERIMENTS.md documents the schema).
     let mut report = Report::new("fig5", sw.seconds());
-    report
-        .extra
-        .push(("model_curves".to_string(), Json::Arr(machine_objs)));
     report
         .extra
         .push(("measured_points".to_string(), Json::Arr(measured_objs)));

@@ -17,8 +17,6 @@ use ls3df_core::{
     FragmentFault, Ls3df, Ls3dfOptions, Ls3dfStep, Passivation, QuarantineRecord, ScfObserver,
     ScfStage, TraceObserver,
 };
-use ls3df_hpc::MachineSpec;
-use ls3df_obs::MachineRef;
 use ls3df_pseudo::PseudoTable;
 use ls3df_pw::Mixer;
 use std::io::Write as _;
@@ -143,17 +141,7 @@ fn main() -> std::process::ExitCode {
         "Gendens",
         "GENPOT"
     );
-    // Rate the run against the paper's primary machine model at this
-    // host's core count (%-of-peak next to the paper's ~40% figure).
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let spec = MachineSpec::franklin();
-    let machine = MachineRef {
-        name: format!("{} @ {cores} cores", spec.name),
-        peak_gflops: spec.peak(cores) * 1e-9,
-    };
-    let mut tracer = TraceObserver::new("fig6")
-        .with_machine(machine)
-        .with_trace_file("TRACE_fig6.json");
+    let mut tracer = TraceObserver::new("fig6").with_trace_file("TRACE_fig6.json");
     let res = ls.scf_with(Fig6Observer {
         tracer: &mut tracer,
     });

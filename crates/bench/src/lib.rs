@@ -1,21 +1,20 @@
 //! # ls3df-bench
 //!
-//! Benchmark harness: one report binary per paper table/figure (run with
-//! `cargo run -p ls3df-bench --bin <name> --release`). The §IV
+//! Benchmark harness: one report binary per paper figure that this host
+//! can measure (run with `cargo run -p ls3df-bench --bin <name>
+//! --release`). Table I and Figs. 3–4 are Cray/BlueGene measurements
+//! and have no bin. The §IV
 //! optimization ablations are bins too: `ablation` and `fft_kernels`.
 //!
 //! | Binary | Regenerates |
 //! |---|---|
 //! | `fig1` | Figure 1 (2-D fragment schematic + partition-of-unity check) as text |
-//! | `table1` | Table I (Tflop/s + %peak, 28 rows, model vs paper) |
-//! | `fig3` | Strong-scaling speedups + Amdahl fits |
-//! | `fig4` | Efficiency vs concurrency scatter |
-//! | `fig5` | Weak-scaling Tflop/s on the three machines |
+//! | `fig5` | Measured processor-group runs on this host at 1 and `LS3DF_GROUPS` groups (`BENCH_fig5.json`) |
 //! | `fig6` | Real LS3DF SCF convergence on a scaled ZnTeO alloy |
 //! | `fig7` | FSM band-edge states + O-localization analysis |
-//! | `crossover` | LS3DF vs O(N³) model sweep + real scaled measurement |
+//! | `crossover` | LS3DF vs direct O(N³) seconds per iteration, measured on scaled-down crystals |
 //! | `accuracy` | LS3DF vs direct DFT eigenvalue/density agreement (`znteo`: fig6's alloy, energy after 12 iterations) |
-//! | `ablation` | Comm-algorithm + solver-variant ablations |
+//! | `ablation` | Solver, orthogonalization, GEMM and projector ablations (measured) |
 //! | `buffer_ablation` | Fragment buffer width vs patched-density error against direct DFT |
 //! | `petot_scaling` | PEtot_F thread scaling of the work-stealing pool |
 //! | `fft_kernels` | FFT/GEMM kernel A/B table (`BENCH_fft_kernels.json`) |

@@ -12,8 +12,8 @@
 //! Each fragment keeps its wavefunctions between outer iterations (warm
 //! start), as Γ-point packed real rows (`ls3df_pw::PwBasis::pack`): the
 //! representation its solves, Gen_dens, the energy and snapshots all read
-//! directly. Per-step wall-clock timings are recorded so the machine-model
-//! calibration in `ls3df-hpc` can use measured constants.
+//! directly. Per-step wall-clock timings are recorded in every
+//! [`Ls3dfStep`].
 
 use crate::check;
 use crate::ckpt;

@@ -65,7 +65,7 @@ pub use scalar::Scalar;
 
 pub use cholesky::Cholesky;
 pub use eigh::{eigh, Eig};
-pub use lu::{lstsq, solve, Lu};
+pub use lu::{solve, Lu};
 pub use tridiag::eigh_tridiagonal;
 
 /// Hermitian (`c64`) or real-symmetric (`f64`) eigendecomposition with

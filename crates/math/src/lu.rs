@@ -1,8 +1,6 @@
-//! LU factorization with partial pivoting and small least-squares helpers.
+//! LU factorization with partial pivoting.
 //!
-//! These back the Pulay (DIIS) potential-mixing solve in the SCF loop and
-//! the Amdahl's-law least-squares fit used to analyze the strong-scaling
-//! experiment (paper Eq. 1 and Fig. 3).
+//! It backs the Pulay (DIIS) potential-mixing solve in the SCF loop.
 
 use crate::{Matrix, Scalar};
 
@@ -97,16 +95,6 @@ pub fn solve<S: Scalar>(a: &Matrix<S>, b: &[S]) -> Result<Vec<S>, SingularError>
     Ok(Lu::new(a)?.solve(b))
 }
 
-/// Dense least squares: minimizes `‖A·x − b‖₂` for a tall real matrix via
-/// the normal equations `(AᵀA)·x = Aᵀb`. Adequate for the small,
-/// well-conditioned fitting problems in the scaling analysis.
-pub fn lstsq(a: &Matrix<f64>, b: &[f64]) -> Result<Vec<f64>, SingularError> {
-    assert_eq!(a.rows(), b.len(), "lstsq: rhs length mismatch");
-    let ata = crate::gemm::matmul_hn(a, a);
-    let atb = a.matvec_h(b);
-    solve(&ata, &atb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,16 +139,5 @@ mod tests {
         let a = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
         let x = solve(&a, &[3.0, 7.0]).unwrap();
         assert_eq!(x, vec![7.0, 3.0]);
-    }
-
-    #[test]
-    fn lstsq_recovers_exact_solution() {
-        // Overdetermined but consistent: y = 2 + 3x.
-        let xs = [0.0, 1.0, 2.0, 3.0, 4.0];
-        let ys: Vec<f64> = xs.iter().map(|&x| 2.0 + 3.0 * x).collect();
-        let a = Matrix::from_fn(xs.len(), 2, |i, j| if j == 0 { 1.0 } else { xs[i] });
-        let c = lstsq(&a, &ys).unwrap();
-        assert!((c[0] - 2.0).abs() < 1e-10);
-        assert!((c[1] - 3.0).abs() < 1e-10);
     }
 }

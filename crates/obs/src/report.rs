@@ -37,9 +37,9 @@ pub const SCHEMA_NAME: &str = "ls3df-run-report";
 /// version only.
 pub const SCHEMA_VERSION: u64 = 2;
 
-/// The machine model a report rates itself against (name + peak rate).
-/// Bench bins build this from `ls3df_hpc::MachineSpec`; obs itself
-/// deliberately knows nothing about machine models.
+/// The machine a report rates itself against (name + peak rate). No
+/// bench bin passes one today, so their reports carry `"machine": null`;
+/// obs itself knows nothing about machine models.
 #[derive(Clone, Debug)]
 pub struct MachineRef {
     /// Model name (e.g. `franklin`, or a local host label).

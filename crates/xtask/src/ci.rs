@@ -247,20 +247,14 @@ fn run_cargo_step(root: &Path, name: &str, args: &[&str], env: StepEnv<'_>) -> (
             println!("=== cargo {name}: registry unreachable, retrying --offline ===");
             match run(&["--offline"]) {
                 Ok((true, _)) => StepResult::Pass,
-                Ok((false, stderr)) if is_missing_component(&stderr) => {
-                    StepResult::Skip(format!("{name} not installed"))
-                }
-                Ok((false, _)) => StepResult::Fail,
+                Ok((false, stderr)) => failed_step(name, &stderr),
                 Err(e) => {
                     eprintln!("{e}");
                     StepResult::Fail
                 }
             }
         }
-        Ok((false, stderr)) if is_missing_component(&stderr) => {
-            StepResult::Skip(format!("{name} not installed"))
-        }
-        Ok((false, _)) => StepResult::Fail,
+        Ok((false, stderr)) => failed_step(name, &stderr),
         Err(e) => {
             eprintln!("{e}");
             StepResult::Fail
@@ -280,14 +274,37 @@ fn is_network_failure(stderr: &str) -> bool {
     .any(|m| stderr.contains(m))
 }
 
-fn is_missing_component(stderr: &str) -> bool {
-    [
-        "no such command",
-        "is not installed",
-        "error: toolchain",
-        "component",
-    ]
-    .iter()
-    .any(|m| stderr.contains(m))
-        && !stderr.contains("error[E")
+/// A failed step is skipped only when rustup or cargo says the tool is
+/// missing; anything else, however it is worded, is a failure.
+fn failed_step(name: &str, stderr: &str) -> StepResult {
+    let missing = ["no such command", "is not installed", "error: toolchain"]
+        .iter()
+        .any(|m| stderr.contains(m))
+        && !stderr.contains("error[E");
+    if missing {
+        StepResult::Skip(format!("{name} not installed"))
+    } else {
+        StepResult::Fail
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_missing_rustup_component_is_skipped() {
+        let stderr = "error: 'cargo-clippy' is not installed for the toolchain \
+                      '1.95.0-x86_64-unknown-linux-gnu'\n";
+        assert!(matches!(failed_step("clippy", stderr), StepResult::Skip(_)));
+    }
+
+    #[test]
+    fn a_doc_error_quoting_the_word_component_fails() {
+        let stderr = "error: unresolved link to `wrap`\n   \
+                      --> crates/grid/src/field.rs:154:9\n    |\n\
+                      154 |     /// `origin` components may be any integers; see [`wrap`].\n\n\
+                      error: could not document `ls3df-grid`\n";
+        assert!(matches!(failed_step("doc", stderr), StepResult::Fail));
+    }
 }

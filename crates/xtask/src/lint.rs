@@ -1006,7 +1006,7 @@ mod tests {
         );
         assert!(!v.contains(&"raw-timer"));
         let v = rules_hit(
-            "crates/hpc/src/machine.rs",
+            "crates/bench/src/bin/crossover.rs",
             "fn f() { let t = Instant::now(); }",
         );
         assert!(!v.contains(&"raw-timer"));
@@ -1108,7 +1108,7 @@ mod tests {
         // Outside the surface, raw process/socket primitives fire.
         assert!(rules_hit("crates/core/src/scf.rs", spawn).contains(&"comm-audit"));
         assert!(rules_hit(
-            "crates/hpc/src/launch.rs",
+            "crates/obs/src/launch.rs",
             "use std::os::unix::net::UnixStream;\nfn f() {}"
         )
         .contains(&"comm-audit"));
@@ -1179,7 +1179,7 @@ mod tests {
         // Only library roots carry them: a module or a bin need not.
         let bare = "#![forbid(unsafe_code)]\nfn f() {}";
         assert!(rules_hit("crates/grid/src/io.rs", bare).is_empty());
-        assert!(rules_hit("crates/bench/src/bin/fig3.rs", bare).is_empty());
+        assert!(rules_hit("crates/bench/src/bin/fig5.rs", bare).is_empty());
     }
 
     #[test]

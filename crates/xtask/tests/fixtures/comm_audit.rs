@@ -1,4 +1,4 @@
-//! lint-path: crates/hpc/src/launch.rs
+//! lint-path: crates/obs/src/launch.rs
 //!
 //! comm-audit in a non-surface crate: raw process spawning and raw
 //! sockets outside `crates/dist`/`crates/xtask` fire; the escape

@@ -67,5 +67,5 @@ fn main() {
         structure.num_electrons()
     );
     print!("\n{}", calc.memory_footprint().table());
-    println!("next steps: examples/accuracy.rs (LS3DF vs direct DFT), the fig6/fig7 bench binaries\n(science runs), and `cargo run -p ls3df-bench --bin table1` (performance model).");
+    println!("next steps: examples/accuracy.rs (LS3DF vs direct DFT) and the fig6/fig7 bench binaries\n(science runs).");
 }

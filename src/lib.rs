@@ -28,7 +28,6 @@ pub use ls3df_core as core;
 pub use ls3df_dist as dist;
 pub use ls3df_fft as fft;
 pub use ls3df_grid as grid;
-pub use ls3df_hpc as hpc;
 pub use ls3df_math as math;
 pub use ls3df_obs as obs;
 pub use ls3df_pseudo as pseudo;

@@ -5,9 +5,10 @@
 //! Two legs:
 //!
 //! * `committed_fig5_report_is_schema_valid` — the checked-in
-//!   `BENCH_fig5.json` parses, validates against the report schema, and
-//!   its measured points (when present) carry the imbalance/straggler
-//!   columns. Runs with or without the `obs` feature.
+//!   `BENCH_fig5.json` parses, validates against the report schema, has
+//!   no model curves, and holds at least two measured points that share
+//!   one density digest and carry the imbalance/straggler columns. Runs
+//!   with or without the `obs` feature.
 //! * `merged_report_counters_sum_to_single_process_totals` — SPMD
 //!   subprocess matrix at `LS3DF_GROUPS ∈ {1, 2, 4}` (same re-exec
 //!   pattern as `tests/dist_digest.rs`): every group count's merged
@@ -62,12 +63,39 @@ fn committed_fig5_report_is_schema_valid() {
         .get("extra")
         .and_then(Json::as_object)
         .expect("extra object");
+    assert!(
+        extra.iter().all(|(k, _)| k != "model_curves"),
+        "BENCH_fig5.json still carries model curves"
+    );
     let measured = extra
         .iter()
         .find(|(k, _)| k == "measured_points")
         .and_then(|(_, v)| v.as_array())
         .expect("measured_points array");
+    assert!(
+        measured.len() >= 2,
+        "BENCH_fig5.json needs points at two group counts, has {}",
+        measured.len()
+    );
+    let digest = |point: &Json| {
+        point
+            .get("digest")
+            .and_then(Json::as_str)
+            .map(str::to_owned)
+    };
+    let first = digest(&measured[0]).expect("measured point lacks `digest`");
     for point in measured {
+        assert_eq!(
+            point.get("provenance").and_then(Json::as_str),
+            Some("measured"),
+            "point is not measured: {}",
+            point.render()
+        );
+        assert_eq!(
+            digest(point).as_deref(),
+            Some(first.as_str()),
+            "density digests differ across group counts"
+        );
         for key in [
             "imbalance_ratio",
             "predicted_imbalance_ratio",
