@@ -59,7 +59,7 @@ fn child() {
     let groups = calc.comm().size();
     let predicted_costs = calc.group_plan().costs.clone();
     // Rank 0 collects the full observability record: with obs on, the
-    // merged schema-v2 report (one `ranks` section per group) and a
+    // merged run report (one `ranks` section per group) and a
     // chrome://tracing file with one lane per rank land next to
     // BENCH_fig5.json.
     let mut tracer = ls3df_core::TraceObserver::new("fig5-measured");
@@ -156,9 +156,8 @@ fn run_measured(group_counts: &[usize]) -> Vec<Measured> {
     let exe = std::env::current_exe().expect("bench binary path");
     let mut rows = Vec::new();
     for &groups in group_counts {
-        // comm-audit: re-exec per group count so each measured point gets
-        // a fresh communicator world; all SCF traffic inside the child
-        // flows through the ls3df-dist transport.
+        // Re-exec per group count so each measured point gets a fresh
+        // communicator world.
         let out = std::process::Command::new(&exe)
             .env("LS3DF_FIG5_CHILD", "1")
             .env("LS3DF_GROUPS", groups.to_string())

@@ -124,8 +124,7 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for &threads in &counts {
-        // comm-audit: re-exec per thread count so each measurement gets a
-        // fresh pool; no calculation data crosses this boundary.
+        // Re-exec per thread count so each measurement gets a fresh pool.
         let out = std::process::Command::new(&exe)
             .args([m.to_string(), iters.to_string()])
             .env("LS3DF_PETOT_CHILD", "1")

@@ -8,7 +8,6 @@
 //!
 //! | Binary | Regenerates |
 //! |---|---|
-//! | `fig1` | Figure 1 (2-D fragment schematic + partition-of-unity check) as text |
 //! | `fig5` | Measured processor-group runs on this host at 1 and `LS3DF_GROUPS` groups (`BENCH_fig5.json`) |
 //! | `fig6` | Real LS3DF SCF convergence on a scaled ZnTeO alloy |
 //! | `fig7` | FSM band-edge states + O-localization analysis |

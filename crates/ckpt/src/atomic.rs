@@ -26,9 +26,7 @@ pub struct AtomicWrite;
 impl AtomicWrite {
     /// Atomically replaces `path` with `bytes`.
     ///
-    /// This is the only sanctioned way to put snapshot bytes on disk;
-    /// the `ckpt-atomic` workspace lint flags snapshot files created any
-    /// other way.
+    /// This is the only sanctioned way to put snapshot bytes on disk.
     pub fn commit(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
         let dir = path.parent().unwrap_or_else(|| Path::new("."));
         let file_name = path
@@ -40,8 +38,7 @@ impl AtomicWrite {
             .to_string_lossy()
             .into_owned();
         let tmp = dir.join(format!(".{file_name}.tmp"));
-        // ckpt-audit: this is the atomic writer itself — the temp file is
-        // fsynced and renamed over the final path below.
+        // The temp file is fsynced and renamed over the final path below.
         let mut f = fs::File::create(&tmp).map_err(|e| CkptError::io(&tmp, &e))?;
         f.write_all(bytes).map_err(|e| CkptError::io(&tmp, &e))?;
         f.sync_all().map_err(|e| CkptError::io(&tmp, &e))?;

@@ -26,9 +26,9 @@
 //! * **orthonormality** — fragment wavefunction blocks stay orthonormal
 //!   after each PEtot_F eigensolver pass.
 //!
-//! Checking is compiled in for debug/test builds and for release builds
-//! with the `validate` feature; otherwise [`ENABLED`] is `false` and
-//! every check site folds away to nothing (zero release-mode cost).
+//! Checking is compiled in wherever `debug_assertions` are on (every
+//! dev/test build); in release [`ENABLED`] is `false` and every check
+//! site folds away to nothing (zero release-mode cost).
 //!
 //! A violated invariant is a programming error (or corrupted state), not
 //! an environmental condition, so [`enforce`] aborts the computation by
@@ -38,7 +38,7 @@ use ls3df_grid::RealField;
 use ls3df_math::Matrix;
 
 /// Whether invariant checking is active in this build.
-pub const ENABLED: bool = cfg!(any(debug_assertions, feature = "validate"));
+pub const ENABLED: bool = cfg!(debug_assertions);
 
 /// Relative tolerance for pre-normalization charge conservation,
 /// measured against the **gross patch scale** `Σ_F |α_F|·n_e(F)` — not

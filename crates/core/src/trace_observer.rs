@@ -6,12 +6,10 @@
 //! harvests the span buffers and counter registry that the instrumented
 //! kernels filled in — turning one [`Ls3df::scf_with`] call into a
 //! `BENCH_*.json` document with per-stage times, per-fragment times,
-//! flop rates and %-of-peak.
+//! flop rates and one section per rank of the run's world.
 //!
 //! ```ignore
-//! let mut tracer = TraceObserver::new("fig6")
-//!     .with_machine(MachineRef { name: "laptop".into(), peak_gflops: 8.0 })
-//!     .with_trace_file("TRACE_fig6.json");
+//! let mut tracer = TraceObserver::new("fig6").with_trace_file("TRACE_fig6.json");
 //! let result = calc.scf_with(&mut tracer);
 //! let report = tracer.finish();
 //! print!("{}", report.summary_table());
@@ -25,7 +23,7 @@ use crate::scf::Ls3dfStep;
 use crate::supervise::{FragmentFault, QuarantineRecord};
 use ls3df_obs::report::{StageRow, StepRow};
 use ls3df_obs::trace::TraceLane;
-use ls3df_obs::{Json, MachineRef, Report, Stopwatch};
+use ls3df_obs::{Json, RankPayload, Report, Stopwatch};
 use std::path::PathBuf;
 
 /// Collects one SCF run's observability record; see the module docs.
@@ -38,7 +36,6 @@ use std::path::PathBuf;
 pub struct TraceObserver {
     stopwatch: Stopwatch,
     command: String,
-    machine: Option<MachineRef>,
     trace_path: Option<PathBuf>,
     /// Aggregate (calls, seconds) per stage, indexed by [`stage_slot`].
     stage_totals: [(u64, f64); 4],
@@ -77,7 +74,6 @@ impl TraceObserver {
         TraceObserver {
             stopwatch: Stopwatch::start(),
             command: command.into(),
-            machine: None,
             trace_path: None,
             stage_totals: [(0, 0.0); 4],
             steps: Vec::new(),
@@ -86,12 +82,6 @@ impl TraceObserver {
             retries: 0,
             quarantines: 0,
         }
-    }
-
-    /// Rates the run against a machine model (%-of-peak in the report).
-    pub fn with_machine(mut self, machine: MachineRef) -> Self {
-        self.machine = Some(machine);
-        self
     }
 
     /// Additionally writes a chrome://tracing trace-event file on
@@ -105,12 +95,13 @@ impl TraceObserver {
     }
 
     /// Stops the clock, harvests spans and counters, and assembles the
-    /// final [`Report`].
+    /// final [`Report`]. With the `obs` feature on, rank 0's report is
+    /// the merge of every rank of its world — one `up` section for a
+    /// single-process run — and the trace file gets one lane per rank.
     pub fn finish(self) -> Report {
         let wall = self.stopwatch.seconds();
         let data = ls3df_obs::harvest();
-        let mut report =
-            Report::from_run(&self.command, wall, &data, self.machine, "frag", "scf_iter");
+        let mut report = Report::from_run(&self.command, wall, &data);
         report.converged = Some(self.converged);
         report.stages = STAGES
             .iter()
@@ -142,41 +133,28 @@ impl TraceObserver {
                 Json::num(self.quarantines as f64),
             ));
         }
-        // Rank-aware assembly: when the run was distributed, rank 0's
-        // SCF epilogue stashed every worker's telemetry payload (or a
-        // `Down`/`Missing` marker) for us to fold into the schema-v2
-        // `ranks` section. The trace then gets one lane per rank
-        // (`pid` = rank) instead of a single flat process.
+        // Rank 0's SCF epilogue stashed every worker's telemetry payload
+        // (or a `Down`/`Missing` marker); a one-rank world stashes none.
         let rank = ls3df_obs::telemetry::rank();
-        let multi = ls3df_obs::ENABLED && ls3df_obs::telemetry::world_size() > 1;
-        let (remote, predicted_costs) = if multi && rank == 0 {
-            ls3df_obs::telemetry::take_stash()
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let (remote, predicted_costs) = ls3df_obs::telemetry::take_stash();
         if let Some(path) = &self.trace_path {
-            let written = if multi {
-                let mut lanes = vec![TraceLane {
-                    pid: rank as u64,
-                    name: format!("rank {rank}"),
-                    spans: &data.spans,
-                    threads: &data.threads,
-                }];
-                for payload in &remote {
-                    if let ls3df_obs::RankPayload::Telemetry(t) = payload {
-                        lanes.push(TraceLane {
-                            pid: t.rank as u64,
-                            name: format!("rank {}", t.rank),
-                            spans: &t.spans,
-                            threads: &t.threads,
-                        });
-                    }
+            let mut lanes = vec![TraceLane {
+                pid: rank as u64,
+                name: format!("rank {rank}"),
+                spans: &data.spans,
+                threads: &data.threads,
+            }];
+            for payload in &remote {
+                if let RankPayload::Telemetry(t) = payload {
+                    lanes.push(TraceLane {
+                        pid: t.rank as u64,
+                        name: format!("rank {}", t.rank),
+                        spans: &t.spans,
+                        threads: &t.threads,
+                    });
                 }
-                ls3df_obs::trace::write_chrome_trace_lanes(path, &lanes)
-            } else {
-                ls3df_obs::trace::write_chrome_trace(path, &data.spans, &data.threads)
-            };
-            match written {
+            }
+            match ls3df_obs::trace::write_chrome_trace_lanes(path, &lanes) {
                 Ok(()) => report.extra.push((
                     "trace_file".to_string(),
                     Json::str(path.display().to_string()),
@@ -186,7 +164,7 @@ impl TraceObserver {
                     .push(("trace_file_error".to_string(), Json::str(e.to_string()))),
             }
         }
-        if multi && rank == 0 {
+        if ls3df_obs::ENABLED && rank == 0 {
             let local = ls3df_dist::rank_telemetry(data);
             ls3df_obs::telemetry::merge_ranks(&mut report, local, remote, &predicted_costs);
         }
@@ -207,6 +185,7 @@ impl ScfObserver for &mut TraceObserver {
             dv_integral: step.dv_integral,
             worst_residual: step.worst_residual,
             charge_ratio: step.charge_ratio,
+            retention_min: step.retention_min,
             stage_seconds: vec![
                 (ScfStage::GenVf.name().to_string(), t.gen_vf),
                 (ScfStage::PetotF.name().to_string(), t.petot_f),

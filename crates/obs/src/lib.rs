@@ -4,7 +4,7 @@
 //! reproduction: see every flop the SCF loop spends.
 //!
 //! Three pieces, mirroring the paper's own reporting (per-stage times in
-//! Fig. 2, sustained flop rates and %-of-peak in the scaling tables):
+//! Fig. 2, sustained flop rates in the scaling tables):
 //!
 //! * [`span!`] — hierarchical scoped span timers with thread-local
 //!   buffers, aggregated across the work-stealing pool. Compiled to true
@@ -15,8 +15,8 @@
 //!   solves, mixer applications, retry-ladder rungs and quarantines,
 //!   bytes through the FFT gather/scatter, and estimated flops.
 //! * [`report`] — a schema-versioned JSON run report (per-stage and
-//!   per-fragment times, counters, convergence history, Gflop/s and
-//!   %-of-peak against a machine model) plus an optional
+//!   per-fragment times, counters, convergence history, Gflop/s, one
+//!   section per rank — [`telemetry`] merges them) plus an optional
 //!   chrome://tracing trace-event file ([`trace`]) and a paper-style
 //!   per-stage summary table.
 //!
@@ -53,8 +53,8 @@ pub use clock::Stopwatch;
 pub use json::Json;
 pub use metrics::{counter_add, set_alloc_probe, Counter};
 pub use report::{
-    peak_rss_bytes, Attribution, FlopReport, MachineRef, MemoryReport, RankSection, RankStatus,
-    Report, SCHEMA_NAME, SCHEMA_VERSION,
+    peak_rss_bytes, Attribution, FlopReport, MemoryReport, RankSection, RankStatus, Report,
+    SCHEMA_NAME, SCHEMA_VERSION,
 };
 pub use span::{flush_thread, FinishedSpan, NO_INDEX};
 pub use telemetry::{set_rank, CommRow, RankPayload, RankTelemetry};

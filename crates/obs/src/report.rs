@@ -2,7 +2,7 @@
 //!
 //! A [`Report`] is the machine-readable record of one run — per-stage
 //! and per-fragment times, the counter registry, convergence history,
-//! and counter-derived Gflop/s with %-of-peak against a [`MachineRef`]
+//! counter-derived Gflop/s and one section per rank of the run's world
 //! — plus a paper-style per-stage summary table for stdout
 //! ([`Report::summary_table`]).
 //!
@@ -21,6 +21,7 @@
 
 use crate::json::Json;
 use crate::span::{FinishedSpan, NO_INDEX};
+use crate::telemetry::{FRAGMENT_LABEL, ROOT_LABEL};
 use crate::RunData;
 use std::io::Write as _;
 use std::path::Path;
@@ -30,23 +31,14 @@ pub const SCHEMA_NAME: &str = "ls3df-run-report";
 
 /// Current schema version; see the module docs for the bump policy.
 ///
-/// v2 adds the rank-aware sections: `ranks` (per-rank counters, span
+/// v2 added the rank-aware sections: `ranks` (per-rank counters, span
 /// aggregates, per-iteration `PEtot_F` times, comm-wait/compute split,
 /// transport histograms, and an `up`/`down`/`missing` status) and the
-/// `telemetry_incomplete` flag. [`validate_report_str`] accepts this
-/// version only.
-pub const SCHEMA_VERSION: u64 = 2;
-
-/// The machine a report rates itself against (name + peak rate). No
-/// bench bin passes one today, so their reports carry `"machine": null`;
-/// obs itself knows nothing about machine models.
-#[derive(Clone, Debug)]
-pub struct MachineRef {
-    /// Model name (e.g. `franklin`, or a local host label).
-    pub name: String,
-    /// Peak rate in Gflop/s for the core count the run used.
-    pub peak_gflops: f64,
-}
+/// `telemetry_incomplete` flag. v3 drops the machine rating (the
+/// `machine` object and the flop section's peak percentage) and adds
+/// `steps[].retention_min`.
+/// [`validate_report_str`] accepts this version only.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Aggregate time spent in one named stage across the whole run.
 #[derive(Clone, Debug)]
@@ -71,6 +63,9 @@ pub struct StepRow {
     /// Patched charge over the electron count before renormalization,
     /// `q/N_e` (LS3DF's Gen_dens; 1 when the patch conserves charge).
     pub charge_ratio: f64,
+    /// The worst fragment's charge retention r_F this iteration (`null`
+    /// in the JSON when not finite).
+    pub retention_min: f64,
     /// Per-stage seconds for this iteration, in stage order.
     pub stage_seconds: Vec<(String, f64)>,
 }
@@ -114,7 +109,7 @@ pub enum RankStatus {
     Missing,
 }
 
-/// One rank's contribution to a merged multi-rank report (schema v2).
+/// One rank's section of a merged run report.
 #[derive(Clone, Debug)]
 pub struct RankSection {
     /// World rank.
@@ -152,8 +147,6 @@ pub struct FlopReport {
     pub estimated_gflop: f64,
     /// Sustained Gflop/s over the wall clock.
     pub gflops: f64,
-    /// `100 · gflops / machine.peak_gflops`, when a machine is given.
-    pub percent_of_peak: Option<f64>,
 }
 
 /// Where a run's memory went: the producer's own accounting of its
@@ -236,8 +229,6 @@ pub struct Report {
     pub wall_seconds: f64,
     /// Whether the SCF converged (`None` for non-SCF reports).
     pub converged: Option<bool>,
-    /// Machine model for %-of-peak, if any.
-    pub machine: Option<MachineRef>,
     /// Per-stage aggregate times.
     pub stages: Vec<StageRow>,
     /// Convergence history.
@@ -252,9 +243,8 @@ pub struct Report {
     pub attribution: Option<Attribution>,
     /// Counter-derived flop rates.
     pub flops: Option<FlopReport>,
-    /// Per-rank sections of a merged multi-rank report (schema v2).
-    /// Single-process reports carry one entry when merged, none when
-    /// the producer never merges.
+    /// Per-rank sections of a merged run report, one per rank of the
+    /// run's world; empty when the producer never merges.
     pub ranks: Vec<RankSection>,
     /// Whether any rank's telemetry was lost (down/missing rank) —
     /// the degradation flag, never an error.
@@ -274,7 +264,6 @@ impl Report {
             obs_enabled: crate::ENABLED,
             wall_seconds,
             converged: None,
-            machine: None,
             stages: Vec::new(),
             steps: Vec::new(),
             counters: Vec::new(),
@@ -290,33 +279,26 @@ impl Report {
     }
 
     /// Builds a report from harvested run data: aggregates spans into
-    /// paths, extracts per-fragment rows from spans labeled
-    /// `fragment_label`, attributes wall time to spans labeled
-    /// `root_label`, and derives flop rates from the `fft_flops` and
-    /// `gemm_flops` counters. Stage/step/convergence sections are left for the caller
-    /// (they come from the `ScfObserver` hooks, not from spans).
-    pub fn from_run(
-        command: &str,
-        wall_seconds: f64,
-        data: &RunData,
-        machine: Option<MachineRef>,
-        fragment_label: &str,
-        root_label: &str,
-    ) -> Report {
+    /// paths, extracts per-fragment rows from `frag` spans, attributes
+    /// wall time to `scf_iter` spans, and derives flop rates from the
+    /// `fft_flops` and `gemm_flops` counters. Stage/step/convergence
+    /// sections are left for the caller (they come from the
+    /// `ScfObserver` hooks, not from spans).
+    pub fn from_run(command: &str, wall_seconds: f64, data: &RunData) -> Report {
         let mut report = Report::new(command, wall_seconds);
         report.counters = data
             .counters
             .iter()
             .map(|&(name, value)| (name.to_string(), value))
             .collect();
-        let (spans, fragments) = aggregate_spans(&data.spans, fragment_label);
+        let (spans, fragments) = aggregate_spans(&data.spans);
         report.spans = spans;
         report.fragments = fragments;
         if crate::ENABLED {
             let attributed: f64 = data
                 .spans
                 .iter()
-                .filter(|s| s.label == root_label)
+                .filter(|s| s.label == ROOT_LABEL)
                 .map(FinishedSpan::seconds)
                 .sum();
             let fraction = if wall_seconds > 0.0 {
@@ -340,28 +322,16 @@ impl Report {
             } else {
                 0.0
             };
-            let percent_of_peak = machine
-                .as_ref()
-                .filter(|m| m.peak_gflops > 0.0)
-                .map(|m| 100.0 * gflops / m.peak_gflops);
             report.flops = Some(FlopReport {
                 estimated_gflop,
                 gflops,
-                percent_of_peak,
             });
         }
-        report.machine = machine;
         report
     }
 
     /// Renders the schema-versioned JSON document.
     pub fn to_json(&self) -> Json {
-        let machine = self.machine.as_ref().map_or(Json::Null, |m| {
-            Json::obj(vec![
-                ("name", Json::str(&*m.name)),
-                ("peak_gflops", Json::num(m.peak_gflops)),
-            ])
-        });
         let stages = Json::Arr(
             self.stages
                 .iter()
@@ -389,6 +359,7 @@ impl Report {
                         ("dv_integral", Json::num(s.dv_integral)),
                         ("worst_residual", Json::num(s.worst_residual)),
                         ("charge_ratio", Json::num(s.charge_ratio)),
+                        ("retention_min", Json::num(s.retention_min)),
                         ("stages", per_stage),
                     ])
                 })
@@ -435,10 +406,6 @@ impl Report {
             Json::obj(vec![
                 ("estimated_gflop", Json::num(f.estimated_gflop)),
                 ("gflops", Json::num(f.gflops)),
-                (
-                    "percent_of_peak",
-                    f.percent_of_peak.map_or(Json::Null, Json::num),
-                ),
             ])
         });
         let ranks = Json::Arr(self.ranks.iter().map(rank_section_json).collect());
@@ -449,7 +416,6 @@ impl Report {
             ("obs_enabled", Json::Bool(self.obs_enabled)),
             ("wall_seconds", Json::num(self.wall_seconds)),
             ("converged", self.converged.map_or(Json::Null, Json::Bool)),
-            ("machine", machine),
             ("stages", stages),
             ("steps", steps),
             ("counters", counters),
@@ -508,22 +474,11 @@ impl Report {
             "wall", "", self.wall_seconds, 100.0
         );
         if let Some(flops) = &self.flops {
-            match (flops.percent_of_peak, &self.machine) {
-                (Some(pct), Some(machine)) => {
-                    let _ = writeln!(
-                        out,
-                        "flops: {:.3} Gflop estimated, {:.3} Gflop/s sustained ({:.1}% of {} peak)",
-                        flops.estimated_gflop, flops.gflops, pct, machine.name
-                    );
-                }
-                _ => {
-                    let _ = writeln!(
-                        out,
-                        "flops: {:.3} Gflop estimated, {:.3} Gflop/s sustained",
-                        flops.estimated_gflop, flops.gflops
-                    );
-                }
-            }
+            let _ = writeln!(
+                out,
+                "flops: {:.3} Gflop estimated, {:.3} Gflop/s sustained",
+                flops.estimated_gflop, flops.gflops
+            );
         }
         if let Some(attr) = &self.attribution {
             let _ = writeln!(
@@ -615,11 +570,8 @@ fn rank_section_json(s: &RankSection) -> Json {
 
 /// Aggregates raw spans into per-path rows (hierarchy reconstructed per
 /// thread from start times and recorded depths) and per-fragment rows
-/// (spans whose label equals `fragment_label`, keyed by index).
-pub fn aggregate_spans(
-    spans: &[FinishedSpan],
-    fragment_label: &str,
-) -> (Vec<SpanRow>, Vec<FragmentRow>) {
+/// (`frag` spans, keyed by index).
+pub fn aggregate_spans(spans: &[FinishedSpan]) -> (Vec<SpanRow>, Vec<FragmentRow>) {
     // Sort within each thread by (start, depth): ancestors precede
     // descendants, so a label stack indexed by depth yields the path.
     let mut order: Vec<&FinishedSpan> = spans.iter().collect();
@@ -671,7 +623,7 @@ pub fn aggregate_spans(
 
     let mut fragments: Vec<FragmentRow> = Vec::new();
     for span in spans {
-        if span.label != fragment_label || span.index == NO_INDEX {
+        if span.label != FRAGMENT_LABEL || span.index == NO_INDEX {
             continue;
         }
         match fragments.iter_mut().find(|f| f.index == span.index) {
@@ -745,13 +697,6 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
         Json::Null | Json::Bool(_) => {}
         _ => return Err("converged must be bool or null".to_string()),
     }
-    match field(doc, "machine")? {
-        Json::Null => {}
-        m => {
-            expect_str(field(m, "name")?, "machine.name")?;
-            expect_num(field(m, "peak_gflops")?, "machine.peak_gflops")?;
-        }
-    }
     for stage in expect_arr(field(doc, "stages")?, "stages")? {
         expect_str(field(stage, "name")?, "stages[].name")?;
         expect_num(field(stage, "calls")?, "stages[].calls")?;
@@ -761,6 +706,10 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
         expect_num(field(step, "iteration")?, "steps[].iteration")?;
         field(step, "dv_integral")?;
         field(step, "worst_residual")?;
+        match field(step, "retention_min")? {
+            Json::Null | Json::Num(_) => {}
+            _ => return Err("steps[].retention_min must be number or null".to_string()),
+        }
         let stages = field(step, "stages")?
             .as_object()
             .ok_or("steps[].stages must be an object")?;
@@ -803,10 +752,6 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
         f => {
             expect_num(field(f, "estimated_gflop")?, "flops.estimated_gflop")?;
             expect_num(field(f, "gflops")?, "flops.gflops")?;
-            match field(f, "percent_of_peak")? {
-                Json::Null | Json::Num(_) => {}
-                _ => return Err("flops.percent_of_peak must be number or null".to_string()),
-            }
         }
     }
     for rank in expect_arr(field(doc, "ranks")?, "ranks")? {
@@ -913,7 +858,7 @@ mod tests {
             span("frag", 1, 410, 800, 0, 1),
             span("frag", 0, 120, 500, 0, 2),
         ];
-        let (rows, frags) = aggregate_spans(&spans, "frag");
+        let (rows, frags) = aggregate_spans(&spans);
         let iter_row = rows
             .iter()
             .find(|r| r.path == "scf_iter")
@@ -939,10 +884,6 @@ mod tests {
     fn report_round_trips_through_validation() {
         let mut report = Report::new("unit-test", 2.5);
         report.converged = Some(true);
-        report.machine = Some(MachineRef {
-            name: "testbox".to_string(),
-            peak_gflops: 100.0,
-        });
         report.stages.push(StageRow {
             name: "PEtot_F".to_string(),
             calls: 3,
@@ -953,6 +894,7 @@ mod tests {
             dv_integral: 0.5,
             worst_residual: 1e-6,
             charge_ratio: 0.875,
+            retention_min: f64::NAN,
             stage_seconds: vec![("PEtot_F".to_string(), 0.7)],
         });
         report.counters.push(("fft_flops".to_string(), 12345));
@@ -969,6 +911,13 @@ mod tests {
             steps[0].get("charge_ratio").and_then(Json::as_f64),
             Some(0.875)
         );
+        // A non-finite retention renders as null, which v3 accepts; a
+        // step without the field or with a string there is rejected.
+        assert_eq!(steps[0].get("retention_min"), Some(&Json::Null));
+        let bad = text.replace("\"retention_min\": null", "\"retention_min\": \"x\"");
+        assert!(validate_report_str(&bad).is_err());
+        let bad = text.replace("\"retention_min\": null,", "");
+        assert!(validate_report_str(&bad).is_err());
         let memory = doc.get("memory").expect("memory section");
         assert_eq!(
             memory
@@ -1004,7 +953,7 @@ mod tests {
     }
 
     #[test]
-    fn rankless_and_v1_documents_are_rejected() {
+    fn rankless_v1_and_v2_documents_are_rejected() {
         let good = Report::new("legacy", 1.0).to_json().render();
         let rankless = good
             .replace("\"ranks\": [],\n", "")
@@ -1014,12 +963,18 @@ mod tests {
             "test must exercise a genuinely rank-less document"
         );
         assert!(validate_report_str(&rankless).is_err());
-        let v1 = good.replace("\"schema_version\": 2", "\"schema_version\": 1");
-        assert!(validate_report_str(&v1).is_err());
+        for old in [1, 2] {
+            let doc = good.replace(
+                "\"schema_version\": 3",
+                &format!("\"schema_version\": {old}"),
+            );
+            assert_ne!(doc, good);
+            assert!(validate_report_str(&doc).is_err(), "v{old} accepted");
+        }
     }
 
     #[test]
-    fn v2_validation_checks_rank_sections() {
+    fn validation_checks_rank_sections() {
         let mut report = Report::new("ranked", 1.0);
         report.ranks.push(RankSection {
             rank: 0,
@@ -1083,16 +1038,11 @@ mod tests {
             // The flop total covers FFT butterflies and block products.
             counters: vec![("fft_flops", 1_500_000_000), ("gemm_flops", 500_000_000)],
         };
-        let machine = MachineRef {
-            name: "testbox".to_string(),
-            peak_gflops: 10.0,
-        };
-        let report = Report::from_run("t", 1.0, &data, Some(machine), "frag", "scf_iter");
+        let report = Report::from_run("t", 1.0, &data);
         assert_eq!(report.obs_enabled, crate::ENABLED);
         if crate::ENABLED {
             let flops = report.flops.as_ref().expect("flops");
             assert!((flops.gflops - 2.0).abs() < 1e-12);
-            assert!((flops.percent_of_peak.unwrap_or(0.0) - 20.0).abs() < 1e-9);
             let attr = report.attribution.as_ref().expect("attribution");
             assert!((attr.fraction - 0.9).abs() < 1e-9);
         } else {

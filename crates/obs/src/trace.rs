@@ -3,24 +3,25 @@
 //! Writes the classic array-of-events form understood by
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): one
 //! `"ph": "X"` (complete) event per span with microsecond timestamps,
-//! preceded by `"ph": "M"` metadata events naming each thread lane
-//! (the pool's `ls3df-worker-{i}` names show up as lanes).
+//! preceded by `"ph": "M"` metadata events naming each process and
+//! thread lane (the pool's `ls3df-worker-{i}` names show up as lanes).
 //!
-//! Multi-rank runs use the [`TraceLane`] form: each rank's harvest
-//! becomes one *process* lane (`pid` = rank) with its own thread rows,
-//! so fragment solves, collectives, and idle gaps across the whole
-//! world share a single timeline. Each lane's clock is its own
-//! process-local epoch, so lanes are normalized to start at t=0 —
-//! cross-rank alignment is approximate (per-process epochs are taken
-//! at slightly different wall times), which is fine for reading gaps
-//! and overlaps but not for sub-millisecond cross-rank ordering.
+//! Every trace has one [`TraceLane`] per rank of the run's world (one
+//! for a single-process run): each rank's harvest becomes one *process*
+//! lane (`pid` = rank) with its own thread rows, so fragment solves,
+//! collectives, and idle gaps across the whole world share a single
+//! timeline. Each lane's clock is its own process-local epoch, so lanes
+//! are normalized to start at t=0 — cross-rank alignment is approximate
+//! (per-process epochs are taken at slightly different wall times),
+//! which is fine for reading gaps and overlaps but not for
+//! sub-millisecond cross-rank ordering.
 
 use crate::json::Json;
 use crate::span::FinishedSpan;
 use std::io::Write as _;
 use std::path::Path;
 
-/// One rank's slice of a multi-lane trace: the rank id (becomes the
+/// One rank's slice of a trace: the rank id (becomes the
 /// trace `pid`), a lane label, and the rank's harvested spans/threads.
 pub struct TraceLane<'a> {
     /// Rank id; rendered as the trace event `pid`.
@@ -33,37 +34,9 @@ pub struct TraceLane<'a> {
     pub threads: &'a [(u32, String)],
 }
 
-/// Renders spans and thread names as a Trace Event Format document.
-pub fn chrome_trace_json(spans: &[FinishedSpan], threads: &[(u32, String)]) -> Json {
-    let mut events: Vec<Json> = Vec::with_capacity(spans.len() + threads.len());
-    for (tid, name) in threads {
-        events.push(Json::obj(vec![
-            ("name", Json::str("thread_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::num(1.0)),
-            ("tid", Json::num(f64::from(*tid))),
-            ("args", Json::obj(vec![("name", Json::str(&**name))])),
-        ]));
-    }
-    for span in spans {
-        events.push(Json::obj(vec![
-            ("name", Json::str(span.display_label())),
-            ("ph", Json::str("X")),
-            ("pid", Json::num(1.0)),
-            ("tid", Json::num(f64::from(span.tid))),
-            ("ts", Json::num(span.start_ns as f64 * 1e-3)),
-            (
-                "dur",
-                Json::num(span.end_ns.saturating_sub(span.start_ns) as f64 * 1e-3),
-            ),
-        ]));
-    }
-    Json::Arr(events)
-}
-
-/// Renders a multi-rank trace: one process lane per [`TraceLane`] with
-/// `pid` = rank, each normalized to start at t=0 (see the module docs
-/// for the alignment caveat).
+/// Renders a trace: one process lane per [`TraceLane`] with `pid` =
+/// rank, each normalized to start at t=0 (see the module docs for the
+/// alignment caveat).
 pub fn chrome_trace_json_lanes(lanes: &[TraceLane<'_>]) -> Json {
     let mut events: Vec<Json> = Vec::new();
     for lane in lanes {
@@ -104,48 +77,17 @@ pub fn chrome_trace_json_lanes(lanes: &[TraceLane<'_>]) -> Json {
     Json::Arr(events)
 }
 
-/// Writes a multi-lane trace-event file to `path` (truncating).
+/// Writes the trace-event file to `path` (truncating). Load it in
+/// `chrome://tracing` or Perfetto to see the run on a timeline.
 pub fn write_chrome_trace_lanes(path: &Path, lanes: &[TraceLane<'_>]) -> std::io::Result<()> {
     let mut file = std::fs::File::create(path)?;
     file.write_all(chrome_trace_json_lanes(lanes).render().as_bytes())
-}
-
-/// Writes the trace-event file to `path` (truncating). Load it in
-/// `chrome://tracing` or Perfetto to see the run on a timeline.
-pub fn write_chrome_trace(
-    path: &Path,
-    spans: &[FinishedSpan],
-    threads: &[(u32, String)],
-) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(chrome_trace_json(spans, threads).render().as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::span::NO_INDEX;
-
-    #[test]
-    fn trace_events_carry_lane_metadata_and_microseconds() {
-        let spans = [FinishedSpan {
-            label: "petot_f",
-            index: NO_INDEX,
-            start_ns: 2_000,
-            end_ns: 5_000,
-            depth: 0,
-            tid: 3,
-        }];
-        let threads = [(3, "ls3df-worker-3".to_string())];
-        let doc = chrome_trace_json(&spans, &threads);
-        let events = doc.as_array().expect("array");
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].get("ph").and_then(Json::as_str), Some("M"));
-        let x = &events[1];
-        assert_eq!(x.get("ph").and_then(Json::as_str), Some("X"));
-        assert_eq!(x.get("ts").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(x.get("dur").and_then(Json::as_f64), Some(3.0));
-    }
 
     #[test]
     fn lanes_get_one_pid_per_rank_and_normalized_clocks() {
@@ -199,5 +141,6 @@ mod tests {
         assert_eq!(xs[0].get("ts").and_then(Json::as_f64), Some(0.0));
         assert_eq!(xs[1].get("ts").and_then(Json::as_f64), Some(0.0));
         assert_eq!(xs[1].get("pid").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(xs[1].get("dur").and_then(Json::as_f64), Some(4.0));
     }
 }

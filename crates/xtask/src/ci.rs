@@ -40,14 +40,14 @@
 //!    and the observer hook order must hold with spans compiled in.
 //! 8. `obs-dist`: `cargo test -p ls3df --features obs,alloc-count --test
 //!    obs_dist_report --test dist_fault -q` — the rank-aware
-//!    observability gate: an obs-enabled multi-group SCF must produce one
-//!    merged schema-v2 report whose per-rank `fragment_solves` and
-//!    `fragment_shares` counters sum to the single-process totals at
-//!    `LS3DF_GROUPS ∈ {1, 2, 4}` (solves plus shares = fragments ×
-//!    iterations), a
-//!    killed worker must surface as a `down` rank section (typed
-//!    comm-error kind) with `telemetry_incomplete` set, and the committed
-//!    `BENCH_fig5.json` must stay schema-valid.
+//!    observability gate: an obs-enabled SCF at any group count must
+//!    produce one merged report with one `up` rank section per group,
+//!    whose per-rank `fragment_solves` and `fragment_shares` counters sum
+//!    to the same totals at `LS3DF_GROUPS ∈ {1, 2, 4}` (solves plus
+//!    shares = fragments × iterations), a killed worker must surface as a
+//!    `down` rank section (typed comm-error kind) with
+//!    `telemetry_incomplete` set, and the committed `BENCH_*.json`
+//!    reports and `TRACE_fig6.json` must stay current.
 //! 9. `bench-harness`: `cargo test -q --offline --manifest-path
 //!    benchmark/Cargo.toml` (the repo benchmark's own unit tests: the
 //!    percentile rule, span arithmetic, `/proc` parsing, manifest ==

@@ -19,13 +19,6 @@
 //!   `hamiltonian`/`solver`/`basis` modules of `ls3df-pw`) unless an
 //!   `// alloc-audit:` comment within the 3-line window explains why the
 //!   allocation is outside the steady-state loop.
-//! * `ckpt-atomic` — no direct `File::create`/`fs::write` of snapshot
-//!   files: everywhere inside `crates/ckpt/src/`, and anywhere else when
-//!   the surrounding lines mention a snapshot (`.ls3df`, "snapshot").
-//!   All snapshot writes must flow through the atomic temp + fsync +
-//!   rename writer (`ls3df_ckpt::atomic`); that writer itself carries the
-//!   `// ckpt-audit:` escape. Test code is exempt: deliberately writing
-//!   damaged snapshots is how the corruption tests work.
 //! * `raw-timer` — no ad-hoc `std::time::Instant` in the instrumented
 //!   crates (`crates/fft`, `crates/pw`, `crates/core`, `crates/dist`):
 //!   timing must flow through `ls3df-obs` so every measurement lands in
@@ -52,16 +45,6 @@
 //!   determinism arguments are written as paragraphs. (The pre-PR-6
 //!   `// Audited reduction:` phrasing is no longer honored; every site
 //!   has been converted.)
-//! * `comm-audit` — no raw process/socket primitives (`Command`, `Stdio`,
-//!   `UnixStream`, `UnixListener`, `TcpStream`, `TcpListener`) outside
-//!   the communication surface: `crates/dist/src/` (the transport + the
-//!   worker launcher) and `crates/xtask/src/` (the CI driver). Everything
-//!   else must go through the `ls3df-dist` communicator, or the
-//!   processor-group determinism story fragments into ad-hoc side
-//!   channels the digest gates can't see. Escape: `// comm-audit:` in
-//!   the 3-line window (e.g. a bench driver re-execing itself to get an
-//!   isolated measurement process). Test code is exempt — the SPMD
-//!   subprocess tests re-exec the test binary by design.
 //! * `forbid-unsafe` — the workspace's unsafe surface is exactly three
 //!   places: `shims/rayon` (the work-stealing pool), the `ls3df` facade
 //!   (`src/alloc_count.rs`), and one item of `crates/math`: the call into
@@ -89,14 +72,12 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Every rule id, in reporting order.
-pub const RULES: [&str; 8] = [
+pub const RULES: [&str; 6] = [
     "unsafe-comment",
     "hot-alloc",
-    "ckpt-atomic",
     "raw-timer",
     "atomic-ordering",
     "float-reduce",
-    "comm-audit",
     "forbid-unsafe",
 ];
 
@@ -104,14 +85,12 @@ pub const RULES: [&str; 8] = [
 /// carrying it, inside the rule's line window, silences a hit. Counting
 /// those comments next to the violations shows how often a rule fires on
 /// real code and is argued down, as opposed to never firing at all.
-const ESCAPE_MARKERS: [(&str, &str); 7] = [
+const ESCAPE_MARKERS: [(&str, &str); 5] = [
     ("unsafe-comment", "SAFETY:"),
     ("hot-alloc", "alloc-audit:"),
-    ("ckpt-atomic", "ckpt-audit:"),
     ("raw-timer", "obs-audit:"),
     ("atomic-ordering", "ORDERING:"),
     ("float-reduce", "reduce-audit:"),
-    ("comm-audit", "comm-audit:"),
 ];
 
 /// Files whose steady-state behavior the `alloc-count` test guards:
@@ -146,28 +125,6 @@ const FLOAT_REDUCE_SCOPE: [&str; 4] = [
 fn in_float_reduce_scope(path: &str) -> bool {
     FLOAT_REDUCE_SCOPE.iter().any(|p| path.starts_with(p))
 }
-
-/// The sanctioned communication surface: the `ls3df-dist` transport (it
-/// owns the sockets and the worker launcher) and the xtask CI driver
-/// (it shells out to cargo). Raw process/socket primitives anywhere else
-/// need a `// comm-audit:` justification.
-const COMM_SURFACE: [&str; 2] = ["crates/dist/src/", "crates/xtask/src/"];
-
-fn in_comm_surface(path: &str) -> bool {
-    COMM_SURFACE.iter().any(|p| path.starts_with(p))
-}
-
-/// The primitives `comm-audit` polices: process spawning and raw
-/// sockets. Exact identifier matches — `CommandLine` or a string literal
-/// containing "Command" never fire.
-const COMM_IDENTS: [&str; 6] = [
-    "Command",
-    "Stdio",
-    "UnixStream",
-    "UnixListener",
-    "TcpStream",
-    "TcpListener",
-];
 
 /// Crates allowed to contain `unsafe` (root must `#![deny(unsafe_code)]`
 /// and every site needs `#[allow]` + `SAFETY:`). Everything else must
@@ -338,11 +295,9 @@ pub fn lint_source(path: &str, content: &str) -> FileReport {
     let mut report = FileReport::default();
     rule_unsafe_comment(&file, &mut report);
     rule_hot_alloc(&file, &mut report);
-    rule_ckpt_atomic(&file, &mut report);
     rule_raw_timer(&file, &mut report);
     rule_atomic_ordering(&file, &mut report);
     rule_float_reduce(&file, &mut report);
-    rule_comm_audit(&file, &mut report);
     rule_forbid_unsafe(&file, &mut report);
     report
 }
@@ -468,46 +423,6 @@ fn rule_hot_alloc(f: &FileCtx<'_>, out: &mut FileReport) {
                 "allocation in an SCF hot-path file — justify with an \
                  `// alloc-audit:` comment on it or the 3 lines above, \
                  or move it out of the steady-state loop"
-                    .into(),
-            );
-        }
-    }
-}
-
-fn rule_ckpt_atomic(f: &FileCtx<'_>, out: &mut FileReport) {
-    if f.path_exempt {
-        return;
-    }
-    for i in 0..f.toks.len() {
-        let t = f.toks[i];
-        if f.in_test(t.line) {
-            continue;
-        }
-        let writes = ((is_ident(t, "File")
-            && f.toks.get(i + 1).is_some_and(|n| is_punct(n, "::"))
-            && f.toks.get(i + 2).is_some_and(|n| is_ident(n, "create")))
-            || (is_ident(t, "fs")
-                && f.toks.get(i + 1).is_some_and(|n| is_punct(n, "::"))
-                && f.toks.get(i + 2).is_some_and(|n| is_ident(n, "write"))))
-            && f.toks.get(i + 3).is_some_and(|n| is_punct(n, "("));
-        if !writes {
-            continue;
-        }
-        let in_scope =
-            f.path.starts_with("crates/ckpt/src/") || f.window_has(t.line, 3, ".ls3df") || {
-                let lo = t.line.saturating_sub(4);
-                f.raw_lines[lo..t.line.min(f.raw_lines.len())]
-                    .iter()
-                    .any(|l| l.to_lowercase().contains("snapshot"))
-            };
-        if in_scope && !f.window_has(t.line, 3, "ckpt-audit:") {
-            f.report(
-                out,
-                t.line,
-                "ckpt-atomic",
-                "direct file write of a snapshot path — route it through \
-                 the atomic writer (ls3df_ckpt::atomic) or justify with a \
-                 `// ckpt-audit:` comment on it or the 3 lines above"
                     .into(),
             );
         }
@@ -725,34 +640,6 @@ fn scan_for_each_closure(
     }
 }
 
-fn rule_comm_audit(f: &FileCtx<'_>, out: &mut FileReport) {
-    if in_comm_surface(f.path) || f.path_exempt {
-        return;
-    }
-    for t in &f.toks {
-        if f.in_test(t.line) {
-            continue;
-        }
-        if t.kind == TokenKind::Ident
-            && COMM_IDENTS.contains(&t.text)
-            && !f.window_has(t.line, 3, "comm-audit:")
-        {
-            f.report(
-                out,
-                t.line,
-                "comm-audit",
-                format!(
-                    "`{}` outside the communication surface (crates/dist, \
-                     crates/xtask) — inter-process traffic must flow through \
-                     the ls3df-dist communicator, or justify with a \
-                     `// comm-audit:` comment on it or the 3 lines above",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
 fn rule_forbid_unsafe(f: &FileCtx<'_>, out: &mut FileReport) {
     let designated = in_unsafe_crate(f.path);
     if is_crate_root(f.path) {
@@ -959,35 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn ckpt_atomic_scoping_and_escape() {
-        // Inside the snapshot crate every raw create is suspect…
-        let v = rules_hit(
-            "crates/ckpt/src/atomic.rs",
-            "fn f() { let h = fs::File::create(&tmp); }",
-        );
-        assert!(v.contains(&"ckpt-atomic"));
-        // …unless a ckpt-audit comment in the window justifies it.
-        let v = rules_hit(
-            "crates/ckpt/src/atomic.rs",
-            "// ckpt-audit: the atomic writer itself\nfn f() { let h = fs::File::create(&tmp); }",
-        );
-        assert!(!v.contains(&"ckpt-atomic"));
-        // Elsewhere only snapshot-looking paths are in scope (the string
-        // literal carries the evidence).
-        let v = rules_hit(
-            "crates/core/src/scf.rs",
-            "fn f() { let p = dir.join(\"scf-000001.ls3df\");\n fs::write(&p, bytes); }",
-        );
-        assert!(v.contains(&"ckpt-atomic"));
-        // Unrelated writes never fire.
-        let v = rules_hit(
-            "crates/atoms/src/xyz.rs",
-            "fn f() { let w = std::fs::File::create(path); }",
-        );
-        assert!(!v.contains(&"ckpt-atomic"));
-    }
-
-    #[test]
     fn raw_timer_scoping_and_escape() {
         let v = rules_hit(
             "crates/core/src/scf.rs",
@@ -1100,31 +958,6 @@ mod tests {
         // `+=` inside a *sequential* for_each is out of scope.
         let ok = "fn f() { xs.iter().for_each(|x| { total += x; }); }";
         assert!(!rules_hit(path, ok).contains(&"float-reduce"));
-    }
-
-    #[test]
-    fn comm_audit_scoping_and_escape() {
-        let spawn = "fn f() { let c = std::process::Command::new(\"cargo\"); }";
-        // Outside the surface, raw process/socket primitives fire.
-        assert!(rules_hit("crates/core/src/scf.rs", spawn).contains(&"comm-audit"));
-        assert!(rules_hit(
-            "crates/obs/src/launch.rs",
-            "use std::os::unix::net::UnixStream;\nfn f() {}"
-        )
-        .contains(&"comm-audit"));
-        // The transport and the CI driver are the sanctioned surface.
-        assert!(!rules_hit("crates/dist/src/local.rs", spawn).contains(&"comm-audit"));
-        assert!(!rules_hit("crates/xtask/src/ci.rs", spawn).contains(&"comm-audit"));
-        // Tests re-exec the binary by design (SPMD child pattern).
-        assert!(!rules_hit("tests/dist_digest.rs", spawn).contains(&"comm-audit"));
-        // The escape comment within its 3-line window silences the rule.
-        let ok = "// comm-audit: isolated measurement process per point\n\
-                  fn f() { let c = std::process::Command::new(exe); }";
-        assert!(!rules_hit("crates/bench/src/bin/petot_scaling.rs", ok).contains(&"comm-audit"));
-        // Exact ident match only: `CommandLine` and string literals stay
-        // silent.
-        let near = "fn f() { let c = CommandLine::parse(\"Command\"); }";
-        assert!(!rules_hit("crates/core/src/scf.rs", near).contains(&"comm-audit"));
     }
 
     /// A crate root with every lint attribute and the given

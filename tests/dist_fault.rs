@@ -123,7 +123,7 @@ fn killed_worker_surfaces_as_typed_error_naming_the_rank() {
 
 /// Child half of the observability leg (inert under a plain
 /// `cargo test`): the same kill scenario collected through a
-/// [`ls3df::core::TraceObserver`] — the merged schema-v2 report must
+/// [`ls3df::core::TraceObserver`] — the merged report must
 /// carry a `ranks` section where the dead rank is `down` with a typed
 /// comm-error kind, and `telemetry_incomplete` must be set.
 #[test]
@@ -180,7 +180,7 @@ fn dist_fault_obs_child() {
         kind == "rank_down" || kind == "timeout",
         "down kind must be a typed comm-error kind: {kind}"
     );
-    // The assembled document still validates against the v2 schema.
+    // The assembled document still validates against the schema.
     let text = report.to_json().render();
     ls3df::obs::report::validate_report_str(&text).expect("fault report must stay schema-valid");
     println!("LS3DF_FAULT_OBS_OK={kind}");

@@ -1,24 +1,25 @@
 //! The rank-aware observability gate (`cargo xtask ci` step
-//! `obs-dist`): obs-enabled multi-group SCF runs must fold every rank's
-//! telemetry into **one** merged schema-v2 report.
+//! `obs-dist`): every obs-enabled SCF run, at any group count, must fold
+//! its world's rank telemetry into **one** merged report.
 //!
 //! Two legs:
 //!
-//! * `committed_fig5_report_is_schema_valid` — the checked-in
-//!   `BENCH_fig5.json` parses, validates against the report schema, has
-//!   no model curves, and holds at least two measured points that share
+//! * `committed_fig5_report_is_schema_valid` — the checked-in artefacts
+//!   are current: `BENCH_fig5.json`, `BENCH_scf.json` and
+//!   `BENCH_fft_kernels.json` validate against the report schema, and
+//!   `TRACE_fig6.json` is a lane trace (one `process_name` per `pid`,
+//!   every complete event placed on a lane). `BENCH_fig5.json` also has
+//!   no model curves and holds at least two measured points that share
 //!   one density digest and carry the imbalance/straggler columns. Runs
 //!   with or without the `obs` feature.
 //! * `merged_report_counters_sum_to_single_process_totals` — SPMD
 //!   subprocess matrix at `LS3DF_GROUPS ∈ {1, 2, 4}` (same re-exec
 //!   pattern as `tests/dist_digest.rs`): every group count's merged
-//!   report must account for the *same* totals of `fragment_solves` and
-//!   `fragment_shares`, which together cover every fragment in every
-//!   iteration, the multi-group reports must carry one `up` rank section
-//!   per group with per-rank counters summing to the single-process
-//!   totals, and
-//!   the derived straggler-gap / imbalance / comm-attribution sections
-//!   must be present. Only meaningful with spans compiled in, so it is
+//!   report must carry one `up` rank section per group and the derived
+//!   straggler-gap / imbalance / comm-attribution sections, and its
+//!   per-rank `fragment_solves` and `fragment_shares` must sum to the
+//!   *same* totals at every group count, covering every fragment in
+//!   every iteration. Only meaningful with spans compiled in, so it is
 //!   a no-op without the `obs` feature.
 
 use ls3df::core::{Ls3df, Ls3dfOptions, Passivation, TraceObserver};
@@ -52,13 +53,55 @@ fn fixed_work_opts() -> Ls3dfOptions {
     }
 }
 
+fn read_committed(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+fn validate_committed(name: &str) -> Json {
+    ls3df::obs::report::validate_report_str(&read_committed(name))
+        .unwrap_or_else(|e| panic!("committed {name} fails schema validation: {e}"))
+}
+
 #[test]
 fn committed_fig5_report_is_schema_valid() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_fig5.json");
-    let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let doc = ls3df::obs::report::validate_report_str(&text)
-        .unwrap_or_else(|e| panic!("committed BENCH_fig5.json fails schema validation: {e}"));
+    validate_committed("BENCH_scf.json");
+    validate_committed("BENCH_fft_kernels.json");
+    let trace = Json::parse(&read_committed("TRACE_fig6.json")).expect("TRACE_fig6.json parses");
+    let events = trace.as_array().expect("TRACE_fig6.json is an event array");
+    let num = |e: &Json, key: &str| e.get(key).and_then(Json::as_f64);
+    let mut lanes: Vec<f64> = events
+        .iter()
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("process_name"))
+        .map(|e| num(e, "pid").expect("process_name event without pid"))
+        .collect();
+    let n_named = lanes.len();
+    lanes.sort_by(f64::total_cmp);
+    lanes.dedup();
+    assert!(
+        !lanes.is_empty() && lanes.len() == n_named,
+        "TRACE_fig6.json needs exactly one process_name event per pid, has pids {lanes:?} \
+         from {n_named} events"
+    );
+    let mut spans = 0;
+    for e in events {
+        if let Some(pid) = num(e, "pid") {
+            assert!(lanes.contains(&pid), "pid {pid} has no process_name lane");
+        }
+        if e.get("ph").and_then(Json::as_str) == Some("X") {
+            for key in ["pid", "tid", "ts", "dur"] {
+                assert!(
+                    num(e, key).is_some(),
+                    "X event lacks `{key}`: {}",
+                    e.render()
+                );
+            }
+            spans += 1;
+        }
+    }
+    assert!(spans > 0, "TRACE_fig6.json has no complete events");
+
+    let doc = validate_committed("BENCH_fig5.json");
     let extra = doc
         .get("extra")
         .and_then(Json::as_object)
@@ -193,8 +236,8 @@ fn merged_report_counters_sum_to_single_process_totals() {
             .unwrap_or_else(|e| panic!("merged report (groups={groups}) invalid: {e}"));
         assert_eq!(
             doc.get("schema_version").and_then(Json::as_f64),
-            Some(2.0),
-            "merged report must be schema v2"
+            Some(3.0),
+            "merged report must be schema v3"
         );
         assert_eq!(
             doc.get("telemetry_incomplete").and_then(Json::as_bool),
@@ -205,43 +248,29 @@ fn merged_report_counters_sum_to_single_process_totals() {
             .get("ranks")
             .and_then(Json::as_array)
             .expect("ranks array");
-        let total = if groups == 1 {
-            // Single-process world: no merge, the flat counter table is
-            // the whole story.
-            assert!(ranks.is_empty(), "no rank sections in a world of one");
-            ["fragment_solves", "fragment_shares"].map(|name| {
-                doc.get("counters")
-                    .and_then(|c| c.get(name))
-                    .and_then(Json::as_f64)
-                    .unwrap_or_else(|| panic!("{name} counter")) as u64
-            })
-        } else {
-            assert_eq!(ranks.len(), groups, "one rank section per group");
-            let mut sum = [0; 2];
-            for (r, rank) in ranks.iter().enumerate() {
-                assert_eq!(
-                    rank.get("status").and_then(Json::as_str),
-                    Some("up"),
-                    "rank {r} must be up (groups={groups})"
-                );
-                let solves = rank_counter(rank, "fragment_solves");
-                assert!(solves > 0, "rank {r} solved nothing (groups={groups})");
-                sum[0] += solves;
-                sum[1] += rank_counter(rank, "fragment_shares");
-            }
-            // The derived sections exist for multi-rank runs.
-            let extra = doc
-                .get("extra")
-                .and_then(Json::as_object)
-                .expect("extra object");
-            for key in ["straggler_gap", "imbalance", "comm_attribution"] {
-                assert!(
-                    extra.iter().any(|(k, _)| k == key),
-                    "merged report lacks derived `{key}` section (groups={groups})"
-                );
-            }
-            sum
-        };
+        assert_eq!(ranks.len(), groups, "one rank section per group");
+        let mut total = [0; 2];
+        for (r, rank) in ranks.iter().enumerate() {
+            assert_eq!(
+                rank.get("status").and_then(Json::as_str),
+                Some("up"),
+                "rank {r} must be up (groups={groups})"
+            );
+            let solves = rank_counter(rank, "fragment_solves");
+            assert!(solves > 0, "rank {r} solved nothing (groups={groups})");
+            total[0] += solves;
+            total[1] += rank_counter(rank, "fragment_shares");
+        }
+        let extra = doc
+            .get("extra")
+            .and_then(Json::as_object)
+            .expect("extra object");
+        for key in ["straggler_gap", "imbalance", "comm_attribution"] {
+            assert!(
+                extra.iter().any(|(k, _)| k == key),
+                "merged report lacks derived `{key}` section (groups={groups})"
+            );
+        }
         assert_eq!(
             total[0] + total[1],
             expected,

@@ -8,8 +8,6 @@
 
 use ls3df::core::{Ls3df, Ls3dfOptions, Passivation, TraceObserver};
 use ls3df::obs::Json;
-#[cfg(feature = "obs")]
-use ls3df::obs::MachineRef;
 use ls3df::pseudo::PseudoTable;
 use ls3df_atoms::model_crystal;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -77,12 +75,7 @@ fn instrumented_run_emits_schema_valid_report() {
 
     let mut calc = small_calc(2);
     let n_frags = calc.n_fragments();
-    let mut tracer = TraceObserver::new("obs_report_test")
-        .with_machine(MachineRef {
-            name: "testbox".to_string(),
-            peak_gflops: 100.0,
-        })
-        .with_trace_file(&trace_path);
+    let mut tracer = TraceObserver::new("obs_report_test").with_trace_file(&trace_path);
     let res = calc.scf_with(&mut tracer);
     assert_eq!(res.history.len(), 2);
     let report = tracer.finish();
@@ -103,10 +96,22 @@ fn instrumented_run_emits_schema_valid_report() {
         attribution.fraction
     );
 
-    // Flop accounting: the FFT counters ran, so the report rates itself.
+    // Flop accounting: the FFT counters ran.
     let flops = report.flops.as_ref().expect("flop report");
     assert!(flops.estimated_gflop > 0.0);
-    assert!(flops.percent_of_peak.is_some());
+
+    // A one-process run is the merge of its world of one: a single `up`
+    // rank section carrying the same fragment counters.
+    assert_eq!(report.ranks.len(), 1);
+    let rank0 = &report.ranks[0];
+    assert_eq!(
+        (rank0.rank, &rank0.status),
+        (0, &ls3df::obs::RankStatus::Up)
+    );
+    assert!(rank0
+        .counters
+        .iter()
+        .any(|(n, v)| n == "fragment_solves" && *v == 2 * 8));
 
     // Counter plausibility for 2 iterations × n_frags fragments: the 8
     // representatives of crystal8's translation classes solve, and the
@@ -125,14 +130,18 @@ fn instrumented_run_emits_schema_valid_report() {
     assert_eq!(report.fragments.len(), 8);
     assert!(report.fragments.iter().all(|f| f.calls == 2));
 
-    // The chrome trace is valid JSON: an array of trace events with at
-    // least one "X" (complete) event per recorded span kind.
+    // The chrome trace is valid JSON: an array of trace events with a
+    // `process_name` lane for rank 0 and "X" (complete) events on it.
     let trace_text = std::fs::read_to_string(&trace_path).expect("trace readback");
     let trace = Json::parse(&trace_text).expect("trace parses");
     let events = trace.as_array().expect("trace event array");
+    let pid = |e: &Json| e.get("pid").and_then(Json::as_f64);
+    assert!(events.iter().any(|e| {
+        e.get("name").and_then(Json::as_str) == Some("process_name") && pid(e) == Some(0.0)
+    }));
     assert!(events
         .iter()
-        .any(|e| e.get("ph").and_then(Json::as_str) == Some("X")));
+        .any(|e| e.get("ph").and_then(Json::as_str) == Some("X") && pid(e) == Some(0.0)));
 
     std::fs::remove_dir_all(&dir).ok();
 }
