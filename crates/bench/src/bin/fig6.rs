@@ -11,14 +11,11 @@
 //! Exits non-zero (after writing the report) when the SCF did not
 //! converge: the table is then a record of the run, not a Fig. 6 result.
 
-use ls3df_bench::{arg, exit_unless_converged};
+use ls3df_bench::{arg, exit_unless_converged, znteo_options};
 use ls3df_ckpt::{CheckpointConfig, CkptError};
 use ls3df_core::{
-    FragmentFault, Ls3df, Ls3dfOptions, Ls3dfStep, Passivation, QuarantineRecord, ScfObserver,
-    ScfStage, TraceObserver,
+    FragmentFault, Ls3df, Ls3dfStep, QuarantineRecord, ScfObserver, ScfStage, TraceObserver,
 };
-use ls3df_pseudo::PseudoTable;
-use ls3df_pw::Mixer;
 use std::io::Write as _;
 use std::path::Path;
 
@@ -26,7 +23,7 @@ use std::path::Path;
 /// iteration, plus supervision events (snapshots written, fragment
 /// retries/quarantines) as indented side notes. Every event is also
 /// forwarded to the wrapped [`TraceObserver`], which assembles the
-/// `BENCH_scf.json` run report.
+/// `BENCH_fig6.json` run report.
 struct Fig6Observer<'a> {
     tracer: &'a mut TraceObserver,
 }
@@ -91,31 +88,13 @@ fn main() -> std::process::ExitCode {
         relax.max_displacement
     );
 
-    let opts = Ls3dfOptions {
-        ecut,
-        piece_pts: [piece_pts; 3],
-        buffer_pts: [3; 3],
-        passivation: Passivation::PseudoH,
-        wall_height: 1.5,
-        n_extra_bands: 4,
-        cg_steps: 12,
-        initial_cg_steps: 40,
-        fragment_tol: 5e-2,
-        mixer: Mixer::Kerker {
-            alpha: 0.4,
-            q0: 1.0,
-        },
-        max_scf: iters,
-        tol: 1e-3,
-        pseudo: PseudoTable::default(),
-    };
     let t0 = std::time::Instant::now();
-    // Full resumable snapshots every 5 iterations (fig7 resumes from the
-    // newest one to skip the SCF entirely).
+    // Full resumable snapshots every 5 iterations and at convergence (fig7
+    // resumes from the newest one to skip the SCF entirely).
     let ckpt_dir = format!("target/checkpoints/fig6_m{m}");
     let mut ls = Ls3df::builder(&s)
         .fragments([m, m, m])
-        .options(opts)
+        .options(znteo_options(ecut, piece_pts, iters))
         .checkpoint(CheckpointConfig::every_n(&ckpt_dir, 5))
         .build()
         .expect("valid fig6 geometry");
@@ -199,22 +178,11 @@ fn main() -> std::process::ExitCode {
     // Machine-readable run report (EXPERIMENTS.md documents the schema).
     println!();
     print!("{}", report.summary_table());
-    let bench_path = Path::new("BENCH_scf.json");
+    let bench_path = Path::new("BENCH_fig6.json");
     match report.write(bench_path) {
         Ok(()) => println!("run report -> {}", bench_path.display()),
         Err(e) => eprintln!("run report write failed: {e}"),
     }
 
-    // Checkpoint a converged state for fig7 (FSM post-processing), which
-    // loads the potential as converged.
-    let dir = Path::new("target/checkpoints");
-    let tag = format!("znteo_m{m}");
-    if res.converged
-        && std::fs::create_dir_all(dir).is_ok()
-        && ls3df_grid::save_field(&res.v_eff, &dir.join(format!("{tag}_veff.ck"))).is_ok()
-        && ls3df_grid::save_field(&res.rho, &dir.join(format!("{tag}_rho.ck"))).is_ok()
-    {
-        println!("checkpoint written to target/checkpoints/{tag}_*.ck (fig7 will reuse it)");
-    }
     exit_unless_converged(&[("LS3DF", res.converged)])
 }

@@ -14,95 +14,49 @@
 //! Exits non-zero (after printing the analysis) when the SCF it ran did
 //! not converge: the states are then those of an unconverged potential.
 
-use ls3df_bench::{arg, exit_unless_converged};
-use ls3df_core::{analysis, folded_spectrum, FsmOptions, Ls3df, Ls3dfOptions, Passivation};
-
+use ls3df_bench::{arg, exit_unless_converged, znteo_options};
+use ls3df_core::{analysis, folded_spectrum, FsmOptions, Ls3df};
 use ls3df_pseudo::PseudoTable;
-use ls3df_pw::{Mixer, NonlocalPotential, PwAtom};
+use ls3df_pw::{NonlocalPotential, PwAtom};
 
 fn main() -> std::process::ExitCode {
     let m: usize = arg(1, 2);
     let iters: usize = arg(2, 15);
     let n_states: usize = arg(3, 6);
-    let ecut = 2.0;
-    let piece_pts = 8;
 
     let mut s = ls3df_atoms::znteo_alloy([m, m, m], ls3df_atoms::ZNTE_LATTICE, 0.03125, 42);
     ls3df_atoms::relax(&mut s, 1e-4, 3000);
     println!("system: {} ({} atoms)", s.formula(), s.len());
 
-    let opts = Ls3dfOptions {
-        ecut,
-        piece_pts: [piece_pts; 3],
-        buffer_pts: [3; 3],
-        passivation: Passivation::PseudoH,
-        wall_height: 1.5,
-        n_extra_bands: 4,
-        cg_steps: 12,
-        initial_cg_steps: 40,
-        fragment_tol: 5e-2,
-        mixer: Mixer::Kerker {
-            alpha: 0.4,
-            q0: 1.0,
-        },
-        max_scf: iters,
-        tol: 1e-3,
-        pseudo: PseudoTable::default(),
-    };
     let mut ls = Ls3df::builder(&s)
         .fragments([m, m, m])
-        .options(opts)
+        .options(znteo_options(2.0, 8, iters))
         .build()
         .expect("valid fig7 geometry");
-    // Resume from fig6's newest full snapshot if one exists (same options
-    // -> same fingerprint); a snapshot written at convergence makes the
-    // scf() below a no-op replay, otherwise it finishes the remaining
+    // Resume from fig6's newest snapshot if one exists (same options ->
+    // same fingerprint); fig6 snapshots at convergence, so the scf()
+    // below is then a no-op replay, otherwise it finishes the remaining
     // iterations. Any resume failure (stale format, different physics,
-    // damaged file) falls through to the legacy potential cache or a
-    // fresh SCF — never aborts the figure.
+    // damaged file) falls through to a fresh SCF — never aborts the figure.
     let snap_dir = format!("target/checkpoints/fig6_m{m}");
-    let mut resumed = false;
     if let Ok(Some(snap)) = ls3df_ckpt::latest_snapshot(std::path::Path::new(&snap_dir)) {
         match ls.restore_from(&snap) {
-            Ok(iteration) => {
-                println!("resumed from {} (iteration {iteration})", snap.display());
-                resumed = true;
-            }
+            Ok(iteration) => println!("resumed from {} (iteration {iteration})", snap.display()),
             Err(e) => println!("snapshot {} not usable: {e}", snap.display()),
         }
     }
-    // Potential-only cache, written only by a converged SCF (read alone
-    // does not allow resuming the SCF — it skips it when the converged
-    // potential is already on disk).
-    let ck = std::path::Path::new("target/checkpoints").join(format!("znteo_m{m}_veff.ck"));
-    let (v_eff, converged) = match (resumed, ls3df_grid::load_field(&ck)) {
-        (false, Ok(v)) if v.grid() == &ls.global_grid => {
-            println!("loaded converged potential from {}", ck.display());
-            (v, true)
-        }
-        _ => {
-            let res = ls.scf();
-            println!(
-                "LS3DF: {} iterations, converged = {}",
-                res.history.len(),
-                res.converged
-            );
-            // Save for reruns (the FSM stage may be iterated on separately).
-            if res.converged {
-                std::fs::create_dir_all("target/checkpoints").ok();
-                if ls3df_grid::save_field(&res.v_eff, &ck).is_ok() {
-                    println!("checkpoint written to {}", ck.display());
-                }
-            }
-            (res.v_eff, res.converged)
-        }
-    };
+    let res = ls.scf();
+    println!(
+        "LS3DF: {} iterations, converged = {}",
+        res.history.len(),
+        res.converged
+    );
 
     // Full-system Hamiltonian in the converged potential.
     let basis = ls.global_basis();
     let atoms = PwAtom::of_structure(&s, &PseudoTable::default());
     let nl = NonlocalPotential::of_atoms(basis, &atoms);
-    let h = ls3df_pw::Hamiltonian::new(basis, v_eff.clone(), &nl);
+    let h = ls3df_pw::Hamiltonian::new(basis, res.v_eff, &nl);
 
     // FSM around the gap. With an explicit 4th argument a single reference
     // is used; otherwise a small scan brackets the gap region (the model
@@ -191,5 +145,5 @@ fn main() -> std::process::ExitCode {
         "paper shape targets: lowest empty states O-enriched (clustered on O atoms) and more \
          localized (higher IPR) at higher energy within the O band."
     );
-    exit_unless_converged(&[("LS3DF", converged)])
+    exit_unless_converged(&[("LS3DF", res.converged)])
 }

@@ -102,26 +102,6 @@ impl Default for Ls3dfOptions {
     }
 }
 
-impl Ls3dfOptions {
-    /// Single-machine parameters: reduced cutoff and grids sized so that
-    /// a 2×2×2-cell ZnTeO run completes in minutes per outer iteration on
-    /// one core.
-    pub fn laptop() -> Self {
-        Ls3dfOptions {
-            ecut: 2.0,
-            piece_pts: [8, 8, 8],
-            buffer_pts: [3, 3, 3],
-            n_extra_bands: 2,
-            cg_steps: 6,
-            mixer: Mixer::Kerker {
-                alpha: 0.5,
-                q0: 0.8,
-            },
-            ..Default::default()
-        }
-    }
-}
-
 /// Wall-clock breakdown of one outer iteration (paper §IV reports exactly
 /// these four numbers).
 #[derive(Clone, Copy, Debug, Default)]
@@ -440,7 +420,7 @@ impl From<CommError> for Ls3dfError {
 /// ```ignore
 /// let calc = Ls3df::builder(&structure)
 ///     .fragments([2, 2, 2])
-///     .options(Ls3dfOptions::laptop())
+///     .options(Ls3dfOptions::default())
 ///     .build()?;
 /// ```
 ///

@@ -13,7 +13,7 @@
 //! let result = calc.scf_with(&mut tracer);
 //! let report = tracer.finish();
 //! print!("{}", report.summary_table());
-//! report.write(Path::new("BENCH_scf.json"))?;
+//! report.write(Path::new("BENCH_fig6.json"))?;
 //! ```
 //!
 //! [`Ls3df::scf_with`]: crate::Ls3df::scf_with

@@ -157,12 +157,6 @@ impl Mixed {
         self.n * w * if self.stages.len() > 2 { 2 } else { 1 }
     }
 
-    /// Scratch values a single contiguous line needs ([`Mixed::run`] at
-    /// `w = 1`).
-    pub(crate) fn line_scratch_len(&self) -> usize {
-        self.pingpong_len(1)
-    }
-
     /// Scratch values the blocked entry points need: the ping-pong
     /// buffers at [`LINE_BLOCK`] lines plus the transposed block of
     /// [`Mixed::run_contiguous`].
@@ -501,7 +495,7 @@ mod tests {
                 .collect();
             let expect = dft_forward(&x);
             let mut got = x.clone();
-            let mut scratch = vec![c64::ZERO; plan.line_scratch_len()];
+            let mut scratch = vec![c64::ZERO; plan.pingpong_len(1)];
             plan.run(&mut got, 1, 1, true, &mut scratch);
             let err = got
                 .iter()

@@ -220,54 +220,29 @@ impl Fft1d {
     /// Builds a scratch workspace sized for this plan (see
     /// [`Fft1dWorkspace`]). Do this once per thread, not per transform.
     pub fn workspace(&self) -> Fft1dWorkspace {
-        self.workspace_for(true)
-    }
-
-    /// Scratch for single contiguous lines only (`strided == false`, what
-    /// the one-shot wrappers build per call) or for the strided batch
-    /// API as well.
-    fn workspace_for(&self, strided: bool) -> Fft1dWorkspace {
         let (scratch, batch) = match &self.kind {
             Kind::Trivial => (0, 0),
             Kind::Radix2(_) => (0, LINE_BLOCK * self.n),
-            Kind::Mixed(mx) if strided => (mx.block_scratch_len(), 0),
-            Kind::Mixed(mx) => (mx.line_scratch_len(), 0),
+            Kind::Mixed(mx) => (mx.block_scratch_len(), 0),
             Kind::Bluestein(b) => (b.m, LINE_BLOCK * self.n),
         };
         Fft1dWorkspace {
             // alloc-audit: workspace construction is the one-time setup
             // that makes every later *_with / *_strided call heap-free.
             scratch: vec![c64::ZERO; scratch],
-            batch: vec![c64::ZERO; if strided { batch } else { 0 }],
+            batch: vec![c64::ZERO; batch],
         }
     }
 
-    /// In-place forward transform (unnormalized).
-    ///
-    /// Convenience wrapper: allocates the line scratch its plan needs
-    /// per call. Hot loops should hold a workspace and use
-    /// [`Fft1d::forward_with`].
-    pub fn forward(&self, data: &mut [c64]) {
-        // alloc-audit: one-shot path; reuse a workspace in hot loops.
-        self.forward_with(data, &mut self.workspace_for(false));
-    }
-
-    /// In-place inverse transform (includes the `1/n` factor).
-    ///
-    /// Convenience wrapper over [`Fft1d::inverse_with`]; see
-    /// [`Fft1d::forward`] for the allocation caveat.
-    pub fn inverse(&self, data: &mut [c64]) {
-        // alloc-audit: one-shot path; reuse a workspace in hot loops.
-        self.inverse_with(data, &mut self.workspace_for(false));
-    }
-
-    /// [`Fft1d::forward`] using caller-provided scratch — no heap traffic.
+    /// In-place forward transform (unnormalized) using caller-provided
+    /// scratch — no heap traffic.
     pub fn forward_with(&self, data: &mut [c64], ws: &mut Fft1dWorkspace) {
         self.record_lines(1);
         self.run_line(data, Direction::Forward, &mut ws.scratch);
     }
 
-    /// [`Fft1d::inverse`] using caller-provided scratch — no heap traffic.
+    /// In-place inverse transform (includes the `1/n` factor) using
+    /// caller-provided scratch — no heap traffic.
     pub fn inverse_with(&self, data: &mut [c64], ws: &mut Fft1dWorkspace) {
         self.record_lines(1);
         self.run_line(data, Direction::Inverse, &mut ws.scratch);
@@ -281,7 +256,7 @@ impl Fft1d {
     /// rows directly, the line index innermost; the in-place kernels
     /// (radix-2, Bluestein) process lines in blocks of
     /// `LINE_BLOCK` through the workspace gather buffer. Either way
-    /// each line sees exactly the arithmetic of [`Fft1d::forward`], so
+    /// each line sees exactly the arithmetic of [`Fft1d::forward_with`], so
     /// the result is bit-identical to a line-by-line loop.
     pub fn forward_strided(
         &self,
@@ -295,7 +270,7 @@ impl Fft1d {
 
     /// Batched inverse counterpart of [`Fft1d::forward_strided`]
     /// (includes the `1/n` factor, applied per line exactly as
-    /// [`Fft1d::inverse`] does).
+    /// [`Fft1d::inverse_with`] does).
     pub fn inverse_strided(
         &self,
         data: &mut [c64],
@@ -534,6 +509,16 @@ mod tests {
     use super::*;
     use crate::dft::{dft_forward, dft_inverse};
 
+    /// One forward transform through a fresh workspace.
+    fn forward(plan: &Fft1d, x: &mut [c64]) {
+        plan.forward_with(x, &mut plan.workspace());
+    }
+
+    /// One inverse transform through a fresh workspace.
+    fn inverse(plan: &Fft1d, x: &mut [c64]) {
+        plan.inverse_with(x, &mut plan.workspace());
+    }
+
     fn rand_signal(n: usize, seed: u64) -> Vec<c64> {
         let mut state = seed;
         let mut next = move || {
@@ -558,7 +543,7 @@ mod tests {
             let x = rand_signal(n, n as u64);
             let expect = dft_forward(&x);
             let mut got = x.clone();
-            Fft1d::new_with(n, KernelPolicy::Reference).forward(&mut got);
+            forward(&Fft1d::new_with(n, KernelPolicy::Reference), &mut got);
             assert!(max_err(&got, &expect) < 1e-10 * n as f64, "n={n}");
         }
     }
@@ -577,7 +562,7 @@ mod tests {
             let x = rand_signal(n, 1000 + n as u64);
             let expect = dft_forward(&x);
             let mut got = x.clone();
-            plan.forward(&mut got);
+            forward(&plan, &mut got);
             assert!(max_err(&got, &expect) < 1e-9 * n as f64, "n={n}");
         }
     }
@@ -609,10 +594,10 @@ mod tests {
             let x = rand_signal(n, 2000 + n as u64);
             let expect = dft_forward(&x);
             let mut got = x.clone();
-            Fft1d::new_with(n, KernelPolicy::Fast).forward(&mut got);
+            forward(&Fft1d::new_with(n, KernelPolicy::Fast), &mut got);
             assert!(max_err(&got, &expect) < 1e-12 * n as f64, "n={n}");
             let mut reference = x.clone();
-            Fft1d::new_with(n, KernelPolicy::Reference).forward(&mut reference);
+            forward(&Fft1d::new_with(n, KernelPolicy::Reference), &mut reference);
             assert!(max_err(&got, &reference) < 1e-11 * n as f64, "n={n}");
         }
     }
@@ -624,10 +609,10 @@ mod tests {
             let plan = Fft1d::new(n);
 
             let mut spec = x.clone();
-            plan.forward(&mut spec);
+            forward(&plan, &mut spec);
             let expect_inv = dft_inverse(&spec);
             let mut got = spec.clone();
-            plan.inverse(&mut got);
+            inverse(&plan, &mut got);
             assert!(max_err(&got, &expect_inv) < 1e-10 * n as f64);
             assert!(max_err(&got, &x) < 1e-10 * n as f64, "roundtrip n={n}");
         }
@@ -639,7 +624,7 @@ mod tests {
             let x = rand_signal(n, 99 + n as u64);
             let energy_t: f64 = x.iter().map(|v| v.norm_sqr()).sum();
             let mut spec = x.clone();
-            Fft1d::new(n).forward(&mut spec);
+            forward(&Fft1d::new(n), &mut spec);
             let energy_f: f64 = spec.iter().map(|v| v.norm_sqr()).sum::<f64>() / n as f64;
             assert!((energy_t - energy_f).abs() < 1e-10 * energy_t.max(1.0));
         }
@@ -649,9 +634,9 @@ mod tests {
     fn length_one_is_identity() {
         let mut x = vec![c64::new(2.5, -1.0)];
         let plan = Fft1d::new(1);
-        plan.forward(&mut x);
+        forward(&plan, &mut x);
         assert_eq!(x[0], c64::new(2.5, -1.0));
-        plan.inverse(&mut x);
+        inverse(&plan, &mut x);
         assert_eq!(x[0], c64::new(2.5, -1.0));
     }
 
@@ -663,7 +648,7 @@ mod tests {
             .map(|j| c64::cis(2.0 * PI * (j * k0) as f64 / n as f64))
             .collect();
         let mut spec = x.clone();
-        Fft1d::new(n).forward(&mut spec);
+        forward(&Fft1d::new(n), &mut spec);
         for (k, v) in spec.iter().enumerate() {
             if k == k0 {
                 assert!((v.re - n as f64).abs() < 1e-9);

@@ -40,14 +40,15 @@ fn bits_equal(a: &[c64], b: &[c64]) -> bool {
 fn line_by_line(plan: &Fft1d, data: &mut [c64], n_lines: usize, stride: usize, fwd: bool) {
     let n = plan.len();
     let mut line = vec![c64::ZERO; n];
+    let mut ws = plan.workspace();
     for l in 0..n_lines {
         for (i, v) in line.iter_mut().enumerate() {
             *v = data[i * stride + l];
         }
         if fwd {
-            plan.forward(&mut line);
+            plan.forward_with(&mut line, &mut ws);
         } else {
-            plan.inverse(&mut line);
+            plan.inverse_with(&mut line, &mut ws);
         }
         for (i, &v) in line.iter().enumerate() {
             data[i * stride + l] = v;
@@ -137,11 +138,12 @@ fn check_fft3(n1: usize, n2: usize, n3: usize, seed: u64) -> Result<(), TestCase
         // line-by-line via the classic API.
         let mut expect = data.clone();
         let (px, py, pz) = (Fft1d::new(n1), Fft1d::new(n2), Fft1d::new(n3));
+        let mut wx = px.workspace();
         for line in expect.chunks_mut(n1) {
             if fwd {
-                px.forward(line)
+                px.forward_with(line, &mut wx)
             } else {
-                px.inverse(line)
+                px.inverse_with(line, &mut wx)
             }
         }
         for plane in expect.chunks_mut(n1 * n2) {

@@ -81,7 +81,7 @@ proptest! {
     fn fft_matches_naive_dft_all_lengths(x in signal_strategy(48)) {
         let plan = Fft1d::new(x.len());
         let mut got = x.clone();
-        plan.forward(&mut got);
+        plan.forward_with(&mut got, &mut plan.workspace());
         let expect = dft::dft_forward(&x);
         for (a, b) in got.iter().zip(&expect) {
             prop_assert!((*a - *b).abs() < 1e-8 * (1.0 + x.len() as f64));
@@ -91,9 +91,10 @@ proptest! {
     #[test]
     fn roundtrip_is_identity(x in signal_strategy(64)) {
         let plan = Fft1d::new(x.len());
+        let mut ws = plan.workspace();
         let mut work = x.clone();
-        plan.forward(&mut work);
-        plan.inverse(&mut work);
+        plan.forward_with(&mut work, &mut ws);
+        plan.inverse_with(&mut work, &mut ws);
         for (a, b) in work.iter().zip(&x) {
             prop_assert!((*a - *b).abs() < 1e-9);
         }
@@ -104,7 +105,8 @@ proptest! {
         let n = x.len() as f64;
         let e_time: f64 = x.iter().map(|v| v.norm_sqr()).sum();
         let mut spec = x.clone();
-        Fft1d::new(x.len()).forward(&mut spec);
+        let plan = Fft1d::new(x.len());
+        plan.forward_with(&mut spec, &mut plan.workspace());
         let e_freq: f64 = spec.iter().map(|v| v.norm_sqr()).sum::<f64>() / n;
         prop_assert!((e_time - e_freq).abs() < 1e-8 * (1.0 + e_time));
     }
@@ -161,8 +163,12 @@ proptest! {
         let x: Vec<c64> = (0..n).map(|_| c64::new(next(), next())).collect();
         let mut a = x.clone();
         let mut b = x.clone();
-        Fft1d::new_with(n, KernelPolicy::Fast).forward(&mut a);
-        Fft1d::new_with(n, KernelPolicy::Reference).forward(&mut b);
+        let (fast, reference) = (
+            Fft1d::new_with(n, KernelPolicy::Fast),
+            Fft1d::new_with(n, KernelPolicy::Reference),
+        );
+        fast.forward_with(&mut a, &mut fast.workspace());
+        reference.forward_with(&mut b, &mut reference.workspace());
         for (u, v) in a.iter().zip(&b) {
             prop_assert!((*u - *v).abs() < 1e-10 * (1.0 + n as f64));
         }

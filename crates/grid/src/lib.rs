@@ -15,4 +15,4 @@ pub mod io;
 
 pub use field::{ComplexField, Field, RealField};
 pub use grid3::Grid3;
-pub use io::{decode_field, encode_field, load_field, save_field};
+pub use io::{decode_field, encode_field};

@@ -63,8 +63,8 @@ const MR: usize = 4;
 const NR_NARROW: usize = 4;
 /// Columns of `C` per register tile for 8-byte scalars (`f64`): a 4×4
 /// real tile is 4 AVX2 registers — four independent add chains cannot
-/// hide the add latency — so the real tile is wider (`real_tile` in the
-/// `fft_kernels` bench, EXPERIMENTS.md). The width never changes a bit of
+/// hide the add latency — so the real tile is wider (EXPERIMENTS.md,
+/// "Γ-point real block algebra (PR 19)"). The width never changes a bit of
 /// any `C` element: each element's `k`-order is the same in every tile.
 const NR_WIDE: usize = 8;
 /// `k`-extent of one packed block: an `MR·KC` A-strip and a `KC·NR`
@@ -119,14 +119,15 @@ pub(crate) fn dotc_wide<S: Scalar>(a: &[S], b: &[S]) -> S {
 /// loops: under [`KernelPolicy::Fast`] it goes to the packed kernel, and
 /// the allocating entry points may spread the scalar kernels' rows over
 /// the pool. Set from the `fft_kernels` bench (`gemm_crossover` in
-/// `BENCH_fft_kernels.json`, EXPERIMENTS.md): the AVX2 instantiation beats
-/// the scalar loops at every size (1.9–3.4×), the baseline one is their
-/// equal within noise from ≈ 2·10⁵ up (0.84–1.03×) and loses up to a
-/// quarter below 10⁵ — so from 2¹⁸ no host loses, a product is long
-/// enough (≈ 0.3 ms) to amortize a pool dispatch, and a 10-band ×
-/// 500-planewave fragment block (5·10⁴) stays one sequential loop. One
-/// constant for both tiers: the kernel choice changes rounding, and
-/// results must not depend on the host.
+/// `BENCH_fft_kernels.json`, EXPERIMENTS.md), measured on the `f64`
+/// blocks production runs: the AVX2 instantiation beats the scalar loops
+/// at every size (1.2–3.7×), the baseline one runs at 0.62–0.74× of them
+/// at ≤ 5·10⁴ and is their equal within noise from ≈ 8·10⁴ up
+/// (0.91–1.35×) — so from 2¹⁸ no host loses, a product is long enough
+/// (≈ 0.3 ms) to amortize a pool dispatch, and a 10-band × 500-planewave
+/// fragment block (5·10⁴) stays one sequential loop. One constant for
+/// both tiers: the kernel choice changes rounding, and results must not
+/// depend on the host.
 pub(crate) const BLOCK_MIN_WORK: usize = 1 << 18;
 
 /// Whether a product of this shape is block-sized (see [`BLOCK_MIN_WORK`]).
@@ -218,9 +219,9 @@ impl<S: Scalar> GemmScratch<S> {
         }
     }
 
-    /// Test/bench hook: the packed kernel on the narrow (4-column) register
-    /// tile whatever the scalar — the other side of the tile-width
-    /// bit-identity tests and of the `real_tile` bench rows.
+    /// Test hook: the packed kernel on the narrow (4-column) register tile
+    /// whatever the scalar — the other side of the tile-width
+    /// bit-identity tests.
     #[doc(hidden)]
     pub fn narrow_tile(mut self) -> Self {
         self.wide_tile = false;

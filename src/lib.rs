@@ -10,7 +10,7 @@
 //!
 //! let mut calc = Ls3df::builder(&structure)
 //!     .fragments([2, 2, 2])
-//!     .options(Ls3dfOptions::laptop())
+//!     .options(Ls3dfOptions::default())
 //!     .build()?;
 //! let result = calc.scf();
 //! ```

@@ -115,15 +115,16 @@ fn mixed_matches_radix2_every_pow2() {
         let x: Vec<c64> = (0..n).map(|_| c64::new(next(), next())).collect();
         let fast = Fft1d::new_with(n, KernelPolicy::Fast);
         let reference = Fft1d::new_with(n, KernelPolicy::Reference);
+        let (mut ws_fast, mut ws_ref) = (fast.workspace(), reference.workspace());
         for dir in [true, false] {
             let mut a = x.clone();
             let mut b = x.clone();
             if dir {
-                fast.forward(&mut a);
-                reference.forward(&mut b);
+                fast.forward_with(&mut a, &mut ws_fast);
+                reference.forward_with(&mut b, &mut ws_ref);
             } else {
-                fast.inverse(&mut a);
-                reference.inverse(&mut b);
+                fast.inverse_with(&mut a, &mut ws_fast);
+                reference.inverse_with(&mut b, &mut ws_ref);
             }
             let peak = b.iter().map(|v| v.abs()).fold(1.0, f64::max);
             for (i, (u, v)) in a.iter().zip(&b).enumerate() {
@@ -167,14 +168,15 @@ fn mixed_radix_matches_dft_and_bluestein_every_smooth_length() {
         let exact = dft_forward(&x);
         let peak = exact.iter().map(|v| v.abs()).fold(1.0, f64::max);
 
+        let (mut ws_mixed, mut ws_blue) = (mixed.workspace(), bluestein.workspace());
         let mut fwd = x.clone();
-        mixed.forward(&mut fwd);
+        mixed.forward_with(&mut fwd, &mut ws_mixed);
         let mut fwd_ref = x.clone();
-        bluestein.forward(&mut fwd_ref);
+        bluestein.forward_with(&mut fwd_ref, &mut ws_blue);
         let mut inv = x.clone();
-        mixed.inverse(&mut inv);
+        mixed.inverse_with(&mut inv, &mut ws_mixed);
         let mut inv_ref = x.clone();
-        bluestein.inverse(&mut inv_ref);
+        bluestein.inverse_with(&mut inv_ref, &mut ws_blue);
         for i in 0..n {
             let d = (fwd[i] - exact[i]).abs();
             assert!(d <= FFT1D_TOL * peak, "n={n} bin {i} vs DFT: |Δ|={d:e}");
@@ -266,7 +268,8 @@ fn r2c_matches_complex_transform() {
         let mut packed = vec![c64::ZERO; rplan.packed_len()];
         rplan.forward(&x, &mut packed, &mut ws);
         let mut full: Vec<c64> = x.iter().map(|&v| c64::new(v, 0.0)).collect();
-        Fft1d::new_with(n, KernelPolicy::Reference).forward(&mut full);
+        let reference = Fft1d::new_with(n, KernelPolicy::Reference);
+        reference.forward_with(&mut full, &mut reference.workspace());
         let peak = full.iter().map(|v| v.abs()).fold(1.0, f64::max);
         for (k, (p, f)) in packed.iter().zip(&full).enumerate() {
             let d = (*p - *f).abs();

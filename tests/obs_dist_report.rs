@@ -5,8 +5,10 @@
 //! Two legs:
 //!
 //! * `committed_fig5_report_is_schema_valid` — the checked-in artefacts
-//!   are current: `BENCH_fig5.json`, `BENCH_scf.json` and
-//!   `BENCH_fft_kernels.json` validate against the report schema, and
+//!   are current: `BENCH_fig5.json`, `BENCH_fig6.json` and
+//!   `BENCH_fft_kernels.json` validate against the report schema,
+//!   `BENCH_fft_kernels.json` holds exactly the GEMM tier and crossover
+//!   tables (tiers bit-identical, every rate and time positive), and
 //!   `TRACE_fig6.json` is a lane trace (one `process_name` per `pid`,
 //!   every complete event placed on a lane). `BENCH_fig5.json` also has
 //!   no model curves and holds at least two measured points that share
@@ -63,10 +65,64 @@ fn validate_committed(name: &str) -> Json {
         .unwrap_or_else(|e| panic!("committed {name} fails schema validation: {e}"))
 }
 
+/// The deterministic fields of the kernel artefact: exactly the GEMM tier
+/// and crossover tables, every tier row bit-identical with positive
+/// Gflop/s on both tiers, and eight crossover rows with positive times.
+fn check_kernel_tables(doc: &Json) {
+    let extra = doc
+        .get("extra")
+        .and_then(Json::as_object)
+        .expect("extra object");
+    let keys: Vec<&str> = extra.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "reps",
+            "gemm_dispatched_tier",
+            "gemm_tiers",
+            "gemm_crossover"
+        ],
+        "BENCH_fft_kernels.json extra keys"
+    );
+    let rows = |key: &str| {
+        doc.get("extra")
+            .and_then(|e| e.get(key))
+            .and_then(Json::as_array)
+            .unwrap_or_else(|| panic!("`{key}` array"))
+    };
+    let positive = |row: &Json, key: &str| {
+        let v = row.get(key).and_then(Json::as_f64);
+        assert!(
+            v.is_some_and(|v| v > 0.0),
+            "`{key}` is not positive: {}",
+            row.render()
+        );
+    };
+    let tiers = rows("gemm_tiers");
+    assert_eq!(tiers.len(), 4, "gemm_tiers rows");
+    for row in tiers {
+        assert_eq!(
+            row.get("bit_identical").and_then(Json::as_bool),
+            Some(true),
+            "tiers differ: {}",
+            row.render()
+        );
+        positive(row, "baseline_gflops");
+        positive(row, "dispatched_gflops");
+    }
+    let crossover = rows("gemm_crossover");
+    assert_eq!(crossover.len(), 8, "gemm_crossover rows");
+    for row in crossover {
+        for key in ["row_loops_ms", "packed_baseline_ms", "packed_dispatched_ms"] {
+            positive(row, key);
+        }
+    }
+}
+
 #[test]
 fn committed_fig5_report_is_schema_valid() {
-    validate_committed("BENCH_scf.json");
-    validate_committed("BENCH_fft_kernels.json");
+    validate_committed("BENCH_fig6.json");
+    check_kernel_tables(&validate_committed("BENCH_fft_kernels.json"));
     let trace = Json::parse(&read_committed("TRACE_fig6.json")).expect("TRACE_fig6.json parses");
     let events = trace.as_array().expect("TRACE_fig6.json is an event array");
     let num = |e: &Json, key: &str| e.get(key).and_then(Json::as_f64);
