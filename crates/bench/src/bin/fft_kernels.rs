@@ -3,19 +3,19 @@
 //! runs on.
 //!
 //! - **GEMM tiers** (`gemm_tiers`): the packed rotation product `Uᵀ·Ψ`
-//!   on the baseline (SSE2) instantiation of the packed kernel against
-//!   the one this host dispatches to ([`Tier::host`]), at 16/32/64/130
+//!   on every instantiation of the packed kernel this CPU runs
+//!   ([`Tier::supported`]: baseline, AVX2 + FMA, AVX-512), at 16/32/64/130
 //!   bands × the planewave counts of the ZnTeO fragment boxes
 //!   (751/1157/1715/2553), on the wide `f64` register tile
-//!   [`GemmScratch`] picks for 8-byte scalars. Gflop/s each (2 flops per
-//!   real multiply-add); the two outputs are compared bit for bit before
-//!   timing.
+//!   [`GemmScratch`] picks for 8-byte scalars. Gflop/s per tier (2 flops
+//!   per real multiply-add); every tier's output is compared bit for bit
+//!   with the baseline's before timing.
 //! - **block-size crossover** (`gemm_crossover`): one `cg_step` subspace
 //!   projection plus one Rayleigh–Ritz rotation, as the `dotc`/`axpy`
 //!   row loops the scalar kernels keep and as [`gemm_packed_into`]
-//!   products on both tiers, down a ladder of shapes on both sides of
+//!   products on every tier, down a ladder of shapes on both sides of
 //!   `m·k·n = 2¹⁸` — the measurement behind the one constant that sends
-//!   a product to the packed kernel. Each pair is cross-checked before
+//!   a product to the packed kernel. Each shape is cross-checked before
 //!   timing: tiers bit-identical, row loops within 1e-11 of packed.
 //!
 //! Results land in `BENCH_fft_kernels.json` (schema in EXPERIMENTS.md).
@@ -100,80 +100,93 @@ fn packed_ops(
     gemm_packed_into(scratch, 1.0, u, Op::Trans, psi, Op::None, 0.0, out);
 }
 
+/// `{tier name: value}` for every supported tier.
+fn per_tier(tiers: &[Tier], values: &[f64]) -> Json {
+    Json::obj(
+        tiers
+            .iter()
+            .map(|t| t.name())
+            .zip(values.iter().map(|&v| Json::num(v)))
+            .collect(),
+    )
+}
+
 fn main() {
     let t_main = Instant::now();
     let reps: usize = arg(1, 20);
     let host = Tier::host();
+    let tiers = Tier::supported();
+    let names: Vec<&str> = tiers.iter().map(|t| t.name()).collect();
     println!(
-        "fft_kernels: f64 block products, {reps} reps per kernel, dispatched tier {}\n",
+        "fft_kernels: f64 block products, {reps} reps per kernel, tiers {}, dispatched {}\n",
+        names.join("/"),
         host.name()
     );
 
     // Seconds per call of `f`: one warm-up call (pack buffers, page
-    // faults), then `reps · inner` timed calls.
-    let bench = |label: &str, inner: usize, f: &mut dyn FnMut()| -> f64 {
+    // faults), one timed call that sizes a batch of ≈ 20 ms, then `reps`
+    // timed batches — every kernel gets about the same wall time, so the
+    // baseline tier's libm `fma` calls do not dominate the run.
+    let bench = |label: &str, f: &mut dyn FnMut()| -> f64 {
         f();
         let t = Instant::now();
-        for _ in 0..reps * inner {
+        f();
+        let batch = (0.02 / t.elapsed().as_secs_f64()).ceil().max(1.0) as usize;
+        let t = Instant::now();
+        for _ in 0..reps * batch {
             f();
         }
-        let per = t.elapsed().as_secs_f64() / (reps * inner) as f64;
+        let per = t.elapsed().as_secs_f64() / (reps * batch) as f64;
         println!("  {label:<52} {:9.4} ms/call", per * 1e3);
         per
     };
     let scratch = |tier| GemmScratch::<f64>::with(KernelPolicy::Fast, tier);
 
-    // --- packed GEMM: baseline tier vs the tier this host dispatches to ---
+    // --- packed GEMM on every tier ------------------------------------------
     // The rotation product Uᵀ·Ψ at the ZnTeO workload's 1-, 2-, 4- and
     // 8-piece fragment shapes, forced onto the packed kernel so the
     // 16-band shape (below the block-size crossover) is measured too.
-    println!("packed GEMM Uᵀ·Ψ, baseline tier vs dispatched tier:");
+    println!("packed GEMM Uᵀ·Ψ on every tier:");
     let mut tier_rows: Vec<Json> = Vec::new();
     for (nb, npw) in [(16usize, 751usize), (32, 1157), (64, 1715), (130, 2553)] {
         let psi = lcg_block(nb, npw, 0x7e ^ nb as u64);
         let u = lcg_block(nb, nb, 0x7f ^ nb as u64);
         let madds = (nb * nb * npw) as f64;
-        let inner = (2e8 / madds).ceil() as usize;
-        let mut out = [Matrix::zeros(nb, npw), Matrix::zeros(nb, npw)];
-        let mut scratches = [scratch(Tier::BASELINE), scratch(host)];
+        let mut out: Vec<Matrix<f64>> = tiers.iter().map(|_| Matrix::zeros(nb, npw)).collect();
+        let mut scratches: Vec<_> = tiers.iter().map(|&t| scratch(t)).collect();
         for (s, c) in scratches.iter_mut().zip(&mut out) {
             gemm_packed_into(s, 1.0, &u, Op::Trans, &psi, Op::None, 0.0, c);
         }
-        let identical = bit_identical(&out[0], &out[1]);
+        let identical = out.iter().all(|c| bit_identical(&out[0], c));
         assert!(identical, "{nb} × {npw}: tiers are not bit-identical");
-        let mut secs = [0.0_f64; 2];
-        for (slot, tier) in [Tier::BASELINE, host].into_iter().enumerate() {
-            let (s, c) = (&mut scratches[slot], &mut out[slot]);
-            secs[slot] = bench(
-                &format!("{nb} × {npw}, {} tier", tier.name()),
-                inner,
-                &mut || gemm_packed_into(s, 1.0, &u, Op::Trans, &psi, Op::None, 0.0, c),
-            );
-        }
-        let gflops = secs.map(|s| 2.0 * madds / s * 1e-9);
-        println!(
-            "  {:.2} -> {:.2} Gflop/s ({:.2}x), bit-identical",
-            gflops[0],
-            gflops[1],
-            secs[0] / secs[1]
-        );
+        let gflops: Vec<f64> = tiers
+            .iter()
+            .zip(scratches.iter_mut().zip(&mut out))
+            .map(|(tier, (s, c))| {
+                let secs = bench(&format!("{nb} × {npw}, {} tier", tier.name()), &mut || {
+                    gemm_packed_into(s, 1.0, &u, Op::Trans, &psi, Op::None, 0.0, c)
+                });
+                2.0 * madds / secs * 1e-9
+            })
+            .collect();
+        let rates: Vec<String> = gflops.iter().map(|g| format!("{g:.2}")).collect();
+        println!("  {} Gflop/s, bit-identical", rates.join(" / "));
         tier_rows.push(Json::obj(vec![
             ("bands", Json::num(nb as f64)),
             ("planewaves", Json::num(npw as f64)),
-            ("baseline_gflops", Json::num(gflops[0])),
-            ("dispatched_gflops", Json::num(gflops[1])),
+            ("gflops", per_tier(&tiers, &gflops)),
             ("bit_identical", Json::Bool(identical)),
         ]));
     }
     println!();
 
     // --- the block-size crossover ------------------------------------------
-    // Row loops vs the packed kernel (forced on, both tiers) for the same
+    // Row loops vs the packed kernel (forced on, every tier) for the same
     // two operations down a ladder of fragment-like shapes. BLOCK_MIN_WORK
-    // (2¹⁸) must sit where the packed kernel is not behind on either
-    // tier; the crystal8 fragments (≤ 10 bands × ≈ 500 planewaves) stay on
-    // the row loops, the ZnTeO ones (18 × 751 the smallest, 34 × 1157 the
-    // smallest 2-piece) straddle and clear it.
+    // (2¹⁸) must sit where the packed kernel is not behind on the tiers
+    // hosts dispatch to; the crystal8 fragments (≤ 10 bands × ≈ 500
+    // planewaves) stay on the row loops, the ZnTeO ones (18 × 751 the
+    // smallest, 34 × 1157 the smallest 2-piece) straddle and clear it.
     println!("block-size crossover (projection + one rotation; m·k·n = bands²·planewaves):");
     let mut crossover_rows: Vec<Json> = Vec::new();
     for (nb, npw) in [
@@ -190,12 +203,11 @@ fn main() {
         let d0 = lcg_block(nb, npw, 0xc1 ^ nb as u64);
         let u = lcg_block(nb, nb, 0xc2 ^ nb as u64);
         let work = nb * nb * npw;
-        let inner = (4e7 / work as f64).ceil() as usize;
 
         let (mut d, mut o, mut out) = (d0.clone(), Matrix::zeros(nb, nb), Matrix::zeros(nb, npw));
         project_rows(&psi, &mut d, &mut o);
         rotate_rows(&u, &psi, &mut out);
-        let mut scratches = [scratch(Tier::BASELINE), scratch(host)];
+        let mut scratches: Vec<_> = tiers.iter().map(|&t| scratch(t)).collect();
         let mut packed = Vec::new();
         for s in &mut scratches {
             let (mut dp, mut op, mut outp) = (d0.clone(), o.clone(), out.clone());
@@ -205,44 +217,44 @@ fn main() {
             packed.push((dp, outp));
         }
         assert!(
-            bit_identical(&packed[0].0, &packed[1].0) && bit_identical(&packed[0].1, &packed[1].1),
+            packed
+                .iter()
+                .all(|(dp, outp)| bit_identical(&packed[0].0, dp)
+                    && bit_identical(&packed[0].1, outp)),
             "{nb} × {npw}: tiers are not bit-identical"
         );
 
         let rows_s = bench(
             &format!("{nb} × {npw} (m·k·n = {work}), row loops"),
-            inner,
             &mut || {
                 d.as_mut_slice().copy_from_slice(d0.as_slice());
                 project_rows(&psi, &mut d, &mut o);
                 rotate_rows(&u, &psi, &mut out);
             },
         );
-        let mut packed_s = [0.0_f64; 2];
-        for (slot, tier) in [Tier::BASELINE, host].into_iter().enumerate() {
-            let s = &mut scratches[slot];
-            packed_s[slot] = bench(
-                &format!("{nb} × {npw}, packed kernel, {} tier", tier.name()),
-                inner,
-                &mut || {
+        let packed_ms: Vec<f64> = tiers
+            .iter()
+            .zip(&mut scratches)
+            .map(|(tier, s)| {
+                let label = format!("{nb} × {npw}, packed kernel, {} tier", tier.name());
+                1e3 * bench(&label, &mut || {
                     d.as_mut_slice().copy_from_slice(d0.as_slice());
                     packed_ops(s, (&psi, &u), &mut d, &mut o, &mut out);
-                },
-            );
-        }
-        println!(
-            "  packed / row loops: {:.2}x (baseline), {:.2}x ({})",
-            rows_s / packed_s[0],
-            rows_s / packed_s[1],
-            host.name()
-        );
+                })
+            })
+            .collect();
+        let speedups: Vec<String> = tiers
+            .iter()
+            .zip(&packed_ms)
+            .map(|(t, ms)| format!("{:.2}x ({})", rows_s * 1e3 / ms, t.name()))
+            .collect();
+        println!("  packed / row loops: {}", speedups.join(", "));
         crossover_rows.push(Json::obj(vec![
             ("bands", Json::num(nb as f64)),
             ("planewaves", Json::num(npw as f64)),
             ("work", Json::num(work as f64)),
             ("row_loops_ms", Json::num(rows_s * 1e3)),
-            ("packed_baseline_ms", Json::num(packed_s[0] * 1e3)),
-            ("packed_dispatched_ms", Json::num(packed_s[1] * 1e3)),
+            ("packed_ms", per_tier(&tiers, &packed_ms)),
         ]));
     }
     println!();

@@ -29,8 +29,8 @@
 //! assert!(eig.values.iter().all(|&v| v >= -1e-10));     // PSD spectrum
 //! ```
 
-// One audited `unsafe`: the call into the AVX2 instantiation of the packed
-// kernel (`microkernel::run`). The `forbid-unsafe` lint allows no second.
+// One audited `unsafe`: the call into the feature-gated (AVX2 + FMA,
+// AVX-512) instantiations of the packed kernel (`microkernel::run`). The `forbid-unsafe` lint allows no second.
 #![deny(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![cfg_attr(not(test), warn(clippy::float_cmp))]

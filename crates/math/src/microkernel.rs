@@ -5,7 +5,7 @@
 //!
 //! The kernels are written as fixed-width lane loops over `Copy` scalars
 //! — shapes LLVM's autovectorizer reliably lowers to packed vector
-//! multiplies and adds at `opt-level=3`, with no `core::arch` intrinsics:
+//! multiply-adds at `opt-level=3`, with no `core::arch` intrinsics:
 //!
 //! * all lane counts are `const`, so every inner loop fully unrolls;
 //! * accumulators live in fixed-size arrays (`[[S; NR]; MR]`), small
@@ -17,27 +17,35 @@
 //! **Tier rule.** The workspace is built for baseline x86-64 (SSE2, two
 //! `f64` lanes) so the binary starts on any x86-64. The packed kernel's
 //! body ([`packed_body`]) is `#[inline(always)]` generic code instantiated
-//! twice: once as is, once inside a `#[target_feature(enable = "avx2")]`
-//! function (four lanes). [`Tier::host`] picks between them once per
-//! process from a cached `is_x86_feature_detected!("avx2")`; other
-//! architectures compile the baseline only. There is no build flag, env
-//! var or third (AVX-512) tier.
+//! three times: as is (baseline), inside a
+//! `#[target_feature(enable = "avx2,fma")]` function (four lanes), and
+//! inside a `#[target_feature(enable = "avx512f")]` one (eight lanes, on
+//! a `MR × 16` `f64` tile; the AVX-512 tier's narrow `c64` tile runs the
+//! AVX2 code). [`Tier::host`] picks the widest one this CPU
+//! runs ([`Tier::supported`]), once per process, from cached
+//! `is_x86_feature_detected!` answers; other architectures compile the
+//! baseline only. There is no build flag, env var or option.
 //!
-//! **Bit identity across tiers.** Rust never contracts `a * b + c` into a
-//! fused multiply-add and never re-associates floating-point sums, and
-//! nothing here calls `f64::mul_add`. Both instantiations therefore
-//! execute the same IEEE-754 operations in the same order on every
-//! element — wider registers only run more *independent* lanes at once —
-//! so their results are bit-identical (`tests/kernel_tol.rs` compares
-//! them for every `Op` pair on ragged shapes). Thread/group/schedule/
-//! resume digests stay machine-independent.
+//! **FMA on every tier, bit identity across tiers.** The register tile
+//! accumulates with [`Scalar::acc_fused`]: for `f64` that is
+//! `f64::mul_add`, one correctly rounded operation, which the AVX2 and
+//! AVX-512 instantiations lower to FMA instructions and the baseline one
+//! to a call of libm's `fma` (correctly rounded too, so it is the slow
+//! path, not a different result). Rust never contracts or re-associates
+//! anything else, so every instantiation executes the same IEEE-754
+//! operations in the same order on every element — wider registers only
+//! run more *independent* lanes at once — and the tiers are
+//! bit-identical (`tests/kernel_tol.rs` and the unit tests below compare
+//! every tier this CPU runs with the baseline, for every `Op` pair on
+//! ragged shapes).
+//! Thread/group/schedule/resume digests stay machine-independent.
 //!
-//! The call into the feature-gated instantiation is the crate's single
+//! The call into the feature-gated instantiations is the crate's single
 //! `unsafe` ([`run`]); everything else in `ls3df-math` stays safe code
 //! under `#![deny(unsafe_code)]` (audited by the `forbid-unsafe` lint).
 //!
 //! That the body actually vectorizes is asserted empirically, not
-//! structurally: the `fft_kernels` bench times both tiers at the fragment
+//! structurally: the `fft_kernels` bench times every tier at the fragment
 //! shapes and `EXPERIMENTS.md` records the numbers (see DESIGN.md "Kernel
 //! architecture").
 //!
@@ -67,6 +75,10 @@ const NR_NARROW: usize = 4;
 /// "Γ-point real block algebra (PR 19)"). The width never changes a bit of
 /// any `C` element: each element's `k`-order is the same in every tile.
 const NR_WIDE: usize = 8;
+/// The `f64` tile width on the AVX-512 tier: `MR × 16` is 8 zmm
+/// accumulators. An 8-row tile spills; a 32-column one is slower on the
+/// `Ψ·Dᵀ` overlaps.
+const NR_WIDE_512: usize = 16;
 /// `k`-extent of one packed block: an `MR·KC` A-strip and a `KC·NR`
 /// B-panel are 16 KiB each for `c64` — both stay in L1 while a tile runs.
 const KC: usize = 256;
@@ -118,16 +130,17 @@ pub(crate) fn dotc_wide<S: Scalar>(a: &[S], b: &[S]) -> S {
 /// `m·k·n` from which a block product leaves the plain sequential scalar
 /// loops: under [`KernelPolicy::Fast`] it goes to the packed kernel, and
 /// the allocating entry points may spread the scalar kernels' rows over
-/// the pool. Set from the `fft_kernels` bench (`gemm_crossover` in
-/// `BENCH_fft_kernels.json`, EXPERIMENTS.md), measured on the `f64`
-/// blocks production runs: the AVX2 instantiation beats the scalar loops
-/// at every size (1.2–3.7×), the baseline one runs at 0.62–0.74× of them
-/// at ≤ 5·10⁴ and is their equal within noise from ≈ 8·10⁴ up
-/// (0.91–1.35×) — so from 2¹⁸ no host loses, a product is long enough
-/// (≈ 0.3 ms) to amortize a pool dispatch, and a 10-band × 500-planewave
-/// fragment block (5·10⁴) stays one sequential loop. One constant for
-/// both tiers: the kernel choice changes rounding, and results must not
-/// depend on the host.
+/// the pool. The `fft_kernels` bench (`gemm_crossover` in
+/// `BENCH_fft_kernels.json`, EXPERIMENTS.md) measures it on the `f64`
+/// blocks production runs: the AVX2 + FMA and AVX-512 instantiations
+/// beat the scalar loops at every size (1.4–3.6× and 1.5–4.1×); the
+/// baseline one, whose multiply-adds are libm `fma` calls, runs at
+/// 0.06–0.11× of them at every size, so on a host without FMA block
+/// products are the slow path. From 2¹⁸ a product is long enough to
+/// amortize a pool dispatch, and a 10-band × 500-planewave fragment
+/// block (5·10⁴) stays one sequential loop. One constant for every tier:
+/// the kernel choice changes rounding, and results must not depend on
+/// the host.
 pub(crate) const BLOCK_MIN_WORK: usize = 1 << 18;
 
 /// Whether a product of this shape is block-sized (see [`BLOCK_MIN_WORK`]).
@@ -142,10 +155,13 @@ enum Isa {
     Baseline,
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     Avx2,
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    Avx512,
 }
 
-/// Which compilation of the packed kernel runs. The AVX2 value can only
-/// be obtained from [`Tier::host`] on a CPU that reports the feature.
+/// Which compilation of the packed kernel runs. A tier other than
+/// [`Tier::BASELINE`] can only be obtained from [`Tier::supported`] (or
+/// [`Tier::host`]) on a CPU that reports its features.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Tier(Isa);
 
@@ -157,21 +173,36 @@ impl Tier {
 
     /// The widest tier this CPU supports, detected once per process.
     pub fn host() -> Tier {
-        *HOST_TIER.get_or_init(|| {
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Tier(Isa::Avx2);
-            }
-            Tier::BASELINE
-        })
+        *HOST_TIER.get_or_init(|| Tier::supported().pop().unwrap_or(Tier::BASELINE))
     }
 
-    /// `"baseline"` or `"avx2"`.
+    /// Every tier this CPU runs, baseline first, widest last — what the
+    /// tier bit-identity tests and the `fft_kernels` bench iterate over.
+    #[doc(hidden)]
+    pub fn supported() -> Vec<Tier> {
+        #[allow(unused_mut)]
+        let mut tiers = vec![Tier::BASELINE];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx2") && has!("fma") {
+                tiers.push(Tier(Isa::Avx2));
+                if has!("avx512f") {
+                    tiers.push(Tier(Isa::Avx512));
+                }
+            }
+        }
+        tiers
+    }
+
+    /// `"baseline"`, `"avx2"` or `"avx512"`.
     pub fn name(self) -> &'static str {
         match self.0 {
             Isa::Baseline => "baseline",
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             Isa::Avx2 => "avx2",
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            Isa::Avx512 => "avx512",
         }
     }
 }
@@ -314,15 +345,15 @@ pub(crate) fn run<S: Scalar>(scratch: &mut GemmScratch<S>, job: Product<'_, S>) 
         Isa::Baseline if wide => packed_body::<S, NR_WIDE>(a_pack, b_pack, job),
         Isa::Baseline => packed_body::<S, NR_NARROW>(a_pack, b_pack, job),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Isa::Avx2 => {
-            // SAFETY: `packed_avx2` is safe code that only needs a CPU with
-            // AVX2; `Isa::Avx2` is private to this module and built solely in
-            // `Tier::host`, after `is_x86_feature_detected!("avx2")` held.
+        isa => {
+            // SAFETY: the callees need only the features they enable; the
+            // private `Isa::Avx2`/`Avx512` are built solely in `supported`,
+            // once `avx2` + `fma` (and for `Avx512` `avx512f`) were detected.
             unsafe {
-                if wide {
-                    packed_avx2::<S, NR_WIDE>(a_pack, b_pack, job)
+                if isa == Isa::Avx512 && wide {
+                    packed_avx512(a_pack, b_pack, job)
                 } else {
-                    packed_avx2::<S, NR_NARROW>(a_pack, b_pack, job)
+                    packed_avx2(wide, a_pack, b_pack, job)
                 }
             }
         }
@@ -330,13 +361,22 @@ pub(crate) fn run<S: Scalar>(scratch: &mut GemmScratch<S>, job: Product<'_, S>) 
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-fn packed_avx2<S: Scalar, const NR: usize>(
-    a_pack: &mut [S],
-    b_pack: &mut [S],
-    job: Product<'_, S>,
-) {
-    packed_body::<S, NR>(a_pack, b_pack, job);
+#[target_feature(enable = "avx2,fma")]
+fn packed_avx2<S: Scalar>(wide: bool, a_pack: &mut [S], b_pack: &mut [S], job: Product<'_, S>) {
+    if wide {
+        packed_body::<S, NR_WIDE>(a_pack, b_pack, job);
+    } else {
+        packed_body::<S, NR_NARROW>(a_pack, b_pack, job);
+    }
+}
+
+/// The AVX-512 tier's wide (`f64`) tile. Its narrow tile (`c64`, and the
+/// tile-width test hook) runs the AVX2 + FMA code: a 512-bit `c64`
+/// instantiation measured 10–30 % slower than the 256-bit one.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f")]
+fn packed_avx512<S: Scalar>(a_pack: &mut [S], b_pack: &mut [S], job: Product<'_, S>) {
+    packed_body::<S, NR_WIDE_512>(a_pack, b_pack, job);
 }
 
 /// The packed product: `op(B)` in `KC×NC` blocks of `NR`-wide panels,
@@ -399,7 +439,8 @@ fn packed_body<S: Scalar, const NR: usize>(
     }
 }
 
-/// `Σ_p a_strip[p]ᵀ·b_panel[p]` — the `MR×NR` register tile.
+/// `Σ_p a_strip[p]ᵀ·b_panel[p]` — the `MR×NR` register tile, accumulated
+/// with [`Scalar::acc_fused`] in ascending `p`.
 #[inline(always)]
 fn tile<S: Scalar, const NR: usize>(a_strip: &[S], b_panel: &[S]) -> [[S; NR]; MR] {
     let mut acc = [[S::ZERO; NR]; MR];
@@ -407,7 +448,7 @@ fn tile<S: Scalar, const NR: usize>(a_strip: &[S], b_panel: &[S]) -> [[S; NR]; M
         for r in 0..MR {
             let ar = pa[r];
             for q in 0..NR {
-                acc[r][q] = acc[r][q].acc(ar, pb[q]);
+                acc[r][q] = acc[r][q].acc_fused(ar, pb[q]);
             }
         }
     }
@@ -606,8 +647,8 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_tier_is_bit_identical_to_baseline() {
-        // The one property the `unsafe` call must preserve: the
+    fn every_tier_is_bit_identical_to_baseline() {
+        // The one property the `unsafe` call must preserve: each
         // feature-gated instantiation computes exactly what the baseline
         // one does. (Under Miri this is also the interpreted call.)
         for (m, k, n) in shapes(&[(5, 9, 6), (33, 70, 21), (66, 300, 35)]) {
@@ -616,27 +657,40 @@ mod tests {
                     let a = op_of(&rand_matrix(m, k, 7), op_a);
                     let b = op_of(&rand_matrix(k, n, 8), op_b);
                     let alpha = c64::new(-0.4, 1.1);
-                    let mut base = rand_matrix(m, n, 9);
-                    let mut host = base.clone();
+                    let c0 = rand_matrix(m, n, 9);
                     let (aa, bb) = ((&a, op_a), (&b, op_b));
+                    let mut base = c0.clone();
                     packed(Tier::BASELINE, alpha, aa, bb, &mut base, false);
-                    packed(Tier::host(), alpha, aa, bb, &mut host, false);
-                    assert!(same_bits(&base, &host), "{m}x{k}x{n} {op_a:?}/{op_b:?}");
+                    for tier in Tier::supported() {
+                        let mut other = c0.clone();
+                        packed(tier, alpha, aa, bb, &mut other, false);
+                        assert!(
+                            same_bits(&base, &other),
+                            "{}: {m}x{k}x{n} {op_a:?}/{op_b:?}",
+                            tier.name()
+                        );
+                    }
                 }
             }
         }
     }
 
+    fn real(m: &Matrix<c64>) -> Matrix<f64> {
+        Matrix::from_fn(m.rows(), m.cols(), |i, j| m[(i, j)].re)
+    }
+
+    fn bits(m: &Matrix<f64>) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn real_tile_matches_naive_and_is_bit_identical_across_tiers_and_widths() {
-        // The `f64` instantiation runs the wide register tile. Against the
-        // naive product for value; against the baseline tier and against
-        // the narrow tile for bits — neither the CPU tier nor the tile
-        // width may change the order any element of `C` is summed in.
-        // Ragged: n and m not multiples of either tile, k past one KC block.
-        let real = |m: &Matrix<c64>| Matrix::from_fn(m.rows(), m.cols(), |i, j| m[(i, j)].re);
-        let bits =
-            |m: &Matrix<f64>| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        // The `f64` instantiation runs the wide register tile (16 columns
+        // on AVX-512, 8 elsewhere). Against the naive product for value;
+        // against the baseline tier's wide tile for bits — neither the CPU
+        // tier nor the tile width may change the order any element of `C`
+        // is summed in. Ragged: n and m not multiples of any tile, k past
+        // one KC block.
         for (m, k, n) in shapes(&[(5, 9, 6), (7, 13, 19), (66, 300, 35), (33, 70, 261)]) {
             for op_a in OPS {
                 for op_b in OPS {
@@ -645,8 +699,8 @@ mod tests {
                     let c0 = real(&rand_matrix(m, n, 19));
                     let (aa, bb) = ((&a, op_a), (&b, op_b));
                     let alpha = -0.7;
-                    let mut host = c0.clone();
-                    packed(Tier::host(), alpha, aa, bb, &mut host, false);
+                    let mut base = c0.clone();
+                    packed(Tier::BASELINE, alpha, aa, bb, &mut base, false);
                     let plain = |x: &Matrix<f64>, op: Op| match op {
                         Op::None => x.clone(),
                         _ => x.transpose(),
@@ -655,19 +709,67 @@ mod tests {
                     for i in 0..m {
                         for j in 0..n {
                             let want = expect[(i, j)] * alpha + c0[(i, j)];
-                            assert!((host[(i, j)] - want).abs() < 1e-11, "({i},{j}) {m}x{k}x{n}");
+                            assert!((base[(i, j)] - want).abs() < 1e-11, "({i},{j}) {m}x{k}x{n}");
                         }
                     }
-                    let mut base = c0.clone();
-                    packed(Tier::BASELINE, alpha, aa, bb, &mut base, false);
-                    assert!(
-                        bits(&base) == bits(&host),
-                        "tier: {m}x{k}x{n} {op_a:?}/{op_b:?}"
+                    for tier in Tier::supported() {
+                        let what = format!("{}: {m}x{k}x{n} {op_a:?}/{op_b:?}", tier.name());
+                        let mut wide = c0.clone();
+                        packed(tier, alpha, aa, bb, &mut wide, false);
+                        assert!(bits(&wide) == bits(&base), "tier: {what}");
+                        let mut narrow = c0.clone();
+                        let scratch = GemmScratch::with(KernelPolicy::Fast, tier).narrow_tile();
+                        packed_on(scratch, alpha, aa, bb, &mut narrow, false);
+                        assert!(bits(&narrow) == bits(&base), "tile width: {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn real_tile_is_a_fused_chain_in_kc_blocked_order() {
+        // Each `C` element is `c + Σ_blocks (fma chain over the block,
+        // from zero)`: α·a rounded once (packing), then one correctly
+        // rounded multiply-add per `k`, ascending, restarted at every
+        // `KC` boundary. Spelled out with `f64::mul_add` here, it must
+        // match every tier and tile width bit for bit.
+        for (m, k, n) in shapes(&[(3, 300, 2), (7, 600, 19)]) {
+            let a = real(&rand_matrix(m, k, 27));
+            let b = real(&rand_matrix(k, n, 28));
+            let c0 = real(&rand_matrix(m, n, 29));
+            let alpha = 0.3;
+            let want = Matrix::from_fn(m, n, |i, j| {
+                let mut c = c0[(i, j)];
+                for pc in (0..k).step_by(KC) {
+                    let mut acc = 0.0_f64;
+                    for p in pc..k.min(pc + KC) {
+                        acc = (alpha * a[(i, p)]).mul_add(b[(p, j)], acc);
+                    }
+                    c += acc;
+                }
+                c
+            });
+            for tier in Tier::supported() {
+                for narrow in [false, true] {
+                    let mut scratch = GemmScratch::with(KernelPolicy::Fast, tier);
+                    if narrow {
+                        scratch = scratch.narrow_tile();
+                    }
+                    let mut c = c0.clone();
+                    packed_on(
+                        scratch,
+                        alpha,
+                        (&a, Op::None),
+                        (&b, Op::None),
+                        &mut c,
+                        false,
                     );
-                    let mut narrow = c0.clone();
-                    let scratch = GemmScratch::with(KernelPolicy::Fast, Tier::host()).narrow_tile();
-                    packed_on(scratch, alpha, aa, bb, &mut narrow, false);
-                    assert!(bits(&narrow) == bits(&host), "tile width: {m}x{k}x{n}");
+                    assert!(
+                        bits(&c) == bits(&want),
+                        "{} (narrow: {narrow}): {m}x{k}x{n}",
+                        tier.name()
+                    );
                 }
             }
         }

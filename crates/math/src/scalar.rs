@@ -44,8 +44,16 @@ pub trait Scalar:
     fn from_re(x: f64) -> Self;
     /// Scales by a real factor.
     fn scale(self, s: f64) -> Self;
-    /// `self + a * b` (fused accumulate used by inner kernels).
+    /// `self + a * b`, rounded after the multiply and after the add (the
+    /// accumulate of the row loops and lane-split inner products).
     fn acc(self, a: Self, b: Self) -> Self;
+    /// `self + a * b` as the packed GEMM tile accumulates it: one rounding
+    /// for `f64` (`f64::mul_add` — an FMA instruction on tiers that have
+    /// one, libm's correctly rounded `fma` on the baseline, the same bits
+    /// either way); `c64`, which production never packs, keeps [`acc`].
+    ///
+    /// [`acc`]: Scalar::acc
+    fn acc_fused(self, a: Self, b: Self) -> Self;
     /// `self + conj(a) * b` (conjugated accumulate for inner products).
     fn acc_conj(self, a: Self, b: Self) -> Self;
     /// Principal square root (element must be non-negative if real).
@@ -84,6 +92,10 @@ impl Scalar for f64 {
     #[inline(always)]
     fn acc(self, a: f64, b: f64) -> f64 {
         self + a * b
+    }
+    #[inline(always)]
+    fn acc_fused(self, a: f64, b: f64) -> f64 {
+        a.mul_add(b, self)
     }
     #[inline(always)]
     fn acc_conj(self, a: f64, b: f64) -> f64 {
@@ -129,6 +141,10 @@ impl Scalar for c64 {
         self.mul_add(a, b)
     }
     #[inline(always)]
+    fn acc_fused(self, a: c64, b: c64) -> c64 {
+        self.acc(a, b)
+    }
+    #[inline(always)]
     fn acc_conj(self, a: c64, b: c64) -> c64 {
         self.mul_add(a.conj(), b)
     }
@@ -148,6 +164,19 @@ mod tests {
         assert_eq!(<f64 as Scalar>::norm_sqr(-3.0), 9.0);
         assert_eq!(<f64 as Scalar>::acc(1.0, 2.0, 3.0), 7.0);
         assert_eq!(<f64 as Scalar>::acc_conj(1.0, 2.0, 3.0), 7.0);
+        assert_eq!(<f64 as Scalar>::acc_fused(1.0, 2.0, 3.0), 7.0);
+    }
+
+    #[test]
+    fn real_fused_accumulate_rounds_once() {
+        // (1 + ε)(1 − ε) = 1 − ε²: rounded to 1 before the add, the
+        // unfused accumulate cancels to 0; the fused one keeps −ε².
+        let (a, b) = (1.0 + f64::EPSILON, 1.0 - f64::EPSILON);
+        assert_eq!(<f64 as Scalar>::acc(-1.0, a, b), 0.0);
+        assert_eq!(
+            <f64 as Scalar>::acc_fused(-1.0, a, b),
+            -f64::EPSILON * f64::EPSILON
+        );
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   This path took PEtot from 15% to 45–56% of peak.
 //! * [`solve_band_by_band`] — the original scheme: one band at a time with
 //!   Gram–Schmidt after every step; all BLAS-1/2 shaped operations. Kept
-//!   as the ablation baseline (`cargo bench -p ls3df-bench` compares them).
+//!   as the ablation baseline (the `ablation` bin of `ls3df-bench` compares
+//!   the two).
 //!
 //! Both use the Teter–Payne–Allan kinetic preconditioner and Rayleigh–Ritz
 //! subspace rotations, and converge to the same eigenpairs.

@@ -48,8 +48,8 @@
 //! * `forbid-unsafe` — the workspace's unsafe surface is exactly three
 //!   places: `shims/rayon` (the work-stealing pool), the `ls3df` facade
 //!   (`src/alloc_count.rs`), and one item of `crates/math`: the call into
-//!   the AVX2 instantiation of the packed GEMM kernel in
-//!   `crates/math/src/microkernel.rs`. Those crate roots must carry
+//!   the feature-gated (AVX2 + FMA, AVX-512) instantiations of the packed
+//!   GEMM kernel in `crates/math/src/microkernel.rs`. Those crate roots must carry
 //!   `#![deny(unsafe_code)]` (with per-site `#[allow]` + `SAFETY:`
 //!   comments); every other crate root must carry
 //!   `#![forbid(unsafe_code)]`, and an `unsafe` token anywhere in a
@@ -132,9 +132,10 @@ fn in_float_reduce_scope(path: &str) -> bool {
 const UNSAFE_CRATES: [&str; 3] = ["shims/rayon/", "src/", "crates/math/"];
 
 /// `crates/math/` is on the surface for a single `unsafe`: the dispatch
-/// into the `#[target_feature(enable = "avx2")]` instantiation of the
-/// packed GEMM kernel, in this file. Every other `unsafe` token in the
-/// crate is a `forbid-unsafe` violation.
+/// into the `#[target_feature]` instantiations of the packed GEMM kernel
+/// (AVX2 + FMA and AVX-512; the baseline tier needs none), in this file.
+/// Every other `unsafe` token in the crate is a `forbid-unsafe`
+/// violation.
 const MATH_UNSAFE_FILE: &str = "crates/math/src/microkernel.rs";
 
 fn in_unsafe_crate(path: &str) -> bool {
@@ -677,8 +678,9 @@ fn rule_forbid_unsafe(f: &FileCtx<'_>, out: &mut FileReport) {
     let (allowed, message) = if f.path.starts_with("crates/math/") {
         (
             usize::from(f.path == MATH_UNSAFE_FILE),
-            "ls3df-math's audited surface is one `unsafe`: the call into the AVX2 \
-             instantiation of the packed kernel (microkernel::run) — this is another",
+            "ls3df-math's audited surface is one `unsafe`: the call into the \
+             feature-gated instantiations of the packed kernel (microkernel::run) — \
+             this is another",
         )
     } else if !designated {
         (

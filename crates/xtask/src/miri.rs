@@ -45,17 +45,18 @@ const TARGETS: [(&str, &[&str], Option<&str>); 4] = [
     // Snapshot codec and its byte-mucking corruption tests.
     ("ckpt", &["test", "-p", "ls3df-ckpt", "--lib"], None),
     // The packed GEMM kernel's tier dispatch: the microkernel unit tests
-    // (tier-vs-baseline bit identity, every `Op` pair — for the `c64`
-    // instantiation and for both register-tile widths of the `f64` one,
-    // each its own `#[target_feature]` monomorphization). Miri's runtime
-    // feature detection reports nothing, so the interpreted target is
-    // given AVX2 statically — `Tier::host` then selects the
-    // `#[target_feature]` instantiation and the one `unsafe` call of
-    // `ls3df-math` is what gets interpreted.
+    // (every tier against the baseline bit for bit, every `Op` pair — for
+    // the `c64` instantiation and for both register-tile widths of the
+    // `f64` one, each its own `#[target_feature]` monomorphization — and
+    // the fused `mul_add` chain). Miri's runtime feature detection
+    // reports only what is enabled statically, so the interpreted target
+    // is given the features of both gated tiers — `Tier::supported` then
+    // lists the AVX2 + FMA and the AVX-512 instantiations, and the one
+    // `unsafe` call of `ls3df-math` is what gets interpreted on each.
     (
         "math-dispatch",
         &["test", "-p", "ls3df-math", "--lib", "microkernel::"],
-        Some("-C target-feature=+avx2"),
+        Some("-C target-feature=+avx2,+fma,+avx512f"),
     ),
 ];
 

@@ -466,12 +466,14 @@ fn same_bits(x: &Matrix<c64>, y: &Matrix<c64>) -> bool {
 }
 
 #[test]
-fn dispatched_tier_is_bit_identical_to_baseline_tier() {
-    // Both compilations of the packed kernel execute the same IEEE
-    // operations in the same order (no FMA contraction, no
-    // re-association), so the tier a host selects can never move a digest.
-    // Ragged everywhere: m, n not multiples of the 4×4 tile, k not a
-    // multiple of the 256-deep pack block, plus the 8-piece fragment shape.
+fn every_supported_tier_is_bit_identical_to_baseline() {
+    // Every compilation of the packed kernel this CPU runs executes the
+    // same IEEE operations in the same order (the same fused multiply-add
+    // in the tile, no other contraction, no re-association), so the tier
+    // a host selects can never move a digest. Each tier against the
+    // baseline covers every pair. Ragged everywhere: m, n not multiples
+    // of the 4×4 tile, k not a multiple of the 256-deep pack block, plus
+    // the 8-piece fragment shape.
     let ops = [Op::None, Op::Trans, Op::ConjTrans];
     for &(m, k, n) in &[(5, 9, 7), (33, 70, 21), (66, 300, 35), (130, 2550, 130)] {
         for op_a in ops {
@@ -490,11 +492,14 @@ fn dispatched_tier_is_bit_identical_to_baseline_tier() {
                     gemm_into(&mut scratch, alpha, &a, op_a, &b, op_b, beta, &mut c);
                     c
                 };
-                assert!(
-                    same_bits(&run(Tier::BASELINE), &run(Tier::host())),
-                    "{m}x{k}x{n} {op_a:?}/{op_b:?}: {} tier differs from baseline",
-                    Tier::host().name()
-                );
+                let baseline = run(Tier::BASELINE);
+                for tier in Tier::supported() {
+                    assert!(
+                        same_bits(&baseline, &run(tier)),
+                        "{m}x{k}x{n} {op_a:?}/{op_b:?}: {} tier differs from baseline",
+                        tier.name()
+                    );
+                }
             }
         }
     }
@@ -511,10 +516,12 @@ fn same_real_bits(x: &Matrix<f64>, y: &Matrix<f64>) -> bool {
 #[test]
 fn real_packed_gemm_is_bit_identical_across_tiers_and_tile_widths() {
     // The `f64` instantiation of the packed kernel runs a wider register
-    // tile than the `c64` one. Neither the CPU tier nor the tile width may
-    // change the order any element of C is summed in: ragged shapes (m, n
-    // multiples of neither tile, k past one pack block) plus the 8-piece
-    // fragment shape, every `Op` pair.
+    // tile than the `c64` one (and a wider one still on AVX-512). Neither
+    // the CPU tier nor the tile width may change the order any element of
+    // C is summed in: every supported tier on both widths against the
+    // baseline's wide tile, on ragged shapes (m, n multiples of no tile,
+    // k past one pack block) plus the 8-piece fragment shape, every `Op`
+    // pair.
     let ops = [Op::None, Op::Trans, Op::ConjTrans];
     for &(m, k, n) in &[(5, 9, 7), (33, 70, 21), (66, 300, 35), (130, 2550, 130)] {
         for op_a in ops {
@@ -531,15 +538,17 @@ fn real_packed_gemm_is_bit_identical_across_tiers_and_tile_widths() {
                     gemm_into(&mut scratch, 0.8, &a, op_a, &b, op_b, -0.5, &mut c);
                     c
                 };
-                let host = run(GemmScratch::with(KernelPolicy::Fast, Tier::host()));
                 let baseline = run(GemmScratch::with(KernelPolicy::Fast, Tier::BASELINE));
-                let narrow = run(GemmScratch::with(KernelPolicy::Fast, Tier::host()).narrow_tile());
-                let what = format!("{m}x{k}x{n} {op_a:?}/{op_b:?}");
-                assert!(same_real_bits(&baseline, &host), "{what}: tier moved a bit");
-                assert!(
-                    same_real_bits(&narrow, &host),
-                    "{what}: tile width moved a bit"
-                );
+                for tier in Tier::supported() {
+                    let wide = run(GemmScratch::with(KernelPolicy::Fast, tier));
+                    let narrow = run(GemmScratch::with(KernelPolicy::Fast, tier).narrow_tile());
+                    let what = format!("{m}x{k}x{n} {op_a:?}/{op_b:?} on {}", tier.name());
+                    assert!(same_real_bits(&baseline, &wide), "{what}: tier moved a bit");
+                    assert!(
+                        same_real_bits(&baseline, &narrow),
+                        "{what}: tile width moved a bit"
+                    );
+                }
             }
         }
     }

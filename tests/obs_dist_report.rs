@@ -67,7 +67,9 @@ fn validate_committed(name: &str) -> Json {
 
 /// The deterministic fields of the kernel artefact: exactly the GEMM tier
 /// and crossover tables, every tier row bit-identical with positive
-/// Gflop/s on both tiers, and eight crossover rows with positive times.
+/// Gflop/s on every tier measured (baseline and dispatched among them),
+/// and eight crossover rows with positive times on the row loops and
+/// every tier.
 fn check_kernel_tables(doc: &Json) {
     let extra = doc
         .get("extra")
@@ -98,6 +100,33 @@ fn check_kernel_tables(doc: &Json) {
             row.render()
         );
     };
+    // `{tier: value}` with the baseline and the dispatched tier present
+    // and every value positive.
+    let dispatched = doc
+        .get("extra")
+        .and_then(|e| e.get("gemm_dispatched_tier"))
+        .and_then(Json::as_str)
+        .expect("gemm_dispatched_tier string");
+    let per_tier = |row: &Json, key: &str| {
+        let tiers = row
+            .get(key)
+            .and_then(Json::as_object)
+            .unwrap_or_else(|| panic!("`{key}` is not a per-tier object: {}", row.render()));
+        for want in ["baseline", dispatched] {
+            assert!(
+                tiers.iter().any(|(k, _)| k == want),
+                "`{key}` lacks the {want} tier: {}",
+                row.render()
+            );
+        }
+        for (tier, v) in tiers {
+            assert!(
+                v.as_f64().is_some_and(|v| v > 0.0),
+                "`{key}.{tier}` is not positive: {}",
+                row.render()
+            );
+        }
+    };
     let tiers = rows("gemm_tiers");
     assert_eq!(tiers.len(), 4, "gemm_tiers rows");
     for row in tiers {
@@ -107,15 +136,13 @@ fn check_kernel_tables(doc: &Json) {
             "tiers differ: {}",
             row.render()
         );
-        positive(row, "baseline_gflops");
-        positive(row, "dispatched_gflops");
+        per_tier(row, "gflops");
     }
     let crossover = rows("gemm_crossover");
     assert_eq!(crossover.len(), 8, "gemm_crossover rows");
     for row in crossover {
-        for key in ["row_loops_ms", "packed_baseline_ms", "packed_dispatched_ms"] {
-            positive(row, key);
-        }
+        positive(row, "row_loops_ms");
+        per_tier(row, "packed_ms");
     }
 }
 

@@ -2,7 +2,11 @@
 //! result: a whole LS3DF run with the dispatch forced to the baseline
 //! instantiation (`ls3df::math::force_baseline_tier`, a test hook — there
 //! is deliberately no env var or option for it) must produce the same
-//! density digest as the run on whatever tier the host selects.
+//! density digest as the run on whatever tier the host selects. Every
+//! tier accumulates the register tile with one correctly rounded
+//! multiply-add: an FMA instruction on the AVX2 + FMA and AVX-512 tiers,
+//! a call of libm's `fma` on the baseline — which makes the forced child
+//! the slow half of this test.
 //!
 //! The system is the benchmark's `znteo64_iter` alloy (fig. 6's relaxed
 //! 64-atom ZnTe₁₋ₓOₓ, up to ~130 bands × ~2550 planewaves per fragment
@@ -10,9 +14,10 @@
 //! short burn-in: every block product of the all-band solver — projection,
 //! Rayleigh–Ritz rotation, subspace matrix, block KB apply, overlap and
 //! blocked `L⁻¹` — runs on the packed kernel in most fragments. On a host
-//! without AVX2 both children run the same code and the test is trivially
-//! green; the per-kernel bit-identity test in `tests/kernel_tol.rs` has
-//! the same property.
+//! without AVX2 + FMA both children run the same code and the test is
+//! trivially green. The run compares the widest tier only; the per-kernel
+//! bit-identity tests in `tests/kernel_tol.rs` compare every tier the
+//! host runs, so an AVX-512 host still checks the AVX2 instantiation.
 
 use ls3df::core::{Ls3df, Ls3dfOptions, Passivation};
 use ls3df::pw::Mixer;
