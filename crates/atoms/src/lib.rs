@@ -12,15 +12,11 @@
 #![warn(missing_docs)]
 
 mod species;
-pub mod stats;
 mod structure;
 pub mod vff;
-pub mod xyz;
 pub mod zincblende;
 
 pub use species::{bond_params, BondParams, Species};
-pub use stats::{bond_stats, BondStats};
 pub use structure::{Atom, Structure};
 pub use vff::{relax, topology_cutoff, Vff, VffResult};
-pub use xyz::{read_xyz, write_xyz};
 pub use zincblende::{atom_count, model_crystal, znte_supercell, znteo_alloy, ZNTE_LATTICE};

@@ -220,6 +220,7 @@ fn max_component(v: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::zincblende::{znte_supercell, znteo_alloy, ZNTE_LATTICE};
+    use crate::Species;
 
     #[test]
     fn ideal_znte_is_equilibrium() {
@@ -265,35 +266,60 @@ mod tests {
 
     #[test]
     fn alloy_relaxation_contracts_zno_bonds() {
-        let mut s = znteo_alloy([2, 2, 2], ZNTE_LATTICE, 0.25, 11);
-        let nbrs = s.neighbor_list_within(topology_cutoff(&s));
-        // Identify one Zn–O bond before relaxation.
-        let (zn, o) = {
-            let mut found = None;
-            'outer: for (i, nb) in nbrs.iter().enumerate() {
-                if s.atoms[i].species == crate::Species::O {
-                    for &j in nb {
-                        if s.atoms[j].species == crate::Species::Zn {
-                            found = Some((j, i));
-                            break 'outer;
+        for seed in [7, 11] {
+            let mut s = znteo_alloy([2, 2, 2], ZNTE_LATTICE, 0.25, seed);
+            let nbrs = s.neighbor_list_within(topology_cutoff(&s));
+            // Identify one Zn–O bond before relaxation.
+            let (zn, o) = {
+                let mut found = None;
+                'outer: for (i, nb) in nbrs.iter().enumerate() {
+                    if s.atoms[i].species == Species::O {
+                        for &j in nb {
+                            if s.atoms[j].species == Species::Zn {
+                                found = Some((j, i));
+                                break 'outer;
+                            }
                         }
                     }
                 }
-            }
-            found.expect("alloy should contain a Zn–O bond")
-        };
-        let before = s.distance(zn, o);
-        let res = relax(&mut s, 1e-4, 3000);
-        let after = s.distance(zn, o);
-        assert!(res.energy >= 0.0);
-        assert!(
-            after < before,
-            "Zn–O bond should contract ({before} → {after})"
-        );
-        // It should move toward the ZnO equilibrium length but not all the
-        // way (the lattice resists): strictly between d0(ZnO) and d0(ZnTe).
-        assert!(after > 3.742 && after < 4.994);
-        assert!(res.max_displacement > 0.01);
+                found.expect("alloy should contain a Zn–O bond")
+            };
+            let before = s.distance(zn, o);
+            let res = relax(&mut s, 1e-4, 3000);
+            let after = s.distance(zn, o);
+            assert!(res.energy >= 0.0);
+            assert!(
+                after < before,
+                "seed {seed}: Zn–O bond should contract ({before} → {after})"
+            );
+            // It should move toward the ZnO equilibrium length but not all
+            // the way (the lattice resists): strictly between d0(ZnO) and
+            // d0(ZnTe).
+            assert!(after > 3.742 && after < 4.994, "seed {seed}: {after}");
+            assert!(res.max_displacement > 0.01);
+            // On average too, relaxation pulls Zn–O well below Zn–Te (paper
+            // §V physics), while the strained Zn–Te matrix stays within ~8 %
+            // of the bulk length. Each bond is counted once, from its Zn.
+            let nbrs = s.neighbor_list_within(topology_cutoff(&s));
+            let mean_zn_bond = |other: Species| {
+                let l: Vec<f64> = (0..s.len())
+                    .filter(|&i| s.atoms[i].species == Species::Zn)
+                    .flat_map(|i| nbrs[i].iter().map(move |&j| (i, j)))
+                    .filter(|&(_, j)| s.atoms[j].species == other)
+                    .map(|(i, j)| s.distance(i, j))
+                    .collect();
+                l.iter().sum::<f64>() / l.len() as f64
+            };
+            let (zn_o, zn_te) = (mean_zn_bond(Species::O), mean_zn_bond(Species::Te));
+            assert!(
+                zn_o < zn_te - 0.3,
+                "seed {seed}: Zn–O {zn_o:.3} vs Zn–Te {zn_te:.3}"
+            );
+            assert!(
+                (zn_te - 4.9948).abs() < 0.4,
+                "seed {seed}: Zn–Te {zn_te:.3}"
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! Run: `cargo run -p ls3df-bench --bin accuracy --release -- [model|znte|znteo] [m] [seed]`
 
 use ls3df_atoms::{model_crystal, relax, znteo_alloy, ZNTE_LATTICE};
-use ls3df_bench::exit_unless_converged;
+use ls3df_bench::{arg, exit_unless_converged};
 use ls3df_core::{Effort, Ls3df, Ls3dfOptions, Passivation, Patch};
 use ls3df_pseudo::PseudoTable;
 use ls3df_pw::{
@@ -32,9 +32,13 @@ use ls3df_pw::{
 };
 
 fn main() -> std::process::ExitCode {
-    let kind = std::env::args().nth(1).unwrap_or_else(|| "model".into());
-    let m: usize = ls3df_bench::arg(2, 2);
-    let seed: u64 = ls3df_bench::arg(3, 42);
+    let kind: String = arg(1, "model".into());
+    if !["model", "znte", "znteo"].contains(&kind.as_str()) {
+        eprintln!("error: argument 1 `{kind}`: expected model, znte or znteo");
+        return std::process::ExitCode::from(2);
+    }
+    let m: usize = arg(2, 2);
+    let seed: u64 = arg(3, 42);
     let alloy = kind == "znteo";
     let (s, table, ecut, piece_pts, passivation) = match kind.as_str() {
         "znte" => (

@@ -9,12 +9,12 @@
 //! * "more localized in the high energy states" becomes: IPR increasing
 //!   with energy within the oxygen band.
 //!
-//! Run: `cargo run -p ls3df-bench --bin fig7 --release -- [m] [iters] [n_states]`
+//! Run: `cargo run -p ls3df-bench --bin fig7 --release -- [m] [iters] [n_states] [ε_ref]`
 //!
 //! Exits non-zero (after printing the analysis) when the SCF it ran did
 //! not converge: the states are then those of an unconverged potential.
 
-use ls3df_bench::{arg, exit_unless_converged, znteo_options};
+use ls3df_bench::{arg, exit_unless_converged, opt_arg, znteo_options};
 use ls3df_core::{analysis, folded_spectrum, FsmOptions, Ls3df};
 use ls3df_pseudo::PseudoTable;
 use ls3df_pw::{NonlocalPotential, PwAtom};
@@ -23,6 +23,7 @@ fn main() -> std::process::ExitCode {
     let m: usize = arg(1, 2);
     let iters: usize = arg(2, 15);
     let n_states: usize = arg(3, 6);
+    let e_ref: Option<f64> = opt_arg(4);
 
     let mut s = ls3df_atoms::znteo_alloy([m, m, m], ls3df_atoms::ZNTE_LATTICE, 0.03125, 42);
     ls3df_atoms::relax(&mut s, 1e-4, 3000);
@@ -62,7 +63,7 @@ fn main() -> std::process::ExitCode {
     // is used; otherwise a small scan brackets the gap region (the model
     // CBM moves with the cutoff, so a scan is the robust default).
     let t0 = std::time::Instant::now();
-    let states = if let Some(e_ref) = std::env::args().nth(4).and_then(|v| v.parse::<f64>().ok()) {
+    let states = if let Some(e_ref) = e_ref {
         println!("\nFolded spectrum method at ε_ref = {e_ref} Ha:");
         folded_spectrum(
             &h,

@@ -3,20 +3,20 @@
 //! Benchmark harness: one report binary per paper figure that this host
 //! can measure (run with `cargo run -p ls3df-bench --bin <name>
 //! --release`). Table I and Figs. 3–4 are Cray/BlueGene measurements
-//! and have no bin. The §IV
-//! optimization ablations are bins too: `ablation` and `fft_kernels`.
+//! and have no bin. A bin stays only if it writes a committed artefact or
+//! is a `cargo xtask ci` step (`fig7` waits on ROADMAP item 6(e));
+//! `tests/obs_dist_report.rs` holds the rule.
 //!
 //! | Binary | Regenerates |
 //! |---|---|
 //! | `fig5` | Measured processor-group runs on this host at 1 and `LS3DF_GROUPS` groups (`BENCH_fig5.json`) |
 //! | `fig6` | Real LS3DF SCF convergence on a scaled ZnTeO alloy (`BENCH_fig6.json`, `TRACE_fig6.json`) |
 //! | `fig7` | FSM band-edge states + O-localization analysis (resumes from fig6's snapshot) |
-//! | `crossover` | LS3DF vs direct O(N³) seconds per iteration, measured on scaled-down crystals |
-//! | `accuracy` | LS3DF vs direct DFT eigenvalue/density agreement (`znteo`: fig6's alloy, energy after 12 iterations) |
-//! | `ablation` | Solver, orthogonalization, GEMM and projector ablations (measured) |
-//! | `buffer_ablation` | Fragment buffer width vs patched-density error against direct DFT |
-//! | `petot_scaling` | PEtot_F thread scaling of the work-stealing pool |
+//! | `accuracy` | LS3DF vs direct DFT eigenvalue/density agreement (`znteo`: fig6's alloy, energy after 12 iterations); `cargo xtask ci` step `accuracy` |
 //! | `fft_kernels` | The `f64` GEMM's tier and block-size crossover tables (`BENCH_fft_kernels.json`) |
+//!
+//! A positional argument that does not parse ends a bin with `error:
+//! argument N …`; only a missing one takes its default.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -26,6 +26,7 @@
 use ls3df_core::{Ls3dfOptions, Passivation};
 use ls3df_pseudo::PseudoTable;
 use ls3df_pw::Mixer;
+use std::{fmt::Display, str::FromStr};
 
 /// Exit status of a bin that prints accuracy numbers: failure, naming the
 /// unconverged runs on stderr, unless every listed SCF converged — an
@@ -64,10 +65,41 @@ pub fn znteo_options(ecut: f64, piece_pts: usize, max_scf: usize) -> Ls3dfOption
     }
 }
 
-/// Parses a CLI argument by position with a default.
-pub fn arg<T: std::str::FromStr>(n: usize, default: T) -> T {
-    std::env::args()
-        .nth(n)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Parses positional argument `n` from its raw text: `None` when it is
+/// absent, an error naming it when it is present but not a `T`.
+pub fn parse_arg<T: FromStr<Err: Display>>(
+    n: usize,
+    raw: Option<&str>,
+) -> Result<Option<T>, String> {
+    raw.map(|v| v.parse().map_err(|e| format!("argument {n} `{v}`: {e}")))
+        .transpose()
+}
+
+/// Positional argument `n` of this process, `None` when absent. One that
+/// does not parse ends the process: a bin never runs a default in place
+/// of bad input.
+pub fn opt_arg<T: FromStr<Err: Display>>(n: usize) -> Option<T> {
+    parse_arg(n, std::env::args().nth(n).as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// Positional argument `n` of this process, `default` when absent.
+pub fn arg<T: FromStr<Err: Display>>(n: usize, default: T) -> T {
+    opt_arg(n).unwrap_or(default)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn missing_argument_is_none_and_a_bad_one_an_error() {
+        use super::parse_arg;
+        assert_eq!(parse_arg::<usize>(1, None), Ok(None));
+        assert_eq!(parse_arg::<f64>(3, Some("1.5")), Ok(Some(1.5)));
+        let e = parse_arg::<f64>(3, Some("1,0")).unwrap_err();
+        assert!(e.starts_with("argument 3 `1,0`: "), "{e}");
+        assert!(parse_arg::<usize>(1, Some("-2")).is_err());
+        assert!(parse_arg::<usize>(2, Some("")).is_err());
+    }
 }

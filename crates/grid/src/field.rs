@@ -73,11 +73,6 @@ impl<S: Scalar> Field<S> {
         &mut self.data
     }
 
-    /// Consumes the field, returning the buffer.
-    pub fn into_vec(self) -> Vec<S> {
-        self.data
-    }
-
     /// Value at `(ix, iy, iz)`.
     #[inline(always)]
     pub fn at(&self, ix: usize, iy: usize, iz: usize) -> S {

@@ -22,7 +22,7 @@
 //! loops accumulate in ascending `k` directly into `C`: the summation
 //! order of the solver's `dotc`/`axpy` row loops, which
 //! [`KernelPolicy::Reference`] keeps at every shape as the oracle.
-//! [`matmul_naive`] stays as the unoptimized end of the `ablation` bench.
+//! [`matmul_naive`] stays as the unit tests' oracle for every GEMM path.
 
 use crate::microkernel::{self, block_sized, conj_if, Product, View};
 use crate::policy::KernelPolicy;
@@ -389,8 +389,8 @@ fn overlap<S: Scalar>(
     }
 }
 
-/// Reference triple-loop product, kept for correctness testing and as the
-/// "unoptimized" end of the GEMM ablation.
+/// Reference triple-loop product, kept as the correctness oracle of the
+/// GEMM unit tests.
 pub fn matmul_naive<S: Scalar>(a: &Matrix<S>, b: &Matrix<S>) -> Matrix<S> {
     assert_eq!(a.cols(), b.rows());
     let mut c = Matrix::zeros(a.rows(), b.cols());

@@ -93,11 +93,6 @@ impl<S: Scalar> Matrix<S> {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<S> {
-        self.data
-    }
-
     /// Row `i` as a contiguous slice.
     #[inline(always)]
     pub fn row(&self, i: usize) -> &[S] {

@@ -30,11 +30,11 @@
 //! With `enabled` off, every probe is an `#[inline(always)]` empty
 //! function and [`SpanGuard`](span::SpanGuard) is a zero-sized type with
 //! no `Drop` impl: instrumented code is bit-identical in behavior to
-//! uninstrumented code and the `petot_scaling` digest run must show no
-//! measurable slowdown. With `enabled` on, probes may take a lock only
-//! when a thread's root span closes (buffer flush); counter updates are
-//! single relaxed atomic adds and span open/close is two monotonic clock
-//! reads plus a `Vec` push.
+//! uninstrumented code (`tests/obs_report.rs::disabled_build_is_noop`
+//! pins the zero-sized guard). With `enabled` on, probes may take a lock
+//! only when a thread's root span closes (buffer flush); counter updates
+//! are single relaxed atomic adds and span open/close is two monotonic
+//! clock reads plus a `Vec` push.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

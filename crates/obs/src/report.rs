@@ -221,7 +221,7 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// `BENCH_*.json` schema via [`Report::to_json`] / [`Report::write`].
 #[derive(Clone, Debug)]
 pub struct Report {
-    /// What produced the report (`fig6`, `petot_scaling`, a test name).
+    /// What produced the report (`fig6`, `fig5`, a test name).
     pub command: String,
     /// Whether span/counter collection was compiled in.
     pub obs_enabled: bool,

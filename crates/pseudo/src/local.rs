@@ -44,16 +44,6 @@ impl LocalPotential {
         }
     }
 
-    /// The long-range `−4πZ/q²` bare-Coulomb part alone (used by the Ewald
-    /// -like ion–ion energy assembly).
-    pub fn coulomb_tail(&self, q: f64) -> f64 {
-        if q < 1e-12 {
-            0.0
-        } else {
-            -4.0 * PI * self.z / (q * q)
-        }
-    }
-
     /// Real-space value `v(r)` (Hartree); used for testing the Fourier
     /// representation and for visualization.
     pub fn real_space(&self, r: f64) -> f64 {

@@ -11,8 +11,8 @@
 //! Rayleigh–Ritz matrix `Ψ·(HΨ)ᴴ` run through [`gemm_into`] on scratch
 //! owned by the [`HamWorkspace`], so a steady-state block application
 //! allocates nothing. The single-band path ([`Hamiltonian::apply_vec_with`])
-//! keeps one `dotc`/`axpy` pair per projector: it is the band-by-band
-//! ablation baseline and the fragment retry ladder's last rung.
+//! keeps one `dotc`/`axpy` pair per projector: it serves the band-by-band
+//! solve, the unit tests' oracle and the fragment retry ladder's last rung.
 //!
 //! Every application is generic over the row representation
 //! ([`Coeff`]): the Γ-point packed `f64` rows of [`PwBasis::pack`], or

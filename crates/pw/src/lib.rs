@@ -45,7 +45,6 @@ pub use realspace_nl::{apply_block_realspace, RealSpaceNonlocal};
 pub use scf::{grid_for, scf, DftSystem, ScfOptions, ScfResult, ScfStep};
 pub use solver::{
     cg_init, cg_residual, cg_step, solve_all_band, solve_all_band_packed_with, solve_all_band_with,
-    solve_band_by_band, try_solve_all_band, try_solve_all_band_packed, try_solve_all_band_with,
-    try_solve_band_by_band, try_solve_band_by_band_packed, CgWorkspace, SolveStats, SolverError,
-    SolverOptions,
+    try_solve_all_band, try_solve_all_band_packed, try_solve_all_band_with, try_solve_band_by_band,
+    try_solve_band_by_band_packed, CgWorkspace, SolveStats, SolverError, SolverOptions,
 };

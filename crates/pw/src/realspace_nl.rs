@@ -8,7 +8,8 @@
 //! basis) and this sphere-truncated real-space one (O(sphere points) per
 //! atom, applied while ψ(r) is already on the grid for the local-potential
 //! step). Real space wins asymptotically for large boxes; q-space wins at
-//! fragment sizes — `cargo bench` and the `ablation` binary measure where.
+//! fragment sizes (EXPERIMENTS.md, §IV optimization ablations, keeps the
+//! last measured table).
 
 use crate::PwBasis;
 use ls3df_grid::{Grid3, RealField};

@@ -12,10 +12,11 @@
 //!   `L⁻¹` products of the re-orthonormalizations. What stays per band is
 //!   `O(n_b·n_pw)`: FFTs, preconditioning, norms, line minimization.
 //!   This path took PEtot from 15% to 45–56% of peak.
-//! * [`solve_band_by_band`] — the original scheme: one band at a time with
-//!   Gram–Schmidt after every step; all BLAS-1/2 shaped operations. Kept
-//!   as the ablation baseline (the `ablation` bin of `ls3df-bench` compares
-//!   the two).
+//! * [`try_solve_band_by_band`] — the original scheme: one band at a time
+//!   with Gram–Schmidt after every step; all BLAS-1/2 shaped operations.
+//!   Kept as the unit tests' independent oracle for the all-band solve,
+//!   and, packed ([`try_solve_band_by_band_packed`]), as a rung of
+//!   `ls3df-core`'s fragment retry ladder.
 //!
 //! Both use the Teter–Payne–Allan kinetic preconditioner and Rayleigh–Ritz
 //! subspace rotations, and converge to the same eigenpairs.
@@ -631,24 +632,9 @@ fn all_band<S: Coeff>(
 }
 
 /// Band-by-band preconditioned conjugate gradient with Gram–Schmidt
-/// orthogonalization after every step (the pre-optimization PEtot scheme).
-///
-/// Panicking façade over [`try_solve_band_by_band`].
-#[expect(
-    clippy::expect_used,
-    reason = "start blocks are full-rank and the iterate overlap stays positive definite by construction; documented invariant expect"
-)]
-pub fn solve_band_by_band(
-    h: &Hamiltonian<'_>,
-    psi: &mut Matrix<c64>,
-    opts: &SolverOptions,
-) -> SolveStats {
-    try_solve_band_by_band(h, psi, opts).expect("band-by-band eigensolve failed")
-}
-
-/// Fallible band-by-band solve; a façade over
-/// [`try_solve_band_by_band_packed`] with the error contract of
-/// [`try_solve_all_band_with`].
+/// orthogonalization after every step (the pre-optimization PEtot scheme);
+/// a façade over [`try_solve_band_by_band_packed`] with the error contract
+/// of [`try_solve_all_band_with`].
 pub fn try_solve_band_by_band(
     h: &Hamiltonian<'_>,
     psi: &mut Matrix<c64>,
@@ -881,7 +867,7 @@ mod tests {
         let mut psi_a = rand_block(nb, basis.len(), 2);
         let a = solve_all_band(&h, &mut psi_a, &opts);
         let mut psi_b = rand_block(nb, basis.len(), 99);
-        let b = solve_band_by_band(&h, &mut psi_b, &opts);
+        let b = try_solve_band_by_band(&h, &mut psi_b, &opts).unwrap();
         assert!(a.converged, "all-band residual {}", a.residual);
         for band in 0..nb {
             assert!(

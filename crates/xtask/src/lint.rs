@@ -866,7 +866,7 @@ mod tests {
         );
         assert!(!v.contains(&"raw-timer"));
         let v = rules_hit(
-            "crates/bench/src/bin/crossover.rs",
+            "crates/bench/src/bin/fig6.rs",
             "fn f() { let t = Instant::now(); }",
         );
         assert!(!v.contains(&"raw-timer"));

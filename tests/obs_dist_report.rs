@@ -2,7 +2,7 @@
 //! `obs-dist`): every obs-enabled SCF run, at any group count, must fold
 //! its world's rank telemetry into **one** merged report.
 //!
-//! Two legs:
+//! Three legs:
 //!
 //! * `committed_fig5_report_is_schema_valid` — the checked-in artefacts
 //!   are current: `BENCH_fig5.json`, `BENCH_fig6.json` and
@@ -14,6 +14,10 @@
 //!   no model curves and holds at least two measured points that share
 //!   one density digest and carry the imbalance/straggler columns. Runs
 //!   with or without the `obs` feature.
+//! * `every_bench_bin_has_a_committed_artefact_or_a_ci_step` — every
+//!   `ls3df-bench` bin writes a committed `BENCH_<bin>.json` or is a
+//!   `cargo xtask ci` step (`fig7` is the one named exemption). Runs with
+//!   or without the `obs` feature.
 //! * `merged_report_counters_sum_to_single_process_totals` — SPMD
 //!   subprocess matrix at `LS3DF_GROUPS ∈ {1, 2, 4}` (same re-exec
 //!   pattern as `tests/dist_digest.rs`): every group count's merged
@@ -234,6 +238,34 @@ fn committed_fig5_report_is_schema_valid() {
             );
         }
     }
+}
+
+/// A bench bin stays only if it writes a committed `BENCH_<bin>.json`
+/// at the repository root or `cargo xtask ci` runs it as a step; a bin
+/// that only prints tables goes, its last numbers kept in EXPERIMENTS.md.
+#[test]
+fn every_bench_bin_has_a_committed_artefact_or_a_ci_step() {
+    // fig7's artefact waits on a converged alloy (ROADMAP item 6(e)).
+    const EXEMPT: &[&str] = &["fig7"];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let ci = read_committed("crates/xtask/src/ci.rs");
+    let bins = root.join("crates/bench/src/bin");
+    let mut idle: Vec<String> = std::fs::read_dir(&bins)
+        .unwrap_or_else(|e| panic!("read {}: {e}", bins.display()))
+        .map(|entry| entry.expect("bin directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .filter_map(|p| p.file_stem()?.to_str().map(str::to_owned))
+        .filter(|stem| !EXEMPT.contains(&stem.as_str()))
+        .filter(|stem| {
+            !root.join(format!("BENCH_{stem}.json")).is_file()
+                && !ci.contains(&format!("\"--bin\", \"{stem}\""))
+        })
+        .collect();
+    idle.sort();
+    assert!(
+        idle.is_empty(),
+        "bench bins with neither a committed BENCH_<bin>.json nor a cargo xtask ci step: {idle:?}"
+    );
 }
 
 /// Child half (inert under a plain `cargo test`): one SCF at whatever
