@@ -1,16 +1,15 @@
 //! Paper **Figure 5** is weak-scaling Tflop/s measured on Franklin,
 //! Jaguar and Intrepid, which no single host resembles, so this bin
 //! records what it can measure instead: real two-level runs on the host
-//! it runs on. It re-runs a small SCF once per group count (1 and
-//! `LS3DF_GROUPS`, 2 when unset) over the `ls3df-dist` processor-group
-//! communicator and writes measured PEtot_F wall times, per-group load
-//! balance and the density digest to `BENCH_fig5.json`, every point
-//! tagged `provenance: "measured"`. The digest must be identical across
-//! group counts (the distributed loop is pure partitioning); the bin
-//! exits non-zero when it is not.
+//! it runs on. It re-runs a small SCF once per group count in
+//! [`GROUP_COUNTS`] over the `ls3df-dist` processor-group communicator
+//! and writes measured PEtot_F wall times, per-group load balance and
+//! the density digest to `BENCH_fig5.json`, every point tagged
+//! `provenance: "measured"`. The digest must be identical across group
+//! counts (the distributed loop is pure partitioning); the bin exits
+//! non-zero when it is not.
 //!
-//! Run: `cargo run -p ls3df-bench --bin fig5 --release` (with
-//! `LS3DF_GROUPS=4` it measures 1 and 4 groups)
+//! Run: `cargo run -p ls3df-bench --bin fig5 --release`
 
 use ls3df_atoms::model_crystal;
 use ls3df_core::{Ls3df, Ls3dfOptions, Passivation};
@@ -19,12 +18,15 @@ use ls3df_pseudo::PseudoTable;
 use ls3df_pw::Mixer;
 use std::path::Path;
 
-/// One measured run at whatever `LS3DF_GROUPS` this process was started
-/// with. SPMD: the launcher and its spawned workers all run this same
-/// function (workers are routed into the communicator bootstrap inside
-/// `build()` by `LS3DF_DIST_RANK`); only rank 0's stdout reaches the
-/// parent, carrying the machine-readable result line.
-fn child() {
+/// The processor-group counts measured, one fresh process each.
+const GROUP_COUNTS: [usize; 2] = [1, 2];
+
+/// One measured run over `groups` processor groups. SPMD: the launcher
+/// and its spawned workers all run this same function (workers are
+/// routed into the communicator bootstrap inside `build()` by
+/// `LS3DF_DIST_RANK`); only rank 0's stdout reaches the parent, carrying
+/// the machine-readable result line.
+fn child(groups: usize) {
     let s = model_crystal([2, 2, 2], 6.5);
     let opts = Ls3dfOptions {
         ecut: 1.5,
@@ -47,6 +49,7 @@ fn child() {
     let mut calc = Ls3df::builder(&s)
         .fragments([2, 2, 2])
         .options(opts)
+        .groups(groups)
         .build()
         .expect("valid measured-leg geometry");
     if calc.comm().rank() != 0 {
@@ -56,7 +59,6 @@ fn child() {
         let _ = calc.try_scf();
         return;
     }
-    let groups = calc.comm().size();
     let predicted_costs = calc.group_plan().costs.clone();
     // Rank 0 collects the full observability record: with obs on, the
     // merged run report (one `ranks` section per group) and a
@@ -152,21 +154,20 @@ fn parse_measured(stdout: &str) -> Option<Measured> {
 /// Runs one subprocess per group count (fresh process per point — the
 /// processor-group world is bootstrapped once per process), collecting
 /// the machine-readable rows.
-fn run_measured(group_counts: &[usize]) -> Vec<Measured> {
+fn run_measured() -> Vec<Measured> {
     let exe = std::env::current_exe().expect("bench binary path");
     let mut rows = Vec::new();
-    for &groups in group_counts {
+    for groups in GROUP_COUNTS {
         // Re-exec per group count so each measured point gets a fresh
-        // communicator world.
+        // communicator world; its workers inherit the count.
         let out = std::process::Command::new(&exe)
-            .env("LS3DF_FIG5_CHILD", "1")
-            .env("LS3DF_GROUPS", groups.to_string())
+            .env("LS3DF_FIG5_CHILD", groups.to_string())
             .output()
             .expect("spawn fig5 measured child");
         let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
         if !out.status.success() {
             eprintln!(
-                "measured child with LS3DF_GROUPS={groups} failed:\n{stdout}\n{}",
+                "measured child with {groups} group(s) failed:\n{stdout}\n{}",
                 String::from_utf8_lossy(&out.stderr)
             );
             std::process::exit(1);
@@ -181,19 +182,12 @@ fn run_measured(group_counts: &[usize]) -> Vec<Measured> {
 }
 
 fn main() {
-    if std::env::var("LS3DF_FIG5_CHILD").is_ok() {
-        child();
+    if let Ok(groups) = std::env::var("LS3DF_FIG5_CHILD") {
+        child(groups.parse().expect("group count in LS3DF_FIG5_CHILD"));
         return;
     }
     let sw = Stopwatch::start();
-    let requested = std::env::var("LS3DF_GROUPS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&g| g >= 1)
-        .unwrap_or(2);
-    let mut group_counts = vec![1, requested];
-    group_counts.dedup();
-    println!("Figure 5 — measured two-level runs on this host (groups {group_counts:?})");
+    println!("Figure 5 — measured two-level runs on this host (groups {GROUP_COUNTS:?})");
     println!(
         "{:>8} {:>12} {:>10} {:>14} {:>10} {:>14} {:>18}",
         "groups",
@@ -204,7 +198,7 @@ fn main() {
         "straggler (s)",
         "density digest"
     );
-    let rows = run_measured(&group_counts);
+    let rows = run_measured();
     let base = rows[0].petot;
     for r in &rows {
         println!(

@@ -9,7 +9,7 @@
 //!
 //! | Binary | Regenerates |
 //! |---|---|
-//! | `fig5` | Measured processor-group runs on this host at 1 and `LS3DF_GROUPS` groups (`BENCH_fig5.json`) |
+//! | `fig5` | Measured processor-group runs on this host at 1 and 2 groups (`BENCH_fig5.json`) |
 //! | `fig6` | Real LS3DF SCF convergence on a scaled ZnTeO alloy (`BENCH_fig6.json`, `TRACE_fig6.json`) |
 //! | `fig7` | FSM band-edge states + O-localization analysis (resumes from fig6's snapshot) |
 //! | `accuracy` | LS3DF vs direct DFT eigenvalue/density agreement (`znteo`: fig6's alloy, energy after 12 iterations); `cargo xtask ci` step `accuracy` |

@@ -26,7 +26,7 @@
 //!   owned fragments' packed wavefunction blocks, bit for bit, so rank 0
 //!   can cut a snapshot
 //!   containing every fragment — snapshots stay group-count-independent
-//!   and resumable at any `LS3DF_GROUPS`.
+//!   and resumable at any group count.
 //!
 //! The decoders validate every fragment index and wavefunction block
 //! shape against the receiving calculation, so the driver can index with
@@ -357,12 +357,12 @@ pub(crate) fn share_vnext(
     global_layer: impl FnOnce(Patch) -> VnextMessage,
 ) -> Result<VnextMessage, CommError> {
     let Some(patch) = patch else {
-        let bytes = comm.broadcast(0, Vec::new())?;
+        let bytes = comm.broadcast(Vec::new())?;
         return decode_vnext(&Snapshot::decode(&bytes).map_err(proto_err)?).map_err(proto_err);
     };
     let msg = global_layer(patch);
     if comm.size() > 1 {
-        comm.broadcast(0, encode_vnext(&msg).encode().map_err(proto_err)?)?;
+        comm.broadcast(encode_vnext(&msg).encode().map_err(proto_err)?)?;
     }
     Ok(msg)
 }

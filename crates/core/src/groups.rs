@@ -33,7 +33,7 @@
 //!
 //! The plan is a pure function of geometry and group count. It never
 //! feeds the density patching path, so group count cannot perturb
-//! physics — bit-identity across `LS3DF_GROUPS` is enforced separately
+//! physics — bit-identity across group counts is enforced separately
 //! by the cross-process digest gate.
 
 use crate::fragment::FragmentGrid;

@@ -436,7 +436,7 @@ pub struct Ls3dfBuilder<'a> {
     initial_potential: Option<RealField>,
     ckpt: Option<CheckpointConfig>,
     resume_from: Option<PathBuf>,
-    groups: Option<usize>,
+    groups: usize,
 }
 
 impl<'a> Ls3dfBuilder<'a> {
@@ -491,15 +491,14 @@ impl<'a> Ls3dfBuilder<'a> {
     /// broadcasts the GENPOT potential over the `ls3df-dist`
     /// communicator.
     ///
-    /// `n ≤ 1` (the default) is the `M = 1` world: one process that is
-    /// the only group and the global layer at once. With `n > 1` the
+    /// `n ≤ 1` (the default is 1) is the `M = 1` world: one process that
+    /// is the only group and the global layer at once. With `n > 1` the
     /// build spawns `n - 1` worker processes that re-exec
     /// this executable (`mpirun` semantics — the program must be SPMD:
-    /// every process reaches the same `build()`/`scf()` calls). When not
-    /// set, the `LS3DF_GROUPS` environment variable is consulted. The
+    /// every process reaches the same `build()`/`scf()` calls). The
     /// patched density is bit-identical at any group count.
     pub fn groups(mut self, n: usize) -> Self {
-        self.groups = Some(n);
+        self.groups = n;
         self
     }
 
@@ -523,16 +522,7 @@ impl<'a> Ls3dfBuilder<'a> {
                 });
             }
         }
-        // Processor groups: explicit builder setting, then the env knob.
-        let groups = self
-            .groups
-            .or_else(|| {
-                std::env::var("LS3DF_GROUPS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(1);
-        let mut calc = Ls3df::assemble(self.structure, m, self.opts, groups)?;
+        let mut calc = Ls3df::assemble(self.structure, m, self.opts, self.groups)?;
         if let Some(v) = self.initial_potential {
             calc.v_in = v;
         }
@@ -752,7 +742,7 @@ impl Ls3df {
             initial_potential: None,
             ckpt: None,
             resume_from: None,
-            groups: None,
+            groups: 1,
         }
     }
 
@@ -916,7 +906,7 @@ impl Ls3df {
 
     /// The processor-group communicator this calculation runs over (the
     /// one-rank [`ls3df_dist::SingleProcess`] world unless
-    /// [`Ls3dfBuilder::groups`] / `LS3DF_GROUPS` asked for more).
+    /// [`Ls3dfBuilder::groups`] asked for more).
     pub fn comm(&self) -> &Arc<dyn Communicator> {
         &self.comm
     }
@@ -1113,7 +1103,7 @@ impl Ls3df {
         timings.gen_dens = t.seconds();
 
         // The PEtot_F stage time includes the gather: on rank 0 that is the
-        // barrier wait (the paper reports the stage, not a rank).
+        // wait for the slowest group (the paper reports the stage, not a rank).
         let t = Stopwatch::start();
         timings.petot_f = report.petot_seconds;
         let reports = distrib::gather_reports(&*self.comm, iteration, report, self.n_fragments())?;

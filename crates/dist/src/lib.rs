@@ -8,23 +8,16 @@
 //! backends:
 //!
 //! * [`SingleProcess`] — the `M = 1` world: rank 0 of a size-1 world, so
-//!   it is the one group and the global layer at once. Collectives are
-//!   no-ops.
+//!   it is the one group and the global layer at once. Its broadcast
+//!   hands the payload back.
 //! * [`LocalProcs`] — worker processes spawned by a launcher (rank 0),
 //!   exchanging length-prefixed CRC-checked frames over Unix-domain
 //!   sockets. See [`LocalProcs`] for the topology.
 //!
-//! A real MPI binding can later slot in behind the same trait without
-//! touching the SCF driver.
-//!
-//! # Determinism contract
-//!
-//! [`Communicator::allreduce_sum_f64`] combines per-rank contributions in
-//! a **fixed balanced binary tree over rank indices** (see
-//! [`fixed_order_tree_sum`]): the floating-point combine order depends
-//! only on the world size, never on message arrival order. This mirrors
-//! the repo's fixed-order thread reductions — reproducibility is a
-//! correctness property here, not a debugging aid.
+//! The trait carries exactly the SCF's traffic: point-to-point sends to
+//! rank 0 (the gathers) and a broadcast from rank 0 (the next
+//! potential). A real MPI binding can later slot in behind the same
+//! trait without touching the SCF driver.
 //!
 //! # Bootstrap
 //!
@@ -157,10 +150,9 @@ impl CommError {
 
 /// MPI-shaped process-group transport.
 ///
-/// All collective calls must be made by **every** rank in the same order;
-/// the backends match them up with internal sequence numbers, so two
-/// interleaved collective streams on one communicator are a protocol
-/// violation, exactly as in MPI.
+/// [`broadcast`](Communicator::broadcast) must be called by **every**
+/// rank in the same order; the backends match calls up with a sequence
+/// number, exactly as in MPI.
 pub trait Communicator: Send + Sync {
     /// This process's rank in `0..size()`. Rank 0 is the global layer.
     fn rank(&self) -> usize;
@@ -176,18 +168,10 @@ pub trait Communicator: Send + Sync {
     /// rank `from` with tag `tag`.
     fn recv(&self, from: usize, tag: u32) -> Result<Vec<u8>, CommError>;
 
-    /// Releases no rank until every rank has entered.
-    fn barrier(&self) -> Result<(), CommError>;
-
-    /// Sends `payload` from `root` to every rank; every rank returns the
-    /// root's bytes (the root gets its own payload back untouched).
-    fn broadcast(&self, root: usize, payload: Vec<u8>) -> Result<Vec<u8>, CommError>;
-
-    /// Element-wise sum of `values` across all ranks, combined in the
-    /// fixed rank-indexed tree order of [`fixed_order_tree_sum`]. Every
-    /// rank's buffer holds the identical result afterwards — bit-for-bit,
-    /// at any world size with the same contributions.
-    fn allreduce_sum_f64(&self, values: &mut [f64]) -> Result<(), CommError>;
+    /// Sends rank 0's `payload` to every rank; every rank returns rank
+    /// 0's bytes (rank 0 gets its own payload back untouched, and the
+    /// other ranks' `payload` is ignored).
+    fn broadcast(&self, payload: Vec<u8>) -> Result<Vec<u8>, CommError>;
 
     /// Sends a typed section container (the `ls3df-ckpt` [`Snapshot`]
     /// format, so payloads are CRC-checked and versioned on the wire).
@@ -207,34 +191,6 @@ pub trait Communicator: Send + Sync {
     }
 }
 
-/// Sums per-rank contributions (`contribs[r]` is rank `r`'s vector) in a
-/// balanced pairwise tree over rank indices: `((r0+r1)+(r2+r3))+...`.
-///
-/// The combine order is a pure function of `contribs.len()`, so any
-/// backend — and any future real-MPI binding — reproduces the identical
-/// floating-point result for identical contributions. Empty input sums
-/// to an empty vector; mismatched lengths are truncated to the shortest
-/// (backends validate lengths before calling).
-pub fn fixed_order_tree_sum(contribs: &[Vec<f64>]) -> Vec<f64> {
-    let mut level: Vec<Vec<f64>> = contribs.to_vec();
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            if pair.len() == 2 {
-                let mut acc = pair[0].clone();
-                for (a, b) in acc.iter_mut().zip(&pair[1]) {
-                    *a += *b;
-                }
-                next.push(acc);
-            } else {
-                next.push(pair[0].clone());
-            }
-        }
-        level = next;
-    }
-    level.pop().unwrap_or_default()
-}
-
 /// Locks a mutex, recovering the guard if a communicator thread panicked
 /// while holding it — the guarded state is a message queue that remains
 /// structurally valid, and the failure itself surfaces through the
@@ -247,13 +203,23 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// The bounded-receive timeout from [`ENV_TIMEOUT_MS`] (default
-/// [`DEFAULT_TIMEOUT_MS`]).
-pub fn recv_timeout() -> Duration {
-    let ms = std::env::var(ENV_TIMEOUT_MS)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(DEFAULT_TIMEOUT_MS);
-    Duration::from_millis(ms.max(1))
+/// [`DEFAULT_TIMEOUT_MS`] when unset).
+pub(crate) fn recv_timeout() -> Result<Duration, CommError> {
+    let value = std::env::var_os(ENV_TIMEOUT_MS).map(|v| v.to_string_lossy().into_owned());
+    parse_timeout(value.as_deref())
+}
+
+/// Parses an [`ENV_TIMEOUT_MS`] value: `None` is the default, anything
+/// but a positive whole number of milliseconds is a bootstrap error
+/// naming the variable and the value.
+fn parse_timeout(value: Option<&str>) -> Result<Duration, CommError> {
+    match value.map(|v| (v, v.trim().parse::<u64>())) {
+        None => Ok(Duration::from_millis(DEFAULT_TIMEOUT_MS)),
+        Some((_, Ok(ms))) if ms >= 1 => Ok(Duration::from_millis(ms)),
+        Some((value, _)) => Err(CommError::Bootstrap {
+            detail: format!("{ENV_TIMEOUT_MS}={value:?} is not a positive number of milliseconds"),
+        }),
+    }
 }
 
 /// The process-wide communicator, installed by the first
@@ -266,11 +232,6 @@ static INIT_LOCK: Mutex<()> = Mutex::new(());
 /// (validation hooks in the spirit of the fault-injection API) and so
 /// the launcher outlives its children.
 static CHILDREN: OnceLock<Mutex<Vec<(usize, Child)>>> = OnceLock::new();
-
-/// Returns the already-installed multi-process communicator, if any.
-pub fn current() -> Option<Arc<dyn Communicator>> {
-    GLOBAL.get().cloned()
-}
 
 /// Builds (or returns) the communicator for a `groups`-way world.
 ///
@@ -291,7 +252,7 @@ pub fn communicator(groups: usize) -> Result<Arc<dyn Communicator>, CommError> {
     if let Some(c) = GLOBAL.get() {
         return Ok(Arc::clone(c));
     }
-    let timeout = recv_timeout();
+    let timeout = recv_timeout()?;
     if std::env::var_os(ENV_RANK).is_some() {
         let worker = local::bootstrap_worker(timeout)?;
         let arc: Arc<dyn Communicator> = Arc::new(worker);
@@ -340,46 +301,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tree_sum_matches_sequential_sum_for_small_worlds() {
-        for n in 1..=8usize {
-            let contribs: Vec<Vec<f64>> =
-                (0..n).map(|r| vec![r as f64 + 0.5, -(r as f64)]).collect();
-            let tree = fixed_order_tree_sum(&contribs);
-            let mut seq = [0.0; 2];
-            for c in &contribs {
-                seq[0] += c[0];
-                seq[1] += c[1];
-            }
-            assert!((tree[0] - seq[0]).abs() < 1e-12, "n={n}");
-            assert!((tree[1] - seq[1]).abs() < 1e-12, "n={n}");
-        }
-    }
-
-    #[test]
-    fn tree_sum_order_is_rank_indexed_not_arrival_ordered() {
-        // Values chosen so floating-point association matters:
-        // ((a+b)+(c+d)) differs in the last bits from ((a+c)+(b+d)).
-        let a = vec![1.0e16];
-        let b = vec![1.0];
-        let c = vec![-1.0e16];
-        let d = vec![2.0];
-        let tree = fixed_order_tree_sum(&[a.clone(), b.clone(), c.clone(), d.clone()]);
-        // Hand-evaluate the documented order: ((a+b)+(c+d)).
-        let expected = ((a[0] + b[0]) + (c[0] + d[0])).to_bits();
-        assert_eq!(tree[0].to_bits(), expected);
-        // A different association really does give different bits, so the
-        // assertion above is not vacuous.
-        let other = ((a[0] + c[0]) + (b[0] + d[0])).to_bits();
-        assert_ne!(expected, other);
-    }
-
-    #[test]
-    fn tree_sum_handles_degenerate_inputs() {
-        assert!(fixed_order_tree_sum(&[]).is_empty());
-        assert_eq!(fixed_order_tree_sum(&[vec![3.25]]), vec![3.25]);
-    }
-
-    #[test]
     fn comm_error_display_names_the_rank() {
         let down = CommError::RankDown { rank: 3 }.to_string();
         assert!(down.contains("rank 3"), "{down}");
@@ -396,9 +317,19 @@ mod tests {
     }
 
     #[test]
-    fn default_timeout_is_two_minutes() {
-        // Do not mutate the env here (tests share a process); just check
-        // the default constant wiring.
-        assert_eq!(DEFAULT_TIMEOUT_MS, 120_000);
+    fn timeout_is_positive_milliseconds_or_a_bootstrap_error_naming_the_value() {
+        let default = Duration::from_millis(DEFAULT_TIMEOUT_MS);
+        assert_eq!(parse_timeout(None), Ok(default));
+        assert_eq!(parse_timeout(Some(" 15000 ")), Ok(Duration::from_secs(15)));
+        let max = Duration::from_millis(u64::MAX);
+        assert_eq!(parse_timeout(Some(&u64::MAX.to_string())), Ok(max));
+        for bad in ["", "0", "-5", "2s", "1.5", "18446744073709551616"] {
+            let err = parse_timeout(Some(bad));
+            assert!(
+                matches!(&err, Err(CommError::Bootstrap { detail })
+                    if detail.contains(ENV_TIMEOUT_MS) && detail.contains(&format!("{bad:?}"))),
+                "{bad:?} gave {err:?}"
+            );
+        }
     }
 }

@@ -7,10 +7,11 @@
 //! [`ENV_RANK`](crate::ENV_RANK)/[`ENV_SIZE`](crate::ENV_SIZE)/
 //! [`ENV_SOCKET`](crate::ENV_SOCKET) set, and accepts one connection per
 //! worker (each announces its rank with a `HELLO` frame). The transport
-//! is hub-and-spoke: every frame travels through rank 0. Worker→worker
-//! traffic is relayed verbatim by the hub's per-connection reader
-//! threads — the relayed bytes are the original CRC-checked frame, so
-//! corruption anywhere on the path is still caught at the destination.
+//! is hub-and-spoke and carries exactly the SCF's two patterns: workers
+//! send to rank 0 (the gathers), and rank 0 sends to every worker (the
+//! broadcast). A worker addresses rank 0 only; a frame between two
+//! workers is out of contract, so the hub never writes a frame it did
+//! not originate.
 //!
 //! The SPMD model matches `mpirun` re-exec semantics: the worker runs
 //! the *same* program, and its own `communicator()` call notices
@@ -28,24 +29,19 @@
 //! (the `MPI_ERRORS_ARE_FATAL` analogue).
 
 use crate::telemetry::{record_frame, DIR_RECV, DIR_SEND};
-use crate::wire::{self, KIND_BARRIER, KIND_BCAST, KIND_DATA, KIND_HELLO, KIND_REDUCE};
-use crate::{fixed_order_tree_sum, lock, CommError, Communicator};
+use crate::wire::{self, KIND_BCAST, KIND_DATA, KIND_HELLO};
+use crate::{lock, CommError, Communicator};
 use ls3df_obs::clock::epoch_nanos;
-use ls3df_obs::{counter_add, span, Counter};
+use ls3df_obs::span;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::ErrorKind;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 // obs-audit: deadline/timeout bookkeeping only — comm *measurement*
 // goes through ls3df-obs spans and the telemetry histograms.
 use std::time::{Duration, Instant};
-
-/// Sequence-counter slots for the three collectives.
-const SEQ_BARRIER: usize = 0;
-const SEQ_BCAST: usize = 1;
-const SEQ_REDUCE: usize = 2;
 
 /// Messages queued at the hub, keyed by `(src, kind, tag)`.
 #[derive(Default)]
@@ -54,6 +50,7 @@ struct HubState {
     dead: BTreeSet<usize>,
 }
 
+#[derive(Default)]
 struct HubShared {
     state: Mutex<HubState>,
     cv: Condvar,
@@ -65,14 +62,12 @@ struct HubShared {
 struct WorkerRecv {
     stream: UnixStream,
     pending: BTreeMap<(usize, u32, u32), VecDeque<Vec<u8>>>,
-    hub_down: bool,
 }
 
 enum Role {
     Hub {
         /// Write halves to each worker; index `r - 1` holds rank `r`.
-        /// Shared with the reader threads for worker→worker relays.
-        writers: Arc<Vec<Mutex<UnixStream>>>,
+        writers: Vec<Mutex<UnixStream>>,
         shared: Arc<HubShared>,
     },
     Worker {
@@ -88,10 +83,10 @@ pub struct LocalProcs {
     rank: usize,
     size: usize,
     timeout: Duration,
-    /// Per-collective sequence counters used as matching tags, so every
-    /// rank's n-th barrier (broadcast, allreduce) pairs with every other
-    /// rank's n-th regardless of user-level tag traffic.
-    seqs: Mutex<[u32; 3]>,
+    /// Broadcast sequence counter used as the matching tag, so every
+    /// rank's n-th broadcast pairs with every other rank's n-th
+    /// regardless of user-level tag traffic.
+    bcast_seq: AtomicU32,
     role: Role,
 }
 
@@ -107,14 +102,48 @@ fn mark_dead(shared: &HubShared, rank: usize) {
 }
 
 impl LocalProcs {
-    fn next_seq(&self, slot: usize) -> u32 {
-        let mut seqs = lock(&self.seqs);
-        seqs[slot] = seqs[slot].wrapping_add(1);
-        seqs[slot]
+    /// Worker `rank` of a size-`size` world over its connection to the
+    /// hub.
+    fn worker(
+        rank: usize,
+        size: usize,
+        timeout: Duration,
+        stream: UnixStream,
+    ) -> std::io::Result<Self> {
+        let reader = stream.try_clone()?;
+        Ok(LocalProcs {
+            rank,
+            size,
+            timeout,
+            bcast_seq: AtomicU32::new(0),
+            role: Role::Worker {
+                writer: Mutex::new(stream),
+                reader: Mutex::new(WorkerRecv {
+                    stream: reader,
+                    pending: BTreeMap::new(),
+                }),
+            },
+        })
     }
 
+    /// The next broadcast's tag: 1 for the first, wrapping.
+    fn next_bcast_seq(&self) -> u32 {
+        self.bcast_seq
+            .fetch_add(1, Ordering::Relaxed)
+            .wrapping_add(1)
+    }
+
+    fn timed_out(&self, from: usize, tag: u32) -> CommError {
+        CommError::Timeout {
+            from,
+            tag,
+            waited_ms: self.timeout.as_millis() as u64,
+        }
+    }
+
+    /// Rank 0 addresses any worker; a worker addresses rank 0 only.
     fn check_peer(&self, peer: usize, what: &str) -> Result<(), CommError> {
-        if peer == self.rank || peer >= self.size {
+        if peer == self.rank || peer >= self.size || (self.rank != 0 && peer != 0) {
             return Err(CommError::Protocol {
                 detail: format!(
                     "{what} rank {peer} invalid from rank {} of a size-{} world",
@@ -151,32 +180,25 @@ impl LocalProcs {
     ) -> Result<(), CommError> {
         self.check_peer(dst, "send to")?;
         let bytes = wire::encode_frame(self.rank, dst, kind, tag, payload)?;
-        match &self.role {
+        let (writer, hub) = match &self.role {
             Role::Hub { writers, shared } => {
                 if lock(&shared.state).dead.contains(&dst) {
                     return Err(CommError::RankDown { rank: dst });
                 }
-                let mut w = lock(&writers[dst - 1]);
-                wire::write_frame(&mut *w, &bytes).map_err(|e| {
-                    mark_dead(shared, dst);
-                    if e.kind() == ErrorKind::BrokenPipe {
-                        CommError::RankDown { rank: dst }
-                    } else {
-                        io_err("hub send", &e)
-                    }
-                })
+                (&writers[dst - 1], Some(shared))
             }
-            Role::Worker { writer, .. } => {
-                let mut w = lock(writer);
-                wire::write_frame(&mut *w, &bytes).map_err(|e| {
-                    if e.kind() == ErrorKind::BrokenPipe {
-                        CommError::RankDown { rank: 0 }
-                    } else {
-                        io_err("worker send", &e)
-                    }
-                })
+            Role::Worker { writer, .. } => (writer, None),
+        };
+        wire::write_frame(&mut *lock(writer), &bytes).map_err(|e| {
+            if let Some(shared) = hub {
+                mark_dead(shared, dst);
             }
-        }
+            if e.kind() == ErrorKind::BrokenPipe {
+                CommError::RankDown { rank: dst }
+            } else {
+                io_err("send", &e)
+            }
+        })
     }
 
     /// Receives one frame, feeding the transport histograms (payload
@@ -216,11 +238,7 @@ impl LocalProcs {
                     // obs-audit: deadline arithmetic, not a measurement.
                     let now = Instant::now();
                     if now >= deadline {
-                        return Err(CommError::Timeout {
-                            from,
-                            tag,
-                            waited_ms: self.timeout.as_millis() as u64,
-                        });
+                        return Err(self.timed_out(from, tag));
                     }
                     st = match shared.cv.wait_timeout(st, deadline - now) {
                         Ok((guard, _)) => guard,
@@ -234,19 +252,10 @@ impl LocalProcs {
                     if let Some(msg) = r.pending.get_mut(&key).and_then(VecDeque::pop_front) {
                         return Ok(msg);
                     }
-                    if r.hub_down {
-                        return Err(CommError::RankDown {
-                            rank: if from == 0 { 0 } else { from },
-                        });
-                    }
                     // obs-audit: deadline arithmetic, not a measurement.
                     let now = Instant::now();
                     if now >= deadline {
-                        return Err(CommError::Timeout {
-                            from,
-                            tag,
-                            waited_ms: self.timeout.as_millis() as u64,
-                        });
+                        return Err(self.timed_out(from, tag));
                     }
                     r.stream
                         .set_read_timeout(Some(deadline - now))
@@ -254,11 +263,14 @@ impl LocalProcs {
                     match wire::read_frame(&mut r.stream) {
                         Ok(bytes) => {
                             let frame = wire::decode_frame(&bytes)?;
-                            if frame.dst != self.rank {
-                                // Misrouted frame: drop, the sender's CRC
-                                // was valid so this is a relay bug, not
-                                // corruption; starving the key times out.
-                                continue;
+                            if frame.src != 0 || frame.dst != self.rank {
+                                return Err(CommError::Protocol {
+                                    detail: format!(
+                                        "rank {} got a frame from rank {} to rank {}; \
+                                         workers hear from rank 0 only",
+                                        self.rank, frame.src, frame.dst
+                                    ),
+                                });
                             }
                             r.pending
                                 .entry((frame.src, frame.kind, frame.tag))
@@ -269,14 +281,11 @@ impl LocalProcs {
                             if e.kind() == ErrorKind::WouldBlock
                                 || e.kind() == ErrorKind::TimedOut =>
                         {
-                            return Err(CommError::Timeout {
-                                from,
-                                tag,
-                                waited_ms: self.timeout.as_millis() as u64,
-                            });
+                            return Err(self.timed_out(from, tag));
                         }
+                        // EOF stays EOF: every later receive lands here too.
                         Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
-                            r.hub_down = true;
+                            return Err(CommError::RankDown { rank: 0 });
                         }
                         Err(e) => return Err(io_err("worker recv", &e)),
                     }
@@ -305,73 +314,17 @@ impl Communicator for LocalProcs {
         self.recv_frame(from, KIND_DATA, tag)
     }
 
-    fn barrier(&self) -> Result<(), CommError> {
-        let _span = span!("comm_barrier");
-        let seq = self.next_seq(SEQ_BARRIER);
-        if self.rank == 0 {
-            // Gather-then-release: no rank passes until all have arrived.
-            for r in 1..self.size {
-                self.recv_frame(r, KIND_BARRIER, seq)?;
-            }
-            for r in 1..self.size {
-                self.send_frame(r, KIND_BARRIER, seq, &[])?;
-            }
-        } else {
-            self.send_frame(0, KIND_BARRIER, seq, &[])?;
-            self.recv_frame(0, KIND_BARRIER, seq)?;
-        }
-        Ok(())
-    }
-
-    fn broadcast(&self, root: usize, payload: Vec<u8>) -> Result<Vec<u8>, CommError> {
-        if root >= self.size {
-            return Err(CommError::Protocol {
-                detail: format!(
-                    "broadcast root {root} out of range in a size-{} world",
-                    self.size
-                ),
-            });
-        }
+    fn broadcast(&self, payload: Vec<u8>) -> Result<Vec<u8>, CommError> {
         let _span = span!("comm_bcast");
-        let seq = self.next_seq(SEQ_BCAST);
-        if self.rank == root {
-            for r in 0..self.size {
-                if r != root {
-                    self.send_frame(r, KIND_BCAST, seq, &payload)?;
-                }
+        let seq = self.next_bcast_seq();
+        if self.rank == 0 {
+            for r in 1..self.size {
+                self.send_frame(r, KIND_BCAST, seq, &payload)?;
             }
             Ok(payload)
         } else {
-            self.recv_frame(root, KIND_BCAST, seq)
+            self.recv_frame(0, KIND_BCAST, seq)
         }
-    }
-
-    fn allreduce_sum_f64(&self, values: &mut [f64]) -> Result<(), CommError> {
-        let _span = span!("comm_allreduce");
-        counter_add(Counter::CommAllreduceCalls, 1);
-        let seq = self.next_seq(SEQ_REDUCE);
-        if self.rank == 0 {
-            // Gather contributions indexed by rank, combine in the fixed
-            // rank-order tree, then hand the identical bytes back out.
-            let mut contribs = Vec::with_capacity(self.size);
-            contribs.push(values.to_vec());
-            for r in 1..self.size {
-                let bytes = self.recv_frame(r, KIND_REDUCE, seq)?;
-                contribs.push(wire::decode_f64s(&bytes, values.len())?);
-            }
-            let sum = fixed_order_tree_sum(&contribs);
-            let out = wire::encode_f64s(&sum);
-            for r in 1..self.size {
-                self.send_frame(r, KIND_REDUCE, seq, &out)?;
-            }
-            values.copy_from_slice(&sum);
-        } else {
-            self.send_frame(0, KIND_REDUCE, seq, &wire::encode_f64s(values))?;
-            let bytes = self.recv_frame(0, KIND_REDUCE, seq)?;
-            let sum = wire::decode_f64s(&bytes, values.len())?;
-            values.copy_from_slice(&sum);
-        }
-        Ok(())
     }
 }
 
@@ -401,38 +354,29 @@ pub(crate) fn bootstrap_hub(
         .set_nonblocking(true)
         .map_err(|e| boot(format!("listener nonblocking: {e}")))?;
 
-    // SPMD re-exec: same binary, same CLI args, ranked environment.
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut children: Vec<(usize, Child)> = Vec::with_capacity(groups - 1);
-    for rank in 1..groups {
-        let spawned = Command::new(&exe)
-            .args(&args)
-            .env(crate::ENV_RANK, rank.to_string())
-            .env(crate::ENV_SIZE, groups.to_string())
-            .env(crate::ENV_SOCKET, &socket_path)
-            .stdout(Stdio::null())
-            .stderr(Stdio::inherit())
-            .spawn();
-        match spawned {
-            Ok(child) => children.push((rank, child)),
-            Err(e) => {
-                for (_, mut c) in children {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-                let _ = std::fs::remove_file(&socket_path);
-                return Err(boot(format!("spawn worker rank {rank}: {e}")));
-            }
-        }
-    }
-
-    // Accept one connection per worker; each opens with a HELLO frame
-    // carrying its rank, so connection order does not matter.
-    // obs-audit: bootstrap deadline bookkeeping, not a measurement.
-    let deadline = Instant::now() + timeout;
     let mut slots: Vec<Option<UnixStream>> = (1..groups).map(|_| None).collect();
-    let mut connected = 0usize;
-    let accept_result: Result<(), CommError> = (|| {
+    let started: Result<(), CommError> = (|| {
+        // SPMD re-exec: same binary, same CLI args, ranked environment.
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        for rank in 1..groups {
+            let child = Command::new(&exe)
+                .args(&args)
+                .env(crate::ENV_RANK, rank.to_string())
+                .env(crate::ENV_SIZE, groups.to_string())
+                .env(crate::ENV_SOCKET, &socket_path)
+                .stdout(Stdio::null())
+                .stderr(Stdio::inherit())
+                .spawn()
+                .map_err(|e| boot(format!("spawn worker rank {rank}: {e}")))?;
+            children.push((rank, child));
+        }
+
+        // Accept one connection per worker; each opens with a HELLO frame
+        // carrying its rank, so connection order does not matter.
+        // obs-audit: bootstrap deadline bookkeeping, not a measurement.
+        let deadline = Instant::now() + timeout;
+        let mut connected = 0usize;
         while connected < groups - 1 {
             match listener.accept() {
                 Ok((stream, _)) => {
@@ -479,23 +423,18 @@ pub(crate) fn bootstrap_hub(
         }
         Ok(())
     })();
-    if let Err(e) = accept_result {
+    // Connected or not, the filesystem name is no longer needed.
+    let _ = std::fs::remove_file(&socket_path);
+    if let Err(e) = started {
         for (_, c) in children.iter_mut() {
             let _ = c.kill();
             let _ = c.wait();
         }
-        let _ = std::fs::remove_file(&socket_path);
         return Err(e);
     }
-    // Everyone is connected; the filesystem name is no longer needed.
-    let _ = std::fs::remove_file(&socket_path);
 
-    let shared = Arc::new(HubShared {
-        state: Mutex::new(HubState::default()),
-        cv: Condvar::new(),
-    });
+    let shared = Arc::new(HubShared::default());
     let mut writers = Vec::with_capacity(groups - 1);
-    let mut read_halves = Vec::with_capacity(groups - 1);
     for (i, slot) in slots.into_iter().enumerate() {
         let rank = i + 1;
         let stream = slot.ok_or_else(|| boot(format!("rank {rank} never connected")))?;
@@ -505,64 +444,61 @@ pub(crate) fn bootstrap_hub(
         let read_half = stream
             .try_clone()
             .map_err(|e| boot(format!("clone stream for rank {rank}: {e}")))?;
-        writers.push(Mutex::new(stream));
-        read_halves.push((rank, read_half));
-    }
-    let writers = Arc::new(writers);
-
-    // One reader thread per worker. Readers block indefinitely — bounded
-    // waiting lives at the recv() condvar, so an idle connection is never
-    // mistaken for a dead one.
-    for (rank, mut stream) in read_halves {
-        let shared = Arc::clone(&shared);
-        let writers = Arc::clone(&writers);
-        std::thread::Builder::new()
-            .name(format!("ls3df-dist-reader-{rank}"))
-            .spawn(move || loop {
-                let bytes = match wire::read_frame(&mut stream) {
-                    Ok(b) => b,
-                    Err(_) => {
-                        mark_dead(&shared, rank);
-                        break;
-                    }
-                };
-                match wire::decode_frame(&bytes) {
-                    Ok(frame) if frame.dst == 0 => {
-                        lock(&shared.state)
-                            .queues
-                            .entry((frame.src, frame.kind, frame.tag))
-                            .or_default()
-                            .push_back(frame.payload);
-                        shared.cv.notify_all();
-                    }
-                    Ok(frame) => {
-                        // Worker→worker relay: forward the original
-                        // CRC-checked bytes untouched.
-                        if frame.dst >= 1 && frame.dst <= writers.len() {
-                            let mut w = lock(&writers[frame.dst - 1]);
-                            if wire::write_frame(&mut *w, &bytes).is_err() {
-                                mark_dead(&shared, frame.dst);
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        // Corrupt traffic: treat the connection as lost.
-                        mark_dead(&shared, rank);
-                        break;
-                    }
-                }
-            })
+        // One reader thread per worker. Readers block indefinitely —
+        // bounded waiting lives at the recv() condvar, so an idle
+        // connection is never mistaken for a dead one.
+        spawn_reader(rank, read_half, Arc::clone(&shared))
             .map_err(|e| boot(format!("spawn reader thread: {e}")))?;
+        writers.push(Mutex::new(stream));
     }
 
     let hub = LocalProcs {
         rank: 0,
         size: groups,
         timeout,
-        seqs: Mutex::new([0; 3]),
+        bcast_seq: AtomicU32::new(0),
         role: Role::Hub { writers, shared },
     };
     Ok((hub, children))
+}
+
+/// The hub's reader for rank `rank`'s connection: queues every frame
+/// that rank sends to rank 0 until a `recv` takes it. EOF, a corrupt
+/// frame, or a frame claiming another sender or addressed to another
+/// rank marks the connection down and ends the thread.
+fn spawn_reader(
+    rank: usize,
+    mut stream: UnixStream,
+    shared: Arc<HubShared>,
+) -> std::io::Result<()> {
+    std::thread::Builder::new()
+        .name(format!("ls3df-dist-reader-{rank}"))
+        .spawn(move || loop {
+            let frame = match wire::read_frame(&mut stream) {
+                Ok(bytes) => wire::decode_frame(&bytes),
+                Err(_) => {
+                    mark_dead(&shared, rank);
+                    break;
+                }
+            };
+            match frame {
+                Ok(frame) if frame.src == rank && frame.dst == 0 => {
+                    lock(&shared.state)
+                        .queues
+                        .entry((frame.src, frame.kind, frame.tag))
+                        .or_default()
+                        .push_back(frame.payload);
+                    shared.cv.notify_all();
+                }
+                _ => {
+                    // Corrupt or out-of-contract traffic: treat the
+                    // connection as lost.
+                    mark_dead(&shared, rank);
+                    break;
+                }
+            }
+        })
+        .map(drop)
 }
 
 /// Connects back to the launcher using the ranked environment.
@@ -600,26 +536,85 @@ pub(crate) fn bootstrap_worker(timeout: Duration) -> Result<LocalProcs, CommErro
             }
         }
     };
-    let reader = stream
-        .try_clone()
+    let worker = LocalProcs::worker(rank, size, timeout, stream)
         .map_err(|e| boot(format!("clone worker stream: {e}")))?;
-    let worker = LocalProcs {
-        rank,
-        size,
-        timeout,
-        seqs: Mutex::new([0; 3]),
-        role: Role::Worker {
-            writer: Mutex::new(stream),
-            reader: Mutex::new(WorkerRecv {
-                stream: reader,
-                pending: BTreeMap::new(),
-                hub_down: false,
-            }),
-        },
-    };
     // Announce our rank so the hub can slot the connection.
     worker
         .send_frame(0, KIND_HELLO, 0, &[])
         .map_err(|e| boot(format!("hello: {e}")))?;
     Ok(worker)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn write(stream: &mut UnixStream, src: usize, dst: usize, payload: &[u8]) {
+        let bytes = wire::encode_frame(src, dst, KIND_DATA, 7, payload).unwrap();
+        wire::write_frame(stream, &bytes).unwrap();
+    }
+
+    /// Worker rank 1 of a size-3 world, and the hub's end of its
+    /// connection with `frame` (src, dst) already sent down it.
+    fn worker_after(frame: (usize, usize), timeout_ms: u64) -> (LocalProcs, UnixStream) {
+        let (worker_end, mut hub_end) = UnixStream::pair().unwrap();
+        write(&mut hub_end, frame.0, frame.1, b"frame");
+        let timeout = Duration::from_millis(timeout_ms);
+        (
+            LocalProcs::worker(1, 3, timeout, worker_end).unwrap(),
+            hub_end,
+        )
+    }
+
+    #[test]
+    fn a_worker_addresses_rank_0_only_without_touching_the_socket() {
+        let (worker, mut hub_end) = worker_after((0, 1), 5_000);
+        let send = worker.send(2, 7, b"for rank 2");
+        assert!(matches!(send, Err(CommError::Protocol { .. })), "{send:?}");
+        let recv = worker.recv(2, 7);
+        assert!(matches!(recv, Err(CommError::Protocol { .. })), "{recv:?}");
+        // Nothing went toward the hub, and the hub's frame is still the
+        // next one on the wire.
+        hub_end.set_nonblocking(true).unwrap();
+        let unread = std::io::Read::read(&mut hub_end, &mut [0u8; 1]);
+        assert!(
+            matches!(&unread, Err(e) if e.kind() == ErrorKind::WouldBlock),
+            "{unread:?}"
+        );
+        assert_eq!(worker.recv(0, 7).unwrap(), b"frame");
+    }
+
+    #[test]
+    fn a_frame_for_another_rank_is_a_protocol_error_at_the_worker() {
+        let (worker, _hub_end) = worker_after((0, 2), 500);
+        match worker.recv(0, 7) {
+            Err(CommError::Protocol { detail }) => {
+                assert!(detail.contains("to rank 2"), "{detail}")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_frame_for_another_rank_marks_its_sender_down_at_the_hub() {
+        let shared = Arc::new(HubShared::default());
+        let (mut worker_end, hub_end) = UnixStream::pair().unwrap();
+        spawn_reader(1, hub_end, Arc::clone(&shared)).unwrap();
+        write(&mut worker_end, 1, 0, b"gathered");
+        write(&mut worker_end, 1, 2, b"relay me");
+        // The connection stays open, so only the out-of-contract frame
+        // can mark it down; the legitimate frame before it is queued.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut state = lock(&shared.state);
+        while !state.dead.contains(&1) && Instant::now() < deadline {
+            state = shared
+                .cv
+                .wait_timeout(state, Duration::from_millis(20))
+                .unwrap()
+                .0;
+        }
+        assert!(state.dead.contains(&1), "the sender was not marked down");
+        let queued: Vec<_> = state.queues.keys().collect();
+        assert_eq!(queued, [&(1, KIND_DATA, 7)]);
+    }
 }

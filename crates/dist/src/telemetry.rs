@@ -27,7 +27,7 @@ pub(crate) const DIR_SEND: usize = 0;
 pub(crate) const DIR_RECV: usize = 1;
 
 const N_DIRS: usize = 2;
-const N_KINDS: usize = 5;
+const N_KINDS: usize = 3;
 const N_CLASSES: usize = 4;
 const SLOTS: usize = N_DIRS * N_KINDS * N_CLASSES;
 /// log2 buckets cover the full u64 range: bucket `b` counts values in
@@ -35,7 +35,7 @@ const SLOTS: usize = N_DIRS * N_KINDS * N_CLASSES;
 const BUCKETS: usize = 48;
 
 const DIR_LABELS: [&str; N_DIRS] = ["send", "recv"];
-const KIND_LABELS: [&str; N_KINDS] = ["data", "barrier", "bcast", "reduce", "hello"];
+const KIND_LABELS: [&str; N_KINDS] = ["data", "bcast", "hello"];
 const CLASS_LABELS: [&str; N_CLASSES] = ["user", "psi", "telemetry", "collective"];
 
 #[allow(clippy::declare_interior_mutable_const)]
@@ -59,8 +59,8 @@ pub(crate) fn log2_bucket(v: u64) -> usize {
 /// Tag-class index of a frame. Point-to-point data frames split by the
 /// tag's high-bit conventions (bit 31 = psi gather, bit 30 = telemetry
 /// shipment — see `ls3df-core`'s `PSI_GATHER_TAG` and
-/// [`TELEMETRY_TAG`](crate::TELEMETRY_TAG)); every collective-protocol
-/// kind reports as one `collective` class.
+/// [`TELEMETRY_TAG`](crate::TELEMETRY_TAG)); broadcast and handshake
+/// frames report as one `collective` class.
 fn tag_class(kind: u32, tag: u32) -> usize {
     if kind != wire::KIND_DATA {
         return 3;
@@ -167,8 +167,8 @@ mod tests {
         assert_eq!(tag_class(wire::KIND_DATA, 3), 0); // user
         assert_eq!(tag_class(wire::KIND_DATA, 0x8000_0005), 1); // psi
         assert_eq!(tag_class(wire::KIND_DATA, crate::TELEMETRY_TAG), 2);
-        assert_eq!(tag_class(wire::KIND_BARRIER, 0), 3); // collective
-        assert_eq!(tag_class(wire::KIND_REDUCE, 7), 3);
+        assert_eq!(tag_class(wire::KIND_BCAST, 0), 3); // collective
+        assert_eq!(tag_class(wire::KIND_HELLO, 7), 3);
     }
 
     #[test]

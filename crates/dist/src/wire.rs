@@ -13,11 +13,11 @@
 //!
 //! Reusing the [`Snapshot`] container means the wire format inherits the
 //! checkpoint layer's versioning (magic + format version) and per-section
-//! CRC32 — a flipped bit in a relayed density block is caught at the
-//! receiving rank and reported as a typed protocol error, never patched
-//! into physics. The `kind` field separates point-to-point data from the
-//! collective-protocol messages (barrier/broadcast/reduce/hello) so a
-//! barrier can never consume a density message with the same tag.
+//! CRC32 — a flipped bit in a density block is caught at the receiving
+//! rank and reported as a typed protocol error, never patched into
+//! physics. The `kind` field separates point-to-point data from the
+//! broadcast and handshake messages, so a broadcast can never consume a
+//! density message with the same tag.
 
 use crate::CommError;
 use ls3df_ckpt::{ByteReader, ByteWriter, SectionId, Snapshot};
@@ -26,14 +26,10 @@ use std::io::{Error, ErrorKind, Read, Write};
 
 /// Point-to-point user data (`Communicator::send`/`recv`).
 pub(crate) const KIND_DATA: u32 = 0;
-/// Barrier protocol messages.
-pub(crate) const KIND_BARRIER: u32 = 1;
-/// Broadcast protocol messages.
-pub(crate) const KIND_BCAST: u32 = 2;
-/// Allreduce protocol messages.
-pub(crate) const KIND_REDUCE: u32 = 3;
+/// Broadcast messages (rank 0 → every worker).
+pub(crate) const KIND_BCAST: u32 = 1;
 /// Connection handshake (worker announces its rank to the hub).
-pub(crate) const KIND_HELLO: u32 = 4;
+pub(crate) const KIND_HELLO: u32 = 2;
 
 const SEC_HDR: SectionId = SectionId::new("COMMHDR");
 const SEC_BODY: SectionId = SectionId::new("COMMBODY");
@@ -45,13 +41,13 @@ const MAX_FRAME_LEN: u64 = 1 << 30;
 /// One decoded message.
 #[derive(Debug)]
 pub(crate) struct Frame {
-    /// Originating rank (preserved across hub relays).
+    /// Originating rank.
     pub(crate) src: usize,
     /// Destination rank.
     pub(crate) dst: usize,
     /// One of the `KIND_*` constants.
     pub(crate) kind: u32,
-    /// Caller-chosen matching tag (collectives use a sequence number).
+    /// Caller-chosen matching tag (broadcasts use a sequence number).
     pub(crate) tag: u32,
     /// Opaque payload.
     pub(crate) payload: Vec<u8>,
@@ -135,31 +131,6 @@ pub(crate) fn read_frame(stream: &mut dyn Read) -> std::io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Raw little-endian f64 bit patterns (bit-exact round trip; count is
-/// implied by the receiver's buffer length).
-pub(crate) fn encode_f64s(values: &[f64]) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(values.len() * 8);
-    w.put_f64_slice(values);
-    w.into_bytes()
-}
-
-/// Decodes exactly `n` doubles (typed error on any length mismatch).
-pub(crate) fn decode_f64s(bytes: &[u8], n: usize) -> Result<Vec<f64>, CommError> {
-    if n.checked_mul(8) != Some(bytes.len()) {
-        return Err(CommError::Protocol {
-            detail: format!(
-                "reduce payload is {} bytes, expected {n} doubles",
-                bytes.len()
-            ),
-        });
-    }
-    ByteReader::new(bytes)
-        .get_f64_vec(n, "reduce payload")
-        .map_err(|e| CommError::Protocol {
-            detail: e.to_string(),
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,21 +171,9 @@ mod tests {
         assert!(cursor.is_empty());
     }
 
-    #[test]
-    fn f64_payloads_are_bit_exact() {
-        let xs = [1.0, -0.125, f64::NAN, 3.5e-300];
-        let back = decode_f64s(&encode_f64s(&xs), 4).unwrap();
-        for (a, b) in xs.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert!(decode_f64s(&encode_f64s(&xs), 3).is_err());
-        // A count whose byte length overflows is a mismatch, not a panic.
-        assert!(decode_f64s(&encode_f64s(&xs), usize::MAX / 4).is_err());
-    }
-
-    /// Arbitrary and damaged frames and reduce payloads, as a peer rank
-    /// might send them: a typed protocol error or a value that fits in
-    /// the bytes it came from — never a panic.
+    /// Arbitrary and damaged frames, as a peer rank might send them: a
+    /// typed protocol error or a frame that fits in the bytes it came
+    /// from — never a panic.
     mod fuzz {
         use super::*;
         use proptest::prelude::*;
@@ -224,13 +183,9 @@ mod tests {
         /// header: the least a frame can carry besides its payload.
         const FRAME_OVERHEAD: usize = 16 + 2 * 20 + 24;
 
-        fn decode(bytes: &[u8], n: usize) -> Result<(), TestCaseError> {
+        fn decode(bytes: &[u8]) -> Result<(), TestCaseError> {
             if let Ok(frame) = decode_frame(bytes) {
                 prop_assert!(FRAME_OVERHEAD + frame.payload.len() <= bytes.len());
-            }
-            if let Ok(values) = decode_f64s(bytes, n) {
-                prop_assert_eq!(values.len(), n);
-                prop_assert_eq!(encode_f64s(&values), bytes.to_vec());
             }
             Ok(())
         }
@@ -239,11 +194,9 @@ mod tests {
             #[test]
             fn arbitrary_bytes_never_panic(
                 bytes in prop::collection::vec(0u32..256, 0..400),
-                n in 0usize..64,
             ) {
                 let payload: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
-                decode(&payload, n)?;
-                decode(&payload, payload.len() / 8)?;
+                decode(&payload)?;
             }
 
             #[test]
@@ -254,13 +207,13 @@ mod tests {
             ) {
                 // Overwrite one 8-byte word (a rank, a kind, a length, a
                 // checksum or payload) with anything, then maybe truncate.
-                let mut bytes = encode_frame(3, 0, KIND_REDUCE, 9, &encode_f64s(&[1.5, -2.0])).unwrap();
+                let mut bytes = encode_frame(3, 0, KIND_DATA, 9, &[0x3f; 16]).unwrap();
                 let at = at % bytes.len().saturating_sub(7).max(1);
                 let end = (at + 8).min(bytes.len());
                 bytes[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
-                decode(&bytes, 2)?;
+                decode(&bytes)?;
                 bytes.truncate(cut % (bytes.len() + 1));
-                decode(&bytes, 2)?;
+                decode(&bytes)?;
             }
         }
     }

@@ -50,8 +50,6 @@ pub enum Counter {
     CommBytesSent,
     /// Bytes read from communicator transports (frames + length prefixes).
     CommBytesReceived,
-    /// Collective allreduce operations entered on this rank.
-    CommAllreduceCalls,
     /// 1-D line transforms through a mixed-radix (smooth-length) plan.
     FftLinesMixed,
     /// Floating-point operations of the all-band solver's block products
@@ -65,7 +63,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in reporting order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 18] = [
         Counter::FftLinesTrivial,
         Counter::FftLinesRadix2,
         Counter::FftLinesBluestein,
@@ -81,7 +79,6 @@ impl Counter {
         Counter::FragmentSolves,
         Counter::CommBytesSent,
         Counter::CommBytesReceived,
-        Counter::CommAllreduceCalls,
         Counter::FftLinesMixed,
         Counter::GemmFlops,
         Counter::FragmentShares,
@@ -105,7 +102,6 @@ impl Counter {
             Counter::FragmentSolves => "fragment_solves",
             Counter::CommBytesSent => "comm_bytes_sent",
             Counter::CommBytesReceived => "comm_bytes_received",
-            Counter::CommAllreduceCalls => "comm_allreduce_calls",
             Counter::FftLinesMixed => "fft_lines_mixed",
             Counter::GemmFlops => "gemm_flops",
             Counter::FragmentShares => "fragment_shares",
@@ -229,7 +225,7 @@ mod tests {
         // counter is a report-schema change: update the golden list
         // here AND document the delta in EXPERIMENTS.md. New counters
         // are appended, never inserted.
-        const GOLDEN: [&str; 19] = [
+        const GOLDEN: [&str; 18] = [
             "fft_lines_trivial",
             "fft_lines_radix2",
             "fft_lines_bluestein",
@@ -245,7 +241,6 @@ mod tests {
             "fragment_solves",
             "comm_bytes_sent",
             "comm_bytes_received",
-            "comm_allreduce_calls",
             "fft_lines_mixed",
             "gemm_flops",
             "fragment_shares",

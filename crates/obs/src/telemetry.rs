@@ -74,11 +74,10 @@ pub fn world_size() -> usize {
 pub struct CommRow {
     /// Direction: `"send"` or `"recv"`.
     pub op: String,
-    /// Frame kind: `"data"`, `"barrier"`, `"bcast"`, `"reduce"`,
-    /// `"hello"`.
+    /// Frame kind: `"data"`, `"bcast"` or `"hello"`.
     pub kind: String,
     /// Tag class of data frames (`"user"`, `"psi"`, `"telemetry"`);
-    /// collective-protocol kinds all report as `"collective"`.
+    /// broadcast and handshake frames report as `"collective"`.
     pub tag_class: String,
     /// Frames through this cell.
     pub frames: u64,

@@ -20,8 +20,8 @@
 //!    bit-identity suite in `crates/fft/tests/batched.rs`, the lint
 //!    engine's rule units and fixture corpus) gated by nothing. Every
 //!    default-feature suite rides here — checkpoint resume, the
-//!    golden patched-density digest, the kernel tolerance gate,
-//!    group balance, the `LS3DF_GROUPS` digest matrix, worker-kill
+//!    golden patched-density digest at every group and thread count,
+//!    the kernel tolerance gate, group balance, worker-kill
 //!    robustness, the obs-off no-op contract; the steps below exist only
 //!    where the features differ or the package is outside the workspace.
 //! 6. `zero-alloc`: `cargo test -p ls3df --features alloc-count --lib
@@ -43,7 +43,7 @@
 //!    observability gate: an obs-enabled SCF at any group count must
 //!    produce one merged report with one `up` rank section per group,
 //!    whose per-rank `fragment_solves` and `fragment_shares` counters sum
-//!    to the same totals at `LS3DF_GROUPS ∈ {1, 2, 4}` (solves plus
+//!    to the same totals at groups ∈ {1, 2, 4} (solves plus
 //!    shares = fragments × iterations), a killed worker must surface as a
 //!    `down` rank section (typed comm-error kind) with
 //!    `telemetry_incomplete` set, and the committed `BENCH_*.json`

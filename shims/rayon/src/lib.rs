@@ -25,7 +25,7 @@
 //! schedule decides only *where* each item's closure runs — never the
 //! shape of any floating-point summation — so results are bit-identical
 //! across `LS3DF_THREADS` settings (the property the `ls3df-core::check`
-//! invariant layer and `tests/ls3df_pipeline.rs` gate on). Heavy per-item
+//! invariant layer and `tests/dist_digest.rs` gate on). Heavy per-item
 //! closures (`map`, `for_each`, `flat_map_iter`) execute on the workers;
 //! only the cheap ordering/combining steps are sequential.
 

@@ -42,7 +42,7 @@
 //! reductions in the iterator layer combine materialized, source-ordered
 //! results with thread-count-independent trees, so runs at
 //! `LS3DF_THREADS` ∈ {1, 2, N} are bit-identical (gated by
-//! `tests/ls3df_pipeline.rs`).
+//! `tests/dist_digest.rs`).
 //!
 //! That contract is additionally stress-tested by *schedule exploration*:
 //! [`Schedule`] selects the order in which workers look for runnable
@@ -550,21 +550,36 @@ fn worker_main(state: Arc<PoolState>, index: usize) {
 
 static GLOBAL: OnceLock<Option<Pool>> = OnceLock::new();
 
-/// Thread count from the environment: `LS3DF_THREADS` if set to a
-/// positive integer, else the machine's available parallelism. `1`
-/// selects the exact sequential fallback (no pool, no worker threads).
+/// Thread count from the environment: `LS3DF_THREADS` if set, else the
+/// machine's available parallelism. `1` selects the exact sequential
+/// fallback (no pool, no worker threads). Panics on anything but a
+/// positive integer: pool creation has no error path, and a silent
+/// default would run another configuration than the one asked for.
+#[expect(
+    clippy::panic,
+    reason = "pool creation has no error path; a bad LS3DF_THREADS must stop the run, not fall back"
+)]
 fn configured_threads() -> usize {
-    let default = || {
-        std::thread::available_parallelism()
+    let value = std::env::var_os("LS3DF_THREADS").map(|v| v.to_string_lossy().into_owned());
+    match parse_threads(value.as_deref()) {
+        Ok(Some(n)) => n,
+        Ok(None) => std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    };
-    match std::env::var("LS3DF_THREADS") {
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => default(),
-        },
-        Err(_) => default(),
+            .unwrap_or(1),
+        Err(message) => panic!("{message}"),
+    }
+}
+
+/// Parses an `LS3DF_THREADS` value: unset is `Ok(None)` (the host
+/// default), a positive integer is that count, anything else is an error
+/// message naming the variable and the value.
+fn parse_threads(value: Option<&str>) -> Result<Option<usize>, String> {
+    match value.map(|v| (v, v.trim().parse::<usize>())) {
+        None => Ok(None),
+        Some((_, Ok(n))) if n >= 1 => Ok(Some(n)),
+        Some((value, _)) => Err(format!(
+            "LS3DF_THREADS={value:?} is not a positive number of threads"
+        )),
     }
 }
 
@@ -802,8 +817,16 @@ mod tests {
     }
 
     #[test]
-    fn configured_threads_is_positive() {
-        assert!(configured_threads() >= 1);
+    fn thread_counts_are_positive_integers_or_an_error_naming_the_value() {
+        assert_eq!(parse_threads(None), Ok(None));
+        assert_eq!(parse_threads(Some(" 4 ")), Ok(Some(4)));
+        // Extreme values stop at the parser: no pool is started here.
+        let max = usize::MAX.to_string();
+        assert_eq!(parse_threads(Some(&max)), Ok(Some(usize::MAX)));
+        for bad in ["", "0", "-2", "two", "1.5", "4 threads", &format!("{max}0")] {
+            let err = parse_threads(Some(bad)).expect_err(bad);
+            assert!(err.contains(&format!("LS3DF_THREADS={bad:?}")), "{err}");
+        }
     }
 
     #[test]

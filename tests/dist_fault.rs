@@ -5,10 +5,11 @@
 //! reader threads normally detect the closed socket well before it.
 //!
 //! Same SPMD child pattern as `tests/dist_digest.rs`: the parent re-execs
-//! this binary with `LS3DF_DIST_FAULT_CHILD=1`; the child is the
-//! launcher (rank 0), kills its own rank-1 worker from an observer hook
-//! between Gen_VF and the PEtot report receive, and checks the error it
-//! gets back.
+//! this binary with `LS3DF_DIST_FAULT_CHILD=1` (or
+//! `LS3DF_DIST_FAULT_OBS_CHILD=1`); the child builds a two-group world
+//! (`.groups(2)`), so it is the launcher (rank 0). It kills its own
+//! rank-1 worker from an observer hook between Gen_VF and the PEtot
+//! report receive, and checks the error it gets back.
 
 use ls3df::core::observer::{ScfObserver, ScfStage};
 use ls3df::core::{Ls3df, Ls3dfError, Ls3dfOptions, Passivation};

@@ -5,9 +5,9 @@
 //! under any group count.
 //!
 //! Same SPMD child pattern as `tests/dist_digest.rs`: the parent re-execs
-//! this binary with a `*_CHILD` variable and `LS3DF_GROUPS` set; the
-//! child's `build()` spawns its workers, which re-exec the same test
-//! again. Only the launcher's stdout reaches the parent.
+//! this binary with the group count in a `*_CHILD` variable; the child's
+//! `build()` spawns its workers, which inherit the variable and re-exec
+//! the same test again. Only the launcher's stdout reaches the parent.
 
 mod common;
 
@@ -110,18 +110,23 @@ impl ScfObserver for &mut EventLog {
 }
 
 /// Child half of the fault-replay gate (inert under a plain
-/// `cargo test`). Every rank queues the same injections (SPMD) on two
+/// `cargo test`; `LS3DF_DIST_EVENTS_CHILD` holds the group count). Every rank queues the same injections (SPMD) on two
 /// fragments that rank 1 owns in a 2-group plan: one recoverable solver
 /// error and one fragment that burns the whole ladder every iteration.
 #[test]
 fn fault_events_child() {
-    if std::env::var("LS3DF_DIST_EVENTS_CHILD").is_err() {
+    let Ok(groups) = std::env::var("LS3DF_DIST_EVENTS_CHILD") else {
         return;
-    }
+    };
     let s = crystal();
     let mut calc = Ls3df::builder(&s)
         .fragments([2, 2, 2])
         .options(small_opts(2))
+        .groups(
+            groups
+                .parse()
+                .expect("group count in LS3DF_DIST_EVENTS_CHILD"),
+        )
         .build()
         .expect("valid test geometry");
     // Chosen from the 2-group plan at every world size, so the 1-group
@@ -152,12 +157,8 @@ fn fault_events_child() {
 /// under the remote quarantine flag) equal the one-group run's.
 #[test]
 fn remote_faults_replay_like_the_one_group_run() {
-    let run = |groups: &str| {
-        spawn_child(
-            "fault_events_child",
-            &[("LS3DF_DIST_EVENTS_CHILD", "1"), ("LS3DF_GROUPS", groups)],
-        )
-    };
+    let run =
+        |groups: &str| spawn_child("fault_events_child", &[("LS3DF_DIST_EVENTS_CHILD", groups)]);
     let one = run("1");
     let two = run("2");
     let events = grab(&one, "LS3DF_EVENTS=");
@@ -187,16 +188,17 @@ fn remote_faults_replay_like_the_one_group_run() {
         assert_eq!(
             grab(&two, key),
             grab(&one, key),
-            "{key} differs between LS3DF_GROUPS=2 and LS3DF_GROUPS=1"
+            "{key} differs between the 2-group and the 1-group run"
         );
     }
 }
 
-fn build_ckpt(ckpt: Option<CheckpointConfig>, resume: Option<&Path>) -> Ls3df {
+fn build_ckpt(groups: usize, ckpt: Option<CheckpointConfig>, resume: Option<&Path>) -> Ls3df {
     let s = crystal();
     let mut b = Ls3df::builder(&s)
         .fragments([2, 2, 2])
-        .options(small_opts(MAX_SCF));
+        .options(small_opts(MAX_SCF))
+        .groups(groups);
     if let Some(cfg) = ckpt {
         b = b.checkpoint(cfg);
     }
@@ -207,21 +209,24 @@ fn build_ckpt(ckpt: Option<CheckpointConfig>, resume: Option<&Path>) -> Ls3df {
 }
 
 /// Child half of the resume gate (inert under a plain `cargo test`):
-/// `full` runs uninterrupted, snapshotting every iteration into
-/// `LS3DF_CKPT_DIR`; `resume` continues from `LS3DF_CKPT_SNAPSHOT`.
+/// `LS3DF_GROUP_CKPT_CHILD` is `<leg>:<groups>`. Leg `full` runs
+/// uninterrupted, snapshotting every iteration into `LS3DF_CKPT_DIR`;
+/// `resume` continues from `LS3DF_CKPT_SNAPSHOT`.
 #[test]
 fn group_ckpt_child() {
-    let Ok(leg) = std::env::var("LS3DF_GROUP_CKPT_CHILD") else {
+    let Ok(marker) = std::env::var("LS3DF_GROUP_CKPT_CHILD") else {
         return;
     };
+    let (leg, groups) = marker.split_once(':').expect("<leg>:<groups>");
+    let groups = groups.parse().expect("group count");
     let mut calc = if leg == "full" {
         let dir = PathBuf::from(std::env::var("LS3DF_CKPT_DIR").expect("LS3DF_CKPT_DIR"));
         // Keeps the last three: iterations 2, 3, 4 — the parent picks 2.
-        build_ckpt(Some(CheckpointConfig::every_n(dir, 1)), None)
+        build_ckpt(groups, Some(CheckpointConfig::every_n(dir, 1)), None)
     } else {
         let snap =
             PathBuf::from(std::env::var("LS3DF_CKPT_SNAPSHOT").expect("LS3DF_CKPT_SNAPSHOT"));
-        build_ckpt(None, Some(&snap))
+        build_ckpt(groups, None, Some(&snap))
     };
     let res = calc.try_scf().expect("SCF must complete");
     println!("LS3DF_DIGEST={:016x}", resume_digest(&res));
@@ -239,8 +244,7 @@ fn two_group_snapshot_resumes_under_any_group_count() {
     let full = spawn_child(
         "group_ckpt_child",
         &[
-            ("LS3DF_GROUP_CKPT_CHILD", "full"),
-            ("LS3DF_GROUPS", "2"),
+            ("LS3DF_GROUP_CKPT_CHILD", "full:2"),
             ("LS3DF_CKPT_DIR", dir_str),
         ],
     );
@@ -254,15 +258,14 @@ fn two_group_snapshot_resumes_under_any_group_count() {
         let resumed = spawn_child(
             "group_ckpt_child",
             &[
-                ("LS3DF_GROUP_CKPT_CHILD", "resume"),
-                ("LS3DF_GROUPS", groups),
+                ("LS3DF_GROUP_CKPT_CHILD", &format!("resume:{groups}")),
                 ("LS3DF_CKPT_SNAPSHOT", snap.to_str().expect("utf-8 path")),
             ],
         );
         assert_eq!(
             grab(&resumed, "LS3DF_DIGEST="),
             grab(&full, "LS3DF_DIGEST="),
-            "resume from iteration {KILL_AFTER} under LS3DF_GROUPS={groups} diverged \
+            "resume from iteration {KILL_AFTER} under {groups} group(s) diverged \
              from the uninterrupted 2-group run"
         );
     }

@@ -19,8 +19,8 @@
 //!   `cargo xtask ci` step (`fig7` is the one named exemption). Runs with
 //!   or without the `obs` feature.
 //! * `merged_report_counters_sum_to_single_process_totals` — SPMD
-//!   subprocess matrix at `LS3DF_GROUPS ∈ {1, 2, 4}` (same re-exec
-//!   pattern as `tests/dist_digest.rs`): every group count's merged
+//!   subprocess matrix at groups ∈ {1, 2, 4} (same re-exec pattern as
+//!   `tests/dist_digest.rs`): every group count's merged
 //!   report must carry one `up` rank section per group and the derived
 //!   straggler-gap / imbalance / comm-attribution sections, and its
 //!   per-rank `fragment_solves` and `fragment_shares` must sum to the
@@ -268,20 +268,21 @@ fn every_bench_bin_has_a_committed_artefact_or_a_ci_step() {
     );
 }
 
-/// Child half (inert under a plain `cargo test`): one SCF at whatever
-/// `LS3DF_GROUPS` this process carries, collected through a
+/// Child half (inert under a plain `cargo test`): one SCF at the group
+/// count in `LS3DF_OBS_DIST_CHILD`, collected through a
 /// [`TraceObserver`]. Rank 0 writes the merged report to the path in
 /// `LS3DF_OBS_DIST_REPORT_PATH` (the document is multi-line, so it
 /// travels by file, not stdout) and prints the fragment count.
 #[test]
 fn obs_dist_child() {
-    if std::env::var("LS3DF_OBS_DIST_CHILD").is_err() {
+    let Ok(groups) = std::env::var("LS3DF_OBS_DIST_CHILD") else {
         return;
-    }
+    };
     let s = model_crystal([2, 2, 2], 6.5);
     let mut calc = Ls3df::builder(&s)
         .fragments([2, 2, 2])
         .options(fixed_work_opts())
+        .groups(groups.parse().expect("group count in LS3DF_OBS_DIST_CHILD"))
         .build()
         .expect("obs-dist world must bootstrap");
     if calc.comm().rank() != 0 {
@@ -324,8 +325,7 @@ fn merged_report_counters_sum_to_single_process_totals() {
         let report_path = dir.join(format!("report_groups{groups}.json"));
         let out = std::process::Command::new(&exe)
             .args(["--exact", "obs_dist_child", "--nocapture"])
-            .env("LS3DF_OBS_DIST_CHILD", "1")
-            .env("LS3DF_GROUPS", groups.to_string())
+            .env("LS3DF_OBS_DIST_CHILD", groups.to_string())
             .env("LS3DF_THREADS", "2")
             .env("LS3DF_DIST_TIMEOUT_MS", "60000")
             .env("LS3DF_OBS_DIST_REPORT_PATH", &report_path)

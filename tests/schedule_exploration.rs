@@ -1,6 +1,6 @@
 //! Schedule-exploration gate (driven by `cargo xtask schedules`): the
 //! determinism contract must hold not just across thread *counts*
-//! (`tests/ls3df_pipeline.rs`) but across work-selection *orders*. The
+//! (`tests/dist_digest.rs`) but across work-selection *orders*. The
 //! adversarial schedules in the rayon shim (`lifo-starve`, `all-steal`,
 //! `reverse-park`) force steal patterns the default policy never
 //! generates; a short SCF run under every one of them — plus the
